@@ -35,7 +35,13 @@ from .rerank import (
     save_model,
     train,
 )
-from .retrieval import build_index, read_candidates, retrieve_all, write_candidates
+from .retrieval import (
+    build_index,
+    read_candidates,
+    read_ranked,
+    retrieve_all,
+    write_candidates,
+)
 from .textsearch import TextIndex, index_docs, search
 from .videoretrieval import (
     FIL_L1,
@@ -251,19 +257,7 @@ def cmd_expand(args) -> None:
 
 def cmd_eval_links(args) -> None:
     out = _out_dir(args)
-    rankings: dict[str, list[str]] = {}
-    with open(args.rankings, encoding="utf-8") as handle:
-        rows = []
-        for lineno, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) < 3:
-                raise DataError(f"{args.rankings}: line {lineno}: expected >= 3 columns")
-            rows.append((parts[0], int(parts[1]), parts[2]))
-    for step_id, rank, goal_id in sorted(rows, key=lambda r: (r[0], r[1])):
-        rankings.setdefault(step_id, []).append(goal_id)
-
+    rankings = read_ranked(args.rankings, 3, lambda lineno, parts: parts[2])
     gold = load_gold_links(args.gold)
     if args.split != "all":
         gold = split_links(gold, seed=args.seed).part(args.split)

@@ -11,6 +11,7 @@ import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -21,8 +22,11 @@ from .rerank import UNLINKABLE, FeatureSource, RerankModel, ScoredCandidate, sco
 from .retrieval import DEFAULT_K, GoalIndex, topk
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkPipeline:
+    """Everything one link decision depends on. Frozen, because decisions
+    and the config hash are computed once per pipeline and then reused."""
+
     corpus: Corpus
     index: GoalIndex
     store: EmbeddingStore
@@ -30,8 +34,15 @@ class LinkPipeline:
     features: FeatureSource
     k: int = DEFAULT_K
     exclude_parent: bool = True
+    _decisions: dict[str, "LinkDecision"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def config_hash(self) -> str:
+        return self._config_hash
+
+    @cached_property
+    def _config_hash(self) -> str:
         payload = {
             "k": self.k,
             "exclude_parent": self.exclude_parent,
@@ -72,8 +83,12 @@ def link_step(pipeline: LinkPipeline, step_id: str) -> LinkDecision:
     """Retrieve candidates for one step, rerank them, take the argmax.
 
     k is clamped to the number of goals available after exclusion so small
-    corpora still link.
+    corpora still link. The decision is kept on the pipeline, so linking the
+    same step again (expand meets steps more than once) reuses it.
     """
+    decision = pipeline._decisions.get(step_id)
+    if decision is not None:
+        return decision
     step = pipeline.corpus.step(step_id)
     exclude = {step.parent_goal_id} if pipeline.exclude_parent else set()
     available = len(pipeline.index) - len(exclude & pipeline.index.goal_id_set)
@@ -87,12 +102,13 @@ def link_step(pipeline: LinkPipeline, step_id: str) -> LinkDecision:
         step_id=step_id,
     )
     scored = score_candidates(pipeline.model, candidates, pipeline.features)
-    return LinkDecision(
+    decision = pipeline._decisions[step_id] = LinkDecision(
         step_id=step_id,
         outcome=scored.entries[0].goal_id,
         alternatives=scored.entries,
         config_hash=pipeline.config_hash(),
     )
+    return decision
 
 
 def link_all(pipeline: LinkPipeline, step_ids: Iterable[str] | None = None) -> list[LinkDecision]:

@@ -62,6 +62,8 @@ class FeatureSource(Protocol):
 
     def features(self, step_id: str, goal_id: str) -> np.ndarray: ...
 
+    def block(self, step_id: str, goal_ids: Sequence[str]) -> np.ndarray: ...
+
 
 def idf_table(texts: Iterable[str]) -> dict[str, float]:
     """Per-token IDF over a document collection (same form as the BM25 IDF)."""
@@ -73,21 +75,34 @@ def idf_table(texts: Iterable[str]) -> dict[str, float]:
     return {t: math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for t, d in df.items()}
 
 
-def _jaccard(a: set, b: set) -> float:
-    if not a and not b:
-        return 0.0
-    return len(a & b) / len(a | b)
+class _Text(NamedTuple):
+    """One step text or goal title, analysed once for pair features."""
+
+    tokens: np.ndarray  # distinct token ids, in ascending token-string order
+    token_idf: np.ndarray  # IDF of each token, same order
+    idf_sum: float  # sum of token_idf, added in that order
+    grams: np.ndarray  # distinct char 3-grams of the lowercased text as int codes, ascending
+    gram_counts: np.ndarray  # occurrences of each 3-gram
+    gram_norm: float  # Euclidean norm of gram_counts
+    folded: str  # casefolded text, for the exact-match flag
 
 
-def _char_ngram_cosine(a: str, b: str, n: int = 3) -> float:
-    ca = Counter(a[i : i + n] for i in range(len(a) - n + 1))
-    cb = Counter(b[i : i + n] for i in range(len(b) - n + 1))
-    if not ca or not cb:
-        return 0.0
-    dot = sum(v * cb.get(g, 0) for g, v in ca.items())
-    na = math.sqrt(sum(v * v for v in ca.values()))
-    nb = math.sqrt(sum(v * v for v in cb.values()))
-    return dot / (na * nb) if na and nb else 0.0
+def _char_trigrams(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct 3-grams of `text` and their counts. A 3-gram is coded as its
+    three code points (21 bits each) packed into one int64, so codes need no
+    vocabulary and sort the same in every process."""
+    codes = np.fromiter(map(ord, text), dtype=np.int64, count=len(text))
+    grams = (codes[:-2] << 42) | (codes[1:-1] << 21) | codes[2:]
+    return np.unique(grams, return_counts=True)
+
+
+def _lookup(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each value, its position in the ascending array `keys` and whether
+    it is there."""
+    if not len(keys):
+        return np.zeros(len(values), dtype=np.intp), np.zeros(len(values), dtype=bool)
+    pos = np.minimum(np.searchsorted(keys, values), len(keys) - 1)
+    return pos, keys[pos] == values
 
 
 class LexicalFeatureSource:
@@ -96,6 +111,14 @@ class LexicalFeatureSource:
     Layout: [bias, token Jaccard, char-3gram cosine, IDF-weighted overlap,
     token length ratio, exact-match flag, context-goal Jaccard], zero-padded
     to `dim`. The IDF table defaults to one built over the corpus goal titles.
+
+    The IDF overlap is I / (S_step + S_goal - I), where S is the sum of a
+    text's token IDFs and I that of the shared tokens, each summed in
+    ascending token-string order, so the value depends on the two texts only.
+
+    Goal titles are analysed on first use and kept; `block` analyses the
+    step once and computes a whole candidate list with array operations. A
+    source is not safe to share between threads.
     """
 
     name = "lexical"
@@ -115,33 +138,95 @@ class LexicalFeatureSource:
         self.context_mode = context_mode
         self.window = window
         self.idf = dict(idf) if idf is not None else idf_table(a.title for a in corpus.articles)
+        self._vocab: dict[str, int] = {}
+        self._goals: dict[str, _Text] = {}
 
-    def features(self, step_id: str, goal_id: str) -> np.ndarray:
-        step = self.corpus.step(step_id)
-        goal_title = self.corpus.article(goal_id).title
+    def _token_ids(self, tokens: Iterable[str]) -> np.ndarray:
+        vocab = self._vocab
+        return np.array([vocab.setdefault(t, len(vocab)) for t in tokens], dtype=np.int64)
+
+    def _analyse(self, text: str) -> _Text:
+        tokens = sorted(set(tokenize(text)))
+        token_idf = [self.idf.get(t, 1.0) for t in tokens]
+        grams, counts = _char_trigrams(text.lower())
+        return _Text(
+            tokens=self._token_ids(tokens),
+            token_idf=np.array(token_idf, dtype=np.float64),
+            idf_sum=sum(token_idf),
+            grams=grams,
+            gram_counts=counts,
+            gram_norm=math.sqrt(int((counts * counts).sum())),
+            folded=text.casefold(),
+        )
+
+    def _goal(self, goal_id: str) -> _Text:
+        text = self._goals.get(goal_id)
+        if text is None:
+            text = self._goals[goal_id] = self._analyse(self.corpus.article(goal_id).title)
+        return text
+
+    def _step(self, step_id: str) -> tuple[_Text, np.ndarray, np.ndarray]:
+        """A step's analysis, its token ids sorted, and its context's token ids
+        sorted. Not kept: each command featurises a step once (link decisions
+        are reused per step), while goal analyses are shared by many steps."""
+        text = self._analyse(self.corpus.step(step_id).text)
         ctx = context_of(self.corpus, step_id, self.context_mode, self.window)
+        pieces = (ctx.goal_text or "",) + ctx.prev_steps + ctx.next_steps
+        context = self._token_ids(sorted({t for piece in pieces for t in tokenize(piece)}))
+        return text, np.sort(text.tokens), np.sort(context)
 
-        s_tokens = set(tokenize(step.text))
-        g_tokens = set(tokenize(goal_title))
-        ctx_tokens: set[str] = set()
-        if ctx.goal_text is not None:
-            ctx_tokens |= set(tokenize(ctx.goal_text))
-        for text in ctx.prev_steps + ctx.next_steps:
-            ctx_tokens |= set(tokenize(text))
+    def block(self, step_id: str, goal_ids: Sequence[str]) -> np.ndarray:
+        """Feature rows for one step against each goal, shape (len(goal_ids), dim)."""
+        return self.features(step_id, tuple(goal_ids))
 
-        union_idf = sum(self.idf.get(t, 1.0) for t in s_tokens | g_tokens)
-        inter_idf = sum(self.idf.get(t, 1.0) for t in s_tokens & g_tokens)
-        n_s, n_g = len(s_tokens), len(g_tokens)
+    def features(self, step_id: str, goal_id: str | tuple[str, ...]) -> np.ndarray:
+        """Feature row of one (step, goal) pair, shape (dim,). Given a tuple of
+        goal ids, the rows of all of them as one block, shape (len, dim); this
+        is `block`, and a single pair is its one-row case."""
+        step, step_tokens, context = self._step(step_id)
+        goal_ids = (goal_id,) if isinstance(goal_id, str) else goal_id
+        m = len(goal_ids)
+        out = np.zeros((m, self.dim), dtype=np.float64)
+        if m == 0:
+            return out
+        tokens, token_idf, idf_sums, grams, gram_counts, gram_norms, folded = zip(
+            *[self._goal(g) for g in goal_ids]
+        )
+        rows = np.arange(m)
 
-        vec = np.zeros(self.dim, dtype=np.float64)
-        vec[0] = 1.0
-        vec[1] = _jaccard(s_tokens, g_tokens)
-        vec[2] = _char_ngram_cosine(step.text.lower(), goal_title.lower())
-        vec[3] = inter_idf / union_idf if union_idf > 0.0 else 0.0
-        vec[4] = min(n_s, n_g) / max(n_s, n_g) if max(n_s, n_g) else 0.0
-        vec[5] = 1.0 if step.text.casefold() == goal_title.casefold() else 0.0
-        vec[6] = _jaccard(ctx_tokens, g_tokens)
-        return vec
+        # Each goal's tokens end to end; seg holds the row of each.
+        n_goal = np.fromiter(map(len, tokens), dtype=np.int64, count=m)
+        seg = np.repeat(rows, n_goal)
+        tokens = np.concatenate(tokens)
+        shared = _lookup(step_tokens, tokens)[1]
+        n_shared = np.bincount(seg[shared], minlength=m)
+        # bincount adds in array order: each goal's shared IDFs in token-string order.
+        idf_shared = np.bincount(seg[shared], np.concatenate(token_idf)[shared], minlength=m)
+        n_ctx_shared = np.bincount(seg[_lookup(context, tokens)[1]], minlength=m)
+
+        gram_seg = np.repeat(rows, np.fromiter(map(len, grams), dtype=np.int64, count=m))
+        pos, hit = _lookup(step.grams, np.concatenate(grams))
+        weights = np.concatenate(gram_counts)[hit] * step.gram_counts[pos[hit]]
+        dot = np.bincount(gram_seg[hit], weights, minlength=m)
+
+        n_step = len(step.tokens)
+        num = np.array(
+            [n_shared, dot, idf_shared, np.minimum(n_step, n_goal), n_ctx_shared], dtype=np.float64
+        )
+        den = np.array(
+            [
+                n_step + n_goal - n_shared,
+                step.gram_norm * np.array(gram_norms),
+                step.idf_sum + np.array(idf_sums) - idf_shared,
+                np.maximum(n_step, n_goal),
+                len(context) + n_goal - n_ctx_shared,
+            ],
+            dtype=np.float64,
+        )
+        out[:, 0] = 1.0
+        out[:, [1, 2, 3, 4, 6]] = np.divide(num, den, out=np.zeros_like(num), where=den > 0).T
+        out[:, 5] = [text == step.folded for text in folded]
+        return out[0] if isinstance(goal_id, str) else out
 
 
 class TableFeatureSource:
@@ -158,6 +243,10 @@ class TableFeatureSource:
             return self._table[(step_id, goal_id)]
         except KeyError:
             raise KeyError(f"no feature row for step {step_id!r}, goal {goal_id!r}") from None
+
+    def block(self, step_id: str, goal_ids: Sequence[str]) -> np.ndarray:
+        rows = [self.features(step_id, goal_id) for goal_id in goal_ids]
+        return np.stack(rows) if rows else np.zeros((0, self.dim), dtype=np.float64)
 
 
 def load_feature_file(path: str | Path) -> TableFeatureSource:
@@ -247,23 +336,25 @@ def save_model(model: RerankModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> RerankModel:
     fields: dict[str, str] = {}
-    w = u = None
+    vectors: dict[str, list[str]] = {}
     with open(path, encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("W "):
-                w = np.array([float(x) for x in line[2:].split()], dtype=np.float64)
-            elif line.startswith("U "):
-                u = np.array([float(x) for x in line[2:].split()], dtype=np.float64)
+            if line.startswith(("W ", "U ")):
+                vectors[line[0]] = line[2:].split()
             elif "=" in line:
                 key, value = line.split("=", 1)
                 fields[key] = value
+    if "W" not in vectors:
+        raise DataError(f"{path}: malformed model checkpoint (no W line)")
     try:
         dim = int(fields["dim"])
+        w = np.array([float(x) for x in vectors["W"]], dtype=np.float64)
+        u = np.array([float(x) for x in vectors["U"]], dtype=np.float64) if "U" in vectors else None
         model = RerankModel(
-            w=w if w is not None else np.zeros(dim),
+            w=w,
             lam=float(fields["lambda"]),
             unlinkable_enabled=bool(int(fields["unlinkable"])),
             unlinkable_feat=u,
@@ -272,8 +363,9 @@ def load_model(path: str | Path) -> RerankModel:
         )
     except (KeyError, ValueError) as exc:
         raise DataError(f"{path}: malformed model checkpoint ({exc})") from None
-    if model.w.shape[0] != dim:
-        raise DataError(f"{path}: W has {model.w.shape[0]} values, expected {dim}")
+    for name, vec in (("W", model.w), ("U", model.unlinkable_feat)):
+        if vec is not None and vec.shape[0] != dim:
+            raise DataError(f"{path}: {name} has {vec.shape[0]} values, expected {dim}")
     if model.unlinkable_enabled and model.unlinkable_feat is None:
         raise DataError(f"{path}: unlinkable model is missing its U row")
     return model
@@ -315,9 +407,10 @@ def score_candidates(
     """
     if not candidates.entries:
         raise ValueError(f"step {candidates.step_id!r} has an empty candidate list")
+    feats = source.block(candidates.step_id, [goal_id for goal_id, _ in candidates.entries])
     scored = [
-        ScoredCandidate(goal_id, sim1_val, sim2(model, source.features(candidates.step_id, goal_id), sim1_val))
-        for goal_id, sim1_val in candidates.entries
+        ScoredCandidate(goal_id, sim1_val, sim2(model, row, sim1_val))
+        for (goal_id, sim1_val), row in zip(candidates.entries, feats)
     ]
     if model.unlinkable_enabled:
         floor = min(entry.sim1 for entry in candidates.entries)
@@ -380,7 +473,7 @@ class LossGrads:
 
 def example_features(source: FeatureSource, example: TrainExample) -> np.ndarray:
     """Feature matrix for the real candidates of one example, row-aligned."""
-    return np.stack([source.features(example.step_id, c.goal_id) for c in example.candidates])
+    return source.block(example.step_id, [c.goal_id for c in example.candidates])
 
 
 def nll_loss(model: RerankModel, example: TrainExample, feats: np.ndarray) -> LossGrads:
@@ -440,10 +533,13 @@ class TrainResult:
     best_epoch: int
 
 
-def mean_loss(model: RerankModel, examples: Sequence[TrainExample], source: FeatureSource) -> float:
+def mean_loss(
+    model: RerankModel, examples: Sequence[TrainExample], feats: Sequence[np.ndarray]
+) -> float:
+    """Mean NLL over examples, given each example's feature matrix."""
     total = 0.0
-    for example in examples:
-        total += nll_loss(model, example, example_features(source, example)).loss
+    for example, example_feats in zip(examples, feats):
+        total += nll_loss(model, example, example_feats).loss
     return total / len(examples)
 
 
@@ -469,6 +565,7 @@ def train(
     model = model.copy()
     rng = np.random.default_rng(seed)
     feats_cache = [example_features(source, ex) for ex in examples]
+    dev_feats = [example_features(source, ex) for ex in dev_examples] if dev_examples else []
 
     curve: list[EpochStats] = []
     best: tuple[float, int, RerankModel] | None = None
@@ -499,7 +596,7 @@ def train(
                 model.unlinkable_feat -= scale * grad_u
 
         train_loss = sum(epoch_losses) / len(epoch_losses)
-        dev_loss = mean_loss(model, dev_examples, source) if dev_examples else None
+        dev_loss = mean_loss(model, dev_examples, dev_feats) if dev_examples else None
         curve.append(EpochStats(epoch=epoch, train_loss=train_loss, dev_loss=dev_loss))
         if dev_loss is not None and (best is None or dev_loss < best[0]):
             best = (dev_loss, epoch, model.copy())

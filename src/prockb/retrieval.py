@@ -5,10 +5,11 @@ to inner-product top-k. Search is an exact full scan; ties break by ascending
 goal_id so candidate lists are stable across runs.
 """
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -17,6 +18,8 @@ from .embedding import EmbeddingStore
 from .errors import DataError
 
 DEFAULT_K = 30
+
+T = TypeVar("T")
 
 
 class Candidate(NamedTuple):
@@ -132,20 +135,51 @@ def write_candidates(path: str | Path, lists: Iterable[CandidateList]) -> None:
                 handle.write(f"{cand.step_id}\t{rank}\t{goal_id}\t{sim1!r}\n")
 
 
-def read_candidates(path: str | Path) -> list[CandidateList]:
-    per_step: dict[str, list[tuple[int, Candidate]]] = {}
+def read_ranked(
+    path: str | Path, columns: int, parse: Callable[[int, list[str]], T]
+) -> dict[str, list[T]]:
+    """Read a ranked TSV whose lines start with step_id and an integer rank.
+
+    Returns step_id -> [parse(line number, columns) of each of its lines], in
+    rank order, with steps in the order they first appear. Raises DataError,
+    with path and line, on a line with fewer than `columns` columns, a rank
+    that is not an integer, or a repeated (step_id, rank).
+    """
+    per_step: dict[str, list] = {}  # rows of (rank, line number, value), then values
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
             if not line.strip():
                 continue
             parts = line.rstrip("\n").split("\t")
-            if len(parts) < 4:
-                raise DataError(f"{path}: line {lineno}: expected 4 columns")
-            step_id, rank, goal_id, sim1 = parts[0], int(parts[1]), parts[2], float(parts[3])
-            per_step.setdefault(step_id, []).append((rank, Candidate(goal_id, sim1)))
-    lists = []
-    for step_id, ranked in per_step.items():
-        ranked.sort(key=lambda item: item[0])
-        entries = tuple(cand for _, cand in ranked)
-        lists.append(CandidateList(step_id=step_id, entries=entries, k=len(entries)))
-    return lists
+            if len(parts) < columns:
+                raise DataError(f"{path}: line {lineno}: expected {columns} columns")
+            try:
+                rank = int(parts[1])
+            except ValueError:
+                raise DataError(
+                    f"{path}: line {lineno}: rank {parts[1]!r} is not an integer"
+                ) from None
+            per_step.setdefault(parts[0], []).append((rank, lineno, parse(lineno, parts)))
+    for step_id, rows in per_step.items():
+        rows.sort(key=lambda row: row[0])
+        for (rank, _, _), (next_rank, lineno, _) in zip(rows, rows[1:]):
+            if rank == next_rank:
+                raise DataError(f"{path}: line {lineno}: duplicate rank {rank} for step {step_id!r}")
+        rows[:] = [value for _, _, value in rows]
+    return per_step
+
+
+def read_candidates(path: str | Path) -> list[CandidateList]:
+    def candidate(lineno: int, parts: list[str]) -> Candidate:
+        try:
+            sim1 = float(parts[3])
+        except ValueError:
+            sim1 = math.nan
+        if not math.isfinite(sim1):
+            raise DataError(f"{path}: line {lineno}: sim1 {parts[3]!r} is not a finite number")
+        return Candidate(parts[2], sim1)
+
+    return [
+        CandidateList(step_id=step_id, entries=tuple(entries), k=len(entries))
+        for step_id, entries in read_ranked(path, 4, candidate).items()
+    ]

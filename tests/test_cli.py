@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import prockb
 from conftest import identity_records, write_jsonl
 from prockb.cli import main
 
@@ -235,3 +240,80 @@ def test_subcommands_do_not_mutate_inputs(identity_setup, tmp_path):
          "--candidates", str(tmp_path / "ret" / "candidates.tsv"),
          "--gold", str(gold_path), "--epochs", "2", "--out-dir", str(tmp_path / "tr")])
     assert (corpus_path.read_bytes(), gold_path.read_bytes()) == before
+
+
+def _linked(identity_setup, tmp_path):
+    """Run build-index and retrieve on the identity corpus; return the paths."""
+    corpus_path, gold_path, _ = identity_setup
+    assert run(["build-index", "--corpus", str(corpus_path),
+                "--out-dir", str(tmp_path / "ix")]) == 0
+    embeddings = tmp_path / "ix" / "embeddings.txt"
+    assert run(["retrieve", "--corpus", str(corpus_path), "--embeddings", str(embeddings),
+                "--k", "10", "--out-dir", str(tmp_path / "ret")]) == 0
+    return corpus_path, gold_path, embeddings, tmp_path / "ret" / "candidates.tsv"
+
+
+_CLI = "import sys; from prockb.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_artifacts_do_not_depend_on_hash_seed(identity_setup, tmp_path):
+    """train-reranker and link write the same bytes under any PYTHONHASHSEED."""
+    corpus_path, gold_path, embeddings, candidates = _linked(identity_setup, tmp_path)
+    src = str(Path(prockb.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        tr, ln = tmp_path / f"tr{hash_seed}", tmp_path / f"ln{hash_seed}"
+        for argv in (
+            ["train-reranker", "--corpus", str(corpus_path), "--candidates", str(candidates),
+             "--gold", str(gold_path), "--unlinkable", "--out-dir", str(tr)],
+            ["link", "--corpus", str(corpus_path), "--embeddings", str(embeddings),
+             "--model", str(tr / "model.txt"), "--k", "10", "--rankings", "--out-dir", str(ln)],
+        ):
+            subprocess.run([sys.executable, "-c", _CLI, *argv], env=env, check=True, timeout=120)
+        outputs.append([(tr / "model.txt").read_bytes(), (ln / "links.tsv").read_bytes(),
+                        (ln / "rankings.tsv").read_bytes()])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: [l for l in lines if not l.startswith("W ")], "no W line"),
+        (lambda lines: [l.rsplit(" ", 1)[0] if l.startswith("U ") else l for l in lines],
+         "U has 15 values, expected 16"),
+    ],
+    ids=["no-W-line", "short-U-row"],
+)
+def test_link_rejects_bad_checkpoint(identity_setup, tmp_path, capsys, edit, message):
+    corpus_path, gold_path, embeddings, candidates = _linked(identity_setup, tmp_path)
+    assert run(["train-reranker", "--corpus", str(corpus_path), "--candidates", str(candidates),
+                "--gold", str(gold_path), "--unlinkable", "--epochs", "1",
+                "--out-dir", str(tmp_path / "tr")]) == 0
+    model = tmp_path / "tr" / "model.txt"
+    model.write_text("\n".join(edit(model.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    code = run(["link", "--corpus", str(corpus_path), "--embeddings", str(embeddings),
+                "--model", str(model), "--out-dir", str(tmp_path / "ln")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and str(model) in err
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("a00_probe\t1\ta01\na00_probe\tfirst\ta02\n", "line 2: rank 'first' is not an integer"),
+        ("a00_probe\t1\ta01\na00_probe\t1\ta02\n", "line 2: duplicate rank 1"),
+    ],
+    ids=["non-integer-rank", "duplicate-rank"],
+)
+def test_eval_links_rejects_bad_ranks(identity_setup, tmp_path, capsys, rows, message):
+    _, gold_path, _ = identity_setup
+    rankings = tmp_path / "rankings.tsv"
+    rankings.write_text(rows)
+    code = run(["eval-links", "--rankings", str(rankings), "--gold", str(gold_path),
+                "--out-dir", str(tmp_path / "ev")])
+    assert code == 2
+    assert f"{rankings}: {message}" in capsys.readouterr().err

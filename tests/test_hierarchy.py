@@ -189,3 +189,14 @@ def test_link_dumps_round_trip(tmp_path):
     assert len(lines) == sum(len(d.alternatives) for d in decisions)
     first = lines[0].split("\t")
     assert first[0] == decisions[0].step_id and first[1] == "1"
+
+
+def test_link_decisions_are_reused_per_pipeline():
+    pipeline = make_pipeline(chain_records())
+    first = link_step(pipeline, "A_s0")
+    assert link_step(pipeline, "A_s0") is first
+    assert pipeline.config_hash() == first.config_hash
+    fresh = make_pipeline(chain_records())
+    assert link_step(fresh, "A_s0") == first
+    with pytest.raises(AttributeError):
+        pipeline.k = 1

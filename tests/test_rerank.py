@@ -1,10 +1,13 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_corpus
-from prockb.corpus import StepContext
+from conftest import identity_records, make_corpus
+from prockb.corpus import CONTEXT_MODES, StepContext, context_of
 from prockb.errors import DataError
 from prockb.rerank import (
     UNLINKABLE,
@@ -24,6 +27,7 @@ from prockb.rerank import (
     write_feature_file,
 )
 from prockb.retrieval import Candidate, CandidateList
+from prockb.textsearch import tokenize
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +102,133 @@ def test_features_finite_and_sized(lex_corpus):
 def test_feature_dim_floor(lex_corpus):
     with pytest.raises(ValueError, match="dim"):
         LexicalFeatureSource(lex_corpus, dim=4)
+
+
+# Reference: the per-pair feature arithmetic, one (step, goal) at a time with
+# Python sets and Counters. Column 3 sums IDFs in set order, so it may differ
+# from the source in the last bits; every other column must match exactly.
+
+def _jaccard(a: set, b: set) -> float:
+    if not a and not b:
+        return 0.0
+    return len(a & b) / len(a | b)
+
+
+def _char_ngram_cosine(a: str, b: str, n: int = 3) -> float:
+    ca = Counter(a[i : i + n] for i in range(len(a) - n + 1))
+    cb = Counter(b[i : i + n] for i in range(len(b) - n + 1))
+    if not ca or not cb:
+        return 0.0
+    dot = sum(v * cb.get(g, 0) for g, v in ca.items())
+    na = math.sqrt(sum(v * v for v in ca.values()))
+    nb = math.sqrt(sum(v * v for v in cb.values()))
+    return dot / (na * nb) if na and nb else 0.0
+
+
+def reference_features(source: LexicalFeatureSource, step_id: str, goal_id: str) -> np.ndarray:
+    corpus = source.corpus
+    step_text = corpus.step(step_id).text
+    goal_title = corpus.article(goal_id).title
+    ctx = context_of(corpus, step_id, source.context_mode, source.window)
+
+    s_tokens = set(tokenize(step_text))
+    g_tokens = set(tokenize(goal_title))
+    ctx_tokens: set[str] = set()
+    if ctx.goal_text is not None:
+        ctx_tokens |= set(tokenize(ctx.goal_text))
+    for text in ctx.prev_steps + ctx.next_steps:
+        ctx_tokens |= set(tokenize(text))
+
+    union_idf = sum(source.idf.get(t, 1.0) for t in s_tokens | g_tokens)
+    inter_idf = sum(source.idf.get(t, 1.0) for t in s_tokens & g_tokens)
+    n_s, n_g = len(s_tokens), len(g_tokens)
+
+    vec = np.zeros(source.dim, dtype=np.float64)
+    vec[0] = 1.0
+    vec[1] = _jaccard(s_tokens, g_tokens)
+    vec[2] = _char_ngram_cosine(step_text.lower(), goal_title.lower())
+    vec[3] = inter_idf / union_idf if union_idf > 0.0 else 0.0
+    vec[4] = min(n_s, n_g) / max(n_s, n_g) if max(n_s, n_g) else 0.0
+    vec[5] = 1.0 if step_text.casefold() == goal_title.casefold() else 0.0
+    vec[6] = _jaccard(ctx_tokens, g_tokens)
+    return vec
+
+
+EXACT_COLUMNS = [0, 1, 2, 4, 5, 6, 7]
+
+
+def assert_blocks_match_reference(corpus, context_mode, window):
+    source = LexicalFeatureSource(corpus, dim=8, context_mode=context_mode, window=window)
+    goal_ids = corpus.goal_ids()
+    for step in corpus.steps():
+        got = source.block(step.step_id, goal_ids)
+        want = np.stack([reference_features(source, step.step_id, g) for g in goal_ids])
+        assert got.shape == (len(goal_ids), 8)
+        assert got[:, EXACT_COLUMNS].tobytes() == want[:, EXACT_COLUMNS].tobytes()
+        assert np.max(np.abs(got[:, 3] - want[:, 3])) <= 1e-12
+        for row, goal_id in zip(got, goal_ids):
+            assert source.features(step.step_id, goal_id).tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("context_mode", CONTEXT_MODES)
+def test_block_matches_reference_on_identity_corpus(context_mode):
+    records, _ = identity_records(12)
+    assert_blocks_match_reference(make_corpus(records), context_mode, window=1)
+
+
+# Titles and steps from a small alphabet with case-folding oddities; some are
+# punctuation only (no tokens), some under 3 characters (no 3-grams), and some
+# steps are a re-cased copy of a title (casefold-equal exact matches).
+_texts = st.one_of(
+    st.text(alphabet="abAB zßSİi0.-", min_size=1, max_size=24),
+    st.text(alphabet=".,!- ", min_size=1, max_size=4),
+    st.text(alphabet="aAß1.", min_size=1, max_size=2),
+).filter(str.strip)
+
+
+@st.composite
+def text_corpora(draw):
+    titles = draw(st.lists(_texts, min_size=1, max_size=4))
+    records = []
+    for i, title in enumerate(titles):
+        steps = []
+        for j in range(draw(st.integers(1, 4))):
+            if draw(st.booleans()):
+                text = draw(_texts)
+            else:
+                text = draw(st.sampled_from(titles))
+                text = draw(st.sampled_from([text, text.upper(), text.swapcase()]))
+            steps.append({"id": f"s{i}_{j}", "text": text})
+        records.append({"id": f"g{i}", "title": title, "steps": steps})
+    return make_corpus(records)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text_corpora(), st.sampled_from(CONTEXT_MODES), st.integers(1, 2))
+def test_block_matches_reference_on_generated_texts(corpus, context_mode, window):
+    assert_blocks_match_reference(corpus, context_mode, window)
+
+
+def test_blocks_do_not_depend_on_warm_up_order():
+    records, _ = identity_records(12)
+    corpus = make_corpus(records)
+    goal_ids = corpus.goal_ids()
+    step_ids = [s.step_id for s in corpus.steps()]
+    forward = LexicalFeatureSource(corpus, dim=8, context_mode="both")
+    backward = LexicalFeatureSource(corpus, dim=8, context_mode="both")
+    for step_id in step_ids:
+        forward.block(step_id, goal_ids)
+    for step_id in reversed(step_ids):
+        backward.block(step_id, goal_ids[::-1])
+    for step_id in step_ids:
+        want = forward.block(step_id, goal_ids)
+        assert backward.block(step_id, goal_ids).tobytes() == want.tobytes()
+
+
+def test_empty_block_has_model_width(lex_corpus):
+    source = LexicalFeatureSource(lex_corpus, dim=8)
+    assert source.block("t1", []).shape == (0, 8)
+    assert TableFeatureSource(8, {}).block("t1", []).shape == (0, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +579,23 @@ def test_model_checkpoint_validation(tmp_path):
     path.write_text("dim=4\n")
     with pytest.raises(DataError, match="malformed"):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "vectors, message",
+    [
+        ("", "no W line"),
+        ("W 0.0 1.0 2.0\nU 0.0 1.0\n", "U has 2 values, expected 3"),
+        ("W 0.0 x 2.0\nU 0.0 1.0 2.0\n", "malformed"),
+    ],
+    ids=["no-W-line", "short-U-row", "non-float-W"],
+)
+def test_model_checkpoint_rejects_bad_vectors(tmp_path, vectors, message):
+    path = tmp_path / "model.txt"
+    path.write_text("dim=3\nlambda=1.0\nunlinkable=1\ncontext_mode=none\nwindow=1\n" + vectors)
+    with pytest.raises(DataError, match=message) as info:
+        load_model(path)
+    assert str(path) in str(info.value)
 
 
 def test_feature_file_round_trip(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_corpus, two_article_records
+from prockb.errors import DataError
 from prockb.embedding import EmbeddingStore, cosine, embed_corpus
 from prockb.retrieval import (
     Candidate,
@@ -145,3 +146,29 @@ def test_candidates_tsv_round_trip(tmp_path):
     write_candidates(path, lists)
     loaded = read_candidates(path)
     assert loaded == lists
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("s1\t1\tg1\t0.5\ns1\tone\tg2\t0.4\n", r"line 2: rank 'one' is not an integer"),
+        ("s1\t1\tg1\t0.5\ns1\t2\tg2\thigh\n", r"line 2: sim1 'high' is not a finite number"),
+        ("s1\t1\tg1\tnan\n", r"line 1: sim1 'nan' is not a finite number"),
+        ("s1\t1\tg1\t0.5\n\ns1\t1\tg2\t0.4\n", r"line 3: duplicate rank 1 for step 's1'"),
+        ("s1\t1\tg1\n", r"line 1: expected 4 columns"),
+    ],
+    ids=["non-integer-rank", "non-float-sim1", "nan-sim1", "duplicate-rank", "short-line"],
+)
+def test_read_candidates_rejects_bad_rows(tmp_path, rows, message):
+    path = tmp_path / "candidates.tsv"
+    path.write_text(rows)
+    with pytest.raises(DataError, match=message) as info:
+        read_candidates(path)
+    assert str(path) in str(info.value)
+
+
+def test_read_candidates_accepts_same_rank_for_different_steps(tmp_path):
+    path = tmp_path / "candidates.tsv"
+    path.write_text("s1\t2\tg2\t0.1\ns2\t1\tg1\t0.3\ns1\t1\tg1\t0.5\n")
+    lists = {c.step_id: c for c in read_candidates(path)}
+    assert [c.goal_id for c in lists["s1"].entries] == ["g1", "g2"]
