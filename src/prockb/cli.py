@@ -300,7 +300,7 @@ def cmd_vr_index(args) -> None:
 
 def _video_index(args, videos):
     if getattr(args, "index", None):
-        return TextIndex.from_json(Path(args.index).read_text(encoding="utf-8"))
+        return TextIndex.from_json(Path(args.index).read_text(encoding="utf-8"), source=args.index)
     return build_video_index(videos, k1=args.k1, b=args.b)
 
 

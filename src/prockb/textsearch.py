@@ -65,36 +65,52 @@ class TextIndex:
         else:
             self.stopwords = None
 
-        self.doc_ids: list[str] = []
-        self._idx_of: dict[str, int] = {}
+        doc_ids: list[str] = []
+        positions: dict[str, int] = {}
         lengths: list[int] = []
         raw_postings: dict[str, dict[int, int]] = {}
         for doc_id, text in docs:
-            if doc_id in self._idx_of:
+            if doc_id in positions:
                 raise DataError(f"duplicate doc id {doc_id!r}")
-            idx = len(self.doc_ids)
-            self._idx_of[doc_id] = idx
-            self.doc_ids.append(doc_id)
+            idx = len(doc_ids)
+            positions[doc_id] = idx
+            doc_ids.append(doc_id)
             tokens = self._analyze(text)
             lengths.append(len(tokens))
             for tok in tokens:
                 bucket = raw_postings.setdefault(tok, {})
                 bucket[idx] = bucket.get(idx, 0) + 1
 
+        # Docs are numbered in input order, so each bucket's keys ascend.
+        postings = {
+            term: (np.fromiter(bucket, dtype=np.int64, count=len(bucket)),
+                   np.fromiter(bucket.values(), dtype=np.float64, count=len(bucket)))
+            for term, bucket in raw_postings.items()
+        }
+        self._finalise(doc_ids, positions, lengths, postings)
+
+    def _finalise(
+        self,
+        doc_ids: list[str],
+        positions: dict[str, int],
+        lengths: Sequence[int],
+        postings: dict[str, tuple[np.ndarray, np.ndarray]],
+    ) -> None:
+        """Set the document table and the statistics BM25 derives from it.
+
+        `positions` maps each doc id to its index in `doc_ids`; each posting
+        is (doc indexes ascending, term frequencies).
+        """
+        self.doc_ids = doc_ids
+        self.positions = positions
         self.doc_lens = np.array(lengths, dtype=np.float64)
-        self.n_docs = len(self.doc_ids)
+        self.n_docs = len(doc_ids)
         self.avgdl = float(self.doc_lens.mean()) if self.n_docs else 0.0
         self._avgdl_safe = self.avgdl if self.avgdl > 0.0 else 1.0
         # Ranks of doc ids in ascending order, for deterministic tie-breaks.
         self.id_rank = np.empty(self.n_docs, dtype=np.int64)
-        for rank, idx in enumerate(sorted(range(self.n_docs), key=lambda i: self.doc_ids[i])):
-            self.id_rank[idx] = rank
-
-        self._postings: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for term, bucket in raw_postings.items():
-            idxs = np.array(sorted(bucket), dtype=np.int64)
-            tfs = np.array([bucket[i] for i in idxs], dtype=np.float64)
-            self._postings[term] = (idxs, tfs)
+        self.id_rank[sorted(range(self.n_docs), key=doc_ids.__getitem__)] = np.arange(self.n_docs)
+        self._postings = postings
 
     def _analyze(self, text: str) -> list[str]:
         tokens = tokenize(text)
@@ -123,7 +139,7 @@ class TextIndex:
 
     def doc_idx(self, doc_id: str) -> int:
         try:
-            return self._idx_of[doc_id]
+            return self.positions[doc_id]
         except KeyError:
             raise KeyError(f"unknown doc id {doc_id!r}") from None
 
@@ -180,25 +196,96 @@ class TextIndex:
         return json.dumps(payload, sort_keys=True, ensure_ascii=False)
 
     @classmethod
-    def from_json(cls, blob: str) -> "TextIndex":
-        payload = json.loads(blob)
-        index = cls([], k1=payload["k1"], b=payload["b"],
-                    stopwords=payload["stopwords"], stem=payload["stem"])
-        index.doc_ids = [doc_id for doc_id, _ in payload["docs"]]
-        index._idx_of = {doc_id: i for i, doc_id in enumerate(index.doc_ids)}
-        index.doc_lens = np.array([length for _, length in payload["docs"]], dtype=np.float64)
-        index.n_docs = len(index.doc_ids)
-        index.avgdl = float(index.doc_lens.mean()) if index.n_docs else 0.0
-        index._avgdl_safe = index.avgdl if index.avgdl > 0.0 else 1.0
-        index.id_rank = np.empty(index.n_docs, dtype=np.int64)
-        for rank, idx in enumerate(sorted(range(index.n_docs), key=lambda i: index.doc_ids[i])):
-            index.id_rank[idx] = rank
-        index._postings = {}
-        for term, pairs in payload["postings"].items():
-            idxs = np.array(sorted(index._idx_of[doc_id] for doc_id, _ in pairs), dtype=np.int64)
-            by_idx = {index._idx_of[doc_id]: tf for doc_id, tf in pairs}
-            tfs = np.array([by_idx[i] for i in idxs], dtype=np.float64)
-            index._postings[term] = (idxs, tfs)
+    def from_json(cls, blob: str, source: str = "index") -> "TextIndex":
+        """Load an index written by `to_json`; `source` names it in errors.
+
+        Raises DataError for malformed JSON, a missing or mistyped field, a
+        duplicate doc id, a negative doc length, a posting of an unknown doc,
+        a duplicate doc within one term's postings, a tf that is not a
+        positive integer, or doc lengths that differ from the postings' tf
+        sums. Postings are re-sorted only for terms not in ascending doc
+        order (`to_json` writes them ascending).
+        """
+
+        def fail(message: str) -> DataError:
+            return DataError(f"{source}: {message}")
+
+        try:
+            payload = json.loads(blob)
+        except json.JSONDecodeError as exc:
+            raise fail(f"malformed JSON: {exc.msg}") from None
+        if not isinstance(payload, dict):
+            raise fail("index must be a JSON object")
+        missing = [key for key in ("k1", "b", "stem", "stopwords", "docs", "postings")
+                   if key not in payload]
+        if missing:
+            raise fail(f"missing field {missing[0]!r}")
+        k1, b, stem, stopwords = payload["k1"], payload["b"], payload["stem"], payload["stopwords"]
+        if not all(type(x) in (int, float) and math.isfinite(x) for x in (k1, b)):
+            raise fail("k1 and b must be finite numbers")
+        if not isinstance(stem, bool):
+            raise fail("stem must be true or false")
+        if stopwords is not None and not (
+            isinstance(stopwords, list) and all(isinstance(w, str) for w in stopwords)
+        ):
+            raise fail("stopwords must be null or a list of strings")
+        try:
+            index = cls([], k1=k1, b=b, stopwords=stopwords, stem=stem)
+        except ValueError as exc:
+            raise fail(str(exc)) from None
+
+        docs = payload["docs"]
+        if not isinstance(docs, list) or not all(
+            isinstance(d, list) and len(d) == 2 and isinstance(d[0], str)
+            and type(d[1]) is int and d[1] >= 0
+            for d in docs
+        ):
+            raise fail("docs must be a list of [doc_id, non-negative integer length] pairs")
+        doc_ids = [doc_id for doc_id, _ in docs]
+        positions = {doc_id: i for i, doc_id in enumerate(doc_ids)}
+        if len(positions) != len(doc_ids):
+            dup = next(d for i, d in enumerate(doc_ids) if positions[d] != i)
+            raise fail(f"duplicate doc id {dup!r}")
+        lengths = [length for _, length in docs]
+
+        postings = payload["postings"]
+        if not isinstance(postings, dict) or not all(
+            isinstance(pairs, list) and pairs for pairs in postings.values()
+        ):
+            raise fail("postings must map each term to a non-empty list of [doc_id, tf] pairs")
+        terms = list(postings)
+        flat = [pair for pairs in postings.values() for pair in pairs]
+        try:
+            idxs = np.array([positions[doc_id] for doc_id, _ in flat], dtype=np.int64)
+        except KeyError as exc:
+            raise fail(f"posting of unknown doc {exc.args[0]!r}") from None
+        except (TypeError, ValueError):
+            raise fail("postings must be [doc_id, tf] pairs") from None
+        tf_list = [tf for _, tf in flat]
+        if tf_list and (set(map(type, tf_list)) != {int} or min(tf_list) < 1):
+            raise fail("tf must be a positive integer")
+        tfs = np.array(tf_list, dtype=np.float64)
+        ends = np.cumsum([len(postings[term]) for term in terms], dtype=np.int64)
+        starts = np.concatenate(([0], ends[:-1]))
+        # Positions where a doc index does not rise, other than a term's first.
+        unsorted = np.flatnonzero(np.diff(idxs) <= 0) + 1
+        unsorted = unsorted[~np.isin(unsorted, starts)]
+        for t in np.unique(np.searchsorted(ends, unsorted, side="right")):
+            seg = slice(starts[t], ends[t])
+            order = np.argsort(idxs[seg], kind="stable")
+            idxs[seg], tfs[seg] = idxs[seg][order], tfs[seg][order]
+            repeated = np.flatnonzero(np.diff(idxs[seg]) == 0)
+            if len(repeated):
+                doc_id = doc_ids[idxs[seg][repeated[0]]]
+                raise fail(f"term {terms[t]!r} lists doc {doc_id!r} twice")
+        sums = np.bincount(idxs, weights=tfs, minlength=len(doc_ids))
+        wrong = np.flatnonzero(sums != np.array(lengths, dtype=np.float64))
+        if len(wrong):
+            i = int(wrong[0])
+            raise fail(f"doc {doc_ids[i]!r} has length {lengths[i]} but its tfs sum to {int(sums[i])}")
+        index._finalise(doc_ids, positions, lengths, {
+            term: (idxs[s:e], tfs[s:e]) for term, s, e in zip(terms, starts, ends)
+        })
         return index
 
 

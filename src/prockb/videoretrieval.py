@@ -20,7 +20,7 @@ inclusive, so at most min(n, cap) + 1 clauses can be accepted.
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -197,21 +197,66 @@ def rel(index: TextIndex, query: Query, video_id: str) -> float:
     return total
 
 
-@dataclass
 class Ranking:
-    goal_id: str
-    entries: list[tuple[str, float]]  # (video_id, score), best first
-    _ranks: dict[str, int] = field(repr=False, default_factory=dict)
+    """The whole video pool, best first, kept as arrays over index positions.
 
-    def __post_init__(self):
-        if not self._ranks:
-            self._ranks = {vid: i for i, (vid, _) in enumerate(self.entries, 1)}
+    `order` lists positions best first, `scores` holds each position's score
+    and `positions` maps a video id to its position. `rank` is an array
+    lookup; `entries` ((video_id, score) pairs, best first) is built only when
+    read. `Ranking(goal_id, entries=...)` builds the arrays from such pairs.
+    """
+
+    def __init__(
+        self,
+        goal_id: str,
+        entries: Sequence[tuple[str, float]] | None = None,
+        *,
+        doc_ids: Sequence[str] = (),
+        positions: Mapping[str, int] | None = None,
+        order: Sequence[int] = (),
+        scores: Sequence[float] = (),
+    ):
+        if entries is not None:
+            doc_ids = [vid for vid, _ in entries]
+            positions = {vid: i for i, vid in enumerate(doc_ids)}
+            order = range(len(doc_ids))
+            scores = [score for _, score in entries]
+        self.goal_id = goal_id
+        self.doc_ids = doc_ids
+        self.positions = positions or {}
+        self.order = np.asarray(order, dtype=np.int64)
+        self.scores = np.asarray(scores, dtype=np.float64)
+        self._ranks = np.empty(len(self.order), dtype=np.int64)
+        self._ranks[self.order] = np.arange(1, len(self.order) + 1)
+
+    @property
+    def entries(self) -> list[tuple[str, float]]:
+        return [(self.doc_ids[i], float(self.scores[i])) for i in self.order]
 
     def rank(self, video_id: str) -> int:
         try:
-            return self._ranks[video_id]
+            return int(self._ranks[self.positions[video_id]])
         except KeyError:
             raise KeyError(f"video {video_id!r} not in ranking") from None
+
+
+def relevant_ranks(scores: np.ndarray, rel_idx: np.ndarray, id_rank: np.ndarray) -> np.ndarray:
+    """1-based ranks of the positions `rel_idx` in the order (score desc,
+    `id_rank` asc), equal to their places in
+    ``np.lexsort((id_rank, -scores))`` without sorting by two keys.
+
+    A position's rank is 1 + the count of higher scores + the count of equal
+    scores with a lower `id_rank`; the last term is counted only for scores
+    that some other position shares.
+    """
+    ordered = np.sort(scores)
+    rel_scores = scores[rel_idx]
+    left = ordered.searchsorted(rel_scores, "left")
+    right = ordered.searchsorted(rel_scores, "right")
+    ranks = len(scores) - right + 1
+    for j in np.flatnonzero(right - left > 1):
+        ranks[j] += np.count_nonzero((scores == rel_scores[j]) & (id_rank < id_rank[rel_idx[j]]))
+    return ranks
 
 
 class ClauseScorer:
@@ -246,8 +291,8 @@ def rank_videos(index: TextIndex, query: Query, scorer: ClauseScorer | None = No
     scorer = scorer or ClauseScorer(index)
     scores = scorer.query_scores(query)
     order = np.lexsort((index.id_rank, -scores))
-    entries = [(index.doc_ids[i], float(scores[i])) for i in order]
-    return Ranking(goal_id=query.goal_id, entries=entries)
+    return Ranking(query.goal_id, doc_ids=index.doc_ids, positions=index.positions,
+                   order=order, scores=scores)
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +373,23 @@ def make_cost_fn(
         raise ValueError("cost function needs at least one relevant video")
     scorer = scorer or ClauseScorer(index)
     rel_idx = np.array([index.doc_idx(v) for v in relevant_ids], dtype=np.int64)
+    head: list[str] = []
+    head_scores = np.zeros(0)
 
     def cost(clauses: list[str]) -> float:
-        query = Query("", clauses[0], tuple(clauses[1:]), w_g=w_g, w_s=w_s, level="")
-        order = scorer.rank_order(query)
-        ranks = np.empty(index.n_docs, dtype=np.int64)
-        ranks[order] = np.arange(1, index.n_docs + 1)
-        rel_ranks = ranks[rel_idx]
+        # A trial is the accepted clauses plus one candidate: the scores of
+        # everything but the last clause are kept, and query_scores adds
+        # clauses left to right, so this sum is the same one bit for bit.
+        nonlocal head, head_scores
+        if len(clauses) == 1:
+            scores = w_g * scorer.clause_scores(clauses[0])
+        else:
+            if clauses[:-1] != head:
+                head = clauses[:-1]
+                head_scores = scorer.query_scores(
+                    Query("", head[0], tuple(head[1:]), w_g=w_g, w_s=w_s, level=""))
+            scores = head_scores + w_s * scorer.clause_scores(clauses[-1])
+        rel_ranks = relevant_ranks(scores, rel_idx, index.id_rank)
         if kind == "mean_rank":
             return float(rel_ranks.mean())
         return -float((rel_ranks <= 50).sum() / len(rel_ranks))
@@ -430,16 +485,49 @@ def write_queries(path: str | Path, queries: Sequence[Query]) -> None:
 
 
 def read_queries(path: str | Path) -> list[Query]:
+    """Read queries.json as written by `write_queries`.
+
+    Raises DataError, naming the path and the 1-based item number, for
+    malformed JSON, a payload that is not a list, an item that is not an
+    object, a missing field, a non-string goal id, goal or step, a weight
+    that is not a finite number, a level outside L0/L1/FIL_L1/FIL_L2, and a
+    goal id that an earlier item already has.
+    """
     with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    return [
-        Query(
+        try:
+            payload = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: malformed JSON: {exc.msg}") from None
+    if not isinstance(payload, list):
+        raise DataError(f"{path}: queries must be a JSON list")
+    queries = []
+    seen = set()
+    for i, item in enumerate(payload, 1):
+        where = f"{path}: item {i}"
+        if not isinstance(item, dict):
+            raise DataError(f"{where}: query must be a JSON object")
+        for key in ("goal_id", "goal", "steps", "w_g", "w_s", "level"):
+            if key not in item:
+                raise DataError(f"{where}: missing field {key!r}")
+        if not (isinstance(item["goal_id"], str) and isinstance(item["goal"], str)):
+            raise DataError(f"{where}: goal_id and goal must be strings")
+        steps = item["steps"]
+        if not (isinstance(steps, list) and all(isinstance(step, str) for step in steps)):
+            raise DataError(f"{where}: steps must be a list of strings")
+        weights = (item["w_g"], item["w_s"])
+        if not all(type(w) in (int, float) and math.isfinite(w) for w in weights):
+            raise DataError(f"{where}: w_g and w_s must be finite numbers")
+        if item["level"] not in LEVELS:
+            raise DataError(f"{where}: unknown level {item['level']!r}")
+        if item["goal_id"] in seen:
+            raise DataError(f"{where}: duplicate goal_id {item['goal_id']!r}")
+        seen.add(item["goal_id"])
+        queries.append(Query(
             goal_id=item["goal_id"],
             goal_text=item["goal"],
-            steps=tuple(item["steps"]),
+            steps=tuple(steps),
             w_g=item["w_g"],
             w_s=item["w_s"],
             level=item["level"],
-        )
-        for item in payload
-    ]
+        ))
+    return queries

@@ -317,3 +317,83 @@ def test_eval_links_rejects_bad_ranks(identity_setup, tmp_path, capsys, rows, me
                 "--out-dir", str(tmp_path / "ev")])
     assert code == 2
     assert f"{rankings}: {message}" in capsys.readouterr().err
+
+
+def _edit_json(edit):
+    def apply(text):
+        payload = json.loads(text)
+        edit(payload)
+        return json.dumps(payload)
+    return apply
+
+
+def _first_term(payload):
+    return payload["postings"][sorted(payload["postings"])[0]]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda text: text[: len(text) // 2], "malformed JSON"),
+        (lambda text: "[1, 2]", "index must be a JSON object"),
+        (_edit_json(lambda p: p.pop("postings")), "missing field 'postings'"),
+        (_edit_json(lambda p: p.update(k1="1.2")), "k1 and b must be finite numbers"),
+        (_edit_json(lambda p: p["docs"].append(p["docs"][0])), "duplicate doc id 'g0v00'"),
+        (_edit_json(lambda p: p["docs"][0].__setitem__(1, -1)), "non-negative integer length"),
+        (_edit_json(lambda p: _first_term(p)[0].__setitem__(0, "ghost")),
+         "posting of unknown doc 'ghost'"),
+        (_edit_json(lambda p: _first_term(p)[0].__setitem__(1, 0)), "tf must be a positive integer"),
+        (_edit_json(lambda p: _first_term(p)[0].__setitem__(1, -2)),
+         "tf must be a positive integer"),
+        (_edit_json(lambda p: _first_term(p)[0].__setitem__(1, 1.5)),
+         "tf must be a positive integer"),
+        (_edit_json(lambda p: _first_term(p).append(list(_first_term(p)[0]))), "twice"),
+        (_edit_json(lambda p: p["docs"][0].__setitem__(1, p["docs"][0][1] + 1)),
+         "has length"),
+    ],
+    ids=["truncated", "non-object", "missing-key", "non-numeric-k1", "duplicate-doc",
+         "negative-length", "unknown-posting-doc", "zero-tf", "negative-tf", "float-tf",
+         "duplicate-posting-doc", "length-mismatch"],
+)
+def test_vr_eval_rejects_bad_index(tmp_path, capsys, edit, message):
+    corpus_path, videos_path = vr_fixture(tmp_path)
+    assert run(["vr-index", "--videos", str(videos_path), "--out-dir", str(tmp_path / "vix")]) == 0
+    index_path = tmp_path / "vix" / "vr_index.json"
+    index_path.write_text(edit(index_path.read_text()))
+    capsys.readouterr()
+    code = run(["vr-eval", "--videos", str(videos_path), "--corpus", str(corpus_path),
+                "--index", str(index_path), "--out-dir", str(tmp_path / "ve")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{index_path}: " in err and message in err
+
+
+_QUERY = {"goal_id": "g0", "goal": "achieve goaltok0", "steps": ["do steptok0a now"],
+          "w_g": 1.0, "w_s": 0.5, "level": "FIL_L1"}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ('[{"goal_id": "g0"', "malformed JSON"),
+        (json.dumps(_QUERY), "queries must be a JSON list"),
+        (json.dumps([_QUERY, "g1"]), "item 2: query must be a JSON object"),
+        (json.dumps([{k: v for k, v in _QUERY.items() if k != "goal"}]),
+         "item 1: missing field 'goal'"),
+        (json.dumps([{**_QUERY, "steps": ["do steptok0a now", 3]}]),
+         "item 1: steps must be a list of strings"),
+        (json.dumps([{**_QUERY, "w_s": "0.5"}]), "item 1: w_g and w_s must be finite numbers"),
+        (json.dumps([{**_QUERY, "level": "FIL_L3"}]), "item 1: unknown level 'FIL_L3'"),
+        (json.dumps([_QUERY, {**_QUERY, "steps": []}]), "item 2: duplicate goal_id 'g0'"),
+    ],
+    ids=["truncated", "non-list", "non-object-item", "missing-field", "non-string-step",
+         "non-numeric-weight", "unknown-level", "duplicate-goal"],
+)
+def test_vr_eval_rejects_bad_queries(tmp_path, capsys, payload, message):
+    _, videos_path = vr_fixture(tmp_path)
+    queries = tmp_path / "queries.json"
+    queries.write_text(payload)
+    code = run(["vr-eval", "--videos", str(videos_path), "--queries", str(queries),
+                "--out-dir", str(tmp_path / "ve")])
+    assert code == 2
+    assert f"{queries}: {message}" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -183,4 +184,14 @@ def test_json_round_trip():
     for query in ("w1 w4", "w2"):
         for doc_id in index.doc_ids:
             assert bm25_score(clone, query, doc_id) == bm25_score(index, query, doc_id)
+        assert search(clone, query, 12) == search(index, query, 12)
+
+
+def test_json_load_sorts_postings_out_of_doc_order():
+    index = index_docs(random_docs(12, seed=3))
+    payload = json.loads(index.to_json())
+    for pairs in payload["postings"].values():
+        pairs.reverse()
+    clone = TextIndex.from_json(json.dumps(payload))
+    for query in ("w1 w4", "w2 w3 w5"):
         assert search(clone, query, 12) == search(index, query, 12)

@@ -1,7 +1,10 @@
 import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_corpus
 from prockb.errors import DataError
@@ -11,6 +14,7 @@ from prockb.videoretrieval import (
     FIL_L2,
     L0,
     L1,
+    ClauseScorer,
     Query,
     Ranking,
     VideoDoc,
@@ -24,6 +28,7 @@ from prockb.videoretrieval import (
     rank_videos,
     read_queries,
     rel,
+    relevant_ranks,
     split_videos,
     vr_metrics,
     write_queries,
@@ -179,6 +184,7 @@ def test_rank_videos_matches_brute_force():
         key=lambda item: (-item[1], item[0]),
     )
     assert [v for v, _ in ranking.entries] == [v for v, _ in brute]
+    assert [ranking.rank(v) for v, _ in brute] == list(range(1, len(brute) + 1))
 
 
 def test_rank_videos_empty_pool():
@@ -191,6 +197,96 @@ def test_ranking_unknown_video():
     ranking = rank_videos(index, Query("g", "avocado", (), 1.0, 0.0, L0))
     with pytest.raises(KeyError, match="ghost"):
         ranking.rank("ghost")
+
+
+@st.composite
+def tied_scores(draw):
+    """Scores over 1-40 docs drawn from 1-4 distinct values (0.0 always among
+    them), a random id order and a set of relevant docs (sometimes all)."""
+    n = draw(st.integers(1, 40))
+    values = [0.0] + draw(st.lists(st.floats(-5, 5, allow_nan=False), min_size=0, max_size=3))
+    scores = np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+    id_rank = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    if draw(st.booleans()):
+        rel_idx = np.arange(n)
+    else:
+        rel_idx = np.array(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                                         unique=True)), dtype=np.int64)
+    return scores, rel_idx, id_rank
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_scores())
+def test_relevant_ranks_match_full_lexsort(case):
+    scores, rel_idx, id_rank = case
+    ranks = np.empty(len(scores), dtype=np.int64)
+    ranks[np.lexsort((id_rank, -scores))] = np.arange(1, len(scores) + 1)
+    assert relevant_ranks(scores, rel_idx, id_rank).tolist() == ranks[rel_idx].tolist()
+
+
+def test_relevant_ranks_all_zero_and_single_doc():
+    id_rank = np.array([2, 0, 3, 1])
+    assert relevant_ranks(np.zeros(4), np.arange(4), id_rank).tolist() == [3, 1, 4, 2]
+    assert relevant_ranks(np.zeros(1), np.array([0]), np.array([0])).tolist() == [1]
+
+
+def lexsort_cost_fn(index, relevant_ids, w_g, w_s, kind):
+    """Reference cost: rank the whole pool with a two-key lexsort per trial
+    and read off the relevant videos' ranks."""
+    scorer = ClauseScorer(index)
+    rel_idx = np.array([index.doc_idx(v) for v in relevant_ids], dtype=np.int64)
+
+    def cost(clauses):
+        query = Query("", clauses[0], tuple(clauses[1:]), w_g=w_g, w_s=w_s, level="")
+        ranks = np.empty(index.n_docs, dtype=np.int64)
+        ranks[scorer.rank_order(query)] = np.arange(1, index.n_docs + 1)
+        rel_ranks = ranks[rel_idx]
+        if kind == "mean_rank":
+            return float(rel_ranks.mean())
+        return -float((rel_ranks <= 50).sum() / len(rel_ranks))
+
+    return cost
+
+
+WORDS = ["oven", "bake", "peel", "stone", "wedge", "golden"]
+phrases = st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join)
+
+
+@st.composite
+def filter_cases(draw):
+    """A small, tie-heavy video pool with 60+ videos (so neg_recall50 sees
+    ranks past 50), candidates with duplicates, and sometimes a goal equal
+    to a candidate."""
+    n = draw(st.integers(55, 70))
+    captions = draw(st.lists(st.lists(st.sampled_from(WORDS), max_size=4).map(" ".join),
+                             min_size=n, max_size=n))
+    videos = [VideoDoc(f"v{i:03d}", "g", caption) for i, caption in enumerate(captions)]
+    relevant = draw(st.lists(st.sampled_from([v.video_id for v in videos]), min_size=1,
+                             max_size=8, unique=True))
+    candidates = draw(st.lists(phrases, max_size=6))
+    if candidates and draw(st.booleans()):
+        candidates.append(candidates[0])
+    goal = draw(st.sampled_from(candidates)) if candidates and draw(st.booleans()) else draw(phrases)
+    return videos, relevant, candidates, goal
+
+
+@settings(max_examples=60, deadline=None)
+@given(filter_cases(), st.sampled_from(["mean_rank", "neg_recall50"]), st.integers(0, 3),
+       st.lists(st.lists(st.sampled_from(WORDS + ["zzz"]), min_size=1, max_size=4),
+                max_size=6))
+def test_filter_matches_full_lexsort_cost(case, kind, cap, trials):
+    videos, relevant, candidates, goal = case
+    index = build_video_index(videos)
+    cost_fn = make_cost_fn(index, relevant, 1.0, 0.5, kind=kind)
+    reference = lexsort_cost_fn(index, relevant, 1.0, 0.5, kind)
+    for clauses in trials:  # any call order, not only hill_climb's
+        assert cost_fn(clauses) == reference(clauses)
+
+    trace = hill_climb(goal, candidates, make_cost_fn(index, relevant, 1.0, 0.5, kind=kind), cap)
+    expected = hill_climb(goal, candidates, reference, cap)
+    assert trace == expected
+    query = filter_steps("g", goal, candidates, relevant, index, cap=cap, cost_kind=kind)
+    assert query == Query("g", goal, tuple(expected.clauses), 1.0, 0.5, FIL_L1)
 
 
 # ---------------------------------------------------------------------------
