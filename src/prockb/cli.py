@@ -8,11 +8,11 @@ and never mutates inputs. Exit codes: 0 ok, 1 usage, 2 data error, 3 internal.
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
 from . import __version__
+from .artifacts import read_json, read_text
 from .corpus import load_corpus, validation_report
 from .embedding import embed_corpus, load_embeddings, save_embeddings
 from .errors import DataError
@@ -117,15 +117,6 @@ def _parse_ns(raw: str) -> list[int]:
     return ns
 
 
-def _lexical_source(corpus, args, context_mode=None, window=None):
-    return LexicalFeatureSource(
-        corpus,
-        dim=args.d,
-        context_mode=context_mode if context_mode is not None else args.context_mode,
-        window=window if window is not None else args.window,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -150,14 +141,7 @@ def cmd_retrieve(args) -> None:
     corpus = load_corpus(args.corpus)
     store = load_embeddings(args.embeddings)
     index = build_index(store, corpus.goal_ids())
-    lists = retrieve_all(
-        index,
-        store,
-        corpus,
-        k=args.k,
-        exclude_parent=not args.no_exclude_parent,
-        workers=args.workers,
-    )
+    lists = retrieve_all(index, store, corpus, k=args.k, exclude_parent=not args.no_exclude_parent)
     write_candidates(out / "candidates.tsv", lists)
     _write_manifest(args, [args.corpus, args.embeddings], ["candidates.tsv"])
 
@@ -171,8 +155,8 @@ def cmd_train_reranker(args) -> None:
     gold_train = {l.step_id: l.gold_goal_id for l in split.train}
     gold_dev = {l.step_id: l.gold_goal_id for l in split.dev}
 
-    source = (
-        load_feature_file(args.features) if args.features else _lexical_source(corpus, args)
+    source = load_feature_file(args.features) if args.features else LexicalFeatureSource(
+        corpus, dim=args.d, context_mode=args.context_mode, window=args.window
     )
     train_examples = make_training_examples(candidate_lists, gold_train, unlinkable=args.unlinkable)
     dev_examples = make_training_examples(candidate_lists, gold_dev, unlinkable=args.unlinkable)
@@ -207,8 +191,9 @@ def cmd_train_reranker(args) -> None:
     _write_manifest(args, inputs, ["model.txt", "loss_curve.tsv"])
 
 
-def _pipeline(args, corpus=None):
-    corpus = corpus or load_corpus(args.corpus)
+def _pipeline(args):
+    """The pipeline `link` and `expand` run, and the files it reads."""
+    corpus = load_corpus(args.corpus)
     store = load_embeddings(args.embeddings)
     index = build_index(store, corpus.goal_ids())
     model = load_model(args.model)
@@ -218,7 +203,7 @@ def _pipeline(args, corpus=None):
         source = LexicalFeatureSource(
             corpus, dim=model.dim, context_mode=model.context_mode, window=model.window
         )
-    return LinkPipeline(
+    pipeline = LinkPipeline(
         corpus=corpus,
         index=index,
         store=store,
@@ -227,31 +212,28 @@ def _pipeline(args, corpus=None):
         k=args.k,
         exclude_parent=not args.no_exclude_parent,
     )
+    return pipeline, [args.corpus, args.embeddings, args.model] + (
+        [args.features] if args.features else []
+    )
 
 
 def cmd_link(args) -> None:
     out = _out_dir(args)
-    pipeline = _pipeline(args)
+    pipeline, inputs = _pipeline(args)
     decisions = link_all(pipeline)
     write_links(out / "links.tsv", decisions)
     outputs = ["links.tsv"]
     if args.rankings:
         write_rankings(out / "rankings.tsv", decisions)
         outputs.append("rankings.tsv")
-    inputs = [args.corpus, args.embeddings, args.model] + (
-        [args.features] if args.features else []
-    )
     _write_manifest(args, inputs, outputs)
 
 
 def cmd_expand(args) -> None:
     out = _out_dir(args)
-    pipeline = _pipeline(args)
+    pipeline, inputs = _pipeline(args)
     tree = expand(pipeline, args.root, args.max_depth)
     write_tree(tree, out / "tree.json")
-    inputs = [args.corpus, args.embeddings, args.model] + (
-        [args.features] if args.features else []
-    )
     _write_manifest(args, inputs, ["tree.json"])
 
 
@@ -299,8 +281,8 @@ def cmd_vr_index(args) -> None:
 
 
 def _video_index(args, videos):
-    if getattr(args, "index", None):
-        return TextIndex.from_json(Path(args.index).read_text(encoding="utf-8"), source=args.index)
+    if args.index:
+        return TextIndex.from_json(read_text(args.index), source=args.index)
     return build_video_index(videos, k1=args.k1, b=args.b)
 
 
@@ -333,9 +315,7 @@ def cmd_vr_filter(args) -> None:
             )
         )
     write_queries(out / "queries.json", queries)
-    inputs = [args.corpus, args.videos] + ([args.links] if args.links else [])
-    if getattr(args, "index", None):
-        inputs.append(args.index)
+    inputs = [args.corpus, args.videos] + [p for p in (args.links, args.index) if p]
     _write_manifest(args, inputs, ["queries.json"])
 
 
@@ -344,25 +324,24 @@ def cmd_vr_eval(args) -> None:
     videos = load_videos(args.videos)
     splits = split_videos(videos, seed=args.seed)
     index = _video_index(args, videos)
-    inputs = [args.videos]
+    inputs = [args.videos] + ([args.index] if args.index else [])
 
     if args.queries:
         queries = read_queries(args.queries)
         inputs.append(args.queries)
+        for i, query in enumerate(queries, 1):
+            if query.level != queries[0].level:
+                raise DataError(f"{args.queries}: item {i}: level {query.level!r} differs "
+                                f"from item 1's {queries[0].level!r}")
     else:
         if not args.corpus:
             raise UsageError("--corpus is required when --queries is not given")
         corpus = load_corpus(args.corpus)
         inputs.append(args.corpus)
         queries = [make_query(corpus, goal_id, args.level) for goal_id in splits.goals()]
-    if getattr(args, "index", None):
-        inputs.append(args.index)
 
-    gold = {
-        q.goal_id: splits.part(args.split)[q.goal_id]
-        for q in queries
-        if splits.part(args.split).get(q.goal_id)
-    }
+    part = splits.part(args.split)
+    gold = {q.goal_id: part[q.goal_id] for q in queries if part.get(q.goal_id)}
     scorer = ClauseScorer(index)
     rankings = {q.goal_id: rank_videos(index, q, scorer) for q in queries if q.goal_id in gold}
     ns = _parse_ns(args.ns)
@@ -411,7 +390,6 @@ def build_parser() -> Parser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--k", type=int, default=30)
     p.add_argument("--no-exclude-parent", action="store_true")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
 
     p = add("train-reranker", cmd_train_reranker, help="train W and lambda on gold links")
     p.add_argument("--corpus", required=True)
@@ -515,13 +493,7 @@ def _apply_config(parser: Parser, argv: list[str]) -> list[str]:
         rest.append(arg)
         i += 1
     if config_path:
-        try:
-            with open(config_path, encoding="utf-8") as handle:
-                config = json.load(handle)
-        except OSError as exc:
-            raise DataError(f"cannot read config {config_path!r}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{config_path}: malformed JSON: {exc.msg}") from None
+        config = read_json(config_path)
         if not isinstance(config, dict):
             raise DataError(f"{config_path}: config must be a JSON object")
         for subparser in parser.subcommands.values():  # type: ignore[attr-defined]
@@ -540,8 +512,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, FileNotFoundError, KeyError, ValueError) as exc:
-        message = exc.args[0] if isinstance(exc, (DataError, KeyError, ValueError)) and exc.args else exc
+    except (DataError, KeyError, ValueError) as exc:
+        message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse --help

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .artifacts import json_lines
 from .errors import DataError
 
 CONTEXT_MODES = ("none", "goal", "surround", "both")
@@ -80,19 +81,21 @@ class Corpus:
         return goal_id in self._by_goal
 
 
-def corpus_from_records(records: Iterable[dict], lowercase: bool = False) -> Corpus:
+def corpus_from_records(records: Iterable[dict], lowercase: bool = False, source=None) -> Corpus:
     """Assemble and validate a Corpus from article dicts.
 
     Each record needs ``id``, ``title`` and a non-empty ``steps`` list of
     ``{"id", "text"}`` dicts. Raises DataError on duplicate ids, empty titles
-    or step texts (after normalization), or malformed records.
+    or step texts (after normalization), or malformed records; its message
+    starts with `source`, when given.
     """
     articles: list[Article] = []
     by_goal: dict[str, Article] = {}
     by_step: dict[str, Step] = {}
+    prefix = f"{source}: " if source is not None else ""
 
-    for lineno, rec in enumerate(records, 1):
-        where = f"record {lineno}"
+    for number, rec in enumerate(records, 1):
+        where = f"{prefix}record {number}"
         if not isinstance(rec, dict):
             raise DataError(f"{where}: expected an object, got {type(rec).__name__}")
         try:
@@ -134,7 +137,7 @@ def corpus_from_records(records: Iterable[dict], lowercase: bool = False) -> Cor
     # Goal and step vectors share one id namespace downstream.
     overlap = by_goal.keys() & by_step.keys()
     if overlap:
-        raise DataError(f"ids used as both goal_id and step_id: {sorted(overlap)[:5]}")
+        raise DataError(f"{prefix}ids used as both goal_id and step_id: {sorted(overlap)[:5]}")
 
     return Corpus(articles=tuple(articles), _by_goal=by_goal, _by_step=by_step)
 
@@ -151,22 +154,9 @@ def _as_id(value, where: str) -> str:
 
 
 def load_corpus(path: str | Path, lowercase: bool = False) -> Corpus:
-    """Load a JSONL corpus file. Errors carry the offending line number."""
-
-    def records():
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, 1):
-                if not line.strip():
-                    continue
-                try:
-                    yield json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"line {lineno}: malformed JSON: {exc.msg}") from None
-
-    try:
-        return corpus_from_records(records(), lowercase=lowercase)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    """Load a JSONL corpus file. Errors name the path and the line or record."""
+    records = (record for _, record in json_lines(path))
+    return corpus_from_records(records, lowercase=lowercase, source=path)
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:

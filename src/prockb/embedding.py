@@ -11,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import read_vectors, write_vectors
 from .corpus import Corpus
-from .errors import DataError
 
 NGRAM_SIZES = (3, 4, 5)
 MIN_DIM = 8
@@ -101,39 +101,9 @@ def embed_corpus(corpus: Corpus, dim: int, seed: int = 0, lowercase: bool = Fals
 
 def load_embeddings(path: str | Path) -> EmbeddingStore:
     """Read a vector file: header ``dim=<d>``, then rows ``id v1 ... vd``."""
-    vectors: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline().strip()
-        if not header.startswith("dim="):
-            raise DataError(f"{path}: expected header 'dim=<d>', got {header!r}")
-        try:
-            dim = int(header[4:])
-        except ValueError:
-            raise DataError(f"{path}: bad dimension in header {header!r}") from None
-        if dim < 1:
-            raise DataError(f"{path}: dimension must be positive, got {dim}")
-        for line in handle:
-            if not line.strip():
-                continue
-            parts = line.split()
-            row_id = parts[0]
-            if len(parts) - 1 != dim:
-                raise DataError(f"{path}: row {row_id!r} has {len(parts) - 1} values, expected {dim}")
-            try:
-                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-            except ValueError:
-                raise DataError(f"{path}: row {row_id!r} has a non-numeric value") from None
-            if not np.all(np.isfinite(vec)):
-                raise DataError(f"{path}: row {row_id!r} has a non-finite value")
-            if row_id in vectors:
-                raise DataError(f"{path}: duplicate id {row_id!r}")
-            vectors[row_id] = vec
+    dim, vectors = read_vectors(path, 1)
     return EmbeddingStore(dim=dim, vectors=vectors)
 
 
 def save_embeddings(store: EmbeddingStore, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"dim={store.dim}\n")
-        for row_id in store.ids():
-            values = " ".join(repr(float(x)) for x in store[row_id])
-            handle.write(f"{row_id} {values}\n")
+    write_vectors(path, store.dim, ((row_id, store[row_id]) for row_id in store.ids()))

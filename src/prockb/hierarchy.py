@@ -15,9 +15,9 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .artifacts import tab_rows
 from .corpus import Corpus
 from .embedding import EmbeddingStore
-from .errors import DataError
 from .rerank import UNLINKABLE, FeatureSource, RerankModel, ScoredCandidate, score_candidates
 from .retrieval import DEFAULT_K, GoalIndex, topk
 
@@ -125,17 +125,8 @@ def write_links(path: str | Path, decisions: Iterable[LinkDecision]) -> None:
 
 
 def read_links(path: str | Path) -> dict[str, str]:
-    """step_id -> outcome map from a link dump."""
-    out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) < 2:
-                raise DataError(f"{path}: line {lineno}: expected at least 2 columns")
-            out[parts[0]] = parts[1]
-    return out
+    """step_id -> outcome map from a link dump; each step appears once."""
+    return {fields[0]: fields[1] for _, fields in tab_rows(path, 2, unique="step")}
 
 
 def write_rankings(path: str | Path, decisions: Iterable[LinkDecision]) -> None:

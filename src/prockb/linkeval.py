@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .artifacts import tab_rows
 from .corpus import Corpus
 from .errors import DataError
 
@@ -41,29 +42,21 @@ class Split:
 
 
 def load_gold_links(path: str | Path, corpus: Corpus | None = None) -> list[GoldLink]:
-    """Read TSV rows ``step_id<TAB>gold_goal_id``.
+    """Read TSV rows ``step_id<TAB>gold_goal_id``, one per step.
 
     With a corpus, links whose step or goal does not resolve are dropped with
     a warning; they can never be retrieved.
     """
-    links = []
-    dropped = 0
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            if not line.strip():
+    links, dropped = [], 0
+    for _, (step_id, goal_id) in tab_rows(path, 2, exact=True, unique="step"):
+        if corpus is not None:
+            try:
+                corpus.step(step_id)
+                corpus.article(goal_id)
+            except KeyError:
+                dropped += 1
                 continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}: line {lineno}: expected 2 columns")
-            link = GoldLink(step_id=parts[0], gold_goal_id=parts[1])
-            if corpus is not None:
-                try:
-                    corpus.step(link.step_id)
-                    corpus.article(link.gold_goal_id)
-                except KeyError:
-                    dropped += 1
-                    continue
-            links.append(link)
+        links.append(GoldLink(step_id=step_id, gold_goal_id=goal_id))
     if dropped:
         logger.warning("dropped %d gold links that do not resolve in the corpus", dropped)
     return links
@@ -75,26 +68,29 @@ def write_gold_links(path: str | Path, links: Iterable[GoldLink]) -> None:
             handle.write(f"{link.step_id}\t{link.gold_goal_id}\n")
 
 
+def split_sizes(n: int, ratios: Sequence[float]) -> tuple[int, int, int]:
+    """Train, dev and test sizes of n items under three positive ratios: dev
+    and test are rounded down, and train takes the rest."""
+    if len(ratios) != 3 or any(r <= 0 for r in ratios):
+        raise ValueError(f"ratios must be 3 positive numbers, got {ratios}")
+    total = sum(ratios)
+    n_dev = int(n * ratios[1] / total)
+    n_test = int(n * ratios[2] / total)
+    return n - n_dev - n_test, n_dev, n_test
+
+
 def split_links(
     links: Sequence[GoldLink],
     ratios: tuple[float, ...] = DEFAULT_RATIOS,
     seed: int = 0,
 ) -> Split:
-    """Deterministic shuffle then contiguous train/dev/test partition.
-
-    Sizes follow the ratios with floor rounding; the leftover goes to train.
-    """
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise ValueError(f"ratios must be 3 positive numbers, got {ratios}")
+    """Deterministic shuffle then contiguous train/dev/test partition, sized
+    by `split_sizes`."""
+    n_train, n_dev, _ = split_sizes(len(links), ratios)
     if len(links) < len(ratios):
         raise DataError(f"cannot split {len(links)} links into {len(ratios)} parts")
     shuffled = list(links)
     random.Random(seed).shuffle(shuffled)
-    total = sum(ratios)
-    n = len(shuffled)
-    n_dev = int(n * ratios[1] / total)
-    n_test = int(n * ratios[2] / total)
-    n_train = n - n_dev - n_test
     return Split(
         train=shuffled[:n_train],
         dev=shuffled[n_train : n_train + n_dev],

@@ -25,7 +25,8 @@ from typing import Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, StepContext, context_of
+from .artifacts import fail, lines, read_vectors, write_vectors
+from .corpus import CONTEXT_MODES, Corpus, StepContext, context_of
 from .errors import DataError
 from .retrieval import Candidate, CandidateList
 from .textsearch import tokenize
@@ -251,33 +252,14 @@ class TableFeatureSource:
 
 def load_feature_file(path: str | Path) -> TableFeatureSource:
     """Read ``dim=<d>`` header then rows ``step_id goal_id v1 ... vd``."""
-    table: dict[tuple[str, str], np.ndarray] = {}
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline().strip()
-        if not header.startswith("dim="):
-            raise DataError(f"{path}: expected header 'dim=<d>', got {header!r}")
-        dim = int(header[4:])
-        for lineno, line in enumerate(handle, 2):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != dim + 2:
-                raise DataError(f"{path}: line {lineno}: expected step goal + {dim} values")
-            vec = np.array([float(x) for x in parts[2:]], dtype=np.float64)
-            if not np.all(np.isfinite(vec)):
-                raise DataError(f"{path}: line {lineno}: non-finite value")
-            table[(parts[0], parts[1])] = vec
+    dim, table = read_vectors(path, 2)
     return TableFeatureSource(dim=dim, table=table)
 
 
 def write_feature_file(
     path: str | Path, dim: int, rows: Iterable[tuple[str, str, np.ndarray]]
 ) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"dim={dim}\n")
-        for step_id, goal_id, vec in rows:
-            values = " ".join(repr(float(x)) for x in vec)
-            handle.write(f"{step_id} {goal_id} {values}\n")
+    write_vectors(path, dim, ((f"{step_id} {goal_id}", vec) for step_id, goal_id, vec in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -335,37 +317,39 @@ def save_model(model: RerankModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> RerankModel:
+    """Read a checkpoint written by `save_model`: ``key=value`` lines, then
+    the W row and, for an unlinkable model, the U row. Keys are unique."""
     fields: dict[str, str] = {}
-    vectors: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith(("W ", "U ")):
-                vectors[line[0]] = line[2:].split()
-            elif "=" in line:
-                key, value = line.split("=", 1)
-                fields[key] = value
-    if "W" not in vectors:
+    for lineno, line in lines(path):
+        line = line.strip()
+        key, sep, value = line.partition(" " if line.startswith(("W ", "U ")) else "=")
+        if not sep:
+            raise fail(path, lineno, "expected 'key=value' or a W or U row")
+        if key in fields:
+            raise fail(path, lineno, f"duplicate key {key!r}")
+        fields[key] = value
+    if "W" not in fields:
         raise DataError(f"{path}: malformed model checkpoint (no W line)")
     try:
         dim = int(fields["dim"])
-        w = np.array([float(x) for x in vectors["W"]], dtype=np.float64)
-        u = np.array([float(x) for x in vectors["U"]], dtype=np.float64) if "U" in vectors else None
+        vectors = {n: np.array([float(x) for x in fields[n].split()]) for n in "WU" if n in fields}
         model = RerankModel(
-            w=w,
+            w=vectors["W"],
             lam=float(fields["lambda"]),
             unlinkable_enabled=bool(int(fields["unlinkable"])),
-            unlinkable_feat=u,
+            unlinkable_feat=vectors.get("U"),
             context_mode=fields["context_mode"],
             window=int(fields["window"]),
         )
     except (KeyError, ValueError) as exc:
         raise DataError(f"{path}: malformed model checkpoint ({exc})") from None
-    for name, vec in (("W", model.w), ("U", model.unlinkable_feat)):
-        if vec is not None and vec.shape[0] != dim:
+    for name, vec in vectors.items():
+        if vec.shape[0] != dim:
             raise DataError(f"{path}: {name} has {vec.shape[0]} values, expected {dim}")
+    if not all(np.all(np.isfinite(v)) for v in (model.lam, *vectors.values())):
+        raise DataError(f"{path}: non-finite value in model checkpoint")
+    if model.context_mode not in CONTEXT_MODES:
+        raise DataError(f"{path}: unknown context_mode {model.context_mode!r}")
     if model.unlinkable_enabled and model.unlinkable_feat is None:
         raise DataError(f"{path}: unlinkable model is missing its U row")
     return model

@@ -6,16 +6,15 @@ goal_id so candidate lists are stable across runs.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
 import numpy as np
 
+from .artifacts import fail, tab_rows
 from .corpus import Corpus
 from .embedding import EmbeddingStore
-from .errors import DataError
 
 DEFAULT_K = 30
 
@@ -112,7 +111,6 @@ def retrieve_all(
     corpus: Corpus,
     k: int = DEFAULT_K,
     exclude_parent: bool = True,
-    workers: int = 1,
 ) -> list[CandidateList]:
     """Run topk for every corpus step, in corpus order."""
 
@@ -120,11 +118,7 @@ def retrieve_all(
         exclude = {step.parent_goal_id} if exclude_parent else None
         return topk(index, store[step.step_id], k, exclude=exclude, step_id=step.step_id)
 
-    steps = list(corpus.steps())
-    if workers <= 1:
-        return [one(s) for s in steps]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, steps))
+    return [one(step) for step in corpus.steps()]
 
 
 def write_candidates(path: str | Path, lists: Iterable[CandidateList]) -> None:
@@ -145,28 +139,17 @@ def read_ranked(
     with path and line, on a line with fewer than `columns` columns, a rank
     that is not an integer, or a repeated (step_id, rank).
     """
-    per_step: dict[str, list] = {}  # rows of (rank, line number, value), then values
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) < columns:
-                raise DataError(f"{path}: line {lineno}: expected {columns} columns")
-            try:
-                rank = int(parts[1])
-            except ValueError:
-                raise DataError(
-                    f"{path}: line {lineno}: rank {parts[1]!r} is not an integer"
-                ) from None
-            per_step.setdefault(parts[0], []).append((rank, lineno, parse(lineno, parts)))
-    for step_id, rows in per_step.items():
-        rows.sort(key=lambda row: row[0])
-        for (rank, _, _), (next_rank, lineno, _) in zip(rows, rows[1:]):
-            if rank == next_rank:
-                raise DataError(f"{path}: line {lineno}: duplicate rank {rank} for step {step_id!r}")
-        rows[:] = [value for _, _, value in rows]
-    return per_step
+    per_step: dict[str, dict[int, T]] = {}  # step_id -> {rank: value}
+    for lineno, fields in tab_rows(path, columns):
+        try:
+            rank = int(fields[1])
+        except ValueError:
+            raise fail(path, lineno, f"rank {fields[1]!r} is not an integer") from None
+        ranked = per_step.setdefault(fields[0], {})
+        if rank in ranked:
+            raise fail(path, lineno, f"duplicate rank {rank} for step {fields[0]!r}")
+        ranked[rank] = parse(lineno, fields)
+    return {step_id: [ranked[r] for r in sorted(ranked)] for step_id, ranked in per_step.items()}
 
 
 def read_candidates(path: str | Path) -> list[CandidateList]:
@@ -176,7 +159,7 @@ def read_candidates(path: str | Path) -> list[CandidateList]:
         except ValueError:
             sim1 = math.nan
         if not math.isfinite(sim1):
-            raise DataError(f"{path}: line {lineno}: sim1 {parts[3]!r} is not a finite number")
+            raise fail(path, lineno, f"sim1 {parts[3]!r} is not a finite number")
         return Candidate(parts[2], sim1)
 
     return [

@@ -26,8 +26,10 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .artifacts import fail, json_lines, read_json
 from .corpus import Corpus, normalize_text
 from .errors import DataError
+from .linkeval import split_sizes
 from .rerank import UNLINKABLE
 from .textsearch import TextIndex
 
@@ -52,26 +54,20 @@ class VideoDoc:
 
 def load_videos(path: str | Path) -> list[VideoDoc]:
     """Read video JSONL: ``{"video_id", "goal_id", "caption"}`` per line."""
-    videos = []
-    seen = set()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {lineno}: malformed JSON: {exc.msg}") from None
-            try:
-                vid = str(rec["video_id"])
-                gid = str(rec["goal_id"])
-                caption = normalize_text(str(rec["caption"]))
-            except KeyError as exc:
-                raise DataError(f"{path}: line {lineno}: missing field {exc.args[0]!r}") from None
-            if vid in seen:
-                raise DataError(f"{path}: line {lineno}: duplicate video_id {vid!r}")
-            seen.add(vid)
-            videos.append(VideoDoc(video_id=vid, goal_id=gid, caption=caption))
+    videos, seen = [], set()
+    for lineno, rec in json_lines(path):
+        try:
+            vid = str(rec["video_id"])
+            gid = str(rec["goal_id"])
+            caption = normalize_text(str(rec["caption"]))
+        except KeyError as exc:
+            raise fail(path, lineno, f"missing field {exc.args[0]!r}") from None
+        except TypeError:
+            raise fail(path, lineno, "expected a JSON object") from None
+        if vid in seen:
+            raise fail(path, lineno, f"duplicate video_id {vid!r}")
+        seen.add(vid)
+        videos.append(VideoDoc(video_id=vid, goal_id=gid, caption=caption))
     return videos
 
 
@@ -102,26 +98,18 @@ def split_videos(
 ) -> VideoSplits:
     """Shuffle each goal's videos and cut train/dev/test contiguously.
 
-    Floor rounding on dev and test; the leftover stays in train. Goals are
+    Sizes come from `split_sizes` (dev and test rounded down). Goals are
     processed in sorted order so the split is deterministic for a seed.
     """
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise ValueError(f"ratios must be 3 positive numbers, got {ratios}")
     per_goal: dict[str, list[str]] = {}
     for video in videos:
         per_goal.setdefault(video.goal_id, []).append(video.video_id)
     rng = random.Random(seed)
-    total = sum(ratios)
-    train: dict[str, list[str]] = {}
-    dev: dict[str, list[str]] = {}
-    test: dict[str, list[str]] = {}
+    train, dev, test = {}, {}, {}
     for goal_id in sorted(per_goal):
         ids = per_goal[goal_id]
         rng.shuffle(ids)
-        n = len(ids)
-        n_dev = int(n * ratios[1] / total)
-        n_test = int(n * ratios[2] / total)
-        n_train = n - n_dev - n_test
+        n_train, n_dev, _ = split_sizes(len(ids), ratios)
         train[goal_id] = ids[:n_train]
         dev[goal_id] = ids[n_train : n_train + n_dev]
         test[goal_id] = ids[n_train + n_dev :]
@@ -493,11 +481,7 @@ def read_queries(path: str | Path) -> list[Query]:
     that is not a finite number, a level outside L0/L1/FIL_L1/FIL_L2, and a
     goal id that an earlier item already has.
     """
-    with open(path, encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: malformed JSON: {exc.msg}") from None
+    payload = read_json(path)
     if not isinstance(payload, list):
         raise DataError(f"{path}: queries must be a JSON list")
     queries = []

@@ -1,0 +1,333 @@
+"""Every artifact reader against its writer: round trips, and damaged lines.
+
+A damaged file is read either exactly as the intact one was or rejected with
+a DataError that starts with the path; never parsed into something else, and
+never failed with another exception.
+"""
+
+import json
+import re
+import tempfile
+from pathlib import Path
+from typing import Callable, NamedTuple
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from prockb.artifacts import tab_rows
+from prockb.corpus import CONTEXT_MODES, corpus_from_records, load_corpus, save_corpus
+from prockb.embedding import EmbeddingStore, load_embeddings, save_embeddings
+from prockb.errors import DataError
+from prockb.hierarchy import LinkDecision, read_links, write_links, write_rankings
+from prockb.linkeval import GoldLink, load_gold_links, split_links, split_sizes, write_gold_links
+from prockb.rerank import (
+    RerankModel,
+    ScoredCandidate,
+    TableFeatureSource,
+    load_feature_file,
+    load_model,
+    save_model,
+    write_feature_file,
+)
+from prockb.retrieval import (
+    Candidate,
+    CandidateList,
+    read_candidates,
+    read_ranked,
+    write_candidates,
+)
+from prockb.videoretrieval import (
+    LEVELS,
+    Query,
+    VideoDoc,
+    load_videos,
+    read_queries,
+    split_videos,
+    write_queries,
+)
+
+# Ids start with a letter, so no id reads as a number (not even "nan" or "inf").
+ident = st.text(alphabet="abxyz_019éß字", max_size=4).map(lambda s: "k" + s)
+number = st.floats(allow_nan=False, allow_infinity=False)
+text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+
+
+def vector(dim: int):
+    return st.lists(number, min_size=dim, max_size=dim).map(np.array)
+
+
+@st.composite
+def embeddings(draw):
+    dim = draw(st.integers(1, 4))
+    ids = draw(st.lists(ident, min_size=1, max_size=4, unique=True))
+    return EmbeddingStore(dim, {row_id: draw(vector(dim)) for row_id in ids})
+
+
+@st.composite
+def feature_rows(draw):
+    dim = draw(st.integers(1, 4))
+    keys = draw(st.lists(st.tuples(ident, ident), min_size=1, max_size=4, unique=True))
+    return dim, [(step_id, goal_id, draw(vector(dim))) for step_id, goal_id in keys]
+
+
+@st.composite
+def candidate_lists(draw):
+    steps = draw(st.lists(ident, min_size=1, max_size=3, unique=True))
+    lists = []
+    for step_id in steps:
+        entries = draw(st.lists(st.builds(Candidate, ident, number), min_size=1, max_size=3))
+        lists.append(CandidateList(step_id, tuple(entries), k=len(entries)))
+    return lists
+
+
+@st.composite
+def decisions(draw):
+    steps = draw(st.lists(ident, min_size=1, max_size=3, unique=True))
+    out = []
+    for step_id in steps:
+        entries = draw(st.lists(st.builds(ScoredCandidate, ident, number, number),
+                                min_size=1, max_size=3))
+        out.append(LinkDecision(step_id, entries[0].goal_id, tuple(entries), config_hash=""))
+    return out
+
+
+@st.composite
+def gold_links(draw):
+    steps = draw(st.lists(ident, min_size=1, max_size=4, unique=True))
+    return [GoldLink(step_id, draw(ident)) for step_id in steps]
+
+
+@st.composite
+def models(draw):
+    dim = draw(st.integers(1, 4))
+    unlinkable = draw(st.booleans())
+    return RerankModel(
+        w=draw(vector(dim)),
+        lam=draw(number),
+        unlinkable_enabled=unlinkable,
+        unlinkable_feat=draw(vector(dim)) if unlinkable else None,
+        context_mode=draw(st.sampled_from(CONTEXT_MODES)),
+        window=draw(st.integers(1, 3)),
+    )
+
+
+@st.composite
+def query_lists(draw):
+    goals = draw(st.lists(ident, min_size=1, max_size=3, unique=True))
+    return [
+        Query(goal_id, draw(text), tuple(draw(st.lists(text, max_size=3))), draw(number),
+              draw(number), level=draw(st.sampled_from(LEVELS)))
+        for goal_id in goals
+    ]
+
+
+@st.composite
+def corpora(draw):
+    goals = draw(st.lists(ident, min_size=1, max_size=3, unique=True))
+    return corpus_from_records([
+        {"id": f"g{goal_id}", "title": draw(ident),
+         "steps": [{"id": f"s{goal_id}_{j}", "text": draw(ident)}
+                   for j in range(draw(st.integers(1, 3)))]}
+        for goal_id in goals
+    ])
+
+
+@st.composite
+def video_lists(draw):
+    ids = draw(st.lists(ident, min_size=1, max_size=4, unique=True))
+    return [VideoDoc(video_id, draw(ident), draw(ident)) for video_id in ids]
+
+
+def _write_videos(path, videos):
+    with open(path, "w", encoding="utf-8") as handle:
+        for v in videos:
+            record = {"video_id": v.video_id, "goal_id": v.goal_id, "caption": v.caption}
+            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def _store_rows(store):
+    return store.dim, [(row_id, store[row_id].tobytes()) for row_id in store.ids()]
+
+
+def _table_rows(source):
+    return source.dim, [(key, vec.tobytes()) for key, vec in source._table.items()]
+
+
+def _model_fields(model):
+    u = None if model.unlinkable_feat is None else model.unlinkable_feat.tobytes()
+    return (model.w.tobytes(), model.lam, model.unlinkable_enabled, u, model.context_mode,
+            model.window)
+
+
+class Kind(NamedTuple):
+    """One artifact kind: data, its writer, its reader (as the CLI reads it),
+    what the reader should return for the data, and how a line is damaged."""
+
+    data: st.SearchStrategy
+    write: Callable
+    read: Callable
+    expect: Callable
+    sep: str | None  # field separator; None: fields are not damaged
+    mutations: tuple[str, ...] = ("drop", "x", "nan", "duplicate", "utf8")
+
+
+KINDS = {
+    "embeddings": Kind(
+        embeddings(),
+        lambda path, store: save_embeddings(store, path),
+        lambda path: _store_rows(load_embeddings(path)),
+        _store_rows,
+        " ",
+    ),
+    "pair-features": Kind(
+        feature_rows(),
+        lambda path, rows: write_feature_file(path, *rows),
+        lambda path: _table_rows(load_feature_file(path)),
+        lambda rows: _table_rows(TableFeatureSource(rows[0], {(s, g): v for s, g, v in rows[1]})),
+        " ",
+    ),
+    "candidates": Kind(candidate_lists(), write_candidates, read_candidates, lambda x: x, "\t"),
+    "rankings": Kind(
+        decisions(),
+        write_rankings,
+        lambda path: read_ranked(path, 3, lambda lineno, fields: fields[2]),
+        lambda ds: {d.step_id: [e.goal_id for e in d.alternatives] for d in ds},
+        "\t",
+    ),
+    "links": Kind(decisions(), write_links, read_links,
+                  lambda ds: {d.step_id: d.outcome for d in ds}, "\t"),
+    "gold": Kind(gold_links(), write_gold_links, load_gold_links, lambda x: x, "\t"),
+    "model": Kind(
+        models(),
+        lambda path, model: save_model(model, path),
+        lambda path: _model_fields(load_model(path)),
+        _model_fields,
+        " ",
+    ),
+    "queries": Kind(query_lists(), write_queries, read_queries, lambda x: x, None, ("utf8",)),
+    "corpus": Kind(
+        corpora(),
+        lambda path, corpus: save_corpus(corpus, path),
+        lambda path: load_corpus(path).articles,
+        lambda corpus: corpus.articles,
+        None,
+        ("duplicate", "utf8"),
+    ),
+    "videos": Kind(video_lists(), _write_videos, load_videos, lambda x: x, None,
+                   ("duplicate", "utf8")),
+}
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def damage(lines: list[str], kind: Kind, data) -> bytes:
+    """The file of `lines` with one line damaged in one of the kind's ways."""
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    how = data.draw(st.sampled_from(kind.mutations), label="damage")
+    line = lines[i]
+    if how == "drop":
+        lines[i] = kind.sep.join(line.split(kind.sep)[:-1])
+    elif how in ("x", "nan"):
+        tokens = re.split(r"([\t =])", line)
+        numeric = [j for j, token in enumerate(tokens) if _is_number(token)]
+        if numeric:
+            tokens[data.draw(st.sampled_from(numeric), label="field")] = how
+        lines[i] = "".join(tokens)
+    elif how == "duplicate":
+        lines.insert(i, line)
+    out = [line.encode("utf-8") for line in lines]
+    if how == "utf8":
+        at = data.draw(st.integers(0, len(line)), label="at")
+        out[i] = line[:at].encode("utf-8") + b"\xff" + line[at:].encode("utf-8")
+    return b"\n".join(out) + b"\n"
+
+
+@pytest.mark.parametrize("name", sorted(KINDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_round_trip(name, data):
+    kind = KINDS[name]
+    value = data.draw(kind.data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        kind.write(path, value)
+        assert kind.read(path) == kind.expect(value)
+
+
+@pytest.mark.parametrize("name", sorted(KINDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_damaged_line_is_read_as_before_or_rejected_with_path(name, data):
+    kind = KINDS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        kind.write(path, data.draw(kind.data))
+        before = kind.read(path)
+        path.write_bytes(damage(path.read_text(encoding="utf-8").splitlines(), kind, data))
+        try:
+            after = kind.read(path)
+        except DataError as exc:
+            assert str(exc).startswith(f"{path}: ")
+        else:
+            assert after == before
+
+
+def test_rankings_round_trip_keeps_scores(tmp_path):
+    ds = [LinkDecision("s1", "g2", (ScoredCandidate("g2", 0.25, -1.5),
+                                    ScoredCandidate("g1", 0.5, -2.0)), config_hash="")]
+    path = tmp_path / "rankings.tsv"
+    write_rankings(path, ds)
+    parse = lambda lineno, f: ScoredCandidate(f[2], float(f[3]), float(f[4]))  # noqa: E731
+    assert read_ranked(path, 5, parse) == {"s1": list(ds[0].alternatives)}
+
+
+def test_tab_rows_checks_columns_and_unique_first_field(tmp_path):
+    path = tmp_path / "rows.tsv"
+    path.write_text("a\t1\n\nb\t2\na\t3\n")
+    assert [lineno for lineno, _ in tab_rows(path, 2)] == [1, 3, 4]
+    with pytest.raises(DataError, match=r"rows.tsv: line 4: duplicate step 'a'$"):
+        list(tab_rows(path, 2, unique="step"))
+    with pytest.raises(DataError, match=r"rows.tsv: line 1: expected 3 columns or more, got 2$"):
+        list(tab_rows(path, 3))
+    with pytest.raises(DataError, match=r"rows.tsv: line 1: expected 1 columns, got 2$"):
+        list(tab_rows(path, 1, exact=True))
+
+
+def test_missing_file_is_a_data_error_with_path(tmp_path):
+    path = tmp_path / "nope.tsv"
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: cannot read"):
+        load_gold_links(path)
+
+
+def test_bad_utf8_names_its_line(tmp_path):
+    path = tmp_path / "gold.tsv"
+    path.write_bytes("s1\tg1\nsé\tg2\n".encode() + b"s3\t\xc3g3\n")
+    with pytest.raises(DataError, match=r"gold.tsv: line 3: not valid UTF-8"):
+        load_gold_links(path)
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 40, 21_000])
+@pytest.mark.parametrize("ratios", [(7, 2, 1), (7.5, 1.25, 1.25)])
+def test_split_sizes_floor_dev_and_test(n, ratios):
+    n_train, n_dev, n_test = split_sizes(n, ratios)
+    total = sum(ratios)
+    assert (n_dev, n_test) == (int(n * ratios[1] / total), int(n * ratios[2] / total))
+    assert n_train + n_dev + n_test == n
+
+
+def test_both_splits_use_split_sizes():
+    links = [GoldLink(f"s{i}", "g") for i in range(23)]
+    split = split_links(links, seed=3)
+    assert tuple(map(len, (split.train, split.dev, split.test))) == split_sizes(23, (7, 2, 1))
+    videos = [VideoDoc(f"v{i:02d}", "g", "c") for i in range(23)]
+    splits = split_videos(videos, seed=3)
+    sizes = tuple(len(part["g"]) for part in (splits.train, splits.dev, splits.test))
+    assert sizes == split_sizes(23, (7.5, 1.25, 1.25))

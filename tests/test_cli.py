@@ -9,6 +9,8 @@ import pytest
 import prockb
 from conftest import identity_records, write_jsonl
 from prockb.cli import main
+from prockb.rerank import new_model, save_model, write_feature_file
+from prockb.videoretrieval import FIL_L1, Query, write_queries
 
 
 def run(argv):
@@ -385,9 +387,12 @@ _QUERY = {"goal_id": "g0", "goal": "achieve goaltok0", "steps": ["do steptok0a n
         (json.dumps([{**_QUERY, "w_s": "0.5"}]), "item 1: w_g and w_s must be finite numbers"),
         (json.dumps([{**_QUERY, "level": "FIL_L3"}]), "item 1: unknown level 'FIL_L3'"),
         (json.dumps([_QUERY, {**_QUERY, "steps": []}]), "item 2: duplicate goal_id 'g0'"),
+        (json.dumps([_QUERY, {**_QUERY, "goal_id": "g1"},
+                     {**_QUERY, "goal_id": "g2", "level": "L0"}]),
+         "item 3: level 'L0' differs from item 1's 'FIL_L1'"),
     ],
     ids=["truncated", "non-list", "non-object-item", "missing-field", "non-string-step",
-         "non-numeric-weight", "unknown-level", "duplicate-goal"],
+         "non-numeric-weight", "unknown-level", "duplicate-goal", "mixed-levels"],
 )
 def test_vr_eval_rejects_bad_queries(tmp_path, capsys, payload, message):
     _, videos_path = vr_fixture(tmp_path)
@@ -397,3 +402,121 @@ def test_vr_eval_rejects_bad_queries(tmp_path, capsys, payload, message):
                 "--out-dir", str(tmp_path / "ve")])
     assert code == 2
     assert f"{queries}: {message}" in capsys.readouterr().err
+
+
+def test_retrieve_manifest_does_not_depend_on_cpu_count(identity_setup, tmp_path, monkeypatch):
+    corpus_path, _, _ = identity_setup
+    assert run(["build-index", "--corpus", str(corpus_path), "--out-dir", str(tmp_path / "ix")]) == 0
+    manifests = []
+    for cpus in (1, 8):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        out = tmp_path / f"ret{cpus}"
+        assert run(["retrieve", "--corpus", str(corpus_path),
+                    "--embeddings", str(tmp_path / "ix" / "embeddings.txt"),
+                    "--k", "5", "--out-dir", str(out)]) == 0
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    """One valid file of every input kind the CLI reads, by kind."""
+    tmp = tmp_path_factory.mktemp("inputs")
+    records, gold = identity_records(6)
+    files = {"corpus": tmp / "corpus.jsonl", "gold": tmp / "gold.tsv"}
+    write_jsonl(files["corpus"], records)
+    files["gold"].write_text("".join(f"{s}\t{g}\n" for s, g in gold.items()))
+    assert main(["build-index", "--corpus", str(files["corpus"]), "--dim", "16",
+                 "--out-dir", str(tmp / "ix")]) == 0
+    files["embeddings"] = tmp / "ix" / "embeddings.txt"
+    files["candidates"] = tmp / "candidates.tsv"
+    files["candidates"].write_text("".join(f"{s}\t1\t{g}\t0.5\n" for s, g in gold.items()))
+    files["model"] = tmp / "model.txt"
+    save_model(new_model(8), files["model"])
+    files["features"] = tmp / "features.txt"
+    write_feature_file(files["features"], 8, [(s, g, [0.5] * 8) for s, g in gold.items()])
+    files["rankings"] = tmp / "rankings.tsv"
+    files["rankings"].write_text("".join(f"{s}\t1\t{g}\t0.5\t0.5\n" for s, g in gold.items()))
+
+    (tmp / "vr").mkdir()
+    files["vr_corpus"], files["videos"] = vr_fixture(tmp / "vr")
+    files["links"] = tmp / "links.tsv"
+    files["links"].write_text("g0_s0\tg1\t0.5\t0.5\n")
+    files["queries"] = tmp / "queries.json"
+    write_queries(files["queries"], [Query("g0", "achieve goaltok0", (), 1.0, 0.5, FIL_L1)])
+    assert main(["vr-index", "--videos", str(files["videos"]), "--out-dir", str(tmp / "vix")]) == 0
+    files["vr_index"] = tmp / "vix" / "vr_index.json"
+    files["config"] = tmp / "config.json"
+    files["config"].write_text("{}\n")
+    return files
+
+
+# (input kind, argv with {kind} placeholders for input paths); the kind under
+# test is the one the command reads a damaged copy of.
+_READERS = {
+    "corpus": ["build-index", "--corpus", "{corpus}"],
+    "embeddings": ["retrieve", "--corpus", "{corpus}", "--embeddings", "{embeddings}", "--k", "3"],
+    "candidates": ["train-reranker", "--corpus", "{corpus}", "--candidates", "{candidates}",
+                   "--gold", "{gold}"],
+    "gold": ["train-reranker", "--corpus", "{corpus}", "--candidates", "{candidates}",
+             "--gold", "{gold}"],
+    "model": ["link", "--corpus", "{corpus}", "--embeddings", "{embeddings}",
+              "--model", "{model}"],
+    "features": ["train-reranker", "--corpus", "{corpus}", "--candidates", "{candidates}",
+                 "--gold", "{gold}", "--features", "{features}"],
+    "rankings": ["eval-links", "--rankings", "{rankings}", "--gold", "{gold}"],
+    "links": ["vr-filter", "--videos", "{videos}", "--corpus", "{vr_corpus}",
+              "--level", "fil_l2", "--links", "{links}"],
+    "videos": ["vr-index", "--videos", "{videos}"],
+    "queries": ["vr-eval", "--videos", "{videos}", "--queries", "{queries}"],
+    "vr_index": ["vr-eval", "--videos", "{videos}", "--corpus", "{vr_corpus}",
+                 "--index", "{vr_index}"],
+    "config": ["--config", "{config}", "build-index", "--corpus", "{corpus}"],
+}
+
+
+def _run_on(input_files, tmp_path, kind, content: bytes):
+    """Run the command that reads `kind` with that input replaced by `content`."""
+    damaged = tmp_path / input_files[kind].name
+    damaged.write_bytes(content)
+    paths = {**{k: str(v) for k, v in input_files.items()}, kind: str(damaged)}
+    argv = [arg.format(**paths) for arg in _READERS[kind]]
+    return run(argv + ["--out-dir", str(tmp_path / "out")]), damaged
+
+
+@pytest.mark.parametrize("kind", sorted(_READERS))
+def test_non_utf8_input_exits_2_with_path(input_files, tmp_path, capsys, kind):
+    content = b"\xff\xfe" + input_files[kind].read_bytes()
+    code, damaged = _run_on(input_files, tmp_path, kind, content)
+    assert code == 2
+    assert f"{damaged}: line 1: not valid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", sorted(_READERS))
+def test_damage_test_commands_pass_on_valid_inputs(input_files, tmp_path, kind):
+    """The damage tests fail on the damaged file, not on another input."""
+    code, _ = _run_on(input_files, tmp_path, kind, input_files[kind].read_bytes())
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        ("features", "dim=8\n" + ("a00_probe a01" + " 0.5" * 8 + "\n") * 2,
+         "line 3: duplicate row 'a00_probe a01'"),
+        ("features", "dim=eight\n", "line 1: expected header 'dim=<d>'"),
+        ("features", "dim=8\n" + "a00_probe a01 x" + " 0.5" * 7 + "\n",
+         "line 2: row 'a00_probe a01' has a non-numeric value"),
+        ("embeddings", "dim=x\n", "line 1: expected header 'dim=<d>'"),
+        ("links", "g0_s0\tg1\ng0_s1\tg2\ng0_s0\tg2\n", "line 3: duplicate step 'g0_s0'"),
+        ("gold", "a00_probe\ta01\na00_probe\ta02\n", "line 2: duplicate step 'a00_probe'"),
+        ("model", "dim=8\ndim=8\n", "line 2: duplicate key 'dim'"),
+    ],
+    ids=["duplicate-feature-row", "bad-feature-header", "non-numeric-feature",
+         "bad-embedding-header", "duplicate-link-step", "duplicate-gold-step",
+         "duplicate-model-key"],
+)
+def test_bad_rows_exit_2_with_path_and_line(input_files, tmp_path, capsys, kind, text, message):
+    code, damaged = _run_on(input_files, tmp_path, kind, text.encode())
+    assert code == 2
+    assert f"{damaged}: {message}" in capsys.readouterr().err

@@ -126,17 +126,6 @@ def test_retrieve_all_excludes_parent():
         assert step.parent_goal_id not in got
 
 
-def test_retrieve_all_worker_count_irrelevant():
-    from conftest import identity_records
-
-    corpus = make_corpus(identity_records(8)[0])
-    store = embed_corpus(corpus, dim=16, seed=4)
-    index = build_index(store, corpus.goal_ids())
-    serial = retrieve_all(index, store, corpus, k=4, workers=1)
-    threaded = retrieve_all(index, store, corpus, k=4, workers=4)
-    assert serial == threaded
-
-
 def test_candidates_tsv_round_trip(tmp_path):
     corpus = make_corpus(two_article_records())
     store = embed_corpus(corpus, dim=16, seed=4)
