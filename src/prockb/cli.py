@@ -120,14 +120,24 @@ def _parse_ns(raw: str) -> list[int]:
 # ---------------------------------------------------------------------------
 # Subcommands
 
+def _embeddings(path: str, ids: list[str]):
+    """The vectors in `path`, which must hold one for each of `ids`."""
+    store = load_embeddings(path)
+    missing = next((i for i in ids if i not in store), None)
+    if missing is not None:
+        raise DataError(f"{path}: no embedding for corpus id {missing!r}")
+    return store
+
+
+def _corpus_ids(corpus) -> list[str]:
+    return corpus.goal_ids() + [step.step_id for step in corpus.steps()]
+
+
 def cmd_build_index(args) -> None:
     out = _out_dir(args)
     corpus = load_corpus(args.corpus, lowercase=args.lowercase_corpus)
     if args.embeddings:
-        store = load_embeddings(args.embeddings)
-        missing = [g for g in corpus.goal_ids() if g not in store]
-        if missing:
-            raise DataError(f"external embeddings missing goal ids, e.g. {missing[0]!r}")
+        store = _embeddings(args.embeddings, corpus.goal_ids())
     else:
         store = embed_corpus(corpus, dim=args.dim, seed=args.seed, lowercase=args.lowercase)
     save_embeddings(store, out / "embeddings.txt")
@@ -139,7 +149,7 @@ def cmd_build_index(args) -> None:
 def cmd_retrieve(args) -> None:
     out = _out_dir(args)
     corpus = load_corpus(args.corpus)
-    store = load_embeddings(args.embeddings)
+    store = _embeddings(args.embeddings, _corpus_ids(corpus))
     index = build_index(store, corpus.goal_ids())
     lists = retrieve_all(index, store, corpus, k=args.k, exclude_parent=not args.no_exclude_parent)
     write_candidates(out / "candidates.tsv", lists)
@@ -156,7 +166,7 @@ def cmd_train_reranker(args) -> None:
     gold_dev = {l.step_id: l.gold_goal_id for l in split.dev}
 
     source = load_feature_file(args.features) if args.features else LexicalFeatureSource(
-        corpus, dim=args.d, context_mode=args.context_mode, window=args.window
+        corpus, context_mode=args.context_mode, window=args.window
     )
     train_examples = make_training_examples(candidate_lists, gold_train, unlinkable=args.unlinkable)
     dev_examples = make_training_examples(candidate_lists, gold_dev, unlinkable=args.unlinkable)
@@ -194,15 +204,17 @@ def cmd_train_reranker(args) -> None:
 def _pipeline(args):
     """The pipeline `link` and `expand` run, and the files it reads."""
     corpus = load_corpus(args.corpus)
-    store = load_embeddings(args.embeddings)
+    store = _embeddings(args.embeddings, _corpus_ids(corpus))
     index = build_index(store, corpus.goal_ids())
     model = load_model(args.model)
     if args.features:
         source = load_feature_file(args.features)
     else:
-        source = LexicalFeatureSource(
-            corpus, dim=model.dim, context_mode=model.context_mode, window=model.window
-        )
+        source = LexicalFeatureSource(corpus, context_mode=model.context_mode, window=model.window)
+    if model.dim != source.dim:
+        features = args.features or f"{source.name} features"
+        raise DataError(f"{args.model}: model width {model.dim} does not match "
+                        f"the feature width {source.dim} of {features}")
     pipeline = LinkPipeline(
         corpus=corpus,
         index=index,
@@ -396,7 +408,6 @@ def build_parser() -> Parser:
     p.add_argument("--candidates", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--features", help="precomputed pair-feature file")
-    p.add_argument("--d", type=int, default=16, help="lexical feature dimension")
     p.add_argument("--context-mode", choices=["none", "goal", "surround", "both"], default="both")
     p.add_argument("--window", type=int, default=1)
     p.add_argument("--lr", type=float, default=0.5)
@@ -474,30 +485,23 @@ def build_parser() -> Parser:
 
 
 def _apply_config(parser: Parser, argv: list[str]) -> list[str]:
-    """Pull --config out of argv and fold its values in as parser defaults."""
-    config_path = None
-    rest = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--config":
-            if i + 1 >= len(argv):
-                raise UsageError("--config needs a path")
-            config_path = argv[i + 1]
-            i += 2
-            continue
-        if arg.startswith("--config="):
-            config_path = arg.split("=", 1)[1]
-            i += 1
-            continue
-        rest.append(arg)
-        i += 1
-    if config_path:
-        config = read_json(config_path)
+    """Pull --config out of argv and fold its values in as the defaults of
+    the subcommands that have each key as a flag."""
+    pre = Parser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    known, rest = pre.parse_known_args(argv)
+    path = known.config
+    if path:
+        config = read_json(path)
         if not isinstance(config, dict):
-            raise DataError(f"{config_path}: config must be a JSON object")
-        for subparser in parser.subcommands.values():  # type: ignore[attr-defined]
-            subparser.set_defaults(**config)
+            raise DataError(f"{path}: config must be a JSON object")
+        subparsers = parser.subcommands.values()  # type: ignore[attr-defined]
+        for key, value in config.items():
+            owners = [p for p in subparsers if any(a.dest == key for a in p._actions)]
+            if not owners:
+                raise DataError(f"{path}: no subcommand has the flag for config key {key!r}")
+            for subparser in owners:
+                subparser.set_defaults(**{key: value})
     return rest
 
 

@@ -19,7 +19,7 @@ from .artifacts import tab_rows
 from .corpus import Corpus
 from .embedding import EmbeddingStore
 from .rerank import UNLINKABLE, FeatureSource, RerankModel, ScoredCandidate, score_candidates
-from .retrieval import DEFAULT_K, GoalIndex, topk
+from .retrieval import DEFAULT_K, GoalIndex, retrieve_step
 
 
 @dataclass(frozen=True)
@@ -80,26 +80,16 @@ class LinkDecision:
 
 
 def link_step(pipeline: LinkPipeline, step_id: str) -> LinkDecision:
-    """Retrieve candidates for one step, rerank them, take the argmax.
-
-    k is clamped to the number of goals available after exclusion so small
-    corpora still link. The decision is kept on the pipeline, so linking the
-    same step again (expand meets steps more than once) reuses it.
+    """Retrieve candidates for one step as `retrieve` does, rerank them, take
+    the argmax. The decision is kept on the pipeline, so linking the same step
+    again (expand meets steps more than once) reuses it.
     """
     decision = pipeline._decisions.get(step_id)
     if decision is not None:
         return decision
     step = pipeline.corpus.step(step_id)
-    exclude = {step.parent_goal_id} if pipeline.exclude_parent else set()
-    available = len(pipeline.index) - len(exclude & pipeline.index.goal_id_set)
-    if available < 1:
-        raise ValueError(f"no goals available to link step {step_id!r}")
-    candidates = topk(
-        pipeline.index,
-        pipeline.store[step_id],
-        min(pipeline.k, available),
-        exclude=exclude,
-        step_id=step_id,
+    candidates = retrieve_step(
+        pipeline.index, pipeline.store, step, pipeline.k, pipeline.exclude_parent
     )
     scored = score_candidates(pipeline.model, candidates, pipeline.features)
     decision = pipeline._decisions[step_id] = LinkDecision(

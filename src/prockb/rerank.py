@@ -33,7 +33,6 @@ from .textsearch import tokenize
 
 UNLINKABLE = "UNLINKABLE"
 CTX_DELIMITER = "[CTX]"
-MIN_DIM = 8
 
 
 def render_pair_input(ctx: StepContext, step_text: str, goal_text: str) -> str:
@@ -109,9 +108,9 @@ def _lookup(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarra
 class LexicalFeatureSource:
     """Deterministic surface-overlap features for a (step, goal) pair.
 
-    Layout: [bias, token Jaccard, char-3gram cosine, IDF-weighted overlap,
-    token length ratio, exact-match flag, context-goal Jaccard], zero-padded
-    to `dim`. The IDF table defaults to one built over the corpus goal titles.
+    Layout, `dim` = 7 columns: [bias, token Jaccard, char-3gram cosine,
+    IDF-weighted overlap, token length ratio, exact-match flag, context-goal
+    Jaccard]. The IDF table is built over the corpus goal titles.
 
     The IDF overlap is I / (S_step + S_goal - I), where S is the sum of a
     text's token IDFs and I that of the shared tokens, each summed in
@@ -123,22 +122,13 @@ class LexicalFeatureSource:
     """
 
     name = "lexical"
+    dim = 7
 
-    def __init__(
-        self,
-        corpus: Corpus,
-        dim: int,
-        context_mode: str = "none",
-        window: int = 1,
-        idf: Mapping[str, float] | None = None,
-    ):
-        if dim < MIN_DIM:
-            raise ValueError(f"dim must be >= {MIN_DIM}, got {dim}")
+    def __init__(self, corpus: Corpus, context_mode: str = "none", window: int = 1):
         self.corpus = corpus
-        self.dim = dim
         self.context_mode = context_mode
         self.window = window
-        self.idf = dict(idf) if idf is not None else idf_table(a.title for a in corpus.articles)
+        self.idf = idf_table(a.title for a in corpus.articles)
         self._vocab: dict[str, int] = {}
         self._goals: dict[str, _Text] = {}
 
@@ -231,19 +221,24 @@ class LexicalFeatureSource:
 
 
 class TableFeatureSource:
-    """Feature rows keyed by (step_id, goal_id), typically loaded from disk."""
+    """Feature rows keyed by (step_id, goal_id), typically loaded from disk;
+    `path` is the file, named when a row is missing."""
 
     name = "table"
 
-    def __init__(self, dim: int, table: dict[tuple[str, str], np.ndarray]):
+    def __init__(
+        self, dim: int, table: dict[tuple[str, str], np.ndarray], path: str | Path | None = None
+    ):
         self.dim = dim
         self._table = table
+        self.path = path
 
     def features(self, step_id: str, goal_id: str) -> np.ndarray:
         try:
             return self._table[(step_id, goal_id)]
         except KeyError:
-            raise KeyError(f"no feature row for step {step_id!r}, goal {goal_id!r}") from None
+            where = f"{self.path}: " if self.path is not None else ""
+            raise KeyError(f"{where}no feature row for step {step_id!r}, goal {goal_id!r}") from None
 
     def block(self, step_id: str, goal_ids: Sequence[str]) -> np.ndarray:
         rows = [self.features(step_id, goal_id) for goal_id in goal_ids]
@@ -253,7 +248,7 @@ class TableFeatureSource:
 def load_feature_file(path: str | Path) -> TableFeatureSource:
     """Read ``dim=<d>`` header then rows ``step_id goal_id v1 ... vd``."""
     dim, table = read_vectors(path, 2)
-    return TableFeatureSource(dim=dim, table=table)
+    return TableFeatureSource(dim=dim, table=table, path=path)
 
 
 def write_feature_file(
@@ -368,43 +363,45 @@ class ScoredCandidate(NamedTuple):
 class ScoredCandidates:
     step_id: str
     entries: tuple[ScoredCandidate, ...]
-    feature_source: str
 
     def ranked_ids(self) -> list[str]:
         return [entry.goal_id for entry in self.entries]
 
 
-def sim2(model: RerankModel, features: np.ndarray, sim1: float) -> float:
-    if features.shape != (model.dim,):
-        raise ValueError(f"feature dim {features.shape} does not match model dim {model.dim}")
-    return float(model.w @ features) + model.lam * sim1
+def list_scores(model: RerankModel, feats: np.ndarray, sim1s: np.ndarray) -> np.ndarray:
+    """sim2 = feats @ W + lambda * sim1 of each candidate of one list, as one
+    matrix-vector product, then, for an unlinkable model, of the placeholder
+    slot: the learned row U at the list's minimum sim1. Training and linking
+    both score a list here."""
+    if feats.shape != (len(sim1s), model.dim):
+        raise ValueError(
+            f"feature matrix {feats.shape} does not match {len(sim1s)} candidates "
+            f"at model dim {model.dim}"
+        )
+    if model.unlinkable_enabled:
+        feats = np.vstack([feats, model.unlinkable_feat])
+        sim1s = np.append(sim1s, sim1s.min())
+    return feats @ model.w + model.lam * sim1s
 
 
 def score_candidates(
     model: RerankModel, candidates: CandidateList, source: FeatureSource
 ) -> ScoredCandidates:
-    """Score every candidate with sim2 and sort descending, ties by goal_id.
-
-    With unlinkable enabled, a placeholder entry is appended whose sim1 is the
-    minimum sim1 of the real candidates and whose features are the model's
-    learned unlinkable row.
-    """
+    """Score a candidate list with `list_scores` and sort descending, ties by
+    goal_id. An unlinkable model adds the UNLINKABLE entry, whose sim1 is the
+    list's minimum."""
     if not candidates.entries:
         raise ValueError(f"step {candidates.step_id!r} has an empty candidate list")
-    feats = source.block(candidates.step_id, [goal_id for goal_id, _ in candidates.entries])
-    scored = [
-        ScoredCandidate(goal_id, sim1_val, sim2(model, row, sim1_val))
-        for (goal_id, sim1_val), row in zip(candidates.entries, feats)
-    ]
+    goal_ids, sim1s = zip(*candidates.entries)
+    feats = source.block(candidates.step_id, goal_ids)
+    scores = list_scores(model, feats, np.array(sim1s, dtype=np.float64))
     if model.unlinkable_enabled:
-        floor = min(entry.sim1 for entry in candidates.entries)
-        scored.append(ScoredCandidate(UNLINKABLE, floor, sim2(model, model.unlinkable_feat, floor)))
-    scored.sort(key=lambda entry: (-entry.sim2, entry.goal_id))
-    return ScoredCandidates(
-        step_id=candidates.step_id,
-        entries=tuple(scored),
-        feature_source=getattr(source, "name", type(source).__name__),
+        goal_ids, sim1s = goal_ids + (UNLINKABLE,), sim1s + (min(sim1s),)
+    scored = sorted(
+        map(ScoredCandidate, goal_ids, sim1s, scores.tolist()),
+        key=lambda entry: (-entry.sim2, entry.goal_id),
     )
+    return ScoredCandidates(step_id=candidates.step_id, entries=tuple(scored))
 
 
 # ---------------------------------------------------------------------------
@@ -470,14 +467,8 @@ def nll_loss(model: RerankModel, example: TrainExample, feats: np.ndarray) -> Lo
     m = len(example.candidates)
     if m == 0:
         raise ValueError(f"step {example.step_id!r}: empty candidate set")
-    if feats.shape != (m, model.dim):
-        raise ValueError(f"feature matrix {feats.shape} does not match ({m}, {model.dim})")
-
-    sim1s = np.array([c.sim1 for c in example.candidates], dtype=np.float64)
     ids = [c.goal_id for c in example.candidates]
     if model.unlinkable_enabled:
-        feats = np.vstack([feats, model.unlinkable_feat])
-        sim1s = np.append(sim1s, sim1s[:m].min())
         ids.append(UNLINKABLE)
     elif example.gold == UNLINKABLE:
         raise ValueError(f"step {example.step_id!r}: UNLINKABLE label without unlinkable mode")
@@ -488,19 +479,25 @@ def nll_loss(model: RerankModel, example: TrainExample, feats: np.ndarray) -> Lo
             f"step {example.step_id!r}: gold {example.gold!r} not in candidate set"
         ) from None
 
-    z = feats @ model.w + model.lam * sim1s
+    sim1s = np.array([c.sim1 for c in example.candidates], dtype=np.float64)
+    z = list_scores(model, feats, sim1s)
     z_shift = z - z.max()
     exp_z = np.exp(z_shift)
     total = exp_z.sum()
     probs = exp_z / total
     loss = float(math.log(total) - z_shift[gold_idx])
 
-    g = probs.copy()
+    # d loss / d z, split into the real candidates and the placeholder slot.
+    g = probs
     g[gold_idx] -= 1.0
-    grad_w = feats.T @ g
-    grad_lam = float(g @ sim1s)
-    grad_u = g[-1] * model.w if model.unlinkable_enabled else None
-    return LossGrads(loss=loss, grad_w=grad_w, grad_lam=grad_lam, grad_unlinkable=grad_u)
+    grad_w = feats.T @ g[:m]
+    grad_lam = g[:m] @ sim1s
+    grad_u = None
+    if model.unlinkable_enabled:
+        grad_w += g[m] * model.unlinkable_feat
+        grad_lam += g[m] * sim1s.min()
+        grad_u = g[m] * model.w
+    return LossGrads(loss=loss, grad_w=grad_w, grad_lam=float(grad_lam), grad_unlinkable=grad_u)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from typing import Callable, Iterable, NamedTuple, TypeVar
 import numpy as np
 
 from .artifacts import fail, tab_rows
-from .corpus import Corpus
+from .corpus import Corpus, Step
 from .embedding import EmbeddingStore
 
 DEFAULT_K = 30
@@ -30,7 +30,6 @@ class Candidate(NamedTuple):
 class CandidateList:
     step_id: str
     entries: tuple[Candidate, ...]
-    k: int
 
 
 class GoalIndex:
@@ -102,7 +101,20 @@ def topk(
         entries.append(Candidate(goal_id, float(scores[row])))
         if len(entries) == k:
             break
-    return CandidateList(step_id=step_id, entries=tuple(entries), k=k)
+    return CandidateList(step_id=step_id, entries=tuple(entries))
+
+
+def retrieve_step(
+    index: GoalIndex, store: EmbeddingStore, step: Step, k: int, exclude_parent: bool = True
+) -> CandidateList:
+    """The stage-1 candidates of one corpus step, for `retrieve` and `link`
+    alike: topk without the step's own goal when `exclude_parent`, with k
+    clamped to the goals left. Raises ValueError when no goal is left."""
+    exclude = {step.parent_goal_id} if exclude_parent else set()
+    available = len(index) - len(exclude & index.goal_id_set)
+    if available < 1:
+        raise ValueError(f"no goals available for step {step.step_id!r}")
+    return topk(index, store[step.step_id], min(k, available), exclude, step.step_id)
 
 
 def retrieve_all(
@@ -112,13 +124,8 @@ def retrieve_all(
     k: int = DEFAULT_K,
     exclude_parent: bool = True,
 ) -> list[CandidateList]:
-    """Run topk for every corpus step, in corpus order."""
-
-    def one(step):
-        exclude = {step.parent_goal_id} if exclude_parent else None
-        return topk(index, store[step.step_id], k, exclude=exclude, step_id=step.step_id)
-
-    return [one(step) for step in corpus.steps()]
+    """Run retrieve_step for every corpus step, in corpus order."""
+    return [retrieve_step(index, store, step, k, exclude_parent) for step in corpus.steps()]
 
 
 def write_candidates(path: str | Path, lists: Iterable[CandidateList]) -> None:
@@ -163,6 +170,6 @@ def read_candidates(path: str | Path) -> list[CandidateList]:
         return Candidate(parts[2], sim1)
 
     return [
-        CandidateList(step_id=step_id, entries=tuple(entries), k=len(entries))
+        CandidateList(step_id=step_id, entries=tuple(entries))
         for step_id, entries in read_ranked(path, 4, candidate).items()
     ]

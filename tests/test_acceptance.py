@@ -82,11 +82,11 @@ def test_a1_end_to_end_linking_sanity():
         train_gold = {l.step_id: l.gold_goal_id for l in split.train}
         dev_gold = {l.step_id: l.gold_goal_id for l in split.dev}
 
-        source = LexicalFeatureSource(corpus, dim=16, context_mode="both", window=1)
+        source = LexicalFeatureSource(corpus, context_mode="both", window=1)
         train_examples = make_training_examples(lists, train_gold)
         dev_examples = make_training_examples(lists, dev_gold)
         result = train(
-            new_model(16, lam=1.0),
+            new_model(7, lam=1.0),
             train_examples,
             source,
             lr=1.0,
@@ -213,7 +213,7 @@ def test_a4_loss_anchors():
             entries = tuple(
                 Candidate(f"g{i:02d}", float(rng.uniform(-1, 1))) for i in range(m)
             )
-            cands = CandidateList(f"s{step}", entries, m)
+            cands = CandidateList(f"s{step}", entries)
             table = TableFeatureSource(
                 8, {(f"s{step}", f"g{i:02d}"): rng.normal(size=8) for i in range(m)}
             )
@@ -246,7 +246,7 @@ def _separable(n, dim, m, seed, prefix):
 def _recall1(model, examples, source):
     hits = 0
     for ex in examples:
-        cands = CandidateList(ex.step_id, ex.candidates, len(ex.candidates))
+        cands = CandidateList(ex.step_id, ex.candidates)
         hits += score_candidates(model, cands, source).entries[0].goal_id == ex.gold
     return hits / len(examples)
 
@@ -280,8 +280,8 @@ def test_a6_identity_reranker():
         store = embed_corpus(corpus, dim=32, seed=5)
         index = build_index(store, corpus.goal_ids())
         lists = retrieve_all(index, store, corpus, k=12)
-        model = new_model(16, lam=1.0)  # W = 0
-        source = LexicalFeatureSource(corpus, dim=16)
+        model = new_model(7, lam=1.0)  # W = 0
+        source = LexicalFeatureSource(corpus)
         for cand in lists:
             scored = score_candidates(model, cand, source)
             assert scored.ranked_ids() == [c.goal_id for c in cand.entries]
@@ -415,10 +415,10 @@ def _exact_match_pipeline(records):
     corpus = make_corpus(records)
     store = embed_corpus(corpus, dim=16, seed=0)
     index = build_index(store, corpus.goal_ids())
-    w = np.zeros(8)
+    w = np.zeros(7)
     w[5] = 10.0
     model = RerankModel(w=w, lam=0.0)
-    source = LexicalFeatureSource(corpus, dim=8)
+    source = LexicalFeatureSource(corpus)
     return LinkPipeline(corpus=corpus, index=index, store=store, model=model, features=source, k=5)
 
 

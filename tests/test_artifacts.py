@@ -78,7 +78,7 @@ def candidate_lists(draw):
     lists = []
     for step_id in steps:
         entries = draw(st.lists(st.builds(Candidate, ident, number), min_size=1, max_size=3))
-        lists.append(CandidateList(step_id, tuple(entries), k=len(entries)))
+        lists.append(CandidateList(step_id, tuple(entries)))
     return lists
 
 

@@ -46,7 +46,7 @@ def test_end_to_end_linking(identity_setup, tmp_path):
 
     assert run(["train-reranker", "--corpus", str(corpus_path),
                 "--candidates", str(candidates), "--gold", str(gold_path),
-                "--d", "16", "--lr", "1.0", "--epochs", "10", "--batch", "8",
+                "--lr", "1.0", "--epochs", "10", "--batch", "8",
                 "--seed", "0", "--out-dir", str(tmp_path / "tr")]) == 0
     model = tmp_path / "tr" / "model.txt"
     curve = (tmp_path / "tr" / "loss_curve.tsv").read_text().splitlines()
@@ -284,7 +284,7 @@ def test_artifacts_do_not_depend_on_hash_seed(identity_setup, tmp_path):
     [
         (lambda lines: [l for l in lines if not l.startswith("W ")], "no W line"),
         (lambda lines: [l.rsplit(" ", 1)[0] if l.startswith("U ") else l for l in lines],
-         "U has 15 values, expected 16"),
+         "U has 6 values, expected 7"),
     ],
     ids=["no-W-line", "short-U-row"],
 )
@@ -432,7 +432,7 @@ def input_files(tmp_path_factory):
     files["candidates"] = tmp / "candidates.tsv"
     files["candidates"].write_text("".join(f"{s}\t1\t{g}\t0.5\n" for s, g in gold.items()))
     files["model"] = tmp / "model.txt"
-    save_model(new_model(8), files["model"])
+    save_model(new_model(7), files["model"])
     files["features"] = tmp / "features.txt"
     write_feature_file(files["features"], 8, [(s, g, [0.5] * 8) for s, g in gold.items()])
     files["rankings"] = tmp / "rankings.tsv"
@@ -520,3 +520,120 @@ def test_bad_rows_exit_2_with_path_and_line(input_files, tmp_path, capsys, kind,
     code, damaged = _run_on(input_files, tmp_path, kind, text.encode())
     assert code == 2
     assert f"{damaged}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["link", "expand"])
+def test_model_of_another_width_exits_2_with_path(identity_setup, tmp_path, capsys, command):
+    """A 16-wide checkpoint, as lexical models were before features had their
+    real width of 7, is rejected before any step is linked."""
+    corpus_path, _, embeddings, _ = _linked(identity_setup, tmp_path)
+    model = tmp_path / "model16.txt"
+    save_model(new_model(16, unlinkable=True), model)
+    extra = ["--root", "a00"] if command == "expand" else []
+    capsys.readouterr()
+    code = run([command, "--corpus", str(corpus_path), "--embeddings", str(embeddings),
+                "--model", str(model), *extra, "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{model}: model width 16 does not match the feature width 7 of lexical" in err
+
+
+def test_feature_table_of_another_width_exits_2_with_paths(identity_setup, tmp_path, capsys):
+    corpus_path, _, embeddings, _ = _linked(identity_setup, tmp_path)
+    _, _, gold = identity_setup
+    model, features = tmp_path / "model.txt", tmp_path / "features.txt"
+    save_model(new_model(7), model)
+    write_feature_file(features, 8, [(s, g, [0.5] * 8) for s, g in gold.items()])
+    capsys.readouterr()
+    code = run(["link", "--corpus", str(corpus_path), "--embeddings", str(embeddings),
+                "--model", str(model), "--features", str(features),
+                "--out-dir", str(tmp_path / "ln")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{model}: model width 7 does not match the feature width 8 of {features}" in err
+
+
+def test_missing_feature_row_exits_2_with_path(identity_setup, tmp_path, capsys):
+    corpus_path, _, embeddings, _ = _linked(identity_setup, tmp_path)
+    model, features = tmp_path / "model.txt", tmp_path / "features.txt"
+    save_model(new_model(7), model)
+    write_feature_file(features, 7, [("a00_probe", "a01", [0.5] * 7)])
+    capsys.readouterr()
+    code = run(["link", "--corpus", str(corpus_path), "--embeddings", str(embeddings),
+                "--model", str(model), "--features", str(features),
+                "--out-dir", str(tmp_path / "ln")])
+    assert code == 2
+    assert f"{features}: no feature row for step 'a00_probe'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["retrieve", "--corpus", "{corpus}", "--embeddings", "{embeddings}"], "a00_probe"),
+        (["link", "--corpus", "{corpus}", "--embeddings", "{embeddings}", "--model", "{model}"],
+         "a00_probe"),
+        (["build-index", "--corpus", "{corpus}", "--embeddings", "{embeddings}"], "a03"),
+    ],
+    ids=["retrieve", "link", "build-index"],
+)
+def test_missing_embedding_exits_2_with_path(input_files, tmp_path, capsys, argv, missing):
+    rows = input_files["embeddings"].read_text().splitlines(keepends=True)
+    embeddings = tmp_path / "embeddings.txt"
+    embeddings.write_text("".join(row for row in rows if row.split(" ", 1)[0] != missing))
+    paths = {**{k: str(v) for k, v in input_files.items()}, "embeddings": str(embeddings)}
+    code = run([arg.format(**paths) for arg in argv] + ["--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert f"{embeddings}: no embedding for corpus id {missing!r}" in capsys.readouterr().err
+
+
+def test_retrieve_and_link_clamp_k_alike(tmp_path):
+    """On 4 articles each step has 3 goals besides its own: both commands
+    rank those 3 for --k 50."""
+    records, _ = identity_records(4)
+    corpus_path = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus_path, records)
+    assert run(["build-index", "--corpus", str(corpus_path), "--out-dir", str(tmp_path / "ix")]) == 0
+    embeddings = tmp_path / "ix" / "embeddings.txt"
+    model = tmp_path / "model.txt"
+    save_model(new_model(7, unlinkable=True), model)
+    assert run(["retrieve", "--corpus", str(corpus_path), "--embeddings", str(embeddings),
+                "--k", "50", "--out-dir", str(tmp_path / "ret")]) == 0
+    assert run(["link", "--corpus", str(corpus_path), "--embeddings", str(embeddings),
+                "--model", str(model), "--k", "50", "--rankings",
+                "--out-dir", str(tmp_path / "ln")]) == 0
+
+    def goal_sets(path):
+        sets: dict[str, set] = {}
+        for line in path.read_text().splitlines():
+            step_id, _, goal_id = line.split("\t")[:3]
+            if goal_id != "UNLINKABLE":
+                sets.setdefault(step_id, set()).add(goal_id)
+        return sets
+
+    retrieved = goal_sets(tmp_path / "ret" / "candidates.tsv")
+    assert retrieved == goal_sets(tmp_path / "ln" / "rankings.tsv")
+    assert len(retrieved) == 12 and all(len(goals) == 3 for goals in retrieved.values())
+
+
+def test_config_key_reaches_only_subcommands_with_that_flag(input_files, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dim": 16}))
+    out = tmp_path / "ret"
+    assert run(["--config", str(config), "retrieve", "--corpus", str(input_files["corpus"]),
+                "--embeddings", str(input_files["embeddings"]), "--out-dir", str(out)]) == 0
+    assert "dim" not in json.loads((out / "manifest.json").read_text())["config"]
+
+
+def test_config_key_of_no_subcommand_exits_2(input_files, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"epochz": 3}))
+    code = run([f"--config={config}", "retrieve", "--corpus", str(input_files["corpus"]),
+                "--embeddings", str(input_files["embeddings"]), "--out-dir", str(tmp_path / "r")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{config}: " in err and "'epochz'" in err
+
+
+def test_config_without_path_is_a_usage_error(capsys):
+    assert run(["--config"]) == 1
+    assert "--config" in capsys.readouterr().err

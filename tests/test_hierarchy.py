@@ -19,7 +19,7 @@ from prockb.rerank import UNLINKABLE, LexicalFeatureSource, RerankModel
 from prockb.retrieval import build_index
 
 
-def exact_match_model(dim=8, unlinkable=False):
+def exact_match_model(dim=7, unlinkable=False):
     """Handcrafted reranker that trusts the exact-match lexical feature.
 
     With unlinkable on, the placeholder scores 2.0 while real candidates score
@@ -40,7 +40,7 @@ def make_pipeline(records, model=None, k=30, exclude_parent=True):
     store = embed_corpus(corpus, dim=16, seed=0)
     index = build_index(store, corpus.goal_ids())
     model = model if model is not None else exact_match_model()
-    source = LexicalFeatureSource(corpus, dim=model.dim)
+    source = LexicalFeatureSource(corpus)
     return LinkPipeline(
         corpus=corpus, index=index, store=store, model=model,
         features=source, k=k, exclude_parent=exclude_parent,

@@ -140,8 +140,8 @@ def test_reranked_recall_bounded_by_stage1_recall_at_k():
 
     stage1 = {c.step_id: [e.goal_id for e in c.entries] for c in lists}
     rng = np.random.default_rng(0)
-    model = RerankModel(w=rng.normal(size=8), lam=0.2)  # arbitrary reranker
-    source = LexicalFeatureSource(corpus, dim=8)
+    model = RerankModel(w=rng.normal(size=7), lam=0.2)  # arbitrary reranker
+    source = LexicalFeatureSource(corpus)
     reranked = {c.step_id: score_candidates(model, c, source).ranked_ids() for c in lists}
 
     cap = recall_at(stage1, gold_links, k)

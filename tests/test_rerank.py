@@ -21,8 +21,8 @@ from prockb.rerank import (
     new_model,
     nll_loss,
     save_model,
+    list_scores,
     score_candidates,
-    sim2,
     train,
     write_feature_file,
 )
@@ -76,7 +76,7 @@ def lex_corpus():
 
 
 def test_exact_match_features(lex_corpus):
-    source = LexicalFeatureSource(lex_corpus, dim=8)
+    source = LexicalFeatureSource(lex_corpus)
     feats = source.features("t1", "art1")
     assert feats[5] == 1.0  # exact match
     assert feats[1] == 1.0  # token jaccard
@@ -84,24 +84,19 @@ def test_exact_match_features(lex_corpus):
 
 
 def test_disjoint_tokens(lex_corpus):
-    source = LexicalFeatureSource(lex_corpus, dim=8)
+    source = LexicalFeatureSource(lex_corpus)
     feats = source.features("t2", "art2")
     assert feats[1] == 0.0
     assert feats[5] == 0.0
 
 
 def test_features_finite_and_sized(lex_corpus):
-    source = LexicalFeatureSource(lex_corpus, dim=12, context_mode="both", window=1)
+    source = LexicalFeatureSource(lex_corpus, context_mode="both", window=1)
     for step_id in ("t1", "t2", "t3"):
         for goal_id in ("art1", "art2"):
             feats = source.features(step_id, goal_id)
-            assert feats.shape == (12,)
+            assert feats.shape == (7,)
             assert np.all(np.isfinite(feats))
-
-
-def test_feature_dim_floor(lex_corpus):
-    with pytest.raises(ValueError, match="dim"):
-        LexicalFeatureSource(lex_corpus, dim=4)
 
 
 # Reference: the per-pair feature arithmetic, one (step, goal) at a time with
@@ -154,16 +149,16 @@ def reference_features(source: LexicalFeatureSource, step_id: str, goal_id: str)
     return vec
 
 
-EXACT_COLUMNS = [0, 1, 2, 4, 5, 6, 7]
+EXACT_COLUMNS = [0, 1, 2, 4, 5, 6]
 
 
 def assert_blocks_match_reference(corpus, context_mode, window):
-    source = LexicalFeatureSource(corpus, dim=8, context_mode=context_mode, window=window)
+    source = LexicalFeatureSource(corpus, context_mode=context_mode, window=window)
     goal_ids = corpus.goal_ids()
     for step in corpus.steps():
         got = source.block(step.step_id, goal_ids)
         want = np.stack([reference_features(source, step.step_id, g) for g in goal_ids])
-        assert got.shape == (len(goal_ids), 8)
+        assert got.shape == (len(goal_ids), 7)
         assert got[:, EXACT_COLUMNS].tobytes() == want[:, EXACT_COLUMNS].tobytes()
         assert np.max(np.abs(got[:, 3] - want[:, 3])) <= 1e-12
         for row, goal_id in zip(got, goal_ids):
@@ -214,8 +209,8 @@ def test_blocks_do_not_depend_on_warm_up_order():
     corpus = make_corpus(records)
     goal_ids = corpus.goal_ids()
     step_ids = [s.step_id for s in corpus.steps()]
-    forward = LexicalFeatureSource(corpus, dim=8, context_mode="both")
-    backward = LexicalFeatureSource(corpus, dim=8, context_mode="both")
+    forward = LexicalFeatureSource(corpus, context_mode="both")
+    backward = LexicalFeatureSource(corpus, context_mode="both")
     for step_id in step_ids:
         forward.block(step_id, goal_ids)
     for step_id in reversed(step_ids):
@@ -226,8 +221,8 @@ def test_blocks_do_not_depend_on_warm_up_order():
 
 
 def test_empty_block_has_model_width(lex_corpus):
-    source = LexicalFeatureSource(lex_corpus, dim=8)
-    assert source.block("t1", []).shape == (0, 8)
+    source = LexicalFeatureSource(lex_corpus)
+    assert source.block("t1", []).shape == (0, 7)
     assert TableFeatureSource(8, {}).block("t1", []).shape == (0, 8)
 
 
@@ -236,15 +231,15 @@ def test_empty_block_has_model_width(lex_corpus):
 
 def test_sim2_arithmetic():
     model = RerankModel(w=np.array([1.0, 0.0]), lam=0.0)
-    assert sim2(model, np.array([0.7, 3.0]), sim1=0.9) == 0.7
+    assert list_scores(model, np.array([[0.7, 3.0]]), np.array([0.9])).tolist() == [0.7]
     model = RerankModel(w=np.array([1.0, 0.0]), lam=1.0)
-    assert sim2(model, np.array([0.2, 0.0]), sim1=0.5) == 0.7
+    assert list_scores(model, np.array([[0.2, 0.0]]), np.array([0.5])).tolist() == [0.7]
 
 
 def test_sim2_dim_mismatch():
     model = RerankModel(w=np.zeros(3), lam=0.0)
     with pytest.raises(ValueError, match="dim"):
-        sim2(model, np.zeros(4), sim1=0.0)
+        list_scores(model, np.zeros((1, 4)), np.zeros(1))
 
 
 def zero_table(step_id, goal_ids, dim=8):
@@ -257,7 +252,6 @@ def test_identity_reranker_preserves_stage1_order():
     cands = CandidateList(
         step_id="s",
         entries=(Candidate("ga", 0.9), Candidate("gb", 0.5), Candidate("gc", 0.3)),
-        k=3,
     )
     model = new_model(8, lam=1.0)
     scored = score_candidates(model, cands, zero_table("s", ["ga", "gb", "gc"]))
@@ -269,7 +263,6 @@ def test_unlinkable_entry_gets_min_sim1():
     cands = CandidateList(
         step_id="s",
         entries=(Candidate("ga", 0.9), Candidate("gb", 0.5), Candidate("gc", 0.3)),
-        k=3,
     )
     model = new_model(8, lam=1.0, unlinkable=True)
     scored = score_candidates(model, cands, zero_table("s", ["ga", "gb", "gc"]))
@@ -287,17 +280,71 @@ def test_top1_is_argmax_of_per_pair_sim2():
     table = {("s", g): rng.normal(size=8) for g in goal_ids}
     source = TableFeatureSource(8, table)
     entries = tuple(Candidate(g, float(rng.uniform(-1, 1))) for g in goal_ids)
-    cands = CandidateList(step_id="s", entries=entries, k=6)
+    cands = CandidateList(step_id="s", entries=entries)
     model = RerankModel(w=rng.normal(size=8), lam=float(rng.normal()))
     scored = score_candidates(model, cands, source)
-    per_pair = {g: sim2(model, table[("s", g)], s1) for g, s1 in entries}
+    sim2s = list_scores(model, source.block("s", goal_ids), np.array([s1 for _, s1 in entries]))
+    per_pair = dict(zip(goal_ids, sim2s.tolist()))
     assert scored.entries[0].goal_id == max(per_pair, key=lambda g: (per_pair[g], g))
     assert scored.entries[0].sim2 == max(per_pair.values())
 
 
+# Reference: the per-row arithmetic that scored candidates before
+# `list_scores`, one dot product per candidate, with the placeholder row U
+# scored at the list's minimum sim1.
+
+def per_row_scores(model, feats, sim1s):
+    """(sim2, sum of its terms' magnitudes) of each slot, one row at a time."""
+    rows = list(zip(feats, sim1s.tolist()))
+    if model.unlinkable_enabled:
+        rows.append((model.unlinkable_feat, min(sim1s.tolist())))
+    return [
+        (float(model.w @ row) + model.lam * sim1,
+         float(np.abs(model.w) @ np.abs(row)) + abs(model.lam * sim1))
+        for row, sim1 in rows
+    ]
+
+
+@st.composite
+def scoring_cases(draw, value):
+    dim, m = draw(st.integers(1, 9)), draw(st.integers(1, 8))
+    vector = lambda n: np.array(draw(st.lists(value, min_size=n, max_size=n)))  # noqa: E731
+    unlinkable = draw(st.booleans())
+    model = RerankModel(w=vector(dim), lam=draw(value), unlinkable_enabled=unlinkable,
+                        unlinkable_feat=vector(dim) if unlinkable else None)
+    return model, vector(m * dim).reshape(m, dim), vector(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scoring_cases(st.floats(-1e3, 1e3)))
+def test_list_scores_match_per_row_arithmetic(case):
+    model, feats, sim1s = case
+    got = list_scores(model, feats, sim1s)
+    want = per_row_scores(model, feats, sim1s)
+    assert len(got) == len(want) == len(sim1s) + model.unlinkable_enabled
+    for value, (reference, scale) in zip(got.tolist(), want):
+        assert abs(value - reference) <= 1e-12 * scale
+
+
+# Eighths in [-2, 2]: every product and sum is exact in any order, so the
+# scores, and with them the sort, must equal the per-row reference exactly.
+@settings(max_examples=200, deadline=None)
+@given(scoring_cases(st.integers(-16, 16).map(lambda i: i / 8)))
+def test_score_candidates_order_matches_per_row_arithmetic(case):
+    model, feats, sim1s = case
+    goal_ids = [f"g{i}" for i in range(len(sim1s))]
+    source = TableFeatureSource(model.dim, {("s", g): row for g, row in zip(goal_ids, feats)})
+    scored = score_candidates(model, CandidateList("s", tuple(zip(goal_ids, sim1s.tolist()))), source)
+    slots = list(zip(goal_ids, sim1s.tolist()))
+    if model.unlinkable_enabled:
+        slots.append((UNLINKABLE, min(sim1s.tolist())))
+    want = [(g, s1, score) for (g, s1), (score, _) in zip(slots, per_row_scores(model, feats, sim1s))]
+    assert list(scored.entries) == sorted(want, key=lambda e: (-e[2], e[0]))
+
+
 def test_score_candidates_empty_list():
     with pytest.raises(ValueError, match="empty"):
-        score_candidates(new_model(8), CandidateList("s", (), 0), zero_table("s", []))
+        score_candidates(new_model(8), CandidateList("s", ()), zero_table("s", []))
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +510,7 @@ def separable_set(n: int, dim: int = 8, m: int = 4, seed: int = 0, prefix: str =
 def rerank_recall_at_1(model, examples, source):
     hits = 0
     for example in examples:
-        cands = CandidateList(example.step_id, example.candidates, len(example.candidates))
+        cands = CandidateList(example.step_id, example.candidates)
         scored = score_candidates(model, cands, source)
         hits += scored.entries[0].goal_id == example.gold
     return hits / len(examples)
@@ -532,9 +579,9 @@ def test_empty_training_set_rejected():
 
 def test_make_training_examples_modes():
     lists = [
-        CandidateList("s1", (Candidate("g1", 0.9), Candidate("g2", 0.1)), 2),
-        CandidateList("s2", (Candidate("g3", 0.8),), 1),
-        CandidateList("s3", (Candidate("g4", 0.7),), 1),
+        CandidateList("s1", (Candidate("g1", 0.9), Candidate("g2", 0.1))),
+        CandidateList("s2", (Candidate("g3", 0.8),)),
+        CandidateList("s3", (Candidate("g4", 0.7),)),
     ]
     gold = {"s1": "g2", "s2": "g9", "s3": "g4"}  # s2's gold missing from its list
 
