@@ -42,7 +42,7 @@ from .retrieval import (
     retrieve_all,
     write_candidates,
 )
-from .textsearch import TextIndex, index_docs, search
+from .textsearch import TextIndex
 from .videoretrieval import (
     FIL_L1,
     FIL_L2,
@@ -276,8 +276,7 @@ def cmd_search(args) -> None:
             (a.goal_id, a.title + " " + " ".join(s.text for s in a.steps))
             for a in corpus.articles
         ]
-    index = index_docs(docs, k1=args.k1, b=args.b)
-    ranked = search(index, args.query, args.n)
+    ranked = TextIndex(docs, k1=args.k1, b=args.b).ranked(args.query, args.n)
     with open(out / "search.tsv", "w", encoding="utf-8") as handle:
         for rank, (doc_id, score) in enumerate(ranked, 1):
             handle.write(f"{rank}\t{doc_id}\t{score!r}\n")
@@ -293,9 +292,15 @@ def cmd_vr_index(args) -> None:
 
 
 def _video_index(args, videos):
-    if args.index:
-        return TextIndex.from_json(read_text(args.index), source=args.index)
-    return build_video_index(videos, k1=args.k1, b=args.b)
+    """The index in --index, which must have been built with --k1 and --b,
+    or a new one over `videos`."""
+    if not args.index:
+        return build_video_index(videos, k1=args.k1, b=args.b)
+    index = TextIndex.from_json(read_text(args.index), source=args.index)
+    if (index.k1, index.b) != (args.k1, args.b):
+        raise DataError(f"{args.index}: index has k1={index.k1!r}, b={index.b!r}, "
+                        f"but the flags give k1={args.k1!r}, b={args.b!r}")
+    return index
 
 
 def cmd_vr_filter(args) -> None:
@@ -353,11 +358,11 @@ def cmd_vr_eval(args) -> None:
         queries = [make_query(corpus, goal_id, args.level) for goal_id in splits.goals()]
 
     part = splits.part(args.split)
-    gold = {q.goal_id: part[q.goal_id] for q in queries if part.get(q.goal_id)}
     scorer = ClauseScorer(index)
-    rankings = {q.goal_id: rank_videos(index, q, scorer) for q in queries if q.goal_id in gold}
+    ranks = {q.goal_id: rank_videos(index, q, part[q.goal_id], scorer)
+             for q in queries if part.get(q.goal_id)}
     ns = _parse_ns(args.ns)
-    metrics = vr_metrics(rankings, gold, ns)
+    metrics = vr_metrics(ranks, ns)
 
     level = queries[0].level if queries else ""
     header = ["level"]
@@ -486,7 +491,9 @@ def build_parser() -> Parser:
 
 def _apply_config(parser: Parser, argv: list[str]) -> list[str]:
     """Pull --config out of argv and fold its values in as the defaults of
-    the subcommands that have each key as a flag."""
+    the subcommand being run. Every key must be a flag of some subcommand;
+    the keys that are flags of the one being run are converted and checked
+    (the same key can have other choices in another subcommand)."""
     pre = Parser(add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     known, rest = pre.parse_known_args(argv)
@@ -495,14 +502,35 @@ def _apply_config(parser: Parser, argv: list[str]) -> list[str]:
         config = read_json(path)
         if not isinstance(config, dict):
             raise DataError(f"{path}: config must be a JSON object")
-        subparsers = parser.subcommands.values()  # type: ignore[attr-defined]
+        subparsers = parser.subcommands  # type: ignore[attr-defined]
+        # The top-level parser has no other flag, so the subcommand comes first.
+        command = subparsers.get(rest[0]) if rest else None
         for key, value in config.items():
-            owners = [p for p in subparsers if any(a.dest == key for a in p._actions)]
-            if not owners:
+            if not any(a.dest == key for p in subparsers.values() for a in p._actions):
                 raise DataError(f"{path}: no subcommand has the flag for config key {key!r}")
-            for subparser in owners:
-                subparser.set_defaults(**{key: value})
+            action = next((a for a in getattr(command, "_actions", ()) if a.dest == key), None)
+            if action is not None:
+                command.set_defaults(**{key: _config_value(path, key, action, value)})
     return rest
+
+
+def _config_value(path: str, key: str, action: argparse.Action, value):
+    """`value` as its flag would give it: a switch takes a JSON boolean, any
+    other flag a JSON string or number, converted from its string form by
+    the flag's type and checked against its choices."""
+    if isinstance(action, argparse._StoreTrueAction):
+        if isinstance(value, bool):
+            return value
+    elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            converted = (action.type or str)(str(value))
+        except ValueError:
+            pass
+        else:
+            if action.choices is None or converted in action.choices:
+                return converted
+    raise DataError(f"{path}: config key {key!r}: {value!r} is not a valid value "
+                    f"for {action.option_strings[0]}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -61,7 +61,7 @@ class LinkPipeline:
                 "context_mode": self.model.context_mode,
                 "window": self.model.window,
             },
-            "features": getattr(self.features, "name", type(self.features).__name__),
+            "features": self.features.name,
         }
         blob = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
@@ -101,9 +101,8 @@ def link_step(pipeline: LinkPipeline, step_id: str) -> LinkDecision:
     return decision
 
 
-def link_all(pipeline: LinkPipeline, step_ids: Iterable[str] | None = None) -> list[LinkDecision]:
-    ids = list(step_ids) if step_ids is not None else [s.step_id for s in pipeline.corpus.steps()]
-    return [link_step(pipeline, sid) for sid in ids]
+def link_all(pipeline: LinkPipeline) -> list[LinkDecision]:
+    return [link_step(pipeline, step.step_id) for step in pipeline.corpus.steps()]
 
 
 def write_links(path: str | Path, decisions: Iterable[LinkDecision]) -> None:
@@ -170,12 +169,7 @@ class ProcedureTree:
             yield from goal.steps
 
 
-def expand(
-    pipeline: LinkPipeline,
-    root_goal_id: str,
-    max_depth: int,
-    exclude_ancestors: bool = True,
-) -> ProcedureTree:
+def expand(pipeline: LinkPipeline, root_goal_id: str, max_depth: int) -> ProcedureTree:
     """Grow a procedure tree from one root article, breadth-first.
 
     A step is expanded iff it links to a goal, that goal is not already on
@@ -203,7 +197,7 @@ def expand(
             step_node.decision = decision
             if decision.outcome == UNLINKABLE:
                 continue
-            if exclude_ancestors and decision.outcome in path_goals:
+            if decision.outcome in path_goals:
                 step_node.suppressed_cycle = True
                 continue
             target = corpus.article(decision.outcome)

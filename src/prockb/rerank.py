@@ -58,11 +58,14 @@ def render_pair_input(ctx: StepContext, step_text: str, goal_text: str) -> str:
 # Feature sources
 
 class FeatureSource(Protocol):
+    """Pair features for stage 2: `features` gives one step's rows against a
+    candidate list, shape (len(goal_ids), dim); `name` goes into the link
+    config hash."""
+
+    name: str
     dim: int
 
-    def features(self, step_id: str, goal_id: str) -> np.ndarray: ...
-
-    def block(self, step_id: str, goal_ids: Sequence[str]) -> np.ndarray: ...
+    def features(self, step_id: str, goal_ids: tuple[str, ...]) -> np.ndarray: ...
 
 
 def idf_table(texts: Iterable[str]) -> dict[str, float]:
@@ -116,7 +119,7 @@ class LexicalFeatureSource:
     text's token IDFs and I that of the shared tokens, each summed in
     ascending token-string order, so the value depends on the two texts only.
 
-    Goal titles are analysed on first use and kept; `block` analyses the
+    Goal titles are analysed on first use and kept; `features` analyses the
     step once and computes a whole candidate list with array operations. A
     source is not safe to share between threads.
     """
@@ -166,16 +169,9 @@ class LexicalFeatureSource:
         context = self._token_ids(sorted({t for piece in pieces for t in tokenize(piece)}))
         return text, np.sort(text.tokens), np.sort(context)
 
-    def block(self, step_id: str, goal_ids: Sequence[str]) -> np.ndarray:
+    def features(self, step_id: str, goal_ids: tuple[str, ...]) -> np.ndarray:
         """Feature rows for one step against each goal, shape (len(goal_ids), dim)."""
-        return self.features(step_id, tuple(goal_ids))
-
-    def features(self, step_id: str, goal_id: str | tuple[str, ...]) -> np.ndarray:
-        """Feature row of one (step, goal) pair, shape (dim,). Given a tuple of
-        goal ids, the rows of all of them as one block, shape (len, dim); this
-        is `block`, and a single pair is its one-row case."""
         step, step_tokens, context = self._step(step_id)
-        goal_ids = (goal_id,) if isinstance(goal_id, str) else goal_id
         m = len(goal_ids)
         out = np.zeros((m, self.dim), dtype=np.float64)
         if m == 0:
@@ -217,7 +213,7 @@ class LexicalFeatureSource:
         out[:, 0] = 1.0
         out[:, [1, 2, 3, 4, 6]] = np.divide(num, den, out=np.zeros_like(num), where=den > 0).T
         out[:, 5] = [text == step.folded for text in folded]
-        return out[0] if isinstance(goal_id, str) else out
+        return out
 
 
 class TableFeatureSource:
@@ -233,15 +229,13 @@ class TableFeatureSource:
         self._table = table
         self.path = path
 
-    def features(self, step_id: str, goal_id: str) -> np.ndarray:
+    def features(self, step_id: str, goal_ids: tuple[str, ...]) -> np.ndarray:
         try:
-            return self._table[(step_id, goal_id)]
-        except KeyError:
+            rows = [self._table[(step_id, goal_id)] for goal_id in goal_ids]
+        except KeyError as exc:
             where = f"{self.path}: " if self.path is not None else ""
-            raise KeyError(f"{where}no feature row for step {step_id!r}, goal {goal_id!r}") from None
-
-    def block(self, step_id: str, goal_ids: Sequence[str]) -> np.ndarray:
-        rows = [self.features(step_id, goal_id) for goal_id in goal_ids]
+            raise KeyError(f"{where}no feature row for step {step_id!r}, "
+                           f"goal {exc.args[0][1]!r}") from None
         return np.stack(rows) if rows else np.zeros((0, self.dim), dtype=np.float64)
 
 
@@ -393,7 +387,7 @@ def score_candidates(
     if not candidates.entries:
         raise ValueError(f"step {candidates.step_id!r} has an empty candidate list")
     goal_ids, sim1s = zip(*candidates.entries)
-    feats = source.block(candidates.step_id, goal_ids)
+    feats = source.features(candidates.step_id, goal_ids)
     scores = list_scores(model, feats, np.array(sim1s, dtype=np.float64))
     if model.unlinkable_enabled:
         goal_ids, sim1s = goal_ids + (UNLINKABLE,), sim1s + (min(sim1s),)
@@ -454,7 +448,7 @@ class LossGrads:
 
 def example_features(source: FeatureSource, example: TrainExample) -> np.ndarray:
     """Feature matrix for the real candidates of one example, row-aligned."""
-    return source.block(example.step_id, [c.goal_id for c in example.candidates])
+    return source.features(example.step_id, tuple(c.goal_id for c in example.candidates))
 
 
 def nll_loss(model: RerankModel, example: TrainExample, feats: np.ndarray) -> LossGrads:

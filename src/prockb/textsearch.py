@@ -288,14 +288,3 @@ class TextIndex:
         })
         return index
 
-
-def index_docs(docs: Sequence[tuple[str, str]], **params) -> TextIndex:
-    return TextIndex(docs, **params)
-
-
-def bm25_score(index: TextIndex, query: str, doc_id: str) -> float:
-    return index.score(query, doc_id)
-
-
-def search(index: TextIndex, query: str, n: int) -> list[tuple[str, float]]:
-    return index.ranked(query, n)

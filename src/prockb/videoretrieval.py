@@ -22,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -185,49 +185,6 @@ def rel(index: TextIndex, query: Query, video_id: str) -> float:
     return total
 
 
-class Ranking:
-    """The whole video pool, best first, kept as arrays over index positions.
-
-    `order` lists positions best first, `scores` holds each position's score
-    and `positions` maps a video id to its position. `rank` is an array
-    lookup; `entries` ((video_id, score) pairs, best first) is built only when
-    read. `Ranking(goal_id, entries=...)` builds the arrays from such pairs.
-    """
-
-    def __init__(
-        self,
-        goal_id: str,
-        entries: Sequence[tuple[str, float]] | None = None,
-        *,
-        doc_ids: Sequence[str] = (),
-        positions: Mapping[str, int] | None = None,
-        order: Sequence[int] = (),
-        scores: Sequence[float] = (),
-    ):
-        if entries is not None:
-            doc_ids = [vid for vid, _ in entries]
-            positions = {vid: i for i, vid in enumerate(doc_ids)}
-            order = range(len(doc_ids))
-            scores = [score for _, score in entries]
-        self.goal_id = goal_id
-        self.doc_ids = doc_ids
-        self.positions = positions or {}
-        self.order = np.asarray(order, dtype=np.int64)
-        self.scores = np.asarray(scores, dtype=np.float64)
-        self._ranks = np.empty(len(self.order), dtype=np.int64)
-        self._ranks[self.order] = np.arange(1, len(self.order) + 1)
-
-    @property
-    def entries(self) -> list[tuple[str, float]]:
-        return [(self.doc_ids[i], float(self.scores[i])) for i in self.order]
-
-    def rank(self, video_id: str) -> int:
-        try:
-            return int(self._ranks[self.positions[video_id]])
-        except KeyError:
-            raise KeyError(f"video {video_id!r} not in ranking") from None
-
-
 def relevant_ranks(scores: np.ndarray, rel_idx: np.ndarray, id_rank: np.ndarray) -> np.ndarray:
     """1-based ranks of the positions `rel_idx` in the order (score desc,
     `id_rank` asc), equal to their places in
@@ -272,15 +229,15 @@ class ClauseScorer:
         return np.lexsort((self.index.id_rank, -scores))
 
 
-def rank_videos(index: TextIndex, query: Query, scorer: ClauseScorer | None = None) -> Ranking:
-    """Rank the whole video pool by rel, ties by ascending video_id."""
+def rank_videos(
+    index: TextIndex, query: Query, relevant_ids: Sequence[str], scorer: ClauseScorer
+) -> list[int]:
+    """1-based ranks of `relevant_ids` in the whole pool ranked by rel, ties
+    by ascending video_id; an unknown id raises KeyError."""
     if index.n_docs == 0:
         raise ValueError("cannot rank an empty video pool")
-    scorer = scorer or ClauseScorer(index)
-    scores = scorer.query_scores(query)
-    order = np.lexsort((index.id_rank, -scores))
-    return Ranking(query.goal_id, doc_ids=index.doc_ids, positions=index.positions,
-                   order=order, scores=scores)
+    rel_idx = np.array([index.doc_idx(v) for v in relevant_ids], dtype=np.int64)
+    return relevant_ranks(scorer.query_scores(query), rel_idx, index.id_rank).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +304,6 @@ def make_cost_fn(
     w_g: float,
     w_s: float,
     kind: str = "mean_rank",
-    scorer: ClauseScorer | None = None,
 ) -> Callable[[list[str]], float]:
     """Cost of a clause list over a set of relevant videos.
 
@@ -359,7 +315,7 @@ def make_cost_fn(
         raise ValueError(f"unknown cost kind {kind!r}")
     if not relevant_ids:
         raise ValueError("cost function needs at least one relevant video")
-    scorer = scorer or ClauseScorer(index)
+    scorer = ClauseScorer(index)
     rel_idx = np.array([index.doc_idx(v) for v in relevant_ids], dtype=np.int64)
     head: list[str] = []
     head_scores = np.zeros(0)
@@ -400,8 +356,7 @@ def filter_steps(
     if not train_video_ids:
         raise ValueError(f"goal {goal_id!r} has no training videos to filter against")
     w_g, w_s = weights
-    scorer = ClauseScorer(index)
-    cost_fn = make_cost_fn(index, train_video_ids, w_g, w_s, kind=cost_kind, scorer=scorer)
+    cost_fn = make_cost_fn(index, train_video_ids, w_g, w_s, kind=cost_kind)
     trace = hill_climb(goal_text, candidates, cost_fn, cap=cap)
     return Query(goal_id, goal_text, tuple(trace.clauses), w_g=w_g, w_s=w_s, level=level)
 
@@ -416,37 +371,29 @@ class VRMetrics:
     mean_rank: float
 
 
-def vr_metrics(
-    rankings: Mapping[str, Ranking],
-    gold: Mapping[str, Iterable[str]],
-    ns: Sequence[int],
-) -> VRMetrics:
+def vr_metrics(ranks: Mapping[str, Sequence[int]], ns: Sequence[int]) -> VRMetrics:
     """Mean recall@N, precision@N, and mean rank over goals.
 
-    Per goal g with relevant set V_g and rank function r over the full pool:
-    recall@N averages |{v in V_g : r(v) <= N}| / |V_g|, precision@N averages
-    the same count over N, MR averages the mean rank of V_g.
+    `ranks` maps each goal g to the full-pool ranks of its relevant set V_g
+    (from `rank_videos`): recall@N averages |{v in V_g : r(v) <= N}| / |V_g|,
+    precision@N averages the same count over N, MR averages the mean rank of
+    V_g.
     """
-    goals = sorted(gold)
+    goals = sorted(ranks)
     if not goals:
         raise ValueError("no goals to evaluate")
     recall = {n: 0.0 for n in ns}
     precision = {n: 0.0 for n in ns}
     mr = 0.0
     for goal_id in goals:
-        relevant = list(gold[goal_id])
-        if not relevant:
+        goal_ranks = ranks[goal_id]
+        if not goal_ranks:
             raise ValueError(f"goal {goal_id!r} has an empty relevant set")
-        try:
-            ranking = rankings[goal_id]
-        except KeyError:
-            raise KeyError(f"no ranking for goal {goal_id!r}") from None
-        ranks = [ranking.rank(v) for v in relevant]
         for n in ns:
-            within = sum(1 for r in ranks if r <= n)
-            recall[n] += within / len(relevant)
+            within = sum(1 for r in goal_ranks if r <= n)
+            recall[n] += within / len(goal_ranks)
             precision[n] += within / n
-        mr += sum(ranks) / len(ranks)
+        mr += sum(goal_ranks) / len(goal_ranks)
     m = len(goals)
     return VRMetrics(
         recall={n: recall[n] / m for n in ns},

@@ -31,13 +31,12 @@ from prockb.rerank import (
     train,
 )
 from prockb.retrieval import Candidate, CandidateList, build_index, retrieve_all, topk
-from prockb.textsearch import bm25_score, index_docs, search
+from prockb.textsearch import TextIndex
 from prockb.videoretrieval import (
     FIL_L1,
     L0,
     L1,
     ClauseScorer,
-    Ranking,
     VideoDoc,
     build_video_index,
     candidate_pool,
@@ -294,13 +293,13 @@ def test_a6_identity_reranker():
 
 def test_a7_bm25_correctness():
     with criterion("A7 BM25 correctness"):
-        one = index_docs([("d1", "a a b")])
-        assert bm25_score(one, "a", "d1") == pytest.approx(0.39556284962119864, abs=1e-6)
+        one = TextIndex([("d1", "a a b")])
+        assert one.score("a", "d1") == pytest.approx(0.39556284962119864, abs=1e-6)
 
-        two = index_docs([("d1", "stain the cabinet"), ("d2", "make fries")])
+        two = TextIndex([("d1", "stain the cabinet"), ("d2", "make fries")])
         assert two.avgdl == 2.5
-        assert bm25_score(two, "cabinet", "d1") == pytest.approx(0.64072428455121, abs=1e-6)
-        assert bm25_score(two, "fries", "d2") == pytest.approx(0.7549127709068711, abs=1e-6)
+        assert two.score("cabinet", "d1") == pytest.approx(0.64072428455121, abs=1e-6)
+        assert two.score("fries", "d2") == pytest.approx(0.7549127709068711, abs=1e-6)
 
         rng = random.Random(70)
         vocab = [f"w{i}" for i in range(25)]
@@ -309,11 +308,11 @@ def test_a7_bm25_correctness():
                 (f"d{i:02d}", " ".join(rng.choices(vocab, k=rng.randint(1, 12))))
                 for i in range(50)
             ]
-            index = index_docs(docs)
+            index = TextIndex(docs)
             for query in ("w1 w2 w3", "w4", "w0 w0"):
-                got = search(index, query, 50)
+                got = index.ranked(query, 50)
                 oracle = sorted(
-                    ((d, bm25_score(index, query, d)) for d, _ in docs),
+                    ((d, index.score(query, d)) for d, _ in docs),
                     key=lambda item: (-item[1], item[0]),
                 )
                 assert [d for d, _ in got] == [d for d, _ in oracle]
@@ -392,14 +391,15 @@ def test_a9_metric_oracles():
         for trial in range(100):
             pool = [f"v{i:03d}" for i in range(rng.randint(30, 80))]
             goals = [f"g{i}" for i in range(rng.randint(1, 6))]
-            ordered, rankings, gold = {}, {}, {}
+            ordered, ranks, gold = {}, {}, {}
             for g in goals:
                 perm = pool[:]
                 rng.shuffle(perm)
                 ordered[g] = perm
-                rankings[g] = Ranking(goal_id=g, entries=[(v, 0.0) for v in perm])
                 gold[g] = rng.sample(pool, rng.randint(1, 12))
-            got = vr_metrics(rankings, gold, ns)
+                position = {v: i + 1 for i, v in enumerate(perm)}
+                ranks[g] = [position[v] for v in gold[g]]
+            got = vr_metrics(ranks, ns)
             want_r, want_p, want_mr = _brute_force_metrics(ordered, gold, ns)
             assert got.recall == want_r
             assert got.precision == want_p
@@ -505,8 +505,9 @@ def test_a11_query_level_ordering():
             mean_ranks = {}
             for level in (L0, L1):
                 queries = [make_query(corpus, g, level) for g in splits.goals()]
-                rankings = {q.goal_id: rank_videos(index, q, scorer) for q in queries}
-                mean_ranks[level] = vr_metrics(rankings, gold, ns=[10]).mean_rank
+                ranks = {q.goal_id: rank_videos(index, q, gold[q.goal_id], scorer)
+                         for q in queries}
+                mean_ranks[level] = vr_metrics(ranks, ns=[10]).mean_rank
             queries = [
                 filter_steps(
                     g,
@@ -517,8 +518,8 @@ def test_a11_query_level_ordering():
                 )
                 for g in splits.goals()
             ]
-            rankings = {q.goal_id: rank_videos(index, q, scorer) for q in queries}
-            mean_ranks[FIL_L1] = vr_metrics(rankings, gold, ns=[10]).mean_rank
+            ranks = {q.goal_id: rank_videos(index, q, gold[q.goal_id], scorer) for q in queries}
+            mean_ranks[FIL_L1] = vr_metrics(ranks, ns=[10]).mean_rank
             if mean_ranks[FIL_L1] <= mean_ranks[L1] <= mean_ranks[L0]:
                 wins += 1
         assert wins >= 8, f"ordering held on only {wins}/10 seeds"

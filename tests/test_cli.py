@@ -370,6 +370,26 @@ def test_vr_eval_rejects_bad_index(tmp_path, capsys, edit, message):
     assert f"{index_path}: " in err and message in err
 
 
+@pytest.mark.parametrize("command", ["vr-filter", "vr-eval"])
+@pytest.mark.parametrize(
+    "built, given",
+    [([], ["--k1", "3.0"]), ([], ["--b", "0.5"]), (["--k1", "3.0"], [])],
+    ids=["k1-flag", "b-flag", "k1-index"],
+)
+def test_index_built_with_other_bm25_parameters_exits_2(tmp_path, capsys, command, built, given):
+    corpus_path, videos_path = vr_fixture(tmp_path)
+    assert run(["vr-index", "--videos", str(videos_path), *built,
+                "--out-dir", str(tmp_path / "vix")]) == 0
+    index_path = tmp_path / "vix" / "vr_index.json"
+    argv = [command, "--videos", str(videos_path), "--corpus", str(corpus_path),
+            "--index", str(index_path)]
+    capsys.readouterr()
+    assert run([*argv, *given, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{index_path}: index has k1=" in err and "but the flags give" in err
+    assert run([*argv, *built, "--out-dir", str(tmp_path / "same")]) == 0
+
+
 _QUERY = {"goal_id": "g0", "goal": "achieve goaltok0", "steps": ["do steptok0a now"],
           "w_g": 1.0, "w_s": 0.5, "level": "FIL_L1"}
 
@@ -632,6 +652,76 @@ def test_config_key_of_no_subcommand_exits_2(input_files, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert f"{config}: " in err and "'epochz'" in err
+
+
+@pytest.fixture
+def config_commands(identity_setup, tmp_path):
+    """`retrieve` and `train-reranker` argv (without --out-dir) over a
+    20-article corpus, so `--k 5` cuts the candidate lists."""
+    corpus_path, gold_path, _ = identity_setup
+    assert run(["build-index", "--corpus", str(corpus_path), "--dim", "16",
+                "--out-dir", str(tmp_path / "ix")]) == 0
+    retrieve = ["retrieve", "--corpus", str(corpus_path),
+                "--embeddings", str(tmp_path / "ix" / "embeddings.txt")]
+    assert run([*retrieve, "--k", "5", "--out-dir", str(tmp_path / "ret")]) == 0
+    train = ["train-reranker", "--corpus", str(corpus_path), "--gold", str(gold_path),
+             "--candidates", str(tmp_path / "ret" / "candidates.tsv"), "--epochs", "1"]
+    return {"retrieve": retrieve, "train-reranker": train}
+
+
+@pytest.mark.parametrize(
+    "command, values",
+    [("retrieve", {"k": [5]}), ("retrieve", {"k": 5.7}), ("retrieve", {"k": True}),
+     ("retrieve", {"k": None}), ("retrieve", {"no_exclude_parent": "false"}),
+     ("retrieve", {"no_exclude_parent": 1}), ("train-reranker", {"context_mode": "bogus"})],
+    ids=["list", "float-for-int", "bool-for-int", "null", "string-for-switch",
+         "number-for-switch", "not-a-choice"],
+)
+def test_config_value_of_wrong_type_exits_2(config_commands, tmp_path, capsys, command, values):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(["--config", str(config), *config_commands[command], "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{config}: config key {next(iter(values))!r}" in err
+    assert not out.exists()
+
+
+def test_config_values_convert_like_flags(config_commands, tmp_path):
+    retrieve = config_commands["retrieve"]
+    want = (tmp_path / "ret" / "candidates.tsv").read_text()
+    assert len(want.splitlines()) == 5 * 60
+    for name, values in (("int", {"k": 5}), ("str", {"k": "5"})):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(values))
+        out = tmp_path / name
+        assert run(["--config", str(config), *retrieve, "--out-dir", str(out)]) == 0
+        assert (out / "candidates.tsv").read_text() == want
+        assert json.loads((out / "manifest.json").read_text())["config"]["k"] == 5
+
+    config = tmp_path / "switch.json"
+    config.write_text(json.dumps({"no_exclude_parent": True}))
+    assert run(["--config", str(config), *retrieve, "--k", "5",
+                "--out-dir", str(tmp_path / "sw")]) == 0
+    assert run([*retrieve, "--k", "5", "--no-exclude-parent",
+                "--out-dir", str(tmp_path / "swflag")]) == 0
+    got = (tmp_path / "sw" / "candidates.tsv").read_text()
+    assert got == (tmp_path / "swflag" / "candidates.tsv").read_text() != want
+
+
+def test_config_value_is_checked_by_the_subcommand_run(tmp_path, capsys):
+    corpus_path, videos_path = vr_fixture(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"level": "l1"}))  # a vr-eval level, not a vr-filter one
+    inputs = ["--videos", str(videos_path), "--corpus", str(corpus_path)]
+    assert run(["--config", str(config), "vr-eval", *inputs, "--out-dir", str(tmp_path / "ve")]) == 0
+    _, row = (tmp_path / "ve" / "vr_metrics.tsv").read_text().splitlines()
+    assert row.split("\t")[0] == "L1"
+    capsys.readouterr()
+    assert run(["--config", str(config), "vr-filter", *inputs,
+                "--out-dir", str(tmp_path / "vf")]) == 2
+    assert f"{config}: config key 'level'" in capsys.readouterr().err
 
 
 def test_config_without_path_is_a_usage_error(capsys):

@@ -1,0 +1,87 @@
+"""Golden video chain: vr-index -> vr-filter -> vr-eval on seeded inputs.
+
+The inputs are built here from one `random.Random`, over a six-word
+vocabulary so that many videos share a score. Every data artifact (not the
+manifests) must have the pinned sha256. These artifacts involve no BLAS sums,
+so the hashes hold on any numpy build; a change to them is a change in what
+the chain computes, and any re-pin needs its reason stated.
+"""
+
+import hashlib
+import json
+import random
+
+from conftest import write_jsonl
+from prockb.cli import main
+
+WORDS = ["oven", "bake", "peel", "stone", "wedge", "golden"]
+
+GOLDEN = {
+    "vix/vr_index.json":
+        "07bf1532e8b7d07842011cf32076bb27f10dc84b0869eed19755cdd4ee47a71e",
+    "vf_FIL_L1/queries.json":
+        "4fabf28b7aa8ce61976e2cd0115ef19c67135e1e7df723db7352013cbd5caa06",
+    "vf_FIL_L2/queries.json":
+        "3502211a201fd2bd7707e82360d4e13f3490a9b998e7014167b45967e839a33d",
+    "ve_L0/vr_metrics.tsv":
+        "868508cf49b507ad9aa8568c0d2e045e48942792b72fdd67d24061da69762d35",
+    "ve_L1/vr_metrics.tsv":
+        "a3e5462c34496708dc4cd0eaffb867c1bb617584f635e926b87cb56b5a77a109",
+    "ve_FIL_L1/vr_metrics.tsv":
+        "e7260dfa5e0fac1f0a26e2bfd20119ddbc30fe413650f0bb53fe71442b0ba564",
+    "ve_FIL_L2/vr_metrics.tsv":
+        "0e0bef1d9f584e31277ccd1c1917931ea00f5b0305fd2dff258672207d76f753",
+}
+
+
+def write_inputs(tmp_path):
+    """8 articles of 2-5 steps, 16 videos per goal with shuffled ids, and a
+    link for every step (to another goal, or UNLINKABLE)."""
+    rng = random.Random(2203)
+
+    def phrase(lo, hi):
+        return " ".join(rng.choices(WORDS, k=rng.randint(lo, hi)))
+
+    goal_ids = [f"g{i}" for i in range(8)]
+    records = [
+        {"id": gid, "title": phrase(1, 2),
+         "steps": [{"id": f"{gid}s{j}", "text": phrase(1, 3)} for j in range(rng.randint(2, 5))]}
+        for gid in goal_ids
+    ]
+    ids = [f"v{i:03d}" for i in range(16 * len(goal_ids))]
+    rng.shuffle(ids)
+    videos = [{"video_id": vid, "goal_id": goal_ids[i // 16], "caption": phrase(0, 4)}
+              for i, vid in enumerate(ids)]
+    links = [
+        f"{step['id']}\t{rng.choice(goal_ids + ['UNLINKABLE'])}\t0.5\t0.5\n"
+        for rec in records for step in rec["steps"]
+    ]
+    paths = {name: tmp_path / name for name in ("corpus.jsonl", "videos.jsonl", "links.tsv")}
+    write_jsonl(paths["corpus.jsonl"], records)
+    write_jsonl(paths["videos.jsonl"], videos)
+    paths["links.tsv"].write_text("".join(links), encoding="utf-8")
+    return paths
+
+
+def test_video_chain_artifacts_are_pinned(tmp_path):
+    paths = write_inputs(tmp_path)
+    corpus, videos, links = (str(paths[n]) for n in ("corpus.jsonl", "videos.jsonl", "links.tsv"))
+    index = str(tmp_path / "vix" / "vr_index.json")
+
+    def run(*argv, out):
+        assert main([*argv, "--out-dir", str(tmp_path / out)]) == 0
+
+    run("vr-index", "--videos", videos, out="vix")
+    for level in ("FIL_L1", "FIL_L2"):
+        run("vr-filter", "--videos", videos, "--corpus", corpus, "--level", level,
+            "--index", index, "--links", links, out=f"vf_{level}")
+        run("vr-eval", "--videos", videos, "--index", index,
+            "--queries", str(tmp_path / f"vf_{level}" / "queries.json"), out=f"ve_{level}")
+    for level in ("L0", "L1"):
+        run("vr-eval", "--videos", videos, "--corpus", corpus, "--level", level,
+            "--index", index, out=f"ve_{level}")
+
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN}
+    assert got == GOLDEN
+    queries = json.loads((tmp_path / "vf_FIL_L2" / "queries.json").read_text())
+    assert any(q["steps"] for q in queries), "the filter should accept some step"

@@ -77,7 +77,7 @@ def lex_corpus():
 
 def test_exact_match_features(lex_corpus):
     source = LexicalFeatureSource(lex_corpus)
-    feats = source.features("t1", "art1")
+    feats = source.features("t1", ("art1",))[0]
     assert feats[5] == 1.0  # exact match
     assert feats[1] == 1.0  # token jaccard
     assert feats[0] == 1.0  # bias
@@ -85,7 +85,7 @@ def test_exact_match_features(lex_corpus):
 
 def test_disjoint_tokens(lex_corpus):
     source = LexicalFeatureSource(lex_corpus)
-    feats = source.features("t2", "art2")
+    feats = source.features("t2", ("art2",))[0]
     assert feats[1] == 0.0
     assert feats[5] == 0.0
 
@@ -94,7 +94,7 @@ def test_features_finite_and_sized(lex_corpus):
     source = LexicalFeatureSource(lex_corpus, context_mode="both", window=1)
     for step_id in ("t1", "t2", "t3"):
         for goal_id in ("art1", "art2"):
-            feats = source.features(step_id, goal_id)
+            feats = source.features(step_id, (goal_id,))[0]
             assert feats.shape == (7,)
             assert np.all(np.isfinite(feats))
 
@@ -154,15 +154,15 @@ EXACT_COLUMNS = [0, 1, 2, 4, 5, 6]
 
 def assert_blocks_match_reference(corpus, context_mode, window):
     source = LexicalFeatureSource(corpus, context_mode=context_mode, window=window)
-    goal_ids = corpus.goal_ids()
+    goal_ids = tuple(corpus.goal_ids())
     for step in corpus.steps():
-        got = source.block(step.step_id, goal_ids)
+        got = source.features(step.step_id, goal_ids)
         want = np.stack([reference_features(source, step.step_id, g) for g in goal_ids])
         assert got.shape == (len(goal_ids), 7)
         assert got[:, EXACT_COLUMNS].tobytes() == want[:, EXACT_COLUMNS].tobytes()
         assert np.max(np.abs(got[:, 3] - want[:, 3])) <= 1e-12
         for row, goal_id in zip(got, goal_ids):
-            assert source.features(step.step_id, goal_id).tobytes() == row.tobytes()
+            assert source.features(step.step_id, (goal_id,))[0].tobytes() == row.tobytes()
 
 
 @pytest.mark.parametrize("context_mode", CONTEXT_MODES)
@@ -207,23 +207,23 @@ def test_block_matches_reference_on_generated_texts(corpus, context_mode, window
 def test_blocks_do_not_depend_on_warm_up_order():
     records, _ = identity_records(12)
     corpus = make_corpus(records)
-    goal_ids = corpus.goal_ids()
+    goal_ids = tuple(corpus.goal_ids())
     step_ids = [s.step_id for s in corpus.steps()]
     forward = LexicalFeatureSource(corpus, context_mode="both")
     backward = LexicalFeatureSource(corpus, context_mode="both")
     for step_id in step_ids:
-        forward.block(step_id, goal_ids)
+        forward.features(step_id, goal_ids)
     for step_id in reversed(step_ids):
-        backward.block(step_id, goal_ids[::-1])
+        backward.features(step_id, goal_ids[::-1])
     for step_id in step_ids:
-        want = forward.block(step_id, goal_ids)
-        assert backward.block(step_id, goal_ids).tobytes() == want.tobytes()
+        want = forward.features(step_id, goal_ids)
+        assert backward.features(step_id, goal_ids).tobytes() == want.tobytes()
 
 
 def test_empty_block_has_model_width(lex_corpus):
     source = LexicalFeatureSource(lex_corpus)
-    assert source.block("t1", []).shape == (0, 7)
-    assert TableFeatureSource(8, {}).block("t1", []).shape == (0, 8)
+    assert source.features("t1", ()).shape == (0, 7)
+    assert TableFeatureSource(8, {}).features("t1", ()).shape == (0, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +276,14 @@ def test_unlinkable_entry_gets_min_sim1():
 
 def test_top1_is_argmax_of_per_pair_sim2():
     rng = np.random.default_rng(0)
-    goal_ids = [f"g{i}" for i in range(6)]
+    goal_ids = tuple(f"g{i}" for i in range(6))
     table = {("s", g): rng.normal(size=8) for g in goal_ids}
     source = TableFeatureSource(8, table)
     entries = tuple(Candidate(g, float(rng.uniform(-1, 1))) for g in goal_ids)
     cands = CandidateList(step_id="s", entries=entries)
     model = RerankModel(w=rng.normal(size=8), lam=float(rng.normal()))
     scored = score_candidates(model, cands, source)
-    sim2s = list_scores(model, source.block("s", goal_ids), np.array([s1 for _, s1 in entries]))
+    sim2s = list_scores(model, source.features("s", goal_ids), np.array([s1 for _, s1 in entries]))
     per_pair = dict(zip(goal_ids, sim2s.tolist()))
     assert scored.entries[0].goal_id == max(per_pair, key=lambda g: (per_pair[g], g))
     assert scored.entries[0].sim2 == max(per_pair.values())
@@ -653,9 +653,9 @@ def test_feature_file_round_trip(tmp_path):
     source = load_feature_file(path)
     assert source.dim == 8
     for step_id, goal_id, vec in rows:
-        assert source.features(step_id, goal_id).tobytes() == vec.tobytes()
+        assert source.features(step_id, (goal_id,))[0].tobytes() == vec.tobytes()
     with pytest.raises(KeyError, match=r"s1.*g9"):
-        source.features("s1", "g9")
+        source.features("s1", ("g1", "g9"))
 
 
 def test_feature_file_validation(tmp_path):

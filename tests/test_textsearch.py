@@ -8,10 +8,7 @@ from prockb.textsearch import (
     DEFAULT_B,
     DEFAULT_K1,
     TextIndex,
-    bm25_score,
-    index_docs,
     s_stem,
-    search,
     tokenize,
 )
 
@@ -28,7 +25,7 @@ def random_docs(n, seed, vocab_size=30, max_len=12):
 
 
 def brute_force_search(index, query, n):
-    scored = [(doc_id, bm25_score(index, query, doc_id)) for doc_id in index.doc_ids]
+    scored = [(doc_id, index.score(query, doc_id)) for doc_id in index.doc_ids]
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored[:n]
 
@@ -40,7 +37,7 @@ def test_tokenizer():
 
 
 def test_index_stats_two_docs():
-    index = index_docs(TWO_DOCS)
+    index = TextIndex(TWO_DOCS)
     assert index.n_docs == 2
     assert index.avgdl == 2.5  # (3 + 2) / 2 with the stated tokenizer
     assert index.doc_length("d1") == 3
@@ -48,48 +45,48 @@ def test_index_stats_two_docs():
 
 
 def test_empty_doc_contributes_to_avgdl():
-    index = index_docs([("d1", "one two three four"), ("d2", "")])
+    index = TextIndex([("d1", "one two three four"), ("d2", "")])
     assert index.doc_length("d2") == 0
     assert index.avgdl == 2.0
 
 
 def test_single_doc_avgdl():
-    index = index_docs([("only", "three token text")])
+    index = TextIndex([("only", "three token text")])
     assert index.avgdl == 3.0
 
 
 def test_duplicate_doc_id_rejected():
     with pytest.raises(DataError, match="duplicate"):
-        index_docs([("d1", "a"), ("d1", "b")])
+        TextIndex([("d1", "a"), ("d1", "b")])
 
 
 def test_okapi_hand_value_one_doc():
     # ln(4/3) * (2 * 2.2) / (2 + 1.2) evaluated by hand
-    index = index_docs([("d1", "a a b")])
-    assert bm25_score(index, "a", "d1") == pytest.approx(0.39556284962119864, abs=1e-6)
+    index = TextIndex([("d1", "a a b")])
+    assert index.score("a", "d1") == pytest.approx(0.39556284962119864, abs=1e-6)
 
 
 def test_okapi_hand_values_two_docs():
-    index = index_docs(TWO_DOCS)
+    index = TextIndex(TWO_DOCS)
     # df=1 terms: idf = ln 2; dl=3 vs avgdl=2.5 for d1, dl=2 for d2
-    assert bm25_score(index, "cabinet", "d1") == pytest.approx(0.64072428455121, abs=1e-6)
-    assert bm25_score(index, "fries", "d2") == pytest.approx(0.7549127709068711, abs=1e-6)
-    assert bm25_score(index, "the cabinet", "d1") == pytest.approx(1.28144856910242, abs=1e-6)
+    assert index.score("cabinet", "d1") == pytest.approx(0.64072428455121, abs=1e-6)
+    assert index.score("fries", "d2") == pytest.approx(0.7549127709068711, abs=1e-6)
+    assert index.score("the cabinet", "d1") == pytest.approx(1.28144856910242, abs=1e-6)
 
 
 def test_absent_term_contributes_zero():
-    index = index_docs(TWO_DOCS)
-    base = bm25_score(index, "cabinet", "d1")
-    assert bm25_score(index, "cabinet zzz", "d1") == base
-    assert bm25_score(index, "zzz", "d1") == 0.0
+    index = TextIndex(TWO_DOCS)
+    base = index.score("cabinet", "d1")
+    assert index.score("cabinet zzz", "d1") == base
+    assert index.score("zzz", "d1") == 0.0
 
 
 def test_score_additive_over_query_terms():
-    index = index_docs(random_docs(20, seed=1))
+    index = TextIndex(random_docs(20, seed=1))
     for doc_id in index.doc_ids[:5]:
-        a = bm25_score(index, "w1", doc_id)
-        b = bm25_score(index, "w2 w3", doc_id)
-        assert bm25_score(index, "w1 w2 w3", doc_id) == pytest.approx(a + b, rel=1e-12)
+        a = index.score("w1", doc_id)
+        b = index.score("w2 w3", doc_id)
+        assert index.score("w1 w2 w3", doc_id) == pytest.approx(a + b, rel=1e-12)
 
 
 def test_own_text_ranks_at_least_as_high():
@@ -97,50 +94,50 @@ def test_own_text_ranks_at_least_as_high():
     for trial in range(5):
         docs = random_docs(5, seed=100 + trial, vocab_size=12, max_len=8)
         docs = [(i, t if t else "filler") for i, t in docs]
-        index = index_docs(docs)
+        index = TextIndex(docs)
         for doc_id, text in docs:
-            own = bm25_score(index, text, doc_id)
-            assert all(own >= bm25_score(index, text, other) - 1e-12 for other, _ in docs)
+            own = index.score(text, doc_id)
+            assert all(own >= index.score(text, other) - 1e-12 for other, _ in docs)
 
 
 def test_search_matches_brute_force():
-    index = index_docs(random_docs(50, seed=3))
+    index = TextIndex(random_docs(50, seed=3))
     for query in ("w1 w2", "w5", "w0 w0 w9", "zzz"):
-        got = search(index, query, 50)
+        got = index.ranked(query, 50)
         want = brute_force_search(index, query, 50)
         assert [d for d, _ in got] == [d for d, _ in want]
 
 
 def test_search_complete_ranking_and_zero_query():
-    index = index_docs(TWO_DOCS)
-    ranked = search(index, "toast", 10)
+    index = TextIndex(TWO_DOCS)
+    ranked = index.ranked("toast", 10)
     assert [d for d, _ in ranked] == ["d1", "d2"]  # all-zero scores: doc id order
     assert all(score == 0.0 for _, score in ranked)
-    assert sorted(d for d, _ in search(index, "cabinet", 2)) == ["d1", "d2"]
+    assert sorted(d for d, _ in index.ranked("cabinet", 2)) == ["d1", "d2"]
 
 
 def test_search_permutation_property():
-    index = index_docs(random_docs(25, seed=4))
-    ranked = search(index, "w1 w2 w3", 25)
+    index = TextIndex(random_docs(25, seed=4))
+    ranked = index.ranked("w1 w2 w3", 25)
     assert sorted(d for d, _ in ranked) == sorted(index.doc_ids)
 
 
 def test_search_n_validation():
-    index = index_docs(TWO_DOCS)
+    index = TextIndex(TWO_DOCS)
     with pytest.raises(ValueError, match="n must be"):
-        search(index, "x", 0)
+        index.ranked("x", 0)
 
 
 def test_unknown_doc_rejected():
-    index = index_docs(TWO_DOCS)
+    index = TextIndex(TWO_DOCS)
     with pytest.raises(KeyError, match="ghost"):
-        bm25_score(index, "cabinet", "ghost")
+        index.score("cabinet", "ghost")
 
 
 def test_index_isolation():
     docs = random_docs(10, seed=5)
-    small = index_docs(docs)
-    grown = index_docs(docs + [("extra", "w1 w1 w1")])
+    small = TextIndex(docs)
+    grown = TextIndex(docs + [("extra", "w1 w1 w1")])
     for term in ("w1", "w2", "w3"):
         small_postings = [p for p in small.postings_for(term)]
         grown_postings = [p for p in grown.postings_for(term) if p[0] != "extra"]
@@ -148,23 +145,23 @@ def test_index_isolation():
 
 
 def test_idf_never_negative():
-    index = index_docs([("d1", "common"), ("d2", "common"), ("d3", "common rare")])
+    index = TextIndex([("d1", "common"), ("d2", "common"), ("d3", "common rare")])
     assert index.idf("common") >= 0.0
     assert index.idf("rare") > index.idf("common")
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        index_docs(TWO_DOCS, k1=0.0)
+        TextIndex(TWO_DOCS, k1=0.0)
     with pytest.raises(ValueError):
-        index_docs(TWO_DOCS, b=1.5)
+        TextIndex(TWO_DOCS, b=1.5)
     assert (DEFAULT_K1, DEFAULT_B) == (1.2, 0.75)
 
 
 def test_stopword_switch():
-    index = index_docs(TWO_DOCS, stopwords=True)
+    index = TextIndex(TWO_DOCS, stopwords=True)
     assert index.doc_length("d1") == 2  # "the" dropped
-    assert bm25_score(index, "the", "d1") == 0.0
+    assert index.score("the", "d1") == 0.0
 
 
 def test_stem_switch():
@@ -172,26 +169,26 @@ def test_stem_switch():
     assert s_stem("cabinets") == "cabinet"
     assert s_stem("berries") == "berry"
     assert s_stem("glass") == "glass"
-    index = index_docs([("d1", "stain the cabinets")], stem=True)
-    assert bm25_score(index, "cabinet", "d1") > 0.0
+    index = TextIndex([("d1", "stain the cabinets")], stem=True)
+    assert index.score("cabinet", "d1") > 0.0
 
 
 def test_json_round_trip():
-    index = index_docs(random_docs(12, seed=7), k1=1.5, b=0.6)
+    index = TextIndex(random_docs(12, seed=7), k1=1.5, b=0.6)
     clone = TextIndex.from_json(index.to_json())
     assert clone.doc_ids == index.doc_ids
     assert clone.avgdl == index.avgdl
     for query in ("w1 w4", "w2"):
         for doc_id in index.doc_ids:
-            assert bm25_score(clone, query, doc_id) == bm25_score(index, query, doc_id)
-        assert search(clone, query, 12) == search(index, query, 12)
+            assert clone.score(query, doc_id) == index.score(query, doc_id)
+        assert clone.ranked(query, 12) == index.ranked(query, 12)
 
 
 def test_json_load_sorts_postings_out_of_doc_order():
-    index = index_docs(random_docs(12, seed=3))
+    index = TextIndex(random_docs(12, seed=3))
     payload = json.loads(index.to_json())
     for pairs in payload["postings"].values():
         pairs.reverse()
     clone = TextIndex.from_json(json.dumps(payload))
     for query in ("w1 w4", "w2 w3 w5"):
-        assert search(clone, query, 12) == search(index, query, 12)
+        assert clone.ranked(query, 12) == index.ranked(query, 12)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from conftest import make_corpus
 from prockb.errors import DataError
-from prockb.textsearch import bm25_score
 from prockb.videoretrieval import (
     FIL_L1,
     FIL_L2,
@@ -16,7 +15,6 @@ from prockb.videoretrieval import (
     L1,
     ClauseScorer,
     Query,
-    Ranking,
     VideoDoc,
     build_video_index,
     candidate_pool,
@@ -138,7 +136,7 @@ def test_rel_l0_is_plain_bm25():
     index = build_video_index(toy_videos())
     query = Query("fries", "bake the avocado", (), w_g=1.0, w_s=0.0, level=L0)
     for vid in ("v1", "v2", "v3", "v4"):
-        assert rel(index, query, vid) == bm25_score(index, "bake the avocado", vid)
+        assert rel(index, query, vid) == index.score("bake the avocado", vid)
 
 
 def test_rel_weighted_sum():
@@ -146,7 +144,7 @@ def test_rel_weighted_sum():
     goal_text, step_text = "bake the avocado", "remove the stone"
     query = Query("fries", goal_text, (step_text,), w_g=1.0, w_s=0.1, level=L1)
     for vid in ("v1", "v3"):
-        expected = bm25_score(index, goal_text, vid) + 0.1 * bm25_score(index, step_text, vid)
+        expected = index.score(goal_text, vid) + 0.1 * index.score(step_text, vid)
         assert rel(index, query, vid) == pytest.approx(expected, rel=1e-12)
 
 
@@ -160,13 +158,14 @@ def test_zero_overlap_clause_changes_nothing():
 
 def test_rank_videos_single_and_ties():
     single = build_video_index(toy_videos()[:1])
-    ranking = rank_videos(single, Query("g", "anything", (), 1.0, 0.0, L0))
-    assert ranking.rank("v1") == 1
+    query = Query("g", "anything", (), 1.0, 0.0, L0)
+    assert rank_videos(single, query, ["v1"], ClauseScorer(single)) == [1]
 
     index = build_video_index(toy_videos())
-    ranking = rank_videos(index, Query("g", "zzz", (), 1.0, 0.0, L0))
-    assert [v for v, _ in ranking.entries] == ["v1", "v2", "v3", "v4"]
-    assert all(score == 0.0 for _, score in ranking.entries)
+    query = Query("g", "zzz", (), 1.0, 0.0, L0)
+    scorer = ClauseScorer(index)
+    assert rank_videos(index, query, ["v1", "v2", "v3", "v4"], scorer) == [1, 2, 3, 4]
+    assert all(score == 0.0 for score in scorer.query_scores(query))
 
 
 def test_rank_videos_matches_brute_force():
@@ -178,25 +177,25 @@ def test_rank_videos_matches_brute_force():
     ]
     index = build_video_index(videos)
     query = Query("g", "w1 w2 w3", ("w4 w5", "w6"), w_g=1.0, w_s=0.5, level=L1)
-    ranking = rank_videos(index, query)
     brute = sorted(
         ((v.video_id, rel(index, query, v.video_id)) for v in videos),
         key=lambda item: (-item[1], item[0]),
     )
-    assert [v for v, _ in ranking.entries] == [v for v, _ in brute]
-    assert [ranking.rank(v) for v, _ in brute] == list(range(1, len(brute) + 1))
+    ranks = rank_videos(index, query, [v for v, _ in brute], ClauseScorer(index))
+    assert ranks == list(range(1, len(brute) + 1))
 
 
 def test_rank_videos_empty_pool():
+    empty = build_video_index([])
     with pytest.raises(ValueError, match="empty"):
-        rank_videos(build_video_index([]), Query("g", "x", (), 1.0, 0.0, L0))
+        rank_videos(empty, Query("g", "x", (), 1.0, 0.0, L0), [], ClauseScorer(empty))
 
 
 def test_ranking_unknown_video():
     index = build_video_index(toy_videos())
-    ranking = rank_videos(index, Query("g", "avocado", (), 1.0, 0.0, L0))
     with pytest.raises(KeyError, match="ghost"):
-        ranking.rank("ghost")
+        rank_videos(index, Query("g", "avocado", (), 1.0, 0.0, L0), ["v1", "ghost"],
+                    ClauseScorer(index))
 
 
 @st.composite
@@ -289,6 +288,41 @@ def test_filter_matches_full_lexsort_cost(case, kind, cap, trials):
     assert query == Query("g", goal, tuple(expected.clauses), 1.0, 0.5, FIL_L1)
 
 
+@st.composite
+def ranking_cases(draw):
+    """A 40-70-video pool whose captions use 1-4 distinct words, so many
+    scores tie, ids in shuffled order, a multi-clause query and the relevant
+    videos: the whole pool or a subset."""
+    words = draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(40, 70))
+    captions = draw(st.lists(st.lists(st.sampled_from(words), max_size=4).map(" ".join),
+                             min_size=n, max_size=n))
+    ids = draw(st.permutations([f"v{i:03d}" for i in range(n)]))
+    videos = [VideoDoc(vid, "g", caption) for vid, caption in zip(ids, captions)]
+    steps = tuple(draw(st.lists(phrases, max_size=3)))
+    query = Query("g", draw(phrases), steps, 1.0, draw(st.sampled_from([0.0, 0.1, 0.5])), L1)
+    if draw(st.booleans()):
+        relevant = list(ids)
+    else:
+        relevant = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=n, unique=True))
+    return videos, query, relevant
+
+
+@settings(max_examples=100, deadline=None)
+@given(ranking_cases())
+def test_rank_videos_match_rank_order(case):
+    videos, query, relevant = case
+    index = build_video_index(videos)
+    scorer = ClauseScorer(index)
+    ranks = np.empty(index.n_docs, dtype=np.int64)
+    ranks[scorer.rank_order(query)] = np.arange(1, index.n_docs + 1)
+    got = rank_videos(index, query, relevant, scorer)
+    assert got == [int(ranks[index.doc_idx(v)]) for v in relevant]
+    assert all(type(r) is int for r in got)
+    with pytest.raises(KeyError, match="ghost"):
+        rank_videos(index, query, relevant + ["ghost"], scorer)
+
+
 # ---------------------------------------------------------------------------
 # Hill climbing
 
@@ -367,13 +401,12 @@ def test_cost_fn_kinds():
 # ---------------------------------------------------------------------------
 # Metrics
 
-def ranking_from_ids(goal_id, ordered_ids):
-    return Ranking(goal_id=goal_id, entries=[(v, 0.0) for v in ordered_ids])
+def ranks_in(ordered_ids, relevant):
+    return [ordered_ids.index(v) + 1 for v in relevant]
 
 
 def test_vr_metrics_single_goal():
-    ranking = ranking_from_ids("g", ["a", "b", "c", "d"])
-    metrics = vr_metrics({"g": ranking}, {"g": ["a", "c"]}, ns=[1])
+    metrics = vr_metrics({"g": ranks_in(["a", "b", "c", "d"], ["a", "c"])}, ns=[1])
     assert metrics.recall[1] == 0.5
     assert metrics.precision[1] == 1.0
     assert metrics.mean_rank == 2.0
@@ -381,21 +414,14 @@ def test_vr_metrics_single_goal():
 
 def test_vr_metrics_full_pool_gold():
     pool = [f"v{i}" for i in range(8)]
-    ranking = ranking_from_ids("g", pool)
-    metrics = vr_metrics({"g": ranking}, {"g": pool}, ns=[1, 4, 8])
+    metrics = vr_metrics({"g": ranks_in(pool, pool)}, ns=[1, 4, 8])
     assert all(metrics.precision[n] == 1.0 for n in (1, 4, 8))
     assert metrics.recall[8] == 1.0
 
 
 def test_vr_metrics_empty_gold():
-    ranking = ranking_from_ids("g", ["a"])
     with pytest.raises(ValueError, match="empty"):
-        vr_metrics({"g": ranking}, {"g": []}, ns=[1])
-
-
-def test_vr_metrics_missing_ranking():
-    with pytest.raises(KeyError, match="g2"):
-        vr_metrics({"g1": ranking_from_ids("g1", ["a"])}, {"g2": ["a"]}, ns=[1])
+        vr_metrics({"g": ranks_in(["a"], [])}, ns=[1])
 
 
 def test_queries_json_round_trip(tmp_path):
@@ -407,12 +433,3 @@ def test_queries_json_round_trip(tmp_path):
     write_queries(path, queries)
     assert read_queries(path) == queries
 
-
-def test_mean_rank_invariant_under_nongold_relabeling():
-    pool = [f"v{i}" for i in range(10)]
-    gold = {"g": ["v2", "v7"]}
-    before = vr_metrics({"g": ranking_from_ids("g", pool)}, gold, ns=[5])
-    relabeled = [v if v in gold["g"] else f"x{i}" for i, v in enumerate(pool)]
-    after = vr_metrics({"g": ranking_from_ids("g", relabeled)}, gold, ns=[5])
-    assert after.mean_rank == before.mean_rank
-    assert after.recall == before.recall
