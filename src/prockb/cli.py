@@ -8,8 +8,11 @@ and never mutates inputs. Exit codes: 0 ok, 1 usage, 2 data error, 3 internal.
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .artifacts import read_json, read_text
@@ -157,6 +160,10 @@ def cmd_retrieve(args) -> None:
 
 
 def cmd_train_reranker(args) -> None:
+    if args.batch < 1:
+        raise UsageError(f"--batch must be >= 1, got {args.batch}")
+    if not (math.isfinite(args.lr) and args.lr > 0):
+        raise UsageError(f"--lr must be a finite number > 0, got {args.lr!r}")
     out = _out_dir(args)
     corpus = load_corpus(args.corpus)
     candidate_lists = read_candidates(args.candidates)
@@ -180,17 +187,21 @@ def cmd_train_reranker(args) -> None:
         context_mode=args.context_mode,
         window=args.window,
     )
-    result = train(
-        model,
-        train_examples,
-        source,
-        lr=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        seed=args.seed,
-        freeze_lambda=args.freeze_lambda,
-        dev_examples=dev_examples or None,
-    )
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = train(
+                model,
+                train_examples,
+                source,
+                lr=args.lr,
+                epochs=args.epochs,
+                batch_size=args.batch,
+                seed=args.seed,
+                freeze_lambda=args.freeze_lambda,
+                dev_examples=dev_examples or None,
+            )
+    except RuntimeError as exc:
+        raise DataError(f"--lr {args.lr!r}: {exc}") from None
     save_model(result.model, out / "model.txt")
     with open(out / "loss_curve.tsv", "w", encoding="utf-8") as handle:
         handle.write("epoch\ttrain_loss\tdev_loss\n")
@@ -558,3 +569,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

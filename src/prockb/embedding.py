@@ -18,34 +18,60 @@ NGRAM_SIZES = (3, 4, 5)
 MIN_DIM = 8
 
 
-def _hash64(data: bytes, seed: int) -> int:
-    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    digest = hashlib.blake2b(data, digest_size=8, key=key).digest()
-    return int.from_bytes(digest, "little")
+class _SignedBuckets(dict):
+    """n-gram -> signed bucket under one (dim, seed): the n-gram's 64-bit
+    blake2b digest keyed by the seed gives bucket ``h % dim`` and sign ``+``
+    when the top bit is set, ``-`` otherwise, stored as ``±(bucket + 1)``.
+    Each n-gram is hashed on first use; the hasher is a copy of one keyed
+    state, which gives the same digest as keying a new one."""
+
+    def __init__(self, dim: int, seed: int):
+        super().__init__()
+        self.dim = dim
+        self.seed = seed
+        key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+        self._keyed = hashlib.blake2b(digest_size=8, key=key)
+
+    def __missing__(self, gram: str) -> int:
+        hasher = self._keyed.copy()
+        hasher.update(gram.encode("utf-8"))
+        h = int.from_bytes(hasher.digest(), "little")
+        bucket = h % self.dim + 1
+        signed = self[gram] = bucket if h & (1 << 63) else -bucket
+        return signed
 
 
-def embed_text(text: str, dim: int, seed: int = 0, lowercase: bool = False) -> np.ndarray:
+def embed_text(
+    text: str,
+    dim: int,
+    seed: int = 0,
+    lowercase: bool = False,
+    buckets: _SignedBuckets | None = None,
+) -> np.ndarray:
     """Embed text as the mean of signed hashed char n-grams, L2-normalized.
 
     Identical (text, dim, seed) always yields an identical vector, on any
     platform. Empty text yields the zero vector (cosine against it is 0).
+    `buckets` is a memo of n-gram hashes for the same dim and seed, shared
+    by the texts of one `embed_corpus` call. The ±1 sums are exact integers,
+    so adding them in any order gives the same vector.
     """
     if dim < MIN_DIM:
         raise ValueError(f"dim must be >= {MIN_DIM}, got {dim}")
-    vec = np.zeros(dim, dtype=np.float64)
+    if buckets is None:
+        buckets = _SignedBuckets(dim, seed)
+    elif (buckets.dim, buckets.seed) != (dim, seed):
+        raise ValueError(f"n-gram memo is for dim={buckets.dim}, seed={buckets.seed}, "
+                         f"not dim={dim}, seed={seed}")
     if not text:
-        return vec
+        return np.zeros(dim, dtype=np.float64)
     if lowercase:
         text = text.lower()
     padded = f"<{text}>"
-    count = 0
-    for n in NGRAM_SIZES:
-        for i in range(len(padded) - n + 1):
-            h = _hash64(padded[i : i + n].encode("utf-8"), seed)
-            sign = 1.0 if h & (1 << 63) else -1.0
-            vec[h % dim] += sign
-            count += 1
-    vec /= count
+    grams = [padded[i : i + n] for n in NGRAM_SIZES for i in range(len(padded) - n + 1)]
+    signed = np.fromiter(map(buckets.__getitem__, grams), dtype=np.int64, count=len(grams))
+    vec = np.bincount(np.abs(signed) - 1, weights=np.sign(signed), minlength=dim)
+    vec /= len(grams)
     norm = math.sqrt(float(vec @ vec))
     if norm > 0.0:
         vec /= norm
@@ -90,12 +116,14 @@ class EmbeddingStore:
 
 
 def embed_corpus(corpus: Corpus, dim: int, seed: int = 0, lowercase: bool = False) -> EmbeddingStore:
-    """Embed every goal title and step text with the built-in embedder."""
+    """Embed every goal title and step text with the built-in embedder,
+    hashing each distinct n-gram once."""
+    buckets = _SignedBuckets(dim, seed)
     vectors: dict[str, np.ndarray] = {}
     for article in corpus.articles:
-        vectors[article.goal_id] = embed_text(article.title, dim, seed, lowercase)
+        vectors[article.goal_id] = embed_text(article.title, dim, seed, lowercase, buckets)
         for step in article.steps:
-            vectors[step.step_id] = embed_text(step.text, dim, seed, lowercase)
+            vectors[step.step_id] = embed_text(step.text, dim, seed, lowercase, buckets)
     return EmbeddingStore(dim=dim, vectors=vectors)
 
 

@@ -18,8 +18,17 @@ from typing import Iterable, Iterator
 from .artifacts import tab_rows
 from .corpus import Corpus
 from .embedding import EmbeddingStore
-from .rerank import UNLINKABLE, FeatureSource, RerankModel, ScoredCandidate, score_candidates
+from .rerank import (
+    UNLINKABLE,
+    FeatureSource,
+    RerankModel,
+    ScoredCandidate,
+    list_features,
+    score_candidates,
+)
 from .retrieval import DEFAULT_K, GoalIndex, retrieve_step
+
+LINK_BLOCK = 16  # steps linked per array pass
 
 
 @dataclass(frozen=True)
@@ -79,30 +88,43 @@ class LinkDecision:
         return self.alternatives[0]
 
 
+def link_steps(pipeline: LinkPipeline, step_ids: Iterable[str]) -> None:
+    """Decide each of `step_ids` that has no decision yet, LINK_BLOCK steps at
+    a time: retrieve each step's candidates as `retrieve` does, compute the
+    block's pair features in one call, then rerank each list and take the
+    argmax. Decisions are kept on the pipeline; `link_step` reads them."""
+    todo = [s for s in dict.fromkeys(step_ids) if s not in pipeline._decisions]
+    for start in range(0, len(todo), LINK_BLOCK):
+        block = todo[start : start + LINK_BLOCK]
+        lists = [
+            retrieve_step(pipeline.index, pipeline.store, pipeline.corpus.step(step_id),
+                          pipeline.k, pipeline.exclude_parent)
+            for step_id in block
+        ]
+        feats = list_features(pipeline.features, block, [c.entries for c in lists])
+        for candidates, list_feats in zip(lists, feats):
+            scored = score_candidates(pipeline.model, candidates, list_feats)
+            pipeline._decisions[candidates.step_id] = LinkDecision(
+                step_id=candidates.step_id,
+                outcome=scored.entries[0].goal_id,
+                alternatives=scored.entries,
+                config_hash=pipeline.config_hash(),
+            )
+
+
 def link_step(pipeline: LinkPipeline, step_id: str) -> LinkDecision:
-    """Retrieve candidates for one step as `retrieve` does, rerank them, take
-    the argmax. The decision is kept on the pipeline, so linking the same step
-    again (expand meets steps more than once) reuses it.
-    """
-    decision = pipeline._decisions.get(step_id)
-    if decision is not None:
-        return decision
-    step = pipeline.corpus.step(step_id)
-    candidates = retrieve_step(
-        pipeline.index, pipeline.store, step, pipeline.k, pipeline.exclude_parent
-    )
-    scored = score_candidates(pipeline.model, candidates, pipeline.features)
-    decision = pipeline._decisions[step_id] = LinkDecision(
-        step_id=step_id,
-        outcome=scored.entries[0].goal_id,
-        alternatives=scored.entries,
-        config_hash=pipeline.config_hash(),
-    )
-    return decision
+    """The decision for one step, made by `link_steps` on first use and kept
+    on the pipeline, so linking the same step again (expand meets steps more
+    than once) reuses it."""
+    if step_id not in pipeline._decisions:
+        link_steps(pipeline, (step_id,))
+    return pipeline._decisions[step_id]
 
 
 def link_all(pipeline: LinkPipeline) -> list[LinkDecision]:
-    return [link_step(pipeline, step.step_id) for step in pipeline.corpus.steps()]
+    step_ids = [step.step_id for step in pipeline.corpus.steps()]
+    link_steps(pipeline, step_ids)
+    return [link_step(pipeline, step_id) for step_id in step_ids]
 
 
 def write_links(path: str | Path, decisions: Iterable[LinkDecision]) -> None:
@@ -183,9 +205,16 @@ def expand(pipeline: LinkPipeline, root_goal_id: str, max_depth: int) -> Procedu
     root_article = corpus.article(root_goal_id)
     root = GoalNode(goal_id=root_goal_id, title=root_article.title, depth=0)
     queue: deque[tuple[GoalNode, frozenset[str]]] = deque([(root, frozenset())])
+    linked_depth = -1  # the deepest level whose steps are linked
 
     while queue:
         node, ancestors = queue.popleft()
+        if linked_depth < node.depth < max_depth:
+            # The first node of a level; the queue holds the rest of it.
+            level = [node] + [queued for queued, _ in queue]
+            link_steps(pipeline, (step.step_id for goal in level
+                                  for step in corpus.article(goal.goal_id).steps))
+            linked_depth = node.depth
         path_goals = ancestors | {node.goal_id}
         article = corpus.article(node.goal_id)
         for step in article.steps:

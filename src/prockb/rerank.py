@@ -20,6 +20,7 @@ encoders is produced by render_pair_input.
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Protocol, Sequence
 
@@ -58,14 +59,16 @@ def render_pair_input(ctx: StepContext, step_text: str, goal_text: str) -> str:
 # Feature sources
 
 class FeatureSource(Protocol):
-    """Pair features for stage 2: `features` gives one step's rows against a
-    candidate list, shape (len(goal_ids), dim); `name` goes into the link
-    config hash."""
+    """Pair features for stage 2: `features` gives the rows of a batch of
+    candidate lists, one list per step, list after list, shape
+    (total candidates, dim); `name` goes into the link config hash."""
 
     name: str
     dim: int
 
-    def features(self, step_id: str, goal_ids: tuple[str, ...]) -> np.ndarray: ...
+    def features(
+        self, step_ids: tuple[str, ...], goal_ids: tuple[tuple[str, ...], ...]
+    ) -> np.ndarray: ...
 
 
 def idf_table(texts: Iterable[str]) -> dict[str, float]:
@@ -84,28 +87,43 @@ class _Text(NamedTuple):
     tokens: np.ndarray  # distinct token ids, in ascending token-string order
     token_idf: np.ndarray  # IDF of each token, same order
     idf_sum: float  # sum of token_idf, added in that order
-    grams: np.ndarray  # distinct char 3-grams of the lowercased text as int codes, ascending
+    grams: np.ndarray  # ids of the distinct char 3-grams of the lowercased text, by ascending code
     gram_counts: np.ndarray  # occurrences of each 3-gram
     gram_norm: float  # Euclidean norm of gram_counts
     folded: str  # casefolded text, for the exact-match flag
 
 
 def _char_trigrams(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct 3-grams of `text` and their counts. A 3-gram is coded as its
-    three code points (21 bits each) packed into one int64, so codes need no
-    vocabulary and sort the same in every process."""
+    """Distinct 3-grams of `text`, ascending, and their counts. A 3-gram is
+    coded as its three code points (21 bits each) packed into one int64."""
     codes = np.fromiter(map(ord, text), dtype=np.int64, count=len(text))
     grams = (codes[:-2] << 42) | (codes[1:-1] << 21) | codes[2:]
     return np.unique(grams, return_counts=True)
 
 
-def _lookup(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each value, its position in the ascending array `keys` and whether
-    it is there."""
-    if not len(keys):
-        return np.zeros(len(values), dtype=np.intp), np.zeros(len(values), dtype=bool)
-    pos = np.minimum(np.searchsorted(keys, values), len(keys) - 1)
-    return pos, keys[pos] == values
+def _end_to_end(parts: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """`parts` end to end, and the index of the part each value comes from."""
+    lengths = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
+    return np.repeat(np.arange(len(parts)), lengths), np.concatenate(parts)
+
+
+def _step_lookup(
+    step_ids: Sequence[np.ndarray],
+    step_values: Sequence[np.ndarray] | None,
+    width: int,
+    lists: np.ndarray,
+    ids: np.ndarray,
+) -> np.ndarray:
+    """For each j, the value that step `lists[j]` gives the id `ids[j]`: its
+    entry in `step_values` (1 when None), or 0 when the step lacks the id.
+    Ids are below `width`. Only the ids some step has get a table column."""
+    rows, flat = _end_to_end(step_ids)
+    present, column = np.unique(flat, return_inverse=True)
+    columns = np.zeros(width, dtype=np.int64)
+    columns[present] = np.arange(1, len(present) + 1)
+    table = np.zeros((len(step_ids), len(present) + 1), dtype=np.int64)
+    table[rows, column + 1] = 1 if step_values is None else np.concatenate(step_values)
+    return table[lists, columns[ids]]
 
 
 class LexicalFeatureSource:
@@ -119,13 +137,17 @@ class LexicalFeatureSource:
     text's token IDFs and I that of the shared tokens, each summed in
     ascending token-string order, so the value depends on the two texts only.
 
-    Goal titles are analysed on first use and kept; `features` analyses the
-    step once and computes a whole candidate list with array operations. A
-    source is not safe to share between threads.
+    Goal titles are analysed on first use and kept. `features` takes `block`
+    candidate lists at a time and computes all their pairs with array
+    operations over (list, token id) and (list, 3-gram id) keys; each pair's
+    sums run over the goal's own tokens and 3-grams in their fixed order, so
+    a row's bytes do not depend on the batch it comes in. A source is not
+    safe to share between threads.
     """
 
     name = "lexical"
     dim = 7
+    block = 16  # candidate lists per array pass
 
     def __init__(self, corpus: Corpus, context_mode: str = "none", window: int = 1):
         self.corpus = corpus
@@ -133,6 +155,7 @@ class LexicalFeatureSource:
         self.window = window
         self.idf = idf_table(a.title for a in corpus.articles)
         self._vocab: dict[str, int] = {}
+        self._gram_ids: dict[int, int] = {}
         self._goals: dict[str, _Text] = {}
 
     def _token_ids(self, tokens: Iterable[str]) -> np.ndarray:
@@ -143,11 +166,14 @@ class LexicalFeatureSource:
         tokens = sorted(set(tokenize(text)))
         token_idf = [self.idf.get(t, 1.0) for t in tokens]
         grams, counts = _char_trigrams(text.lower())
+        gram_ids = self._gram_ids
         return _Text(
             tokens=self._token_ids(tokens),
             token_idf=np.array(token_idf, dtype=np.float64),
             idf_sum=sum(token_idf),
-            grams=grams,
+            grams=np.array(
+                [gram_ids.setdefault(g, len(gram_ids)) for g in grams.tolist()], dtype=np.int64
+            ),
             gram_counts=counts,
             gram_norm=math.sqrt(int((counts * counts).sum())),
             folded=text.casefold(),
@@ -159,61 +185,82 @@ class LexicalFeatureSource:
             text = self._goals[goal_id] = self._analyse(self.corpus.article(goal_id).title)
         return text
 
-    def _step(self, step_id: str) -> tuple[_Text, np.ndarray, np.ndarray]:
-        """A step's analysis, its token ids sorted, and its context's token ids
-        sorted. Not kept: each command featurises a step once (link decisions
-        are reused per step), while goal analyses are shared by many steps."""
+    def _step(self, step_id: str) -> tuple[_Text, np.ndarray]:
+        """A step's analysis and its context's token ids. Not kept: each
+        command featurises a step once (link decisions are reused per step),
+        while goal analyses are shared by many steps."""
         text = self._analyse(self.corpus.step(step_id).text)
         ctx = context_of(self.corpus, step_id, self.context_mode, self.window)
         pieces = (ctx.goal_text or "",) + ctx.prev_steps + ctx.next_steps
         context = self._token_ids(sorted({t for piece in pieces for t in tokenize(piece)}))
-        return text, np.sort(text.tokens), np.sort(context)
+        return text, context
 
-    def features(self, step_id: str, goal_ids: tuple[str, ...]) -> np.ndarray:
-        """Feature rows for one step against each goal, shape (len(goal_ids), dim)."""
-        step, step_tokens, context = self._step(step_id)
-        m = len(goal_ids)
-        out = np.zeros((m, self.dim), dtype=np.float64)
-        if m == 0:
-            return out
-        tokens, token_idf, idf_sums, grams, gram_counts, gram_norms, folded = zip(
-            *[self._goal(g) for g in goal_ids]
-        )
-        rows = np.arange(m)
+    def features(
+        self, step_ids: tuple[str, ...], goal_ids: tuple[tuple[str, ...], ...]
+    ) -> np.ndarray:
+        """Feature rows of each step against each of its goals, list after
+        list, shape (total goals, dim)."""
+        sizes = [len(goals) for goals in goal_ids]
+        out = np.zeros((sum(sizes), self.dim), dtype=np.float64)
+        row = 0
+        for start in range(0, len(step_ids), self.block):
+            stop = start + self.block
+            rows = sum(sizes[start:stop])
+            self._block(step_ids[start:stop], goal_ids[start:stop], out[row : row + rows])
+            row += rows
+        return out
 
-        # Each goal's tokens end to end; seg holds the row of each.
-        n_goal = np.fromiter(map(len, tokens), dtype=np.int64, count=m)
-        seg = np.repeat(rows, n_goal)
-        tokens = np.concatenate(tokens)
-        shared = _lookup(step_tokens, tokens)[1]
-        n_shared = np.bincount(seg[shared], minlength=m)
+    def _block(
+        self, step_ids: tuple[str, ...], goal_ids: tuple[tuple[str, ...], ...], out: np.ndarray
+    ) -> None:
+        """Fill `out` with the rows of one block of candidate lists."""
+        if not len(out):
+            return
+        steps, contexts = zip(*map(self._step, step_ids))
+        goals = [self._goal(g) for goals in goal_ids for g in goals]
+        tokens, token_idf, idf_sums, grams, gram_counts, gram_norms, folded = zip(*goals)
+        lists = np.repeat(np.arange(len(step_ids)), [len(goals) for goals in goal_ids])
+        n_tokens, n = len(self._vocab), len(goals)
+
+        # Each pair's goal tokens end to end; seg holds the pair of each.
+        seg, tokens = _end_to_end(tokens)
+        token_lists = lists[seg]
+        step_tokens = [step.tokens for step in steps]
+        shared = _step_lookup(step_tokens, None, n_tokens, token_lists, tokens) > 0
+        n_shared = np.bincount(seg[shared], minlength=n)
         # bincount adds in array order: each goal's shared IDFs in token-string order.
-        idf_shared = np.bincount(seg[shared], np.concatenate(token_idf)[shared], minlength=m)
-        n_ctx_shared = np.bincount(seg[_lookup(context, tokens)[1]], minlength=m)
+        idf_shared = np.bincount(seg[shared], np.concatenate(token_idf)[shared], minlength=n)
+        in_context = _step_lookup(contexts, None, n_tokens, token_lists, tokens) > 0
+        n_ctx_shared = np.bincount(seg[in_context], minlength=n)
 
-        gram_seg = np.repeat(rows, np.fromiter(map(len, grams), dtype=np.int64, count=m))
-        pos, hit = _lookup(step.grams, np.concatenate(grams))
-        weights = np.concatenate(gram_counts)[hit] * step.gram_counts[pos[hit]]
-        dot = np.bincount(gram_seg[hit], weights, minlength=m)
+        # Each pair's 3-gram count products; their sums are exact integers.
+        gram_seg, grams = _end_to_end(grams)
+        step_counts = _step_lookup([step.grams for step in steps],
+                                   [step.gram_counts for step in steps],
+                                   len(self._gram_ids), lists[gram_seg], grams)
+        dot = np.bincount(gram_seg, np.concatenate(gram_counts) * step_counts, minlength=n)
 
-        n_step = len(step.tokens)
+        n_step = np.array([len(step.tokens) for step in steps], dtype=np.int64)[lists]
+        n_goal = np.fromiter(map(len, token_idf), dtype=np.int64, count=n)
+        n_context = np.array([len(context) for context in contexts], dtype=np.int64)[lists]
+        step_gram_norm = np.array([step.gram_norm for step in steps], dtype=np.float64)[lists]
+        step_idf_sum = np.array([step.idf_sum for step in steps], dtype=np.float64)[lists]
         num = np.array(
             [n_shared, dot, idf_shared, np.minimum(n_step, n_goal), n_ctx_shared], dtype=np.float64
         )
         den = np.array(
             [
                 n_step + n_goal - n_shared,
-                step.gram_norm * np.array(gram_norms),
-                step.idf_sum + np.array(idf_sums) - idf_shared,
+                step_gram_norm * np.array(gram_norms),
+                step_idf_sum + np.array(idf_sums) - idf_shared,
                 np.maximum(n_step, n_goal),
-                len(context) + n_goal - n_ctx_shared,
+                n_context + n_goal - n_ctx_shared,
             ],
             dtype=np.float64,
         )
         out[:, 0] = 1.0
         out[:, [1, 2, 3, 4, 6]] = np.divide(num, den, out=np.zeros_like(num), where=den > 0).T
-        out[:, 5] = [text == step.folded for text in folded]
-        return out
+        out[:, 5] = [text == steps[i].folded for text, i in zip(folded, lists.tolist())]
 
 
 class TableFeatureSource:
@@ -229,14 +276,29 @@ class TableFeatureSource:
         self._table = table
         self.path = path
 
-    def features(self, step_id: str, goal_ids: tuple[str, ...]) -> np.ndarray:
-        try:
-            rows = [self._table[(step_id, goal_id)] for goal_id in goal_ids]
-        except KeyError as exc:
-            where = f"{self.path}: " if self.path is not None else ""
-            raise KeyError(f"{where}no feature row for step {step_id!r}, "
-                           f"goal {exc.args[0][1]!r}") from None
+    def features(
+        self, step_ids: tuple[str, ...], goal_ids: tuple[tuple[str, ...], ...]
+    ) -> np.ndarray:
+        rows = []
+        for step_id, goals in zip(step_ids, goal_ids):
+            for goal_id in goals:
+                row = self._table.get((step_id, goal_id))
+                if row is None:
+                    where = f"{self.path}: " if self.path is not None else ""
+                    raise KeyError(f"{where}no feature row for step {step_id!r}, goal {goal_id!r}")
+                rows.append(row)
         return np.stack(rows) if rows else np.zeros((0, self.dim), dtype=np.float64)
+
+
+def list_features(
+    source: FeatureSource, step_ids: Sequence[str], candidates: Sequence[Sequence[Candidate]]
+) -> list[np.ndarray]:
+    """The feature matrix of each step's candidate list, row-aligned, from
+    one `features` call."""
+    goal_ids = tuple(tuple(goal_id for goal_id, _ in cands) for cands in candidates)
+    feats = source.features(tuple(step_ids), goal_ids)
+    ends = list(accumulate(map(len, goal_ids)))
+    return [feats[end - len(goals) : end] for goals, end in zip(goal_ids, ends)]
 
 
 def load_feature_file(path: str | Path) -> TableFeatureSource:
@@ -379,15 +441,14 @@ def list_scores(model: RerankModel, feats: np.ndarray, sim1s: np.ndarray) -> np.
 
 
 def score_candidates(
-    model: RerankModel, candidates: CandidateList, source: FeatureSource
+    model: RerankModel, candidates: CandidateList, feats: np.ndarray
 ) -> ScoredCandidates:
-    """Score a candidate list with `list_scores` and sort descending, ties by
-    goal_id. An unlinkable model adds the UNLINKABLE entry, whose sim1 is the
-    list's minimum."""
+    """Score a candidate list, whose feature matrix is `feats`, with
+    `list_scores` and sort descending, ties by goal_id. An unlinkable model
+    adds the UNLINKABLE entry, whose sim1 is the list's minimum."""
     if not candidates.entries:
         raise ValueError(f"step {candidates.step_id!r} has an empty candidate list")
     goal_ids, sim1s = zip(*candidates.entries)
-    feats = source.features(candidates.step_id, goal_ids)
     scores = list_scores(model, feats, np.array(sim1s, dtype=np.float64))
     if model.unlinkable_enabled:
         goal_ids, sim1s = goal_ids + (UNLINKABLE,), sim1s + (min(sim1s),)
@@ -444,11 +505,6 @@ class LossGrads:
     grad_w: np.ndarray
     grad_lam: float
     grad_unlinkable: np.ndarray | None
-
-
-def example_features(source: FeatureSource, example: TrainExample) -> np.ndarray:
-    """Feature matrix for the real candidates of one example, row-aligned."""
-    return source.features(example.step_id, tuple(c.goal_id for c in example.candidates))
 
 
 def nll_loss(model: RerankModel, example: TrainExample, feats: np.ndarray) -> LossGrads:
@@ -508,6 +564,12 @@ class TrainResult:
     best_epoch: int
 
 
+def example_features(source: FeatureSource, examples: Sequence[TrainExample]) -> list[np.ndarray]:
+    """The feature matrix of each example's real candidates, row-aligned."""
+    step_ids = [example.step_id for example in examples]
+    return list_features(source, step_ids, [example.candidates for example in examples])
+
+
 def mean_loss(
     model: RerankModel, examples: Sequence[TrainExample], feats: Sequence[np.ndarray]
 ) -> float:
@@ -539,8 +601,8 @@ def train(
         raise ValueError("empty training set")
     model = model.copy()
     rng = np.random.default_rng(seed)
-    feats_cache = [example_features(source, ex) for ex in examples]
-    dev_feats = [example_features(source, ex) for ex in dev_examples] if dev_examples else []
+    feats_cache = example_features(source, examples)
+    dev_feats = example_features(source, dev_examples) if dev_examples else []
 
     curve: list[EpochStats] = []
     best: tuple[float, int, RerankModel] | None = None

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from prockb.corpus import Corpus, corpus_from_records
+from prockb.rerank import list_features, score_candidates
 
 
 def make_corpus(records: list[dict]) -> Corpus:
@@ -53,6 +54,12 @@ def identity_records(n: int = 50, fillers: int = 2) -> tuple[list[dict], dict[st
 
 def _title(i: int) -> str:
     return f"Perform Task{i:02d} Using Widget{i:02d}"
+
+
+def score_list(model, candidates, source):
+    """`score_candidates` on one list, with its features from `source`."""
+    feats = list_features(source, [candidates.step_id], [candidates.entries])[0]
+    return score_candidates(model, candidates, feats)
 
 
 def write_jsonl(path, records) -> None:

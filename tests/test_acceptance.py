@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import identity_records, make_corpus
+from conftest import identity_records, make_corpus, score_list
 from prockb.corpus import corpus_from_records
 from prockb.embedding import cosine, embed_corpus
 from prockb.hierarchy import LinkPipeline, expand, tree_to_dict
@@ -27,7 +27,6 @@ from prockb.rerank import (
     make_training_examples,
     new_model,
     nll_loss,
-    score_candidates,
     train,
 )
 from prockb.retrieval import Candidate, CandidateList, build_index, retrieve_all, topk
@@ -96,7 +95,7 @@ def test_a1_end_to_end_linking_sanity():
         )
 
         rankings = {
-            cand.step_id: score_candidates(result.model, cand, source).ranked_ids()
+            cand.step_id: score_list(result.model, cand, source).ranked_ids()
             for cand in lists
             if cand.step_id in gold
         }
@@ -216,7 +215,7 @@ def test_a4_loss_anchors():
             table = TableFeatureSource(
                 8, {(f"s{step}", f"g{i:02d}"): rng.normal(size=8) for i in range(m)}
             )
-            scored = score_candidates(model, cands, table)
+            scored = score_list(model, cands, table)
             placeholder = [e for e in scored.entries if e.goal_id == UNLINKABLE]
             assert len(placeholder) == 1
             assert placeholder[0].sim1 == min(e.sim1 for e in entries)
@@ -246,7 +245,7 @@ def _recall1(model, examples, source):
     hits = 0
     for ex in examples:
         cands = CandidateList(ex.step_id, ex.candidates)
-        hits += score_candidates(model, cands, source).entries[0].goal_id == ex.gold
+        hits += score_list(model, cands, source).entries[0].goal_id == ex.gold
     return hits / len(examples)
 
 
@@ -282,7 +281,7 @@ def test_a6_identity_reranker():
         model = new_model(7, lam=1.0)  # W = 0
         source = LexicalFeatureSource(corpus)
         for cand in lists:
-            scored = score_candidates(model, cand, source)
+            scored = score_list(model, cand, source)
             assert scored.ranked_ids() == [c.goal_id for c in cand.entries]
             for out, inp in zip(scored.entries, cand.entries):
                 assert out.sim2 == inp.sim1

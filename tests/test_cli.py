@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -727,3 +728,57 @@ def test_config_value_is_checked_by_the_subcommand_run(tmp_path, capsys):
 def test_config_without_path_is_a_usage_error(capsys):
     assert run(["--config"]) == 1
     assert "--config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--batch", "0"), ("--batch", "-3"), ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-inf"),
+     ("--lr", "0"), ("--lr", "-0.5")],
+)
+def test_bad_training_flag_is_a_usage_error(config_commands, tmp_path, capsys, flag, value):
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run([*config_commands["train-reranker"], f"{flag}={value}", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: {flag} must be")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("values", [{"batch": 0}, {"lr": "nan"}, {"lr": -1}],
+                         ids=["batch-0", "lr-nan", "lr-negative"])
+def test_bad_training_config_value_is_a_usage_error(config_commands, tmp_path, capsys, values):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    capsys.readouterr()
+    argv = ["--config", str(config), *config_commands["train-reranker"]]
+    assert run([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: --{next(iter(values))} must be")
+
+
+def test_diverging_training_exits_2_naming_lr(config_commands, tmp_path, capsys):
+    capsys.readouterr()
+    argv = [*config_commands["train-reranker"], "--lr", "1e308", "--epochs", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would end in exit 3
+        assert run([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --lr 1e+308: non-finite training loss")
+    assert not (tmp_path / "out" / "model.txt").exists()
+
+
+@pytest.mark.parametrize("module", ["prockb", "prockb.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    src = str(Path(prockb.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    missing = python_m("retrieve", "--corpus", str(tmp_path / "nope.jsonl"), "--embeddings",
+                       str(tmp_path / "e.txt"), "--out-dir", str(tmp_path / "out"))
+    assert missing.returncode == 2
+    assert "nope.jsonl" in missing.stderr
+    shown = python_m("--help")
+    assert shown.returncode == 0
+    assert shown.stdout.startswith("usage: prockb")

@@ -1,9 +1,16 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_corpus, two_article_records
 from prockb.embedding import (
+    NGRAM_SIZES,
     EmbeddingStore,
+    _SignedBuckets,
     cosine,
     embed_corpus,
     embed_text,
@@ -151,3 +158,79 @@ def test_embed_thread_count_invariance():
         threaded = list(pool.map(lambda t: embed_text(t, 32, 2), texts))
     for u, v in zip(serial, threaded):
         assert u.tobytes() == v.tobytes()
+
+
+# Reference: the embedder as one keyed blake2b call and one += per n-gram
+# occurrence, in text order. The fast path hashes each distinct n-gram once
+# and sums with bincount; the ±1 sums are exact integers, so both must give
+# the same bytes.
+
+def reference_embed(text: str, dim: int, seed: int, lowercase: bool = False) -> np.ndarray:
+    vec = np.zeros(dim, dtype=np.float64)
+    if not text:
+        return vec
+    if lowercase:
+        text = text.lower()
+    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+    padded = f"<{text}>"
+    count = 0
+    for n in NGRAM_SIZES:
+        for i in range(len(padded) - n + 1):
+            digest = hashlib.blake2b(padded[i : i + n].encode("utf-8"), digest_size=8, key=key)
+            h = int.from_bytes(digest.digest(), "little")
+            vec[h % dim] += 1.0 if h & (1 << 63) else -1.0
+            count += 1
+    vec /= count
+    norm = math.sqrt(float(vec @ vec))
+    if norm > 0.0:
+        vec /= norm
+    return vec
+
+
+# Short texts over a few letters (so n-grams repeat within and across texts),
+# with multi-byte characters, case pairs and whitespace.
+_embed_texts = st.text(alphabet="abAB ßİé漢🙂", max_size=12)
+_dims = st.sampled_from([8, 64, 257])
+_seeds = st.sampled_from([0, -1, 2**64 + 3])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_embed_texts, min_size=1, max_size=8), _dims, _seeds, st.booleans())
+def test_embed_text_matches_per_occurrence_reference(texts, dim, seed, lowercase):
+    buckets = _SignedBuckets(dim, seed)
+    for text in texts + texts[:2] + [""]:
+        want = reference_embed(text, dim, seed, lowercase).tobytes()
+        assert embed_text(text, dim, seed, lowercase).tobytes() == want
+        assert embed_text(text, dim, seed, lowercase, buckets).tobytes() == want
+
+
+@st.composite
+def embed_corpora(draw):
+    """Articles whose titles and steps repeat one another's texts."""
+    pool = draw(st.lists(_embed_texts.filter(str.strip), min_size=1, max_size=5))
+    records = []
+    for i in range(draw(st.integers(1, 4))):
+        steps = [{"id": f"s{i}_{j}", "text": draw(st.sampled_from(pool))}
+                 for j in range(draw(st.integers(1, 3)))]
+        records.append({"id": f"g{i}", "title": draw(st.sampled_from(pool)), "steps": steps})
+    return make_corpus(records)
+
+
+@settings(max_examples=60, deadline=None)
+@given(embed_corpora(), _dims, _seeds, st.booleans())
+def test_embed_corpus_matches_per_occurrence_reference(corpus, dim, seed, lowercase):
+    store = embed_corpus(corpus, dim=dim, seed=seed, lowercase=lowercase)
+    texts = {}
+    for article in corpus.articles:
+        texts[article.goal_id] = article.title
+        texts.update((step.step_id, step.text) for step in article.steps)
+    assert store.ids() == list(texts)
+    for row_id, text in texts.items():
+        assert store[row_id].tobytes() == reference_embed(text, dim, seed, lowercase).tobytes()
+
+
+def test_ngram_memo_of_other_settings_is_rejected():
+    with pytest.raises(ValueError, match="memo"):
+        embed_text("camera", 64, 7, buckets=_SignedBuckets(64, 8))
+    with pytest.raises(ValueError, match="memo"):
+        embed_text("camera", 32, 7, buckets=_SignedBuckets(64, 7))

@@ -1,0 +1,150 @@
+"""Golden link chain: build-index -> retrieve -> train-reranker -> link ->
+eval-links -> expand on seeded inputs.
+
+The inputs are built here from one `random.Random`: 10 articles over a
+small vocabulary, where about half the steps paraphrase another article's
+title and are gold-linked to it. Stage 1, stage 2 and training go through
+BLAS sums, so the artifacts are not pinned by raw sha256. Each artifact is
+split into its numbers and the text around them: the text (ids, ranks, link
+outcomes, tree and manifest structure) must match exactly, and every number
+must be within 1e-12 of the pinned one, relative, or absolute near 0. Paths,
+sha256 digests and config hashes are masked out first; the config hashes
+depend on the bytes of the trained weights.
+
+The pinned values are in `golden_link.json`. To re-pin, run this file as a
+script (`PYTHONPATH=src python tests/test_golden_link.py`) and state the
+reason for the change.
+"""
+
+import hashlib
+import json
+import math
+import random
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
+
+from conftest import write_jsonl  # noqa: E402
+from prockb.cli import main  # noqa: E402
+
+GOLDEN = HERE / "golden_link.json"
+WORDS = ["bake", "bread", "wash", "rice", "paint", "fence", "tune", "guitar", "plant",
+         "tomato", "fold", "shirt", "clean", "oven", "build", "shelf", "knead", "dough"]
+ROOTS = ("g1", "g9")
+TOL = 1e-12
+# A decimal number with a fraction or an exponent; integers (ranks, counts) stay in the text.
+NUMBER = re.compile(r"-?\d+(?:\.\d*(?:e[-+]?\d+)?|e[-+]?\d+)")
+MASK = re.compile(r'"(?:[0-9a-f]{64}|[0-9a-f]{16})"')
+
+
+def write_inputs(tmp_path: Path) -> dict[str, Path]:
+    """10 articles of 3-5 steps. A step either copies or paraphrases another
+    article's title (dropping or adding a word, or changing its case), with a
+    gold link to that article, or is a phrase of random words."""
+    rng = random.Random(2207)
+    goal_ids = [f"g{i}" for i in range(10)]
+    titles = {gid: " ".join(rng.sample(WORDS, rng.randint(2, 3))).capitalize() for gid in goal_ids}
+    records, gold = [], []
+    for gid in goal_ids:
+        steps = []
+        for j in range(rng.randint(3, 5)):
+            step_id = f"{gid}s{j}"
+            if rng.random() < 0.55:
+                target = rng.choice([g for g in goal_ids if g != gid])
+                words = titles[target].lower().split()
+                edit = rng.randrange(4)
+                if edit == 1 and len(words) > 2:
+                    words.pop(rng.randrange(len(words)))
+                elif edit == 2:
+                    words.insert(rng.randrange(len(words) + 1), rng.choice(WORDS))
+                text = " ".join(words)
+                steps.append({"id": step_id, "text": text.upper() if edit == 3 else text})
+                gold.append(f"{step_id}\t{target}\n")
+            else:
+                text = " ".join(rng.choices(WORDS, k=rng.randint(1, 4)))
+                steps.append({"id": step_id, "text": text})
+        records.append({"id": gid, "title": titles[gid], "steps": steps})
+    paths = {"corpus": tmp_path / "corpus.jsonl", "gold": tmp_path / "gold.tsv"}
+    write_jsonl(paths["corpus"], records)
+    paths["gold"].write_text("".join(gold), encoding="utf-8")
+    return paths
+
+
+def run_chain(tmp_path: Path) -> dict[str, str]:
+    """Run the chain through `cli.main`; returns every artifact's text, with
+    paths and hex digests masked."""
+    paths = write_inputs(tmp_path)
+    corpus, gold = str(paths["corpus"]), str(paths["gold"])
+    emb = str(tmp_path / "ix" / "embeddings.txt")
+    model = str(tmp_path / "tr" / "model.txt")
+
+    def run(*argv, out):
+        assert main([*argv, "--out-dir", str(tmp_path / out)]) == 0
+
+    run("build-index", "--corpus", corpus, "--dim", "16", "--seed", "5", out="ix")
+    run("retrieve", "--corpus", corpus, "--embeddings", emb, "--k", "4", out="ret")
+    candidates = str(tmp_path / "ret" / "candidates.tsv")
+    run("train-reranker", "--corpus", corpus, "--candidates", candidates, "--gold", gold,
+        "--unlinkable", "--epochs", "4", "--batch", "4", "--seed", "1", out="tr")
+    run("link", "--corpus", corpus, "--embeddings", emb, "--model", model, "--k", "4",
+        "--rankings", out="ln")
+    run("eval-links", "--rankings", str(tmp_path / "ln" / "rankings.tsv"), "--gold", gold,
+        "--ns", "1,2,4", out="ev")
+    for root in ROOTS:
+        run("expand", "--corpus", corpus, "--embeddings", emb, "--model", model, "--k", "4",
+            "--root", root, "--max-depth", "3", out=f"tree_{root}")
+    return {
+        str(p.relative_to(tmp_path)): MASK.sub('"<hex>"', p.read_text(encoding="utf-8").replace(
+            str(tmp_path), "<tmp>"))
+        for p in sorted(tmp_path.glob("*/*"))
+    }
+
+
+def split_numbers(text: str) -> tuple[str, list[float]]:
+    """The text with each decimal number replaced by `{}`, and the numbers."""
+    return NUMBER.sub("{}", text), [float(x) for x in NUMBER.findall(text)]
+
+
+def pin(artifacts: dict[str, str]) -> dict:
+    out = {}
+    for name, text in artifacts.items():
+        skeleton, numbers = split_numbers(text)
+        out[name] = {"text_sha256": hashlib.sha256(skeleton.encode("utf-8")).hexdigest(),
+                     "numbers": numbers}
+    return out
+
+
+def test_link_chain_matches_pinned_values(tmp_path):
+    got = pin(run_chain(tmp_path))
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert sorted(got) == sorted(want)
+    for name, pinned in want.items():
+        assert got[name]["text_sha256"] == pinned["text_sha256"], name
+        assert len(got[name]["numbers"]) == len(pinned["numbers"]), name
+        for i, (a, b) in enumerate(zip(got[name]["numbers"], pinned["numbers"])):
+            assert math.isclose(a, b, rel_tol=TOL, abs_tol=TOL), (name, i, a, b)
+
+
+def test_chain_exercises_links_placeholders_and_trees(tmp_path):
+    artifacts = run_chain(tmp_path)
+    outcomes = [line.split("\t")[1] for line in artifacts["ln/links.tsv"].splitlines()]
+    assert "UNLINKABLE" in outcomes and len(set(outcomes)) > 3
+    for root in ROOTS:
+        tree = json.loads(artifacts[f"tree_{root}/tree.json"])
+        assert any(step["children"] for step in tree["tree"]["steps"]), root
+
+
+def dump(pinned: dict) -> str:
+    """The pinned values as JSON, one artifact per line."""
+    rows = (f"{json.dumps(name)}: {json.dumps(value)}" for name, value in sorted(pinned.items()))
+    return "{\n" + ",\n".join(rows) + "\n}\n"
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        GOLDEN.write_text(dump(pin(run_chain(Path(tmp)))), encoding="utf-8")
+    print(f"wrote {GOLDEN}")

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_corpus
+from conftest import identity_records, make_corpus
+from prockb import hierarchy
 from prockb.embedding import embed_corpus
 from prockb.hierarchy import (
     LinkPipeline,
@@ -200,3 +201,32 @@ def test_link_decisions_are_reused_per_pipeline():
     assert link_step(fresh, "A_s0") == first
     with pytest.raises(AttributeError):
         pipeline.k = 1
+
+
+def test_batched_links_equal_one_step_at_a_time():
+    records, _ = identity_records(30)  # 90 steps: several link blocks
+    model = exact_match_model(unlinkable=True)
+    batched = link_all(make_pipeline(records, model=model, k=5))
+    assert len(batched) > 2 * hierarchy.LINK_BLOCK
+    for decision in batched:
+        alone = make_pipeline(records, model=model, k=5)
+        assert link_step(alone, decision.step_id) == decision
+
+
+def test_expand_links_each_level_in_one_batch(monkeypatch):
+    records, _ = identity_records(6)
+    pipeline = make_pipeline(records)
+    calls = []
+    link_steps = hierarchy.link_steps
+
+    def record(pipeline, step_ids):
+        calls.append(list(step_ids))
+        link_steps(pipeline, calls[-1])
+
+    monkeypatch.setattr(hierarchy, "link_steps", record)
+    tree = expand(pipeline, "a00", max_depth=2)
+    levels: dict[int, list[str]] = {}
+    for goal in sorted(tree.goal_nodes(), key=lambda g: g.depth):
+        if goal.depth < 2:
+            levels.setdefault(goal.depth, []).extend(s.step_id for s in goal.steps)
+    assert levels[1] and calls == [levels[0], levels[1]]

@@ -127,7 +127,8 @@ def test_reranked_recall_bounded_by_stage1_recall_at_k():
 
     from conftest import identity_records
     from prockb.embedding import embed_corpus
-    from prockb.rerank import LexicalFeatureSource, RerankModel, score_candidates
+    from conftest import score_list
+    from prockb.rerank import LexicalFeatureSource, RerankModel
     from prockb.retrieval import build_index, retrieve_all
 
     records, gold = identity_records(25)
@@ -142,7 +143,7 @@ def test_reranked_recall_bounded_by_stage1_recall_at_k():
     rng = np.random.default_rng(0)
     model = RerankModel(w=rng.normal(size=7), lam=0.2)  # arbitrary reranker
     source = LexicalFeatureSource(corpus)
-    reranked = {c.step_id: score_candidates(model, c, source).ranked_ids() for c in lists}
+    reranked = {c.step_id: score_list(model, c, source).ranked_ids() for c in lists}
 
     cap = recall_at(stage1, gold_links, k)
     for n in (1, 2, 4, k):

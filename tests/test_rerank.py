@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_records, make_corpus
+from conftest import identity_records, make_corpus, score_list
 from prockb.corpus import CONTEXT_MODES, StepContext, context_of
 from prockb.errors import DataError
 from prockb.rerank import (
@@ -77,7 +77,7 @@ def lex_corpus():
 
 def test_exact_match_features(lex_corpus):
     source = LexicalFeatureSource(lex_corpus)
-    feats = source.features("t1", ("art1",))[0]
+    feats = source.features(("t1",), (("art1",),))[0]
     assert feats[5] == 1.0  # exact match
     assert feats[1] == 1.0  # token jaccard
     assert feats[0] == 1.0  # bias
@@ -85,7 +85,7 @@ def test_exact_match_features(lex_corpus):
 
 def test_disjoint_tokens(lex_corpus):
     source = LexicalFeatureSource(lex_corpus)
-    feats = source.features("t2", ("art2",))[0]
+    feats = source.features(("t2",), (("art2",),))[0]
     assert feats[1] == 0.0
     assert feats[5] == 0.0
 
@@ -94,14 +94,15 @@ def test_features_finite_and_sized(lex_corpus):
     source = LexicalFeatureSource(lex_corpus, context_mode="both", window=1)
     for step_id in ("t1", "t2", "t3"):
         for goal_id in ("art1", "art2"):
-            feats = source.features(step_id, (goal_id,))[0]
+            feats = source.features((step_id,), ((goal_id,),))[0]
             assert feats.shape == (7,)
             assert np.all(np.isfinite(feats))
 
 
 # Reference: the per-pair feature arithmetic, one (step, goal) at a time with
-# Python sets and Counters. Column 3 sums IDFs in set order, so it may differ
-# from the source in the last bits; every other column must match exactly.
+# Python sets and Counters. Column 3 is I / (S_step + S_goal - I), each IDF
+# sum taken in ascending token-string order as the source documents, so every
+# column can match exactly.
 
 def _jaccard(a: set, b: set) -> float:
     if not a and not b:
@@ -134,8 +135,11 @@ def reference_features(source: LexicalFeatureSource, step_id: str, goal_id: str)
     for text in ctx.prev_steps + ctx.next_steps:
         ctx_tokens |= set(tokenize(text))
 
-    union_idf = sum(source.idf.get(t, 1.0) for t in s_tokens | g_tokens)
-    inter_idf = sum(source.idf.get(t, 1.0) for t in s_tokens & g_tokens)
+    def idf_sum(tokens: set) -> float:
+        return sum(source.idf.get(t, 1.0) for t in sorted(tokens))
+
+    inter_idf = idf_sum(s_tokens & g_tokens)
+    union_idf = idf_sum(s_tokens) + idf_sum(g_tokens) - inter_idf
     n_s, n_g = len(s_tokens), len(g_tokens)
 
     vec = np.zeros(source.dim, dtype=np.float64)
@@ -156,13 +160,13 @@ def assert_blocks_match_reference(corpus, context_mode, window):
     source = LexicalFeatureSource(corpus, context_mode=context_mode, window=window)
     goal_ids = tuple(corpus.goal_ids())
     for step in corpus.steps():
-        got = source.features(step.step_id, goal_ids)
+        got = source.features((step.step_id,), (goal_ids,))
         want = np.stack([reference_features(source, step.step_id, g) for g in goal_ids])
         assert got.shape == (len(goal_ids), 7)
         assert got[:, EXACT_COLUMNS].tobytes() == want[:, EXACT_COLUMNS].tobytes()
         assert np.max(np.abs(got[:, 3] - want[:, 3])) <= 1e-12
         for row, goal_id in zip(got, goal_ids):
-            assert source.features(step.step_id, (goal_id,))[0].tobytes() == row.tobytes()
+            assert source.features((step.step_id,), ((goal_id,),))[0].tobytes() == row.tobytes()
 
 
 @pytest.mark.parametrize("context_mode", CONTEXT_MODES)
@@ -204,6 +208,70 @@ def test_block_matches_reference_on_generated_texts(corpus, context_mode, window
     assert_blocks_match_reference(corpus, context_mode, window)
 
 
+@st.composite
+def word_corpora(draw):
+    """Titles and steps of 1-5 words from a small vocabulary: many shared
+    tokens with distinct IDFs, so column 3's summation order shows."""
+    words = st.lists(st.sampled_from("oven bake peel stone wedge golden rice wash".split()),
+                     min_size=1, max_size=5).map(" ".join)
+    records = []
+    for i in range(draw(st.integers(2, 6))):
+        steps = [{"id": f"s{i}_{j}", "text": draw(words)} for j in range(draw(st.integers(1, 3)))]
+        records.append({"id": f"g{i}", "title": draw(words), "steps": steps})
+    return make_corpus(records)
+
+
+@st.composite
+def feature_batches(draw):
+    """A corpus and a batch of candidate lists over it. Steps and goals
+    repeat, lists may be empty, and one list names a goal twice."""
+    corpus = draw(st.one_of(text_corpora(), word_corpora()))
+    step_ids = [step.step_id for step in corpus.steps()]
+    goals = st.lists(st.sampled_from(corpus.goal_ids()), max_size=5).map(tuple)
+    lists = draw(st.lists(st.tuples(st.sampled_from(step_ids), goals), min_size=1, max_size=9))
+    twice = draw(st.sampled_from(corpus.goal_ids()))
+    at = draw(st.integers(0, len(lists)))
+    lists.insert(at, (draw(st.sampled_from(step_ids)), (twice, twice)))
+    step_batch, goal_batch = zip(*lists)
+    return corpus, step_batch, goal_batch
+
+
+@settings(max_examples=80, deadline=None)
+@given(feature_batches(), st.sampled_from(CONTEXT_MODES), st.integers(1, 2), st.integers(1, 4),
+       st.data())
+def test_batch_rows_match_reference_in_any_split(batch, context_mode, window, block, data):
+    corpus, step_ids, goal_ids = batch
+    source = LexicalFeatureSource(corpus, context_mode=context_mode, window=window)
+    source.block = block  # several blocks per batch
+    got = source.features(step_ids, goal_ids)
+    want = [reference_features(source, step_id, goal_id)
+            for step_id, goals in zip(step_ids, goal_ids) for goal_id in goals]
+    assert got.shape == (len(want), 7)
+    for row, ref in zip(got, want):
+        assert row.tobytes() == ref.tobytes()
+
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(step_ids)), max_size=3)))
+    bounds = list(zip([0] + cuts, cuts + [len(step_ids)]))
+    fresh = LexicalFeatureSource(corpus, context_mode=context_mode, window=window)
+    parts = [fresh.features(step_ids[a:b], goal_ids[a:b]) for a, b in reversed(bounds)]
+    assert np.concatenate(parts[::-1]).tobytes() == got.tobytes()
+
+
+def test_table_batch_stacks_rows_and_names_a_missing_one(tmp_path):
+    rng = np.random.default_rng(8)
+    rows = [(s, g, rng.normal(size=4)) for s in ("s1", "s2") for g in ("g1", "g2")]
+    path = tmp_path / "features.txt"
+    write_feature_file(path, 4, rows)
+    source = load_feature_file(path)
+    table = dict(((s, g), vec) for s, g, vec in rows)
+    got = source.features(("s2", "s1", "s2"), (("g2", "g1"), (), ("g2",)))
+    want = np.stack([table["s2", "g2"], table["s2", "g1"], table["s2", "g2"]])
+    assert got.tobytes() == want.tobytes()
+    with pytest.raises(KeyError) as info:
+        source.features(("s1", "s2"), (("g1",), ("g2", "g9")))
+    assert str(info.value) == repr(f"{path}: no feature row for step 's2', goal 'g9'")
+
+
 def test_blocks_do_not_depend_on_warm_up_order():
     records, _ = identity_records(12)
     corpus = make_corpus(records)
@@ -212,18 +280,18 @@ def test_blocks_do_not_depend_on_warm_up_order():
     forward = LexicalFeatureSource(corpus, context_mode="both")
     backward = LexicalFeatureSource(corpus, context_mode="both")
     for step_id in step_ids:
-        forward.features(step_id, goal_ids)
+        forward.features((step_id,), (goal_ids,))
     for step_id in reversed(step_ids):
-        backward.features(step_id, goal_ids[::-1])
+        backward.features((step_id,), (goal_ids[::-1],))
     for step_id in step_ids:
-        want = forward.features(step_id, goal_ids)
-        assert backward.features(step_id, goal_ids).tobytes() == want.tobytes()
+        want = forward.features((step_id,), (goal_ids,))
+        assert backward.features((step_id,), (goal_ids,)).tobytes() == want.tobytes()
 
 
 def test_empty_block_has_model_width(lex_corpus):
     source = LexicalFeatureSource(lex_corpus)
-    assert source.features("t1", ()).shape == (0, 7)
-    assert TableFeatureSource(8, {}).features("t1", ()).shape == (0, 8)
+    assert source.features(("t1",), ((),)).shape == (0, 7)
+    assert TableFeatureSource(8, {}).features(("t1",), ((),)).shape == (0, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +322,7 @@ def test_identity_reranker_preserves_stage1_order():
         entries=(Candidate("ga", 0.9), Candidate("gb", 0.5), Candidate("gc", 0.3)),
     )
     model = new_model(8, lam=1.0)
-    scored = score_candidates(model, cands, zero_table("s", ["ga", "gb", "gc"]))
+    scored = score_list(model, cands, zero_table("s", ["ga", "gb", "gc"]))
     assert scored.ranked_ids() == ["ga", "gb", "gc"]
     assert [e.sim2 for e in scored.entries] == [0.9, 0.5, 0.3]
 
@@ -265,12 +333,12 @@ def test_unlinkable_entry_gets_min_sim1():
         entries=(Candidate("ga", 0.9), Candidate("gb", 0.5), Candidate("gc", 0.3)),
     )
     model = new_model(8, lam=1.0, unlinkable=True)
-    scored = score_candidates(model, cands, zero_table("s", ["ga", "gb", "gc"]))
+    scored = score_list(model, cands, zero_table("s", ["ga", "gb", "gc"]))
     placeholder = [e for e in scored.entries if e.goal_id == UNLINKABLE]
     assert len(placeholder) == 1
     assert placeholder[0].sim1 == 0.3
 
-    plain = score_candidates(new_model(8), cands, zero_table("s", ["ga", "gb", "gc"]))
+    plain = score_list(new_model(8), cands, zero_table("s", ["ga", "gb", "gc"]))
     assert UNLINKABLE not in plain.ranked_ids()
 
 
@@ -282,8 +350,9 @@ def test_top1_is_argmax_of_per_pair_sim2():
     entries = tuple(Candidate(g, float(rng.uniform(-1, 1))) for g in goal_ids)
     cands = CandidateList(step_id="s", entries=entries)
     model = RerankModel(w=rng.normal(size=8), lam=float(rng.normal()))
-    scored = score_candidates(model, cands, source)
-    sim2s = list_scores(model, source.features("s", goal_ids), np.array([s1 for _, s1 in entries]))
+    scored = score_list(model, cands, source)
+    feats = source.features(("s",), (goal_ids,))
+    sim2s = list_scores(model, feats, np.array([s1 for _, s1 in entries]))
     per_pair = dict(zip(goal_ids, sim2s.tolist()))
     assert scored.entries[0].goal_id == max(per_pair, key=lambda g: (per_pair[g], g))
     assert scored.entries[0].sim2 == max(per_pair.values())
@@ -334,7 +403,7 @@ def test_score_candidates_order_matches_per_row_arithmetic(case):
     model, feats, sim1s = case
     goal_ids = [f"g{i}" for i in range(len(sim1s))]
     source = TableFeatureSource(model.dim, {("s", g): row for g, row in zip(goal_ids, feats)})
-    scored = score_candidates(model, CandidateList("s", tuple(zip(goal_ids, sim1s.tolist()))), source)
+    scored = score_list(model, CandidateList("s", tuple(zip(goal_ids, sim1s.tolist()))), source)
     slots = list(zip(goal_ids, sim1s.tolist()))
     if model.unlinkable_enabled:
         slots.append((UNLINKABLE, min(sim1s.tolist())))
@@ -344,7 +413,7 @@ def test_score_candidates_order_matches_per_row_arithmetic(case):
 
 def test_score_candidates_empty_list():
     with pytest.raises(ValueError, match="empty"):
-        score_candidates(new_model(8), CandidateList("s", ()), zero_table("s", []))
+        score_candidates(new_model(8), CandidateList("s", ()), np.zeros((0, 8)))
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +580,7 @@ def rerank_recall_at_1(model, examples, source):
     hits = 0
     for example in examples:
         cands = CandidateList(example.step_id, example.candidates)
-        scored = score_candidates(model, cands, source)
+        scored = score_list(model, cands, source)
         hits += scored.entries[0].goal_id == example.gold
     return hits / len(examples)
 
@@ -653,9 +722,9 @@ def test_feature_file_round_trip(tmp_path):
     source = load_feature_file(path)
     assert source.dim == 8
     for step_id, goal_id, vec in rows:
-        assert source.features(step_id, (goal_id,))[0].tobytes() == vec.tobytes()
+        assert source.features((step_id,), ((goal_id,),))[0].tobytes() == vec.tobytes()
     with pytest.raises(KeyError, match=r"s1.*g9"):
-        source.features("s1", ("g1", "g9"))
+        source.features(("s1",), (("g1", "g9"),))
 
 
 def test_feature_file_validation(tmp_path):
