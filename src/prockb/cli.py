@@ -315,6 +315,11 @@ def _video_index(args, videos):
 
 
 def cmd_vr_filter(args) -> None:
+    for flag, weight in (("--wg", args.wg), ("--ws", args.ws)):
+        if not math.isfinite(weight):
+            raise UsageError(f"{flag} must be a finite number, got {weight!r}")
+    if args.cap < 0:
+        raise UsageError(f"--cap must be >= 0, got {args.cap}")
     out = _out_dir(args)
     corpus = load_corpus(args.corpus)
     videos = load_videos(args.videos)

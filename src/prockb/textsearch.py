@@ -8,6 +8,8 @@ b=0.75. Indexes are immutable once built; queries may run concurrently.
 import json
 import math
 import re
+from itertools import accumulate, chain
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,8 +53,8 @@ class TextIndex:
         stopwords: Iterable[str] | bool | None = None,
         stem: bool = False,
     ):
-        if k1 <= 0:
-            raise ValueError(f"k1 must be > 0, got {k1}")
+        if not (math.isfinite(k1) and k1 > 0):
+            raise ValueError(f"k1 must be a finite number > 0, got {k1}")
         if not 0.0 <= b <= 1.0:
             raise ValueError(f"b must be in [0, 1], got {b}")
         self.k1 = k1
@@ -82,35 +84,54 @@ class TextIndex:
                 bucket[idx] = bucket.get(idx, 0) + 1
 
         # Docs are numbered in input order, so each bucket's keys ascend.
-        postings = {
-            term: (np.fromiter(bucket, dtype=np.int64, count=len(bucket)),
-                   np.fromiter(bucket.values(), dtype=np.float64, count=len(bucket)))
-            for term, bucket in raw_postings.items()
-        }
-        self._finalise(doc_ids, positions, lengths, postings)
+        buckets = raw_postings.values()
+        dfs = list(map(len, buckets))
+        n_postings = sum(dfs)
+        self._finalise(
+            doc_ids, positions, lengths, list(raw_postings), dfs,
+            np.fromiter(chain.from_iterable(buckets), dtype=np.int64, count=n_postings),
+            np.fromiter(chain.from_iterable(map(dict.values, buckets)), dtype=np.float64,
+                        count=n_postings),
+        )
 
     def _finalise(
         self,
         doc_ids: list[str],
         positions: dict[str, int],
         lengths: Sequence[int],
-        postings: dict[str, tuple[np.ndarray, np.ndarray]],
+        terms: list[str],
+        dfs: list[int],
+        idxs: np.ndarray,
+        tfs: np.ndarray,
     ) -> None:
-        """Set the document table and the statistics BM25 derives from it.
+        """Set the document table, the postings and the statistics BM25
+        derives from them.
 
-        `positions` maps each doc id to its index in `doc_ids`; each posting
-        is (doc indexes ascending, term frequencies).
+        `positions` maps each doc id to its index in `doc_ids`. The postings
+        are flat: `terms[t]` owns the next `dfs[t]` entries of `idxs` (doc
+        indexes, ascending) and `tfs` (term frequencies). Each posting's BM25
+        weight, idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)),
+        is computed here, once, in one pass over the flat arrays.
         """
         self.doc_ids = doc_ids
         self.positions = positions
         self.doc_lens = np.array(lengths, dtype=np.float64)
         self.n_docs = len(doc_ids)
         self.avgdl = float(self.doc_lens.mean()) if self.n_docs else 0.0
-        self._avgdl_safe = self.avgdl if self.avgdl > 0.0 else 1.0
         # Ranks of doc ids in ascending order, for deterministic tie-breaks.
         self.id_rank = np.empty(self.n_docs, dtype=np.int64)
         self.id_rank[sorted(range(self.n_docs), key=doc_ids.__getitem__)] = np.arange(self.n_docs)
-        self._postings = postings
+
+        # math.log per term, as idf() computes it; np.log may differ in the last bit.
+        idfs = np.array([self._idf(df) for df in dfs], dtype=np.float64)
+        avgdl = self.avgdl if self.avgdl > 0.0 else 1.0
+        dl = self.doc_lens[idxs]
+        denom = tfs + self.k1 * (1.0 - self.b + self.b * dl / avgdl)
+        self._idxs = idxs
+        self._tfs = tfs
+        self._weights = np.repeat(idfs, dfs) * tfs * (self.k1 + 1.0) / denom
+        ends = list(accumulate(dfs))
+        self._spans = {term: slice(end - df, end) for term, df, end in zip(terms, dfs, ends)}
 
     def _analyze(self, text: str) -> list[str]:
         tokens = tokenize(text)
@@ -120,18 +141,19 @@ class TextIndex:
             tokens = [t for t in tokens if t not in self.stopwords]
         return tokens
 
-    def idf(self, term: str) -> float:
-        posting = self._postings.get(term)
-        if posting is None:
-            return 0.0
-        df = len(posting[0])
+    def _idf(self, df: int) -> float:
         return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
 
+    def idf(self, term: str) -> float:
+        span = self._spans.get(term)
+        return 0.0 if span is None else self._idf(span.stop - span.start)
+
     def postings_for(self, term: str) -> list[tuple[str, int]]:
-        posting = self._postings.get(term)
-        if posting is None:
+        span = self._spans.get(term)
+        if span is None:
             return []
-        pairs = [(self.doc_ids[i], int(tf)) for i, tf in zip(posting[0], posting[1])]
+        pairs = zip(map(self.doc_ids.__getitem__, self._idxs[span].tolist()),
+                    self._tfs[span].astype(np.int64).tolist())
         return sorted(pairs)
 
     def doc_length(self, doc_id: str) -> int:
@@ -146,31 +168,25 @@ class TextIndex:
     def score(self, query: str, doc_id: str) -> float:
         """Okapi BM25 of one document against a query; additive over terms."""
         idx = self.doc_idx(doc_id)
-        dl = float(self.doc_lens[idx])
-        denom_norm = self.k1 * (1.0 - self.b + self.b * dl / self._avgdl_safe)
         total = 0.0
         for term in self._analyze(query):
-            posting = self._postings.get(term)
-            if posting is None:
+            span = self._spans.get(term)
+            if span is None:
                 continue
-            pos = int(np.searchsorted(posting[0], idx))
-            if pos >= len(posting[0]) or posting[0][pos] != idx:
-                continue
-            tf = float(posting[1][pos])
-            total += self.idf(term) * tf * (self.k1 + 1.0) / (tf + denom_norm)
+            idxs = self._idxs[span]
+            pos = int(np.searchsorted(idxs, idx))
+            if pos < len(idxs) and idxs[pos] == idx:
+                total += float(self._weights[span][pos])
         return total
 
     def score_all(self, query: str) -> np.ndarray:
-        """BM25 of every indexed document against a query."""
+        """BM25 of every indexed document against a query: one scatter-add
+        of precomputed weights per query term, in query order."""
         scores = np.zeros(self.n_docs, dtype=np.float64)
         for term in self._analyze(query):
-            posting = self._postings.get(term)
-            if posting is None:
-                continue
-            idxs, tfs = posting
-            dl = self.doc_lens[idxs]
-            denom = tfs + self.k1 * (1.0 - self.b + self.b * dl / self._avgdl_safe)
-            scores[idxs] += self.idf(term) * tfs * (self.k1 + 1.0) / denom
+            span = self._spans.get(term)
+            if span is not None:
+                scores[self._idxs[span]] += self._weights[span]
         return scores
 
     def ranked(self, query: str, n: int) -> list[tuple[str, float]]:
@@ -182,16 +198,15 @@ class TextIndex:
         return [(self.doc_ids[i], float(scores[i])) for i in order[: min(n, self.n_docs)]]
 
     def to_json(self) -> str:
+        pairs = list(map(list, zip(map(self.doc_ids.__getitem__, self._idxs.tolist()),
+                                   self._tfs.astype(np.int64).tolist())))
         payload = {
             "k1": self.k1,
             "b": self.b,
             "stem": self.stem,
             "stopwords": sorted(self.stopwords) if self.stopwords is not None else None,
-            "docs": [[doc_id, int(self.doc_lens[i])] for i, doc_id in enumerate(self.doc_ids)],
-            "postings": {
-                term: [[self.doc_ids[i], int(tf)] for i, tf in zip(idxs, tfs)]
-                for term, (idxs, tfs) in sorted(self._postings.items())
-            },
+            "docs": list(map(list, zip(self.doc_ids, self.doc_lens.astype(np.int64).tolist()))),
+            "postings": {term: pairs[span] for term, span in self._spans.items()},
         }
         return json.dumps(payload, sort_keys=True, ensure_ascii=False)
 
@@ -254,19 +269,23 @@ class TextIndex:
         ):
             raise fail("postings must map each term to a non-empty list of [doc_id, tf] pairs")
         terms = list(postings)
-        flat = [pair for pairs in postings.values() for pair in pairs]
+        dfs = list(map(len, postings.values()))
+        flat = list(chain.from_iterable(postings.values()))
         try:
-            idxs = np.array([positions[doc_id] for doc_id, _ in flat], dtype=np.int64)
+            if not set(map(len, flat)) <= {2}:
+                raise TypeError  # a pair of another length
+            idxs = np.fromiter(map(positions.__getitem__, map(itemgetter(0), flat)),
+                               dtype=np.int64, count=len(flat))
         except KeyError as exc:
             raise fail(f"posting of unknown doc {exc.args[0]!r}") from None
-        except (TypeError, ValueError):
+        except TypeError:
             raise fail("postings must be [doc_id, tf] pairs") from None
-        tf_list = [tf for _, tf in flat]
-        if tf_list and (set(map(type, tf_list)) != {int} or min(tf_list) < 1):
+        tf_list = list(map(itemgetter(1), flat))
+        tfs = np.array(tf_list, dtype=np.float64) if set(map(type, tf_list)) <= {int} else None
+        if tfs is None or (tfs < 1).any():
             raise fail("tf must be a positive integer")
-        tfs = np.array(tf_list, dtype=np.float64)
-        ends = np.cumsum([len(postings[term]) for term in terms], dtype=np.int64)
-        starts = np.concatenate(([0], ends[:-1]))
+        ends = np.cumsum(dfs, dtype=np.int64)
+        starts = ends - dfs
         # Positions where a doc index does not rise, other than a term's first.
         unsorted = np.flatnonzero(np.diff(idxs) <= 0) + 1
         unsorted = unsorted[~np.isin(unsorted, starts)]
@@ -283,8 +302,6 @@ class TextIndex:
         if len(wrong):
             i = int(wrong[0])
             raise fail(f"doc {doc_ids[i]!r} has length {lengths[i]} but its tfs sum to {int(sums[i])}")
-        index._finalise(doc_ids, positions, lengths, {
-            term: (idxs[s:e], tfs[s:e]) for term, s, e in zip(terms, starts, ends)
-        })
+        index._finalise(doc_ids, positions, lengths, terms, dfs, idxs, tfs)
         return index
 

@@ -43,6 +43,9 @@ L1_WEIGHTS = (1.0, 0.1)
 FIL_WEIGHTS = (1.0, 0.5)
 DEFAULT_CAP = 15
 DEFAULT_VIDEO_RATIOS = (7.5, 1.25, 1.25)
+# Cells (tied entries x pool size) that relevant_ranks compares at once: a
+# round can tie hundreds of relevant entries, and each one copies its row.
+TIE_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -186,21 +189,31 @@ def rel(index: TextIndex, query: Query, video_id: str) -> float:
 
 
 def relevant_ranks(scores: np.ndarray, rel_idx: np.ndarray, id_rank: np.ndarray) -> np.ndarray:
-    """1-based ranks of the positions `rel_idx` in the order (score desc,
-    `id_rank` asc), equal to their places in
-    ``np.lexsort((id_rank, -scores))`` without sorting by two keys.
+    """1-based ranks of the columns `rel_idx` in each row of the (m, N)
+    block `scores`, in the order (score desc, `id_rank` asc): row i of the
+    result equals the places of `rel_idx` in
+    ``np.lexsort((id_rank, -scores[i]))``, without sorting by two keys.
 
-    A position's rank is 1 + the count of higher scores + the count of equal
-    scores with a lower `id_rank`; the last term is counted only for scores
-    that some other position shares.
+    A column's rank is 1 + the count of higher scores in its row + the count
+    of equal scores with a lower `id_rank`. The whole block is sorted once;
+    a relevant score has an equal in its row exactly when the sorted entry
+    just below its last copy is equal, and only those tied entries are
+    compared with their rows, TIE_CELLS row cells at a time.
     """
-    ordered = np.sort(scores)
-    rel_scores = scores[rel_idx]
-    left = ordered.searchsorted(rel_scores, "left")
-    right = ordered.searchsorted(rel_scores, "right")
-    ranks = len(scores) - right + 1
-    for j in np.flatnonzero(right - left > 1):
-        ranks[j] += np.count_nonzero((scores == rel_scores[j]) & (id_rank < id_rank[rel_idx[j]]))
+    m, n = scores.shape
+    ordered = np.sort(scores, axis=1)
+    rel_scores = scores[:, rel_idx]
+    right = np.array([row.searchsorted(values, "right") for row, values in zip(ordered, rel_scores)],
+                     dtype=np.int64).reshape(rel_scores.shape)
+    ranks = n - right + 1
+    below = ordered[np.arange(m)[:, None], np.maximum(right - 2, 0)]
+    ti, tj = np.nonzero((right >= 2) & (below == rel_scores))
+    step = max(1, TIE_CELLS // max(n, 1))
+    for start in range(0, len(ti), step):
+        i, j = ti[start : start + step], tj[start : start + step]
+        equal = scores[i] == rel_scores[i, j][:, None]
+        lower = id_rank < id_rank[rel_idx[j]][:, None]
+        ranks[i, j] += np.count_nonzero(equal & lower, axis=1)
     return ranks
 
 
@@ -237,7 +250,7 @@ def rank_videos(
     if index.n_docs == 0:
         raise ValueError("cannot rank an empty video pool")
     rel_idx = np.array([index.doc_idx(v) for v in relevant_ids], dtype=np.int64)
-    return relevant_ranks(scorer.query_scores(query), rel_idx, index.id_rank).tolist()
+    return relevant_ranks(scorer.query_scores(query)[None, :], rel_idx, index.id_rank)[0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +274,7 @@ class FilterTrace:
 def hill_climb(
     goal_text: str,
     candidates: Sequence[str],
-    cost_fn: Callable[[list[str]], float],
+    cost_fn: Callable[[list[list[str]]], Sequence[float]],
     cap: int = DEFAULT_CAP,
 ) -> FilterTrace:
     """Greedy clause selection.
@@ -270,21 +283,22 @@ def hill_climb(
     candidate, take the cheapest (first one wins ties), and accept it only if
     it strictly beats the best cost so far; otherwise stop. The round counter
     runs from min(n, cap) down to 0 inclusive.
+
+    `cost_fn` takes a list of clause lists and returns their costs: it is
+    called once for the baseline [[goal]] and once per round with every
+    trial of that round.
     """
     best_query = [goal_text]
-    min_cost = cost_fn(best_query)
+    min_cost = cost_fn([best_query])[0]
     accepted = [min_cost]
     r = min(len(candidates), cap)
     rounds = 0
     while r >= 0:
         rounds += 1
+        trials = [best_query + [cand] for cand in candidates if cand not in best_query]
         in_cost = math.inf
         in_query: list[str] | None = None
-        for cand in candidates:
-            if cand in best_query:
-                continue
-            trial = best_query + [cand]
-            cost = cost_fn(trial)
+        for trial, cost in zip(trials, cost_fn(trials) if trials else ()):
             if cost < in_cost:
                 in_cost = cost
                 in_query = trial
@@ -304,12 +318,13 @@ def make_cost_fn(
     w_g: float,
     w_s: float,
     kind: str = "mean_rank",
-) -> Callable[[list[str]], float]:
-    """Cost of a clause list over a set of relevant videos.
+) -> Callable[[list[list[str]]], list[float]]:
+    """Costs of clause lists over a set of relevant videos.
 
-    mean_rank: average rank of the relevant videos in the full-pool ranking
-    (lower is better). neg_recall50: negative fraction of relevant videos
-    ranked in the top 50.
+    The returned function takes a list of trials, each a clause list (goal
+    first), and returns one cost per trial. mean_rank: average rank of the
+    relevant videos in the full-pool ranking (lower is better).
+    neg_recall50: negative fraction of relevant videos ranked in the top 50.
     """
     if kind not in ("mean_rank", "neg_recall50"):
         raise ValueError(f"unknown cost kind {kind!r}")
@@ -320,25 +335,29 @@ def make_cost_fn(
     head: list[str] = []
     head_scores = np.zeros(0)
 
-    def cost(clauses: list[str]) -> float:
-        # A trial is the accepted clauses plus one candidate: the scores of
-        # everything but the last clause are kept, and query_scores adds
-        # clauses left to right, so this sum is the same one bit for bit.
+    def costs(trials: list[list[str]]) -> list[float]:
+        # A trial is the accepted clauses (its head) plus one candidate. Its
+        # row is w_s * clause_scores + head_scores; query_scores adds clauses
+        # left to right, and addition commutes, so the row is that sum bit
+        # for bit.
         nonlocal head, head_scores
-        if len(clauses) == 1:
-            scores = w_g * scorer.clause_scores(clauses[0])
-        else:
+        block = np.empty((len(trials), index.n_docs))
+        for row, clauses in zip(block, trials):
+            if len(clauses) == 1:
+                np.multiply(w_g, scorer.clause_scores(clauses[0]), out=row)
+                continue
             if clauses[:-1] != head:
                 head = clauses[:-1]
                 head_scores = scorer.query_scores(
                     Query("", head[0], tuple(head[1:]), w_g=w_g, w_s=w_s, level=""))
-            scores = head_scores + w_s * scorer.clause_scores(clauses[-1])
-        rel_ranks = relevant_ranks(scores, rel_idx, index.id_rank)
+            np.multiply(w_s, scorer.clause_scores(clauses[-1]), out=row)
+            row += head_scores
+        ranks = relevant_ranks(block, rel_idx, index.id_rank)
         if kind == "mean_rank":
-            return float(rel_ranks.mean())
-        return -float((rel_ranks <= 50).sum() / len(rel_ranks))
+            return (ranks.sum(axis=1) / len(rel_idx)).tolist()
+        return (-((ranks <= 50).sum(axis=1) / len(rel_idx))).tolist()
 
-    return cost
+    return costs
 
 
 def filter_steps(

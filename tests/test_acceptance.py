@@ -338,7 +338,7 @@ def test_a8_filter_contract():
         cost_fn = make_cost_fn(index, train, w_g=1.0, w_s=0.5)
 
         # the step whose tokens appear only in the training captions wins round 1
-        singles = [cost_fn(["locate the target", c]) for c in candidates]
+        singles = cost_fn([["locate the target", c] for c in candidates])
         oracle_first = candidates[min(range(len(candidates)), key=lambda i: singles[i])]
         assert oracle_first == "zebra quortex session"
 
@@ -351,7 +351,8 @@ def test_a8_filter_contract():
 
         # loop bound: 40 always-improving candidates accept min(40, 15) + 1
         many = [f"clause {i}" for i in range(40)]
-        bound_trace = hill_climb("goal", many, cost_fn=lambda clauses: -len(clauses))
+        bound_trace = hill_climb("goal", many,
+                                 cost_fn=lambda trials: [-len(clauses) for clauses in trials])
         assert len(bound_trace.clauses) == 16
         assert all(
             a > b for a, b in zip(bound_trace.accepted_costs, bound_trace.accepted_costs[1:])

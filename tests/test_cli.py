@@ -782,3 +782,47 @@ def test_python_dash_m_runs_the_cli(tmp_path, module):
     shown = python_m("--help")
     assert shown.returncode == 0
     assert shown.stdout.startswith("usage: prockb")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["vr-index", "vr-eval"])
+def test_non_finite_k1_exits_2(tmp_path, capsys, command, value):
+    corpus_path, videos_path = vr_fixture(tmp_path)
+    argv = [command, "--videos", str(videos_path), f"--k1={value}"]
+    if command == "vr-eval":
+        argv += ["--corpus", str(corpus_path)]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run([*argv, "--out-dir", str(out)]) == 2
+    assert f"k1 must be a finite number > 0, got {value}" in capsys.readouterr().err
+    assert not any(out.glob("*"))
+
+
+@pytest.fixture
+def vr_filter_argv(tmp_path):
+    corpus_path, videos_path = vr_fixture(tmp_path)
+    return ["vr-filter", "--videos", str(videos_path), "--corpus", str(corpus_path)]
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--wg", "nan"), ("--wg", "inf"), ("--ws", "nan"), ("--ws", "-inf"), ("--cap", "-1")],
+)
+def test_bad_vr_filter_flag_is_a_usage_error(vr_filter_argv, tmp_path, capsys, flag, value):
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run([*vr_filter_argv, f"{flag}={value}", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: {flag} must be")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("values", [{"wg": "inf"}, {"ws": "nan"}, {"cap": -1}],
+                         ids=["wg-inf", "ws-nan", "cap-negative"])
+def test_bad_vr_filter_config_value_is_a_usage_error(vr_filter_argv, tmp_path, capsys, values):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(["--config", str(config), *vr_filter_argv, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: --{next(iter(values))} must be")
+    assert not out.exists()

@@ -4,15 +4,23 @@ The inputs are built here from one `random.Random`, over a six-word
 vocabulary so that many videos share a score. Every data artifact (not the
 manifests) must have the pinned sha256. These artifacts involve no BLAS sums,
 so the hashes hold on any numpy build; a change to them is a change in what
-the chain computes, and any re-pin needs its reason stated.
+the chain computes, and any re-pin needs its reason stated. To print the
+hashes for a re-pin, run this file as a script
+(`PYTHONPATH=src python tests/test_golden_video.py`).
 """
 
 import hashlib
 import json
 import random
+import sys
+import tempfile
+from pathlib import Path
 
-from conftest import write_jsonl
-from prockb.cli import main
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
+
+from conftest import write_jsonl  # noqa: E402
+from prockb.cli import main  # noqa: E402
 
 WORDS = ["oven", "bake", "peel", "stone", "wedge", "golden"]
 
@@ -31,6 +39,10 @@ GOLDEN = {
         "e7260dfa5e0fac1f0a26e2bfd20119ddbc30fe413650f0bb53fe71442b0ba564",
     "ve_FIL_L2/vr_metrics.tsv":
         "0e0bef1d9f584e31277ccd1c1917931ea00f5b0305fd2dff258672207d76f753",
+    "vf_FIL_L2_recall_cap2/queries.json":
+        "3c9316486f00dc9c75c129e23fb33cdb6da48eee41a8bbf99ec8f8a47af17a3e",
+    "ve_FIL_L2_recall_cap2/vr_metrics.tsv":
+        "35f123b829a04988b60cd4933c9a73acdd959ef0b37868c1d7dbd2e0488db167",
 }
 
 
@@ -63,7 +75,8 @@ def write_inputs(tmp_path):
     return paths
 
 
-def test_video_chain_artifacts_are_pinned(tmp_path):
+def run_chain(tmp_path):
+    """Run the chain into `tmp_path`; returns the sha256 of each pinned artifact."""
     paths = write_inputs(tmp_path)
     corpus, videos, links = (str(paths[n]) for n in ("corpus.jsonl", "videos.jsonl", "links.tsv"))
     index = str(tmp_path / "vix" / "vr_index.json")
@@ -71,17 +84,29 @@ def test_video_chain_artifacts_are_pinned(tmp_path):
     def run(*argv, out):
         assert main([*argv, "--out-dir", str(tmp_path / out)]) == 0
 
+    def filtered(level, out, *flags):
+        run("vr-filter", "--videos", videos, "--corpus", corpus, "--level", level,
+            "--index", index, "--links", links, *flags, out=f"vf_{out}")
+        run("vr-eval", "--videos", videos, "--index", index,
+            "--queries", str(tmp_path / f"vf_{out}" / "queries.json"), out=f"ve_{out}")
+
     run("vr-index", "--videos", videos, out="vix")
     for level in ("FIL_L1", "FIL_L2"):
-        run("vr-filter", "--videos", videos, "--corpus", corpus, "--level", level,
-            "--index", index, "--links", links, out=f"vf_{level}")
-        run("vr-eval", "--videos", videos, "--index", index,
-            "--queries", str(tmp_path / f"vf_{level}" / "queries.json"), out=f"ve_{level}")
+        filtered(level, level)
+    filtered("FIL_L2", "FIL_L2_recall_cap2", "--cost", "neg_recall50", "--cap", "2")
     for level in ("L0", "L1"):
         run("vr-eval", "--videos", videos, "--corpus", corpus, "--level", level,
             "--index", index, out=f"ve_{level}")
+    return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN}
 
-    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN}
-    assert got == GOLDEN
+
+def test_video_chain_artifacts_are_pinned(tmp_path):
+    assert run_chain(tmp_path) == GOLDEN
     queries = json.loads((tmp_path / "vf_FIL_L2" / "queries.json").read_text())
     assert any(q["steps"] for q in queries), "the filter should accept some step"
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, digest in run_chain(Path(tmp)).items():
+            print(f"    {name!r}:\n        {digest!r},")

@@ -1,7 +1,11 @@
 import json
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prockb.errors import DataError
 from prockb.textsearch import (
@@ -192,3 +196,37 @@ def test_json_load_sorts_postings_out_of_doc_order():
     clone = TextIndex.from_json(json.dumps(payload))
     for query in ("w1 w4", "w2 w3 w5"):
         assert clone.ranked(query, 12) == index.ranked(query, 12)
+
+
+def per_posting_scores(index, query_terms):
+    """BM25 of every doc, one posting at a time with Python floats, adding
+    each query term's contributions in query order."""
+    scores = [0.0] * index.n_docs
+    avgdl = index.avgdl if index.avgdl > 0.0 else 1.0
+    k1, b = index.k1, index.b
+    for term in query_terms:
+        postings = index.postings_for(term)
+        df = len(postings)
+        idf = math.log(1.0 + (index.n_docs - df + 0.5) / (df + 0.5))
+        for doc_id, tf in postings:
+            dl = float(index.doc_length(doc_id))
+            weight = idf * float(tf) * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))
+            scores[index.doc_idx(doc_id)] += weight
+    return np.array(scores)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 25), st.integers(0, 2**32 - 1),
+       st.floats(0.1, 3.0), st.floats(0.0, 1.0),
+       st.lists(st.sampled_from([f"w{i}" for i in range(12)] + ["zzz"]), max_size=8))
+def test_score_all_is_the_per_posting_formula_bit_for_bit(n_docs, seed, k1, b, query_terms):
+    """Any query term order, repeats and unknown terms included, and the
+    same bits after a JSON round trip."""
+    index = TextIndex(random_docs(n_docs, seed, vocab_size=12), k1=k1, b=b)
+    expected = per_posting_scores(index, query_terms).view(np.uint64)
+    query = " ".join(query_terms)
+    assert index.score_all(query).view(np.uint64).tolist() == expected.tolist()
+    clone = TextIndex.from_json(index.to_json())
+    assert clone.score_all(query).view(np.uint64).tolist() == expected.tolist()
+    for doc_id in index.doc_ids:
+        assert index.score(query, doc_id) == index.score_all(query)[index.doc_idx(doc_id)]

@@ -1,5 +1,7 @@
 import json
+import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus
+from prockb import videoretrieval
 from prockb.errors import DataError
 from prockb.videoretrieval import (
     FIL_L1,
@@ -14,6 +17,7 @@ from prockb.videoretrieval import (
     L0,
     L1,
     ClauseScorer,
+    FilterTrace,
     Query,
     VideoDoc,
     build_video_index,
@@ -200,33 +204,42 @@ def test_ranking_unknown_video():
 
 @st.composite
 def tied_scores(draw):
-    """Scores over 1-40 docs drawn from 1-4 distinct values (0.0 always among
-    them), a random id order and a set of relevant docs (sometimes all)."""
+    """A block of 1-5 rows of scores over 1-40 docs, drawn from a few
+    distinct values (0.0 and -0.0 always among them), a random id order and
+    a set of relevant docs (sometimes all)."""
+    m = draw(st.integers(1, 5))
     n = draw(st.integers(1, 40))
-    values = [0.0] + draw(st.lists(st.floats(-5, 5, allow_nan=False), min_size=0, max_size=3))
-    scores = np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+    values = [0.0, -0.0] + draw(st.lists(st.floats(-5, 5, allow_nan=False), max_size=3))
+    scores = np.array(draw(st.lists(st.sampled_from(values), min_size=m * n, max_size=m * n)))
     id_rank = np.array(draw(st.permutations(range(n))), dtype=np.int64)
     if draw(st.booleans()):
         rel_idx = np.arange(n)
     else:
         rel_idx = np.array(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
                                          unique=True)), dtype=np.int64)
-    return scores, rel_idx, id_rank
+    return scores.reshape(m, n), rel_idx, id_rank
 
 
 @settings(max_examples=300, deadline=None)
-@given(tied_scores())
-def test_relevant_ranks_match_full_lexsort(case):
+@given(tied_scores(), st.sampled_from([1, 45, videoretrieval.TIE_CELLS]))
+def test_relevant_ranks_match_full_lexsort(case, tie_cells):
+    """Small tie budgets make the tied entries be counted in several chunks."""
     scores, rel_idx, id_rank = case
-    ranks = np.empty(len(scores), dtype=np.int64)
-    ranks[np.lexsort((id_rank, -scores))] = np.arange(1, len(scores) + 1)
-    assert relevant_ranks(scores, rel_idx, id_rank).tolist() == ranks[rel_idx].tolist()
+    with mock.patch.object(videoretrieval, "TIE_CELLS", tie_cells):
+        got = relevant_ranks(scores, rel_idx, id_rank)
+    assert got.shape == (len(scores), len(rel_idx))
+    for row, got_row in zip(scores, got):  # each row against its own lexsort
+        ranks = np.empty(len(row), dtype=np.int64)
+        ranks[np.lexsort((id_rank, -row))] = np.arange(1, len(row) + 1)
+        assert got_row.tolist() == ranks[rel_idx].tolist()
 
 
 def test_relevant_ranks_all_zero_and_single_doc():
     id_rank = np.array([2, 0, 3, 1])
-    assert relevant_ranks(np.zeros(4), np.arange(4), id_rank).tolist() == [3, 1, 4, 2]
-    assert relevant_ranks(np.zeros(1), np.array([0]), np.array([0])).tolist() == [1]
+    assert relevant_ranks(np.zeros((1, 4)), np.arange(4), id_rank).tolist() == [[3, 1, 4, 2]]
+    assert relevant_ranks(np.zeros((1, 1)), np.array([0]), np.array([0])).tolist() == [[1]]
+    signed = np.array([[0.0, -0.0, 0.0, -0.0], [-0.0, 1.0, -0.0, 0.0]])
+    assert relevant_ranks(signed, np.arange(4), id_rank).tolist() == [[3, 1, 4, 2], [3, 1, 4, 2]]
 
 
 def lexsort_cost_fn(index, relevant_ids, w_g, w_s, kind):
@@ -245,6 +258,11 @@ def lexsort_cost_fn(index, relevant_ids, w_g, w_s, kind):
         return -float((rel_ranks <= 50).sum() / len(rel_ranks))
 
     return cost
+
+
+def one_at_a_time(cost):
+    """A batch cost function from a cost of one clause list."""
+    return lambda trials: [cost(clauses) for clauses in trials]
 
 
 WORDS = ["oven", "bake", "peel", "stone", "wedge", "golden"]
@@ -278,11 +296,13 @@ def test_filter_matches_full_lexsort_cost(case, kind, cap, trials):
     index = build_video_index(videos)
     cost_fn = make_cost_fn(index, relevant, 1.0, 0.5, kind=kind)
     reference = lexsort_cost_fn(index, relevant, 1.0, 0.5, kind)
-    for clauses in trials:  # any call order, not only hill_climb's
-        assert cost_fn(clauses) == reference(clauses)
+    # any call order and any mix of heads, not only hill_climb's
+    assert cost_fn(trials) == [reference(clauses) for clauses in trials]
+    for clauses in trials:
+        assert cost_fn([clauses]) == [reference(clauses)]
 
     trace = hill_climb(goal, candidates, make_cost_fn(index, relevant, 1.0, 0.5, kind=kind), cap)
-    expected = hill_climb(goal, candidates, reference, cap)
+    expected = hill_climb(goal, candidates, one_at_a_time(reference), cap)
     assert trace == expected
     query = filter_steps("g", goal, candidates, relevant, index, cap=cap, cost_kind=kind)
     assert query == Query("g", goal, tuple(expected.clauses), 1.0, 0.5, FIL_L1)
@@ -346,7 +366,7 @@ def test_hill_climb_picks_unique_signal_first():
     index, train, candidates = filter_fixture()
     cost_fn = make_cost_fn(index, train, w_g=1.0, w_s=0.5)
     # oracle: evaluate every single-step addition by hand
-    single_costs = [cost_fn(["locate the target", c]) for c in candidates]
+    single_costs = cost_fn([["locate the target", c] for c in candidates])
     best = candidates[min(range(len(candidates)), key=lambda i: single_costs[i])]
     assert best == "zebra quortex session"
 
@@ -367,14 +387,71 @@ def test_hill_climb_no_improvement_keeps_goal_only():
 
 def test_hill_climb_addition_cap():
     candidates = [f"clause {i}" for i in range(40)]
-    trace = hill_climb("goal", candidates, cost_fn=lambda clauses: -len(clauses))
+    trace = hill_climb("goal", candidates, cost_fn=one_at_a_time(lambda clauses: -len(clauses)))
     assert len(trace.clauses) == min(40, 15) + 1  # loop runs min(n, cap)+1 rounds
 
 
 def test_hill_climb_fewer_candidates_than_cap():
     candidates = [f"clause {i}" for i in range(3)]
-    trace = hill_climb("goal", candidates, cost_fn=lambda clauses: -len(clauses))
+    trace = hill_climb("goal", candidates, cost_fn=one_at_a_time(lambda clauses: -len(clauses)))
     assert len(trace.clauses) == 3  # exhausts the pool, then stops
+
+
+def per_trial_hill_climb(goal_text, candidates, cost, cap):
+    """The hill climb as one cost call per trial: the reference for the
+    batched `hill_climb`."""
+    best_query = [goal_text]
+    min_cost = cost(best_query)
+    accepted = [min_cost]
+    r = min(len(candidates), cap)
+    rounds = 0
+    while r >= 0:
+        rounds += 1
+        in_cost = math.inf
+        in_query = None
+        for cand in candidates:
+            if cand in best_query:
+                continue
+            trial = best_query + [cand]
+            trial_cost = cost(trial)
+            if trial_cost < in_cost:
+                in_cost = trial_cost
+                in_query = trial
+        if in_cost < min_cost and in_query is not None:
+            min_cost = in_cost
+            best_query = in_query
+            accepted.append(min_cost)
+        else:
+            break
+        r -= 1
+    return FilterTrace(clauses=best_query[1:], accepted_costs=accepted, rounds=rounds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from("abcdef"), max_size=8), st.sampled_from("abcdefg"),
+       st.integers(0, 8), st.integers(0, 2**32 - 1))
+def test_hill_climb_matches_per_trial_loop(candidates, goal, cap, seed):
+    """Costs come from a few values, so trials of one round often tie and
+    the first of them must win; candidates repeat and may equal the goal."""
+
+    def cost(clauses):
+        return random.Random(f"{seed}:{clauses}").choice([-1.0, 0.0, 0.5, 1.0])
+
+    calls = []
+
+    def batch(trials):
+        calls.append(trials)
+        return [cost(clauses) for clauses in trials]
+
+    trace = hill_climb(goal, candidates, batch, cap)
+    assert trace == per_trial_hill_climb(goal, candidates, cost, cap)
+    # One call for the baseline, then one per round that had a trial to make.
+    assert calls[0] == [[goal]]
+    for trials in calls[1:]:
+        head = trials[0][:-1]
+        assert head == [goal] + trace.clauses[: len(head) - 1]
+        assert trials == [head + [c] for c in candidates if c not in head]
+    assert len(calls) - 1 in (trace.rounds, trace.rounds - 1)
 
 
 def test_filter_steps_returns_query():
@@ -392,8 +469,8 @@ def test_cost_fn_kinds():
     mean_rank = make_cost_fn(index, train, 1.0, 0.5, kind="mean_rank")
     neg_recall = make_cost_fn(index, train, 1.0, 0.5, kind="neg_recall50")
     clauses = ["zebra quortex"]
-    assert mean_rank(clauses) == 2.0
-    assert neg_recall(clauses) == -1.0
+    assert mean_rank([clauses]) == [2.0]
+    assert neg_recall([clauses]) == [-1.0]
     with pytest.raises(ValueError, match="cost"):
         make_cost_fn(index, train, 1.0, 0.5, kind="mystery")
 
