@@ -138,7 +138,7 @@ def _corpus_ids(corpus) -> list[str]:
 
 def cmd_build_index(args) -> None:
     out = _out_dir(args)
-    corpus = load_corpus(args.corpus, lowercase=args.lowercase_corpus)
+    corpus = load_corpus(args.corpus)
     if args.embeddings:
         store = _embeddings(args.embeddings, corpus.goal_ids())
     else:
@@ -303,14 +303,15 @@ def cmd_vr_index(args) -> None:
 
 
 def _video_index(args, videos):
-    """The index in --index, which must have been built with --k1 and --b,
-    or a new one over `videos`."""
-    if not args.index:
-        return build_video_index(videos, k1=args.k1, b=args.b)
+    """The index in --index, which must hold exactly the videos in --videos."""
     index = TextIndex.from_json(read_text(args.index), source=args.index)
-    if (index.k1, index.b) != (args.k1, args.b):
-        raise DataError(f"{args.index}: index has k1={index.k1!r}, b={index.b!r}, "
-                        f"but the flags give k1={args.k1!r}, b={args.b!r}")
+    ids = {video.video_id for video in videos}
+    if ids != index.positions.keys():
+        only_videos = [video.video_id for video in videos if video.video_id not in index.positions]
+        only_index = [doc_id for doc_id in index.doc_ids if doc_id not in ids]
+        first, where = (only_videos[0], args.videos) if only_videos else (only_index[0], args.index)
+        raise DataError(f"{args.index}: not an index of the videos in {args.videos}: "
+                        f"video {first!r} is only in {where}")
     return index
 
 
@@ -348,7 +349,7 @@ def cmd_vr_filter(args) -> None:
             )
         )
     write_queries(out / "queries.json", queries)
-    inputs = [args.corpus, args.videos] + [p for p in (args.links, args.index) if p]
+    inputs = [args.corpus, args.videos, args.index] + ([args.links] if args.links else [])
     _write_manifest(args, inputs, ["queries.json"])
 
 
@@ -357,7 +358,7 @@ def cmd_vr_eval(args) -> None:
     videos = load_videos(args.videos)
     splits = split_videos(videos, seed=args.seed)
     index = _video_index(args, videos)
-    inputs = [args.videos] + ([args.index] if args.index else [])
+    inputs = [args.videos, args.index]
 
     if args.queries:
         queries = read_queries(args.queries)
@@ -415,8 +416,7 @@ def build_parser() -> Parser:
     p.add_argument("--embeddings", help="external vector file; skips the built-in embedder")
     p.add_argument("--dim", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lowercase", action="store_true", help="casefold text before embedding")
-    p.add_argument("--lowercase-corpus", action="store_true", help="casefold corpus text at load")
+    p.add_argument("--lowercase", action="store_true", help="lowercase text before embedding")
 
     p = add("retrieve", cmd_retrieve, help="top-k candidate goals for every step")
     p.add_argument("--corpus", required=True)
@@ -481,26 +481,22 @@ def build_parser() -> Parser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--level", choices=[FIL_L1, FIL_L2], default=FIL_L1, type=str.upper)
     p.add_argument("--links", help="step->goal link dump, needed for fil_l2")
-    p.add_argument("--index", help="vr_index.json from vr-index (else rebuilt)")
+    p.add_argument("--index", required=True, help="vr_index.json from vr-index")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--wg", type=float, default=1.0)
     p.add_argument("--ws", type=float, default=0.5)
     p.add_argument("--cap", type=int, default=15)
     p.add_argument("--cost", choices=["mean_rank", "neg_recall50"], default="mean_rank")
-    p.add_argument("--k1", type=float, default=1.2)
-    p.add_argument("--b", type=float, default=0.75)
 
     p = add("vr-eval", cmd_vr_eval, help="recall/precision@N and mean rank per query level")
     p.add_argument("--videos", required=True)
     p.add_argument("--queries", help="queries.json from vr-filter")
     p.add_argument("--corpus", help="needed with --level to build unfiltered queries")
     p.add_argument("--level", choices=[L0, L1], default=L0, type=str.upper)
-    p.add_argument("--index", help="vr_index.json from vr-index (else rebuilt)")
+    p.add_argument("--index", required=True, help="vr_index.json from vr-index")
     p.add_argument("--split", choices=["train", "dev", "test"], default="test")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ns", default="1,10,25,50")
-    p.add_argument("--k1", type=float, default=1.2)
-    p.add_argument("--b", type=float, default=0.75)
 
     return parser
 

@@ -2,9 +2,8 @@
 
 One article per line: ``{"id": ..., "title": ..., "steps": [{"id": ..., "text": ...}, ...]}``.
 Titles are the goals; steps are the goal's children, in article order. All text
-is NFC-normalized with internal whitespace collapsed; case is preserved unless
-lowercasing is requested. A corpus is immutable once loaded and safe to share
-across workers.
+is NFC-normalized with internal whitespace collapsed; case is preserved. A
+corpus is immutable once loaded and safe to share across workers.
 """
 
 import json
@@ -23,10 +22,9 @@ CONTEXT_MODES = ("none", "goal", "surround", "both")
 RESERVED_IDS = frozenset({"UNLINKABLE"})
 
 
-def normalize_text(text: str, lowercase: bool = False) -> str:
-    """NFC-normalize and collapse whitespace runs; optionally lowercase."""
-    out = " ".join(unicodedata.normalize("NFC", text).split())
-    return out.lower() if lowercase else out
+def normalize_text(text: str) -> str:
+    """NFC-normalize and collapse whitespace runs."""
+    return " ".join(unicodedata.normalize("NFC", text).split())
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,7 @@ class Corpus:
         return goal_id in self._by_goal
 
 
-def corpus_from_records(records: Iterable[dict], lowercase: bool = False, source=None) -> Corpus:
+def corpus_from_records(records: Iterable[dict], source=None) -> Corpus:
     """Assemble and validate a Corpus from article dicts.
 
     Each record needs ``id``, ``title`` and a non-empty ``steps`` list of
@@ -100,7 +98,7 @@ def corpus_from_records(records: Iterable[dict], lowercase: bool = False, source
             raise DataError(f"{where}: expected an object, got {type(rec).__name__}")
         try:
             goal_id = _as_id(rec["id"], where)
-            title = normalize_text(str(rec["title"]), lowercase)
+            title = normalize_text(str(rec["title"]))
             raw_steps = rec["steps"]
         except KeyError as exc:
             raise DataError(f"{where}: missing field {exc.args[0]!r}") from None
@@ -117,7 +115,7 @@ def corpus_from_records(records: Iterable[dict], lowercase: bool = False, source
                 raise DataError(f"{where}: step {pos} of {goal_id!r} is not an object")
             try:
                 step_id = _as_id(raw["id"], where)
-                text = normalize_text(str(raw["text"]), lowercase)
+                text = normalize_text(str(raw["text"]))
             except KeyError as exc:
                 raise DataError(
                     f"{where}: step {pos} of {goal_id!r} missing field {exc.args[0]!r}"
@@ -153,10 +151,10 @@ def _as_id(value, where: str) -> str:
     return out
 
 
-def load_corpus(path: str | Path, lowercase: bool = False) -> Corpus:
+def load_corpus(path: str | Path) -> Corpus:
     """Load a JSONL corpus file. Errors name the path and the line or record."""
     records = (record for _, record in json_lines(path))
-    return corpus_from_records(records, lowercase=lowercase, source=path)
+    return corpus_from_records(records, source=path)
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:

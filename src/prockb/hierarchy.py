@@ -79,13 +79,16 @@ class LinkPipeline:
 @dataclass(frozen=True)
 class LinkDecision:
     step_id: str
-    outcome: str  # goal_id or UNLINKABLE
     alternatives: tuple[ScoredCandidate, ...]  # full reranked list, best first
-    config_hash: str
 
     @property
     def chosen(self) -> ScoredCandidate:
         return self.alternatives[0]
+
+    @property
+    def outcome(self) -> str:
+        """The chosen goal_id, or UNLINKABLE."""
+        return self.alternatives[0].goal_id
 
 
 def link_steps(pipeline: LinkPipeline, step_ids: Iterable[str]) -> None:
@@ -103,13 +106,8 @@ def link_steps(pipeline: LinkPipeline, step_ids: Iterable[str]) -> None:
         ]
         feats = list_features(pipeline.features, block, [c.entries for c in lists])
         for candidates, list_feats in zip(lists, feats):
-            scored = score_candidates(pipeline.model, candidates, list_feats)
             pipeline._decisions[candidates.step_id] = LinkDecision(
-                step_id=candidates.step_id,
-                outcome=scored.entries[0].goal_id,
-                alternatives=scored.entries,
-                config_hash=pipeline.config_hash(),
-            )
+                candidates.step_id, score_candidates(pipeline.model, candidates, list_feats))
 
 
 def link_step(pipeline: LinkPipeline, step_id: str) -> LinkDecision:

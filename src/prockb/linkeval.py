@@ -31,8 +31,6 @@ class Split:
     train: list[GoldLink]
     dev: list[GoldLink]
     test: list[GoldLink]
-    seed: int
-    ratios: tuple[float, ...]
 
     def part(self, name: str) -> list[GoldLink]:
         try:
@@ -95,8 +93,6 @@ def split_links(
         train=shuffled[:n_train],
         dev=shuffled[n_train : n_train + n_dev],
         test=shuffled[n_train + n_dev :],
-        seed=seed,
-        ratios=tuple(ratios),
     )
 
 

@@ -320,14 +320,17 @@ def write_feature_file(
 class RerankModel:
     w: np.ndarray
     lam: float
-    unlinkable_enabled: bool = False
-    unlinkable_feat: np.ndarray | None = None
+    unlinkable_feat: np.ndarray | None = None  # the placeholder's row U, if the model has one
     context_mode: str = "none"
     window: int = 1
 
     @property
     def dim(self) -> int:
         return self.w.shape[0]
+
+    @property
+    def unlinkable_enabled(self) -> bool:
+        return self.unlinkable_feat is not None
 
     def copy(self) -> "RerankModel":
         return replace(
@@ -348,7 +351,6 @@ def new_model(
     return RerankModel(
         w=np.zeros(dim, dtype=np.float64),
         lam=lam,
-        unlinkable_enabled=unlinkable,
         unlinkable_feat=np.zeros(dim, dtype=np.float64) if unlinkable else None,
         context_mode=context_mode,
         window=window,
@@ -369,7 +371,8 @@ def save_model(model: RerankModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> RerankModel:
     """Read a checkpoint written by `save_model`: ``key=value`` lines, then
-    the W row and, for an unlinkable model, the U row. Keys are unique."""
+    the W row and, for an unlinkable model (``unlinkable=1``) only, the U
+    row. Keys are unique."""
     fields: dict[str, str] = {}
     for lineno, line in lines(path):
         line = line.strip()
@@ -384,10 +387,10 @@ def load_model(path: str | Path) -> RerankModel:
     try:
         dim = int(fields["dim"])
         vectors = {n: np.array([float(x) for x in fields[n].split()]) for n in "WU" if n in fields}
+        unlinkable = bool(int(fields["unlinkable"]))
         model = RerankModel(
             w=vectors["W"],
             lam=float(fields["lambda"]),
-            unlinkable_enabled=bool(int(fields["unlinkable"])),
             unlinkable_feat=vectors.get("U"),
             context_mode=fields["context_mode"],
             window=int(fields["window"]),
@@ -401,8 +404,9 @@ def load_model(path: str | Path) -> RerankModel:
         raise DataError(f"{path}: non-finite value in model checkpoint")
     if model.context_mode not in CONTEXT_MODES:
         raise DataError(f"{path}: unknown context_mode {model.context_mode!r}")
-    if model.unlinkable_enabled and model.unlinkable_feat is None:
-        raise DataError(f"{path}: unlinkable model is missing its U row")
+    if unlinkable != model.unlinkable_enabled:
+        has = "a" if model.unlinkable_enabled else "no"
+        raise DataError(f"{path}: unlinkable={int(unlinkable)} but the checkpoint has {has} U row")
     return model
 
 
@@ -413,15 +417,6 @@ class ScoredCandidate(NamedTuple):
     goal_id: str
     sim1: float
     sim2: float
-
-
-@dataclass(frozen=True)
-class ScoredCandidates:
-    step_id: str
-    entries: tuple[ScoredCandidate, ...]
-
-    def ranked_ids(self) -> list[str]:
-        return [entry.goal_id for entry in self.entries]
 
 
 def list_scores(model: RerankModel, feats: np.ndarray, sim1s: np.ndarray) -> np.ndarray:
@@ -442,21 +437,21 @@ def list_scores(model: RerankModel, feats: np.ndarray, sim1s: np.ndarray) -> np.
 
 def score_candidates(
     model: RerankModel, candidates: CandidateList, feats: np.ndarray
-) -> ScoredCandidates:
+) -> tuple[ScoredCandidate, ...]:
     """Score a candidate list, whose feature matrix is `feats`, with
-    `list_scores` and sort descending, ties by goal_id. An unlinkable model
-    adds the UNLINKABLE entry, whose sim1 is the list's minimum."""
+    `list_scores`; its entries sorted descending, ties by goal_id. An
+    unlinkable model adds the UNLINKABLE entry, whose sim1 is the list's
+    minimum."""
     if not candidates.entries:
         raise ValueError(f"step {candidates.step_id!r} has an empty candidate list")
     goal_ids, sim1s = zip(*candidates.entries)
     scores = list_scores(model, feats, np.array(sim1s, dtype=np.float64))
     if model.unlinkable_enabled:
         goal_ids, sim1s = goal_ids + (UNLINKABLE,), sim1s + (min(sim1s),)
-    scored = sorted(
+    return tuple(sorted(
         map(ScoredCandidate, goal_ids, sim1s, scores.tolist()),
         key=lambda entry: (-entry.sim2, entry.goal_id),
-    )
-    return ScoredCandidates(step_id=candidates.step_id, entries=tuple(scored))
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import math
 import re
 from itertools import accumulate, chain
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,52 +20,24 @@ DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-
-# Small list for the optional stopword switch; off by default.
-DEFAULT_STOPWORDS = frozenset(
-    "a an and are as at be but by for from has have in is it its of on or that the this to was were will with".split()
-)
+# The fields of an index file, as `to_json` writes them.
+INDEX_FIELDS = ("k1", "b", "docs", "postings")
 
 
 def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def s_stem(token: str) -> str:
-    """Light plural stemmer: ies->y, drop trailing es/s with the usual guards."""
-    if len(token) > 4 and token.endswith("ies") and token[-4] not in "ae":
-        return token[:-3] + "y"
-    if len(token) > 3 and token.endswith("es") and token[-3] not in "aeo":
-        return token[:-1]
-    if len(token) > 3 and token.endswith("s") and token[-2] not in "su":
-        return token[:-1]
-    return token
-
-
 class TextIndex:
     """Inverted index with per-term postings and BM25 statistics."""
 
-    def __init__(
-        self,
-        docs: Sequence[tuple[str, str]],
-        k1: float = DEFAULT_K1,
-        b: float = DEFAULT_B,
-        stopwords: Iterable[str] | bool | None = None,
-        stem: bool = False,
-    ):
+    def __init__(self, docs: Sequence[tuple[str, str]], k1: float = DEFAULT_K1, b: float = DEFAULT_B):
         if not (math.isfinite(k1) and k1 > 0):
             raise ValueError(f"k1 must be a finite number > 0, got {k1}")
         if not 0.0 <= b <= 1.0:
             raise ValueError(f"b must be in [0, 1], got {b}")
         self.k1 = k1
         self.b = b
-        self.stem = stem
-        if stopwords is True:
-            self.stopwords: frozenset[str] | None = DEFAULT_STOPWORDS
-        elif stopwords:
-            self.stopwords = frozenset(stopwords)
-        else:
-            self.stopwords = None
 
         doc_ids: list[str] = []
         positions: dict[str, int] = {}
@@ -77,7 +49,7 @@ class TextIndex:
             idx = len(doc_ids)
             positions[doc_id] = idx
             doc_ids.append(doc_id)
-            tokens = self._analyze(text)
+            tokens = tokenize(text)
             lengths.append(len(tokens))
             for tok in tokens:
                 bucket = raw_postings.setdefault(tok, {})
@@ -133,14 +105,6 @@ class TextIndex:
         ends = list(accumulate(dfs))
         self._spans = {term: slice(end - df, end) for term, df, end in zip(terms, dfs, ends)}
 
-    def _analyze(self, text: str) -> list[str]:
-        tokens = tokenize(text)
-        if self.stem:
-            tokens = [s_stem(t) for t in tokens]
-        if self.stopwords is not None:
-            tokens = [t for t in tokens if t not in self.stopwords]
-        return tokens
-
     def _idf(self, df: int) -> float:
         return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
 
@@ -169,7 +133,7 @@ class TextIndex:
         """Okapi BM25 of one document against a query; additive over terms."""
         idx = self.doc_idx(doc_id)
         total = 0.0
-        for term in self._analyze(query):
+        for term in tokenize(query):
             span = self._spans.get(term)
             if span is None:
                 continue
@@ -183,7 +147,7 @@ class TextIndex:
         """BM25 of every indexed document against a query: one scatter-add
         of precomputed weights per query term, in query order."""
         scores = np.zeros(self.n_docs, dtype=np.float64)
-        for term in self._analyze(query):
+        for term in tokenize(query):
             span = self._spans.get(term)
             if span is not None:
                 scores[self._idxs[span]] += self._weights[span]
@@ -203,8 +167,6 @@ class TextIndex:
         payload = {
             "k1": self.k1,
             "b": self.b,
-            "stem": self.stem,
-            "stopwords": sorted(self.stopwords) if self.stopwords is not None else None,
             "docs": list(map(list, zip(self.doc_ids, self.doc_lens.astype(np.int64).tolist()))),
             "postings": {term: pairs[span] for term, span in self._spans.items()},
         }
@@ -214,8 +176,8 @@ class TextIndex:
     def from_json(cls, blob: str, source: str = "index") -> "TextIndex":
         """Load an index written by `to_json`; `source` names it in errors.
 
-        Raises DataError for malformed JSON, a missing or mistyped field, a
-        duplicate doc id, a negative doc length, a posting of an unknown doc,
+        Raises DataError for malformed JSON, a missing, unknown or mistyped
+        field, a duplicate doc id, a negative doc length, a posting of an unknown doc,
         a duplicate doc within one term's postings, a tf that is not a
         positive integer, or doc lengths that differ from the postings' tf
         sums. Postings are re-sorted only for terms not in ascending doc
@@ -231,21 +193,17 @@ class TextIndex:
             raise fail(f"malformed JSON: {exc.msg}") from None
         if not isinstance(payload, dict):
             raise fail("index must be a JSON object")
-        missing = [key for key in ("k1", "b", "stem", "stopwords", "docs", "postings")
-                   if key not in payload]
+        missing = [key for key in INDEX_FIELDS if key not in payload]
         if missing:
             raise fail(f"missing field {missing[0]!r}")
-        k1, b, stem, stopwords = payload["k1"], payload["b"], payload["stem"], payload["stopwords"]
+        unknown = [key for key in payload if key not in INDEX_FIELDS]
+        if unknown:
+            raise fail(f"unknown field {unknown[0]!r}")
+        k1, b = payload["k1"], payload["b"]
         if not all(type(x) in (int, float) and math.isfinite(x) for x in (k1, b)):
             raise fail("k1 and b must be finite numbers")
-        if not isinstance(stem, bool):
-            raise fail("stem must be true or false")
-        if stopwords is not None and not (
-            isinstance(stopwords, list) and all(isinstance(w, str) for w in stopwords)
-        ):
-            raise fail("stopwords must be null or a list of strings")
         try:
-            index = cls([], k1=k1, b=b, stopwords=stopwords, stem=stem)
+            index = cls([], k1=k1, b=b)
         except ValueError as exc:
             raise fail(str(exc)) from None
 

@@ -31,7 +31,7 @@ from .corpus import Corpus, normalize_text
 from .errors import DataError
 from .linkeval import split_sizes
 from .rerank import UNLINKABLE
-from .textsearch import TextIndex
+from .textsearch import DEFAULT_B, DEFAULT_K1, TextIndex
 
 L0 = "L0"
 L1 = "L1"
@@ -81,8 +81,6 @@ class VideoSplits:
     train: dict[str, list[str]]
     dev: dict[str, list[str]]
     test: dict[str, list[str]]
-    seed: int
-    ratios: tuple[float, float, float]
 
     def part(self, name: str) -> dict[str, list[str]]:
         try:
@@ -116,11 +114,13 @@ def split_videos(
         train[goal_id] = ids[:n_train]
         dev[goal_id] = ids[n_train : n_train + n_dev]
         test[goal_id] = ids[n_train + n_dev :]
-    return VideoSplits(train=train, dev=dev, test=test, seed=seed, ratios=tuple(ratios))
+    return VideoSplits(train=train, dev=dev, test=test)
 
 
-def build_video_index(videos: Sequence[VideoDoc], **params) -> TextIndex:
-    return TextIndex([(v.video_id, v.caption) for v in videos], **params)
+def build_video_index(
+    videos: Sequence[VideoDoc], k1: float = DEFAULT_K1, b: float = DEFAULT_B
+) -> TextIndex:
+    return TextIndex([(v.video_id, v.caption) for v in videos], k1=k1, b=b)
 
 
 # ---------------------------------------------------------------------------

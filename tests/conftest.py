@@ -57,7 +57,8 @@ def _title(i: int) -> str:
 
 
 def score_list(model, candidates, source):
-    """`score_candidates` on one list, with its features from `source`."""
+    """`score_candidates` on one list, with its features from `source`:
+    the scored entries, best first."""
     feats = list_features(source, [candidates.step_id], [candidates.entries])[0]
     return score_candidates(model, candidates, feats)
 

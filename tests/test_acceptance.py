@@ -95,7 +95,7 @@ def test_a1_end_to_end_linking_sanity():
         )
 
         rankings = {
-            cand.step_id: score_list(result.model, cand, source).ranked_ids()
+            cand.step_id: [e.goal_id for e in score_list(result.model, cand, source)]
             for cand in lists
             if cand.step_id in gold
         }
@@ -162,19 +162,18 @@ def test_a3_gradient_correctness():
             model = RerankModel(
                 w=rng.normal(size=dim),
                 lam=float(rng.normal()),
-                unlinkable_enabled=unlinkable,
                 unlinkable_feat=rng.normal(size=dim) if unlinkable else None,
             )
             out = nll_loss(model, example, feats)
 
             def loss_w(w):
                 return _fd_loss(
-                    RerankModel(w, model.lam, unlinkable, model.unlinkable_feat), example, feats
+                    RerankModel(w, model.lam, model.unlinkable_feat), example, feats
                 )
 
             def loss_lam(lam_arr):
                 return _fd_loss(
-                    RerankModel(model.w, float(lam_arr[0]), unlinkable, model.unlinkable_feat),
+                    RerankModel(model.w, float(lam_arr[0]), model.unlinkable_feat),
                     example,
                     feats,
                 )
@@ -185,7 +184,7 @@ def test_a3_gradient_correctness():
             if unlinkable:
 
                 def loss_u(u):
-                    return _fd_loss(RerankModel(model.w, model.lam, True, u), example, feats)
+                    return _fd_loss(RerankModel(model.w, model.lam, u), example, feats)
 
                 assert _rel_err(out.grad_unlinkable, _central_diff(loss_u, model.unlinkable_feat)) < 1e-4
 
@@ -216,7 +215,7 @@ def test_a4_loss_anchors():
                 8, {(f"s{step}", f"g{i:02d}"): rng.normal(size=8) for i in range(m)}
             )
             scored = score_list(model, cands, table)
-            placeholder = [e for e in scored.entries if e.goal_id == UNLINKABLE]
+            placeholder = [e for e in scored if e.goal_id == UNLINKABLE]
             assert len(placeholder) == 1
             assert placeholder[0].sim1 == min(e.sim1 for e in entries)
 
@@ -245,7 +244,7 @@ def _recall1(model, examples, source):
     hits = 0
     for ex in examples:
         cands = CandidateList(ex.step_id, ex.candidates)
-        hits += score_list(model, cands, source).entries[0].goal_id == ex.gold
+        hits += score_list(model, cands, source)[0].goal_id == ex.gold
     return hits / len(examples)
 
 
@@ -282,8 +281,8 @@ def test_a6_identity_reranker():
         source = LexicalFeatureSource(corpus)
         for cand in lists:
             scored = score_list(model, cand, source)
-            assert scored.ranked_ids() == [c.goal_id for c in cand.entries]
-            for out, inp in zip(scored.entries, cand.entries):
+            assert [e.goal_id for e in scored] == [c.goal_id for c in cand.entries]
+            for out, inp in zip(scored, cand.entries):
                 assert out.sim2 == inp.sim1
 
 

@@ -89,7 +89,7 @@ def decisions(draw):
     for step_id in steps:
         entries = draw(st.lists(st.builds(ScoredCandidate, ident, number, number),
                                 min_size=1, max_size=3))
-        out.append(LinkDecision(step_id, entries[0].goal_id, tuple(entries), config_hash=""))
+        out.append(LinkDecision(step_id, tuple(entries)))
     return out
 
 
@@ -106,7 +106,6 @@ def models(draw):
     return RerankModel(
         w=draw(vector(dim)),
         lam=draw(number),
-        unlinkable_enabled=unlinkable,
         unlinkable_feat=draw(vector(dim)) if unlinkable else None,
         context_mode=draw(st.sampled_from(CONTEXT_MODES)),
         window=draw(st.integers(1, 3)),
@@ -281,8 +280,8 @@ def test_damaged_line_is_read_as_before_or_rejected_with_path(name, data):
 
 
 def test_rankings_round_trip_keeps_scores(tmp_path):
-    ds = [LinkDecision("s1", "g2", (ScoredCandidate("g2", 0.25, -1.5),
-                                    ScoredCandidate("g1", 0.5, -2.0)), config_hash="")]
+    ds = [LinkDecision("s1", (ScoredCandidate("g2", 0.25, -1.5),
+                              ScoredCandidate("g1", 0.5, -2.0)))]
     path = tmp_path / "rankings.tsv"
     write_rankings(path, ds)
     parse = lambda lineno, f: ScoredCandidate(f[2], float(f[3]), float(f[4]))  # noqa: E731

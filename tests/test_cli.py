@@ -195,12 +195,16 @@ def vr_fixture(tmp_path):
     return corpus_path, videos_path
 
 
-def test_vr_pipeline(tmp_path):
-    corpus_path, videos_path = vr_fixture(tmp_path)
-
+def vr_index(tmp_path, videos_path):
+    """Run vr-index on `videos_path` into `tmp_path`/vix; the index's path."""
     assert run(["vr-index", "--videos", str(videos_path),
                 "--out-dir", str(tmp_path / "vix")]) == 0
-    index_path = tmp_path / "vix" / "vr_index.json"
+    return tmp_path / "vix" / "vr_index.json"
+
+
+def test_vr_pipeline(tmp_path):
+    corpus_path, videos_path = vr_fixture(tmp_path)
+    index_path = vr_index(tmp_path, videos_path)
     assert index_path.exists()
 
     assert run(["vr-filter", "--videos", str(videos_path), "--corpus", str(corpus_path),
@@ -212,14 +216,14 @@ def test_vr_pipeline(tmp_path):
     assert all(q["w_s"] == 0.5 for q in queries)
 
     assert run(["vr-eval", "--videos", str(videos_path), "--corpus", str(corpus_path),
-                "--level", "l0", "--split", "test", "--seed", "1",
+                "--level", "l0", "--split", "test", "--seed", "1", "--index", str(index_path),
                 "--out-dir", str(tmp_path / "ve0")]) == 0
     header, row = (tmp_path / "ve0" / "vr_metrics.tsv").read_text().splitlines()
     assert header.split("\t")[0] == "level"
     assert row.split("\t")[0] == "L0"
 
     assert run(["vr-eval", "--videos", str(videos_path),
-                "--queries", str(tmp_path / "vf" / "queries.json"),
+                "--queries", str(tmp_path / "vf" / "queries.json"), "--index", str(index_path),
                 "--split", "test", "--seed", "1", "--out-dir", str(tmp_path / "vef")]) == 0
     _, row = (tmp_path / "vef" / "vr_metrics.tsv").read_text().splitlines()
     assert row.split("\t")[0] == "FIL_L1"
@@ -228,8 +232,19 @@ def test_vr_pipeline(tmp_path):
 def test_vr_filter_l2_requires_links(tmp_path):
     corpus_path, videos_path = vr_fixture(tmp_path)
     code = run(["vr-filter", "--videos", str(videos_path), "--corpus", str(corpus_path),
+                "--index", str(vr_index(tmp_path, videos_path)),
                 "--level", "fil_l2", "--out-dir", str(tmp_path / "vf2")])
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["vr-filter", "vr-eval"])
+def test_vr_command_without_index_is_a_usage_error(tmp_path, capsys, command):
+    corpus_path, videos_path = vr_fixture(tmp_path)
+    capsys.readouterr()
+    code = run([command, "--videos", str(videos_path), "--corpus", str(corpus_path),
+                "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert "--index" in capsys.readouterr().err
 
 
 def test_subcommands_do_not_mutate_inputs(identity_setup, tmp_path):
@@ -340,6 +355,7 @@ def _first_term(payload):
         (lambda text: text[: len(text) // 2], "malformed JSON"),
         (lambda text: "[1, 2]", "index must be a JSON object"),
         (_edit_json(lambda p: p.pop("postings")), "missing field 'postings'"),
+        (_edit_json(lambda p: p.update(stem=False)), "unknown field 'stem'"),
         (_edit_json(lambda p: p.update(k1="1.2")), "k1 and b must be finite numbers"),
         (_edit_json(lambda p: p["docs"].append(p["docs"][0])), "duplicate doc id 'g0v00'"),
         (_edit_json(lambda p: p["docs"][0].__setitem__(1, -1)), "non-negative integer length"),
@@ -354,14 +370,13 @@ def _first_term(payload):
         (_edit_json(lambda p: p["docs"][0].__setitem__(1, p["docs"][0][1] + 1)),
          "has length"),
     ],
-    ids=["truncated", "non-object", "missing-key", "non-numeric-k1", "duplicate-doc",
+    ids=["truncated", "non-object", "missing-key", "stem-key", "non-numeric-k1", "duplicate-doc",
          "negative-length", "unknown-posting-doc", "zero-tf", "negative-tf", "float-tf",
          "duplicate-posting-doc", "length-mismatch"],
 )
 def test_vr_eval_rejects_bad_index(tmp_path, capsys, edit, message):
     corpus_path, videos_path = vr_fixture(tmp_path)
-    assert run(["vr-index", "--videos", str(videos_path), "--out-dir", str(tmp_path / "vix")]) == 0
-    index_path = tmp_path / "vix" / "vr_index.json"
+    index_path = vr_index(tmp_path, videos_path)
     index_path.write_text(edit(index_path.read_text()))
     capsys.readouterr()
     code = run(["vr-eval", "--videos", str(videos_path), "--corpus", str(corpus_path),
@@ -371,24 +386,33 @@ def test_vr_eval_rejects_bad_index(tmp_path, capsys, edit, message):
     assert f"{index_path}: " in err and message in err
 
 
+_EXTRA_VIDEO = {"video_id": "x0", "goal_id": "g0", "caption": "filler words"}
+
+
 @pytest.mark.parametrize("command", ["vr-filter", "vr-eval"])
 @pytest.mark.parametrize(
-    "built, given",
-    [([], ["--k1", "3.0"]), ([], ["--b", "0.5"]), (["--k1", "3.0"], [])],
-    ids=["k1-flag", "b-flag", "k1-index"],
+    "edit, first, only_in",
+    [(lambda rows: rows + [_EXTRA_VIDEO], "x0", "index"),
+     (lambda rows: rows[1:], "g0v00", "videos"),
+     (lambda rows: [{**rows[0], "video_id": "x0"}] + rows[1:], "g0v00", "videos")],
+    ids=["superset", "subset", "renamed"],
 )
-def test_index_built_with_other_bm25_parameters_exits_2(tmp_path, capsys, command, built, given):
+def test_index_of_other_videos_exits_2(tmp_path, capsys, command, edit, first, only_in):
+    """An index must hold exactly the videos of --videos: one with extra
+    videos would rank the relevant ones among videos that are not there."""
     corpus_path, videos_path = vr_fixture(tmp_path)
-    assert run(["vr-index", "--videos", str(videos_path), *built,
-                "--out-dir", str(tmp_path / "vix")]) == 0
-    index_path = tmp_path / "vix" / "vr_index.json"
-    argv = [command, "--videos", str(videos_path), "--corpus", str(corpus_path),
-            "--index", str(index_path)]
+    other = tmp_path / "other" / "videos.jsonl"
+    other.parent.mkdir()
+    write_jsonl(other, edit([json.loads(line) for line in videos_path.read_text().splitlines()]))
+    index_path = vr_index(tmp_path / "other", other)
+    argv = [command, "--videos", str(videos_path), "--corpus", str(corpus_path)]
     capsys.readouterr()
-    assert run([*argv, *given, "--out-dir", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert f"{index_path}: index has k1=" in err and "but the flags give" in err
-    assert run([*argv, *built, "--out-dir", str(tmp_path / "same")]) == 0
+    assert run([*argv, "--index", str(index_path), "--out-dir", str(tmp_path / "out")]) == 2
+    where = index_path if only_in == "index" else videos_path
+    assert (f"error: {index_path}: not an index of the videos in {videos_path}: "
+            f"video {first!r} is only in {where}") in capsys.readouterr().err
+    same = vr_index(tmp_path, videos_path)
+    assert run([*argv, "--index", str(same), "--out-dir", str(tmp_path / "same")]) == 0
 
 
 _QUERY = {"goal_id": "g0", "goal": "achieve goaltok0", "steps": ["do steptok0a now"],
@@ -420,7 +444,7 @@ def test_vr_eval_rejects_bad_queries(tmp_path, capsys, payload, message):
     queries = tmp_path / "queries.json"
     queries.write_text(payload)
     code = run(["vr-eval", "--videos", str(videos_path), "--queries", str(queries),
-                "--out-dir", str(tmp_path / "ve")])
+                "--index", str(vr_index(tmp_path, videos_path)), "--out-dir", str(tmp_path / "ve")])
     assert code == 2
     assert f"{queries}: {message}" in capsys.readouterr().err
 
@@ -487,9 +511,10 @@ _READERS = {
                  "--gold", "{gold}", "--features", "{features}"],
     "rankings": ["eval-links", "--rankings", "{rankings}", "--gold", "{gold}"],
     "links": ["vr-filter", "--videos", "{videos}", "--corpus", "{vr_corpus}",
-              "--level", "fil_l2", "--links", "{links}"],
+              "--level", "fil_l2", "--links", "{links}", "--index", "{vr_index}"],
     "videos": ["vr-index", "--videos", "{videos}"],
-    "queries": ["vr-eval", "--videos", "{videos}", "--queries", "{queries}"],
+    "queries": ["vr-eval", "--videos", "{videos}", "--queries", "{queries}",
+                "--index", "{vr_index}"],
     "vr_index": ["vr-eval", "--videos", "{videos}", "--corpus", "{vr_corpus}",
                  "--index", "{vr_index}"],
     "config": ["--config", "{config}", "build-index", "--corpus", "{corpus}"],
@@ -715,7 +740,8 @@ def test_config_value_is_checked_by_the_subcommand_run(tmp_path, capsys):
     corpus_path, videos_path = vr_fixture(tmp_path)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"level": "l1"}))  # a vr-eval level, not a vr-filter one
-    inputs = ["--videos", str(videos_path), "--corpus", str(corpus_path)]
+    inputs = ["--videos", str(videos_path), "--corpus", str(corpus_path),
+              "--index", str(vr_index(tmp_path, videos_path))]
     assert run(["--config", str(config), "vr-eval", *inputs, "--out-dir", str(tmp_path / "ve")]) == 0
     _, row = (tmp_path / "ve" / "vr_metrics.tsv").read_text().splitlines()
     assert row.split("\t")[0] == "L1"
@@ -785,15 +811,12 @@ def test_python_dash_m_runs_the_cli(tmp_path, module):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("command", ["vr-index", "vr-eval"])
+@pytest.mark.parametrize("command", ["vr-index"])
 def test_non_finite_k1_exits_2(tmp_path, capsys, command, value):
-    corpus_path, videos_path = vr_fixture(tmp_path)
-    argv = [command, "--videos", str(videos_path), f"--k1={value}"]
-    if command == "vr-eval":
-        argv += ["--corpus", str(corpus_path)]
+    _, videos_path = vr_fixture(tmp_path)
     capsys.readouterr()
     out = tmp_path / "out"
-    assert run([*argv, "--out-dir", str(out)]) == 2
+    assert run([command, "--videos", str(videos_path), f"--k1={value}", "--out-dir", str(out)]) == 2
     assert f"k1 must be a finite number > 0, got {value}" in capsys.readouterr().err
     assert not any(out.glob("*"))
 
@@ -801,7 +824,8 @@ def test_non_finite_k1_exits_2(tmp_path, capsys, command, value):
 @pytest.fixture
 def vr_filter_argv(tmp_path):
     corpus_path, videos_path = vr_fixture(tmp_path)
-    return ["vr-filter", "--videos", str(videos_path), "--corpus", str(corpus_path)]
+    return ["vr-filter", "--videos", str(videos_path), "--corpus", str(corpus_path),
+            "--index", str(vr_index(tmp_path, videos_path))]
 
 
 @pytest.mark.parametrize(

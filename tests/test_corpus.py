@@ -75,23 +75,8 @@ def test_reserved_id_rejected():
 
 def test_normalization_collapses_whitespace_preserves_case():
     assert normalize_text("  Stain\tthe   Cabinet \n") == "Stain the Cabinet"
-    assert normalize_text("Stain the Cabinet", lowercase=True) == "stain the cabinet"
     # NFC: combining acute composed into a single code point
     assert normalize_text("café") == "café"
-
-
-def test_lowercase_load_option():
-    records = two_article_records()
-    corpus = make_corpus(records)
-    assert corpus.article("g1").title == "Choose a Camera"
-    lowered = load_lowered(records)
-    assert lowered.article("g1").title == "choose a camera"
-
-
-def load_lowered(records):
-    from prockb.corpus import corpus_from_records
-
-    return corpus_from_records(records, lowercase=True)
 
 
 def test_round_trip(tmp_path):

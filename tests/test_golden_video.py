@@ -26,7 +26,7 @@ WORDS = ["oven", "bake", "peel", "stone", "wedge", "golden"]
 
 GOLDEN = {
     "vix/vr_index.json":
-        "07bf1532e8b7d07842011cf32076bb27f10dc84b0869eed19755cdd4ee47a71e",
+        "3e12a680c9ae598aa3197ffaf1261cb9d0f9c923290975000f249acb86565980",
     "vf_FIL_L1/queries.json":
         "4fabf28b7aa8ce61976e2cd0115ef19c67135e1e7df723db7352013cbd5caa06",
     "vf_FIL_L2/queries.json":

@@ -143,7 +143,7 @@ def test_reranked_recall_bounded_by_stage1_recall_at_k():
     rng = np.random.default_rng(0)
     model = RerankModel(w=rng.normal(size=7), lam=0.2)  # arbitrary reranker
     source = LexicalFeatureSource(corpus)
-    reranked = {c.step_id: score_list(model, c, source).ranked_ids() for c in lists}
+    reranked = {c.step_id: [e.goal_id for e in score_list(model, c, source)] for c in lists}
 
     cap = recall_at(stage1, gold_links, k)
     for n in (1, 2, 4, k):

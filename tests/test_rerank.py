@@ -323,8 +323,8 @@ def test_identity_reranker_preserves_stage1_order():
     )
     model = new_model(8, lam=1.0)
     scored = score_list(model, cands, zero_table("s", ["ga", "gb", "gc"]))
-    assert scored.ranked_ids() == ["ga", "gb", "gc"]
-    assert [e.sim2 for e in scored.entries] == [0.9, 0.5, 0.3]
+    assert [e.goal_id for e in scored] == ["ga", "gb", "gc"]
+    assert [e.sim2 for e in scored] == [0.9, 0.5, 0.3]
 
 
 def test_unlinkable_entry_gets_min_sim1():
@@ -334,12 +334,12 @@ def test_unlinkable_entry_gets_min_sim1():
     )
     model = new_model(8, lam=1.0, unlinkable=True)
     scored = score_list(model, cands, zero_table("s", ["ga", "gb", "gc"]))
-    placeholder = [e for e in scored.entries if e.goal_id == UNLINKABLE]
+    placeholder = [e for e in scored if e.goal_id == UNLINKABLE]
     assert len(placeholder) == 1
     assert placeholder[0].sim1 == 0.3
 
     plain = score_list(new_model(8), cands, zero_table("s", ["ga", "gb", "gc"]))
-    assert UNLINKABLE not in plain.ranked_ids()
+    assert UNLINKABLE not in [e.goal_id for e in plain]
 
 
 def test_top1_is_argmax_of_per_pair_sim2():
@@ -354,8 +354,8 @@ def test_top1_is_argmax_of_per_pair_sim2():
     feats = source.features(("s",), (goal_ids,))
     sim2s = list_scores(model, feats, np.array([s1 for _, s1 in entries]))
     per_pair = dict(zip(goal_ids, sim2s.tolist()))
-    assert scored.entries[0].goal_id == max(per_pair, key=lambda g: (per_pair[g], g))
-    assert scored.entries[0].sim2 == max(per_pair.values())
+    assert scored[0].goal_id == max(per_pair, key=lambda g: (per_pair[g], g))
+    assert scored[0].sim2 == max(per_pair.values())
 
 
 # Reference: the per-row arithmetic that scored candidates before
@@ -379,7 +379,7 @@ def scoring_cases(draw, value):
     dim, m = draw(st.integers(1, 9)), draw(st.integers(1, 8))
     vector = lambda n: np.array(draw(st.lists(value, min_size=n, max_size=n)))  # noqa: E731
     unlinkable = draw(st.booleans())
-    model = RerankModel(w=vector(dim), lam=draw(value), unlinkable_enabled=unlinkable,
+    model = RerankModel(w=vector(dim), lam=draw(value),
                         unlinkable_feat=vector(dim) if unlinkable else None)
     return model, vector(m * dim).reshape(m, dim), vector(m)
 
@@ -408,7 +408,7 @@ def test_score_candidates_order_matches_per_row_arithmetic(case):
     if model.unlinkable_enabled:
         slots.append((UNLINKABLE, min(sim1s.tolist())))
     want = [(g, s1, score) for (g, s1), (score, _) in zip(slots, per_row_scores(model, feats, sim1s))]
-    assert list(scored.entries) == sorted(want, key=lambda e: (-e[2], e[0]))
+    assert list(scored) == sorted(want, key=lambda e: (-e[2], e[0]))
 
 
 def test_score_candidates_empty_list():
@@ -480,7 +480,6 @@ def finite_difference_grads(model, example, feats, h=1e-5):
         probe = RerankModel(
             w=w,
             lam=lam,
-            unlinkable_enabled=model.unlinkable_enabled,
             unlinkable_feat=u,
             context_mode=model.context_mode,
             window=model.window,
@@ -531,7 +530,6 @@ def random_point(rng, unlinkable: bool, dim=8):
     model = RerankModel(
         w=rng.normal(size=dim),
         lam=float(rng.normal()),
-        unlinkable_enabled=unlinkable,
         unlinkable_feat=rng.normal(size=dim) if unlinkable else None,
     )
     return model, example, feats
@@ -581,7 +579,7 @@ def rerank_recall_at_1(model, examples, source):
     for example in examples:
         cands = CandidateList(example.step_id, example.candidates)
         scored = score_list(model, cands, source)
-        hits += scored.entries[0].goal_id == example.gold
+        hits += scored[0].goal_id == example.gold
     return hits / len(examples)
 
 
@@ -674,7 +672,6 @@ def test_model_checkpoint_round_trip(tmp_path):
     model = RerankModel(
         w=rng.normal(size=8),
         lam=-0.375,
-        unlinkable_enabled=True,
         unlinkable_feat=rng.normal(size=8),
         context_mode="both",
         window=2,
@@ -698,20 +695,30 @@ def test_model_checkpoint_validation(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "vectors, message",
+    "unlinkable, vectors, message",
     [
-        ("", "no W line"),
-        ("W 0.0 1.0 2.0\nU 0.0 1.0\n", "U has 2 values, expected 3"),
-        ("W 0.0 x 2.0\nU 0.0 1.0 2.0\n", "malformed"),
+        (1, "", "no W line"),
+        (1, "W 0.0 1.0 2.0\nU 0.0 1.0\n", "U has 2 values, expected 3"),
+        (1, "W 0.0 x 2.0\nU 0.0 1.0 2.0\n", "malformed"),
+        (1, "W 0.0 1.0 2.0\n", "unlinkable=1 but the checkpoint has no U row"),
+        (0, "W 0.0 1.0 2.0\nU 5.0 5.0 5.0\n", "unlinkable=0 but the checkpoint has a U row"),
     ],
-    ids=["no-W-line", "short-U-row", "non-float-W"],
+    ids=["no-W-line", "short-U-row", "non-float-W", "no-U-row", "U-row-not-unlinkable"],
 )
-def test_model_checkpoint_rejects_bad_vectors(tmp_path, vectors, message):
+def test_model_checkpoint_rejects_bad_vectors(tmp_path, unlinkable, vectors, message):
     path = tmp_path / "model.txt"
-    path.write_text("dim=3\nlambda=1.0\nunlinkable=1\ncontext_mode=none\nwindow=1\n" + vectors)
+    path.write_text(f"dim=3\nlambda=1.0\nunlinkable={unlinkable}\ncontext_mode=none\nwindow=1\n"
+                    + vectors)
     with pytest.raises(DataError, match=message) as info:
         load_model(path)
     assert str(path) in str(info.value)
+
+
+def test_unlinkable_enabled_is_whether_the_model_has_a_u_row():
+    assert not new_model(3).unlinkable_enabled
+    assert new_model(3, unlinkable=True).unlinkable_enabled
+    assert RerankModel(w=np.zeros(3), lam=1.0, unlinkable_feat=np.zeros(3)).unlinkable_enabled
+    assert not RerankModel(w=np.zeros(3), lam=1.0).unlinkable_enabled
 
 
 def test_feature_file_round_trip(tmp_path):

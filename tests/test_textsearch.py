@@ -12,7 +12,6 @@ from prockb.textsearch import (
     DEFAULT_B,
     DEFAULT_K1,
     TextIndex,
-    s_stem,
     tokenize,
 )
 
@@ -160,21 +159,6 @@ def test_params_validation():
     with pytest.raises(ValueError):
         TextIndex(TWO_DOCS, b=1.5)
     assert (DEFAULT_K1, DEFAULT_B) == (1.2, 0.75)
-
-
-def test_stopword_switch():
-    index = TextIndex(TWO_DOCS, stopwords=True)
-    assert index.doc_length("d1") == 2  # "the" dropped
-    assert index.score("the", "d1") == 0.0
-
-
-def test_stem_switch():
-    assert s_stem("fries") == "fry"
-    assert s_stem("cabinets") == "cabinet"
-    assert s_stem("berries") == "berry"
-    assert s_stem("glass") == "glass"
-    index = TextIndex([("d1", "stain the cabinets")], stem=True)
-    assert index.score("cabinet", "d1") > 0.0
 
 
 def test_json_round_trip():
