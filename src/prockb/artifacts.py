@@ -1,10 +1,13 @@
-"""Reading prockb's files: every input is opened, decoded, split and checked here.
+"""Reading and writing prockb's files: every input is opened, decoded, split
+and checked here, and every TSV, JSON and vector artifact is written here.
 
 Shared rules: files are UTF-8, blank lines are skipped, a key that an earlier
 row of a keyed file has is an error, and every error is a DataError that
 starts with the path and, where there is one, the line (``path: line N: ...``).
-Readers stream line by line. Writers stay beside their data types, except the
-``dim=<d>`` vector format that embeddings and pair features share.
+Readers stream line by line. Writers take rows or values from the modules
+that own the data types and write them in one of three formats: tab-separated
+rows, indented JSON, and the ``dim=<d>`` vector format that embeddings and
+pair features share.
 """
 
 import json
@@ -123,3 +126,17 @@ def write_vectors(path, dim: int, rows: Iterable[tuple[str, np.ndarray]]) -> Non
         for row_id, vec in rows:
             values = " ".join(repr(float(x)) for x in vec)
             handle.write(f"{row_id} {values}\n")
+
+
+def write_rows(path, rows: Iterable[Iterable]) -> None:
+    """Write tab-separated rows, each field as `str` gives it (for a float, its repr)."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for row in rows:
+            handle.write("\t".join(map(str, row)) + "\n")
+
+
+def write_json(path, value) -> None:
+    """Write `value` as JSON: sorted keys, indent 2, non-ASCII characters kept, final newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(value, handle, sort_keys=True, ensure_ascii=False, indent=2)
+        handle.write("\n")

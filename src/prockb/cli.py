@@ -2,7 +2,9 @@
 
 Every subcommand reads declared inputs, writes its artifacts plus a
 manifest.json (config hash, input digests, package version) into --out-dir,
-and never mutates inputs. Exit codes: 0 ok, 1 usage, 2 data error, 3 internal.
+and never mutates inputs. A subcommand names each artifact once, with
+`_output`; `main` writes the manifest from those names and from the flags of
+type `infile`. Exit codes: 0 ok, 1 usage, 2 data error, 3 internal.
 """
 
 import argparse
@@ -15,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .artifacts import read_json, read_text
+from .artifacts import read_json, read_text, write_json, write_rows
 from .corpus import load_corpus, validation_report
 from .embedding import embed_corpus, load_embeddings, save_embeddings
 from .errors import DataError
@@ -82,32 +84,40 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(args, inputs: list[str], outputs: list[str]) -> None:
-    out_dir = Path(args.out_dir)
+def infile(path: str) -> str:
+    """The argparse type of a flag that names an input file; `main` lists
+    every file given by such a flag in the manifest's inputs."""
+    return path
+
+
+def _output(args, name: str) -> Path:
+    """The path of artifact `name` in --out-dir, which is made on the first
+    call; `main` lists every name given here in the manifest's outputs. A
+    command asks for its outputs only after it has read and checked its
+    inputs, so a failed run leaves no --out-dir behind."""
+    if not args._outputs:
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    args._outputs.append(name)
+    return Path(args.out_dir) / name
+
+
+def _write_manifest(args, subparser: Parser) -> None:
     config = {
         k: v
         for k, v in sorted(vars(args).items())
         if k not in ("func", "out_dir", "config") and not k.startswith("_")
     }
-    payload = {
+    given = (getattr(args, a.dest) for a in subparser._actions if a.type is infile)
+    write_json(Path(args.out_dir) / "manifest.json", {
         "command": args.command,
         "config": config,
         "config_hash": hashlib.sha256(
             json.dumps(config, sort_keys=True).encode("utf-8")
         ).hexdigest(),
-        "inputs": {name: _sha256(Path(name)) for name in sorted(set(inputs))},
-        "outputs": sorted(outputs),
+        "inputs": {name: _sha256(Path(name)) for name in sorted(set(filter(None, given)))},
+        "outputs": sorted(args._outputs),
         "version": __version__,
-    }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    })
 
 
 def _parse_ns(raw: str) -> list[int]:
@@ -137,34 +147,29 @@ def _corpus_ids(corpus) -> list[str]:
 
 
 def cmd_build_index(args) -> None:
-    out = _out_dir(args)
     corpus = load_corpus(args.corpus)
     if args.embeddings:
         store = _embeddings(args.embeddings, corpus.goal_ids())
     else:
         store = embed_corpus(corpus, dim=args.dim, seed=args.seed, lowercase=args.lowercase)
-    save_embeddings(store, out / "embeddings.txt")
-    (out / "corpus_report.txt").write_text(validation_report(corpus), encoding="utf-8")
-    inputs = [args.corpus] + ([args.embeddings] if args.embeddings else [])
-    _write_manifest(args, inputs, ["embeddings.txt", "corpus_report.txt"])
+    save_embeddings(store, _output(args, "embeddings.txt"))
+    _output(args, "corpus_report.txt").write_text(validation_report(corpus), encoding="utf-8")
 
 
 def cmd_retrieve(args) -> None:
-    out = _out_dir(args)
     corpus = load_corpus(args.corpus)
     store = _embeddings(args.embeddings, _corpus_ids(corpus))
     index = build_index(store, corpus.goal_ids())
     lists = retrieve_all(index, store, corpus, k=args.k, exclude_parent=not args.no_exclude_parent)
-    write_candidates(out / "candidates.tsv", lists)
-    _write_manifest(args, [args.corpus, args.embeddings], ["candidates.tsv"])
+    write_candidates(_output(args, "candidates.tsv"), lists)
 
 
 def cmd_train_reranker(args) -> None:
-    if args.batch < 1:
-        raise UsageError(f"--batch must be >= 1, got {args.batch}")
+    for flag, value in (("--batch", args.batch), ("--window", args.window)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
     if not (math.isfinite(args.lr) and args.lr > 0):
         raise UsageError(f"--lr must be a finite number > 0, got {args.lr!r}")
-    out = _out_dir(args)
     corpus = load_corpus(args.corpus)
     candidate_lists = read_candidates(args.candidates)
     gold_links = load_gold_links(args.gold, corpus=corpus)
@@ -202,18 +207,15 @@ def cmd_train_reranker(args) -> None:
             )
     except RuntimeError as exc:
         raise DataError(f"--lr {args.lr!r}: {exc}") from None
-    save_model(result.model, out / "model.txt")
-    with open(out / "loss_curve.tsv", "w", encoding="utf-8") as handle:
-        handle.write("epoch\ttrain_loss\tdev_loss\n")
-        for row in result.curve:
-            dev = "" if row.dev_loss is None else repr(row.dev_loss)
-            handle.write(f"{row.epoch}\t{row.train_loss!r}\t{dev}\n")
-    inputs = [args.corpus, args.candidates, args.gold] + ([args.features] if args.features else [])
-    _write_manifest(args, inputs, ["model.txt", "loss_curve.tsv"])
+    save_model(result.model, _output(args, "model.txt"))
+    write_rows(_output(args, "loss_curve.tsv"), [("epoch", "train_loss", "dev_loss")] + [
+        (row.epoch, row.train_loss, "" if row.dev_loss is None else row.dev_loss)
+        for row in result.curve
+    ])
 
 
-def _pipeline(args):
-    """The pipeline `link` and `expand` run, and the files it reads."""
+def _pipeline(args) -> LinkPipeline:
+    """The pipeline `link` and `expand` run."""
     corpus = load_corpus(args.corpus)
     store = _embeddings(args.embeddings, _corpus_ids(corpus))
     index = build_index(store, corpus.goal_ids())
@@ -226,7 +228,7 @@ def _pipeline(args):
         features = args.features or f"{source.name} features"
         raise DataError(f"{args.model}: model width {model.dim} does not match "
                         f"the feature width {source.dim} of {features}")
-    pipeline = LinkPipeline(
+    return LinkPipeline(
         corpus=corpus,
         index=index,
         store=store,
@@ -235,50 +237,31 @@ def _pipeline(args):
         k=args.k,
         exclude_parent=not args.no_exclude_parent,
     )
-    return pipeline, [args.corpus, args.embeddings, args.model] + (
-        [args.features] if args.features else []
-    )
 
 
 def cmd_link(args) -> None:
-    out = _out_dir(args)
-    pipeline, inputs = _pipeline(args)
-    decisions = link_all(pipeline)
-    write_links(out / "links.tsv", decisions)
-    outputs = ["links.tsv"]
+    decisions = link_all(_pipeline(args))
+    write_links(_output(args, "links.tsv"), decisions)
     if args.rankings:
-        write_rankings(out / "rankings.tsv", decisions)
-        outputs.append("rankings.tsv")
-    _write_manifest(args, inputs, outputs)
+        write_rankings(_output(args, "rankings.tsv"), decisions)
 
 
 def cmd_expand(args) -> None:
-    out = _out_dir(args)
-    pipeline, inputs = _pipeline(args)
-    tree = expand(pipeline, args.root, args.max_depth)
-    write_tree(tree, out / "tree.json")
-    _write_manifest(args, inputs, ["tree.json"])
+    tree = expand(_pipeline(args), args.root, args.max_depth)
+    write_tree(tree, _output(args, "tree.json"))
 
 
 def cmd_eval_links(args) -> None:
-    out = _out_dir(args)
     rankings = read_ranked(args.rankings, 3, lambda lineno, parts: parts[2])
     gold = load_gold_links(args.gold)
     if args.split != "all":
         gold = split_links(gold, seed=args.seed).part(args.split)
     report = recall_report(rankings, gold, _parse_ns(args.ns))
-    with open(out / "recall.tsv", "w", encoding="utf-8") as handle:
-        handle.write("n\trecall\n")
-        for n, value in sorted(report.items()):
-            handle.write(f"{n}\t{value!r}\n")
-    with open(out / "recall.json", "w", encoding="utf-8") as handle:
-        json.dump({str(n): v for n, v in report.items()}, handle, sort_keys=True, indent=2)
-        handle.write("\n")
-    _write_manifest(args, [args.rankings, args.gold], ["recall.tsv", "recall.json"])
+    write_rows(_output(args, "recall.tsv"), [("n", "recall"), *sorted(report.items())])
+    write_json(_output(args, "recall.json"), {str(n): v for n, v in report.items()})
 
 
 def cmd_search(args) -> None:
-    out = _out_dir(args)
     corpus = load_corpus(args.corpus)
     if args.mode == "goal":
         docs = [(a.goal_id, a.title) for a in corpus.articles]
@@ -288,18 +271,14 @@ def cmd_search(args) -> None:
             for a in corpus.articles
         ]
     ranked = TextIndex(docs, k1=args.k1, b=args.b).ranked(args.query, args.n)
-    with open(out / "search.tsv", "w", encoding="utf-8") as handle:
-        for rank, (doc_id, score) in enumerate(ranked, 1):
-            handle.write(f"{rank}\t{doc_id}\t{score!r}\n")
-    _write_manifest(args, [args.corpus], ["search.tsv"])
+    write_rows(_output(args, "search.tsv"),
+               ((rank, *entry) for rank, entry in enumerate(ranked, 1)))
 
 
 def cmd_vr_index(args) -> None:
-    out = _out_dir(args)
     videos = load_videos(args.videos)
     index = build_video_index(videos, k1=args.k1, b=args.b)
-    (out / "vr_index.json").write_text(index.to_json() + "\n", encoding="utf-8")
-    _write_manifest(args, [args.videos], ["vr_index.json"])
+    _output(args, "vr_index.json").write_text(index.to_json() + "\n", encoding="utf-8")
 
 
 def _video_index(args, videos):
@@ -321,7 +300,6 @@ def cmd_vr_filter(args) -> None:
             raise UsageError(f"{flag} must be a finite number, got {weight!r}")
     if args.cap < 0:
         raise UsageError(f"--cap must be >= 0, got {args.cap}")
-    out = _out_dir(args)
     corpus = load_corpus(args.corpus)
     videos = load_videos(args.videos)
     splits = split_videos(videos, seed=args.seed)
@@ -348,30 +326,24 @@ def cmd_vr_filter(args) -> None:
                 level=args.level,
             )
         )
-    write_queries(out / "queries.json", queries)
-    inputs = [args.corpus, args.videos, args.index] + ([args.links] if args.links else [])
-    _write_manifest(args, inputs, ["queries.json"])
+    write_queries(_output(args, "queries.json"), queries)
 
 
 def cmd_vr_eval(args) -> None:
-    out = _out_dir(args)
+    if bool(args.queries) == bool(args.corpus):
+        raise UsageError("give exactly one of --queries and --corpus")
     videos = load_videos(args.videos)
     splits = split_videos(videos, seed=args.seed)
     index = _video_index(args, videos)
-    inputs = [args.videos, args.index]
 
     if args.queries:
         queries = read_queries(args.queries)
-        inputs.append(args.queries)
         for i, query in enumerate(queries, 1):
             if query.level != queries[0].level:
                 raise DataError(f"{args.queries}: item {i}: level {query.level!r} differs "
                                 f"from item 1's {queries[0].level!r}")
     else:
-        if not args.corpus:
-            raise UsageError("--corpus is required when --queries is not given")
         corpus = load_corpus(args.corpus)
-        inputs.append(args.corpus)
         queries = [make_query(corpus, goal_id, args.level) for goal_id in splits.goals()]
 
     part = splits.part(args.split)
@@ -381,18 +353,12 @@ def cmd_vr_eval(args) -> None:
     ns = _parse_ns(args.ns)
     metrics = vr_metrics(ranks, ns)
 
-    level = queries[0].level if queries else ""
     header = ["level"]
-    row = [level]
+    row = [queries[0].level if queries else ""]
     for n in ns:
         header += [f"r@{n}", f"p@{n}"]
-        row += [repr(metrics.recall[n]), repr(metrics.precision[n])]
-    header.append("mr")
-    row.append(repr(metrics.mean_rank))
-    with open(out / "vr_metrics.tsv", "w", encoding="utf-8") as handle:
-        handle.write("\t".join(header) + "\n")
-        handle.write("\t".join(row) + "\n")
-    _write_manifest(args, inputs, ["vr_metrics.tsv"])
+        row += [metrics.recall[n], metrics.precision[n]]
+    write_rows(_output(args, "vr_metrics.tsv"), [header + ["mr"], row + [metrics.mean_rank]])
 
 
 # ---------------------------------------------------------------------------
@@ -412,23 +378,24 @@ def build_parser() -> Parser:
         return p
 
     p = add("build-index", cmd_build_index, help="embed a corpus (or ingest external vectors)")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--embeddings", help="external vector file; skips the built-in embedder")
+    p.add_argument("--corpus", required=True, type=infile)
+    p.add_argument("--embeddings", type=infile,
+                   help="external vector file; skips the built-in embedder")
     p.add_argument("--dim", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lowercase", action="store_true", help="lowercase text before embedding")
 
     p = add("retrieve", cmd_retrieve, help="top-k candidate goals for every step")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--embeddings", required=True)
+    p.add_argument("--corpus", required=True, type=infile)
+    p.add_argument("--embeddings", required=True, type=infile)
     p.add_argument("--k", type=int, default=30)
     p.add_argument("--no-exclude-parent", action="store_true")
 
     p = add("train-reranker", cmd_train_reranker, help="train W and lambda on gold links")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--candidates", required=True)
-    p.add_argument("--gold", required=True)
-    p.add_argument("--features", help="precomputed pair-feature file")
+    p.add_argument("--corpus", required=True, type=infile)
+    p.add_argument("--candidates", required=True, type=infile)
+    p.add_argument("--gold", required=True, type=infile)
+    p.add_argument("--features", type=infile, help="precomputed pair-feature file")
     p.add_argument("--context-mode", choices=["none", "goal", "surround", "both"], default="both")
     p.add_argument("--window", type=int, default=1)
     p.add_argument("--lr", type=float, default=0.5)
@@ -444,10 +411,10 @@ def build_parser() -> Parser:
         ("expand", cmd_expand, False),
     ):
         p = add(name, func, help="link every step" if name == "link" else "grow a procedure tree")
-        p.add_argument("--corpus", required=True)
-        p.add_argument("--embeddings", required=True)
-        p.add_argument("--model", required=True)
-        p.add_argument("--features")
+        p.add_argument("--corpus", required=True, type=infile)
+        p.add_argument("--embeddings", required=True, type=infile)
+        p.add_argument("--model", required=True, type=infile)
+        p.add_argument("--features", type=infile)
         p.add_argument("--k", type=int, default=30)
         p.add_argument("--no-exclude-parent", action="store_true")
         if extra:
@@ -457,14 +424,14 @@ def build_parser() -> Parser:
             p.add_argument("--max-depth", type=int, default=2)
 
     p = add("eval-links", cmd_eval_links, help="recall@N of a rankings file vs gold links")
-    p.add_argument("--rankings", required=True)
-    p.add_argument("--gold", required=True)
+    p.add_argument("--rankings", required=True, type=infile)
+    p.add_argument("--gold", required=True, type=infile)
     p.add_argument("--ns", default="1,10,30")
     p.add_argument("--split", choices=["all", "train", "dev", "test"], default="all")
     p.add_argument("--seed", type=int, default=0)
 
     p = add("search", cmd_search, help="BM25 search over goal titles or full articles")
-    p.add_argument("--corpus", required=True)
+    p.add_argument("--corpus", required=True, type=infile)
     p.add_argument("--query", required=True)
     p.add_argument("--mode", choices=["goal", "article"], default="goal")
     p.add_argument("-n", type=int, default=10)
@@ -472,16 +439,16 @@ def build_parser() -> Parser:
     p.add_argument("--b", type=float, default=0.75)
 
     p = add("vr-index", cmd_vr_index, help="build and persist a BM25 index over captions")
-    p.add_argument("--videos", required=True)
+    p.add_argument("--videos", required=True, type=infile)
     p.add_argument("--k1", type=float, default=1.2)
     p.add_argument("--b", type=float, default=0.75)
 
     p = add("vr-filter", cmd_vr_filter, help="hill-climb filtered queries per goal")
-    p.add_argument("--videos", required=True)
-    p.add_argument("--corpus", required=True)
+    p.add_argument("--videos", required=True, type=infile)
+    p.add_argument("--corpus", required=True, type=infile)
     p.add_argument("--level", choices=[FIL_L1, FIL_L2], default=FIL_L1, type=str.upper)
-    p.add_argument("--links", help="step->goal link dump, needed for fil_l2")
-    p.add_argument("--index", required=True, help="vr_index.json from vr-index")
+    p.add_argument("--links", type=infile, help="step->goal link dump, needed for fil_l2")
+    p.add_argument("--index", required=True, type=infile, help="vr_index.json from vr-index")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--wg", type=float, default=1.0)
     p.add_argument("--ws", type=float, default=0.5)
@@ -489,11 +456,11 @@ def build_parser() -> Parser:
     p.add_argument("--cost", choices=["mean_rank", "neg_recall50"], default="mean_rank")
 
     p = add("vr-eval", cmd_vr_eval, help="recall/precision@N and mean rank per query level")
-    p.add_argument("--videos", required=True)
-    p.add_argument("--queries", help="queries.json from vr-filter")
-    p.add_argument("--corpus", help="needed with --level to build unfiltered queries")
+    p.add_argument("--videos", required=True, type=infile)
+    p.add_argument("--queries", type=infile, help="queries.json from vr-filter; or --corpus")
+    p.add_argument("--corpus", type=infile, help="builds unfiltered --level queries; or --queries")
     p.add_argument("--level", choices=[L0, L1], default=L0, type=str.upper)
-    p.add_argument("--index", required=True, help="vr_index.json from vr-index")
+    p.add_argument("--index", required=True, type=infile, help="vr_index.json from vr-index")
     p.add_argument("--split", choices=["train", "dev", "test"], default="test")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ns", default="1,10,25,50")
@@ -551,7 +518,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config(parser, argv)
         args = parser.parse_args(argv)
+        args._outputs = []
         args.func(args)
+        _write_manifest(args, parser.subcommands[args.command])  # type: ignore[attr-defined]
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

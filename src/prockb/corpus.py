@@ -148,6 +148,8 @@ def _as_id(value, where: str) -> str:
         raise DataError(f"{where}: empty id")
     if out in RESERVED_IDS:
         raise DataError(f"{where}: id {out!r} is reserved")
+    if any(ch.isspace() for ch in out):
+        raise DataError(f"{where}: id {out!r} contains whitespace")
     return out
 
 

@@ -15,7 +15,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .artifacts import tab_rows
+from .artifacts import tab_rows, write_json, write_rows
 from .corpus import Corpus
 from .embedding import EmbeddingStore
 from .rerank import (
@@ -127,10 +127,7 @@ def link_all(pipeline: LinkPipeline) -> list[LinkDecision]:
 
 def write_links(path: str | Path, decisions: Iterable[LinkDecision]) -> None:
     """Link dump TSV: step_id, outcome, sim1, sim2 of the chosen entry."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for dec in decisions:
-            top = dec.chosen
-            handle.write(f"{dec.step_id}\t{dec.outcome}\t{top.sim1!r}\t{top.sim2!r}\n")
+    write_rows(path, ((d.step_id, d.outcome, d.chosen.sim1, d.chosen.sim2) for d in decisions))
 
 
 def read_links(path: str | Path) -> dict[str, str]:
@@ -140,12 +137,8 @@ def read_links(path: str | Path) -> dict[str, str]:
 
 def write_rankings(path: str | Path, decisions: Iterable[LinkDecision]) -> None:
     """Full reranked lists as TSV: step_id, rank, goal_id, sim1, sim2."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for dec in decisions:
-            for rank, entry in enumerate(dec.alternatives, 1):
-                handle.write(
-                    f"{dec.step_id}\t{rank}\t{entry.goal_id}\t{entry.sim1!r}\t{entry.sim2!r}\n"
-                )
+    write_rows(path, ((dec.step_id, rank, *entry)
+                      for dec in decisions for rank, entry in enumerate(dec.alternatives, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +176,6 @@ class ProcedureTree:
             for step in node.steps:
                 if step.child is not None:
                     stack.append(step.child)
-
-    def step_nodes(self) -> Iterator[StepNode]:
-        for goal in self.goal_nodes():
-            yield from goal.steps
 
 
 def expand(pipeline: LinkPipeline, root_goal_id: str, max_depth: int) -> ProcedureTree:
@@ -265,6 +254,4 @@ def tree_to_dict(tree: ProcedureTree) -> dict:
 
 
 def write_tree(tree: ProcedureTree, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(tree_to_dict(tree), handle, sort_keys=True, ensure_ascii=False, indent=2)
-        handle.write("\n")
+    write_json(path, tree_to_dict(tree))

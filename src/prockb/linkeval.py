@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .artifacts import tab_rows
+from .artifacts import tab_rows, write_rows
 from .corpus import Corpus
 from .errors import DataError
 
@@ -61,9 +61,7 @@ def load_gold_links(path: str | Path, corpus: Corpus | None = None) -> list[Gold
 
 
 def write_gold_links(path: str | Path, links: Iterable[GoldLink]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for link in links:
-            handle.write(f"{link.step_id}\t{link.gold_goal_id}\n")
+    write_rows(path, ((link.step_id, link.gold_goal_id) for link in links))
 
 
 def split_sizes(n: int, ratios: Sequence[float]) -> tuple[int, int, int]:

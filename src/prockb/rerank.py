@@ -387,7 +387,7 @@ def load_model(path: str | Path) -> RerankModel:
     try:
         dim = int(fields["dim"])
         vectors = {n: np.array([float(x) for x in fields[n].split()]) for n in "WU" if n in fields}
-        unlinkable = bool(int(fields["unlinkable"]))
+        unlinkable = fields["unlinkable"]
         model = RerankModel(
             w=vectors["W"],
             lam=float(fields["lambda"]),
@@ -404,9 +404,13 @@ def load_model(path: str | Path) -> RerankModel:
         raise DataError(f"{path}: non-finite value in model checkpoint")
     if model.context_mode not in CONTEXT_MODES:
         raise DataError(f"{path}: unknown context_mode {model.context_mode!r}")
-    if unlinkable != model.unlinkable_enabled:
+    if model.window < 1:
+        raise DataError(f"{path}: window must be >= 1, got {model.window}")
+    if unlinkable not in ("0", "1"):
+        raise DataError(f"{path}: unlinkable must be 0 or 1, got {unlinkable!r}")
+    if unlinkable != str(int(model.unlinkable_enabled)):
         has = "a" if model.unlinkable_enabled else "no"
-        raise DataError(f"{path}: unlinkable={int(unlinkable)} but the checkpoint has {has} U row")
+        raise DataError(f"{path}: unlinkable={unlinkable} but the checkpoint has {has} U row")
     return model
 
 
@@ -556,7 +560,6 @@ class EpochStats:
 class TrainResult:
     model: RerankModel
     curve: list[EpochStats]
-    best_epoch: int
 
 
 def example_features(source: FeatureSource, examples: Sequence[TrainExample]) -> list[np.ndarray]:
@@ -600,7 +603,7 @@ def train(
     dev_feats = example_features(source, dev_examples) if dev_examples else []
 
     curve: list[EpochStats] = []
-    best: tuple[float, int, RerankModel] | None = None
+    best: tuple[float, RerankModel] | None = None
     for epoch in range(1, epochs + 1):
         order = rng.permutation(len(examples))
         epoch_losses = []
@@ -631,8 +634,6 @@ def train(
         dev_loss = mean_loss(model, dev_examples, dev_feats) if dev_examples else None
         curve.append(EpochStats(epoch=epoch, train_loss=train_loss, dev_loss=dev_loss))
         if dev_loss is not None and (best is None or dev_loss < best[0]):
-            best = (dev_loss, epoch, model.copy())
+            best = (dev_loss, model.copy())
 
-    if best is not None:
-        return TrainResult(model=best[2], curve=curve, best_epoch=best[1])
-    return TrainResult(model=model, curve=curve, best_epoch=epochs)
+    return TrainResult(model=model if best is None else best[1], curve=curve)

@@ -12,7 +12,7 @@ from typing import Callable, Iterable, NamedTuple, TypeVar
 
 import numpy as np
 
-from .artifacts import fail, tab_rows
+from .artifacts import fail, tab_rows, write_rows
 from .corpus import Corpus, Step
 from .embedding import EmbeddingStore
 
@@ -35,11 +35,10 @@ class CandidateList:
 class GoalIndex:
     """Searchable goal embeddings: ids in ascending order, unit-norm rows."""
 
-    def __init__(self, goal_ids: list[str], matrix: np.ndarray, zero_ids: frozenset[str]):
+    def __init__(self, goal_ids: list[str], matrix: np.ndarray):
         self.goal_ids = goal_ids
         self.goal_id_set = frozenset(goal_ids)
         self.matrix = matrix
-        self.zero_ids = zero_ids
 
     @property
     def dim(self) -> int:
@@ -50,19 +49,16 @@ class GoalIndex:
 
 
 def build_index(store: EmbeddingStore, goal_ids: Iterable[str]) -> GoalIndex:
-    """Stack goal vectors into a normalized matrix. Zero vectors are kept but
-    flagged; they score 0 against every query."""
+    """Stack goal vectors into a normalized matrix. Zero vectors are kept as
+    zero rows; they score 0 against every query."""
     ordered = sorted(set(goal_ids))
     matrix = np.zeros((len(ordered), store.dim), dtype=np.float64)
-    zero_ids = set()
     for row, goal_id in enumerate(ordered):
         vec = store[goal_id]
         norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            zero_ids.add(goal_id)
-        else:
+        if norm != 0.0:
             matrix[row] = vec / norm
-    return GoalIndex(goal_ids=ordered, matrix=matrix, zero_ids=frozenset(zero_ids))
+    return GoalIndex(goal_ids=ordered, matrix=matrix)
 
 
 def topk(
@@ -130,10 +126,8 @@ def retrieve_all(
 
 def write_candidates(path: str | Path, lists: Iterable[CandidateList]) -> None:
     """Dump candidate lists as TSV: step_id, rank, goal_id, sim1."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for cand in lists:
-            for rank, (goal_id, sim1) in enumerate(cand.entries, 1):
-                handle.write(f"{cand.step_id}\t{rank}\t{goal_id}\t{sim1!r}\n")
+    write_rows(path, ((cand.step_id, rank, *entry)
+                      for cand in lists for rank, entry in enumerate(cand.entries, 1)))
 
 
 def read_ranked(

@@ -17,7 +17,6 @@ otherwise. The round counter starts at min(n_candidates, cap) and runs to 0
 inclusive, so at most min(n, cap) + 1 clauses can be accepted.
 """
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .artifacts import fail, json_lines, read_json
+from .artifacts import fail, json_lines, read_json, write_json
 from .corpus import Corpus, normalize_text
 from .errors import DataError
 from .linkeval import split_sizes
@@ -433,9 +432,7 @@ def write_queries(path: str | Path, queries: Sequence[Query]) -> None:
         }
         for q in queries
     ]
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, ensure_ascii=False, indent=2)
-        handle.write("\n")
+    write_json(path, payload)
 
 
 def read_queries(path: str | Path) -> list[Query]:

@@ -301,8 +301,12 @@ def test_artifacts_do_not_depend_on_hash_seed(identity_setup, tmp_path):
         (lambda lines: [l for l in lines if not l.startswith("W ")], "no W line"),
         (lambda lines: [l.rsplit(" ", 1)[0] if l.startswith("U ") else l for l in lines],
          "U has 6 values, expected 7"),
+        (lambda lines: ["window=0" if l.startswith("window=") else l for l in lines],
+         "window must be >= 1, got 0"),
+        (lambda lines: ["unlinkable=2" if l.startswith("unlinkable=") else l for l in lines],
+         "unlinkable must be 0 or 1, got '2'"),
     ],
-    ids=["no-W-line", "short-U-row"],
+    ids=["no-W-line", "short-U-row", "window-0", "unlinkable-2"],
 )
 def test_link_rejects_bad_checkpoint(identity_setup, tmp_path, capsys, edit, message):
     corpus_path, gold_path, embeddings, candidates = _linked(identity_setup, tmp_path)
@@ -411,6 +415,7 @@ def test_index_of_other_videos_exits_2(tmp_path, capsys, command, edit, first, o
     where = index_path if only_in == "index" else videos_path
     assert (f"error: {index_path}: not an index of the videos in {videos_path}: "
             f"video {first!r} is only in {where}") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
     same = vr_index(tmp_path, videos_path)
     assert run([*argv, "--index", str(same), "--out-dir", str(tmp_path / "same")]) == 0
 
@@ -536,6 +541,7 @@ def test_non_utf8_input_exits_2_with_path(input_files, tmp_path, capsys, kind):
     code, damaged = _run_on(input_files, tmp_path, kind, content)
     assert code == 2
     assert f"{damaged}: line 1: not valid UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("kind", sorted(_READERS))
@@ -630,6 +636,7 @@ def test_missing_embedding_exits_2_with_path(input_files, tmp_path, capsys, argv
     code = run([arg.format(**paths) for arg in argv] + ["--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert f"{embeddings}: no embedding for corpus id {missing!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_retrieve_and_link_clamp_k_alike(tmp_path):
@@ -759,7 +766,7 @@ def test_config_without_path_is_a_usage_error(capsys):
 @pytest.mark.parametrize(
     "flag, value",
     [("--batch", "0"), ("--batch", "-3"), ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-inf"),
-     ("--lr", "0"), ("--lr", "-0.5")],
+     ("--lr", "0"), ("--lr", "-0.5"), ("--window", "0")],
 )
 def test_bad_training_flag_is_a_usage_error(config_commands, tmp_path, capsys, flag, value):
     capsys.readouterr()
@@ -818,7 +825,7 @@ def test_non_finite_k1_exits_2(tmp_path, capsys, command, value):
     out = tmp_path / "out"
     assert run([command, "--videos", str(videos_path), f"--k1={value}", "--out-dir", str(out)]) == 2
     assert f"k1 must be a finite number > 0, got {value}" in capsys.readouterr().err
-    assert not any(out.glob("*"))
+    assert not out.exists()
 
 
 @pytest.fixture
@@ -850,3 +857,86 @@ def test_bad_vr_filter_config_value_is_a_usage_error(vr_filter_argv, tmp_path, c
     assert run(["--config", str(config), *vr_filter_argv, "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"usage error: --{next(iter(values))} must be")
     assert not out.exists()
+
+
+def test_id_with_whitespace_exits_2_in_build_index(tmp_path, capsys):
+    """The vector files split rows on whitespace, so such an id would break
+    the next command that reads them."""
+    records, _ = identity_records(3)
+    records[1]["steps"][0]["id"] = "a01 probe"
+    corpus_path = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus_path, records)
+    out = tmp_path / "ix"
+    assert run(["build-index", "--corpus", str(corpus_path), "--out-dir", str(out)]) == 2
+    assert (f"{corpus_path}: record 2: id 'a01 probe' contains whitespace"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+# Every subcommand once, as argv with {kind} placeholders for input_files
+# paths; each placeholder is given to a flag that names an input file, and
+# nothing else is an input (`link --rankings` is a switch).
+_SUBCOMMANDS = {
+    "build-index": ["build-index", "--corpus", "{corpus}", "--embeddings", "{embeddings}"],
+    "retrieve": _READERS["embeddings"],
+    "train-reranker": _READERS["features"],
+    "link": ["link", "--corpus", "{corpus}", "--embeddings", "{embeddings}",
+             "--model", "{model}", "--rankings"],
+    "expand": ["expand", "--corpus", "{corpus}", "--embeddings", "{embeddings}",
+               "--model", "{model}", "--root", "a00"],
+    "eval-links": _READERS["rankings"],
+    "search": ["search", "--corpus", "{corpus}", "--query", "widget"],
+    "vr-index": _READERS["videos"],
+    "vr-filter": _READERS["links"],
+    "vr-eval-queries": _READERS["queries"],
+    "vr-eval-corpus": _READERS["vr_index"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SUBCOMMANDS))
+def test_manifest_lists_the_input_files_given_and_the_files_written(input_files, tmp_path, name):
+    paths = {k: str(v) for k, v in input_files.items()}
+    argv = [arg.format(**paths) for arg in _SUBCOMMANDS[name]]
+    out = tmp_path / "out"
+    assert run([*argv, "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert manifest["outputs"] == written
+    given = {arg.format(**paths) for arg in _SUBCOMMANDS[name] if arg.startswith("{")}
+    assert set(manifest["inputs"]) == given
+
+
+def test_vr_eval_queries_and_corpus_exclude_each_other(input_files, tmp_path, capsys):
+    paths = {k: str(v) for k, v in input_files.items()}
+    argv = [arg.format(**paths) for arg in _READERS["queries"]]
+    capsys.readouterr()
+    out = tmp_path / "ve"
+    assert run([*argv, "--corpus", paths["vr_corpus"], "--out-dir", str(out)]) == 1
+    assert "--queries and --corpus" in capsys.readouterr().err
+    assert not out.exists()
+    i = argv.index("--queries")
+    assert run([*argv[:i], *argv[i + 2:], "--out-dir", str(out)]) == 1
+    assert "--queries and --corpus" in capsys.readouterr().err
+
+
+def test_non_ascii_paths_and_root_are_kept_with_the_same_config_hash(tmp_path, monkeypatch):
+    """Manifests keep non-ASCII characters as they are, while the config
+    hash is still taken over the ASCII-escaped config: these hashes are the
+    ones the same runs had when manifests escaped them."""
+    monkeypatch.chdir(tmp_path)
+    records, _ = identity_records(4)
+    records[0]["id"] = "ä00"
+    write_jsonl(Path("kórpus.jsonl"), records)
+    save_model(new_model(7), "mödel.txt")
+    assert run(["build-index", "--corpus", "kórpus.jsonl", "--dim", "16", "--out-dir", "ïx"]) == 0
+    assert run(["expand", "--corpus", "kórpus.jsonl", "--embeddings", "ïx/embeddings.txt",
+                "--model", "mödel.txt", "--root", "ä00", "--out-dir", "trée"]) == 0
+    for out, config_hash, kept in (
+        ("ïx", "a65c71ef491b05ce1b14e17a310583090f8cddb003d810cd144418e34711845f",
+         ['"corpus": "kórpus.jsonl"']),
+        ("trée", "a8f46023999f3666ce5e3f18858aa8efa6f8332494f23754ef15b5fddd939989",
+         ['"root": "ä00"', '"mödel.txt": "', '"ïx/embeddings.txt": "']),
+    ):
+        text = Path(out, "manifest.json").read_bytes().decode("utf-8")
+        assert json.loads(text)["config_hash"] == config_hash
+        assert all(part in text for part in kept) and "\\u" not in text

@@ -67,6 +67,22 @@ def test_blank_step_text_rejected():
         make_corpus(records)
 
 
+@pytest.mark.parametrize("where", ["goal", "step"])
+@pytest.mark.parametrize("space", [" ", "\t", "\u00a0"], ids=["space", "tab", "nbsp"])
+def test_id_with_whitespace_rejected(tmp_path, where, space):
+    records = two_article_records()
+    bad = f"x{space}2"
+    if where == "goal":
+        records[1]["id"] = bad
+    else:
+        records[1]["steps"][0]["id"] = bad
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(path, records)
+    with pytest.raises(DataError) as info:
+        load_corpus(path)
+    assert str(info.value) == f"{path}: record 2: id {bad!r} contains whitespace"
+
+
 def test_reserved_id_rejected():
     records = [{"id": "UNLINKABLE", "title": "T", "steps": [{"id": "s1", "text": "x"}]}]
     with pytest.raises(DataError, match="reserved"):

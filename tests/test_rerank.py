@@ -695,20 +695,26 @@ def test_model_checkpoint_validation(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "unlinkable, vectors, message",
+    "keys, vectors, message",
     [
-        (1, "", "no W line"),
-        (1, "W 0.0 1.0 2.0\nU 0.0 1.0\n", "U has 2 values, expected 3"),
-        (1, "W 0.0 x 2.0\nU 0.0 1.0 2.0\n", "malformed"),
-        (1, "W 0.0 1.0 2.0\n", "unlinkable=1 but the checkpoint has no U row"),
-        (0, "W 0.0 1.0 2.0\nU 5.0 5.0 5.0\n", "unlinkable=0 but the checkpoint has a U row"),
+        ({}, "", "no W line"),
+        ({}, "W 0.0 1.0 2.0\nU 0.0 1.0\n", "U has 2 values, expected 3"),
+        ({}, "W 0.0 x 2.0\nU 0.0 1.0 2.0\n", "malformed"),
+        ({}, "W 0.0 1.0 2.0\n", "unlinkable=1 but the checkpoint has no U row"),
+        ({"unlinkable": 0}, "W 0.0 1.0 2.0\nU 5.0 5.0 5.0\n",
+         "unlinkable=0 but the checkpoint has a U row"),
+        ({"unlinkable": 2}, "W 0.0 1.0 2.0\nU 5.0 5.0 5.0\n", "unlinkable must be 0 or 1, got '2'"),
+        ({"unlinkable": -1}, "W 0.0 1.0 2.0\nU 5.0 5.0 5.0\n",
+         "unlinkable must be 0 or 1, got '-1'"),
+        ({"window": 0}, "W 0.0 1.0 2.0\nU 5.0 5.0 5.0\n", "window must be >= 1, got 0"),
     ],
-    ids=["no-W-line", "short-U-row", "non-float-W", "no-U-row", "U-row-not-unlinkable"],
+    ids=["no-W-line", "short-U-row", "non-float-W", "no-U-row", "U-row-not-unlinkable",
+         "unlinkable-2", "unlinkable-minus-1", "window-0"],
 )
-def test_model_checkpoint_rejects_bad_vectors(tmp_path, unlinkable, vectors, message):
+def test_model_checkpoint_rejects_bad_vectors(tmp_path, keys, vectors, message):
+    keys = {"dim": 3, "lambda": 1.0, "unlinkable": 1, "context_mode": "none", "window": 1, **keys}
     path = tmp_path / "model.txt"
-    path.write_text(f"dim=3\nlambda=1.0\nunlinkable={unlinkable}\ncontext_mode=none\nwindow=1\n"
-                    + vectors)
+    path.write_text("".join(f"{key}={value}\n" for key, value in keys.items()) + vectors)
     with pytest.raises(DataError, match=message) as info:
         load_model(path)
     assert str(path) in str(info.value)

@@ -90,12 +90,11 @@ def test_tie_break_ascending_goal_id():
     assert all(c.sim1 == 1.0 for c in result.entries)
 
 
-def test_zero_goal_vector_flagged_scores_zero():
+def test_zero_goal_vector_scores_zero():
     store = EmbeddingStore(
         dim=4, vectors={"gz": np.zeros(4), "ga": np.array([1.0, 0, 0, 0])}
     )
     index = build_index(store, ["gz", "ga"])
-    assert index.zero_ids == frozenset({"gz"})
     result = topk(index, np.array([1.0, 0, 0, 0]), k=2)
     assert result.entries[1] == Candidate("gz", 0.0)
 
