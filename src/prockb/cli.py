@@ -21,15 +21,7 @@ from .artifacts import read_json, read_text, write_json, write_rows
 from .corpus import load_corpus, validation_report
 from .embedding import embed_corpus, load_embeddings, save_embeddings
 from .errors import DataError
-from .hierarchy import (
-    LinkPipeline,
-    expand,
-    link_all,
-    read_links,
-    write_links,
-    write_rankings,
-    write_tree,
-)
+from .hierarchy import LinkPipeline, expand, link_all, read_links, write_links, write_tree
 from .linkeval import load_gold_links, recall_report, split_links
 from .rerank import (
     LexicalFeatureSource,
@@ -40,13 +32,7 @@ from .rerank import (
     save_model,
     train,
 )
-from .retrieval import (
-    build_index,
-    read_candidates,
-    read_ranked,
-    retrieve_all,
-    write_candidates,
-)
+from .retrieval import build_index, read_candidates, retrieve_all, write_candidates
 from .textsearch import TextIndex
 from .videoretrieval import (
     FIL_L1,
@@ -91,30 +77,49 @@ def infile(path: str) -> str:
 
 
 def _output(args, name: str) -> Path:
-    """The path of artifact `name` in --out-dir, which is made on the first
-    call; `main` lists every name given here in the manifest's outputs. A
-    command asks for its outputs only after it has read and checked its
-    inputs, so a failed run leaves no --out-dir behind."""
+    """The path of artifact `name` in --out-dir, which is made, or cleared of
+    an earlier run's artifacts, on the first call; `main` lists every name
+    given here in the manifest's outputs. A command asks for its outputs only
+    after it has read and checked its inputs, so a failed run leaves no
+    --out-dir behind."""
+    out_dir = Path(args.out_dir)
     if not args._outputs:
-        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _clear(out_dir, args._inputs)
     args._outputs.append(name)
-    return Path(args.out_dir) / name
+    return out_dir / name
 
 
-def _write_manifest(args, subparser: Parser) -> None:
+def _clear(out_dir: Path, inputs: list[str]) -> None:
+    """Delete the manifest in `out_dir`, if any, and the files its outputs
+    name, except this run's `inputs`. Only bare file names are deleted, so
+    nothing outside `out_dir` is touched."""
+    manifest = out_dir / "manifest.json"
+    if not manifest.is_file():
+        return
+    outputs = read_json(manifest)
+    outputs = outputs.get("outputs") if isinstance(outputs, dict) else None
+    keep = {Path(name).resolve() for name in inputs}
+    for name in outputs if isinstance(outputs, list) else []:
+        path = out_dir / str(name)
+        if path.name == name and path.is_file() and path.resolve() not in keep:
+            path.unlink()
+    manifest.unlink()
+
+
+def _write_manifest(args) -> None:
     config = {
         k: v
         for k, v in sorted(vars(args).items())
         if k not in ("func", "out_dir", "config") and not k.startswith("_")
     }
-    given = (getattr(args, a.dest) for a in subparser._actions if a.type is infile)
     write_json(Path(args.out_dir) / "manifest.json", {
         "command": args.command,
         "config": config,
         "config_hash": hashlib.sha256(
             json.dumps(config, sort_keys=True).encode("utf-8")
         ).hexdigest(),
-        "inputs": {name: _sha256(Path(name)) for name in sorted(set(filter(None, given)))},
+        "inputs": {name: _sha256(Path(name)) for name in args._inputs},
         "outputs": sorted(args._outputs),
         "version": __version__,
     })
@@ -160,8 +165,8 @@ def cmd_retrieve(args) -> None:
     corpus = load_corpus(args.corpus)
     store = _embeddings(args.embeddings, _corpus_ids(corpus))
     index = build_index(store, corpus.goal_ids())
-    lists = retrieve_all(index, store, corpus, k=args.k, exclude_parent=not args.no_exclude_parent)
-    write_candidates(_output(args, "candidates.tsv"), lists)
+    ranked = retrieve_all(index, store, corpus.steps(), args.k, not args.no_exclude_parent)
+    write_candidates(_output(args, "candidates.tsv"), ranked)
 
 
 def cmd_train_reranker(args) -> None:
@@ -171,7 +176,7 @@ def cmd_train_reranker(args) -> None:
     if not (math.isfinite(args.lr) and args.lr > 0):
         raise UsageError(f"--lr must be a finite number > 0, got {args.lr!r}")
     corpus = load_corpus(args.corpus)
-    candidate_lists = read_candidates(args.candidates)
+    candidates = read_candidates(args.candidates)
     gold_links = load_gold_links(args.gold, corpus=corpus)
     split = split_links(gold_links, seed=args.seed)
     gold_train = {l.step_id: l.gold_goal_id for l in split.train}
@@ -180,9 +185,9 @@ def cmd_train_reranker(args) -> None:
     source = load_feature_file(args.features) if args.features else LexicalFeatureSource(
         corpus, context_mode=args.context_mode, window=args.window
     )
-    train_examples = make_training_examples(candidate_lists, gold_train, unlinkable=args.unlinkable)
-    dev_examples = make_training_examples(candidate_lists, gold_dev, unlinkable=args.unlinkable)
-    if not train_examples:
+    train_examples = make_training_examples(candidates, gold_train, unlinkable=args.unlinkable)
+    dev_examples = make_training_examples(candidates, gold_dev, unlinkable=args.unlinkable)
+    if not train_examples[1]:
         raise DataError("no training examples: no gold step has retrieved candidates")
 
     model = new_model(
@@ -203,7 +208,7 @@ def cmd_train_reranker(args) -> None:
                 batch_size=args.batch,
                 seed=args.seed,
                 freeze_lambda=args.freeze_lambda,
-                dev_examples=dev_examples or None,
+                dev_examples=dev_examples,
             )
     except RuntimeError as exc:
         raise DataError(f"--lr {args.lr!r}: {exc}") from None
@@ -240,10 +245,10 @@ def _pipeline(args) -> LinkPipeline:
 
 
 def cmd_link(args) -> None:
-    decisions = link_all(_pipeline(args))
-    write_links(_output(args, "links.tsv"), decisions)
+    ranked = link_all(_pipeline(args))
+    write_links(_output(args, "links.tsv"), ranked)
     if args.rankings:
-        write_rankings(_output(args, "rankings.tsv"), decisions)
+        write_candidates(_output(args, "rankings.tsv"), ranked)
 
 
 def cmd_expand(args) -> None:
@@ -252,7 +257,7 @@ def cmd_expand(args) -> None:
 
 
 def cmd_eval_links(args) -> None:
-    rankings = read_ranked(args.rankings, 3, lambda lineno, parts: parts[2])
+    rankings = read_candidates(args.rankings)
     gold = load_gold_links(args.gold)
     if args.split != "all":
         gold = split_links(gold, seed=args.seed).part(args.split)
@@ -518,9 +523,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config(parser, argv)
         args = parser.parse_args(argv)
+        actions = parser.subcommands[args.command]._actions  # type: ignore[attr-defined]
+        given = (getattr(args, a.dest) for a in actions if a.type is infile)
+        args._inputs = sorted(set(filter(None, given)))
         args._outputs = []
         args.func(args)
-        _write_manifest(args, parser.subcommands[args.command])  # type: ignore[attr-defined]
+        _write_manifest(args)
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -6,7 +6,6 @@ is NFC-normalized with internal whitespace collapsed; case is preserved. A
 corpus is immutable once loaded and safe to share across workers.
 """
 
-import json
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -159,18 +158,6 @@ def load_corpus(path: str | Path) -> Corpus:
     return corpus_from_records(records, source=path)
 
 
-def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write the corpus back out as JSONL (normalized text, stable order)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for article in corpus.articles:
-            rec = {
-                "id": article.goal_id,
-                "title": article.title,
-                "steps": [{"id": s.step_id, "text": s.text} for s in article.steps],
-            }
-            handle.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
-
-
 @dataclass(frozen=True)
 class StepContext:
     """Context text around one step: its goal and/or neighboring steps."""
@@ -179,9 +166,6 @@ class StepContext:
     goal_text: str | None = None
     prev_steps: tuple[str, ...] = ()
     next_steps: tuple[str, ...] = ()
-
-    def is_empty(self) -> bool:
-        return self.goal_text is None and not self.prev_steps and not self.next_steps
 
 
 def context_of(corpus: Corpus, step_id: str, mode: str, window: int = 1) -> StepContext:

@@ -13,22 +13,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .artifacts import tab_rows, write_json, write_rows
 from .corpus import Corpus
 from .embedding import EmbeddingStore
-from .rerank import (
-    UNLINKABLE,
-    FeatureSource,
-    RerankModel,
-    ScoredCandidate,
-    list_features,
-    score_candidates,
-)
-from .retrieval import DEFAULT_K, GoalIndex, retrieve_step
-
-LINK_BLOCK = 16  # steps linked per array pass
+from .rerank import UNLINKABLE, FeatureSource, RerankModel, score_candidates
+from .retrieval import DEFAULT_K, GoalIndex, Ranked, retrieve_all
 
 
 @dataclass(frozen=True)
@@ -76,38 +67,33 @@ class LinkPipeline:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class LinkDecision:
-    step_id: str
-    alternatives: tuple[ScoredCandidate, ...]  # full reranked list, best first
+class LinkDecision(NamedTuple):
+    """The first entry of a step's reranked list."""
 
-    @property
-    def chosen(self) -> ScoredCandidate:
-        return self.alternatives[0]
-
-    @property
-    def outcome(self) -> str:
-        """The chosen goal_id, or UNLINKABLE."""
-        return self.alternatives[0].goal_id
+    outcome: str  # the chosen goal_id, or UNLINKABLE
+    sim1: float
+    sim2: float
 
 
-def link_steps(pipeline: LinkPipeline, step_ids: Iterable[str]) -> None:
-    """Decide each of `step_ids` that has no decision yet, LINK_BLOCK steps at
-    a time: retrieve each step's candidates as `retrieve` does, compute the
-    block's pair features in one call, then rerank each list and take the
-    argmax. Decisions are kept on the pipeline; `link_step` reads them."""
-    todo = [s for s in dict.fromkeys(step_ids) if s not in pipeline._decisions]
-    for start in range(0, len(todo), LINK_BLOCK):
-        block = todo[start : start + LINK_BLOCK]
-        lists = [
-            retrieve_step(pipeline.index, pipeline.store, pipeline.corpus.step(step_id),
-                          pipeline.k, pipeline.exclude_parent)
-            for step_id in block
-        ]
-        feats = list_features(pipeline.features, block, [c.entries for c in lists])
-        for candidates, list_feats in zip(lists, feats):
-            pipeline._decisions[candidates.step_id] = LinkDecision(
-                candidates.step_id, score_candidates(pipeline.model, candidates, list_feats))
+def decisions(ranked: Ranked) -> list[LinkDecision]:
+    """The first entry of each reranked list."""
+    first = ranked.offsets[:-1]
+    return list(map(LinkDecision, map(ranked.goal_ids.__getitem__, first.tolist()),
+                    ranked.sim1[first].tolist(), ranked.sim2[first].tolist()))
+
+
+def link_steps(pipeline: LinkPipeline, step_ids: Iterable[str]) -> Ranked:
+    """The reranked lists of `step_ids`, in one pass: retrieve each step's
+    candidates as `retrieve` does, compute their pair features in one call,
+    then rerank. Each step's decision is kept on the pipeline; `link_step`
+    reads them."""
+    steps = [pipeline.corpus.step(step_id) for step_id in dict.fromkeys(step_ids)]
+    candidates = retrieve_all(pipeline.index, pipeline.store, steps, pipeline.k,
+                              pipeline.exclude_parent)
+    feats = pipeline.features.features(candidates.step_ids, candidates.goal_lists())
+    ranked = score_candidates(pipeline.model, candidates, feats)
+    pipeline._decisions.update(zip(ranked.step_ids, decisions(ranked)))
+    return ranked
 
 
 def link_step(pipeline: LinkPipeline, step_id: str) -> LinkDecision:
@@ -119,26 +105,20 @@ def link_step(pipeline: LinkPipeline, step_id: str) -> LinkDecision:
     return pipeline._decisions[step_id]
 
 
-def link_all(pipeline: LinkPipeline) -> list[LinkDecision]:
-    step_ids = [step.step_id for step in pipeline.corpus.steps()]
-    link_steps(pipeline, step_ids)
-    return [link_step(pipeline, step_id) for step_id in step_ids]
+def link_all(pipeline: LinkPipeline) -> Ranked:
+    """The reranked list of every corpus step, in corpus order."""
+    return link_steps(pipeline, (step.step_id for step in pipeline.corpus.steps()))
 
 
-def write_links(path: str | Path, decisions: Iterable[LinkDecision]) -> None:
-    """Link dump TSV: step_id, outcome, sim1, sim2 of the chosen entry."""
-    write_rows(path, ((d.step_id, d.outcome, d.chosen.sim1, d.chosen.sim2) for d in decisions))
+def write_links(path: str | Path, ranked: Ranked) -> None:
+    """Link dump TSV: step_id, outcome, sim1, sim2 of each reranked list's first entry."""
+    rows = zip(ranked.step_ids, decisions(ranked))
+    write_rows(path, ((step_id, *decision) for step_id, decision in rows))
 
 
 def read_links(path: str | Path) -> dict[str, str]:
     """step_id -> outcome map from a link dump; each step appears once."""
     return {fields[0]: fields[1] for _, fields in tab_rows(path, 2, unique="step")}
-
-
-def write_rankings(path: str | Path, decisions: Iterable[LinkDecision]) -> None:
-    """Full reranked lists as TSV: step_id, rank, goal_id, sim1, sim2."""
-    write_rows(path, ((dec.step_id, rank, *entry)
-                      for dec in decisions for rank, entry in enumerate(dec.alternatives, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +179,10 @@ def expand(pipeline: LinkPipeline, root_goal_id: str, max_depth: int) -> Procedu
         if linked_depth < node.depth < max_depth:
             # The first node of a level; the queue holds the rest of it.
             level = [node] + [queued for queued, _ in queue]
-            link_steps(pipeline, (step.step_id for goal in level
-                                  for step in corpus.article(goal.goal_id).steps))
+            todo = [step.step_id for goal in level for step in corpus.article(goal.goal_id).steps
+                    if step.step_id not in pipeline._decisions]
+            if todo:
+                link_steps(pipeline, todo)
             linked_depth = node.depth
         path_goals = ancestors | {node.goal_id}
         article = corpus.article(node.goal_id)
@@ -233,8 +215,8 @@ def tree_to_dict(tree: ProcedureTree) -> dict:
             "children": [step_dict(s) for s in step.child.steps] if step.child else [],
         }
         if step.decision:
-            out["sim1"] = step.decision.chosen.sim1
-            out["sim2"] = step.decision.chosen.sim2
+            out["sim1"] = step.decision.sim1
+            out["sim2"] = step.decision.sim2
         if step.suppressed_cycle:
             out["suppressed_cycle"] = True
         return out

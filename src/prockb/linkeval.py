@@ -9,11 +9,12 @@ import logging
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .artifacts import tab_rows, write_rows
+from .artifacts import tab_rows
 from .corpus import Corpus
 from .errors import DataError
+from .retrieval import Ranked
 
 logger = logging.getLogger(__name__)
 
@@ -60,10 +61,6 @@ def load_gold_links(path: str | Path, corpus: Corpus | None = None) -> list[Gold
     return links
 
 
-def write_gold_links(path: str | Path, links: Iterable[GoldLink]) -> None:
-    write_rows(path, ((link.step_id, link.gold_goal_id) for link in links))
-
-
 def split_sizes(n: int, ratios: Sequence[float]) -> tuple[int, int, int]:
     """Train, dev and test sizes of n items under three positive ratios: dev
     and test are rounded down, and train takes the rest."""
@@ -94,11 +91,7 @@ def split_links(
     )
 
 
-def recall_at(
-    rankings: Mapping[str, Sequence[str]],
-    gold: Iterable[GoldLink],
-    n: int,
-) -> float:
+def recall_at(rankings: Ranked, gold: Iterable[GoldLink], n: int) -> float:
     """Fraction of gold steps whose goal appears in the top n of its ranking.
 
     Placeholder (UNLINKABLE) entries simply occupy rank positions and never
@@ -106,15 +99,16 @@ def recall_at(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    position = {step_id: i for i, step_id in enumerate(rankings.step_ids)}
     hits = 0
     total = 0
     for link in gold:
         try:
-            ranking = rankings[link.step_id]
+            rows = rankings.rows(position[link.step_id])
         except KeyError:
             raise KeyError(f"no ranking for gold step {link.step_id!r}") from None
         total += 1
-        if link.gold_goal_id in ranking[:n]:
+        if link.gold_goal_id in rankings.goal_ids[rows.start : min(rows.stop, rows.start + n)]:
             hits += 1
     if total == 0:
         raise ValueError("no gold links to evaluate")
@@ -122,9 +116,7 @@ def recall_at(
 
 
 def recall_report(
-    rankings: Mapping[str, Sequence[str]],
-    gold: Iterable[GoldLink],
-    ns: Sequence[int],
+    rankings: Ranked, gold: Iterable[GoldLink], ns: Sequence[int]
 ) -> dict[int, float]:
     gold = list(gold)
     return {n: recall_at(rankings, gold, n) for n in ns}

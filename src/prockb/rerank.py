@@ -13,46 +13,24 @@ from its candidate list trains toward the placeholder.
 
 Pair features come either from a built-in lexical extractor or from a text
 file of precomputed vectors, so an external neural pair encoder can be
-plugged in without any ML runtime here. The input string contract for such
-encoders is produced by render_pair_input.
+plugged in without any ML runtime here.
 """
 
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from .artifacts import fail, lines, read_vectors, write_vectors
-from .corpus import CONTEXT_MODES, Corpus, StepContext, context_of
+from .artifacts import fail, lines, read_vectors
+from .corpus import CONTEXT_MODES, Corpus, context_of
 from .errors import DataError
-from .retrieval import Candidate, CandidateList
+from .retrieval import Ranked
 from .textsearch import tokenize
 
 UNLINKABLE = "UNLINKABLE"
-CTX_DELIMITER = "[CTX]"
-
-
-def render_pair_input(ctx: StepContext, step_text: str, goal_text: str) -> str:
-    """Serialize one (context, step, goal) triple for an external pair scorer.
-
-    Template: ``[CLS] <ctx> [ST] <step> [ED] <goal> [SEP]`` with the context
-    pieces ordered goal, previous steps, next steps, joined by [CTX].
-    """
-    pieces = []
-    if ctx.goal_text is not None:
-        pieces.append(ctx.goal_text)
-    pieces.extend(ctx.prev_steps)
-    pieces.extend(ctx.next_steps)
-    ctx_str = f" {CTX_DELIMITER} ".join(pieces)
-    parts = ["[CLS]"]
-    if ctx_str:
-        parts.append(ctx_str)
-    parts += ["[ST]", step_text, "[ED]", goal_text, "[SEP]"]
-    return " ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -290,27 +268,10 @@ class TableFeatureSource:
         return np.stack(rows) if rows else np.zeros((0, self.dim), dtype=np.float64)
 
 
-def list_features(
-    source: FeatureSource, step_ids: Sequence[str], candidates: Sequence[Sequence[Candidate]]
-) -> list[np.ndarray]:
-    """The feature matrix of each step's candidate list, row-aligned, from
-    one `features` call."""
-    goal_ids = tuple(tuple(goal_id for goal_id, _ in cands) for cands in candidates)
-    feats = source.features(tuple(step_ids), goal_ids)
-    ends = list(accumulate(map(len, goal_ids)))
-    return [feats[end - len(goals) : end] for goals, end in zip(goal_ids, ends)]
-
-
 def load_feature_file(path: str | Path) -> TableFeatureSource:
     """Read ``dim=<d>`` header then rows ``step_id goal_id v1 ... vd``."""
     dim, table = read_vectors(path, 2)
     return TableFeatureSource(dim=dim, table=table, path=path)
-
-
-def write_feature_file(
-    path: str | Path, dim: int, rows: Iterable[tuple[str, str, np.ndarray]]
-) -> None:
-    write_vectors(path, dim, ((f"{step_id} {goal_id}", vec) for step_id, goal_id, vec in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +378,6 @@ def load_model(path: str | Path) -> RerankModel:
 # ---------------------------------------------------------------------------
 # Scoring
 
-class ScoredCandidate(NamedTuple):
-    goal_id: str
-    sim1: float
-    sim2: float
-
-
 def list_scores(model: RerankModel, feats: np.ndarray, sim1s: np.ndarray) -> np.ndarray:
     """sim2 = feats @ W + lambda * sim1 of each candidate of one list, as one
     matrix-vector product, then, for an unlinkable model, of the placeholder
@@ -439,63 +394,51 @@ def list_scores(model: RerankModel, feats: np.ndarray, sim1s: np.ndarray) -> np.
     return feats @ model.w + model.lam * sim1s
 
 
-def score_candidates(
-    model: RerankModel, candidates: CandidateList, feats: np.ndarray
-) -> tuple[ScoredCandidate, ...]:
-    """Score a candidate list, whose feature matrix is `feats`, with
-    `list_scores`; its entries sorted descending, ties by goal_id. An
-    unlinkable model adds the UNLINKABLE entry, whose sim1 is the list's
-    minimum."""
-    if not candidates.entries:
-        raise ValueError(f"step {candidates.step_id!r} has an empty candidate list")
-    goal_ids, sim1s = zip(*candidates.entries)
-    scores = list_scores(model, feats, np.array(sim1s, dtype=np.float64))
-    if model.unlinkable_enabled:
-        goal_ids, sim1s = goal_ids + (UNLINKABLE,), sim1s + (min(sim1s),)
-    return tuple(sorted(
-        map(ScoredCandidate, goal_ids, sim1s, scores.tolist()),
-        key=lambda entry: (-entry.sim2, entry.goal_id),
-    ))
+def score_candidates(model: RerankModel, ranked: Ranked, feats: np.ndarray) -> Ranked:
+    """Rerank each list of `ranked`, whose feature rows are `feats`, by
+    `list_scores`: its entries sorted by descending sim2, ties by goal_id. An
+    unlinkable model adds the UNLINKABLE entry to each list, with the list's
+    minimum sim1."""
+    goal_ids, sim1s, sim2s = [], [], []
+    for i, step_id in enumerate(ranked.step_ids):
+        rows = ranked.rows(i)
+        if rows.start == rows.stop:
+            raise ValueError(f"step {step_id!r} has an empty candidate list")
+        goals, sim1 = ranked.goal_ids[rows], ranked.sim1[rows]
+        scores = list_scores(model, feats[rows], sim1)
+        if model.unlinkable_enabled:
+            goals, sim1 = goals + (UNLINKABLE,), np.append(sim1, sim1.min())
+        sim2 = scores.tolist()
+        order = sorted(range(len(goals)), key=lambda j: (-sim2[j], goals[j]))
+        goal_ids.append([goals[j] for j in order])
+        sim1s.append(sim1[order])
+        sim2s.append(scores[order])
+    return Ranked.from_lists(ranked.step_ids, goal_ids, sim1s, sim2s)
 
 
 # ---------------------------------------------------------------------------
 # Training
 
-@dataclass(frozen=True)
-class TrainExample:
-    """One listwise example: the retrieved candidates and the gold label.
-
-    `gold` is a candidate goal_id, or UNLINKABLE when the gold goal is absent
-    from the candidate list (unlinkable mode only).
-    """
-
-    step_id: str
-    candidates: tuple[Candidate, ...]
-    gold: str
-
-
 def make_training_examples(
-    candidate_lists: Iterable[CandidateList],
-    gold: Mapping[str, str],
-    unlinkable: bool = False,
-) -> list[TrainExample]:
-    """Pair candidate lists with gold labels.
+    ranked: Ranked, gold: Mapping[str, str], unlinkable: bool = False
+) -> tuple[Ranked, list[int]]:
+    """The lists of `ranked` whose step has a gold link, and the slot of the
+    gold goal in each.
 
-    Steps without a gold link are skipped. When the gold goal is missing from
-    the list: label it UNLINKABLE in unlinkable mode, drop the example
-    otherwise.
+    When the gold goal is missing from a list, its slot is the placeholder's,
+    the list's length, in unlinkable mode; the list is dropped otherwise.
     """
-    examples = []
-    for cand in candidate_lists:
-        gold_goal = gold.get(cand.step_id)
-        if gold_goal is None:
-            continue
-        in_list = any(entry.goal_id == gold_goal for entry in cand.entries)
-        if in_list:
-            examples.append(TrainExample(cand.step_id, tuple(cand.entries), gold_goal))
-        elif unlinkable:
-            examples.append(TrainExample(cand.step_id, tuple(cand.entries), UNLINKABLE))
-    return examples
+    examples = []  # (list index, gold slot)
+    for i, step_id in enumerate(ranked.step_ids):
+        goals, gold_goal = ranked.goal_ids[ranked.rows(i)], gold.get(step_id)
+        if gold_goal in goals:
+            examples.append((i, goals.index(gold_goal)))
+        elif gold_goal is not None and unlinkable:
+            examples.append((i, len(goals)))
+    rows = [ranked.rows(i) for i, _ in examples]
+    lists = Ranked.from_lists([ranked.step_ids[i] for i, _ in examples],
+                              [ranked.goal_ids[r] for r in rows], [ranked.sim1[r] for r in rows])
+    return lists, [slot for _, slot in examples]
 
 
 @dataclass
@@ -506,39 +449,31 @@ class LossGrads:
     grad_unlinkable: np.ndarray | None
 
 
-def nll_loss(model: RerankModel, example: TrainExample, feats: np.ndarray) -> LossGrads:
-    """Listwise negative log-likelihood of the gold candidate, with analytic
-    gradients for W, lambda, and the unlinkable feature row.
+def nll_loss(model: RerankModel, feats: np.ndarray, sim1s: np.ndarray, gold_slot: int) -> LossGrads:
+    """Listwise negative log-likelihood of the gold slot of one candidate
+    list, whose feature rows are `feats`, with analytic gradients for W,
+    lambda, and the unlinkable feature row.
 
-    loss = -log softmax(sim2)[gold] over the candidate set, plus the
-    placeholder slot when unlinkable is enabled.
+    loss = -log softmax(sim2)[gold_slot] over the candidates, plus the
+    placeholder slot after them when unlinkable is enabled.
     """
-    m = len(example.candidates)
+    m = len(sim1s)
     if m == 0:
-        raise ValueError(f"step {example.step_id!r}: empty candidate set")
-    ids = [c.goal_id for c in example.candidates]
-    if model.unlinkable_enabled:
-        ids.append(UNLINKABLE)
-    elif example.gold == UNLINKABLE:
-        raise ValueError(f"step {example.step_id!r}: UNLINKABLE label without unlinkable mode")
-    try:
-        gold_idx = ids.index(example.gold)
-    except ValueError:
-        raise ValueError(
-            f"step {example.step_id!r}: gold {example.gold!r} not in candidate set"
-        ) from None
+        raise ValueError("empty candidate set")
+    if not 0 <= gold_slot < m + model.unlinkable_enabled:
+        placeholder = " and the placeholder" if model.unlinkable_enabled else ""
+        raise ValueError(f"gold slot {gold_slot} is not one of {m} candidates{placeholder}")
 
-    sim1s = np.array([c.sim1 for c in example.candidates], dtype=np.float64)
     z = list_scores(model, feats, sim1s)
     z_shift = z - z.max()
     exp_z = np.exp(z_shift)
     total = exp_z.sum()
     probs = exp_z / total
-    loss = float(math.log(total) - z_shift[gold_idx])
+    loss = float(math.log(total) - z_shift[gold_slot])
 
     # d loss / d z, split into the real candidates and the placeholder slot.
     g = probs
-    g[gold_idx] -= 1.0
+    g[gold_slot] -= 1.0
     grad_w = feats.T @ g[:m]
     grad_lam = g[:m] @ sim1s
     grad_u = None
@@ -562,50 +497,43 @@ class TrainResult:
     curve: list[EpochStats]
 
 
-def example_features(source: FeatureSource, examples: Sequence[TrainExample]) -> list[np.ndarray]:
-    """The feature matrix of each example's real candidates, row-aligned."""
-    step_ids = [example.step_id for example in examples]
-    return list_features(source, step_ids, [example.candidates for example in examples])
-
-
-def mean_loss(
-    model: RerankModel, examples: Sequence[TrainExample], feats: Sequence[np.ndarray]
-) -> float:
-    """Mean NLL over examples, given each example's feature matrix."""
-    total = 0.0
-    for example, example_feats in zip(examples, feats):
-        total += nll_loss(model, example, example_feats).loss
-    return total / len(examples)
+def _loss_args(source: FeatureSource, examples: tuple[Ranked, Sequence[int]]) -> list[tuple]:
+    """The feature rows, sim1s and gold slot of each example, from one
+    `features` call: the arguments of its `nll_loss`."""
+    lists, slots = examples
+    feats = source.features(lists.step_ids, lists.goal_lists())
+    return [(feats[lists.rows(i)], lists.sim1[lists.rows(i)], slot) for i, slot in enumerate(slots)]
 
 
 def train(
     model: RerankModel,
-    examples: Sequence[TrainExample],
+    examples: tuple[Ranked, Sequence[int]],
     source: FeatureSource,
     lr: float,
     epochs: int,
     batch_size: int = 32,
     seed: int = 0,
     freeze_lambda: bool = False,
-    dev_examples: Sequence[TrainExample] | None = None,
+    dev_examples: tuple[Ranked, Sequence[int]] | None = None,
 ) -> TrainResult:
-    """Mini-batch SGD on the mean listwise NLL.
+    """Mini-batch SGD on the mean listwise NLL over `examples`, the lists
+    and gold slots that `make_training_examples` gives.
 
     Deterministic under a fixed seed (single-threaded, fixed accumulation
-    order). Returns the checkpoint with the best dev loss when a dev set is
-    given, the final model otherwise.
+    order). Returns the checkpoint with the best dev loss when a non-empty
+    dev set is given, the final model otherwise.
     """
-    if not examples:
+    if not examples[1]:
         raise ValueError("empty training set")
     model = model.copy()
     rng = np.random.default_rng(seed)
-    feats_cache = example_features(source, examples)
-    dev_feats = example_features(source, dev_examples) if dev_examples else []
+    train_args = _loss_args(source, examples)
+    dev_args = _loss_args(source, dev_examples) if dev_examples and dev_examples[1] else []
 
     curve: list[EpochStats] = []
     best: tuple[float, RerankModel] | None = None
     for epoch in range(1, epochs + 1):
-        order = rng.permutation(len(examples))
+        order = rng.permutation(len(train_args))
         epoch_losses = []
         for start in range(0, len(order), batch_size):
             batch = order[start : start + batch_size]
@@ -613,7 +541,7 @@ def train(
             grad_lam = 0.0
             grad_u = np.zeros(model.dim) if model.unlinkable_enabled else None
             for i in batch:
-                out = nll_loss(model, examples[i], feats_cache[i])
+                out = nll_loss(model, *train_args[i])
                 if not math.isfinite(out.loss):
                     raise RuntimeError(
                         f"non-finite training loss at epoch {epoch} (learning rate too high?)"
@@ -631,7 +559,8 @@ def train(
                 model.unlinkable_feat -= scale * grad_u
 
         train_loss = sum(epoch_losses) / len(epoch_losses)
-        dev_loss = mean_loss(model, dev_examples, dev_feats) if dev_examples else None
+        dev_losses = [nll_loss(model, *args).loss for args in dev_args]
+        dev_loss = sum(dev_losses) / len(dev_losses) if dev_losses else None
         curve.append(EpochStats(epoch=epoch, train_loss=train_loss, dev_loss=dev_loss))
         if dev_loss is not None and (best is None or dev_loss < best[0]):
             best = (dev_loss, model.copy())

@@ -112,17 +112,6 @@ class TextIndex:
         span = self._spans.get(term)
         return 0.0 if span is None else self._idf(span.stop - span.start)
 
-    def postings_for(self, term: str) -> list[tuple[str, int]]:
-        span = self._spans.get(term)
-        if span is None:
-            return []
-        pairs = zip(map(self.doc_ids.__getitem__, self._idxs[span].tolist()),
-                    self._tfs[span].astype(np.int64).tolist())
-        return sorted(pairs)
-
-    def doc_length(self, doc_id: str) -> int:
-        return int(self.doc_lens[self.doc_idx(doc_id)])
-
     def doc_idx(self, doc_id: str) -> int:
         try:
             return self.positions[doc_id]

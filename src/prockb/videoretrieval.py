@@ -261,14 +261,6 @@ class FilterTrace:
     accepted_costs: list[float]  # baseline cost first, then each accepted cost
     rounds: int
 
-    @property
-    def baseline_cost(self) -> float:
-        return self.accepted_costs[0]
-
-    @property
-    def final_cost(self) -> float:
-        return self.accepted_costs[-1]
-
 
 def hill_climb(
     goal_text: str,

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from prockb.corpus import Corpus, corpus_from_records
-from prockb.rerank import list_features, score_candidates
+from prockb.rerank import score_candidates
+from prockb.retrieval import Ranked
 
 
 def make_corpus(records: list[dict]) -> Corpus:
@@ -56,11 +57,20 @@ def _title(i: int) -> str:
     return f"Perform Task{i:02d} Using Widget{i:02d}"
 
 
-def score_list(model, candidates, source):
-    """`score_candidates` on one list, with its features from `source`:
-    the scored entries, best first."""
-    feats = list_features(source, [candidates.step_id], [candidates.entries])[0]
-    return score_candidates(model, candidates, feats)
+def one_list(step_id: str, goal_ids, sim1s) -> Ranked:
+    """A `Ranked` of one list."""
+    return Ranked.from_lists([step_id], [goal_ids], [sim1s])
+
+
+def columns(ranked: Ranked) -> tuple:
+    """Every field of `ranked` as plain Python values, for comparisons."""
+    sim2 = None if ranked.sim2 is None else ranked.sim2.tolist()
+    return ranked.step_ids, ranked.offsets.tolist(), ranked.goal_ids, ranked.sim1.tolist(), sim2
+
+
+def score_list(model, ranked: Ranked, source) -> Ranked:
+    """`score_candidates` on `ranked`, with its features from `source`."""
+    return score_candidates(model, ranked, source.features(ranked.step_ids, ranked.goal_lists()))
 
 
 def write_jsonl(path, records) -> None:

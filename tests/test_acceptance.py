@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import identity_records, make_corpus, score_list
+from conftest import identity_records, make_corpus, one_list, score_list
 from prockb.corpus import corpus_from_records
 from prockb.embedding import cosine, embed_corpus
 from prockb.hierarchy import LinkPipeline, expand, tree_to_dict
@@ -23,13 +23,12 @@ from prockb.rerank import (
     LexicalFeatureSource,
     RerankModel,
     TableFeatureSource,
-    TrainExample,
     make_training_examples,
     new_model,
     nll_loss,
     train,
 )
-from prockb.retrieval import Candidate, CandidateList, build_index, retrieve_all, topk
+from prockb.retrieval import Ranked, build_index, retrieve_all, topk
 from prockb.textsearch import TextIndex
 from prockb.videoretrieval import (
     FIL_L1,
@@ -73,7 +72,7 @@ def test_a1_end_to_end_linking_sanity():
         corpus = make_corpus(records)
         store = embed_corpus(corpus, dim=64, seed=7)
         index = build_index(store, corpus.goal_ids())
-        lists = retrieve_all(index, store, corpus, k=30, exclude_parent=True)
+        lists = retrieve_all(index, store, corpus.steps(), k=30, exclude_parent=True)
 
         gold_links = [GoldLink(s, g) for s, g in gold.items()]
         split = split_links(gold_links, seed=0)
@@ -94,12 +93,7 @@ def test_a1_end_to_end_linking_sanity():
             dev_examples=dev_examples,
         )
 
-        rankings = {
-            cand.step_id: [e.goal_id for e in score_list(result.model, cand, source)]
-            for cand in lists
-            if cand.step_id in gold
-        }
-        assert recall_at(rankings, gold_links, 1) == 1.0
+        assert recall_at(score_list(result.model, lists, source), gold_links, 1) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -116,19 +110,19 @@ def test_a2_retrieval_exactness():
             index = build_index(store, vectors.keys())
             for _ in range(50):
                 query = rng.normal(size=16)
-                got = topk(index, query, k=10)
+                rows, _ = topk(index, query, k=10)
                 oracle = sorted(
                     ((g, cosine(v, query)) for g, v in vectors.items()),
                     key=lambda item: (-item[1], item[0]),
                 )[:10]
-                assert [c.goal_id for c in got.entries] == [g for g, _ in oracle]
+                assert [index.goal_ids[r] for r in rows] == [g for g, _ in oracle]
 
 
 # ---------------------------------------------------------------------------
 # A3  Gradient correctness
 
-def _fd_loss(model, example, feats):
-    return nll_loss(model, example, feats).loss
+def _fd_loss(model, example):
+    return nll_loss(model, *example).loss
 
 
 def _central_diff(f, x, h=1e-5):
@@ -153,29 +147,23 @@ def test_a3_gradient_correctness():
         for trial in range(20):
             unlinkable = trial % 2 == 1
             m = int(rng.integers(2, 7))
-            entries = tuple(Candidate(f"g{i}", float(rng.uniform(-1, 1))) for i in range(m))
-            gold = UNLINKABLE if unlinkable and rng.uniform() < 0.4 else entries[
-                int(rng.integers(0, m))
-            ].goal_id
-            example = TrainExample("s", entries, gold)
+            sim1s = rng.uniform(-1, 1, size=m)
+            slot = m if unlinkable and rng.uniform() < 0.4 else int(rng.integers(0, m))
             feats = rng.normal(size=(m, dim))
+            example = (feats, sim1s, slot)
             model = RerankModel(
                 w=rng.normal(size=dim),
                 lam=float(rng.normal()),
                 unlinkable_feat=rng.normal(size=dim) if unlinkable else None,
             )
-            out = nll_loss(model, example, feats)
+            out = nll_loss(model, *example)
 
             def loss_w(w):
-                return _fd_loss(
-                    RerankModel(w, model.lam, model.unlinkable_feat), example, feats
-                )
+                return _fd_loss(RerankModel(w, model.lam, model.unlinkable_feat), example)
 
             def loss_lam(lam_arr):
                 return _fd_loss(
-                    RerankModel(model.w, float(lam_arr[0]), model.unlinkable_feat),
-                    example,
-                    feats,
+                    RerankModel(model.w, float(lam_arr[0]), model.unlinkable_feat), example
                 )
 
             assert _rel_err(out.grad_w, _central_diff(loss_w, model.w)) < 1e-4
@@ -184,7 +172,7 @@ def test_a3_gradient_correctness():
             if unlinkable:
 
                 def loss_u(u):
-                    return _fd_loss(RerankModel(model.w, model.lam, u), example, feats)
+                    return _fd_loss(RerankModel(model.w, model.lam, u), example)
 
                 assert _rel_err(out.grad_unlinkable, _central_diff(loss_u, model.unlinkable_feat)) < 1e-4
 
@@ -195,29 +183,24 @@ def test_a3_gradient_correctness():
 def test_a4_loss_anchors():
     with criterion("A4 loss anchors"):
         for m, unlinkable in ((2, False), (10, False), (30, True)):
-            entries = tuple(Candidate(f"g{i:02d}", 0.0) for i in range(m))
-            example = TrainExample("s", entries, "g00")
             feats = np.zeros((m, 8))
             model = new_model(8, lam=0.0, unlinkable=unlinkable)
             expected = math.log(m + 1 if unlinkable else m)
-            assert abs(nll_loss(model, example, feats).loss - expected) < 1e-9
+            assert abs(nll_loss(model, feats, np.zeros(m), 0).loss - expected) < 1e-9
 
         # placeholder sim1 equals the list minimum on every scored step
         rng = np.random.default_rng(44)
         model = new_model(8, lam=0.3, unlinkable=True)
         for step in range(25):
             m = int(rng.integers(1, 12))
-            entries = tuple(
-                Candidate(f"g{i:02d}", float(rng.uniform(-1, 1))) for i in range(m)
-            )
-            cands = CandidateList(f"s{step}", entries)
+            goal_ids = [f"g{i:02d}" for i in range(m)]
+            sim1s = rng.uniform(-1, 1, size=m)
             table = TableFeatureSource(
-                8, {(f"s{step}", f"g{i:02d}"): rng.normal(size=8) for i in range(m)}
+                8, {(f"s{step}", g): rng.normal(size=8) for g in goal_ids}
             )
-            scored = score_list(model, cands, table)
-            placeholder = [e for e in scored if e.goal_id == UNLINKABLE]
-            assert len(placeholder) == 1
-            assert placeholder[0].sim1 == min(e.sim1 for e in entries)
+            scored = score_list(model, one_list(f"s{step}", goal_ids, sim1s), table)
+            assert scored.goal_ids.count(UNLINKABLE) == 1
+            assert scored.sim1[scored.goal_ids.index(UNLINKABLE)] == sim1s.min()
 
 
 # ---------------------------------------------------------------------------
@@ -225,27 +208,27 @@ def test_a4_loss_anchors():
 
 def _separable(n, dim, m, seed, prefix):
     rng = np.random.default_rng(seed)
-    examples, table = [], {}
+    step_ids, goal_ids, table = [], [], {}
     for i in range(n):
         step_id = f"{prefix}{i:03d}"
-        entries = []
+        goals = []
         for j in range(m - 1):
             gid = f"{step_id}_a{j}"
             table[(step_id, gid)] = np.concatenate([[1.0, 0.0], rng.normal(0, 0.1, dim - 2)])
-            entries.append(Candidate(gid, 0.5))
+            goals.append(gid)
         gold = f"{step_id}_zz"  # sorts last: untrained tie-break never picks it
         table[(step_id, gold)] = np.concatenate([[1.0, 1.0], rng.normal(0, 0.1, dim - 2)])
-        entries.append(Candidate(gold, 0.5))
-        examples.append(TrainExample(step_id, tuple(entries), gold))
-    return examples, table
+        goals.append(gold)
+        step_ids.append(step_id)
+        goal_ids.append(goals)
+    return (Ranked.from_lists(step_ids, goal_ids, [[0.5] * m] * n), [m - 1] * n), table
 
 
 def _recall1(model, examples, source):
-    hits = 0
-    for ex in examples:
-        cands = CandidateList(ex.step_id, ex.candidates)
-        hits += score_list(model, cands, source)[0].goal_id == ex.gold
-    return hits / len(examples)
+    lists, slots = examples
+    scored = score_list(model, lists, source)
+    top = [scored.goal_ids[start] for start in scored.offsets[:-1].tolist()]
+    return sum(goal.endswith("_zz") for goal in top) / len(slots)
 
 
 def test_a5_reranker_learning():
@@ -276,14 +259,11 @@ def test_a6_identity_reranker():
         corpus = make_corpus(records)
         store = embed_corpus(corpus, dim=32, seed=5)
         index = build_index(store, corpus.goal_ids())
-        lists = retrieve_all(index, store, corpus, k=12)
+        lists = retrieve_all(index, store, corpus.steps(), k=12)
         model = new_model(7, lam=1.0)  # W = 0
-        source = LexicalFeatureSource(corpus)
-        for cand in lists:
-            scored = score_list(model, cand, source)
-            assert [e.goal_id for e in scored] == [c.goal_id for c in cand.entries]
-            for out, inp in zip(scored, cand.entries):
-                assert out.sim2 == inp.sim1
+        scored = score_list(model, lists, LexicalFeatureSource(corpus))
+        assert scored.goal_ids == lists.goal_ids
+        assert scored.sim2.tolist() == lists.sim1.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +325,7 @@ def test_a8_filter_contract():
         assert trace.clauses[0] == oracle_first
         costs = trace.accepted_costs
         assert all(a > b for a, b in zip(costs, costs[1:]))
-        assert trace.final_cost <= trace.baseline_cost
+        assert costs[-1] <= costs[0]
         assert len(trace.clauses) <= min(len(candidates), 15) + 1
 
         # loop bound: 40 always-improving candidates accept min(40, 15) + 1

@@ -16,28 +16,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prockb.artifacts import tab_rows
-from prockb.corpus import CONTEXT_MODES, corpus_from_records, load_corpus, save_corpus
+from conftest import columns, write_jsonl
+from prockb.artifacts import tab_rows, write_rows, write_vectors
+from prockb.corpus import CONTEXT_MODES, corpus_from_records, load_corpus
 from prockb.embedding import EmbeddingStore, load_embeddings, save_embeddings
 from prockb.errors import DataError
-from prockb.hierarchy import LinkDecision, read_links, write_links, write_rankings
-from prockb.linkeval import GoldLink, load_gold_links, split_links, split_sizes, write_gold_links
+from prockb.hierarchy import decisions, read_links, write_links
+from prockb.linkeval import GoldLink, load_gold_links, split_links, split_sizes
 from prockb.rerank import (
     RerankModel,
-    ScoredCandidate,
     TableFeatureSource,
     load_feature_file,
     load_model,
     save_model,
-    write_feature_file,
 )
-from prockb.retrieval import (
-    Candidate,
-    CandidateList,
-    read_candidates,
-    read_ranked,
-    write_candidates,
-)
+from prockb.retrieval import Ranked, read_candidates, write_candidates
 from prockb.videoretrieval import (
     LEVELS,
     Query,
@@ -73,24 +66,14 @@ def feature_rows(draw):
 
 
 @st.composite
-def candidate_lists(draw):
+def ranked_lists(draw, sim2: bool):
+    """Ranked lists of 1 to 3 steps, each of 1 to 3 goals, reranked (with
+    sim2) or not."""
     steps = draw(st.lists(ident, min_size=1, max_size=3, unique=True))
-    lists = []
-    for step_id in steps:
-        entries = draw(st.lists(st.builds(Candidate, ident, number), min_size=1, max_size=3))
-        lists.append(CandidateList(step_id, tuple(entries)))
-    return lists
-
-
-@st.composite
-def decisions(draw):
-    steps = draw(st.lists(ident, min_size=1, max_size=3, unique=True))
-    out = []
-    for step_id in steps:
-        entries = draw(st.lists(st.builds(ScoredCandidate, ident, number, number),
-                                min_size=1, max_size=3))
-        out.append(LinkDecision(step_id, tuple(entries)))
-    return out
+    goals = [draw(st.lists(ident, min_size=1, max_size=3)) for _ in steps]
+    scores = [[draw(st.lists(number, min_size=len(g), max_size=len(g))) for g in goals]
+              for _ in range(1 + sim2)]
+    return Ranked.from_lists(steps, goals, *scores)
 
 
 @st.composite
@@ -125,12 +108,12 @@ def query_lists(draw):
 @st.composite
 def corpora(draw):
     goals = draw(st.lists(ident, min_size=1, max_size=3, unique=True))
-    return corpus_from_records([
+    return [
         {"id": f"g{goal_id}", "title": draw(ident),
          "steps": [{"id": f"s{goal_id}_{j}", "text": draw(ident)}
                    for j in range(draw(st.integers(1, 3)))]}
         for goal_id in goals
-    ])
+    ]
 
 
 @st.composite
@@ -182,22 +165,23 @@ KINDS = {
     ),
     "pair-features": Kind(
         feature_rows(),
-        lambda path, rows: write_feature_file(path, *rows),
+        lambda path, rows: write_vectors(path, rows[0], ((f"{s} {g}", v) for s, g, v in rows[1])),
         lambda path: _table_rows(load_feature_file(path)),
         lambda rows: _table_rows(TableFeatureSource(rows[0], {(s, g): v for s, g, v in rows[1]})),
         " ",
     ),
-    "candidates": Kind(candidate_lists(), write_candidates, read_candidates, lambda x: x, "\t"),
-    "rankings": Kind(
-        decisions(),
-        write_rankings,
-        lambda path: read_ranked(path, 3, lambda lineno, fields: fields[2]),
-        lambda ds: {d.step_id: [e.goal_id for e in d.alternatives] for d in ds},
-        "\t",
-    ),
-    "links": Kind(decisions(), write_links, read_links,
-                  lambda ds: {d.step_id: d.outcome for d in ds}, "\t"),
-    "gold": Kind(gold_links(), write_gold_links, load_gold_links, lambda x: x, "\t"),
+    "candidates": Kind(ranked_lists(sim2=False), write_candidates,
+                       lambda path: columns(read_candidates(path)), columns, "\t"),
+    # As eval-links reads rankings: a line without its sim2 may read as a
+    # candidates line, so sim2 is compared in test_rankings_round_trip_keeps_scores.
+    "rankings": Kind(ranked_lists(sim2=True), write_candidates,
+                     lambda path: columns(read_candidates(path))[:4], lambda r: columns(r)[:4],
+                     "\t"),
+    "links": Kind(ranked_lists(sim2=True), write_links, read_links,
+                  lambda r: {s: d.outcome for s, d in zip(r.step_ids, decisions(r))}, "\t"),
+    "gold": Kind(gold_links(),
+                 lambda path, links: write_rows(path, ((l.step_id, l.gold_goal_id) for l in links)),
+                 load_gold_links, lambda x: x, "\t"),
     "model": Kind(
         models(),
         lambda path, model: save_model(model, path),
@@ -208,9 +192,9 @@ KINDS = {
     "queries": Kind(query_lists(), write_queries, read_queries, lambda x: x, None, ("utf8",)),
     "corpus": Kind(
         corpora(),
-        lambda path, corpus: save_corpus(corpus, path),
+        write_jsonl,
         lambda path: load_corpus(path).articles,
-        lambda corpus: corpus.articles,
+        lambda records: corpus_from_records(records).articles,
         None,
         ("duplicate", "utf8"),
     ),
@@ -279,13 +263,13 @@ def test_damaged_line_is_read_as_before_or_rejected_with_path(name, data):
             assert after == before
 
 
-def test_rankings_round_trip_keeps_scores(tmp_path):
-    ds = [LinkDecision("s1", (ScoredCandidate("g2", 0.25, -1.5),
-                              ScoredCandidate("g1", 0.5, -2.0)))]
-    path = tmp_path / "rankings.tsv"
-    write_rankings(path, ds)
-    parse = lambda lineno, f: ScoredCandidate(f[2], float(f[3]), float(f[4]))  # noqa: E731
-    assert read_ranked(path, 5, parse) == {"s1": list(ds[0].alternatives)}
+@settings(max_examples=40, deadline=None)
+@given(ranked=ranked_lists(sim2=True))
+def test_rankings_round_trip_keeps_scores(ranked):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rankings.tsv"
+        write_candidates(path, ranked)
+        assert columns(read_candidates(path)) == columns(ranked)
 
 
 def test_tab_rows_checks_columns_and_unique_first_field(tmp_path):

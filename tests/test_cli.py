@@ -9,9 +9,18 @@ import pytest
 
 import prockb
 from conftest import identity_records, write_jsonl
+from prockb.artifacts import write_vectors
 from prockb.cli import main
-from prockb.rerank import new_model, save_model, write_feature_file
+from prockb.corpus import load_corpus
+from prockb.embedding import load_embeddings
+from prockb.hierarchy import LinkPipeline, link_all
+from prockb.rerank import UNLINKABLE, LexicalFeatureSource, load_model, new_model, save_model
+from prockb.retrieval import build_index, read_candidates
 from prockb.videoretrieval import FIL_L1, Query, write_queries
+
+
+def write_feature_file(path, dim, rows):
+    write_vectors(path, dim, ((f"{step_id} {goal_id}", vec) for step_id, goal_id, vec in rows))
 
 
 def run(argv):
@@ -111,6 +120,46 @@ def test_rerun_is_byte_identical(identity_setup, tmp_path):
     assert run(argv) == 0
     second = {p.name: p.read_bytes() for p in out.iterdir()}
     assert first == second
+
+
+def test_reused_out_dir_keeps_only_the_new_run_artifacts(identity_setup, tmp_path):
+    corpus_path, _, _ = identity_setup
+    model = tmp_path / "model.txt"
+    save_model(new_model(7, unlinkable=True), model)
+    ix = tmp_path / "ix"
+    assert run(["build-index", "--corpus", str(corpus_path), "--out-dir", str(ix)]) == 0
+    argv = ["link", "--corpus", str(corpus_path), "--embeddings",
+            str(ix / "embeddings.txt"), "--model", str(model),
+            "--out-dir", str(tmp_path / "ln")]
+    assert run([*argv, "--rankings"]) == 0
+    assert (tmp_path / "ln" / "rankings.tsv").exists()
+    (tmp_path / "ln" / "notes.txt").write_text("not an artifact\n")
+    assert run(argv) == 0
+    assert sorted(p.name for p in (tmp_path / "ln").iterdir()) == [
+        "links.tsv", "manifest.json", "notes.txt"]
+
+
+def test_reused_out_dir_deletes_only_bare_names_it_listed(identity_setup, tmp_path):
+    corpus_path, _, _ = identity_setup
+    out = tmp_path / "ix"
+    (tmp_path / "x").write_text("outside\n")
+    out.mkdir()
+    (out / "manifest.json").write_text(json.dumps({"outputs": ["../x", "", ".", ".."]}))
+    assert run(["build-index", "--corpus", str(corpus_path), "--out-dir", str(out)]) == 0
+    assert (tmp_path / "x").read_text() == "outside\n"
+    assert json.loads((out / "manifest.json").read_text())["command"] == "build-index"
+
+
+def test_reused_out_dir_keeps_an_input_it_listed(identity_setup, tmp_path):
+    corpus_path, _, _ = identity_setup
+    out = tmp_path / "ix"
+    assert run(["build-index", "--corpus", str(corpus_path), "--out-dir", str(out)]) == 0
+    vectors = (out / "embeddings.txt").read_bytes()
+    assert run(["retrieve", "--corpus", str(corpus_path), "--embeddings",
+                str(out / "embeddings.txt"), "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "candidates.tsv", "embeddings.txt", "manifest.json"]
+    assert (out / "embeddings.txt").read_bytes() == vectors
 
 
 def test_manifest_contents(identity_setup, tmp_path):
@@ -326,10 +375,12 @@ def test_link_rejects_bad_checkpoint(identity_setup, tmp_path, capsys, edit, mes
 @pytest.mark.parametrize(
     "rows, message",
     [
-        ("a00_probe\t1\ta01\na00_probe\tfirst\ta02\n", "line 2: rank 'first' is not an integer"),
-        ("a00_probe\t1\ta01\na00_probe\t1\ta02\n", "line 2: duplicate rank 1"),
+        ("a00_probe\t1\ta01\t0.5\na00_probe\tfirst\ta02\t0.4\n",
+         "line 2: rank 'first' is not an integer"),
+        ("a00_probe\t1\ta01\t0.5\na00_probe\t1\ta02\t0.4\n", "line 2: duplicate rank 1"),
+        ("a00_probe\t1\ta01\n", "line 1: expected 4 columns or more, got 3"),
     ],
-    ids=["non-integer-rank", "duplicate-rank"],
+    ids=["non-integer-rank", "duplicate-rank", "three-columns"],
 )
 def test_eval_links_rejects_bad_ranks(identity_setup, tmp_path, capsys, rows, message):
     _, gold_path, _ = identity_setup
@@ -637,6 +688,30 @@ def test_missing_embedding_exits_2_with_path(input_files, tmp_path, capsys, argv
     assert code == 2
     assert f"{embeddings}: no embedding for corpus id {missing!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_link_rankings_read_back_equal_link_all(identity_setup, tmp_path):
+    corpus_path, gold_path, embeddings, candidates = _linked(identity_setup, tmp_path)
+    assert run(["train-reranker", "--corpus", str(corpus_path), "--candidates", str(candidates),
+                "--gold", str(gold_path), "--unlinkable", "--epochs", "2",
+                "--out-dir", str(tmp_path / "tr")]) == 0
+    model_path = tmp_path / "tr" / "model.txt"
+    assert run(["link", "--corpus", str(corpus_path), "--embeddings", str(embeddings),
+                "--model", str(model_path), "--k", "10", "--rankings",
+                "--out-dir", str(tmp_path / "ln")]) == 0
+
+    corpus, store = load_corpus(corpus_path), load_embeddings(embeddings)
+    model = load_model(model_path)
+    pipeline = LinkPipeline(
+        corpus=corpus, index=build_index(store, corpus.goal_ids()), store=store, model=model,
+        features=LexicalFeatureSource(corpus, model.context_mode, model.window), k=10)
+    want = link_all(pipeline)
+    got = read_candidates(tmp_path / "ln" / "rankings.tsv")
+    assert got.step_ids == want.step_ids
+    assert got.goal_lists() == want.goal_lists()
+    assert UNLINKABLE in got.goal_ids
+    assert got.sim1.tobytes() == want.sim1.tobytes()
+    assert got.sim2.tobytes() == want.sim2.tobytes()
 
 
 def test_retrieve_and_link_clamp_k_alike(tmp_path):

@@ -3,21 +3,21 @@ import json
 import numpy as np
 import pytest
 
-from conftest import identity_records, make_corpus
+from conftest import columns, identity_records, make_corpus
 from prockb import hierarchy
 from prockb.embedding import embed_corpus
 from prockb.hierarchy import (
     LinkPipeline,
+    decisions,
     expand,
     link_all,
     link_step,
     read_links,
     tree_to_dict,
     write_links,
-    write_rankings,
 )
 from prockb.rerank import UNLINKABLE, LexicalFeatureSource, RerankModel
-from prockb.retrieval import build_index
+from prockb.retrieval import build_index, read_candidates, write_candidates
 
 
 def exact_match_model(dim=7, unlinkable=False):
@@ -67,7 +67,7 @@ def test_link_step_exact_match():
     pipeline = make_pipeline(chain_records())
     decision = link_step(pipeline, "A_s0")
     assert decision.outcome == "B"
-    assert decision.chosen.goal_id == "B"
+    assert decision.sim2 == 10.0  # the exact-match feature times its weight
 
 
 def test_link_step_never_links_parent():
@@ -177,18 +177,19 @@ def test_expand_validates_inputs():
 
 def test_link_dumps_round_trip(tmp_path):
     pipeline = make_pipeline(chain_records(), model=exact_match_model(unlinkable=True))
-    decisions = link_all(pipeline)
+    ranked = link_all(pipeline)
     links_path = tmp_path / "links.tsv"
-    write_links(links_path, decisions)
+    write_links(links_path, ranked)
     loaded = read_links(links_path)
-    assert loaded == {d.step_id: d.outcome for d in decisions}
+    assert loaded == {s: d.outcome for s, d in zip(ranked.step_ids, decisions(ranked))}
 
     rankings_path = tmp_path / "rankings.tsv"
-    write_rankings(rankings_path, decisions)
+    write_candidates(rankings_path, ranked)
     lines = rankings_path.read_text().strip().splitlines()
-    assert len(lines) == sum(len(d.alternatives) for d in decisions)
+    assert len(lines) == len(ranked.goal_ids)
     first = lines[0].split("\t")
-    assert first[0] == decisions[0].step_id and first[1] == "1"
+    assert first[0] == ranked.step_ids[0] and first[1] == "1" and len(first) == 5
+    assert columns(read_candidates(rankings_path)) == columns(ranked)
 
 
 def test_link_decisions_are_reused_per_pipeline():
@@ -202,13 +203,15 @@ def test_link_decisions_are_reused_per_pipeline():
 
 
 def test_batched_links_equal_one_step_at_a_time():
-    records, _ = identity_records(30)  # 90 steps: several link blocks
+    records, _ = identity_records(30)  # 90 steps: several feature blocks
     model = exact_match_model(unlinkable=True)
     batched = link_all(make_pipeline(records, model=model, k=5))
-    assert len(batched) > 2 * hierarchy.LINK_BLOCK
-    for decision in batched:
+    for i, (step_id, decision) in enumerate(zip(batched.step_ids, decisions(batched))):
         alone = make_pipeline(records, model=model, k=5)
-        assert link_step(alone, decision.step_id) == decision
+        one = hierarchy.link_steps(alone, (step_id,))
+        assert one.goal_ids == batched.goal_ids[batched.rows(i)]
+        assert one.sim2.tobytes() == batched.sim2[batched.rows(i)].tobytes()
+        assert link_step(alone, step_id) == decision
 
 
 def test_expand_links_each_level_in_one_batch(monkeypatch):

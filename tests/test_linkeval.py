@@ -4,18 +4,18 @@ import pytest
 
 from conftest import make_corpus, two_article_records
 from prockb.errors import DataError
-from prockb.linkeval import (
-    GoldLink,
-    load_gold_links,
-    recall_at,
-    recall_report,
-    split_links,
-    write_gold_links,
-)
+from prockb.linkeval import GoldLink, load_gold_links, recall_at, recall_report, split_links
+from prockb.retrieval import Ranked
 
 
 def links(n):
     return [GoldLink(f"s{i:05d}", f"g{i:05d}") for i in range(n)]
+
+
+def ranked(goal_lists: dict) -> Ranked:
+    """step_id -> goal ids, best first, as a Ranked (sim1 0)."""
+    goals = list(goal_lists.values())
+    return Ranked.from_lists(goal_lists, goals, [[0.0] * len(g) for g in goals])
 
 
 def test_split_sizes_ten():
@@ -57,12 +57,12 @@ def test_split_bad_ratios():
 
 
 def test_recall_at_basic():
-    rankings = {
+    rankings = ranked({
         "s1": ["gold1", "x", "y"],
         "s2": ["x", "y", "gold2"],
         "s3": ["x", "gold3", "y"],
         "s4": ["x", "y", "z"],  # gold at rank 50: never present
-    }
+    })
     gold = [GoldLink(f"s{i}", f"gold{i}") for i in range(1, 5)]
     assert recall_at(rankings, gold, 1) == 0.25
     assert recall_at(rankings, gold, 2) == 0.5
@@ -71,13 +71,13 @@ def test_recall_at_basic():
 
 
 def test_recall_all_present():
-    rankings = {"s1": ["a", "gold1"], "s2": ["gold2", "b"]}
+    rankings = ranked({"s1": ["a", "gold1"], "s2": ["gold2", "b"]})
     gold = [GoldLink("s1", "gold1"), GoldLink("s2", "gold2")]
     assert recall_at(rankings, gold, 2) == 1.0
 
 
 def test_recall_non_decreasing_in_n():
-    rankings = {f"s{i}": [f"g{j}" for j in range(30)] for i in range(20)}
+    rankings = ranked({f"s{i}": [f"g{j}" for j in range(30)] for i in range(20)})
     gold = [GoldLink(f"s{i}", f"g{(i * 7) % 35}") for i in range(20)]
     report = recall_report(rankings, gold, ns=[1, 2, 5, 10, 20, 30])
     values = [report[n] for n in sorted(report)]
@@ -85,7 +85,7 @@ def test_recall_non_decreasing_in_n():
 
 
 def test_unlinkable_occupies_rank():
-    rankings = {"s1": ["UNLINKABLE", "gold1"]}
+    rankings = ranked({"s1": ["UNLINKABLE", "gold1"]})
     gold = [GoldLink("s1", "gold1")]
     assert recall_at(rankings, gold, 1) == 0.0
     assert recall_at(rankings, gold, 2) == 1.0
@@ -93,13 +93,13 @@ def test_unlinkable_occupies_rank():
 
 def test_recall_missing_ranking():
     with pytest.raises(KeyError, match="s9"):
-        recall_at({"s1": ["g"]}, [GoldLink("s9", "g")], 1)
+        recall_at(ranked({"s1": ["g"]}), [GoldLink("s9", "g")], 1)
 
 
 def test_gold_links_io(tmp_path):
     path = tmp_path / "gold.tsv"
     data = [GoldLink("s1", "g1"), GoldLink("s4", "g2")]
-    write_gold_links(path, data)
+    path.write_text("s1\tg1\ns4\tg2\n")
     assert load_gold_links(path) == data
 
 
@@ -136,14 +136,12 @@ def test_reranked_recall_bounded_by_stage1_recall_at_k():
     store = embed_corpus(corpus, dim=16, seed=2)
     index = build_index(store, corpus.goal_ids())
     k = 8
-    lists = [c for c in retrieve_all(index, store, corpus, k=k) if c.step_id in gold]
+    stage1 = retrieve_all(index, store, corpus.steps(), k=k)
     gold_links = [GoldLink(s, g) for s, g in gold.items()]
 
-    stage1 = {c.step_id: [e.goal_id for e in c.entries] for c in lists}
     rng = np.random.default_rng(0)
     model = RerankModel(w=rng.normal(size=7), lam=0.2)  # arbitrary reranker
-    source = LexicalFeatureSource(corpus)
-    reranked = {c.step_id: [e.goal_id for e in score_list(model, c, source)] for c in lists}
+    reranked = score_list(model, stage1, LexicalFeatureSource(corpus))
 
     cap = recall_at(stage1, gold_links, k)
     for n in (1, 2, 4, k):

@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_records, make_corpus, score_list
-from prockb.corpus import CONTEXT_MODES, StepContext, context_of
+from conftest import columns, identity_records, make_corpus, one_list, score_list
+from prockb.artifacts import write_vectors
+from prockb.corpus import CONTEXT_MODES, context_of
 from prockb.errors import DataError
 from prockb.rerank import (
     UNLINKABLE,
     LexicalFeatureSource,
     RerankModel,
     TableFeatureSource,
-    TrainExample,
     load_feature_file,
     load_model,
     make_training_examples,
@@ -24,36 +24,13 @@ from prockb.rerank import (
     list_scores,
     score_candidates,
     train,
-    write_feature_file,
 )
-from prockb.retrieval import Candidate, CandidateList
+from prockb.retrieval import Ranked
 from prockb.textsearch import tokenize
 
 
-# ---------------------------------------------------------------------------
-# Pair input template
-
-def test_render_empty_ctx():
-    from prockb.rerank import render_pair_input
-
-    out = render_pair_input(StepContext(mode="none"), "buy a camera", "Choose a Camera")
-    assert out == "[CLS] [ST] buy a camera [ED] Choose a Camera [SEP]"
-
-
-def test_render_goal_ctx():
-    from prockb.rerank import render_pair_input
-
-    ctx = StepContext(mode="goal", goal_text="Make Videos")
-    out = render_pair_input(ctx, "buy a camera", "Choose a Camera")
-    assert out.startswith("[CLS] Make Videos [ST]")
-
-
-def test_render_both_ctx_ordering():
-    from prockb.rerank import render_pair_input
-
-    ctx = StepContext(mode="both", goal_text="G", prev_steps=("P",), next_steps=("N",))
-    out = render_pair_input(ctx, "s", "g")
-    assert out == "[CLS] G [CTX] P [CTX] N [ST] s [ED] g [SEP]"
+def write_feature_file(path, dim, rows):
+    write_vectors(path, dim, ((f"{step_id} {goal_id}", vec) for step_id, goal_id, vec in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -317,29 +294,39 @@ def zero_table(step_id, goal_ids, dim=8):
 
 
 def test_identity_reranker_preserves_stage1_order():
-    cands = CandidateList(
-        step_id="s",
-        entries=(Candidate("ga", 0.9), Candidate("gb", 0.5), Candidate("gc", 0.3)),
-    )
+    cands = one_list("s", ["ga", "gb", "gc"], [0.9, 0.5, 0.3])
     model = new_model(8, lam=1.0)
     scored = score_list(model, cands, zero_table("s", ["ga", "gb", "gc"]))
-    assert [e.goal_id for e in scored] == ["ga", "gb", "gc"]
-    assert [e.sim2 for e in scored] == [0.9, 0.5, 0.3]
+    assert scored.goal_ids == ("ga", "gb", "gc")
+    assert scored.sim2.tolist() == [0.9, 0.5, 0.3]
 
 
 def test_unlinkable_entry_gets_min_sim1():
-    cands = CandidateList(
-        step_id="s",
-        entries=(Candidate("ga", 0.9), Candidate("gb", 0.5), Candidate("gc", 0.3)),
-    )
+    cands = one_list("s", ["ga", "gb", "gc"], [0.9, 0.5, 0.3])
     model = new_model(8, lam=1.0, unlinkable=True)
     scored = score_list(model, cands, zero_table("s", ["ga", "gb", "gc"]))
-    placeholder = [e for e in scored if e.goal_id == UNLINKABLE]
-    assert len(placeholder) == 1
-    assert placeholder[0].sim1 == 0.3
+    assert scored.goal_ids.count(UNLINKABLE) == 1
+    assert scored.sim1[scored.goal_ids.index(UNLINKABLE)] == 0.3
 
     plain = score_list(new_model(8), cands, zero_table("s", ["ga", "gb", "gc"]))
-    assert UNLINKABLE not in [e.goal_id for e in plain]
+    assert UNLINKABLE not in plain.goal_ids
+
+
+def test_score_candidates_reranks_each_list_on_its_own():
+    rng = np.random.default_rng(4)
+    lists = [("s1", ["ga", "gb", "gc"]), ("s2", ["gb"]), ("s3", ["gc", "ga"])]
+    table = {(s, g): rng.normal(size=8) for s, goals in lists for g in goals}
+    source = TableFeatureSource(8, table)
+    sim1s = [rng.uniform(-1, 1, size=len(goals)) for _, goals in lists]
+    model = RerankModel(w=rng.normal(size=8), lam=0.5, unlinkable_feat=rng.normal(size=8))
+    ranked = Ranked.from_lists([s for s, _ in lists], [goals for _, goals in lists], sim1s)
+    whole = score_list(model, ranked, source)
+    parts = [score_list(model, one_list(s, goals, sim1), source)
+             for (s, goals), sim1 in zip(lists, sim1s)]
+    assert whole.offsets.tolist() == [0, 4, 6, 9]
+    assert whole.goal_ids == sum((part.goal_ids for part in parts), ())
+    assert whole.sim1.tolist() == np.concatenate([part.sim1 for part in parts]).tolist()
+    assert whole.sim2.tolist() == np.concatenate([part.sim2 for part in parts]).tolist()
 
 
 def test_top1_is_argmax_of_per_pair_sim2():
@@ -347,15 +334,14 @@ def test_top1_is_argmax_of_per_pair_sim2():
     goal_ids = tuple(f"g{i}" for i in range(6))
     table = {("s", g): rng.normal(size=8) for g in goal_ids}
     source = TableFeatureSource(8, table)
-    entries = tuple(Candidate(g, float(rng.uniform(-1, 1))) for g in goal_ids)
-    cands = CandidateList(step_id="s", entries=entries)
+    sim1s = rng.uniform(-1, 1, size=len(goal_ids))
     model = RerankModel(w=rng.normal(size=8), lam=float(rng.normal()))
-    scored = score_list(model, cands, source)
+    scored = score_list(model, one_list("s", goal_ids, sim1s), source)
     feats = source.features(("s",), (goal_ids,))
-    sim2s = list_scores(model, feats, np.array([s1 for _, s1 in entries]))
+    sim2s = list_scores(model, feats, sim1s)
     per_pair = dict(zip(goal_ids, sim2s.tolist()))
-    assert scored[0].goal_id == max(per_pair, key=lambda g: (per_pair[g], g))
-    assert scored[0].sim2 == max(per_pair.values())
+    assert scored.goal_ids[0] == max(per_pair, key=lambda g: (per_pair[g], g))
+    assert scored.sim2[0] == max(per_pair.values())
 
 
 # Reference: the per-row arithmetic that scored candidates before
@@ -403,79 +389,69 @@ def test_score_candidates_order_matches_per_row_arithmetic(case):
     model, feats, sim1s = case
     goal_ids = [f"g{i}" for i in range(len(sim1s))]
     source = TableFeatureSource(model.dim, {("s", g): row for g, row in zip(goal_ids, feats)})
-    scored = score_list(model, CandidateList("s", tuple(zip(goal_ids, sim1s.tolist()))), source)
+    scored = score_list(model, one_list("s", goal_ids, sim1s), source)
     slots = list(zip(goal_ids, sim1s.tolist()))
     if model.unlinkable_enabled:
         slots.append((UNLINKABLE, min(sim1s.tolist())))
     want = [(g, s1, score) for (g, s1), (score, _) in zip(slots, per_row_scores(model, feats, sim1s))]
-    assert list(scored) == sorted(want, key=lambda e: (-e[2], e[0]))
+    got = list(zip(scored.goal_ids, scored.sim1.tolist(), scored.sim2.tolist()))
+    assert got == sorted(want, key=lambda e: (-e[2], e[0]))
 
 
 def test_score_candidates_empty_list():
-    with pytest.raises(ValueError, match="empty"):
-        score_candidates(new_model(8), CandidateList("s", ()), np.zeros((0, 8)))
+    with pytest.raises(ValueError, match="step 's' has an empty"):
+        score_candidates(new_model(8), one_list("s", [], []), np.zeros((0, 8)))
 
 
 # ---------------------------------------------------------------------------
 # Loss and gradients
 
-def uniform_example(m, dim=8):
-    entries = tuple(Candidate(f"g{i}", 0.0) for i in range(m))
-    example = TrainExample(step_id="s", candidates=entries, gold="g0")
-    feats = np.zeros((m, dim))
-    return example, feats
-
-
 def test_uniform_loss_is_ln_m():
     for m in (2, 3, 10):
-        example, feats = uniform_example(m)
-        out = nll_loss(new_model(8, lam=0.0), example, feats)
+        out = nll_loss(new_model(8, lam=0.0), np.zeros((m, 8)), np.zeros(m), 0)
         assert abs(out.loss - math.log(m)) < 1e-9
 
 
 def test_uniform_loss_with_unlinkable_slot():
-    example, feats = uniform_example(30)
     model = new_model(8, lam=0.0, unlinkable=True)
-    out = nll_loss(model, example, feats)
+    out = nll_loss(model, np.zeros((30, 8)), np.zeros(30), 0)
     assert abs(out.loss - math.log(31)) < 1e-9
 
 
 def test_saturated_loss_near_zero():
-    entries = (Candidate("gold", 0.0), Candidate("other", 0.0))
-    example = TrainExample("s", entries, "gold")
     feats = np.array([[25.0, 0.0], [0.0, 0.0]])
     model = RerankModel(w=np.array([1.0, 0.0]), lam=0.0)
-    out = nll_loss(model, example, feats)
+    out = nll_loss(model, feats, np.zeros(2), 0)
     assert out.loss < 1e-8
 
 
 def test_loss_shift_invariance():
     rng = np.random.default_rng(1)
-    entries = tuple(Candidate(f"g{i}", float(rng.uniform())) for i in range(5))
-    example = TrainExample("s", entries, "g2")
+    sim1s = rng.uniform(size=5)
     feats = rng.normal(size=(5, 8))
     model = RerankModel(w=np.concatenate([[1.0], rng.normal(size=7)]), lam=0.7)
-    base = nll_loss(model, example, feats).loss
+    base = nll_loss(model, feats, sim1s, 2).loss
     # w[0] is 1, so shifting feature 0 adds the same constant to every sim2
     shifted_feats = feats.copy()
     shifted_feats[:, 0] += 13.0
-    assert abs(nll_loss(model, example, shifted_feats).loss - base) < 1e-9
+    assert abs(nll_loss(model, shifted_feats, sim1s, 2).loss - base) < 1e-9
 
 
 def test_loss_error_cases():
     model = new_model(8)
     with pytest.raises(ValueError, match="empty"):
-        nll_loss(model, TrainExample("s", (), "g"), np.zeros((0, 8)))
-    example, feats = uniform_example(3)
-    bad = TrainExample("s", example.candidates, "ghost")
-    with pytest.raises(ValueError, match="ghost"):
-        nll_loss(model, bad, feats)
-    unl = TrainExample("s", example.candidates, UNLINKABLE)
-    with pytest.raises(ValueError, match="UNLINKABLE"):
-        nll_loss(model, unl, feats)
+        nll_loss(model, np.zeros((0, 8)), np.zeros(0), 0)
+    feats, sim1s = np.zeros((3, 8)), np.zeros(3)
+    for slot in (-1, 4):
+        with pytest.raises(ValueError, match=f"gold slot {slot} is not one of 3 candidates"):
+            nll_loss(model, feats, sim1s, slot)
+    # Slot 3 is the placeholder's, which only an unlinkable model has.
+    with pytest.raises(ValueError, match="gold slot 3 is not one of 3 candidates$"):
+        nll_loss(model, feats, sim1s, 3)
+    assert nll_loss(new_model(8, unlinkable=True), feats, sim1s, 3).loss > 0
 
 
-def finite_difference_grads(model, example, feats, h=1e-5):
+def finite_difference_grads(model, feats, sim1s, slot, h=1e-5):
     def loss_with(w, lam, u):
         probe = RerankModel(
             w=w,
@@ -484,7 +460,7 @@ def finite_difference_grads(model, example, feats, h=1e-5):
             context_mode=model.context_mode,
             window=model.window,
         )
-        return nll_loss(probe, example, feats).loss
+        return nll_loss(probe, feats, sim1s, slot).loss
 
     grad_w = np.zeros_like(model.w)
     for i in range(model.dim):
@@ -520,28 +496,24 @@ def relative_error(a, b):
 
 def random_point(rng, unlinkable: bool, dim=8):
     m = int(rng.integers(2, 7))
-    entries = tuple(Candidate(f"g{i}", float(rng.uniform(-1, 1))) for i in range(m))
-    if unlinkable and rng.uniform() < 0.4:
-        gold = UNLINKABLE
-    else:
-        gold = entries[int(rng.integers(0, m))].goal_id
-    example = TrainExample("s", entries, gold)
+    sim1s = rng.uniform(-1, 1, size=m)
+    slot = m if unlinkable and rng.uniform() < 0.4 else int(rng.integers(0, m))
     feats = rng.normal(size=(m, dim))
     model = RerankModel(
         w=rng.normal(size=dim),
         lam=float(rng.normal()),
         unlinkable_feat=rng.normal(size=dim) if unlinkable else None,
     )
-    return model, example, feats
+    return model, feats, sim1s, slot
 
 
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(42)
     for trial in range(20):
         unlinkable = trial % 2 == 1
-        model, example, feats = random_point(rng, unlinkable)
-        out = nll_loss(model, example, feats)
-        fd_w, fd_lam, fd_u = finite_difference_grads(model, example, feats)
+        model, *point = random_point(rng, unlinkable)
+        out = nll_loss(model, *point)
+        fd_w, fd_lam, fd_u = finite_difference_grads(model, *point)
         assert relative_error(out.grad_w, fd_w) < 1e-4
         assert relative_error(out.grad_lam, fd_lam) < 1e-4
         if unlinkable:
@@ -552,35 +524,32 @@ def test_gradients_match_finite_differences():
 # Training
 
 def separable_set(n: int, dim: int = 8, m: int = 4, seed: int = 0, prefix: str = "s"):
-    """Gold pairs carry feature[1]=1, negatives 0; gold id sorts last."""
+    """Gold pairs carry feature[1]=1, negatives 0; gold id sorts last, in
+    the last slot. Returns the examples, as (lists, gold slots), and the
+    feature source."""
     rng = np.random.default_rng(seed)
-    examples = []
+    step_ids, goal_ids = [], []
     table = {}
     for i in range(n):
         step_id = f"{prefix}{i:03d}"
-        entries = []
-        for j in range(m - 1):
-            gid = f"{step_id}_a{j}"
+        goals = [f"{step_id}_a{j}" for j in range(m - 1)] + [f"{step_id}_zz"]
+        for gid in goals:
+            gold = float(gid.endswith("_zz"))
             table[(step_id, gid)] = np.concatenate(
-                [[1.0, 0.0], rng.normal(scale=0.1, size=dim - 2)]
+                [[1.0, gold], rng.normal(scale=0.1, size=dim - 2)]
             )
-            entries.append(Candidate(gid, 0.5))
-        gold_id = f"{step_id}_zz"
-        table[(step_id, gold_id)] = np.concatenate(
-            [[1.0, 1.0], rng.normal(scale=0.1, size=dim - 2)]
-        )
-        entries.append(Candidate(gold_id, 0.5))
-        examples.append(TrainExample(step_id, tuple(entries), gold_id))
-    return examples, TableFeatureSource(dim, table)
+        step_ids.append(step_id)
+        goal_ids.append(goals)
+    lists = Ranked.from_lists(step_ids, goal_ids, [[0.5] * m] * n)
+    return (lists, [m - 1] * n), TableFeatureSource(dim, table)
 
 
 def rerank_recall_at_1(model, examples, source):
-    hits = 0
-    for example in examples:
-        cands = CandidateList(example.step_id, example.candidates)
-        scored = score_list(model, cands, source)
-        hits += scored[0].goal_id == example.gold
-    return hits / len(examples)
+    lists, slots = examples
+    scored = score_list(model, lists, source)
+    hits = sum(scored.goal_ids[scored.offsets[i]] == lists.goal_ids[lists.offsets[i] + slot]
+               for i, slot in enumerate(slots))
+    return hits / len(slots)
 
 
 def test_training_learns_separable_set():
@@ -638,30 +607,39 @@ def test_training_diverges_with_huge_lr():
 def test_empty_training_set_rejected():
     _, source = separable_set(2)
     with pytest.raises(ValueError, match="empty"):
-        train(new_model(8), [], source, lr=0.1, epochs=1)
+        train(new_model(8), (Ranked.from_lists([], [], []), []), source, lr=0.1, epochs=1)
 
 
 # ---------------------------------------------------------------------------
 # Training example construction
 
 def test_make_training_examples_modes():
-    lists = [
-        CandidateList("s1", (Candidate("g1", 0.9), Candidate("g2", 0.1))),
-        CandidateList("s2", (Candidate("g3", 0.8),)),
-        CandidateList("s3", (Candidate("g4", 0.7),)),
-    ]
+    lists = Ranked.from_lists(["s1", "s2", "s3"], [["g1", "g2"], ["g3"], ["g4"]],
+                              [[0.9, 0.1], [0.8], [0.7]])
     gold = {"s1": "g2", "s2": "g9", "s3": "g4"}  # s2's gold missing from its list
 
-    plain = make_training_examples(lists, gold, unlinkable=False)
-    assert [e.step_id for e in plain] == ["s1", "s3"]
-    assert plain[0].gold == "g2"
+    plain, slots = make_training_examples(lists, gold, unlinkable=False)
+    assert columns(plain) == (("s1", "s3"), [0, 2, 3], ("g1", "g2", "g4"), [0.9, 0.1, 0.7], None)
+    assert slots == [1, 0]
 
-    unl = make_training_examples(lists, gold, unlinkable=True)
-    assert [e.step_id for e in unl] == ["s1", "s2", "s3"]
-    assert unl[1].gold == UNLINKABLE
+    unl, slots = make_training_examples(lists, gold, unlinkable=True)
+    assert columns(unl) == columns(lists)
+    assert slots == [1, 1, 0]  # s2's slot 1 is its placeholder's, after its one candidate
 
-    no_gold = make_training_examples(lists, {}, unlinkable=True)
-    assert no_gold == []
+    no_gold, slots = make_training_examples(lists, {}, unlinkable=True)
+    assert (no_gold.step_ids, slots) == ((), [])
+
+
+def test_placeholder_slot_trains_toward_unlinkable():
+    """A gold goal missing from the list gets the placeholder's slot, and
+    training on it raises the placeholder's score above every candidate."""
+    lists = one_list("s", ["g1", "g2"], [0.9, 0.1])
+    examples = make_training_examples(lists, {"s": "g9"}, unlinkable=True)
+    assert examples[1] == [2]
+    source = TableFeatureSource(2, {("s", "g1"): np.array([1.0, 0.0]),
+                                    ("s", "g2"): np.array([0.0, 1.0])})
+    result = train(new_model(2, lam=0.0, unlinkable=True), examples, source, lr=1.0, epochs=20)
+    assert score_list(result.model, lists, source).goal_ids[0] == UNLINKABLE
 
 
 # ---------------------------------------------------------------------------

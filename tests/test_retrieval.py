@@ -1,17 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import make_corpus, two_article_records
+from conftest import columns, make_corpus, two_article_records
 from prockb.errors import DataError
 from prockb.embedding import EmbeddingStore, cosine, embed_corpus
-from prockb.retrieval import (
-    Candidate,
-    build_index,
-    read_candidates,
-    retrieve_all,
-    topk,
-    write_candidates,
-)
+from prockb.retrieval import build_index, read_candidates, retrieve_all, topk, write_candidates
 
 
 def basis_store(n=3, dim=4):
@@ -32,11 +25,17 @@ def brute_force_ranking(store, goal_ids, query, exclude=()):
     return scored
 
 
+def top(index, query, k, exclude=()):
+    """topk as (goal_id, score) pairs."""
+    rows, scores = topk(index, query, k, exclude)
+    return [(index.goal_ids[row], score) for row, score in zip(rows.tolist(), scores.tolist())]
+
+
 def test_topk_basis_vectors():
     store = basis_store()
     index = build_index(store, ["g0", "g1", "g2"])
-    result = topk(index, np.eye(4)[1], k=1)
-    assert result.entries == (Candidate("g1", 1.0),)
+    rows, scores = topk(index, np.eye(4)[1], k=1)
+    assert (rows.tolist(), scores.tolist()) == ([1], [1.0])
 
 
 def test_topk_matches_brute_force_oracle():
@@ -46,11 +45,11 @@ def test_topk_matches_brute_force_oracle():
     rng = np.random.default_rng(12)
     for _ in range(50):
         query = rng.normal(size=16)
-        result = topk(index, query, k=10)
+        result = top(index, query, k=10)
         oracle = brute_force_ranking(store, goal_ids, query)[:10]
-        assert [c.goal_id for c in result.entries] == [g for g, _ in oracle]
-        for got, (_, want) in zip(result.entries, oracle):
-            assert abs(got.sim1 - want) < 1e-12
+        assert [g for g, _ in result] == [g for g, _ in oracle]
+        for (_, got), (_, want) in zip(result, oracle):
+            assert abs(got - want) < 1e-12
 
 
 def test_topk_k_too_large():
@@ -67,11 +66,11 @@ def test_topk_exclusion_shifts_window():
     index = build_index(store, store.ids())
     rng = np.random.default_rng(6)
     query = rng.normal(size=8)
-    full = topk(index, query, k=11)
-    top1 = full.entries[0].goal_id
-    requeried = topk(index, query, k=10, exclude={top1})
-    assert requeried.entries == full.entries[1:11]
-    assert top1 not in [c.goal_id for c in requeried.entries]
+    full = top(index, query, k=11)
+    top1 = full[0][0]
+    requeried = top(index, query, k=10, exclude={top1})
+    assert requeried == full[1:11]
+    assert top1 not in [g for g, _ in requeried]
 
 
 def test_topk_exclusion_reduces_pool():
@@ -85,9 +84,7 @@ def test_tie_break_ascending_goal_id():
     vec = np.array([1.0, 0.0, 0.0, 0.0])
     store = EmbeddingStore(dim=4, vectors={"gb": vec, "ga": vec * 2.0, "gc": vec})
     index = build_index(store, ["gb", "ga", "gc"])
-    result = topk(index, vec, k=3)
-    assert [c.goal_id for c in result.entries] == ["ga", "gb", "gc"]
-    assert all(c.sim1 == 1.0 for c in result.entries)
+    assert top(index, vec, k=3) == [("ga", 1.0), ("gb", 1.0), ("gc", 1.0)]
 
 
 def test_zero_goal_vector_scores_zero():
@@ -95,16 +92,14 @@ def test_zero_goal_vector_scores_zero():
         dim=4, vectors={"gz": np.zeros(4), "ga": np.array([1.0, 0, 0, 0])}
     )
     index = build_index(store, ["gz", "ga"])
-    result = topk(index, np.array([1.0, 0, 0, 0]), k=2)
-    assert result.entries[1] == Candidate("gz", 0.0)
+    assert top(index, np.array([1.0, 0, 0, 0]), k=2)[1] == ("gz", 0.0)
 
 
 def test_scores_non_increasing():
     store = random_store(60, 8, seed=2)
     index = build_index(store, store.ids())
-    result = topk(index, np.random.default_rng(3).normal(size=8), k=25)
-    sims = [c.sim1 for c in result.entries]
-    assert all(a >= b for a, b in zip(sims, sims[1:]))
+    _, sims = topk(index, np.random.default_rng(3).normal(size=8), k=25)
+    assert np.all(sims[:-1] >= sims[1:])
 
 
 def test_build_index_missing_goal():
@@ -117,23 +112,33 @@ def test_retrieve_all_excludes_parent():
     corpus = make_corpus(two_article_records())
     store = embed_corpus(corpus, dim=16, seed=4)
     index = build_index(store, corpus.goal_ids())
-    lists = retrieve_all(index, store, corpus, k=1)
-    by_step = {c.step_id: c for c in lists}
-    assert set(by_step) == {s.step_id for s in corpus.steps()}
-    for step in corpus.steps():
-        got = [c.goal_id for c in by_step[step.step_id].entries]
-        assert step.parent_goal_id not in got
+    ranked = retrieve_all(index, store, corpus.steps(), k=1)
+    assert ranked.step_ids == tuple(s.step_id for s in corpus.steps())
+    for step, goals in zip(corpus.steps(), ranked.goal_lists()):
+        assert len(goals) == 1
+        assert step.parent_goal_id not in goals
+
+
+def test_retrieve_all_clamps_k_to_the_goals_left():
+    corpus = make_corpus(two_article_records())
+    store = embed_corpus(corpus, dim=16, seed=4)
+    index = build_index(store, corpus.goal_ids())
+    assert retrieve_all(index, store, corpus.steps(), k=5).offsets.tolist() == list(range(6))
+    ranked = retrieve_all(index, store, corpus.steps(), k=5, exclude_parent=False)
+    assert ranked.offsets.tolist() == list(range(0, 12, 2))
+    one_goal = build_index(store, ["g1"])
+    with pytest.raises(ValueError, match="no goals available for step 's1'"):
+        retrieve_all(one_goal, store, corpus.steps(), k=5)
 
 
 def test_candidates_tsv_round_trip(tmp_path):
     corpus = make_corpus(two_article_records())
     store = embed_corpus(corpus, dim=16, seed=4)
     index = build_index(store, corpus.goal_ids())
-    lists = retrieve_all(index, store, corpus, k=1)
+    ranked = retrieve_all(index, store, corpus.steps(), k=1)
     path = tmp_path / "candidates.tsv"
-    write_candidates(path, lists)
-    loaded = read_candidates(path)
-    assert loaded == lists
+    write_candidates(path, ranked)
+    assert columns(read_candidates(path)) == columns(ranked)
 
 
 @pytest.mark.parametrize(
@@ -144,8 +149,11 @@ def test_candidates_tsv_round_trip(tmp_path):
         ("s1\t1\tg1\tnan\n", r"line 1: sim1 'nan' is not a finite number"),
         ("s1\t1\tg1\t0.5\n\ns1\t1\tg2\t0.4\n", r"line 3: duplicate rank 1 for step 's1'"),
         ("s1\t1\tg1\n", r"line 1: expected 4 columns"),
+        ("s1\t1\tg1\t0.5\t-inf\n", r"line 1: sim2 '-inf' is not a finite number"),
+        ("s1\t1\tg1\t0.5\t0.1\ns1\t2\tg2\t0.4\n", r"line 2: sim2 column in some lines only"),
     ],
-    ids=["non-integer-rank", "non-float-sim1", "nan-sim1", "duplicate-rank", "short-line"],
+    ids=["non-integer-rank", "non-float-sim1", "nan-sim1", "duplicate-rank", "short-line",
+         "inf-sim2", "sim2-in-some-lines"],
 )
 def test_read_candidates_rejects_bad_rows(tmp_path, rows, message):
     path = tmp_path / "candidates.tsv"
@@ -155,8 +163,16 @@ def test_read_candidates_rejects_bad_rows(tmp_path, rows, message):
     assert str(path) in str(info.value)
 
 
+def test_read_candidates_of_an_empty_file(tmp_path):
+    path = tmp_path / "candidates.tsv"
+    path.write_text("\n")
+    assert columns(read_candidates(path)) == ((), [0], (), [], None)
+
+
 def test_read_candidates_accepts_same_rank_for_different_steps(tmp_path):
     path = tmp_path / "candidates.tsv"
     path.write_text("s1\t2\tg2\t0.1\ns2\t1\tg1\t0.3\ns1\t1\tg1\t0.5\n")
-    lists = {c.step_id: c for c in read_candidates(path)}
-    assert [c.goal_id for c in lists["s1"].entries] == ["g1", "g2"]
+    ranked = read_candidates(path)
+    assert ranked.step_ids == ("s1", "s2")
+    assert ranked.goal_lists() == (("g1", "g2"), ("g1",))
+    assert ranked.sim1.tolist() == [0.5, 0.1, 0.3]

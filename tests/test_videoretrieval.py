@@ -373,8 +373,8 @@ def test_hill_climb_picks_unique_signal_first():
     trace = hill_climb("locate the target", candidates, cost_fn)
     assert trace.clauses[0] == best
     assert all(a > b for a, b in zip(trace.accepted_costs, trace.accepted_costs[1:]))
-    assert trace.final_cost <= trace.baseline_cost
-    assert trace.final_cost == 2.0  # train videos at ranks 1, 2, 3
+    assert trace.accepted_costs[-1] <= trace.accepted_costs[0]
+    assert trace.accepted_costs[-1] == 2.0  # train videos at ranks 1, 2, 3
 
 
 def test_hill_climb_no_improvement_keeps_goal_only():
