@@ -81,13 +81,18 @@ def _output(args, name: str) -> Path:
     an earlier run's artifacts, on the first call; `main` lists every name
     given here in the manifest's outputs. A command asks for its outputs only
     after it has read and checked its inputs, so a failed run leaves no
-    --out-dir behind."""
+    --out-dir behind. An artifact that would overwrite an input is a usage
+    error."""
     out_dir = Path(args.out_dir)
+    path = out_dir / name
+    clash = next((i for i in args._inputs if Path(i).resolve() == path.resolve()), None)
+    if clash is not None:
+        raise UsageError(f"artifact {path} would overwrite the input {clash}")
     if not args._outputs:
         out_dir.mkdir(parents=True, exist_ok=True)
         _clear(out_dir, args._inputs)
     args._outputs.append(name)
-    return out_dir / name
+    return path
 
 
 def _clear(out_dir: Path, inputs: list[str]) -> None:
@@ -177,16 +182,21 @@ def cmd_train_reranker(args) -> None:
         raise UsageError(f"--lr must be a finite number > 0, got {args.lr!r}")
     corpus = load_corpus(args.corpus)
     candidates = read_candidates(args.candidates)
-    gold_links = load_gold_links(args.gold, corpus=corpus)
-    split = split_links(gold_links, seed=args.seed)
-    gold_train = {l.step_id: l.gold_goal_id for l in split.train}
-    gold_dev = {l.step_id: l.gold_goal_id for l in split.dev}
+    gold = load_gold_links(args.gold)
+    for step_id, goal_id in gold.items():
+        try:
+            corpus.step(step_id)
+            corpus.article(goal_id)
+        except KeyError as exc:
+            raise DataError(f"{args.gold}: gold link {step_id} -> {goal_id}: "
+                            f"{exc.args[0]} in {args.corpus}") from None
+    split = split_links(gold, seed=args.seed)
 
     source = load_feature_file(args.features) if args.features else LexicalFeatureSource(
         corpus, context_mode=args.context_mode, window=args.window
     )
-    train_examples = make_training_examples(candidates, gold_train, unlinkable=args.unlinkable)
-    dev_examples = make_training_examples(candidates, gold_dev, unlinkable=args.unlinkable)
+    train_examples = make_training_examples(candidates, split["train"], unlinkable=args.unlinkable)
+    dev_examples = make_training_examples(candidates, split["dev"], unlinkable=args.unlinkable)
     if not train_examples[1]:
         raise DataError("no training examples: no gold step has retrieved candidates")
 
@@ -260,7 +270,7 @@ def cmd_eval_links(args) -> None:
     rankings = read_candidates(args.rankings)
     gold = load_gold_links(args.gold)
     if args.split != "all":
-        gold = split_links(gold, seed=args.seed).part(args.split)
+        gold = split_links(gold, seed=args.seed)[args.split]
     report = recall_report(rankings, gold, _parse_ns(args.ns))
     write_rows(_output(args, "recall.tsv"), [("n", "recall"), *sorted(report.items())])
     write_json(_output(args, "recall.json"), {str(n): v for n, v in report.items()})
@@ -314,7 +324,7 @@ def cmd_vr_filter(args) -> None:
         raise UsageError("--links is required for level fil_l2")
 
     queries = []
-    for goal_id in splits.goals():
+    for goal_id, train_ids in splits["train"].items():
         if goal_id not in corpus:
             raise DataError(f"video goal {goal_id!r} not in corpus")
         pool = candidate_pool(corpus, goal_id, args.level, links=links)
@@ -323,7 +333,7 @@ def cmd_vr_filter(args) -> None:
                 goal_id,
                 corpus.article(goal_id).title,
                 pool,
-                splits.train[goal_id],
+                train_ids,
                 index,
                 weights=(args.wg, args.ws),
                 cap=args.cap,
@@ -349,9 +359,9 @@ def cmd_vr_eval(args) -> None:
                                 f"from item 1's {queries[0].level!r}")
     else:
         corpus = load_corpus(args.corpus)
-        queries = [make_query(corpus, goal_id, args.level) for goal_id in splits.goals()]
+        queries = [make_query(corpus, goal_id, args.level) for goal_id in splits["train"]]
 
-    part = splits.part(args.split)
+    part = splits[args.split]
     scorer = ClauseScorer(index)
     ranks = {q.goal_id: rank_videos(index, q, part[q.goal_id], scorer)
              for q in queries if part.get(q.goal_id)}

@@ -94,7 +94,7 @@ class TextIndex:
         self.id_rank = np.empty(self.n_docs, dtype=np.int64)
         self.id_rank[sorted(range(self.n_docs), key=doc_ids.__getitem__)] = np.arange(self.n_docs)
 
-        # math.log per term, as idf() computes it; np.log may differ in the last bit.
+        # _idf uses math.log per term; np.log may differ in the last bit.
         idfs = np.array([self._idf(df) for df in dfs], dtype=np.float64)
         avgdl = self.avgdl if self.avgdl > 0.0 else 1.0
         dl = self.doc_lens[idxs]
@@ -107,10 +107,6 @@ class TextIndex:
 
     def _idf(self, df: int) -> float:
         return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
-
-    def idf(self, term: str) -> float:
-        span = self._spans.get(term)
-        return 0.0 if span is None else self._idf(span.stop - span.start)
 
     def doc_idx(self, doc_id: str) -> int:
         try:

@@ -28,7 +28,7 @@ import numpy as np
 from .artifacts import fail, json_lines, read_json, write_json
 from .corpus import Corpus, normalize_text
 from .errors import DataError
-from .linkeval import split_sizes
+from .linkeval import split
 from .rerank import UNLINKABLE
 from .textsearch import DEFAULT_B, DEFAULT_K1, TextIndex
 
@@ -41,7 +41,7 @@ LEVELS = (L0, L1, FIL_L1, FIL_L2)
 L1_WEIGHTS = (1.0, 0.1)
 FIL_WEIGHTS = (1.0, 0.5)
 DEFAULT_CAP = 15
-DEFAULT_VIDEO_RATIOS = (7.5, 1.25, 1.25)
+VIDEO_RATIOS = (7.5, 1.25, 1.25)
 # Cells (tied entries x pool size) that relevant_ranks compares at once: a
 # round can tie hundreds of relevant entries, and each one copies its row.
 TIE_CELLS = 1 << 16
@@ -61,7 +61,7 @@ def load_videos(path: str | Path) -> list[VideoDoc]:
         try:
             vid = str(rec["video_id"])
             gid = str(rec["goal_id"])
-            caption = normalize_text(str(rec["caption"]))
+            caption = str(rec["caption"])
         except KeyError as exc:
             raise fail(path, lineno, f"missing field {exc.args[0]!r}") from None
         except TypeError:
@@ -73,53 +73,24 @@ def load_videos(path: str | Path) -> list[VideoDoc]:
     return videos
 
 
-@dataclass
-class VideoSplits:
-    """Per-goal train/dev/test video ids, disjoint, union = all of the goal's videos."""
-
-    train: dict[str, list[str]]
-    dev: dict[str, list[str]]
-    test: dict[str, list[str]]
-
-    def part(self, name: str) -> dict[str, list[str]]:
-        try:
-            return {"train": self.train, "dev": self.dev, "test": self.test}[name]
-        except KeyError:
-            raise ValueError(f"unknown split part {name!r}") from None
-
-    def goals(self) -> list[str]:
-        return sorted(self.train)
-
-
-def split_videos(
-    videos: Sequence[VideoDoc],
-    seed: int = 0,
-    ratios: tuple[float, float, float] = DEFAULT_VIDEO_RATIOS,
-) -> VideoSplits:
-    """Shuffle each goal's videos and cut train/dev/test contiguously.
-
-    Sizes come from `split_sizes` (dev and test rounded down). Goals are
-    processed in sorted order so the split is deterministic for a seed.
-    """
+def split_videos(videos: Sequence[VideoDoc], seed: int = 0) -> dict[str, dict[str, list[str]]]:
+    """Each goal's video ids cut 7.5:1.25:1.25 by `split`, as part -> goal ->
+    ids. One rng under `seed` cuts the goals in sorted order."""
     per_goal: dict[str, list[str]] = {}
     for video in videos:
         per_goal.setdefault(video.goal_id, []).append(video.video_id)
     rng = random.Random(seed)
-    train, dev, test = {}, {}, {}
+    splits: dict[str, dict[str, list[str]]] = {"train": {}, "dev": {}, "test": {}}
     for goal_id in sorted(per_goal):
-        ids = per_goal[goal_id]
-        rng.shuffle(ids)
-        n_train, n_dev, _ = split_sizes(len(ids), ratios)
-        train[goal_id] = ids[:n_train]
-        dev[goal_id] = ids[n_train : n_train + n_dev]
-        test[goal_id] = ids[n_train + n_dev :]
-    return VideoSplits(train=train, dev=dev, test=test)
+        for name, ids in split(per_goal[goal_id], rng, VIDEO_RATIOS).items():
+            splits[name][goal_id] = ids
+    return splits
 
 
 def build_video_index(
     videos: Sequence[VideoDoc], k1: float = DEFAULT_K1, b: float = DEFAULT_B
 ) -> TextIndex:
-    return TextIndex([(v.video_id, v.caption) for v in videos], k1=k1, b=b)
+    return TextIndex([(v.video_id, normalize_text(v.caption)) for v in videos], k1=k1, b=b)
 
 
 # ---------------------------------------------------------------------------

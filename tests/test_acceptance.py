@@ -17,7 +17,7 @@ from conftest import identity_records, make_corpus, one_list, score_list
 from prockb.corpus import corpus_from_records
 from prockb.embedding import cosine, embed_corpus
 from prockb.hierarchy import LinkPipeline, expand, tree_to_dict
-from prockb.linkeval import GoldLink, recall_at, split_links
+from prockb.linkeval import recall_at, split_links
 from prockb.rerank import (
     UNLINKABLE,
     LexicalFeatureSource,
@@ -74,14 +74,11 @@ def test_a1_end_to_end_linking_sanity():
         index = build_index(store, corpus.goal_ids())
         lists = retrieve_all(index, store, corpus.steps(), k=30, exclude_parent=True)
 
-        gold_links = [GoldLink(s, g) for s, g in gold.items()]
-        split = split_links(gold_links, seed=0)
-        train_gold = {l.step_id: l.gold_goal_id for l in split.train}
-        dev_gold = {l.step_id: l.gold_goal_id for l in split.dev}
+        split = split_links(gold, seed=0)
 
         source = LexicalFeatureSource(corpus, context_mode="both", window=1)
-        train_examples = make_training_examples(lists, train_gold)
-        dev_examples = make_training_examples(lists, dev_gold)
+        train_examples = make_training_examples(lists, split["train"])
+        dev_examples = make_training_examples(lists, split["dev"])
         result = train(
             new_model(7, lam=1.0),
             train_examples,
@@ -93,7 +90,7 @@ def test_a1_end_to_end_linking_sanity():
             dev_examples=dev_examples,
         )
 
-        assert recall_at(score_list(result.model, lists, source), gold_links, 1) == 1.0
+        assert recall_at(score_list(result.model, lists, source), gold, 1) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +477,10 @@ def test_a11_query_level_ordering():
             splits = split_videos(videos, seed=seed)
             index = build_video_index(videos)
             scorer = ClauseScorer(index)
-            gold = splits.test
+            gold = splits["test"]
             mean_ranks = {}
             for level in (L0, L1):
-                queries = [make_query(corpus, g, level) for g in splits.goals()]
+                queries = [make_query(corpus, g, level) for g in splits["train"]]
                 ranks = {q.goal_id: rank_videos(index, q, gold[q.goal_id], scorer)
                          for q in queries}
                 mean_ranks[level] = vr_metrics(ranks, ns=[10]).mean_rank
@@ -492,10 +489,10 @@ def test_a11_query_level_ordering():
                     g,
                     corpus.article(g).title,
                     candidate_pool(corpus, g, FIL_L1),
-                    splits.train[g],
+                    train_ids,
                     index,
                 )
-                for g in splits.goals()
+                for g, train_ids in splits["train"].items()
             ]
             ranks = {q.goal_id: rank_videos(index, q, gold[q.goal_id], scorer) for q in queries}
             mean_ranks[FIL_L1] = vr_metrics(ranks, ns=[10]).mean_rank

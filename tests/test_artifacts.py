@@ -6,6 +6,7 @@ never failed with another exception.
 """
 
 import json
+import random
 import re
 import tempfile
 from pathlib import Path
@@ -22,7 +23,7 @@ from prockb.corpus import CONTEXT_MODES, corpus_from_records, load_corpus
 from prockb.embedding import EmbeddingStore, load_embeddings, save_embeddings
 from prockb.errors import DataError
 from prockb.hierarchy import decisions, read_links, write_links
-from prockb.linkeval import GoldLink, load_gold_links, split_links, split_sizes
+from prockb.linkeval import load_gold_links, split, split_links
 from prockb.rerank import (
     RerankModel,
     TableFeatureSource,
@@ -79,7 +80,7 @@ def ranked_lists(draw, sim2: bool):
 @st.composite
 def gold_links(draw):
     steps = draw(st.lists(ident, min_size=1, max_size=4, unique=True))
-    return [GoldLink(step_id, draw(ident)) for step_id in steps]
+    return {step_id: draw(ident) for step_id in steps}
 
 
 @st.composite
@@ -180,7 +181,7 @@ KINDS = {
     "links": Kind(ranked_lists(sim2=True), write_links, read_links,
                   lambda r: {s: d.outcome for s, d in zip(r.step_ids, decisions(r))}, "\t"),
     "gold": Kind(gold_links(),
-                 lambda path, links: write_rows(path, ((l.step_id, l.gold_goal_id) for l in links)),
+                 lambda path, links: write_rows(path, links.items()),
                  load_gold_links, lambda x: x, "\t"),
     "model": Kind(
         models(),
@@ -300,17 +301,17 @@ def test_bad_utf8_names_its_line(tmp_path):
 @pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 40, 21_000])
 @pytest.mark.parametrize("ratios", [(7, 2, 1), (7.5, 1.25, 1.25)])
 def test_split_sizes_floor_dev_and_test(n, ratios):
-    n_train, n_dev, n_test = split_sizes(n, ratios)
+    parts = split(list(range(n)), random.Random(0), ratios)
+    n_train, n_dev, n_test = (len(parts[name]) for name in ("train", "dev", "test"))
     total = sum(ratios)
     assert (n_dev, n_test) == (int(n * ratios[1] / total), int(n * ratios[2] / total))
     assert n_train + n_dev + n_test == n
 
 
-def test_both_splits_use_split_sizes():
-    links = [GoldLink(f"s{i}", "g") for i in range(23)]
-    split = split_links(links, seed=3)
-    assert tuple(map(len, (split.train, split.dev, split.test))) == split_sizes(23, (7, 2, 1))
+def test_both_splits_use_split():
+    links = {f"s{i}": "g" for i in range(23)}
+    expect = split(list(links), random.Random(3), (7, 2, 1))
+    assert {name: list(part) for name, part in split_links(links, seed=3).items()} == expect
     videos = [VideoDoc(f"v{i:02d}", "g", "c") for i in range(23)]
-    splits = split_videos(videos, seed=3)
-    sizes = tuple(len(part["g"]) for part in (splits.train, splits.dev, splits.test))
-    assert sizes == split_sizes(23, (7.5, 1.25, 1.25))
+    expect = split([video.video_id for video in videos], random.Random(3), (7.5, 1.25, 1.25))
+    assert {name: part["g"] for name, part in split_videos(videos, seed=3).items()} == expect

@@ -162,6 +162,41 @@ def test_reused_out_dir_keeps_an_input_it_listed(identity_setup, tmp_path):
     assert (out / "embeddings.txt").read_bytes() == vectors
 
 
+def test_artifact_at_an_input_path_is_a_usage_error(identity_setup, tmp_path, capsys):
+    """build-index given its own artifact path as --embeddings would rewrite
+    `0.50` as `0.5`; it stops before it touches --out-dir."""
+    corpus_path, _, _ = identity_setup
+    out = tmp_path / "ix"
+    out.mkdir()
+    embeddings = out / "embeddings.txt"
+    goal_ids = load_corpus(corpus_path).goal_ids()
+    embeddings.write_text("dim=2\n" + "".join(f"{goal_id} 0.50 1.0\n" for goal_id in goal_ids))
+    before = embeddings.read_bytes()
+    capsys.readouterr()
+    code = run(["build-index", "--corpus", str(corpus_path),
+                "--embeddings", str(tmp_path / "ix" / ".." / "ix" / "embeddings.txt"),
+                "--out-dir", str(out)])
+    assert code == 1
+    assert "would overwrite the input" in capsys.readouterr().err
+    assert embeddings.read_bytes() == before
+    assert list(out.iterdir()) == [embeddings]
+
+
+@pytest.mark.parametrize("line, link", [("ghost\ta01\n", "ghost -> a01"),
+                                        ("a00_f0\tnowhere\n", "a00_f0 -> nowhere")],
+                         ids=["unknown-step", "unknown-goal"])
+def test_gold_link_outside_the_corpus_exits_2(identity_setup, tmp_path, capsys, line, link):
+    corpus_path, gold_path, _, candidates = _linked(identity_setup, tmp_path)
+    with open(gold_path, "a") as handle:
+        handle.write(line)
+    capsys.readouterr()
+    code = run(["train-reranker", "--corpus", str(corpus_path), "--candidates", str(candidates),
+                "--gold", str(gold_path), "--epochs", "1", "--out-dir", str(tmp_path / "tr")])
+    assert code == 2
+    assert f"{gold_path}: gold link {link}: unknown" in capsys.readouterr().err
+    assert not (tmp_path / "tr").exists()
+
+
 def test_manifest_contents(identity_setup, tmp_path):
     corpus_path, _, _ = identity_setup
     out = tmp_path / "ix"

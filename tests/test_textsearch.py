@@ -34,6 +34,11 @@ def postings_for(index, term):
                       index._tfs[span].astype(np.int64).tolist()))
 
 
+def idf(index, term):
+    """The BM25 idf of a term the index holds."""
+    return index._idf(len(postings_for(index, term)))
+
+
 def doc_length(index, doc_id):
     return int(index.doc_lens[index.doc_idx(doc_id)])
 
@@ -160,8 +165,8 @@ def test_index_isolation():
 
 def test_idf_never_negative():
     index = TextIndex([("d1", "common"), ("d2", "common"), ("d3", "common rare")])
-    assert index.idf("common") >= 0.0
-    assert index.idf("rare") > index.idf("common")
+    assert idf(index, "common") >= 0.0
+    assert idf(index, "rare") > idf(index, "common")
 
 
 def test_params_validation():

@@ -70,12 +70,14 @@ def test_load_videos(tmp_path):
     path = tmp_path / "videos.jsonl"
     rows = [
         {"video_id": "v1", "goal_id": "g1", "caption": "hello  world"},
-        {"video_id": "v2", "goal_id": "g1", "caption": "again"},
+        {"video_id": "v2", "goal_id": "g1", "caption": "again cafe\u0301"},
     ]
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     videos = load_videos(path)
     assert len(videos) == 2
-    assert videos[0].caption == "hello world"  # whitespace collapsed
+    # whitespace is collapsed, and text NFC-normalised, as captions are indexed
+    collapsed = [VideoDoc("v1", "g1", "hello world"), VideoDoc("v2", "g1", "again caf\u00e9")]
+    assert build_video_index(videos).to_json() == build_video_index(collapsed).to_json()
 
 
 def test_load_videos_validation(tmp_path):
@@ -94,19 +96,20 @@ def test_load_videos_validation(tmp_path):
 def test_split_videos_ratios():
     videos = [VideoDoc(f"v{i:03d}", "g1", "cap") for i in range(40)]
     splits = split_videos(videos, seed=0)
-    assert len(splits.train["g1"]) == 30
-    assert len(splits.dev["g1"]) == 5
-    assert len(splits.test["g1"]) == 5
-    union = set(splits.train["g1"]) | set(splits.dev["g1"]) | set(splits.test["g1"])
+    train, dev, test = (splits[name]["g1"] for name in ("train", "dev", "test"))
+    assert len(train) == 30
+    assert len(dev) == 5
+    assert len(test) == 5
+    union = set(train) | set(dev) | set(test)
     assert union == {v.video_id for v in videos}
-    assert not set(splits.train["g1"]) & set(splits.dev["g1"])
+    assert not set(train) & set(dev)
 
 
 def test_split_videos_deterministic():
     videos = [VideoDoc(f"v{i}", f"g{i % 3}", "cap") for i in range(24)]
     a = split_videos(videos, seed=5)
     b = split_videos(videos, seed=5)
-    assert a.train == b.train and a.dev == b.dev and a.test == b.test
+    assert a == b
 
 
 def test_make_query_levels():
