@@ -182,7 +182,8 @@ KINDS = {
                   lambda r: {s: d.outcome for s, d in zip(r.step_ids, decisions(r))}, "\t"),
     "gold": Kind(gold_links(),
                  lambda path, links: write_rows(path, links.items()),
-                 load_gold_links, lambda x: x, "\t"),
+                 lambda path: list(load_gold_links(path).items()),
+                 lambda links: list(links.items()), "\t"),
     "model": Kind(
         models(),
         lambda path, model: save_model(model, path),
