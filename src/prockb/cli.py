@@ -2,9 +2,9 @@
 
 Every subcommand reads declared inputs, writes its artifacts plus a
 manifest.json (config hash, input digests, package version) into --out-dir,
-and never mutates inputs. A subcommand names each artifact once, with
-`_output`; `main` writes the manifest from those names and from the flags of
-type `infile`. Exit codes: 0 ok, 1 usage, 2 data error, 3 internal.
+and never mutates inputs. A subcommand names all its artifacts in one
+`_output` call; `main` writes the manifest from those names and from the
+flags of type `infile`. Exit codes: 0 ok, 1 usage, 2 data error, 3 internal.
 """
 
 import argparse
@@ -32,9 +32,11 @@ from .rerank import (
     save_model,
     train,
 )
-from .retrieval import build_index, read_candidates, retrieve_all, write_candidates
-from .textsearch import TextIndex
+from .retrieval import DEFAULT_K, build_index, read_candidates, retrieve_all, write_candidates
+from .textsearch import DEFAULT_B, DEFAULT_K1, TextIndex
 from .videoretrieval import (
+    COST_KINDS,
+    DEFAULT_CAP,
     FIL_L1,
     FIL_L2,
     L0,
@@ -76,23 +78,22 @@ def infile(path: str) -> str:
     return path
 
 
-def _output(args, name: str) -> Path:
-    """The path of artifact `name` in --out-dir, which is made, or cleared of
-    an earlier run's artifacts, on the first call; `main` lists every name
-    given here in the manifest's outputs. A command asks for its outputs only
-    after it has read and checked its inputs, so a failed run leaves no
-    --out-dir behind. An artifact that would overwrite an input is a usage
-    error."""
+def _output(args, *names: str) -> list[Path]:
+    """The paths in --out-dir of all the command's artifacts `names`, which
+    `main` lists in the manifest's outputs. A command calls this once, after
+    it has read and checked its inputs, so a failed run leaves no --out-dir
+    behind. An artifact that would overwrite an input is a usage error, found
+    before --out-dir is made or cleared of an earlier run's artifacts."""
     out_dir = Path(args.out_dir)
-    path = out_dir / name
-    clash = next((i for i in args._inputs if Path(i).resolve() == path.resolve()), None)
-    if clash is not None:
-        raise UsageError(f"artifact {path} would overwrite the input {clash}")
-    if not args._outputs:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _clear(out_dir, args._inputs)
-    args._outputs.append(name)
-    return path
+    paths = [out_dir / name for name in names]
+    for path in paths:
+        clash = next((i for i in args._inputs if Path(i).resolve() == path.resolve()), None)
+        if clash is not None:
+            raise UsageError(f"artifact {path} would overwrite the input {clash}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _clear(out_dir, args._inputs)
+    args._outputs = list(names)
+    return paths
 
 
 def _clear(out_dir: Path, inputs: list[str]) -> None:
@@ -162,8 +163,9 @@ def cmd_build_index(args) -> None:
         store = _embeddings(args.embeddings, corpus.goal_ids())
     else:
         store = embed_corpus(corpus, dim=args.dim, seed=args.seed, lowercase=args.lowercase)
-    save_embeddings(store, _output(args, "embeddings.txt"))
-    _output(args, "corpus_report.txt").write_text(validation_report(corpus), encoding="utf-8")
+    embeddings, report = _output(args, "embeddings.txt", "corpus_report.txt")
+    save_embeddings(store, embeddings)
+    report.write_text(validation_report(corpus), encoding="utf-8")
 
 
 def cmd_retrieve(args) -> None:
@@ -171,7 +173,7 @@ def cmd_retrieve(args) -> None:
     store = _embeddings(args.embeddings, _corpus_ids(corpus))
     index = build_index(store, corpus.goal_ids())
     ranked = retrieve_all(index, store, corpus.steps(), args.k, not args.no_exclude_parent)
-    write_candidates(_output(args, "candidates.tsv"), ranked)
+    write_candidates(_output(args, "candidates.tsv")[0], ranked)
 
 
 def cmd_train_reranker(args) -> None:
@@ -190,7 +192,7 @@ def cmd_train_reranker(args) -> None:
         except KeyError as exc:
             raise DataError(f"{args.gold}: gold link {step_id} -> {goal_id}: "
                             f"{exc.args[0]} in {args.corpus}") from None
-    split = split_links(gold, seed=args.seed)
+    split = split_links(gold)
 
     source = load_feature_file(args.features) if args.features else LexicalFeatureSource(
         corpus, context_mode=args.context_mode, window=args.window
@@ -222,8 +224,9 @@ def cmd_train_reranker(args) -> None:
             )
     except RuntimeError as exc:
         raise DataError(f"--lr {args.lr!r}: {exc}") from None
-    save_model(result.model, _output(args, "model.txt"))
-    write_rows(_output(args, "loss_curve.tsv"), [("epoch", "train_loss", "dev_loss")] + [
+    model_path, curve_path = _output(args, "model.txt", "loss_curve.tsv")
+    save_model(result.model, model_path)
+    write_rows(curve_path, [("epoch", "train_loss", "dev_loss")] + [
         (row.epoch, row.train_loss, "" if row.dev_loss is None else row.dev_loss)
         for row in result.curve
     ])
@@ -256,24 +259,27 @@ def _pipeline(args) -> LinkPipeline:
 
 def cmd_link(args) -> None:
     ranked = link_all(_pipeline(args))
-    write_links(_output(args, "links.tsv"), ranked)
-    if args.rankings:
-        write_candidates(_output(args, "rankings.tsv"), ranked)
+    names = ["links.tsv", "rankings.tsv"] if args.rankings else ["links.tsv"]
+    links, *rankings = _output(args, *names)
+    write_links(links, ranked)
+    if rankings:
+        write_candidates(rankings[0], ranked)
 
 
 def cmd_expand(args) -> None:
     tree = expand(_pipeline(args), args.root, args.max_depth)
-    write_tree(tree, _output(args, "tree.json"))
+    write_tree(tree, _output(args, "tree.json")[0])
 
 
 def cmd_eval_links(args) -> None:
     rankings = read_candidates(args.rankings)
     gold = load_gold_links(args.gold)
     if args.split != "all":
-        gold = split_links(gold, seed=args.seed)[args.split]
+        gold = split_links(gold)[args.split]
     report = recall_report(rankings, gold, _parse_ns(args.ns))
-    write_rows(_output(args, "recall.tsv"), [("n", "recall"), *sorted(report.items())])
-    write_json(_output(args, "recall.json"), {str(n): v for n, v in report.items()})
+    tsv, js = _output(args, "recall.tsv", "recall.json")
+    write_rows(tsv, [("n", "recall"), *sorted(report.items())])
+    write_json(js, {str(n): v for n, v in report.items()})
 
 
 def cmd_search(args) -> None:
@@ -286,18 +292,21 @@ def cmd_search(args) -> None:
             for a in corpus.articles
         ]
     ranked = TextIndex(docs, k1=args.k1, b=args.b).ranked(args.query, args.n)
-    write_rows(_output(args, "search.tsv"),
+    write_rows(_output(args, "search.tsv")[0],
                ((rank, *entry) for rank, entry in enumerate(ranked, 1)))
 
 
 def cmd_vr_index(args) -> None:
     videos = load_videos(args.videos)
     index = build_video_index(videos, k1=args.k1, b=args.b)
-    _output(args, "vr_index.json").write_text(index.to_json() + "\n", encoding="utf-8")
+    _output(args, "vr_index.json")[0].write_text(index.to_json() + "\n", encoding="utf-8")
 
 
-def _video_index(args, videos):
-    """The index in --index, which must hold exactly the videos in --videos."""
+def _videos(args, corpus=None):
+    """The split of the videos in --videos, and the index in --index, which
+    must hold exactly those videos. Given the --corpus `corpus`, every video
+    goal must be one of its goals."""
+    videos = load_videos(args.videos)
     index = TextIndex.from_json(read_text(args.index), source=args.index)
     ids = {video.video_id for video in videos}
     if ids != index.positions.keys():
@@ -306,50 +315,44 @@ def _video_index(args, videos):
         first, where = (only_videos[0], args.videos) if only_videos else (only_index[0], args.index)
         raise DataError(f"{args.index}: not an index of the videos in {args.videos}: "
                         f"video {first!r} is only in {where}")
-    return index
+    if corpus is not None:
+        missing = next((video.goal_id for video in videos if video.goal_id not in corpus), None)
+        if missing is not None:
+            raise DataError(f"{args.videos}: video goal {missing!r} is not a goal "
+                            f"of {args.corpus}")
+    return split_videos(videos), index
 
 
 def cmd_vr_filter(args) -> None:
-    for flag, weight in (("--wg", args.wg), ("--ws", args.ws)):
-        if not math.isfinite(weight):
-            raise UsageError(f"{flag} must be a finite number, got {weight!r}")
     if args.cap < 0:
         raise UsageError(f"--cap must be >= 0, got {args.cap}")
     corpus = load_corpus(args.corpus)
-    videos = load_videos(args.videos)
-    splits = split_videos(videos, seed=args.seed)
-    index = _video_index(args, videos)
+    splits, index = _videos(args, corpus)
     links = read_links(args.links) if args.links else None
     if args.level == FIL_L2 and links is None:
         raise UsageError("--links is required for level fil_l2")
 
-    queries = []
-    for goal_id, train_ids in splits["train"].items():
-        if goal_id not in corpus:
-            raise DataError(f"video goal {goal_id!r} not in corpus")
-        pool = candidate_pool(corpus, goal_id, args.level, links=links)
-        queries.append(
-            filter_steps(
-                goal_id,
-                corpus.article(goal_id).title,
-                pool,
-                train_ids,
-                index,
-                weights=(args.wg, args.ws),
-                cap=args.cap,
-                cost_kind=args.cost,
-                level=args.level,
-            )
+    queries = [
+        filter_steps(
+            goal_id,
+            corpus.article(goal_id).title,
+            candidate_pool(corpus, goal_id, args.level, links=links),
+            train_ids,
+            index,
+            cap=args.cap,
+            cost_kind=args.cost,
+            level=args.level,
         )
-    write_queries(_output(args, "queries.json"), queries)
+        for goal_id, train_ids in splits["train"].items()
+    ]
+    write_queries(_output(args, "queries.json")[0], queries)
 
 
 def cmd_vr_eval(args) -> None:
     if bool(args.queries) == bool(args.corpus):
         raise UsageError("give exactly one of --queries and --corpus")
-    videos = load_videos(args.videos)
-    splits = split_videos(videos, seed=args.seed)
-    index = _video_index(args, videos)
+    corpus = load_corpus(args.corpus) if args.corpus else None
+    splits, index = _videos(args, corpus)
 
     if args.queries:
         queries = read_queries(args.queries)
@@ -358,7 +361,6 @@ def cmd_vr_eval(args) -> None:
                 raise DataError(f"{args.queries}: item {i}: level {query.level!r} differs "
                                 f"from item 1's {queries[0].level!r}")
     else:
-        corpus = load_corpus(args.corpus)
         queries = [make_query(corpus, goal_id, args.level) for goal_id in splits["train"]]
 
     part = splits[args.split]
@@ -373,7 +375,7 @@ def cmd_vr_eval(args) -> None:
     for n in ns:
         header += [f"r@{n}", f"p@{n}"]
         row += [metrics.recall[n], metrics.precision[n]]
-    write_rows(_output(args, "vr_metrics.tsv"), [header + ["mr"], row + [metrics.mean_rank]])
+    write_rows(_output(args, "vr_metrics.tsv")[0], [header + ["mr"], row + [metrics.mean_rank]])
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +405,7 @@ def build_parser() -> Parser:
     p = add("retrieve", cmd_retrieve, help="top-k candidate goals for every step")
     p.add_argument("--corpus", required=True, type=infile)
     p.add_argument("--embeddings", required=True, type=infile)
-    p.add_argument("--k", type=int, default=30)
+    p.add_argument("--k", type=int, default=DEFAULT_K)
     p.add_argument("--no-exclude-parent", action="store_true")
 
     p = add("train-reranker", cmd_train_reranker, help="train W and lambda on gold links")
@@ -416,7 +418,8 @@ def build_parser() -> Parser:
     p.add_argument("--lr", type=float, default=0.5)
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seeds the mini-batch order only; every split is cut under seed 0")
     p.add_argument("--lambda-init", type=float, default=1.0)
     p.add_argument("--freeze-lambda", action="store_true")
     p.add_argument("--unlinkable", action="store_true")
@@ -430,7 +433,7 @@ def build_parser() -> Parser:
         p.add_argument("--embeddings", required=True, type=infile)
         p.add_argument("--model", required=True, type=infile)
         p.add_argument("--features", type=infile)
-        p.add_argument("--k", type=int, default=30)
+        p.add_argument("--k", type=int, default=DEFAULT_K)
         p.add_argument("--no-exclude-parent", action="store_true")
         if extra:
             p.add_argument("--rankings", action="store_true", help="also dump full reranked lists")
@@ -443,20 +446,19 @@ def build_parser() -> Parser:
     p.add_argument("--gold", required=True, type=infile)
     p.add_argument("--ns", default="1,10,30")
     p.add_argument("--split", choices=["all", "train", "dev", "test"], default="all")
-    p.add_argument("--seed", type=int, default=0)
 
     p = add("search", cmd_search, help="BM25 search over goal titles or full articles")
     p.add_argument("--corpus", required=True, type=infile)
     p.add_argument("--query", required=True)
     p.add_argument("--mode", choices=["goal", "article"], default="goal")
     p.add_argument("-n", type=int, default=10)
-    p.add_argument("--k1", type=float, default=1.2)
-    p.add_argument("--b", type=float, default=0.75)
+    p.add_argument("--k1", type=float, default=DEFAULT_K1)
+    p.add_argument("--b", type=float, default=DEFAULT_B)
 
     p = add("vr-index", cmd_vr_index, help="build and persist a BM25 index over captions")
     p.add_argument("--videos", required=True, type=infile)
-    p.add_argument("--k1", type=float, default=1.2)
-    p.add_argument("--b", type=float, default=0.75)
+    p.add_argument("--k1", type=float, default=DEFAULT_K1)
+    p.add_argument("--b", type=float, default=DEFAULT_B)
 
     p = add("vr-filter", cmd_vr_filter, help="hill-climb filtered queries per goal")
     p.add_argument("--videos", required=True, type=infile)
@@ -464,11 +466,8 @@ def build_parser() -> Parser:
     p.add_argument("--level", choices=[FIL_L1, FIL_L2], default=FIL_L1, type=str.upper)
     p.add_argument("--links", type=infile, help="step->goal link dump, needed for fil_l2")
     p.add_argument("--index", required=True, type=infile, help="vr_index.json from vr-index")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--wg", type=float, default=1.0)
-    p.add_argument("--ws", type=float, default=0.5)
-    p.add_argument("--cap", type=int, default=15)
-    p.add_argument("--cost", choices=["mean_rank", "neg_recall50"], default="mean_rank")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cost", choices=COST_KINDS, default=COST_KINDS[0])
 
     p = add("vr-eval", cmd_vr_eval, help="recall/precision@N and mean rank per query level")
     p.add_argument("--videos", required=True, type=infile)
@@ -477,7 +476,6 @@ def build_parser() -> Parser:
     p.add_argument("--level", choices=[L0, L1], default=L0, type=str.upper)
     p.add_argument("--index", required=True, type=infile, help="vr_index.json from vr-index")
     p.add_argument("--split", choices=["train", "dev", "test"], default="test")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ns", default="1,10,25,50")
 
     return parser

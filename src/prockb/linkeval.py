@@ -14,6 +14,8 @@ from .errors import DataError
 from .retrieval import Ranked
 
 LINK_RATIOS = (7, 2, 1)
+# Every split's seed, so every command cuts the gold links and videos alike.
+SPLIT_SEED = 0
 
 
 def split(items: list, rng: random.Random, ratios: Sequence[float]) -> dict[str, list]:
@@ -39,11 +41,11 @@ def load_gold_links(path: str | Path) -> dict[str, str]:
             for _, (step_id, goal_id) in tab_rows(path, 2, exact=True, unique="step")}
 
 
-def split_links(gold: Mapping[str, str], seed: int = 0) -> dict[str, dict[str, str]]:
-    """The gold links cut 7:2:1 by `split` under `seed`, as part -> step -> goal."""
+def split_links(gold: Mapping[str, str]) -> dict[str, dict[str, str]]:
+    """The gold links cut 7:2:1 by `split` under SPLIT_SEED, as part -> step -> goal."""
     if len(gold) < len(LINK_RATIOS):
         raise DataError(f"cannot split {len(gold)} links into {len(LINK_RATIOS)} parts")
-    parts = split(list(gold), random.Random(seed), LINK_RATIOS)
+    parts = split(list(gold), random.Random(SPLIT_SEED), LINK_RATIOS)
     return {name: {step_id: gold[step_id] for step_id in steps} for name, steps in parts.items()}
 
 

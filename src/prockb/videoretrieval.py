@@ -2,11 +2,12 @@
 
 Videos are caption documents labeled with the goal they demonstrate. A query
 is a weighted bag of clauses: the goal text plus optional step clauses, scored
-rel(q, v) = w_g * bm25(goal, v) + w_s * sum_s bm25(s, v). Query levels:
+rel(q, v) = w_g * bm25(goal, v) + w_s * sum_s bm25(s, v), with each level's
+weights in LEVEL_WEIGHTS. Query levels:
 
   L0      goal only
-  L1      goal + the article's immediate steps (w_g=1.0, w_s=0.1)
-  FIL_L1  goal + greedily filtered steps (w_g=1.0, w_s=0.5)
+  L1      goal + the article's immediate steps
+  FIL_L1  goal + greedily filtered steps
   FIL_L2  like FIL_L1 but the candidate pool adds the steps of each linked
           child article (grandchildren from the knowledge base)
 
@@ -28,7 +29,7 @@ import numpy as np
 from .artifacts import fail, json_lines, read_json, write_json
 from .corpus import Corpus, normalize_text
 from .errors import DataError
-from .linkeval import split
+from .linkeval import SPLIT_SEED, split
 from .rerank import UNLINKABLE
 from .textsearch import DEFAULT_B, DEFAULT_K1, TextIndex
 
@@ -36,11 +37,11 @@ L0 = "L0"
 L1 = "L1"
 FIL_L1 = "FIL_L1"
 FIL_L2 = "FIL_L2"
-LEVELS = (L0, L1, FIL_L1, FIL_L2)
+LEVEL_WEIGHTS = {L0: (1.0, 0.0), L1: (1.0, 0.1), FIL_L1: (1.0, 0.5), FIL_L2: (1.0, 0.5)}
+LEVELS = tuple(LEVEL_WEIGHTS)
 
-L1_WEIGHTS = (1.0, 0.1)
-FIL_WEIGHTS = (1.0, 0.5)
 DEFAULT_CAP = 15
+COST_KINDS = ("mean_rank", "neg_recall50")
 VIDEO_RATIOS = (7.5, 1.25, 1.25)
 # Cells (tied entries x pool size) that relevant_ranks compares at once: a
 # round can tie hundreds of relevant entries, and each one copies its row.
@@ -73,13 +74,13 @@ def load_videos(path: str | Path) -> list[VideoDoc]:
     return videos
 
 
-def split_videos(videos: Sequence[VideoDoc], seed: int = 0) -> dict[str, dict[str, list[str]]]:
+def split_videos(videos: Sequence[VideoDoc]) -> dict[str, dict[str, list[str]]]:
     """Each goal's video ids cut 7.5:1.25:1.25 by `split`, as part -> goal ->
-    ids. One rng under `seed` cuts the goals in sorted order."""
+    ids. One rng under SPLIT_SEED cuts the goals in sorted order."""
     per_goal: dict[str, list[str]] = {}
     for video in videos:
         per_goal.setdefault(video.goal_id, []).append(video.video_id)
-    rng = random.Random(seed)
+    rng = random.Random(SPLIT_SEED)
     splits: dict[str, dict[str, list[str]]] = {"train": {}, "dev": {}, "test": {}}
     for goal_id in sorted(per_goal):
         for name, ids in split(per_goal[goal_id], rng, VIDEO_RATIOS).items():
@@ -109,12 +110,11 @@ class Query:
 def make_query(corpus: Corpus, goal_id: str, level: str) -> Query:
     """Unfiltered query: L0 is the bare goal, L1 adds the article's steps."""
     article = corpus.article(goal_id)
-    if level == L0:
-        return Query(goal_id, article.title, (), w_g=1.0, w_s=0.0, level=L0)
-    if level == L1:
-        steps = tuple(s.text for s in article.steps)
-        return Query(goal_id, article.title, steps, w_g=L1_WEIGHTS[0], w_s=L1_WEIGHTS[1], level=L1)
-    raise ValueError(f"make_query builds L0/L1 queries, got {level!r}")
+    if level not in (L0, L1):
+        raise ValueError(f"make_query builds L0/L1 queries, got {level!r}")
+    steps = tuple(s.text for s in article.steps) if level == L1 else ()
+    w_g, w_s = LEVEL_WEIGHTS[level]
+    return Query(goal_id, article.title, steps, w_g=w_g, w_s=w_s, level=level)
 
 
 def candidate_pool(
@@ -279,7 +279,7 @@ def make_cost_fn(
     relevant_ids: Sequence[str],
     w_g: float,
     w_s: float,
-    kind: str = "mean_rank",
+    kind: str = COST_KINDS[0],
 ) -> Callable[[list[list[str]]], list[float]]:
     """Costs of clause lists over a set of relevant videos.
 
@@ -288,7 +288,7 @@ def make_cost_fn(
     relevant videos in the full-pool ranking (lower is better).
     neg_recall50: negative fraction of relevant videos ranked in the top 50.
     """
-    if kind not in ("mean_rank", "neg_recall50"):
+    if kind not in COST_KINDS:
         raise ValueError(f"unknown cost kind {kind!r}")
     if not relevant_ids:
         raise ValueError("cost function needs at least one relevant video")
@@ -328,15 +328,14 @@ def filter_steps(
     candidates: Sequence[str],
     train_video_ids: Sequence[str],
     index: TextIndex,
-    weights: tuple[float, float] = FIL_WEIGHTS,
     cap: int = DEFAULT_CAP,
-    cost_kind: str = "mean_rank",
+    cost_kind: str = COST_KINDS[0],
     level: str = FIL_L1,
 ) -> Query:
-    """Build a filtered query by hill climbing on the goal's training videos."""
+    """A query with `level`'s weights, hill-climbed on the goal's training videos."""
     if not train_video_ids:
         raise ValueError(f"goal {goal_id!r} has no training videos to filter against")
-    w_g, w_s = weights
+    w_g, w_s = LEVEL_WEIGHTS[level]
     cost_fn = make_cost_fn(index, train_video_ids, w_g, w_s, kind=cost_kind)
     trace = hill_climb(goal_text, candidates, cost_fn, cap=cap)
     return Query(goal_id, goal_text, tuple(trace.clauses), w_g=w_g, w_s=w_s, level=level)

@@ -74,7 +74,7 @@ def test_a1_end_to_end_linking_sanity():
         index = build_index(store, corpus.goal_ids())
         lists = retrieve_all(index, store, corpus.steps(), k=30, exclude_parent=True)
 
-        split = split_links(gold, seed=0)
+        split = split_links(gold)
 
         source = LexicalFeatureSource(corpus, context_mode="both", window=1)
         train_examples = make_training_examples(lists, split["train"])
@@ -474,7 +474,7 @@ def test_a11_query_level_ordering():
         wins = 0
         for seed in range(10):
             corpus, videos = _vr_synth(seed)
-            splits = split_videos(videos, seed=seed)
+            splits = split_videos(videos)
             index = build_video_index(videos)
             scorer = ClauseScorer(index)
             gold = splits["test"]

@@ -89,7 +89,7 @@ def run_chain(tmp_path: Path) -> dict[str, str]:
     run("retrieve", "--corpus", corpus, "--embeddings", emb, "--k", "4", out="ret")
     candidates = str(tmp_path / "ret" / "candidates.tsv")
     run("train-reranker", "--corpus", corpus, "--candidates", candidates, "--gold", gold,
-        "--unlinkable", "--epochs", "4", "--batch", "4", "--seed", "1", out="tr")
+        "--unlinkable", "--epochs", "4", "--batch", "4", out="tr")
     run("link", "--corpus", corpus, "--embeddings", emb, "--model", model, "--k", "4",
         "--rankings", out="ln")
     run("eval-links", "--rankings", str(tmp_path / "ln" / "rankings.tsv"), "--gold", gold,

@@ -95,7 +95,7 @@ def test_load_videos_validation(tmp_path):
 
 def test_split_videos_ratios():
     videos = [VideoDoc(f"v{i:03d}", "g1", "cap") for i in range(40)]
-    splits = split_videos(videos, seed=0)
+    splits = split_videos(videos)
     train, dev, test = (splits[name]["g1"] for name in ("train", "dev", "test"))
     assert len(train) == 30
     assert len(dev) == 5
@@ -107,8 +107,8 @@ def test_split_videos_ratios():
 
 def test_split_videos_deterministic():
     videos = [VideoDoc(f"v{i}", f"g{i % 3}", "cap") for i in range(24)]
-    a = split_videos(videos, seed=5)
-    b = split_videos(videos, seed=5)
+    a = split_videos(videos)
+    b = split_videos(videos)
     assert a == b
 
 
