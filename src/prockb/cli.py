@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .artifacts import read_json, read_text, write_json, write_rows
-from .corpus import load_corpus, validation_report
+from .corpus import CONTEXT_MODES, load_corpus, validation_report
 from .embedding import embed_corpus, load_embeddings, save_embeddings
 from .errors import DataError
 from .hierarchy import LinkPipeline, expand, link_all, read_links, write_links, write_tree
@@ -276,7 +276,10 @@ def cmd_eval_links(args) -> None:
     gold = load_gold_links(args.gold)
     if args.split != "all":
         gold = split_links(gold)[args.split]
-    report = recall_report(rankings, gold, _parse_ns(args.ns))
+    try:
+        report = recall_report(rankings, gold, _parse_ns(args.ns))
+    except KeyError as exc:  # a gold step without a ranking
+        raise DataError(f"--rankings {args.rankings}: {exc.args[0]} of --gold {args.gold}") from None
     tsv, js = _output(args, "recall.tsv", "recall.json")
     write_rows(tsv, [("n", "recall"), *sorted(report.items())])
     write_json(js, {str(n): v for n, v in report.items()})
@@ -367,6 +370,10 @@ def cmd_vr_eval(args) -> None:
     scorer = ClauseScorer(index)
     ranks = {q.goal_id: rank_videos(index, q, part[q.goal_id], scorer)
              for q in queries if part.get(q.goal_id)}
+    if not ranks:
+        given = f"--queries {args.queries}" if args.queries else f"--corpus {args.corpus}"
+        raise DataError(f"no goals to evaluate: no goal of {given} has videos in the "
+                        f"--split {args.split} part of --videos {args.videos}")
     ns = _parse_ns(args.ns)
     metrics = vr_metrics(ranks, ns)
 
@@ -413,7 +420,7 @@ def build_parser() -> Parser:
     p.add_argument("--candidates", required=True, type=infile)
     p.add_argument("--gold", required=True, type=infile)
     p.add_argument("--features", type=infile, help="precomputed pair-feature file")
-    p.add_argument("--context-mode", choices=["none", "goal", "surround", "both"], default="both")
+    p.add_argument("--context-mode", choices=CONTEXT_MODES, default="both")
     p.add_argument("--window", type=int, default=1)
     p.add_argument("--lr", type=float, default=0.5)
     p.add_argument("--epochs", type=int, default=20)

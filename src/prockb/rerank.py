@@ -7,9 +7,11 @@ the retrieved candidate lists (hard negatives) using plain mini-batch SGD,
 which keeps training bitwise-deterministic under a fixed seed.
 
 The unlinkable candidate is a placeholder goal appended to every candidate
-list when enabled. Its sim1 is the minimum sim1 of the real candidates and
-its feature row is a free learned vector. A step whose gold goal is missing
-from its candidate list trains toward the placeholder.
+list when enabled, an ordinary row with its own learned feature row U and
+the minimum sim1 of the real candidates. A step whose gold goal is missing
+from its candidate list trains toward the placeholder. Scores, losses and
+gradients are numpy sums over the rows of whole batches, in a fixed order
+that does not go through BLAS.
 
 Pair features come either from a built-in lexical extractor or from a text
 file of precomputed vectors, so an external neural pair encoder can be
@@ -293,13 +295,6 @@ class RerankModel:
     def unlinkable_enabled(self) -> bool:
         return self.unlinkable_feat is not None
 
-    def copy(self) -> "RerankModel":
-        return replace(
-            self,
-            w=self.w.copy(),
-            unlinkable_feat=None if self.unlinkable_feat is None else self.unlinkable_feat.copy(),
-        )
-
 
 def new_model(
     dim: int,
@@ -378,46 +373,60 @@ def load_model(path: str | Path) -> RerankModel:
 # ---------------------------------------------------------------------------
 # Scoring
 
-def list_scores(model: RerankModel, feats: np.ndarray, sim1s: np.ndarray) -> np.ndarray:
-    """sim2 = feats @ W + lambda * sim1 of each candidate of one list, as one
-    matrix-vector product, then, for an unlinkable model, of the placeholder
-    slot: the learned row U at the list's minimum sim1. Training and linking
-    both score a list here."""
-    if feats.shape != (len(sim1s), model.dim):
-        raise ValueError(
-            f"feature matrix {feats.shape} does not match {len(sim1s)} candidates "
-            f"at model dim {model.dim}"
-        )
-    if model.unlinkable_enabled:
-        feats = np.vstack([feats, model.unlinkable_feat])
-        sim1s = np.append(sim1s, sim1s.min())
-    return feats @ model.w + model.lam * sim1s
+def _scores(model: RerankModel, feats: np.ndarray, sim1: np.ndarray) -> np.ndarray:
+    """sim2 = W . f + lambda * sim1 of each feature row f, the dot being
+    `(feats * W).sum(axis=1)`: a numpy sum in a fixed order, whose bytes
+    depend neither on the BLAS library nor on numpy's SIMD dispatch."""
+    if feats.shape != (len(sim1), model.dim):
+        raise ValueError(f"feature matrix {feats.shape} does not match {len(sim1)} candidates "
+                         f"at model dim {model.dim}")
+    return (feats * model.w).sum(axis=1) + model.lam * sim1
+
+
+def _slots(model: RerankModel, offsets: np.ndarray, feats: np.ndarray, sim1: np.ndarray):
+    """The slots of the lists of `offsets`, whose candidates are rows
+    offsets[i]:offsets[i+1] of `feats` and `sim1`: the candidates, then, for
+    an unlinkable model, the placeholder, an ordinary row with the features U
+    at the list's minimum sim1. Returns the placeholders' `np.insert` indices
+    and feature rows, and the slots' offsets, sim1 and sim2."""
+    if model.unlinkable_feat is None:
+        at, u_rows, u_sim1 = offsets[:0], np.zeros((0, model.dim)), sim1[:0]
+    else:
+        at = offsets[1:]
+        u_rows = np.broadcast_to(model.unlinkable_feat, (len(at), model.dim))
+        u_sim1 = np.minimum.reduceat(sim1, offsets[:-1])
+    sim2 = np.insert(_scores(model, feats, sim1), at, _scores(model, u_rows, u_sim1))
+    return (at, u_rows, offsets + np.arange(len(offsets)) * model.unlinkable_enabled,
+            np.insert(sim1, at, u_sim1), sim2)
 
 
 def score_candidates(model: RerankModel, ranked: Ranked, feats: np.ndarray) -> Ranked:
-    """Rerank each list of `ranked`, whose feature rows are `feats`, by
-    `list_scores`: its entries sorted by descending sim2, ties by goal_id. An
-    unlinkable model adds the UNLINKABLE entry to each list, with the list's
-    minimum sim1."""
-    goal_ids, sim1s, sim2s = [], [], []
-    for i, step_id in enumerate(ranked.step_ids):
-        rows = ranked.rows(i)
-        if rows.start == rows.stop:
-            raise ValueError(f"step {step_id!r} has an empty candidate list")
-        goals, sim1 = ranked.goal_ids[rows], ranked.sim1[rows]
-        scores = list_scores(model, feats[rows], sim1)
-        if model.unlinkable_enabled:
-            goals, sim1 = goals + (UNLINKABLE,), np.append(sim1, sim1.min())
-        sim2 = scores.tolist()
-        order = sorted(range(len(goals)), key=lambda j: (-sim2[j], goals[j]))
-        goal_ids.append([goals[j] for j in order])
-        sim1s.append(sim1[order])
-        sim2s.append(scores[order])
-    return Ranked.from_lists(ranked.step_ids, goal_ids, sim1s, sim2s)
+    """Rerank every list of `ranked`, whose feature rows are `feats`: score
+    its slots (`_slots`; the placeholder is the goal UNLINKABLE), then sort
+    each list by descending sim2, ties by goal_id, in one lexsort over all
+    the lists."""
+    sizes = np.diff(ranked.offsets)
+    if not sizes.all():
+        step_id = ranked.step_ids[int(np.argmin(sizes))]
+        raise ValueError(f"step {step_id!r} has an empty candidate list")
+    at, _, offsets, sim1, sim2 = _slots(model, ranked.offsets, feats, ranked.sim1)
+    goal_ids = np.insert(np.array(ranked.goal_ids, dtype=object), at, UNLINKABLE)
+    rank = {goal_id: i for i, goal_id in enumerate(sorted(set(goal_ids)))}
+    goal_ranks = np.fromiter(map(rank.get, goal_ids), dtype=np.int64, count=len(goal_ids))
+    order = np.lexsort((goal_ranks, -sim2, np.repeat(np.arange(len(sizes)), np.diff(offsets))))
+    return Ranked(ranked.step_ids, offsets, tuple(goal_ids[order]), sim1[order], sim2[order])
 
 
 # ---------------------------------------------------------------------------
 # Training
+
+def _take(offsets: np.ndarray, lists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of `lists`, indices of the lists of `offsets`, list after
+    list, and the offsets of those lists among the rows taken."""
+    sizes = np.diff(offsets)[lists]
+    taken = np.concatenate(([0], np.cumsum(sizes)))
+    return np.arange(taken[-1]) + np.repeat(offsets[:-1][lists] - taken[:-1], sizes), taken
+
 
 def make_training_examples(
     ranked: Ranked, gold: Mapping[str, str], unlinkable: bool = False
@@ -428,60 +437,52 @@ def make_training_examples(
     When the gold goal is missing from a list, its slot is the placeholder's,
     the list's length, in unlinkable mode; the list is dropped otherwise.
     """
-    examples = []  # (list index, gold slot)
-    for i, step_id in enumerate(ranked.step_ids):
-        goals, gold_goal = ranked.goal_ids[ranked.rows(i)], gold.get(step_id)
-        if gold_goal in goals:
-            examples.append((i, goals.index(gold_goal)))
-        elif gold_goal is not None and unlinkable:
-            examples.append((i, len(goals)))
-    rows = [ranked.rows(i) for i, _ in examples]
-    lists = Ranked.from_lists([ranked.step_ids[i] for i, _ in examples],
-                              [ranked.goal_ids[r] for r in rows], [ranked.sim1[r] for r in rows])
-    return lists, [slot for _, slot in examples]
+    picks, slots = [], []
+    for i, (step_id, goals) in enumerate(zip(ranked.step_ids, ranked.goal_lists())):
+        gold_goal = gold.get(step_id)
+        if gold_goal in goals or (gold_goal is not None and unlinkable):
+            picks.append(i)
+            slots.append(goals.index(gold_goal) if gold_goal in goals else len(goals))
+    rows, offsets = _take(ranked.offsets, np.array(picks, dtype=np.int64))
+    lists = Ranked(tuple(map(ranked.step_ids.__getitem__, picks)), offsets,
+                   tuple(map(ranked.goal_ids.__getitem__, rows.tolist())), ranked.sim1[rows])
+    return lists, slots
 
 
-@dataclass
-class LossGrads:
-    loss: float
-    grad_w: np.ndarray
-    grad_lam: float
-    grad_unlinkable: np.ndarray | None
+def nll_loss(model: RerankModel, feats: np.ndarray, sim1: np.ndarray, offsets: np.ndarray,
+             slots: Sequence[int]) -> tuple[np.ndarray, RerankModel]:
+    """The listwise NLL of each list of a batch, -log softmax(sim2)[gold] over
+    its `_slots`, and the gradient of their sum as a model whose W, lambda and
+    U are its derivatives. List i is rows offsets[i]:offsets[i+1] of `feats`
+    and `sim1`; its gold is slot slots[i], where the slot after its candidates
+    is an unlinkable model's placeholder.
 
-
-def nll_loss(model: RerankModel, feats: np.ndarray, sim1s: np.ndarray, gold_slot: int) -> LossGrads:
-    """Listwise negative log-likelihood of the gold slot of one candidate
-    list, whose feature rows are `feats`, with analytic gradients for W,
-    lambda, and the unlinkable feature row.
-
-    loss = -log softmax(sim2)[gold_slot] over the candidates, plus the
-    placeholder slot after them when unlinkable is enabled.
+    Each sum has one fixed order: a list's max and sum of exps by `reduceat`,
+    the gradients slot after slot by `sum(axis=0)`, with exp and log from
+    `math`, so no number depends on BLAS or on numpy's SIMD dispatch.
     """
-    m = len(sim1s)
-    if m == 0:
+    sizes = np.diff(offsets)
+    if not sizes.all():
         raise ValueError("empty candidate set")
-    if not 0 <= gold_slot < m + model.unlinkable_enabled:
+    slots = np.asarray(slots, dtype=np.int64)
+    bad = np.flatnonzero((slots < 0) | (slots >= sizes + model.unlinkable_enabled))
+    if len(bad):
         placeholder = " and the placeholder" if model.unlinkable_enabled else ""
-        raise ValueError(f"gold slot {gold_slot} is not one of {m} candidates{placeholder}")
-
-    z = list_scores(model, feats, sim1s)
-    z_shift = z - z.max()
-    exp_z = np.exp(z_shift)
-    total = exp_z.sum()
-    probs = exp_z / total
-    loss = float(math.log(total) - z_shift[gold_slot])
-
-    # d loss / d z, split into the real candidates and the placeholder slot.
-    g = probs
-    g[gold_slot] -= 1.0
-    grad_w = feats.T @ g[:m]
-    grad_lam = g[:m] @ sim1s
-    grad_u = None
-    if model.unlinkable_enabled:
-        grad_w += g[m] * model.unlinkable_feat
-        grad_lam += g[m] * sim1s.min()
-        grad_u = g[m] * model.w
-    return LossGrads(loss=loss, grad_w=grad_w, grad_lam=float(grad_lam), grad_unlinkable=grad_u)
+        raise ValueError(f"gold slot {slots[bad[0]]} is not one of {sizes[bad[0]]} "
+                         f"candidates{placeholder}")
+    at, u_rows, offsets, sim1, z = _slots(model, offsets, feats, sim1)
+    feats = np.insert(feats, at, u_rows, axis=0)
+    starts, lists = offsets[:-1], np.repeat(np.arange(len(sizes)), np.diff(offsets))
+    shift = z - np.maximum.reduceat(z, starts)[lists]
+    exps = np.fromiter(map(math.exp, shift.tolist()), dtype=np.float64, count=len(shift))
+    totals = np.add.reduceat(exps, starts)
+    gold = starts + slots
+    losses = np.fromiter(map(math.log, totals.tolist()), dtype=np.float64, count=len(totals))
+    g = exps / totals[lists]  # d loss / d sim2 of each slot
+    g[gold] -= 1.0
+    grad_u = g[at + np.arange(len(at))].sum() * model.w if model.unlinkable_enabled else None
+    return losses - shift[gold], replace(model, w=(feats * g[:, None]).sum(axis=0),
+                                         lam=float((g * sim1).sum()), unlinkable_feat=grad_u)
 
 
 @dataclass(frozen=True)
@@ -497,14 +498,6 @@ class TrainResult:
     curve: list[EpochStats]
 
 
-def _loss_args(source: FeatureSource, examples: tuple[Ranked, Sequence[int]]) -> list[tuple]:
-    """The feature rows, sim1s and gold slot of each example, from one
-    `features` call: the arguments of its `nll_loss`."""
-    lists, slots = examples
-    feats = source.features(lists.step_ids, lists.goal_lists())
-    return [(feats[lists.rows(i)], lists.sim1[lists.rows(i)], slot) for i, slot in enumerate(slots)]
-
-
 def train(
     model: RerankModel,
     examples: tuple[Ranked, Sequence[int]],
@@ -517,52 +510,49 @@ def train(
     dev_examples: tuple[Ranked, Sequence[int]] | None = None,
 ) -> TrainResult:
     """Mini-batch SGD on the mean listwise NLL over `examples`, the lists
-    and gold slots that `make_training_examples` gives.
+    and gold slots that `make_training_examples` gives, with one `nll_loss`
+    call per mini-batch.
 
     Deterministic under a fixed seed (single-threaded, fixed accumulation
     order). Returns the checkpoint with the best dev loss when a non-empty
     dev set is given, the final model otherwise.
     """
-    if not examples[1]:
+    lists, slots = examples
+    if not len(slots):
         raise ValueError("empty training set")
-    model = model.copy()
     rng = np.random.default_rng(seed)
-    train_args = _loss_args(source, examples)
-    dev_args = _loss_args(source, dev_examples) if dev_examples and dev_examples[1] else []
+    feats = source.features(lists.step_ids, lists.goal_lists())
+    slots = np.asarray(slots, dtype=np.int64)
+    dev = None
+    if dev_examples and len(dev_examples[1]):
+        dev_lists, dev_slots = dev_examples
+        dev = (source.features(dev_lists.step_ids, dev_lists.goal_lists()), dev_lists.sim1,
+               dev_lists.offsets, dev_slots)
 
     curve: list[EpochStats] = []
     best: tuple[float, RerankModel] | None = None
     for epoch in range(1, epochs + 1):
-        order = rng.permutation(len(train_args))
-        epoch_losses = []
+        order = rng.permutation(len(slots))
+        epoch_losses: list[float] = []
         for start in range(0, len(order), batch_size):
             batch = order[start : start + batch_size]
-            grad_w = np.zeros(model.dim)
-            grad_lam = 0.0
-            grad_u = np.zeros(model.dim) if model.unlinkable_enabled else None
-            for i in batch:
-                out = nll_loss(model, *train_args[i])
-                if not math.isfinite(out.loss):
-                    raise RuntimeError(
-                        f"non-finite training loss at epoch {epoch} (learning rate too high?)"
-                    )
-                epoch_losses.append(out.loss)
-                grad_w += out.grad_w
-                grad_lam += out.grad_lam
-                if grad_u is not None:
-                    grad_u += out.grad_unlinkable
-            scale = lr / len(batch)
-            model.w -= scale * grad_w
-            if not freeze_lambda:
-                model.lam -= scale * grad_lam
-            if grad_u is not None:
-                model.unlinkable_feat -= scale * grad_u
+            rows, offsets = _take(lists.offsets, batch)
+            losses, grad = nll_loss(model, feats[rows], lists.sim1[rows], offsets, slots[batch])
+            if not np.isfinite(losses).all():
+                raise RuntimeError(
+                    f"non-finite training loss at epoch {epoch} (learning rate too high?)"
+                )
+            epoch_losses += losses.tolist()
+            step = lr / len(batch)  # a new model each step, so a kept one never changes
+            model = replace(model, w=model.w - step * grad.w,
+                            lam=model.lam if freeze_lambda else model.lam - step * grad.lam,
+                            unlinkable_feat=None if grad.unlinkable_feat is None
+                            else model.unlinkable_feat - step * grad.unlinkable_feat)
 
         train_loss = sum(epoch_losses) / len(epoch_losses)
-        dev_losses = [nll_loss(model, *args).loss for args in dev_args]
-        dev_loss = sum(dev_losses) / len(dev_losses) if dev_losses else None
+        dev_loss = None if dev is None else sum(nll_loss(model, *dev)[0].tolist()) / len(dev[3])
         curve.append(EpochStats(epoch=epoch, train_loss=train_loss, dev_loss=dev_loss))
         if dev_loss is not None and (best is None or dev_loss < best[0]):
-            best = (dev_loss, model.copy())
+            best = (dev_loss, model)
 
     return TrainResult(model=model if best is None else best[1], curve=curve)

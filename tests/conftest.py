@@ -2,10 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from prockb.corpus import Corpus, corpus_from_records
-from prockb.rerank import score_candidates
+from prockb.rerank import nll_loss, score_candidates
 from prockb.retrieval import Ranked
 
 
@@ -71,6 +72,12 @@ def columns(ranked: Ranked) -> tuple:
 def score_list(model, ranked: Ranked, source) -> Ranked:
     """`score_candidates` on `ranked`, with its features from `source`."""
     return score_candidates(model, ranked, source.features(ranked.step_ids, ranked.goal_lists()))
+
+
+def one_loss(model, feats, sim1s, slot):
+    """`nll_loss` of a batch of one list: its loss, and its gradient as a model."""
+    losses, grad = nll_loss(model, feats, sim1s, np.array([0, len(sim1s)]), [slot])
+    return float(losses[0]), grad
 
 
 def write_jsonl(path, records) -> None:

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import identity_records, make_corpus, one_list, score_list
+from conftest import identity_records, make_corpus, one_list, one_loss, score_list
 from prockb.corpus import corpus_from_records
 from prockb.embedding import cosine, embed_corpus
 from prockb.hierarchy import LinkPipeline, expand, tree_to_dict
@@ -25,7 +25,6 @@ from prockb.rerank import (
     TableFeatureSource,
     make_training_examples,
     new_model,
-    nll_loss,
     train,
 )
 from prockb.retrieval import Ranked, build_index, retrieve_all, topk
@@ -119,7 +118,7 @@ def test_a2_retrieval_exactness():
 # A3  Gradient correctness
 
 def _fd_loss(model, example):
-    return nll_loss(model, *example).loss
+    return one_loss(model, *example)[0]
 
 
 def _central_diff(f, x, h=1e-5):
@@ -153,7 +152,7 @@ def test_a3_gradient_correctness():
                 lam=float(rng.normal()),
                 unlinkable_feat=rng.normal(size=dim) if unlinkable else None,
             )
-            out = nll_loss(model, *example)
+            _, grad = one_loss(model, *example)
 
             def loss_w(w):
                 return _fd_loss(RerankModel(w, model.lam, model.unlinkable_feat), example)
@@ -163,15 +162,15 @@ def test_a3_gradient_correctness():
                     RerankModel(model.w, float(lam_arr[0]), model.unlinkable_feat), example
                 )
 
-            assert _rel_err(out.grad_w, _central_diff(loss_w, model.w)) < 1e-4
+            assert _rel_err(grad.w, _central_diff(loss_w, model.w)) < 1e-4
             fd_lam = _central_diff(loss_lam, np.array([model.lam]))
-            assert _rel_err(out.grad_lam, fd_lam) < 1e-4
+            assert _rel_err(grad.lam, fd_lam) < 1e-4
             if unlinkable:
 
                 def loss_u(u):
                     return _fd_loss(RerankModel(model.w, model.lam, u), example)
 
-                assert _rel_err(out.grad_unlinkable, _central_diff(loss_u, model.unlinkable_feat)) < 1e-4
+                assert _rel_err(grad.unlinkable_feat, _central_diff(loss_u, model.unlinkable_feat)) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +182,7 @@ def test_a4_loss_anchors():
             feats = np.zeros((m, 8))
             model = new_model(8, lam=0.0, unlinkable=unlinkable)
             expected = math.log(m + 1 if unlinkable else m)
-            assert abs(nll_loss(model, feats, np.zeros(m), 0).loss - expected) < 1e-9
+            assert abs(one_loss(model, feats, np.zeros(m), 0)[0] - expected) < 1e-9
 
         # placeholder sim1 equals the list minimum on every scored step
         rng = np.random.default_rng(44)

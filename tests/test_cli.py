@@ -474,6 +474,20 @@ def test_eval_links_rejects_bad_ranks(identity_setup, tmp_path, capsys, rows, me
     assert f"{rankings}: {message}" in capsys.readouterr().err
 
 
+def test_eval_links_gold_step_without_ranking_names_both_files(identity_setup, tmp_path, capsys):
+    _, gold_path, gold = identity_setup
+    rankings = tmp_path / "rankings.tsv"
+    rankings.write_text("a00_probe\t1\ta01\t0.5\n")
+    out = tmp_path / "ev"
+    code = run(["eval-links", "--rankings", str(rankings), "--gold", str(gold_path),
+                "--out-dir", str(out)])
+    assert code == 2
+    missing = next(step_id for step_id in gold if step_id != "a00_probe")
+    assert (f"error: --rankings {rankings}: no ranking for gold step {missing!r} "
+            f"of --gold {gold_path}") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _edit_json(edit):
     def apply(text):
         payload = json.loads(text)
@@ -585,6 +599,27 @@ def test_vr_eval_rejects_bad_queries(tmp_path, capsys, payload, message):
                 "--index", str(vr_index(tmp_path, videos_path)), "--out-dir", str(tmp_path / "ve")])
     assert code == 2
     assert f"{queries}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("given", ["--queries", "--corpus"])
+def test_vr_eval_with_no_goal_to_evaluate_names_its_inputs(tmp_path, capsys, given):
+    """A query whose goal has no videos, or goals with too few videos to put
+    one in the test part, leave nothing to evaluate."""
+    corpus_path, videos_path = vr_fixture(tmp_path)
+    if given == "--queries":
+        source = tmp_path / "queries.json"
+        source.write_text(json.dumps([{**_QUERY, "goal_id": "zz"}]))
+    else:
+        source = corpus_path
+        rows = [json.loads(line) for line in videos_path.read_text().splitlines()]
+        write_jsonl(videos_path, [row for row in rows if row["video_id"].endswith("v00")])
+    out = tmp_path / "ve"
+    code = run(["vr-eval", "--videos", str(videos_path), given, str(source),
+                "--index", str(vr_index(tmp_path, videos_path)), "--out-dir", str(out)])
+    assert code == 2
+    assert (f"error: no goals to evaluate: no goal of {given} {source} has videos in the "
+            f"--split test part of --videos {videos_path}") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_retrieve_manifest_does_not_depend_on_cpu_count(identity_setup, tmp_path, monkeypatch):

@@ -3,13 +3,17 @@ eval-links -> expand on seeded inputs.
 
 The inputs are built here from one `random.Random`: 10 articles over a
 small vocabulary, where about half the steps paraphrase another article's
-title and are gold-linked to it. Stage 1, stage 2 and training go through
-BLAS sums, so the artifacts are not pinned by raw sha256. Each artifact is
-split into its numbers and the text around them: the text (ids, ranks, link
-outcomes, tree and manifest structure) must match exactly, and every number
-must be within 1e-12 of the pinned one, relative, or absolute near 0. Paths,
-sha256 digests and config hashes are masked out first; the config hashes
-depend on the bytes of the trained weights.
+title and are gold-linked to it. Stage 2 and its training sum in a fixed
+order, without BLAS, so `train-reranker` must write the same bytes under
+every OpenBLAS kernel and numpy SIMD level; a test below runs it in child
+processes under several and compares sha256. Stage 1 (`build_index`'s norms,
+`topk`'s matrix-vector product) and the embedder's norm still go through
+BLAS, so the chain's artifacts are not pinned by raw sha256. Each artifact
+is split into its numbers and the text around them: the text (ids, ranks,
+link outcomes, tree and manifest structure) must match exactly, and every
+number must be within 1e-12 of the pinned one, relative, or absolute near 0.
+Paths, sha256 digests and config hashes are masked out first; the config
+hashes depend on the bytes of the trained weights.
 
 The pinned values are in `golden_link.json`. To re-pin, run this file as a
 script (`PYTHONPATH=src python tests/test_golden_link.py`) and state the
@@ -19,8 +23,10 @@ reason for the change.
 import hashlib
 import json
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -39,6 +45,16 @@ TOL = 1e-12
 # A decimal number with a fraction or an exponent; integers (ranks, counts) stay in the text.
 NUMBER = re.compile(r"-?\d+(?:\.\d*(?:e[-+]?\d+)?|e[-+]?\d+)")
 MASK = re.compile(r'"(?:[0-9a-f]{64}|[0-9a-f]{16})"')
+TRAIN_FLAGS = ("--unlinkable", "--epochs", "4", "--batch", "4")
+# Settings of a child process's environment under which train-reranker must
+# write the same bytes: OpenBLAS kernels forced by name, next to the one it
+# detects, and numpy's SIMD dispatch cut to its X86_V2 baseline.
+SETTINGS = {
+    "detected core": {},
+    "Haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "Prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "SIMD baseline": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR X86_V3"},
+}
 
 
 def write_inputs(tmp_path: Path) -> dict[str, Path]:
@@ -89,7 +105,7 @@ def run_chain(tmp_path: Path) -> dict[str, str]:
     run("retrieve", "--corpus", corpus, "--embeddings", emb, "--k", "4", out="ret")
     candidates = str(tmp_path / "ret" / "candidates.tsv")
     run("train-reranker", "--corpus", corpus, "--candidates", candidates, "--gold", gold,
-        "--unlinkable", "--epochs", "4", "--batch", "4", out="tr")
+        *TRAIN_FLAGS, out="tr")
     run("link", "--corpus", corpus, "--embeddings", emb, "--model", model, "--k", "4",
         "--rankings", out="ln")
     run("eval-links", "--rankings", str(tmp_path / "ln" / "rankings.tsv"), "--gold", gold,
@@ -136,6 +152,37 @@ def test_chain_exercises_links_placeholders_and_trees(tmp_path):
     for root in ROOTS:
         tree = json.loads(artifacts[f"tree_{root}/tree.json"])
         assert any(step["children"] for step in tree["tree"]["steps"]), root
+
+
+def test_train_reranker_bytes_do_not_depend_on_blas_or_simd(tmp_path):
+    paths = write_inputs(tmp_path)
+    corpus, gold = str(paths["corpus"]), str(paths["gold"])
+    assert main(["build-index", "--corpus", corpus, "--dim", "16", "--seed", "5",
+                 "--out-dir", str(tmp_path / "ix")]) == 0
+    assert main(["retrieve", "--corpus", corpus, "--embeddings", str(tmp_path / "ix" /
+                 "embeddings.txt"), "--k", "4", "--out-dir", str(tmp_path / "ret")]) == 0
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [str(HERE.parent / "src"),
+                                                       base.get("PYTHONPATH")]))
+    digests = {}
+    for name, setting in SETTINGS.items():
+        out = tmp_path / f"tr_{len(digests)}"
+        child = subprocess.run(
+            [sys.executable, "-m", "prockb", "train-reranker", "--corpus", corpus,
+             "--candidates", str(tmp_path / "ret" / "candidates.tsv"), "--gold", gold,
+             *TRAIN_FLAGS, "--out-dir", str(out)],
+            env={**base, **setting, "OPENBLAS_VERBOSE": "2"}, capture_output=True, text=True,
+        )
+        report = child.stdout + child.stderr
+        assert child.returncode == 0, (name, report)
+        if "OPENBLAS_CORETYPE" in setting:
+            assert "Core: " in report and "Core not found" not in report, (
+                f"OpenBLAS did not take the forced core {name!r}; with OPENBLAS_VERBOSE=2 it "
+                f"reported {report.strip()!r}, so this run tests nothing")
+        digests[name] = tuple(hashlib.sha256((out / artifact).read_bytes()).hexdigest()
+                              for artifact in ("model.txt", "loss_curve.tsv"))
+    assert len(set(digests.values())) == 1, digests
 
 
 def dump(pinned: dict) -> str:

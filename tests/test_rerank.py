@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import columns, identity_records, make_corpus, one_list, score_list
+from conftest import columns, identity_records, make_corpus, one_list, one_loss, score_list
 from prockb.artifacts import write_vectors
 from prockb.corpus import CONTEXT_MODES, context_of
 from prockb.errors import DataError
@@ -21,7 +21,6 @@ from prockb.rerank import (
     new_model,
     nll_loss,
     save_model,
-    list_scores,
     score_candidates,
     train,
 )
@@ -275,16 +274,20 @@ def test_empty_block_has_model_width(lex_corpus):
 # sim2 and candidate scoring
 
 def test_sim2_arithmetic():
-    model = RerankModel(w=np.array([1.0, 0.0]), lam=0.0)
-    assert list_scores(model, np.array([[0.7, 3.0]]), np.array([0.9])).tolist() == [0.7]
-    model = RerankModel(w=np.array([1.0, 0.0]), lam=1.0)
-    assert list_scores(model, np.array([[0.2, 0.0]]), np.array([0.5])).tolist() == [0.7]
+    def sim2(model, row, sim1):
+        source = TableFeatureSource(2, {("s", "g"): np.array(row)})
+        return score_list(model, one_list("s", ["g"], [sim1]), source).sim2.tolist()
+
+    assert sim2(RerankModel(w=np.array([1.0, 0.0]), lam=0.0), [0.7, 3.0], 0.9) == [0.7]
+    assert sim2(RerankModel(w=np.array([1.0, 0.0]), lam=1.0), [0.2, 0.0], 0.5) == [0.7]
 
 
 def test_sim2_dim_mismatch():
     model = RerankModel(w=np.zeros(3), lam=0.0)
     with pytest.raises(ValueError, match="dim"):
-        list_scores(model, np.zeros((1, 4)), np.zeros(1))
+        score_candidates(model, one_list("s", ["g"], [0.0]), np.zeros((1, 4)))
+    with pytest.raises(ValueError, match="dim"):
+        one_loss(model, np.zeros((1, 4)), np.zeros(1), 0)
 
 
 def zero_table(step_id, goal_ids, dim=8):
@@ -338,15 +341,14 @@ def test_top1_is_argmax_of_per_pair_sim2():
     model = RerankModel(w=rng.normal(size=8), lam=float(rng.normal()))
     scored = score_list(model, one_list("s", goal_ids, sim1s), source)
     feats = source.features(("s",), (goal_ids,))
-    sim2s = list_scores(model, feats, sim1s)
+    sim2s = (feats * model.w).sum(axis=1) + model.lam * sim1s
     per_pair = dict(zip(goal_ids, sim2s.tolist()))
     assert scored.goal_ids[0] == max(per_pair, key=lambda g: (per_pair[g], g))
     assert scored.sim2[0] == max(per_pair.values())
 
 
-# Reference: the per-row arithmetic that scored candidates before
-# `list_scores`, one dot product per candidate, with the placeholder row U
-# scored at the list's minimum sim1.
+# Reference: per-row arithmetic, one dot product per candidate, with the
+# placeholder row U scored at the list's minimum sim1.
 
 def per_row_scores(model, feats, sim1s):
     """(sim2, sum of its terms' magnitudes) of each slot, one row at a time."""
@@ -372,13 +374,17 @@ def scoring_cases(draw, value):
 
 @settings(max_examples=200, deadline=None)
 @given(scoring_cases(st.floats(-1e3, 1e3)))
-def test_list_scores_match_per_row_arithmetic(case):
+def test_sim2_matches_per_row_arithmetic(case):
     model, feats, sim1s = case
-    got = list_scores(model, feats, sim1s)
+    goal_ids = [f"g{i}" for i in range(len(sim1s))]
+    source = TableFeatureSource(model.dim, {("s", g): row for g, row in zip(goal_ids, feats)})
+    scored = score_list(model, one_list("s", goal_ids, sim1s), source)
+    got = dict(zip(scored.goal_ids, scored.sim2.tolist()))
+    slots = goal_ids + [UNLINKABLE] * model.unlinkable_enabled
     want = per_row_scores(model, feats, sim1s)
-    assert len(got) == len(want) == len(sim1s) + model.unlinkable_enabled
-    for value, (reference, scale) in zip(got.tolist(), want):
-        assert abs(value - reference) <= 1e-12 * scale
+    assert len(got) == len(want) == len(slots)
+    for slot, (reference, scale) in zip(slots, want):
+        assert abs(got[slot] - reference) <= 1e-12 * scale
 
 
 # Eighths in [-2, 2]: every product and sum is exact in any order, so the
@@ -408,21 +414,21 @@ def test_score_candidates_empty_list():
 
 def test_uniform_loss_is_ln_m():
     for m in (2, 3, 10):
-        out = nll_loss(new_model(8, lam=0.0), np.zeros((m, 8)), np.zeros(m), 0)
-        assert abs(out.loss - math.log(m)) < 1e-9
+        loss, _ = one_loss(new_model(8, lam=0.0), np.zeros((m, 8)), np.zeros(m), 0)
+        assert abs(loss - math.log(m)) < 1e-9
 
 
 def test_uniform_loss_with_unlinkable_slot():
     model = new_model(8, lam=0.0, unlinkable=True)
-    out = nll_loss(model, np.zeros((30, 8)), np.zeros(30), 0)
-    assert abs(out.loss - math.log(31)) < 1e-9
+    loss, _ = one_loss(model, np.zeros((30, 8)), np.zeros(30), 0)
+    assert abs(loss - math.log(31)) < 1e-9
 
 
 def test_saturated_loss_near_zero():
     feats = np.array([[25.0, 0.0], [0.0, 0.0]])
     model = RerankModel(w=np.array([1.0, 0.0]), lam=0.0)
-    out = nll_loss(model, feats, np.zeros(2), 0)
-    assert out.loss < 1e-8
+    loss, _ = one_loss(model, feats, np.zeros(2), 0)
+    assert loss < 1e-8
 
 
 def test_loss_shift_invariance():
@@ -430,25 +436,25 @@ def test_loss_shift_invariance():
     sim1s = rng.uniform(size=5)
     feats = rng.normal(size=(5, 8))
     model = RerankModel(w=np.concatenate([[1.0], rng.normal(size=7)]), lam=0.7)
-    base = nll_loss(model, feats, sim1s, 2).loss
+    base = one_loss(model, feats, sim1s, 2)[0]
     # w[0] is 1, so shifting feature 0 adds the same constant to every sim2
     shifted_feats = feats.copy()
     shifted_feats[:, 0] += 13.0
-    assert abs(nll_loss(model, shifted_feats, sim1s, 2).loss - base) < 1e-9
+    assert abs(one_loss(model, shifted_feats, sim1s, 2)[0] - base) < 1e-9
 
 
 def test_loss_error_cases():
     model = new_model(8)
     with pytest.raises(ValueError, match="empty"):
-        nll_loss(model, np.zeros((0, 8)), np.zeros(0), 0)
+        one_loss(model, np.zeros((0, 8)), np.zeros(0), 0)
     feats, sim1s = np.zeros((3, 8)), np.zeros(3)
     for slot in (-1, 4):
         with pytest.raises(ValueError, match=f"gold slot {slot} is not one of 3 candidates"):
-            nll_loss(model, feats, sim1s, slot)
+            one_loss(model, feats, sim1s, slot)
     # Slot 3 is the placeholder's, which only an unlinkable model has.
     with pytest.raises(ValueError, match="gold slot 3 is not one of 3 candidates$"):
-        nll_loss(model, feats, sim1s, 3)
-    assert nll_loss(new_model(8, unlinkable=True), feats, sim1s, 3).loss > 0
+        one_loss(model, feats, sim1s, 3)
+    assert one_loss(new_model(8, unlinkable=True), feats, sim1s, 3)[0] > 0
 
 
 def finite_difference_grads(model, feats, sim1s, slot, h=1e-5):
@@ -460,7 +466,7 @@ def finite_difference_grads(model, feats, sim1s, slot, h=1e-5):
             context_mode=model.context_mode,
             window=model.window,
         )
-        return nll_loss(probe, feats, sim1s, slot).loss
+        return one_loss(probe, feats, sim1s, slot)[0]
 
     grad_w = np.zeros_like(model.w)
     for i in range(model.dim):
@@ -512,12 +518,33 @@ def test_gradients_match_finite_differences():
     for trial in range(20):
         unlinkable = trial % 2 == 1
         model, *point = random_point(rng, unlinkable)
-        out = nll_loss(model, *point)
+        _, grad = one_loss(model, *point)
         fd_w, fd_lam, fd_u = finite_difference_grads(model, *point)
-        assert relative_error(out.grad_w, fd_w) < 1e-4
-        assert relative_error(out.grad_lam, fd_lam) < 1e-4
+        assert relative_error(grad.w, fd_w) < 1e-4
+        assert relative_error(grad.lam, fd_lam) < 1e-4
         if unlinkable:
-            assert relative_error(out.grad_unlinkable, fd_u) < 1e-4
+            assert relative_error(grad.unlinkable_feat, fd_u) < 1e-4
+
+
+def test_batch_gives_each_lists_loss_and_the_sum_of_their_gradients():
+    rng = np.random.default_rng(8)
+    for unlinkable in (False, True):
+        model = random_point(rng, unlinkable)[0]
+        points = [random_point(rng, unlinkable)[1:] for _ in range(6)]
+        offsets = np.cumsum([0] + [len(sim1s) for _, sim1s, _ in points])
+        losses, grad = nll_loss(model, np.concatenate([feats for feats, _, _ in points]),
+                                np.concatenate([sim1s for _, sim1s, _ in points]), offsets,
+                                [slot for _, _, slot in points])
+        singles = [one_loss(model, *point) for point in points]
+        close = dict(rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(losses, [loss for loss, _ in singles], **close)
+        np.testing.assert_allclose(grad.w, sum(one.w for _, one in singles), **close)
+        np.testing.assert_allclose(grad.lam, sum(one.lam for _, one in singles), **close)
+        if unlinkable:
+            np.testing.assert_allclose(grad.unlinkable_feat,
+                                       sum(one.unlinkable_feat for _, one in singles), **close)
+        else:
+            assert grad.unlinkable_feat is None
 
 
 # ---------------------------------------------------------------------------
