@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import __version__
 from .artifacts import read_json, read_text, write_json, write_rows
 from .corpus import CONTEXT_MODES, load_corpus, validation_report
-from .embedding import embed_corpus, load_embeddings, save_embeddings
+from .embedding import MIN_DIM, embed_corpus, load_embeddings, save_embeddings
 from .errors import DataError
 from .hierarchy import LinkPipeline, expand, link_all, read_links, write_links, write_tree
 from .linkeval import load_gold_links, recall_report, split_links
@@ -57,6 +58,12 @@ from .videoretrieval import (
 
 class UsageError(Exception):
     pass
+
+
+# The least value of each integer flag, by dest (each is the flag of one
+# subcommand); `main` checks it before the command runs.
+MINIMUM = {"dim": MIN_DIM, "k": 1, "epochs": 1, "batch": 1, "window": 1, "max_depth": 0, "n": 1,
+           "cap": 0}
 
 
 class Parser(argparse.ArgumentParser):
@@ -172,14 +179,11 @@ def cmd_retrieve(args) -> None:
     corpus = load_corpus(args.corpus)
     store = _embeddings(args.embeddings, _corpus_ids(corpus))
     index = build_index(store, corpus.goal_ids())
-    ranked = retrieve_all(index, store, corpus.steps(), args.k, not args.no_exclude_parent)
+    ranked = retrieve_all(index, store, corpus.steps(), args.k)
     write_candidates(_output(args, "candidates.tsv")[0], ranked)
 
 
 def cmd_train_reranker(args) -> None:
-    for flag, value in (("--batch", args.batch), ("--window", args.window)):
-        if value < 1:
-            raise UsageError(f"{flag} must be >= 1, got {value}")
     if not (math.isfinite(args.lr) and args.lr > 0):
         raise UsageError(f"--lr must be a finite number > 0, got {args.lr!r}")
     corpus = load_corpus(args.corpus)
@@ -202,13 +206,13 @@ def cmd_train_reranker(args) -> None:
     if not train_examples[1]:
         raise DataError("no training examples: no gold step has retrieved candidates")
 
-    model = new_model(
+    model = replace(new_model(
         dim=source.dim,
         lam=args.lambda_init,
         unlinkable=args.unlinkable,
         context_mode=args.context_mode,
         window=args.window,
-    )
+    ), k=int(np.diff(candidates.offsets).max()))  # as retrieve clamped it, for link to reuse
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             result = train(
@@ -252,8 +256,6 @@ def _pipeline(args) -> LinkPipeline:
         store=store,
         model=model,
         features=source,
-        k=args.k,
-        exclude_parent=not args.no_exclude_parent,
     )
 
 
@@ -267,7 +269,10 @@ def cmd_link(args) -> None:
 
 
 def cmd_expand(args) -> None:
-    tree = expand(_pipeline(args), args.root, args.max_depth)
+    pipeline = _pipeline(args)
+    if args.root not in pipeline.corpus:
+        raise DataError(f"--root {args.root!r} is not a goal of --corpus {args.corpus}")
+    tree = expand(pipeline, args.root, args.max_depth)
     write_tree(tree, _output(args, "tree.json")[0])
 
 
@@ -327,8 +332,6 @@ def _videos(args, corpus=None):
 
 
 def cmd_vr_filter(args) -> None:
-    if args.cap < 0:
-        raise UsageError(f"--cap must be >= 0, got {args.cap}")
     corpus = load_corpus(args.corpus)
     splits, index = _videos(args, corpus)
     links = read_links(args.links) if args.links else None
@@ -413,7 +416,6 @@ def build_parser() -> Parser:
     p.add_argument("--corpus", required=True, type=infile)
     p.add_argument("--embeddings", required=True, type=infile)
     p.add_argument("--k", type=int, default=DEFAULT_K)
-    p.add_argument("--no-exclude-parent", action="store_true")
 
     p = add("train-reranker", cmd_train_reranker, help="train W and lambda on gold links")
     p.add_argument("--corpus", required=True, type=infile)
@@ -440,8 +442,6 @@ def build_parser() -> Parser:
         p.add_argument("--embeddings", required=True, type=infile)
         p.add_argument("--model", required=True, type=infile)
         p.add_argument("--features", type=infile)
-        p.add_argument("--k", type=int, default=DEFAULT_K)
-        p.add_argument("--no-exclude-parent", action="store_true")
         if extra:
             p.add_argument("--rankings", action="store_true", help="also dump full reranked lists")
         else:
@@ -541,6 +541,10 @@ def main(argv: list[str] | None = None) -> int:
         actions = parser.subcommands[args.command]._actions  # type: ignore[attr-defined]
         given = (getattr(args, a.dest) for a in actions if a.type is infile)
         args._inputs = sorted(set(filter(None, given)))
+        for action in actions:
+            least, value = MINIMUM.get(action.dest), getattr(args, action.dest, None)
+            if least is not None and value < least:
+                raise UsageError(f"{action.option_strings[0]} must be >= {least}, got {value}")
         args._outputs = []
         args.func(args)
         _write_manifest(args)

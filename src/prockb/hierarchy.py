@@ -19,7 +19,7 @@ from .artifacts import tab_rows, write_json, write_rows
 from .corpus import Corpus
 from .embedding import EmbeddingStore
 from .rerank import UNLINKABLE, FeatureSource, RerankModel, score_candidates
-from .retrieval import DEFAULT_K, GoalIndex, Ranked, retrieve_all
+from .retrieval import GoalIndex, Ranked, retrieve_all
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,6 @@ class LinkPipeline:
     store: EmbeddingStore
     model: RerankModel
     features: FeatureSource
-    k: int = DEFAULT_K
-    exclude_parent: bool = True
     _decisions: dict[str, "LinkDecision"] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -43,9 +41,9 @@ class LinkPipeline:
 
     @cached_property
     def _config_hash(self) -> str:
-        payload = {
-            "k": self.k,
-            "exclude_parent": self.exclude_parent,
+        payload = {  # "exclude_parent" is always true; kept so tree config hashes stay put
+            "k": self.model.k,
+            "exclude_parent": True,
             "dim": self.index.dim,
             "n_goals": len(self.index),
             "model": {
@@ -84,12 +82,11 @@ def decisions(ranked: Ranked) -> list[LinkDecision]:
 
 def link_steps(pipeline: LinkPipeline, step_ids: Iterable[str]) -> Ranked:
     """The reranked lists of `step_ids`, in one pass: retrieve each step's
-    candidates as `retrieve` does, compute their pair features in one call,
-    then rerank. Each step's decision is kept on the pipeline; `link_step`
-    reads them."""
+    candidates as `retrieve` did for the model (its k), compute their pair
+    features in one call, then rerank. Each step's decision is kept on the
+    pipeline; `link_step` reads them."""
     steps = [pipeline.corpus.step(step_id) for step_id in dict.fromkeys(step_ids)]
-    candidates = retrieve_all(pipeline.index, pipeline.store, steps, pipeline.k,
-                              pipeline.exclude_parent)
+    candidates = retrieve_all(pipeline.index, pipeline.store, steps, pipeline.model.k)
     feats = pipeline.features.features(candidates.step_ids, candidates.goal_lists())
     ranked = score_candidates(pipeline.model, candidates, feats)
     pipeline._decisions.update(zip(ranked.step_ids, decisions(ranked)))

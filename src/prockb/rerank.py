@@ -29,7 +29,7 @@ import numpy as np
 from .artifacts import fail, lines, read_vectors
 from .corpus import CONTEXT_MODES, Corpus, context_of
 from .errors import DataError
-from .retrieval import Ranked
+from .retrieval import DEFAULT_K, Ranked
 from .textsearch import tokenize
 
 UNLINKABLE = "UNLINKABLE"
@@ -286,6 +286,7 @@ class RerankModel:
     unlinkable_feat: np.ndarray | None = None  # the placeholder's row U, if the model has one
     context_mode: str = "none"
     window: int = 1
+    k: int = DEFAULT_K  # stage-1 list length of the candidates it was trained on
 
     @property
     def dim(self) -> int:
@@ -320,6 +321,7 @@ def save_model(model: RerankModel, path: str | Path) -> None:
         handle.write(f"unlinkable={int(model.unlinkable_enabled)}\n")
         handle.write(f"context_mode={model.context_mode}\n")
         handle.write(f"window={model.window}\n")
+        handle.write(f"k={model.k}\n")
         handle.write("W " + " ".join(repr(float(x)) for x in model.w) + "\n")
         if model.unlinkable_feat is not None:
             handle.write("U " + " ".join(repr(float(x)) for x in model.unlinkable_feat) + "\n")
@@ -328,7 +330,8 @@ def save_model(model: RerankModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> RerankModel:
     """Read a checkpoint written by `save_model`: ``key=value`` lines, then
     the W row and, for an unlinkable model (``unlinkable=1``) only, the U
-    row. Keys are unique."""
+    row. Keys are unique; ``k``, the stage-1 k that `link` and `expand`
+    retrieve with, is an integer >= 1."""
     fields: dict[str, str] = {}
     for lineno, line in lines(path):
         line = line.strip()
@@ -350,6 +353,7 @@ def load_model(path: str | Path) -> RerankModel:
             unlinkable_feat=vectors.get("U"),
             context_mode=fields["context_mode"],
             window=int(fields["window"]),
+            k=int(fields["k"]),
         )
     except (KeyError, ValueError) as exc:
         raise DataError(f"{path}: malformed model checkpoint ({exc})") from None
@@ -360,8 +364,9 @@ def load_model(path: str | Path) -> RerankModel:
         raise DataError(f"{path}: non-finite value in model checkpoint")
     if model.context_mode not in CONTEXT_MODES:
         raise DataError(f"{path}: unknown context_mode {model.context_mode!r}")
-    if model.window < 1:
-        raise DataError(f"{path}: window must be >= 1, got {model.window}")
+    for name, value in (("window", model.window), ("k", model.k)):
+        if value < 1:
+            raise DataError(f"{path}: {name} must be >= 1, got {value}")
     if unlinkable not in ("0", "1"):
         raise DataError(f"{path}: unlinkable must be 0 or 1, got {unlinkable!r}")
     if unlinkable != str(int(model.unlinkable_enabled)):

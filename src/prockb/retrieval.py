@@ -115,23 +115,17 @@ def topk(
 
 
 def retrieve_all(
-    index: GoalIndex,
-    store: EmbeddingStore,
-    steps: Iterable[Step],
-    k: int = DEFAULT_K,
-    exclude_parent: bool = True,
+    index: GoalIndex, store: EmbeddingStore, steps: Iterable[Step], k: int = DEFAULT_K
 ) -> Ranked:
     """The stage-1 candidates of each of `steps`, for `retrieve` and `link`
-    alike: topk without the step's own goal when `exclude_parent`, with k
-    clamped to the goals left. Raises ValueError when no goal is left."""
+    alike: topk without the step's own goal, which a step never links to,
+    with k clamped to the goals left. Raises ValueError when no goal is left."""
     step_ids, goal_ids, sims = [], [], []
     for step in steps:
-        parent = step.parent_goal_id
-        exclude = [parent] if exclude_parent and parent in index.row else []
-        available = len(index) - len(exclude)
+        available = len(index) - (step.parent_goal_id in index.row)
         if available < 1:
             raise ValueError(f"no goals available for step {step.step_id!r}")
-        rows, scores = topk(index, store[step.step_id], min(k, available), exclude)
+        rows, scores = topk(index, store[step.step_id], min(k, available), [step.parent_goal_id])
         step_ids.append(step.step_id)
         goal_ids.append([index.goal_ids[row] for row in rows.tolist()])
         sims.append(scores)

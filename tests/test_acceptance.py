@@ -71,7 +71,7 @@ def test_a1_end_to_end_linking_sanity():
         corpus = make_corpus(records)
         store = embed_corpus(corpus, dim=64, seed=7)
         index = build_index(store, corpus.goal_ids())
-        lists = retrieve_all(index, store, corpus.steps(), k=30, exclude_parent=True)
+        lists = retrieve_all(index, store, corpus.steps(), k=30)
 
         split = split_links(gold)
 
@@ -392,9 +392,9 @@ def _exact_match_pipeline(records):
     index = build_index(store, corpus.goal_ids())
     w = np.zeros(7)
     w[5] = 10.0
-    model = RerankModel(w=w, lam=0.0)
+    model = RerankModel(w=w, lam=0.0, k=5)
     source = LexicalFeatureSource(corpus)
-    return LinkPipeline(corpus=corpus, index=index, store=store, model=model, features=source, k=5)
+    return LinkPipeline(corpus=corpus, index=index, store=store, model=model, features=source)
 
 
 def test_a10_hierarchy_safety():

@@ -93,6 +93,7 @@ def models(draw):
         unlinkable_feat=draw(vector(dim)) if unlinkable else None,
         context_mode=draw(st.sampled_from(CONTEXT_MODES)),
         window=draw(st.integers(1, 3)),
+        k=draw(st.integers(1, 50)),
     )
 
 
@@ -141,7 +142,7 @@ def _table_rows(source):
 def _model_fields(model):
     u = None if model.unlinkable_feat is None else model.unlinkable_feat.tobytes()
     return (model.w.tobytes(), model.lam, model.unlinkable_enabled, u, model.context_mode,
-            model.window)
+            model.window, model.k)
 
 
 class Kind(NamedTuple):

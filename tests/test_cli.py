@@ -64,8 +64,7 @@ def test_end_to_end_linking(identity_setup, tmp_path):
     assert len(curve) == 11
 
     assert run(["link", "--corpus", str(corpus_path), "--embeddings", str(embeddings),
-                "--model", str(model), "--k", "10", "--rankings",
-                "--out-dir", str(tmp_path / "ln")]) == 0
+                "--model", str(model), "--rankings", "--out-dir", str(tmp_path / "ln")]) == 0
     rankings = tmp_path / "ln" / "rankings.tsv"
     links = (tmp_path / "ln" / "links.tsv").read_text().splitlines()
     outcome = {line.split("\t")[0]: line.split("\t")[1] for line in links}
@@ -87,7 +86,7 @@ def test_expand_cli(identity_setup, tmp_path):
          "--candidates", str(tmp_path / "ret" / "candidates.tsv"), "--gold", str(gold_path),
          "--epochs", "5", "--lr", "1.0", "--out-dir", str(tmp_path / "tr")])
     code = run(["expand", "--corpus", str(corpus_path), "--embeddings", str(embeddings),
-                "--model", str(tmp_path / "tr" / "model.txt"), "--k", "5",
+                "--model", str(tmp_path / "tr" / "model.txt"),
                 "--root", "a00", "--max-depth", "2", "--out-dir", str(tmp_path / "tree")])
     assert code == 0
     payload = json.loads((tmp_path / "tree" / "tree.json").read_text())
@@ -404,7 +403,7 @@ def test_artifacts_do_not_depend_on_hash_seed(identity_setup, tmp_path):
             ["train-reranker", "--corpus", str(corpus_path), "--candidates", str(candidates),
              "--gold", str(gold_path), "--unlinkable", "--out-dir", str(tr)],
             ["link", "--corpus", str(corpus_path), "--embeddings", str(embeddings),
-             "--model", str(tr / "model.txt"), "--k", "10", "--rankings", "--out-dir", str(ln)],
+             "--model", str(tr / "model.txt"), "--rankings", "--out-dir", str(ln)],
         ):
             subprocess.run([sys.executable, "-c", _CLI, *argv], env=env, check=True, timeout=120)
         outputs.append([(tr / "model.txt").read_bytes(), (ln / "links.tsv").read_bytes(),
@@ -814,14 +813,13 @@ def test_link_rankings_read_back_equal_link_all(identity_setup, tmp_path):
                 "--out-dir", str(tmp_path / "tr")]) == 0
     model_path = tmp_path / "tr" / "model.txt"
     assert run(["link", "--corpus", str(corpus_path), "--embeddings", str(embeddings),
-                "--model", str(model_path), "--k", "10", "--rankings",
-                "--out-dir", str(tmp_path / "ln")]) == 0
+                "--model", str(model_path), "--rankings", "--out-dir", str(tmp_path / "ln")]) == 0
 
     corpus, store = load_corpus(corpus_path), load_embeddings(embeddings)
     model = load_model(model_path)
     pipeline = LinkPipeline(
         corpus=corpus, index=build_index(store, corpus.goal_ids()), store=store, model=model,
-        features=LexicalFeatureSource(corpus, model.context_mode, model.window), k=10)
+        features=LexicalFeatureSource(corpus, model.context_mode, model.window))
     want = link_all(pipeline)
     got = read_candidates(tmp_path / "ln" / "rankings.tsv")
     assert got.step_ids == want.step_ids
@@ -832,32 +830,43 @@ def test_link_rankings_read_back_equal_link_all(identity_setup, tmp_path):
 
 
 def test_retrieve_and_link_clamp_k_alike(tmp_path):
-    """On 4 articles each step has 3 goals besides its own: both commands
-    rank those 3 for --k 50."""
-    records, _ = identity_records(4)
-    corpus_path = tmp_path / "corpus.jsonl"
+    """`link` retrieves with the k that the model's candidate lists had: on 4
+    articles each step has 3 goals besides its own, so --k 50 gives lists of
+    3; on 20 articles --k 5 gives lists of 5. Each step's reranked list holds
+    exactly the goals of its candidate list, plus UNLINKABLE."""
+    for articles, k, size in ((4, "50", 3), (20, "5", 5)):
+        _check_link_lists_are_the_retrieved_ones(tmp_path / k, articles, k, size)
+
+
+def _check_link_lists_are_the_retrieved_ones(tmp_path, articles, k, size):
+    tmp_path.mkdir()
+    records, gold = identity_records(articles)
+    corpus_path, gold_path = tmp_path / "corpus.jsonl", tmp_path / "gold.tsv"
     write_jsonl(corpus_path, records)
+    gold_path.write_text("".join(f"{s}\t{g}\n" for s, g in gold.items()))
     assert run(["build-index", "--corpus", str(corpus_path), "--out-dir", str(tmp_path / "ix")]) == 0
     embeddings = tmp_path / "ix" / "embeddings.txt"
-    model = tmp_path / "model.txt"
-    save_model(new_model(7, unlinkable=True), model)
     assert run(["retrieve", "--corpus", str(corpus_path), "--embeddings", str(embeddings),
-                "--k", "50", "--out-dir", str(tmp_path / "ret")]) == 0
+                "--k", k, "--out-dir", str(tmp_path / "ret")]) == 0
+    assert run(["train-reranker", "--corpus", str(corpus_path), "--gold", str(gold_path),
+                "--candidates", str(tmp_path / "ret" / "candidates.tsv"), "--unlinkable",
+                "--epochs", "1", "--out-dir", str(tmp_path / "tr")]) == 0
+    model = tmp_path / "tr" / "model.txt"
+    assert f"\nk={size}\n" in model.read_text()
     assert run(["link", "--corpus", str(corpus_path), "--embeddings", str(embeddings),
-                "--model", str(model), "--k", "50", "--rankings",
-                "--out-dir", str(tmp_path / "ln")]) == 0
+                "--model", str(model), "--rankings", "--out-dir", str(tmp_path / "ln")]) == 0
 
-    def goal_sets(path):
-        sets: dict[str, set] = {}
+    def goal_lists(path):
+        lists: dict[str, list] = {}
         for line in path.read_text().splitlines():
             step_id, _, goal_id = line.split("\t")[:3]
-            if goal_id != "UNLINKABLE":
-                sets.setdefault(step_id, set()).add(goal_id)
-        return sets
+            lists.setdefault(step_id, []).append(goal_id)
+        return {step_id: sorted(goals) for step_id, goals in lists.items()}
 
-    retrieved = goal_sets(tmp_path / "ret" / "candidates.tsv")
-    assert retrieved == goal_sets(tmp_path / "ln" / "rankings.tsv")
-    assert len(retrieved) == 12 and all(len(goals) == 3 for goals in retrieved.values())
+    retrieved = goal_lists(tmp_path / "ret" / "candidates.tsv")
+    assert goal_lists(tmp_path / "ln" / "rankings.tsv") == {
+        step_id: sorted([*goals, UNLINKABLE]) for step_id, goals in retrieved.items()}
+    assert len(retrieved) == 3 * articles and all(len(g) == size for g in retrieved.values())
 
 
 def test_config_key_reaches_only_subcommands_with_that_flag(input_files, tmp_path):
@@ -871,12 +880,14 @@ def test_config_key_reaches_only_subcommands_with_that_flag(input_files, tmp_pat
 
 def test_config_key_of_no_subcommand_exits_2(input_files, tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"epochz": 3}))
-    code = run([f"--config={config}", "retrieve", "--corpus", str(input_files["corpus"]),
-                "--embeddings", str(input_files["embeddings"]), "--out-dir", str(tmp_path / "r")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert f"{config}: " in err and "'epochz'" in err
+    for key, value in (("epochz", 3), ("wg", 0.5), ("no_exclude_parent", True)):
+        config.write_text(json.dumps({key: value}))
+        code = run([f"--config={config}", "retrieve", "--corpus", str(input_files["corpus"]),
+                    "--embeddings", str(input_files["embeddings"]),
+                    "--out-dir", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{config}: " in err and repr(key) in err
 
 
 @pytest.fixture
@@ -890,15 +901,15 @@ def config_commands(identity_setup, tmp_path):
                 "--embeddings", str(tmp_path / "ix" / "embeddings.txt")]
     assert run([*retrieve, "--k", "5", "--out-dir", str(tmp_path / "ret")]) == 0
     train = ["train-reranker", "--corpus", str(corpus_path), "--gold", str(gold_path),
-             "--candidates", str(tmp_path / "ret" / "candidates.tsv"), "--epochs", "1"]
+             "--candidates", str(tmp_path / "ret" / "candidates.tsv")]
     return {"retrieve": retrieve, "train-reranker": train}
 
 
 @pytest.mark.parametrize(
     "command, values",
     [("retrieve", {"k": [5]}), ("retrieve", {"k": 5.7}), ("retrieve", {"k": True}),
-     ("retrieve", {"k": None}), ("retrieve", {"no_exclude_parent": "false"}),
-     ("retrieve", {"no_exclude_parent": 1}), ("train-reranker", {"context_mode": "bogus"})],
+     ("retrieve", {"k": None}), ("train-reranker", {"unlinkable": "false"}),
+     ("train-reranker", {"unlinkable": 1}), ("train-reranker", {"context_mode": "bogus"})],
     ids=["list", "float-for-int", "bool-for-int", "null", "string-for-switch",
          "number-for-switch", "not-a-choice"],
 )
@@ -925,14 +936,14 @@ def test_config_values_convert_like_flags(config_commands, tmp_path):
         assert (out / "candidates.tsv").read_text() == want
         assert json.loads((out / "manifest.json").read_text())["config"]["k"] == 5
 
+    train = config_commands["train-reranker"]
     config = tmp_path / "switch.json"
-    config.write_text(json.dumps({"no_exclude_parent": True}))
-    assert run(["--config", str(config), *retrieve, "--k", "5",
-                "--out-dir", str(tmp_path / "sw")]) == 0
-    assert run([*retrieve, "--k", "5", "--no-exclude-parent",
-                "--out-dir", str(tmp_path / "swflag")]) == 0
-    got = (tmp_path / "sw" / "candidates.tsv").read_text()
-    assert got == (tmp_path / "swflag" / "candidates.tsv").read_text() != want
+    config.write_text(json.dumps({"unlinkable": True}))
+    assert run(["--config", str(config), *train, "--out-dir", str(tmp_path / "sw")]) == 0
+    assert run([*train, "--unlinkable", "--out-dir", str(tmp_path / "swflag")]) == 0
+    assert run([*train, "--out-dir", str(tmp_path / "plain")]) == 0
+    models = [(tmp_path / name / "model.txt").read_text() for name in ("sw", "swflag", "plain")]
+    assert models[0] == models[1] != models[2]
 
 
 def test_config_value_is_checked_by_the_subcommand_run(tmp_path, capsys):
@@ -958,7 +969,7 @@ def test_config_without_path_is_a_usage_error(capsys):
 @pytest.mark.parametrize(
     "flag, value",
     [("--batch", "0"), ("--batch", "-3"), ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-inf"),
-     ("--lr", "0"), ("--lr", "-0.5"), ("--window", "0")],
+     ("--lr", "0"), ("--lr", "-0.5"), ("--window", "0"), ("--epochs", "0"), ("--epochs", "-1")],
 )
 def test_bad_training_flag_is_a_usage_error(config_commands, tmp_path, capsys, flag, value):
     capsys.readouterr()
@@ -968,8 +979,8 @@ def test_bad_training_flag_is_a_usage_error(config_commands, tmp_path, capsys, f
     assert not out.exists()
 
 
-@pytest.mark.parametrize("values", [{"batch": 0}, {"lr": "nan"}, {"lr": -1}],
-                         ids=["batch-0", "lr-nan", "lr-negative"])
+@pytest.mark.parametrize("values", [{"batch": 0}, {"lr": "nan"}, {"lr": -1}, {"epochs": 0}],
+                         ids=["batch-0", "lr-nan", "lr-negative", "epochs-0"])
 def test_bad_training_config_value_is_a_usage_error(config_commands, tmp_path, capsys, values):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(values))
@@ -1081,6 +1092,12 @@ _SUBCOMMANDS = {
 }
 
 
+def _subcommand(input_files, name) -> list[str]:
+    """The argv of `_SUBCOMMANDS[name]` over `input_files`."""
+    paths = {k: str(v) for k, v in input_files.items()}
+    return [arg.format(**paths) for arg in _SUBCOMMANDS[name]]
+
+
 @pytest.mark.parametrize("name", sorted(_SUBCOMMANDS))
 def test_manifest_lists_the_input_files_given_and_the_files_written(input_files, tmp_path, name):
     paths = {k: str(v) for k, v in input_files.items()}
@@ -1092,6 +1109,44 @@ def test_manifest_lists_the_input_files_given_and_the_files_written(input_files,
     assert manifest["outputs"] == written
     given = {arg.format(**paths) for arg in _SUBCOMMANDS[name] if arg.startswith("{")}
     assert set(manifest["inputs"]) == given
+
+
+@pytest.mark.parametrize(
+    "name, flag, value",
+    [("retrieve", "--k", "0"), ("expand", "--max-depth", "-1"), ("search", "-n", "0"),
+     ("build-index", "--dim", "4")],
+)
+def test_bad_integer_flag_is_a_usage_error(input_files, tmp_path, capsys, name, flag, value):
+    argv = _subcommand(input_files, name)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([*argv, flag, value, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: {flag} must be >= ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, flag", [("link", "--k"), ("expand", "--k"),
+                                        ("link", "--no-exclude-parent"),
+                                        ("expand", "--no-exclude-parent"),
+                                        ("retrieve", "--no-exclude-parent")])
+def test_stage1_settings_are_flags_of_retrieve_only(input_files, tmp_path, capsys, name, flag):
+    """`link` and `expand` take k from the model, and every command excludes
+    a step's own article."""
+    argv = _subcommand(input_files, name)
+    extra = [flag, "5"] if flag == "--k" else [flag]
+    capsys.readouterr()
+    assert run([*argv, *extra, "--out-dir", str(tmp_path / "out")]) == 1
+    assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+
+
+def test_expand_root_outside_the_corpus_exits_2(input_files, tmp_path, capsys):
+    argv = _subcommand(input_files, "expand")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([*argv, "--root", "nosuch", "--out-dir", str(out)]) == 2
+    assert (f"error: --root 'nosuch' is not a goal of --corpus {input_files['corpus']}"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_vr_eval_queries_and_corpus_exclude_each_other(input_files, tmp_path, capsys):
@@ -1122,7 +1177,7 @@ def test_non_ascii_paths_and_root_are_kept_with_the_same_config_hash(tmp_path, m
     for out, config_hash, kept in (
         ("ïx", "a65c71ef491b05ce1b14e17a310583090f8cddb003d810cd144418e34711845f",
          ['"corpus": "kórpus.jsonl"']),
-        ("trée", "a8f46023999f3666ce5e3f18858aa8efa6f8332494f23754ef15b5fddd939989",
+        ("trée", "2fb3454c33595f0f971b26aab5b7d7d7ffe24570b126b28dc3d9940eb0f4fb7a",
          ['"root": "ä00"', '"mödel.txt": "', '"ïx/embeddings.txt": "']),
     ):
         text = Path(out, "manifest.json").read_bytes().decode("utf-8")

@@ -16,8 +16,9 @@ Paths, sha256 digests and config hashes are masked out first; the config
 hashes depend on the bytes of the trained weights.
 
 The pinned values are in `golden_link.json`. To re-pin, run this file as a
-script (`PYTHONPATH=src python tests/test_golden_link.py`) and state the
-reason for the change.
+script (`PYTHONPATH=src python tests/test_golden_link.py`): it prints each
+artifact whose pin it adds, removes or changes, and whether its text or its
+numbers moved, before it writes. State the reason for the change.
 """
 
 import hashlib
@@ -106,13 +107,12 @@ def run_chain(tmp_path: Path) -> dict[str, str]:
     candidates = str(tmp_path / "ret" / "candidates.tsv")
     run("train-reranker", "--corpus", corpus, "--candidates", candidates, "--gold", gold,
         *TRAIN_FLAGS, out="tr")
-    run("link", "--corpus", corpus, "--embeddings", emb, "--model", model, "--k", "4",
-        "--rankings", out="ln")
+    run("link", "--corpus", corpus, "--embeddings", emb, "--model", model, "--rankings", out="ln")
     run("eval-links", "--rankings", str(tmp_path / "ln" / "rankings.tsv"), "--gold", gold,
         "--ns", "1,2,4", out="ev")
     for root in ROOTS:
-        run("expand", "--corpus", corpus, "--embeddings", emb, "--model", model, "--k", "4",
-            "--root", root, "--max-depth", "3", out=f"tree_{root}")
+        run("expand", "--corpus", corpus, "--embeddings", emb, "--model", model, "--root", root,
+            "--max-depth", "3", out=f"tree_{root}")
     return {
         str(p.relative_to(tmp_path)): MASK.sub('"<hex>"', p.read_text(encoding="utf-8").replace(
             str(tmp_path), "<tmp>"))
@@ -185,6 +185,40 @@ def test_train_reranker_bytes_do_not_depend_on_blas_or_simd(tmp_path):
     assert len(set(digests.values())) == 1, digests
 
 
+def changes(old: dict, new: dict) -> list[str]:
+    """One line for each artifact whose pin `new` adds, removes or changes
+    from `old`: its text, or how many of its numbers moved and how many of
+    those by more than TOL."""
+    out = []
+    for name in sorted(old.keys() | new.keys()):
+        if name not in old or name not in new:
+            out.append(f"{'added' if name in new else 'removed'} {name}")
+            continue
+        parts = ["text"] if old[name]["text_sha256"] != new[name]["text_sha256"] else []
+        a, b = old[name]["numbers"], new[name]["numbers"]
+        moved = [(x, y) for x, y in zip(a, b) if x != y]
+        if len(a) != len(b):
+            parts.append(f"numbers: {len(a)} -> {len(b)} values")
+        elif moved:
+            far = sum(not math.isclose(x, y, rel_tol=TOL, abs_tol=TOL) for x, y in moved)
+            parts.append(f"numbers: {len(moved)} of {len(a)} moved, {far} by more than {TOL:g}")
+        if parts:
+            out.append(f"changed {name}: {'; '.join(parts)}")
+    return out
+
+
+def test_changes_names_each_pin_added_removed_or_changed():
+    def pins(**values):
+        return {name: {"text_sha256": text, "numbers": numbers}
+                for name, (text, numbers) in values.items()}
+
+    old = pins(a=("1", [1.0, 2.0]), b=("1", []), c=("1", [1.0]), d=("1", [1.0]))
+    new = pins(a=("2", [1.0, 2.5]), e=("1", []), c=("1", [1.0]), d=("1", []))
+    assert changes(old, new) == ["changed a: text; numbers: 1 of 2 moved, 1 by more than 1e-12",
+                                 "removed b", "changed d: numbers: 1 -> 0 values", "added e"]
+    assert changes(old, old) == []
+
+
 def dump(pinned: dict) -> str:
     """The pinned values as JSON, one artifact per line."""
     rows = (f"{json.dumps(name)}: {json.dumps(value)}" for name, value in sorted(pinned.items()))
@@ -193,5 +227,8 @@ def dump(pinned: dict) -> str:
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        GOLDEN.write_text(dump(pin(run_chain(Path(tmp)))), encoding="utf-8")
+        pinned = pin(run_chain(Path(tmp)))
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    print("\n".join(changes(old, pinned)) or "no pin changed")
+    GOLDEN.write_text(dump(pinned), encoding="utf-8")
     print(f"wrote {GOLDEN}")

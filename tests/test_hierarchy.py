@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,16 +37,13 @@ def exact_match_model(dim=7, unlinkable=False):
     return RerankModel(w=w, lam=0.0, unlinkable_feat=u)
 
 
-def make_pipeline(records, model=None, k=30, exclude_parent=True):
+def make_pipeline(records, model=None):
     corpus = make_corpus(records)
     store = embed_corpus(corpus, dim=16, seed=0)
     index = build_index(store, corpus.goal_ids())
     model = model if model is not None else exact_match_model()
     source = LexicalFeatureSource(corpus)
-    return LinkPipeline(
-        corpus=corpus, index=index, store=store, model=model,
-        features=source, k=k, exclude_parent=exclude_parent,
-    )
+    return LinkPipeline(corpus=corpus, index=index, store=store, model=model, features=source)
 
 
 def chain_records():
@@ -199,15 +197,15 @@ def test_link_decisions_are_reused_per_pipeline():
     fresh = make_pipeline(chain_records())
     assert link_step(fresh, "A_s0") == first
     with pytest.raises(AttributeError):
-        pipeline.k = 1
+        pipeline.model = exact_match_model()
 
 
 def test_batched_links_equal_one_step_at_a_time():
     records, _ = identity_records(30)  # 90 steps: several feature blocks
-    model = exact_match_model(unlinkable=True)
-    batched = link_all(make_pipeline(records, model=model, k=5))
+    model = replace(exact_match_model(unlinkable=True), k=5)
+    batched = link_all(make_pipeline(records, model=model))
     for i, (step_id, decision) in enumerate(zip(batched.step_ids, decisions(batched))):
-        alone = make_pipeline(records, model=model, k=5)
+        alone = make_pipeline(records, model=model)
         one = hierarchy.link_steps(alone, (step_id,))
         assert one.goal_ids == batched.goal_ids[batched.rows(i)]
         assert one.sim2.tobytes() == batched.sim2[batched.rows(i)].tobytes()

@@ -680,6 +680,7 @@ def test_model_checkpoint_round_trip(tmp_path):
         unlinkable_feat=rng.normal(size=8),
         context_mode="both",
         window=2,
+        k=12,
     )
     path = tmp_path / "model.txt"
     save_model(model, path)
@@ -690,6 +691,7 @@ def test_model_checkpoint_round_trip(tmp_path):
     assert loaded.unlinkable_feat.tobytes() == model.unlinkable_feat.tobytes()
     assert loaded.context_mode == "both"
     assert loaded.window == 2
+    assert loaded.k == 12
 
 
 def test_model_checkpoint_validation(tmp_path):
@@ -712,14 +714,20 @@ def test_model_checkpoint_validation(tmp_path):
         ({"unlinkable": -1}, "W 0.0 1.0 2.0\nU 5.0 5.0 5.0\n",
          "unlinkable must be 0 or 1, got '-1'"),
         ({"window": 0}, "W 0.0 1.0 2.0\nU 5.0 5.0 5.0\n", "window must be >= 1, got 0"),
+        ({"k": 0}, "W 0.0 1.0 2.0\nU 5.0 5.0 5.0\n", "k must be >= 1, got 0"),
+        ({"k": None}, "W 0.0 1.0 2.0\nU 5.0 5.0 5.0\n", r"malformed model checkpoint \('k'\)"),
+        ({"k": 2.5}, "W 0.0 1.0 2.0\nU 5.0 5.0 5.0\n", "malformed model checkpoint"),
     ],
     ids=["no-W-line", "short-U-row", "non-float-W", "no-U-row", "U-row-not-unlinkable",
-         "unlinkable-2", "unlinkable-minus-1", "window-0"],
+         "unlinkable-2", "unlinkable-minus-1", "window-0", "k-0", "no-k-line", "k-2.5"],
 )
 def test_model_checkpoint_rejects_bad_vectors(tmp_path, keys, vectors, message):
-    keys = {"dim": 3, "lambda": 1.0, "unlinkable": 1, "context_mode": "none", "window": 1, **keys}
+    """`keys` are written over the defaults; a key set to None is left out."""
+    keys = {"dim": 3, "lambda": 1.0, "unlinkable": 1, "context_mode": "none", "window": 1,
+            "k": 30, **keys}
     path = tmp_path / "model.txt"
-    path.write_text("".join(f"{key}={value}\n" for key, value in keys.items()) + vectors)
+    path.write_text("".join(f"{key}={value}\n" for key, value in keys.items()
+                            if value is not None) + vectors)
     with pytest.raises(DataError, match=message) as info:
         load_model(path)
     assert str(path) in str(info.value)

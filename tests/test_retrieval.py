@@ -124,8 +124,6 @@ def test_retrieve_all_clamps_k_to_the_goals_left():
     store = embed_corpus(corpus, dim=16, seed=4)
     index = build_index(store, corpus.goal_ids())
     assert retrieve_all(index, store, corpus.steps(), k=5).offsets.tolist() == list(range(6))
-    ranked = retrieve_all(index, store, corpus.steps(), k=5, exclude_parent=False)
-    assert ranked.offsets.tolist() == list(range(0, 12, 2))
     one_goal = build_index(store, ["g1"])
     with pytest.raises(ValueError, match="no goals available for step 's1'"):
         retrieve_all(one_goal, store, corpus.steps(), k=5)
