@@ -44,7 +44,6 @@ from .videoretrieval import (
     L1,
     ClauseScorer,
     build_video_index,
-    candidate_pool,
     filter_steps,
     load_videos,
     make_query,
@@ -151,25 +150,19 @@ def _parse_ns(raw: str) -> list[int]:
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def _embeddings(path: str, ids: list[str]):
-    """The vectors in `path`, which must hold one for each of `ids`."""
+def _embeddings(path: str, corpus):
+    """The vectors in `path`, which must hold one for each goal and step of `corpus`."""
     store = load_embeddings(path)
+    ids = corpus.goal_ids() + [step.step_id for step in corpus.steps()]
     missing = next((i for i in ids if i not in store), None)
     if missing is not None:
         raise DataError(f"{path}: no embedding for corpus id {missing!r}")
     return store
 
 
-def _corpus_ids(corpus) -> list[str]:
-    return corpus.goal_ids() + [step.step_id for step in corpus.steps()]
-
-
 def cmd_build_index(args) -> None:
     corpus = load_corpus(args.corpus)
-    if args.embeddings:
-        store = _embeddings(args.embeddings, corpus.goal_ids())
-    else:
-        store = embed_corpus(corpus, dim=args.dim, seed=args.seed, lowercase=args.lowercase)
+    store = embed_corpus(corpus, dim=args.dim, seed=args.seed, lowercase=args.lowercase)
     embeddings, report = _output(args, "embeddings.txt", "corpus_report.txt")
     save_embeddings(store, embeddings)
     report.write_text(validation_report(corpus), encoding="utf-8")
@@ -177,7 +170,7 @@ def cmd_build_index(args) -> None:
 
 def cmd_retrieve(args) -> None:
     corpus = load_corpus(args.corpus)
-    store = _embeddings(args.embeddings, _corpus_ids(corpus))
+    store = _embeddings(args.embeddings, corpus)
     index = build_index(store, corpus.goal_ids())
     ranked = retrieve_all(index, store, corpus.steps(), args.k)
     write_candidates(_output(args, "candidates.tsv")[0], ranked)
@@ -239,7 +232,7 @@ def cmd_train_reranker(args) -> None:
 def _pipeline(args) -> LinkPipeline:
     """The pipeline `link` and `expand` run."""
     corpus = load_corpus(args.corpus)
-    store = _embeddings(args.embeddings, _corpus_ids(corpus))
+    store = _embeddings(args.embeddings, corpus)
     index = build_index(store, corpus.goal_ids())
     model = load_model(args.model)
     if args.features:
@@ -338,25 +331,17 @@ def cmd_vr_filter(args) -> None:
     if args.level == FIL_L2 and links is None:
         raise UsageError("--links is required for level fil_l2")
 
-    queries = [
-        filter_steps(
-            goal_id,
-            corpus.article(goal_id).title,
-            candidate_pool(corpus, goal_id, args.level, links=links),
-            train_ids,
-            index,
-            cap=args.cap,
-            cost_kind=args.cost,
-            level=args.level,
-        )
-        for goal_id, train_ids in splits["train"].items()
-    ]
+    queries = [filter_steps(make_query(corpus, goal_id, args.level, links), train_ids, index,
+                            cap=args.cap, cost_kind=args.cost)
+               for goal_id, train_ids in splits["train"].items()]
     write_queries(_output(args, "queries.json")[0], queries)
 
 
 def cmd_vr_eval(args) -> None:
     if bool(args.queries) == bool(args.corpus):
         raise UsageError("give exactly one of --queries and --corpus")
+    if args.queries and args.level is not None:
+        raise UsageError("--level is for --corpus queries; --queries gives each query's level")
     corpus = load_corpus(args.corpus) if args.corpus else None
     splits, index = _videos(args, corpus)
 
@@ -367,11 +352,11 @@ def cmd_vr_eval(args) -> None:
                 raise DataError(f"{args.queries}: item {i}: level {query.level!r} differs "
                                 f"from item 1's {queries[0].level!r}")
     else:
-        queries = [make_query(corpus, goal_id, args.level) for goal_id in splits["train"]]
+        queries = [make_query(corpus, goal_id, args.level or L0) for goal_id in splits["train"]]
 
     part = splits[args.split]
     scorer = ClauseScorer(index)
-    ranks = {q.goal_id: rank_videos(index, q, part[q.goal_id], scorer)
+    ranks = {q.goal_id: rank_videos(scorer, q, part[q.goal_id])
              for q in queries if part.get(q.goal_id)}
     if not ranks:
         given = f"--queries {args.queries}" if args.queries else f"--corpus {args.corpus}"
@@ -379,9 +364,10 @@ def cmd_vr_eval(args) -> None:
                         f"--split {args.split} part of --videos {args.videos}")
     ns = _parse_ns(args.ns)
     metrics = vr_metrics(ranks, ns)
+    args.level = queries[0].level  # the level evaluated, which the manifest records
 
     header = ["level"]
-    row = [queries[0].level if queries else ""]
+    row = [args.level]
     for n in ns:
         header += [f"r@{n}", f"p@{n}"]
         row += [metrics.recall[n], metrics.precision[n]]
@@ -404,10 +390,8 @@ def build_parser() -> Parser:
         parser.subcommands[name] = p  # type: ignore[attr-defined]
         return p
 
-    p = add("build-index", cmd_build_index, help="embed a corpus (or ingest external vectors)")
+    p = add("build-index", cmd_build_index, help="embed a corpus with the hashed n-gram embedder")
     p.add_argument("--corpus", required=True, type=infile)
-    p.add_argument("--embeddings", type=infile,
-                   help="external vector file; skips the built-in embedder")
     p.add_argument("--dim", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lowercase", action="store_true", help="lowercase text before embedding")
@@ -480,7 +464,8 @@ def build_parser() -> Parser:
     p.add_argument("--videos", required=True, type=infile)
     p.add_argument("--queries", type=infile, help="queries.json from vr-filter; or --corpus")
     p.add_argument("--corpus", type=infile, help="builds unfiltered --level queries; or --queries")
-    p.add_argument("--level", choices=[L0, L1], default=L0, type=str.upper)
+    p.add_argument("--level", choices=[L0, L1], type=str.upper,
+                   help="level of the --corpus queries (default L0)")
     p.add_argument("--index", required=True, type=infile, help="vr_index.json from vr-index")
     p.add_argument("--split", choices=["train", "dev", "test"], default="test")
     p.add_argument("--ns", default="1,10,25,50")

@@ -11,7 +11,6 @@ import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -25,7 +24,7 @@ from .retrieval import GoalIndex, Ranked, retrieve_all
 @dataclass(frozen=True)
 class LinkPipeline:
     """Everything one link decision depends on. Frozen, because decisions
-    and the config hash are computed once per pipeline and then reused."""
+    are computed once per pipeline and then reused."""
 
     corpus: Corpus
     index: GoalIndex
@@ -37,10 +36,6 @@ class LinkPipeline:
     )
 
     def config_hash(self) -> str:
-        return self._config_hash
-
-    @cached_property
-    def _config_hash(self) -> str:
         payload = {  # "exclude_parent" is always true; kept so tree config hashes stay put
             "k": self.model.k,
             "exclude_parent": True,

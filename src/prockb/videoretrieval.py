@@ -20,7 +20,7 @@ inclusive, so at most min(n, cap) + 1 clauses can be accepted.
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -107,47 +107,29 @@ class Query:
     level: str
 
 
-def make_query(corpus: Corpus, goal_id: str, level: str) -> Query:
-    """Unfiltered query: L0 is the bare goal, L1 adds the article's steps."""
+def make_query(
+    corpus: Corpus, goal_id: str, level: str, links: Mapping[str, str] | None = None
+) -> Query:
+    """The unfiltered query of `level`. L0 is the bare goal, and L1 adds the
+    article's steps. FIL_L1 and FIL_L2 hold the pool that `filter_steps`
+    filters: the article's steps and, for FIL_L2, the steps of each article
+    that `links` links one of them to (grandchildren from the knowledge
+    base). A pool holds each text once, first occurrence first."""
+    if level not in LEVELS:
+        raise ValueError(f"unknown query level {level!r}")
     article = corpus.article(goal_id)
-    if level not in (L0, L1):
-        raise ValueError(f"make_query builds L0/L1 queries, got {level!r}")
-    steps = tuple(s.text for s in article.steps) if level == L1 else ()
-    w_g, w_s = LEVEL_WEIGHTS[level]
-    return Query(goal_id, article.title, steps, w_g=w_g, w_s=w_s, level=level)
-
-
-def candidate_pool(
-    corpus: Corpus,
-    goal_id: str,
-    level: str,
-    links: Mapping[str, str] | None = None,
-) -> list[str]:
-    """Candidate step clauses for filtering.
-
-    FIL_L1: the article's own steps. FIL_L2: own steps plus, for each step
-    linked to another article in `links`, that article's steps (grandchildren
-    discovered by the knowledge base). Duplicate texts are kept once, first
-    occurrence wins, article order preserved.
-    """
-    article = corpus.article(goal_id)
-    texts = [s.text for s in article.steps]
+    texts = [s.text for s in article.steps] if level != L0 else []
     if level == FIL_L2:
         if links is None:
-            raise ValueError("FIL_L2 pools need a step -> goal link map")
+            raise ValueError("FIL_L2 queries need a step -> goal link map")
         for step in article.steps:
-            target = links.get(step.step_id)
-            if target and target != UNLINKABLE and target in corpus:
+            target = links.get(step.step_id, UNLINKABLE)  # a reserved id, never a goal
+            if target in corpus:
                 texts.extend(s.text for s in corpus.article(target).steps)
-    elif level != FIL_L1:
-        raise ValueError(f"candidate pools exist for FIL_L1/FIL_L2, got {level!r}")
-    seen = set()
-    pool = []
-    for text in texts:
-        if text not in seen:
-            seen.add(text)
-            pool.append(text)
-    return pool
+    if level in (FIL_L1, FIL_L2):
+        texts = list(dict.fromkeys(texts))
+    w_g, w_s = LEVEL_WEIGHTS[level]
+    return Query(goal_id, article.title, tuple(texts), w_g=w_g, w_s=w_s, level=level)
 
 
 def rel(index: TextIndex, query: Query, video_id: str) -> float:
@@ -212,11 +194,10 @@ class ClauseScorer:
         return np.lexsort((self.index.id_rank, -scores))
 
 
-def rank_videos(
-    index: TextIndex, query: Query, relevant_ids: Sequence[str], scorer: ClauseScorer
-) -> list[int]:
-    """1-based ranks of `relevant_ids` in the whole pool ranked by rel, ties
-    by ascending video_id; an unknown id raises KeyError."""
+def rank_videos(scorer: ClauseScorer, query: Query, relevant_ids: Sequence[str]) -> list[int]:
+    """1-based ranks of `relevant_ids` in the scorer's whole pool ranked by
+    rel, ties by ascending video_id; an unknown id raises KeyError."""
+    index = scorer.index
     if index.n_docs == 0:
         raise ValueError("cannot rank an empty video pool")
     rel_idx = np.array([index.doc_idx(v) for v in relevant_ids], dtype=np.int64)
@@ -323,22 +304,19 @@ def make_cost_fn(
 
 
 def filter_steps(
-    goal_id: str,
-    goal_text: str,
-    candidates: Sequence[str],
+    query: Query,
     train_video_ids: Sequence[str],
     index: TextIndex,
     cap: int = DEFAULT_CAP,
     cost_kind: str = COST_KINDS[0],
-    level: str = FIL_L1,
 ) -> Query:
-    """A query with `level`'s weights, hill-climbed on the goal's training videos."""
+    """`query` with only the steps that the hill climb over the goal's
+    training videos accepts, in acceptance order, under the query's weights."""
     if not train_video_ids:
-        raise ValueError(f"goal {goal_id!r} has no training videos to filter against")
-    w_g, w_s = LEVEL_WEIGHTS[level]
-    cost_fn = make_cost_fn(index, train_video_ids, w_g, w_s, kind=cost_kind)
-    trace = hill_climb(goal_text, candidates, cost_fn, cap=cap)
-    return Query(goal_id, goal_text, tuple(trace.clauses), w_g=w_g, w_s=w_s, level=level)
+        raise ValueError(f"goal {query.goal_id!r} has no training videos to filter against")
+    cost_fn = make_cost_fn(index, train_video_ids, query.w_g, query.w_s, kind=cost_kind)
+    trace = hill_climb(query.goal_text, query.steps, cost_fn, cap=cap)
+    return replace(query, steps=tuple(trace.clauses))
 
 
 # ---------------------------------------------------------------------------

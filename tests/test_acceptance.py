@@ -36,7 +36,6 @@ from prockb.videoretrieval import (
     ClauseScorer,
     VideoDoc,
     build_video_index,
-    candidate_pool,
     filter_steps,
     hill_climb,
     make_cost_fn,
@@ -480,20 +479,11 @@ def test_a11_query_level_ordering():
             mean_ranks = {}
             for level in (L0, L1):
                 queries = [make_query(corpus, g, level) for g in splits["train"]]
-                ranks = {q.goal_id: rank_videos(index, q, gold[q.goal_id], scorer)
-                         for q in queries}
+                ranks = {q.goal_id: rank_videos(scorer, q, gold[q.goal_id]) for q in queries}
                 mean_ranks[level] = vr_metrics(ranks, ns=[10]).mean_rank
-            queries = [
-                filter_steps(
-                    g,
-                    corpus.article(g).title,
-                    candidate_pool(corpus, g, FIL_L1),
-                    train_ids,
-                    index,
-                )
-                for g, train_ids in splits["train"].items()
-            ]
-            ranks = {q.goal_id: rank_videos(index, q, gold[q.goal_id], scorer) for q in queries}
+            queries = [filter_steps(make_query(corpus, g, FIL_L1), train_ids, index)
+                       for g, train_ids in splits["train"].items()]
+            ranks = {q.goal_id: rank_videos(scorer, q, gold[q.goal_id]) for q in queries}
             mean_ranks[FIL_L1] = vr_metrics(ranks, ns=[10]).mean_rank
             if mean_ranks[FIL_L1] <= mean_ranks[L1] <= mean_ranks[L0]:
                 wins += 1

@@ -162,23 +162,24 @@ def test_reused_out_dir_keeps_an_input_it_listed(identity_setup, tmp_path):
 
 
 def test_artifact_at_an_input_path_is_a_usage_error(identity_setup, tmp_path, capsys):
-    """build-index given its own artifact path as --embeddings would rewrite
-    `0.50` as `0.5`; it stops before it touches --out-dir."""
+    """retrieve given vectors saved as its own artifact `candidates.tsv`
+    would overwrite them; it stops before it touches --out-dir."""
     corpus_path, _, _ = identity_setup
-    out = tmp_path / "ix"
+    out = tmp_path / "ret"
     out.mkdir()
-    embeddings = out / "embeddings.txt"
-    goal_ids = load_corpus(corpus_path).goal_ids()
-    embeddings.write_text("dim=2\n" + "".join(f"{goal_id} 0.50 1.0\n" for goal_id in goal_ids))
-    before = embeddings.read_bytes()
+    vectors = out / "candidates.tsv"
+    corpus = load_corpus(corpus_path)
+    ids = corpus.goal_ids() + [step.step_id for step in corpus.steps()]
+    vectors.write_text("dim=2\n" + "".join(f"{i} 0.50 1.0\n" for i in ids))
+    before = vectors.read_bytes()
     capsys.readouterr()
-    code = run(["build-index", "--corpus", str(corpus_path),
-                "--embeddings", str(tmp_path / "ix" / ".." / "ix" / "embeddings.txt"),
+    code = run(["retrieve", "--corpus", str(corpus_path),
+                "--embeddings", str(tmp_path / "ret" / ".." / "ret" / "candidates.tsv"),
                 "--out-dir", str(out)])
     assert code == 1
     assert "would overwrite the input" in capsys.readouterr().err
-    assert embeddings.read_bytes() == before
-    assert list(out.iterdir()) == [embeddings]
+    assert vectors.read_bytes() == before
+    assert list(out.iterdir()) == [vectors]
 
 
 def test_clash_on_a_later_artifact_writes_no_artifact(identity_setup, tmp_path, capsys):
@@ -791,9 +792,9 @@ def test_missing_feature_row_exits_2_with_path(identity_setup, tmp_path, capsys)
         (["retrieve", "--corpus", "{corpus}", "--embeddings", "{embeddings}"], "a00_probe"),
         (["link", "--corpus", "{corpus}", "--embeddings", "{embeddings}", "--model", "{model}"],
          "a00_probe"),
-        (["build-index", "--corpus", "{corpus}", "--embeddings", "{embeddings}"], "a03"),
+        (["retrieve", "--corpus", "{corpus}", "--embeddings", "{embeddings}"], "a03"),
     ],
-    ids=["retrieve", "link", "build-index"],
+    ids=["retrieve", "link", "retrieve-goal"],
 )
 def test_missing_embedding_exits_2_with_path(input_files, tmp_path, capsys, argv, missing):
     rows = input_files["embeddings"].read_text().splitlines(keepends=True)
@@ -1076,7 +1077,7 @@ def test_id_with_whitespace_exits_2_in_build_index(tmp_path, capsys):
 # paths; each placeholder is given to a flag that names an input file, and
 # nothing else is an input (`link --rankings` is a switch).
 _SUBCOMMANDS = {
-    "build-index": ["build-index", "--corpus", "{corpus}", "--embeddings", "{embeddings}"],
+    "build-index": _READERS["corpus"],
     "retrieve": _READERS["embeddings"],
     "train-reranker": _READERS["features"],
     "link": ["link", "--corpus", "{corpus}", "--embeddings", "{embeddings}",
@@ -1162,6 +1163,37 @@ def test_vr_eval_queries_and_corpus_exclude_each_other(input_files, tmp_path, ca
     assert "--queries and --corpus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, flags, level", [("queries", [], "FIL_L1"), ("vr_index", [], "L0"),
+                                                ("vr_index", ["--level", "l1"], "L1")],
+                         ids=["queries", "corpus", "corpus-level"])
+def test_vr_eval_manifest_records_the_level_evaluated(input_files, tmp_path, kind, flags, level):
+    """--queries evaluates its file's level, and --corpus its --level (L0 by default)."""
+    paths = {k: str(v) for k, v in input_files.items()}
+    argv = [arg.format(**paths) for arg in _READERS[kind]]
+    out = tmp_path / "ve"
+    assert run([*argv, *flags, "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["level"] == level
+    assert (out / "vr_metrics.tsv").read_text().splitlines()[1].split("\t")[0] == level
+
+
+@pytest.mark.parametrize("by", ["flag", "config"])
+def test_vr_eval_level_with_queries_is_a_usage_error(input_files, tmp_path, capsys, by):
+    paths = {k: str(v) for k, v in input_files.items()}
+    argv = [arg.format(**paths) for arg in _READERS["queries"]]
+    if by == "flag":
+        argv += ["--level", "L0"]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text('{"level": "L0"}\n')
+        argv = ["--config", str(config), *argv]
+    capsys.readouterr()
+    out = tmp_path / "ve"
+    assert run([*argv, "--out-dir", str(out)]) == 1
+    assert "--level is for --corpus queries" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_ascii_paths_and_root_are_kept_with_the_same_config_hash(tmp_path, monkeypatch):
     """Manifests keep non-ASCII characters as they are, while the config
     hash is still taken over the ASCII-escaped config: these hashes are the
@@ -1175,7 +1207,8 @@ def test_non_ascii_paths_and_root_are_kept_with_the_same_config_hash(tmp_path, m
     assert run(["expand", "--corpus", "kórpus.jsonl", "--embeddings", "ïx/embeddings.txt",
                 "--model", "mödel.txt", "--root", "ä00", "--out-dir", "trée"]) == 0
     for out, config_hash, kept in (
-        ("ïx", "a65c71ef491b05ce1b14e17a310583090f8cddb003d810cd144418e34711845f",
+        # build-index's hash is over the same config less the deleted `embeddings` key
+        ("ïx", "7fc21e075fb36d3db4fd659b7f455ccf15064f0abe0dd1f2c8a42e4c0477576c",
          ['"corpus": "kórpus.jsonl"']),
         ("trée", "2fb3454c33595f0f971b26aab5b7d7d7ffe24570b126b28dc3d9940eb0f4fb7a",
          ['"root": "ä00"', '"mödel.txt": "', '"ïx/embeddings.txt": "']),

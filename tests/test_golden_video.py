@@ -4,9 +4,10 @@ The inputs are built here from one `random.Random`, over a six-word
 vocabulary so that many videos share a score. Every data artifact (not the
 manifests) must have the pinned sha256. These artifacts involve no BLAS sums,
 so the hashes hold on any numpy build; a change to them is a change in what
-the chain computes, and any re-pin needs its reason stated. To print the
-hashes for a re-pin, run this file as a script
-(`PYTHONPATH=src python tests/test_golden_video.py`).
+the chain computes, and any re-pin needs its reason stated. To re-pin, run
+this file as a script (`PYTHONPATH=src python tests/test_golden_video.py`):
+it names each pin that it would add, remove or change, then prints every
+hash to paste into GOLDEN.
 """
 
 import hashlib
@@ -76,7 +77,7 @@ def write_inputs(tmp_path):
 
 
 def run_chain(tmp_path):
-    """Run the chain into `tmp_path`; returns the sha256 of each pinned artifact."""
+    """Run the chain into `tmp_path`; returns the sha256 of each data artifact."""
     paths = write_inputs(tmp_path)
     corpus, videos, links = (str(paths[n]) for n in ("corpus.jsonl", "videos.jsonl", "links.tsv"))
     index = str(tmp_path / "vix" / "vr_index.json")
@@ -97,7 +98,8 @@ def run_chain(tmp_path):
     for level in ("L0", "L1"):
         run("vr-eval", "--videos", videos, "--corpus", corpus, "--level", level,
             "--index", index, out=f"ve_{level}")
-    return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN}
+    return {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(tmp_path.glob("*/*")) if p.name != "manifest.json"}
 
 
 def test_video_chain_artifacts_are_pinned(tmp_path):
@@ -106,7 +108,22 @@ def test_video_chain_artifacts_are_pinned(tmp_path):
     assert any(q["steps"] for q in queries), "the filter should accept some step"
 
 
+def changes(old: dict, new: dict) -> list[str]:
+    """One line for each artifact whose pin `new` adds, removes or changes from `old`."""
+    return [f"{'added' if name not in old else 'removed' if name not in new else 'changed'} {name}"
+            for name in sorted(old.keys() | new.keys()) if old.get(name) != new.get(name)]
+
+
+def test_changes_names_each_pin_added_removed_or_changed():
+    old = {"a": "1", "b": "1", "c": "1"}
+    new = {"a": "2", "c": "1", "d": "1"}
+    assert changes(old, new) == ["changed a", "removed b", "added d"]
+    assert changes(old, old) == []
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        for name, digest in run_chain(Path(tmp)).items():
-            print(f"    {name!r}:\n        {digest!r},")
+        digests = run_chain(Path(tmp))
+    print("\n".join(changes(GOLDEN, digests)) or "no pin changed")
+    for name, digest in digests.items():
+        print(f"    {name!r}:\n        {digest!r},")

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,6 @@ from prockb.videoretrieval import (
     Query,
     VideoDoc,
     build_video_index,
-    candidate_pool,
     filter_steps,
     hill_climb,
     load_videos,
@@ -112,31 +112,31 @@ def test_split_videos_deterministic():
     assert a == b
 
 
-def test_make_query_levels():
-    corpus = make_corpus(RECIPE_RECORDS)
-    q0 = make_query(corpus, "fries", L0)
-    assert q0.steps == ()
-    assert q0.w_g == 1.0
-    q1 = make_query(corpus, "fries", L1)
-    assert q1.steps == ("preheat the oven", "peel and pit the avocados", "bake until golden")
-    assert (q1.w_g, q1.w_s) == (1.0, 0.1)
-    with pytest.raises(ValueError):
-        make_query(corpus, "fries", FIL_L1)
+OWN_STEPS = ("preheat the oven", "peel and pit the avocados", "bake until golden")
 
 
-def test_candidate_pool_levels():
-    corpus = make_corpus(RECIPE_RECORDS)
-    own = [s.text for s in corpus.article("fries").steps]
-    assert candidate_pool(corpus, "fries", FIL_L1) == own
-
-    links = {"fr_s1": "peel"}  # the middle step was linked into the KB
-    deep = candidate_pool(corpus, "fries", FIL_L2, links=links)
-    assert deep == own + ["cut the avocado in half", "remove the stone"]
-
-    unlinked = candidate_pool(corpus, "fries", FIL_L2, links={"fr_s1": "UNLINKABLE"})
-    assert unlinked == own
-    with pytest.raises(ValueError, match="link map"):
-        candidate_pool(corpus, "fries", FIL_L2)
+@pytest.mark.parametrize("level, steps, weights", [
+    (L0, (), (1.0, 0.0)),
+    (L1, OWN_STEPS + ("preheat the oven",), (1.0, 0.1)),
+    (FIL_L1, OWN_STEPS, (1.0, 0.5)),
+    (FIL_L2, OWN_STEPS + ("cut the avocado in half", "remove the stone"), (1.0, 0.5)),
+], ids=[L0, L1, FIL_L1, FIL_L2])
+def test_make_query_levels(level, steps, weights):
+    """"fries" repeats its first step last. Its middle step is linked into
+    the KB; the others link to UNLINKABLE and to a goal outside the corpus."""
+    fries = {**RECIPE_RECORDS[0],
+             "steps": RECIPE_RECORDS[0]["steps"] + [{"id": "fr_s3", "text": "preheat the oven"}]}
+    corpus = make_corpus([fries, RECIPE_RECORDS[1]])
+    links = {"fr_s0": "UNLINKABLE", "fr_s1": "peel", "fr_s2": "ghost"}
+    query = make_query(corpus, "fries", level, links=links)
+    assert query == Query("fries", "Make Avocado Fries", steps, *weights, level)
+    if level == FIL_L2:
+        with pytest.raises(ValueError, match="link map"):
+            make_query(corpus, "fries", level)
+    else:
+        assert make_query(corpus, "fries", level) == query
+    with pytest.raises(ValueError, match="unknown query level"):
+        make_query(corpus, "fries", level.lower())
 
 
 def test_rel_l0_is_plain_bm25():
@@ -166,12 +166,12 @@ def test_zero_overlap_clause_changes_nothing():
 def test_rank_videos_single_and_ties():
     single = build_video_index(toy_videos()[:1])
     query = Query("g", "anything", (), 1.0, 0.0, L0)
-    assert rank_videos(single, query, ["v1"], ClauseScorer(single)) == [1]
+    assert rank_videos(ClauseScorer(single), query, ["v1"]) == [1]
 
     index = build_video_index(toy_videos())
     query = Query("g", "zzz", (), 1.0, 0.0, L0)
     scorer = ClauseScorer(index)
-    assert rank_videos(index, query, ["v1", "v2", "v3", "v4"], scorer) == [1, 2, 3, 4]
+    assert rank_videos(scorer, query, ["v1", "v2", "v3", "v4"]) == [1, 2, 3, 4]
     assert all(score == 0.0 for score in scorer.query_scores(query))
 
 
@@ -188,21 +188,20 @@ def test_rank_videos_matches_brute_force():
         ((v.video_id, rel(index, query, v.video_id)) for v in videos),
         key=lambda item: (-item[1], item[0]),
     )
-    ranks = rank_videos(index, query, [v for v, _ in brute], ClauseScorer(index))
+    ranks = rank_videos(ClauseScorer(index), query, [v for v, _ in brute])
     assert ranks == list(range(1, len(brute) + 1))
 
 
 def test_rank_videos_empty_pool():
     empty = build_video_index([])
     with pytest.raises(ValueError, match="empty"):
-        rank_videos(empty, Query("g", "x", (), 1.0, 0.0, L0), [], ClauseScorer(empty))
+        rank_videos(ClauseScorer(empty), Query("g", "x", (), 1.0, 0.0, L0), [])
 
 
 def test_ranking_unknown_video():
     index = build_video_index(toy_videos())
     with pytest.raises(KeyError, match="ghost"):
-        rank_videos(index, Query("g", "avocado", (), 1.0, 0.0, L0), ["v1", "ghost"],
-                    ClauseScorer(index))
+        rank_videos(ClauseScorer(index), Query("g", "avocado", (), 1.0, 0.0, L0), ["v1", "ghost"])
 
 
 @st.composite
@@ -307,7 +306,8 @@ def test_filter_matches_full_lexsort_cost(case, kind, cap, trials):
     trace = hill_climb(goal, candidates, make_cost_fn(index, relevant, 1.0, 0.5, kind=kind), cap)
     expected = hill_climb(goal, candidates, one_at_a_time(reference), cap)
     assert trace == expected
-    query = filter_steps("g", goal, candidates, relevant, index, cap=cap, cost_kind=kind)
+    pool = Query("g", goal, tuple(candidates), 1.0, 0.5, FIL_L1)
+    query = filter_steps(pool, relevant, index, cap=cap, cost_kind=kind)
     assert query == Query("g", goal, tuple(expected.clauses), 1.0, 0.5, FIL_L1)
 
 
@@ -339,11 +339,11 @@ def test_rank_videos_match_rank_order(case):
     scorer = ClauseScorer(index)
     ranks = np.empty(index.n_docs, dtype=np.int64)
     ranks[scorer.rank_order(query)] = np.arange(1, index.n_docs + 1)
-    got = rank_videos(index, query, relevant, scorer)
+    got = rank_videos(scorer, query, relevant)
     assert got == [int(ranks[index.doc_idx(v)]) for v in relevant]
     assert all(type(r) is int for r in got)
     with pytest.raises(KeyError, match="ghost"):
-        rank_videos(index, query, relevant + ["ghost"], scorer)
+        rank_videos(scorer, query, relevant + ["ghost"])
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +458,18 @@ def test_hill_climb_matches_per_trial_loop(candidates, goal, cap, seed):
 
 
 def test_filter_steps_returns_query():
+    """The filtered query keeps the pool's goal, weights and level, and
+    climbs under the pool's weights."""
     index, train, candidates = filter_fixture()
-    query = filter_steps("tg", "locate the target", candidates, train, index)
-    assert query.level == FIL_L1
-    assert (query.w_g, query.w_s) == (1.0, 0.5)
+    pool = Query("tg", "locate the target", tuple(candidates), 2.0, 0.25, FIL_L2)
+    query = filter_steps(pool, train, index)
+    trace = hill_climb(pool.goal_text, candidates, make_cost_fn(index, train, 2.0, 0.25))
+    assert query == replace(pool, steps=tuple(trace.clauses))
     assert "zebra quortex session" in query.steps
+    # under a step weight of 0 no step moves a score, so none is accepted
+    assert filter_steps(replace(pool, w_s=0.0), train, index).steps == ()
     with pytest.raises(ValueError, match="training videos"):
-        filter_steps("tg", "locate the target", candidates, [], index)
+        filter_steps(pool, [], index)
 
 
 def test_cost_fn_kinds():
