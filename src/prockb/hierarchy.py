@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .artifacts import tab_rows, write_json, write_rows
+from .artifacts import tab_rows, write_columns, write_json
 from .corpus import Corpus
 from .embedding import EmbeddingStore
 from .rerank import UNLINKABLE, FeatureSource, RerankModel, score_candidates
@@ -103,9 +103,12 @@ def link_all(pipeline: LinkPipeline) -> Ranked:
 
 
 def write_links(path: str | Path, ranked: Ranked) -> None:
-    """Link dump TSV: step_id, outcome, sim1, sim2 of each reranked list's first entry."""
-    rows = zip(ranked.step_ids, decisions(ranked))
-    write_rows(path, ((step_id, *decision) for step_id, decision in rows))
+    """Link dump TSV: step_id, outcome, sim1, sim2 of each reranked list's
+    first entry, written column by column."""
+    first = ranked.offsets[:-1]
+    write_columns(path, len(ranked.step_ids), lambda rows: (
+        ranked.step_ids[rows], map(ranked.goal_ids.__getitem__, first[rows].tolist()),
+        ranked.sim1[first[rows]], ranked.sim2[first[rows]]))
 
 
 def read_links(path: str | Path) -> dict[str, str]:

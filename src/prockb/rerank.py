@@ -21,6 +21,7 @@ plugged in without any ML runtime here.
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import chain, pairwise, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Protocol, Sequence
 
@@ -33,6 +34,7 @@ from .retrieval import DEFAULT_K, Ranked
 from .textsearch import tokenize
 
 UNLINKABLE = "UNLINKABLE"
+SCORE_ROWS = 1024  # feature rows per block when scoring
 
 
 # ---------------------------------------------------------------------------
@@ -61,49 +63,75 @@ def idf_table(texts: Iterable[str]) -> dict[str, float]:
     return {t: math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for t, d in df.items()}
 
 
-class _Text(NamedTuple):
-    """One step text or goal title, analysed once for pair features."""
+class _Texts(NamedTuple):
+    """Texts analysed for pair features, column by column. Text i's distinct
+    tokens are entries token_offsets[i]:token_offsets[i+1] of `tokens` and
+    `token_idf`, in ascending token-string order; its distinct char 3-grams
+    are entries gram_offsets[i]:gram_offsets[i+1] of `grams` and
+    `gram_counts`, by ascending code."""
 
-    tokens: np.ndarray  # distinct token ids, in ascending token-string order
-    token_idf: np.ndarray  # IDF of each token, same order
-    idf_sum: float  # sum of token_idf, added in that order
-    grams: np.ndarray  # ids of the distinct char 3-grams of the lowercased text, by ascending code
+    token_offsets: np.ndarray  # int64, one more than there are texts
+    tokens: np.ndarray  # vocabulary id of each token, -1 for one outside the vocabulary
+    token_idf: np.ndarray  # IDF of each token
+    idf_sum: np.ndarray  # of each text: its token IDFs added left to right
+    gram_offsets: np.ndarray
+    grams: np.ndarray  # each 3-gram's three code points (21 bits each) packed into one int64
     gram_counts: np.ndarray  # occurrences of each 3-gram
-    gram_norm: float  # Euclidean norm of gram_counts
-    folded: str  # casefolded text, for the exact-match flag
+    gram_norm: np.ndarray  # of each text: the Euclidean norm of its gram counts
+    folded: list[str]  # each text casefolded, for the exact-match flag
 
 
-def _char_trigrams(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct 3-grams of `text`, ascending, and their counts. A 3-gram is
-    coded as its three code points (21 bits each) packed into one int64."""
-    codes = np.fromiter(map(ord, text), dtype=np.int64, count=len(text))
-    grams = (codes[:-2] << 42) | (codes[1:-1] << 21) | codes[2:]
-    return np.unique(grams, return_counts=True)
+def _analyse(texts: Sequence[str], vocab: Mapping[str, int], idf: Mapping[str, float]) -> _Texts:
+    """Tokens and char 3-grams of all `texts` at once. Tokens come from
+    `tokenize`, with ids from `vocab` and IDFs from `idf` (1.0 for a token it
+    lacks); 3-grams are those of each lowercased text, none of them across
+    two texts."""
+    token_lists = [sorted(set(tokenize(text))) for text in texts]
+    token_offsets = np.cumsum([0, *map(len, token_lists)], dtype=np.int64)
+    flat = list(chain.from_iterable(token_lists))
+    token_idf = list(map(idf.get, flat, repeat(1.0)))
+    idf_sum = [sum(token_idf[a:b]) for a, b in pairwise(token_offsets.tolist())]
+
+    lowered = [text.lower() for text in texts]
+    owner = np.repeat(np.arange(len(texts)), list(map(len, lowered)))
+    codes = np.frombuffer("".join(lowered).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    codes = codes.astype(np.int64)
+    whole = owner[:-2] == owner[2:]  # the 3-gram at each position lies within one text
+    grams = ((codes[:-2] << 42) | (codes[1:-1] << 21) | codes[2:])[whole]
+    owners = owner[:-2][whole]
+    order = np.lexsort((grams, owners))
+    grams, owners = grams[order], owners[order]
+    first = np.flatnonzero((np.diff(grams, prepend=-1) != 0) | (np.diff(owners, prepend=-1) != 0))
+    gram_counts = np.diff(first, append=len(grams))
+    gram_sq = np.bincount(owners[first], gram_counts * gram_counts, minlength=len(texts))
+    return _Texts(
+        token_offsets=token_offsets,
+        tokens=np.fromiter(map(vocab.get, flat, repeat(-1)), np.int64, len(flat)),
+        token_idf=np.array(token_idf, dtype=np.float64),
+        idf_sum=np.array(idf_sum, dtype=np.float64),
+        gram_offsets=np.searchsorted(owners[first], np.arange(len(texts) + 1)),
+        grams=grams[first],
+        gram_counts=gram_counts,
+        gram_norm=np.sqrt(gram_sq),  # of an exact integer sum
+        folded=[text.casefold() for text in texts],
+    )
 
 
-def _end_to_end(parts: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """`parts` end to end, and the index of the part each value comes from."""
-    lengths = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
-    return np.repeat(np.arange(len(parts)), lengths), np.concatenate(parts)
-
-
-def _step_lookup(
-    step_ids: Sequence[np.ndarray],
-    step_values: Sequence[np.ndarray] | None,
-    width: int,
-    lists: np.ndarray,
-    ids: np.ndarray,
-) -> np.ndarray:
-    """For each j, the value that step `lists[j]` gives the id `ids[j]`: its
-    entry in `step_values` (1 when None), or 0 when the step lacks the id.
-    Ids are below `width`. Only the ids some step has get a table column."""
-    rows, flat = _end_to_end(step_ids)
-    present, column = np.unique(flat, return_inverse=True)
+def _step_table(offsets: np.ndarray, ids: np.ndarray, values: np.ndarray | None,
+                width: int) -> tuple[np.ndarray, np.ndarray]:
+    """A lookup table of the ids of a block's steps: step i's ids, each below
+    `width` (an id < 0 is no id), are entries offsets[i]:offsets[i+1] of
+    `ids`. Returns `columns`, the table column of each id (0 for an id no
+    step has), and `table`, where table[i, columns[id]] is step i's entry in
+    `values` for the id (1 when None), or 0 when the step lacks it."""
+    owner = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    known = ids >= 0
+    present, column = np.unique(ids[known], return_inverse=True)
     columns = np.zeros(width, dtype=np.int64)
     columns[present] = np.arange(1, len(present) + 1)
-    table = np.zeros((len(step_ids), len(present) + 1), dtype=np.int64)
-    table[rows, column + 1] = 1 if step_values is None else np.concatenate(step_values)
-    return table[lists, columns[ids]]
+    table = np.zeros((len(offsets) - 1, len(present) + 1), dtype=np.int64)
+    table[owner[known], column + 1] = 1 if values is None else values[known]
+    return columns, table
 
 
 class LexicalFeatureSource:
@@ -117,12 +145,16 @@ class LexicalFeatureSource:
     text's token IDFs and I that of the shared tokens, each summed in
     ascending token-string order, so the value depends on the two texts only.
 
-    Goal titles are analysed on first use and kept. `features` takes `block`
-    candidate lists at a time and computes all their pairs with array
-    operations over (list, token id) and (list, 3-gram id) keys; each pair's
-    sums run over the goal's own tokens and 3-grams in their fixed order, so
-    a row's bytes do not depend on the batch it comes in. A source is not
-    safe to share between threads.
+    Every goal title is analysed once, when the source is made, into flat
+    columns (`_Texts`) that a block of pairs gathers by goal row. `features`
+    takes `block` candidate lists at a time, analyses their step texts
+    together, and computes all their pairs with array operations: each
+    pair's goal tokens and 3-grams are looked up in tables of the block's
+    step tokens, context tokens and step 3-grams. Token ids rank the goal
+    titles' tokens, 3-gram ids their 3-grams; a step token or 3-gram that no
+    title has is shared with no goal. Each pair's sums run over the goal's
+    own tokens and 3-grams in their fixed order, so a row's bytes do not
+    depend on the batch it comes in.
     """
 
     name = "lexical"
@@ -134,46 +166,27 @@ class LexicalFeatureSource:
         self.context_mode = context_mode
         self.window = window
         self.idf = idf_table(a.title for a in corpus.articles)
-        self._vocab: dict[str, int] = {}
-        self._gram_ids: dict[int, int] = {}
-        self._goals: dict[str, _Text] = {}
+        self._vocab = {token: i for i, token in enumerate(sorted(self.idf))}
+        self._goal_row = {a.goal_id: row for row, a in enumerate(corpus.articles)}
+        self._goals = goals = _analyse([a.title for a in corpus.articles], self._vocab, self.idf)
+        # Every 3-gram of a title once, ascending: the 3-gram ids. A stable sort,
+        # since numpy's default sort of a large array pages in about 1 MiB more code.
+        grams = np.sort(goals.grams, kind="stable")
+        self._grams = grams[np.diff(grams, prepend=-1) != 0]
+        self._goal_grams = np.searchsorted(self._grams, goals.grams)
+        self._folded = {text: i for i, text in enumerate(dict.fromkeys(goals.folded))}
+        self._goal_folded = np.array([self._folded[text] for text in goals.folded], dtype=np.int64)
 
-    def _token_ids(self, tokens: Iterable[str]) -> np.ndarray:
-        vocab = self._vocab
-        return np.array([vocab.setdefault(t, len(vocab)) for t in tokens], dtype=np.int64)
+    def _goal_rows(self, goal_ids: Sequence[str]) -> np.ndarray:
+        rows = list(map(self._goal_row.get, goal_ids))
+        if None in rows:
+            self.corpus.article(next(g for g, row in zip(goal_ids, rows) if row is None))
+        return np.array(rows, dtype=np.int64)
 
-    def _analyse(self, text: str) -> _Text:
-        tokens = sorted(set(tokenize(text)))
-        token_idf = [self.idf.get(t, 1.0) for t in tokens]
-        grams, counts = _char_trigrams(text.lower())
-        gram_ids = self._gram_ids
-        return _Text(
-            tokens=self._token_ids(tokens),
-            token_idf=np.array(token_idf, dtype=np.float64),
-            idf_sum=sum(token_idf),
-            grams=np.array(
-                [gram_ids.setdefault(g, len(gram_ids)) for g in grams.tolist()], dtype=np.int64
-            ),
-            gram_counts=counts,
-            gram_norm=math.sqrt(int((counts * counts).sum())),
-            folded=text.casefold(),
-        )
-
-    def _goal(self, goal_id: str) -> _Text:
-        text = self._goals.get(goal_id)
-        if text is None:
-            text = self._goals[goal_id] = self._analyse(self.corpus.article(goal_id).title)
-        return text
-
-    def _step(self, step_id: str) -> tuple[_Text, np.ndarray]:
-        """A step's analysis and its context's token ids. Not kept: each
-        command featurises a step once (link decisions are reused per step),
-        while goal analyses are shared by many steps."""
-        text = self._analyse(self.corpus.step(step_id).text)
+    def _context(self, step_id: str) -> list[str]:
         ctx = context_of(self.corpus, step_id, self.context_mode, self.window)
         pieces = (ctx.goal_text or "",) + ctx.prev_steps + ctx.next_steps
-        context = self._token_ids(sorted({t for piece in pieces for t in tokenize(piece)}))
-        return text, context
+        return sorted({t for piece in pieces for t in tokenize(piece)})
 
     def features(
         self, step_ids: tuple[str, ...], goal_ids: tuple[tuple[str, ...], ...]
@@ -194,45 +207,57 @@ class LexicalFeatureSource:
         self, step_ids: tuple[str, ...], goal_ids: tuple[tuple[str, ...], ...], out: np.ndarray
     ) -> None:
         """Fill `out` with the rows of one block of candidate lists."""
-        if not len(out):
+        n = len(out)
+        if not n:
             return
-        steps, contexts = zip(*map(self._step, step_ids))
-        goals = [self._goal(g) for goals in goal_ids for g in goals]
-        tokens, token_idf, idf_sums, grams, gram_counts, gram_norms, folded = zip(*goals)
+        vocab, goals = self._vocab, self._goals
+        steps = _analyse([self.corpus.step(s).text for s in step_ids], vocab, self.idf)
+        contexts = [self._context(step_id) for step_id in step_ids]
+        context_offsets = np.cumsum([0, *map(len, contexts)], dtype=np.int64)
+        context_ids = np.fromiter(map(vocab.get, chain.from_iterable(contexts), repeat(-1)),
+                                  np.int64, context_offsets[-1])
         lists = np.repeat(np.arange(len(step_ids)), [len(goals) for goals in goal_ids])
-        n_tokens, n = len(self._vocab), len(goals)
+        rows = self._goal_rows(list(chain.from_iterable(goal_ids)))
 
         # Each pair's goal tokens end to end; seg holds the pair of each.
-        seg, tokens = _end_to_end(tokens)
-        token_lists = lists[seg]
-        step_tokens = [step.tokens for step in steps]
-        shared = _step_lookup(step_tokens, None, n_tokens, token_lists, tokens) > 0
+        taken, offsets = _take(goals.token_offsets, rows)
+        seg = np.repeat(np.arange(n), np.diff(offsets))
+        token_lists, tokens = lists[seg], goals.tokens[taken]
+        columns, table = _step_table(steps.token_offsets, steps.tokens, None, len(vocab))
+        shared = table[token_lists, columns[tokens]] > 0
         n_shared = np.bincount(seg[shared], minlength=n)
         # bincount adds in array order: each goal's shared IDFs in token-string order.
-        idf_shared = np.bincount(seg[shared], np.concatenate(token_idf)[shared], minlength=n)
-        in_context = _step_lookup(contexts, None, n_tokens, token_lists, tokens) > 0
-        n_ctx_shared = np.bincount(seg[in_context], minlength=n)
+        idf_shared = np.bincount(seg[shared], goals.token_idf[taken][shared], minlength=n)
+        columns, table = _step_table(context_offsets, context_ids, None, len(vocab))
+        n_ctx_shared = np.bincount(seg[table[token_lists, columns[tokens]] > 0], minlength=n)
 
-        # Each pair's 3-gram count products; their sums are exact integers.
-        gram_seg, grams = _end_to_end(grams)
-        step_counts = _step_lookup([step.grams for step in steps],
-                                   [step.gram_counts for step in steps],
-                                   len(self._gram_ids), lists[gram_seg], grams)
-        dot = np.bincount(gram_seg, np.concatenate(gram_counts) * step_counts, minlength=n)
+        # Each pair's 3-gram count products, over the 3-grams of its goal that
+        # some step of the block has; their sums are exact integers.
+        ids = np.searchsorted(self._grams, steps.grams)
+        ids[np.append(self._grams, -1)[ids] != steps.grams] = -1  # a 3-gram no title has
+        columns, table = _step_table(steps.gram_offsets, ids, steps.gram_counts, len(self._grams))
+        distinct, goal_of_pair = np.unique(rows, return_inverse=True)
+        taken, offsets = _take(goals.gram_offsets, distinct)
+        gram_columns = columns[self._goal_grams[taken]]
+        kept = gram_columns > 0
+        kept_offsets = np.cumsum(np.append(0, kept))[offsets]
+        picked, offsets = _take(kept_offsets, goal_of_pair)
+        gram_seg = np.repeat(np.arange(n), np.diff(offsets))
+        step_counts = table[lists[gram_seg], gram_columns[kept][picked]]
+        dot = np.bincount(gram_seg, goals.gram_counts[taken][kept][picked] * step_counts,
+                          minlength=n)
 
-        n_step = np.array([len(step.tokens) for step in steps], dtype=np.int64)[lists]
-        n_goal = np.fromiter(map(len, token_idf), dtype=np.int64, count=n)
-        n_context = np.array([len(context) for context in contexts], dtype=np.int64)[lists]
-        step_gram_norm = np.array([step.gram_norm for step in steps], dtype=np.float64)[lists]
-        step_idf_sum = np.array([step.idf_sum for step in steps], dtype=np.float64)[lists]
+        n_step = np.diff(steps.token_offsets)[lists]
+        n_goal = np.diff(goals.token_offsets)[rows]
+        n_context = np.diff(context_offsets)[lists]
         num = np.array(
             [n_shared, dot, idf_shared, np.minimum(n_step, n_goal), n_ctx_shared], dtype=np.float64
         )
         den = np.array(
             [
                 n_step + n_goal - n_shared,
-                step_gram_norm * np.array(gram_norms),
-                step_idf_sum + np.array(idf_sums) - idf_shared,
+                steps.gram_norm[lists] * goals.gram_norm[rows],
+                steps.idf_sum[lists] + goals.idf_sum[rows] - idf_shared,
                 np.maximum(n_step, n_goal),
                 n_context + n_goal - n_ctx_shared,
             ],
@@ -240,7 +265,8 @@ class LexicalFeatureSource:
         )
         out[:, 0] = 1.0
         out[:, [1, 2, 3, 4, 6]] = np.divide(num, den, out=np.zeros_like(num), where=den > 0).T
-        out[:, 5] = [text == steps[i].folded for text, i in zip(folded, lists.tolist())]
+        step_folded = np.array([self._folded.get(text, -1) for text in steps.folded])
+        out[:, 5] = self._goal_folded[rows] == step_folded[lists]
 
 
 class TableFeatureSource:
@@ -381,11 +407,17 @@ def load_model(path: str | Path) -> RerankModel:
 def _scores(model: RerankModel, feats: np.ndarray, sim1: np.ndarray) -> np.ndarray:
     """sim2 = W . f + lambda * sim1 of each feature row f, the dot being
     `(feats * W).sum(axis=1)`: a numpy sum in a fixed order, whose bytes
-    depend neither on the BLAS library nor on numpy's SIMD dispatch."""
+    depend neither on the BLAS library nor on numpy's SIMD dispatch. The
+    rows are taken SCORE_ROWS at a time, so the product never copies the
+    whole feature matrix; each row's sum is the same in any block."""
     if feats.shape != (len(sim1), model.dim):
         raise ValueError(f"feature matrix {feats.shape} does not match {len(sim1)} candidates "
                          f"at model dim {model.dim}")
-    return (feats * model.w).sum(axis=1) + model.lam * sim1
+    dots = np.empty(len(sim1))
+    for start in range(0, len(sim1), SCORE_ROWS):
+        rows = slice(start, start + SCORE_ROWS)
+        dots[rows] = (feats[rows] * model.w).sum(axis=1)
+    return dots + model.lam * sim1
 
 
 def _slots(model: RerankModel, offsets: np.ndarray, feats: np.ndarray, sim1: np.ndarray):

@@ -10,15 +10,14 @@ Every ranked goal list, from stage-1 candidates to reranked links, is a
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain, pairwise
-from math import isfinite, nan
+from itertools import chain, pairwise, zip_longest
 from pathlib import Path
 from sys import intern
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .artifacts import fail, tab_rows, write_rows
+from .artifacts import check_rows, fail, float_column, int_column, tab_blocks, write_columns
 from .corpus import Step
 from .embedding import EmbeddingStore
 
@@ -134,49 +133,54 @@ def retrieve_all(
 
 def write_candidates(path: str | Path, ranked: Ranked) -> None:
     """TSV lines of step_id, rank, goal_id, sim1 and, once reranked, sim2,
-    made list by list, so only one list's values are Python objects at once."""
-    scores = [sims for sims in (ranked.sim1, ranked.sim2) if sims is not None]
-    write_rows(path, ((step_id, rank, *row) for step_id, (a, b)
-                      in zip(ranked.step_ids, pairwise(ranked.offsets.tolist()))
-                      for rank, row in enumerate(zip(ranked.goal_ids[a:b],
-                                                     *(sims[a:b].tolist() for sims in scores)), 1)))
+    written column by column, a block of rows at a time."""
+    offsets, scores = ranked.offsets, [s for s in (ranked.sim1, ranked.sim2) if s is not None]
+
+    def block(rows: slice):
+        at = np.arange(rows.start, rows.stop)
+        lists = np.searchsorted(offsets, at, side="right") - 1
+        return (map(ranked.step_ids.__getitem__, lists.tolist()), at - offsets[lists] + 1,
+                ranked.goal_ids[rows], *(sims[rows] for sims in scores))
+
+    write_columns(path, len(ranked.goal_ids), block)
 
 
 def read_candidates(path: str | Path) -> Ranked:
     """Read the TSV that `write_candidates` writes: step_id, an integer
     rank, goal_id, sim1 and, in every line or in none, sim2. Each step's rows
     are taken in rank order, steps in the order they first appear. Raises
-    DataError, with path and line, on a line with fewer than 4 columns, a
-    rank that is not an integer, a score that is not a finite number, a
-    repeated (step_id, rank), or a sim2 in some lines only."""
+    DataError, with path and line, on a line with fewer than 4 columns or
+    more than 5, a rank that is not an integer, a score that is not a finite
+    number, a repeated (step_id, rank), or a sim2 in some lines only; where
+    a line has several faults, the first in that order."""
     steps: dict[str, int] = {}  # step_id -> its list, numbered in order of first appearance
-    lists, ranks, linenos = array("q"), array("q"), array("q")  # of each row, in file order
+    # Each row's list, rank, line number, sim1 and sim2, in file order.
+    columns = array("q"), array("q"), array("q"), array("d"), array("d")
     goal_ids: list[str] = []
-    sims = (array("d"), array("d"))
-    width = 0  # the first line's number of scores: 1, or 2 with sim2
-    for lineno, fields in tab_rows(path, 4):
-        try:
-            ranks.append(int(fields[1]))
-        except ValueError:
-            raise fail(path, lineno, f"rank {fields[1]!r} is not an integer") from None
-        except OverflowError:
-            raise fail(path, lineno, f"rank {fields[1]!r} is out of range") from None
-        scores = fields[3:5]
-        if len(scores) != (width := width or len(scores)):
-            raise fail(path, lineno, "sim2 column in some lines only")
-        for name, text, column in zip(("sim1", "sim2"), scores, sims):
-            try:
-                value = float(text)
-            except ValueError:
-                value = nan
-            if not isfinite(value):
-                raise fail(path, lineno, f"{name} {text!r} is not a finite number")
-            column.append(value)
-        lists.append(steps.setdefault(fields[0], len(steps)))
-        linenos.append(lineno)
-        goal_ids.append(intern(fields[2]))  # one string per goal, not per row
+    width = 0  # the first line's number of columns: 4, or 5 with sim2
+    for linenos, rows in tab_blocks(path, 4, 5):
+        width = width or len(rows[0])
+        step, rank, goal, *texts = zip_longest(*rows)  # a 4-column line's sim2 is None
+        ranks, not_int, out_of_range = int_column(rank)
+        widths = np.fromiter(map(len, rows), np.int64, len(rows))
+        sims = [float_column(column) for column in texts]
+        check_rows(path, linenos, [
+            (not_int, lambda i: f"rank {rank[i]!r} is not an integer"),
+            (out_of_range, lambda i: f"rank {rank[i]!r} is out of range"),
+            (widths != width, lambda i: "sim2 column in some lines only"),
+            *((~np.isfinite(sim) & (widths > 3 + j),
+               lambda i, j=j: f"sim{j + 1} {texts[j][i]!r} is not a finite number")
+              for j, sim in enumerate(sims)),
+        ])
+        for step_id in dict.fromkeys(step):
+            steps.setdefault(step_id, len(steps))
+        columns[0].extend(map(steps.__getitem__, step))
+        for column, values in zip(columns[1:], (ranks, linenos, *sims)):
+            column.frombytes(np.asarray(values, dtype=column.typecode).tobytes())
+        goal_ids += map(intern, goal)  # one string per goal, not per row
+    lists, ranks, linenos, *sims = (np.frombuffer(c, dtype=c.typecode) for c in columns)
     order = np.lexsort((ranks, lists))
-    in_order = np.asarray(lists)[order], np.asarray(ranks)[order]
+    in_order = lists[order], ranks[order]
     repeated = order[1:][(np.diff(in_order[0]) == 0) & (np.diff(in_order[1]) == 0)]
     if len(repeated):  # the first repeat in the file, as a line-by-line check would find it
         row = int(repeated.min())
@@ -184,4 +188,4 @@ def read_candidates(path: str | Path) -> Ranked:
         raise fail(path, linenos[row], f"duplicate rank {ranks[row]} for step {step_id!r}")
     offsets = np.searchsorted(in_order[0], np.arange(len(steps) + 1))
     return Ranked(tuple(steps), offsets, tuple(np.array(goal_ids, dtype=object)[order]),
-                  np.asarray(sims[0])[order], np.asarray(sims[1])[order] if sims[1] else None)
+                  sims[0][order], sims[1][order] if width == 5 else None)

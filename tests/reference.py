@@ -1,0 +1,243 @@
+"""Reference implementations that the column-wise code in `src` must match.
+
+They are the row-at-a-time versions that `src` used before it worked a block
+of rows at a time: the ranked-list TSV reader parses and checks one line
+after another, the writer formats one row after another, and the lexical
+feature source analyses each text into its own `_Text` and gathers a block's
+pairs text by text. Tests compare files byte for byte, columns and feature
+rows bit for bit, and DataError messages character for character.
+
+One change from the old reader: a line with more than 5 columns is an error
+here too ("expected 4 or 5 columns, got N"); it used to be read, and the
+fields past sim2 dropped.
+"""
+
+import math
+from array import array
+from itertools import pairwise
+from math import isfinite, nan
+from sys import intern
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
+
+from prockb.artifacts import _reading, fail
+from prockb.corpus import Corpus, context_of
+from prockb.rerank import idf_table
+from prockb.retrieval import Ranked
+from prockb.textsearch import tokenize
+
+
+# ---------------------------------------------------------------------------
+# Ranked-list TSV
+
+def lines(path):
+    """The non-blank lines of a text file, without newline, with 1-based
+    numbers, read one at a time."""
+    with _reading(path), open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, 1):
+            if line.strip():
+                yield lineno, line.rstrip("\n")
+
+
+def write_candidates(path, ranked: Ranked) -> None:
+    """Row by row: step_id, rank, goal_id, sim1 and, once reranked, sim2,
+    each field as `str` gives it."""
+    scores = [sims for sims in (ranked.sim1, ranked.sim2) if sims is not None]
+    with open(path, "w", encoding="utf-8") as handle:
+        for step_id, (a, b) in zip(ranked.step_ids, pairwise(ranked.offsets.tolist())):
+            rows = zip(ranked.goal_ids[a:b], *(sims[a:b].tolist() for sims in scores))
+            for rank, row in enumerate(rows, 1):
+                handle.write("\t".join(map(str, (step_id, rank, *row))) + "\n")
+
+
+def read_candidates(path) -> Ranked:
+    """Line by line: each line's columns counted, its rank, width and scores
+    checked, in that order, before the next line is read; repeated ranks are
+    found once the whole file is read."""
+    steps: dict[str, int] = {}
+    lists, ranks, linenos = array("q"), array("q"), array("q")
+    goal_ids: list[str] = []
+    sims = (array("d"), array("d"))
+    width = 0
+    for lineno, line in lines(path):
+        fields = line.split("\t")
+        if len(fields) < 4:
+            raise fail(path, lineno, f"expected 4 columns or more, got {len(fields)}")
+        if len(fields) > 5:
+            raise fail(path, lineno, f"expected 4 or 5 columns, got {len(fields)}")
+        try:
+            ranks.append(int(fields[1]))
+        except ValueError:
+            raise fail(path, lineno, f"rank {fields[1]!r} is not an integer") from None
+        except OverflowError:
+            raise fail(path, lineno, f"rank {fields[1]!r} is out of range") from None
+        scores = fields[3:5]
+        if len(scores) != (width := width or len(scores)):
+            raise fail(path, lineno, "sim2 column in some lines only")
+        for name, text, column in zip(("sim1", "sim2"), scores, sims):
+            try:
+                value = float(text)
+            except ValueError:
+                value = nan
+            if not isfinite(value):
+                raise fail(path, lineno, f"{name} {text!r} is not a finite number")
+            column.append(value)
+        lists.append(steps.setdefault(fields[0], len(steps)))
+        linenos.append(lineno)
+        goal_ids.append(intern(fields[2]))
+    order = np.lexsort((ranks, lists))
+    in_order = np.asarray(lists)[order], np.asarray(ranks)[order]
+    repeated = order[1:][(np.diff(in_order[0]) == 0) & (np.diff(in_order[1]) == 0)]
+    if len(repeated):
+        row = int(repeated.min())
+        step_id = list(steps)[lists[row]]
+        raise fail(path, linenos[row], f"duplicate rank {ranks[row]} for step {step_id!r}")
+    offsets = np.searchsorted(in_order[0], np.arange(len(steps) + 1))
+    return Ranked(tuple(steps), offsets, tuple(np.array(goal_ids, dtype=object)[order]),
+                  np.asarray(sims[0])[order], np.asarray(sims[1])[order] if sims[1] else None)
+
+
+# ---------------------------------------------------------------------------
+# Lexical pair features
+
+class _Text(NamedTuple):
+    """One step text or goal title, analysed once for pair features."""
+
+    tokens: np.ndarray  # distinct token ids, in ascending token-string order
+    token_idf: np.ndarray  # IDF of each token, same order
+    idf_sum: float  # sum of token_idf, added in that order
+    grams: np.ndarray  # ids of the distinct char 3-grams of the lowercased text, by ascending code
+    gram_counts: np.ndarray  # occurrences of each 3-gram
+    gram_norm: float  # Euclidean norm of gram_counts
+    folded: str  # casefolded text, for the exact-match flag
+
+
+def _char_trigrams(text: str) -> tuple[np.ndarray, np.ndarray]:
+    codes = np.fromiter(map(ord, text), dtype=np.int64, count=len(text))
+    grams = (codes[:-2] << 42) | (codes[1:-1] << 21) | codes[2:]
+    return np.unique(grams, return_counts=True)
+
+
+def _end_to_end(parts: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    lengths = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
+    return np.repeat(np.arange(len(parts)), lengths), np.concatenate(parts)
+
+
+def _step_lookup(step_ids, step_values, width, lists, ids):
+    rows, flat = _end_to_end(step_ids)
+    present, column = np.unique(flat, return_inverse=True)
+    columns = np.zeros(width, dtype=np.int64)
+    columns[present] = np.arange(1, len(present) + 1)
+    table = np.zeros((len(step_ids), len(present) + 1), dtype=np.int64)
+    table[rows, column + 1] = 1 if step_values is None else np.concatenate(step_values)
+    return table[lists, columns[ids]]
+
+
+class LexicalFeatureSource:
+    """The lexical features one `_Text` per step text and per goal title,
+    `block` candidate lists per array pass."""
+
+    name = "lexical"
+    dim = 7
+    block = 16
+
+    def __init__(self, corpus: Corpus, context_mode: str = "none", window: int = 1):
+        self.corpus = corpus
+        self.context_mode = context_mode
+        self.window = window
+        self.idf = idf_table(a.title for a in corpus.articles)
+        self._vocab: dict[str, int] = {}
+        self._gram_ids: dict[int, int] = {}
+        self._goals: dict[str, _Text] = {}
+
+    def _token_ids(self, tokens: Iterable[str]) -> np.ndarray:
+        vocab = self._vocab
+        return np.array([vocab.setdefault(t, len(vocab)) for t in tokens], dtype=np.int64)
+
+    def _analyse(self, text: str) -> _Text:
+        tokens = sorted(set(tokenize(text)))
+        token_idf = [self.idf.get(t, 1.0) for t in tokens]
+        grams, counts = _char_trigrams(text.lower())
+        gram_ids = self._gram_ids
+        return _Text(
+            tokens=self._token_ids(tokens),
+            token_idf=np.array(token_idf, dtype=np.float64),
+            idf_sum=sum(token_idf),
+            grams=np.array(
+                [gram_ids.setdefault(g, len(gram_ids)) for g in grams.tolist()], dtype=np.int64
+            ),
+            gram_counts=counts,
+            gram_norm=math.sqrt(int((counts * counts).sum())),
+            folded=text.casefold(),
+        )
+
+    def _goal(self, goal_id: str) -> _Text:
+        text = self._goals.get(goal_id)
+        if text is None:
+            text = self._goals[goal_id] = self._analyse(self.corpus.article(goal_id).title)
+        return text
+
+    def _step(self, step_id: str) -> tuple[_Text, np.ndarray]:
+        text = self._analyse(self.corpus.step(step_id).text)
+        ctx = context_of(self.corpus, step_id, self.context_mode, self.window)
+        pieces = (ctx.goal_text or "",) + ctx.prev_steps + ctx.next_steps
+        context = self._token_ids(sorted({t for piece in pieces for t in tokenize(piece)}))
+        return text, context
+
+    def features(self, step_ids, goal_ids) -> np.ndarray:
+        sizes = [len(goals) for goals in goal_ids]
+        out = np.zeros((sum(sizes), self.dim), dtype=np.float64)
+        row = 0
+        for start in range(0, len(step_ids), self.block):
+            stop = start + self.block
+            rows = sum(sizes[start:stop])
+            self._block(step_ids[start:stop], goal_ids[start:stop], out[row : row + rows])
+            row += rows
+        return out
+
+    def _block(self, step_ids, goal_ids, out: np.ndarray) -> None:
+        if not len(out):
+            return
+        steps, contexts = zip(*map(self._step, step_ids))
+        goals = [self._goal(g) for goals in goal_ids for g in goals]
+        tokens, token_idf, idf_sums, grams, gram_counts, gram_norms, folded = zip(*goals)
+        lists = np.repeat(np.arange(len(step_ids)), [len(goals) for goals in goal_ids])
+        n_tokens, n = len(self._vocab), len(goals)
+
+        seg, tokens = _end_to_end(tokens)
+        token_lists = lists[seg]
+        step_tokens = [step.tokens for step in steps]
+        shared = _step_lookup(step_tokens, None, n_tokens, token_lists, tokens) > 0
+        n_shared = np.bincount(seg[shared], minlength=n)
+        idf_shared = np.bincount(seg[shared], np.concatenate(token_idf)[shared], minlength=n)
+        in_context = _step_lookup(contexts, None, n_tokens, token_lists, tokens) > 0
+        n_ctx_shared = np.bincount(seg[in_context], minlength=n)
+
+        gram_seg, grams = _end_to_end(grams)
+        step_counts = _step_lookup([step.grams for step in steps],
+                                   [step.gram_counts for step in steps],
+                                   len(self._gram_ids), lists[gram_seg], grams)
+        dot = np.bincount(gram_seg, np.concatenate(gram_counts) * step_counts, minlength=n)
+
+        n_step = np.array([len(step.tokens) for step in steps], dtype=np.int64)[lists]
+        n_goal = np.fromiter(map(len, token_idf), dtype=np.int64, count=n)
+        n_context = np.array([len(context) for context in contexts], dtype=np.int64)[lists]
+        step_gram_norm = np.array([step.gram_norm for step in steps], dtype=np.float64)[lists]
+        step_idf_sum = np.array([step.idf_sum for step in steps], dtype=np.float64)[lists]
+        num = np.array(
+            [n_shared, dot, idf_shared, np.minimum(n_step, n_goal), n_ctx_shared], dtype=np.float64
+        )
+        den = np.array(
+            [
+                n_step + n_goal - n_shared,
+                step_gram_norm * np.array(gram_norms),
+                step_idf_sum + np.array(idf_sums) - idf_shared,
+                np.maximum(n_step, n_goal),
+                n_context + n_goal - n_ctx_shared,
+            ],
+            dtype=np.float64,
+        )
+        out[:, 0] = 1.0
+        out[:, [1, 2, 3, 4, 6]] = np.divide(num, den, out=np.zeros_like(num), where=den > 0).T
+        out[:, 5] = [text == steps[i].folded for text, i in zip(folded, lists.tolist())]

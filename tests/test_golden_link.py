@@ -6,19 +6,25 @@ small vocabulary, where about half the steps paraphrase another article's
 title and are gold-linked to it. Stage 2 and its training sum in a fixed
 order, without BLAS, so `train-reranker` must write the same bytes under
 every OpenBLAS kernel and numpy SIMD level; a test below runs it in child
-processes under several and compares sha256. Stage 1 (`build_index`'s norms,
-`topk`'s matrix-vector product) and the embedder's norm still go through
-BLAS, so the chain's artifacts are not pinned by raw sha256. Each artifact
+processes under several and compares their sha256 with pinned ones. Its
+candidates are the chain's with each sim1 rounded to 12 decimals, since
+stage 1 (`build_index`'s norms, `topk`'s matrix-vector product) and
+the embedder's norm still go through BLAS: under a forced OpenBLAS core the
+chain's own `candidates.tsv`, and so its `tr/model.txt`, differ in their
+last bits. So the chain's artifacts are not pinned by raw sha256. Each artifact
 is split into its numbers and the text around them: the text (ids, ranks,
 link outcomes, tree and manifest structure) must match exactly, and every
 number must be within 1e-12 of the pinned one, relative, or absolute near 0.
 Paths, sha256 digests and config hashes are masked out first; the config
 hashes depend on the bytes of the trained weights.
 
-The pinned values are in `golden_link.json`. To re-pin, run this file as a
+The pinned values are in `golden_link.json`, and the sha256 of
+`train-reranker`'s artifacts in TRAIN_SHA256. To re-pin, run this file as a
 script (`PYTHONPATH=src python tests/test_golden_link.py`): it prints each
 artifact whose pin it adds, removes or changes, and whether its text or its
-numbers moved, before it writes. State the reason for the change.
+numbers moved, before it writes; then the `train-reranker` digests, to be
+copied into TRAIN_SHA256 by hand if they changed. State the reason for the
+change.
 """
 
 import hashlib
@@ -30,6 +36,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -37,6 +44,7 @@ sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
 from conftest import write_jsonl  # noqa: E402
 from prockb.cli import main  # noqa: E402
+from prockb.retrieval import read_candidates, write_candidates  # noqa: E402
 
 GOLDEN = HERE / "golden_link.json"
 WORDS = ["bake", "bread", "wash", "rice", "paint", "fence", "tune", "guitar", "plant",
@@ -47,6 +55,12 @@ TOL = 1e-12
 NUMBER = re.compile(r"-?\d+(?:\.\d*(?:e[-+]?\d+)?|e[-+]?\d+)")
 MASK = re.compile(r'"(?:[0-9a-f]{64}|[0-9a-f]{16})"')
 TRAIN_FLAGS = ("--unlinkable", "--epochs", "4", "--batch", "4")
+# sha256 of what train-reranker writes from the golden inputs, under any
+# OpenBLAS kernel or numpy SIMD level (`train_inputs`).
+TRAIN_SHA256 = {
+    "model.txt": "6b795204b9af1c222c034c00d470657461ce88c79cd60c8cb2e57924122ac4f4",
+    "loss_curve.tsv": "bbeebc4147d631c5999bdcc445531fec8e95968e1afbbea53da58464b8a72802",
+}
 # Settings of a child process's environment under which train-reranker must
 # write the same bytes: OpenBLAS kernels forced by name, next to the one it
 # detects, and numpy's SIMD dispatch cut to its X86_V2 baseline.
@@ -154,24 +168,37 @@ def test_chain_exercises_links_placeholders_and_trees(tmp_path):
         assert any(step["children"] for step in tree["tree"]["steps"]), root
 
 
-def test_train_reranker_bytes_do_not_depend_on_blas_or_simd(tmp_path):
+def train_inputs(tmp_path: Path) -> tuple[str, ...]:
+    """The corpus, candidates and gold paths that train-reranker reads: the
+    golden inputs, and the chain's candidates with each sim1 rounded to 12
+    decimals, so that their bytes do not depend on BLAS."""
     paths = write_inputs(tmp_path)
     corpus, gold = str(paths["corpus"]), str(paths["gold"])
     assert main(["build-index", "--corpus", corpus, "--dim", "16", "--seed", "5",
                  "--out-dir", str(tmp_path / "ix")]) == 0
     assert main(["retrieve", "--corpus", corpus, "--embeddings", str(tmp_path / "ix" /
                  "embeddings.txt"), "--k", "4", "--out-dir", str(tmp_path / "ret")]) == 0
+    candidates = tmp_path / "candidates.tsv"
+    ranked = read_candidates(tmp_path / "ret" / "candidates.tsv")
+    write_candidates(candidates, replace(ranked, sim1=ranked.sim1.round(12) + 0.0))  # no -0.0
+    return corpus, str(candidates), gold
+
+
+def train_digests(out: Path) -> dict[str, str]:
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in TRAIN_SHA256}
+
+
+def test_train_reranker_bytes_do_not_depend_on_blas_or_simd(tmp_path):
+    corpus, candidates, gold = train_inputs(tmp_path)
     base = {k: v for k, v in os.environ.items()
             if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [str(HERE.parent / "src"),
                                                        base.get("PYTHONPATH")]))
-    digests = {}
     for name, setting in SETTINGS.items():
-        out = tmp_path / f"tr_{len(digests)}"
+        out = tmp_path / f"tr_{name.replace(' ', '_')}"
         child = subprocess.run(
             [sys.executable, "-m", "prockb", "train-reranker", "--corpus", corpus,
-             "--candidates", str(tmp_path / "ret" / "candidates.tsv"), "--gold", gold,
-             *TRAIN_FLAGS, "--out-dir", str(out)],
+             "--candidates", candidates, "--gold", gold, *TRAIN_FLAGS, "--out-dir", str(out)],
             env={**base, **setting, "OPENBLAS_VERBOSE": "2"}, capture_output=True, text=True,
         )
         report = child.stdout + child.stderr
@@ -180,9 +207,7 @@ def test_train_reranker_bytes_do_not_depend_on_blas_or_simd(tmp_path):
             assert "Core: " in report and "Core not found" not in report, (
                 f"OpenBLAS did not take the forced core {name!r}; with OPENBLAS_VERBOSE=2 it "
                 f"reported {report.strip()!r}, so this run tests nothing")
-        digests[name] = tuple(hashlib.sha256((out / artifact).read_bytes()).hexdigest()
-                              for artifact in ("model.txt", "loss_curve.tsv"))
-    assert len(set(digests.values())) == 1, digests
+        assert train_digests(out) == TRAIN_SHA256, name
 
 
 def changes(old: dict, new: dict) -> list[str]:
@@ -232,3 +257,11 @@ if __name__ == "__main__":
     print("\n".join(changes(old, pinned)) or "no pin changed")
     GOLDEN.write_text(dump(pinned), encoding="utf-8")
     print(f"wrote {GOLDEN}")
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, candidates, gold = train_inputs(Path(tmp))
+        out = Path(tmp) / "tr"
+        assert main(["train-reranker", "--corpus", corpus, "--candidates", candidates,
+                     "--gold", gold, *TRAIN_FLAGS, "--out-dir", str(out)]) == 0
+        for name, digest in train_digests(out).items():
+            state = "pinned" if digest == TRAIN_SHA256[name] else "changed: update TRAIN_SHA256"
+            print(f"train-reranker {name} sha256 {digest} ({state})")

@@ -149,9 +149,10 @@ def test_candidates_tsv_round_trip(tmp_path):
         ("s1\t1\tg1\n", r"line 1: expected 4 columns"),
         ("s1\t1\tg1\t0.5\t-inf\n", r"line 1: sim2 '-inf' is not a finite number"),
         ("s1\t1\tg1\t0.5\t0.1\ns1\t2\tg2\t0.4\n", r"line 2: sim2 column in some lines only"),
+        ("s1\t1\tg1\t0.5\t0.2\textra\n", r"line 1: expected 4 or 5 columns, got 6$"),
     ],
     ids=["non-integer-rank", "non-float-sim1", "nan-sim1", "duplicate-rank", "short-line",
-         "inf-sim2", "sim2-in-some-lines"],
+         "inf-sim2", "sim2-in-some-lines", "extra-column"],
 )
 def test_read_candidates_rejects_bad_rows(tmp_path, rows, message):
     path = tmp_path / "candidates.tsv"
