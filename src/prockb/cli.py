@@ -13,18 +13,20 @@ import json
 import math
 import sys
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .artifacts import read_json, read_text, write_json, write_rows
+from .artifacts import fail, read_json, read_text, tab_rows, write_json, write_rows
 from .corpus import CONTEXT_MODES, load_corpus, validation_report
 from .embedding import MIN_DIM, embed_corpus, load_embeddings, save_embeddings
 from .errors import DataError
 from .hierarchy import LinkPipeline, expand, link_all, read_links, write_links, write_tree
 from .linkeval import load_gold_links, recall_report, split_links
 from .rerank import (
+    UNLINKABLE,
     LexicalFeatureSource,
     load_feature_file,
     load_model,
@@ -182,12 +184,15 @@ def cmd_train_reranker(args) -> None:
     corpus = load_corpus(args.corpus)
     candidates = read_candidates(args.candidates)
     gold = load_gold_links(args.gold)
-    for step_id, goal_id in gold.items():
+    listed = zip(candidates.step_ids, candidates.goal_lists())
+    for path, what, step_id, goal_id in chain(
+            ((args.gold, "gold link", *link) for link in gold.items()),
+            ((args.candidates, "candidate", s, g) for s, goals in listed for g in goals)):
         try:
             corpus.step(step_id)
             corpus.article(goal_id)
         except KeyError as exc:
-            raise DataError(f"{args.gold}: gold link {step_id} -> {goal_id}: "
+            raise DataError(f"{path}: {what} {step_id} -> {goal_id}: "
                             f"{exc.args[0]} in {args.corpus}") from None
     split = split_links(gold)
 
@@ -327,7 +332,15 @@ def _videos(args, corpus=None):
 def cmd_vr_filter(args) -> None:
     corpus = load_corpus(args.corpus)
     splits, index = _videos(args, corpus)
-    links = read_links(args.links) if args.links else None
+    links = read_links(args.links) if args.links else None  # a duplicate step is reported first
+    for lineno, (step_id, outcome, *_) in tab_rows(args.links, 2) if args.links else ():
+        try:
+            corpus.step(step_id)
+            if outcome != UNLINKABLE:
+                corpus.article(outcome)
+        except KeyError as exc:  # a link dump of another corpus
+            raise fail(f"--links {args.links}", lineno,
+                       f"{exc.args[0]} in --corpus {args.corpus}") from None
     if args.level == FIL_L2 and links is None:
         raise UsageError("--links is required for level fil_l2")
 

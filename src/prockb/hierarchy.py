@@ -1,15 +1,15 @@
 """Link steps to goal articles and grow procedure trees.
 
 A LinkPipeline bundles the stage-1 index, the reranker, and a feature source.
-Linking one step is retrieve -> rerank -> argmax. Expansion replaces a linked
-step by the linked article's steps, breadth-first, stopping at max_depth and
+Linking a batch of steps is retrieve -> rerank, and each step's decision is
+the first entry of its reranked list. Expansion replaces a linked step by the
+linked article's steps, one tree level at a time, stopping at max_depth and
 refusing to revisit any goal already on the root-to-node path so trees stay
 acyclic and finite.
 """
 
 import hashlib
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -23,17 +23,14 @@ from .retrieval import GoalIndex, Ranked, retrieve_all
 
 @dataclass(frozen=True)
 class LinkPipeline:
-    """Everything one link decision depends on. Frozen, because decisions
-    are computed once per pipeline and then reused."""
+    """Everything one link decision depends on. It holds no decisions: a
+    caller that reuses them, as `expand` does within a tree, keeps its own."""
 
     corpus: Corpus
     index: GoalIndex
     store: EmbeddingStore
     model: RerankModel
     features: FeatureSource
-    _decisions: dict[str, "LinkDecision"] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def config_hash(self) -> str:
         payload = {  # "exclude_parent" is always true; kept so tree config hashes stay put
@@ -68,33 +65,31 @@ class LinkDecision(NamedTuple):
     sim2: float
 
 
-def decisions(ranked: Ranked) -> list[LinkDecision]:
-    """The first entry of each reranked list."""
+def decisions(ranked: Ranked) -> dict[str, LinkDecision]:
+    """Each step's decision: the first entry of its reranked list."""
     first = ranked.offsets[:-1]
-    return list(map(LinkDecision, map(ranked.goal_ids.__getitem__, first.tolist()),
-                    ranked.sim1[first].tolist(), ranked.sim2[first].tolist()))
+    return dict(zip(ranked.step_ids, map(
+        LinkDecision, map(ranked.goal_ids.__getitem__, first.tolist()),
+        ranked.sim1[first].tolist(), ranked.sim2[first].tolist())))
 
 
 def link_steps(pipeline: LinkPipeline, step_ids: Iterable[str]) -> Ranked:
     """The reranked lists of `step_ids`, in one pass: retrieve each step's
     candidates as `retrieve` did for the model (its k), compute their pair
-    features in one call, then rerank. Each step's decision is kept on the
-    pipeline; `link_step` reads them."""
+    features in one call, then rerank."""
     steps = [pipeline.corpus.step(step_id) for step_id in dict.fromkeys(step_ids)]
     candidates = retrieve_all(pipeline.index, pipeline.store, steps, pipeline.model.k)
     feats = pipeline.features.features(candidates.step_ids, candidates.goal_lists())
-    ranked = score_candidates(pipeline.model, candidates, feats)
-    pipeline._decisions.update(zip(ranked.step_ids, decisions(ranked)))
-    return ranked
+    return score_candidates(pipeline.model, candidates, feats)
 
 
-def link_step(pipeline: LinkPipeline, step_id: str) -> LinkDecision:
-    """The decision for one step, made by `link_steps` on first use and kept
-    on the pipeline, so linking the same step again (expand meets steps more
-    than once) reuses it."""
-    if step_id not in pipeline._decisions:
-        link_steps(pipeline, (step_id,))
-    return pipeline._decisions[step_id]
+def link_step(pipeline: LinkPipeline, step_id: str,
+              decided: dict[str, LinkDecision]) -> LinkDecision:
+    """The decision for one step: the one in `decided`, or else one made by
+    `link_steps` and added to `decided`."""
+    if step_id not in decided:
+        decided.update(decisions(link_steps(pipeline, (step_id,))))
+    return decided[step_id]
 
 
 def link_all(pipeline: LinkPipeline) -> Ranked:
@@ -154,49 +149,42 @@ class ProcedureTree:
 
 
 def expand(pipeline: LinkPipeline, root_goal_id: str, max_depth: int) -> ProcedureTree:
-    """Grow a procedure tree from one root article, breadth-first.
+    """Grow a procedure tree from one root article, one level at a time.
 
     A step is expanded iff it links to a goal, that goal is not already on
     the path from the root, and the step sits above max_depth. Unlinkable
     steps and suppressed cycles stay leaves. max_depth=0 returns the bare
-    depth-one article.
+    depth-one article. Each level's undecided steps are linked in one batch,
+    and a step met again reuses its decision.
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     corpus = pipeline.corpus
-    root_article = corpus.article(root_goal_id)
-    root = GoalNode(goal_id=root_goal_id, title=root_article.title, depth=0)
-    queue: deque[tuple[GoalNode, frozenset[str]]] = deque([(root, frozenset())])
-    linked_depth = -1  # the deepest level whose steps are linked
-
-    while queue:
-        node, ancestors = queue.popleft()
-        if linked_depth < node.depth < max_depth:
-            # The first node of a level; the queue holds the rest of it.
-            level = [node] + [queued for queued, _ in queue]
-            todo = [step.step_id for goal in level for step in corpus.article(goal.goal_id).steps
-                    if step.step_id not in pipeline._decisions]
-            if todo:
-                link_steps(pipeline, todo)
-            linked_depth = node.depth
-        path_goals = ancestors | {node.goal_id}
-        article = corpus.article(node.goal_id)
-        for step in article.steps:
-            step_node = StepNode(step_id=step.step_id, text=step.text, depth=node.depth)
-            node.steps.append(step_node)
-            if node.depth >= max_depth:
-                continue
-            decision = link_step(pipeline, step.step_id)
-            step_node.decision = decision
-            if decision.outcome == UNLINKABLE:
-                continue
-            if decision.outcome in path_goals:
-                step_node.suppressed_cycle = True
-                continue
-            target = corpus.article(decision.outcome)
-            child = GoalNode(goal_id=target.goal_id, title=target.title, depth=node.depth + 1)
-            step_node.child = child
-            queue.append((child, path_goals))
+    root = GoalNode(goal_id=root_goal_id, title=corpus.article(root_goal_id).title, depth=0)
+    decided: dict[str, LinkDecision] = {}
+    level = [(root, frozenset({root_goal_id}))]  # goal nodes, each with its path's goals
+    for depth in range(max_depth + 1):
+        for node, _ in level:
+            node.steps = [StepNode(step_id=step.step_id, text=step.text, depth=depth)
+                          for step in corpus.article(node.goal_id).steps]
+        if depth == max_depth:
+            break
+        todo = [step.step_id for node, _ in level for step in node.steps
+                if step.step_id not in decided]
+        if todo:
+            decided.update(decisions(link_steps(pipeline, todo)))
+        level, parents = [], level
+        for node, path_goals in parents:
+            for step in node.steps:
+                decision = step.decision = link_step(pipeline, step.step_id, decided)
+                if decision.outcome == UNLINKABLE:
+                    continue
+                if decision.outcome in path_goals:
+                    step.suppressed_cycle = True
+                    continue
+                target = corpus.article(decision.outcome)
+                step.child = GoalNode(goal_id=target.goal_id, title=target.title, depth=depth + 1)
+                level.append((step.child, path_goals | {target.goal_id}))
 
     return ProcedureTree(root=root, max_depth=max_depth, config_hash=pipeline.config_hash())
 

@@ -180,7 +180,7 @@ KINDS = {
                      lambda path: columns(read_candidates(path))[:4], lambda r: columns(r)[:4],
                      "\t"),
     "links": Kind(ranked_lists(sim2=True), write_links, read_links,
-                  lambda r: {s: d.outcome for s, d in zip(r.step_ids, decisions(r))}, "\t"),
+                  lambda r: {s: d.outcome for s, d in decisions(r).items()}, "\t"),
     "gold": Kind(gold_links(),
                  lambda path, links: write_rows(path, links.items()),
                  lambda path: list(load_gold_links(path).items()),

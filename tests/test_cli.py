@@ -212,6 +212,31 @@ def test_gold_link_outside_the_corpus_exits_2(identity_setup, tmp_path, capsys, 
     assert not (tmp_path / "tr").exists()
 
 
+@pytest.mark.parametrize("step, rank, renamed, link", [
+    (None, "10", 2, "a00_probe -> zz_{goal}: unknown goal_id 'zz_{goal}'"),
+    ("a00_f0", "10", 2, "a00_f0 -> zz_{goal}: unknown goal_id 'zz_{goal}'"),
+    ("a00_f0", None, 0, "zz_a00_f0 -> {goal}: unknown step_id 'zz_a00_f0'"),
+], ids=["goal-in-every-list", "goal-in-a-list-without-gold", "unknown-step"])
+def test_candidate_outside_the_corpus_exits_2(identity_setup, tmp_path, capsys,
+                                              step, rank, renamed, link):
+    """Every step and goal of --candidates is checked against --corpus, also
+    in a list that training drops."""
+    corpus_path, gold_path, _, candidates = _linked(identity_setup, tmp_path)
+    rows = [line.split("\t") for line in candidates.read_text().splitlines()]
+    damaged = [i for i, row in enumerate(rows) if step in (None, row[0]) and rank in (None, row[1])]
+    first = rows[damaged[0]][2]
+    for i in damaged:
+        rows[i][renamed] = "zz_" + rows[i][renamed]
+    candidates.write_text("".join("\t".join(row) + "\n" for row in rows))
+    capsys.readouterr()
+    code = run(["train-reranker", "--corpus", str(corpus_path), "--candidates", str(candidates),
+                "--gold", str(gold_path), "--epochs", "1", "--out-dir", str(tmp_path / "tr")])
+    assert code == 2
+    message = f"{candidates}: candidate {link.format(goal=first)} in {corpus_path}"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "tr").exists()
+
+
 def test_manifest_contents(identity_setup, tmp_path):
     corpus_path, _, _ = identity_setup
     out = tmp_path / "ix"
@@ -352,6 +377,38 @@ def test_vr_filter_l2_requires_links(tmp_path):
                 "--index", str(vr_index(tmp_path, videos_path)),
                 "--level", "fil_l2", "--out-dir", str(tmp_path / "vf2")])
     assert code == 1
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    ("g0_s0\tnogoal\t0.5\t0.5\ng0_s1\tnogoal\t0.5\t0.5\n", 1, "unknown goal_id 'nogoal'"),
+    ("g0_s0\tUNLINKABLE\nnostep\tg1\n", 2, "unknown step_id 'nostep'"),
+], ids=["unknown-goal", "unknown-step"])
+def test_vr_filter_link_outside_the_corpus_exits_2(tmp_path, capsys, text, lineno, message):
+    """A link dump of another corpus is rejected, not read as links to nothing."""
+    corpus_path, videos_path = vr_fixture(tmp_path)
+    links, out = tmp_path / "links.tsv", tmp_path / "vf2"
+    links.write_text(text)
+    code = run(["vr-filter", "--videos", str(videos_path), "--corpus", str(corpus_path),
+                "--index", str(vr_index(tmp_path, videos_path)), "--level", "fil_l2",
+                "--links", str(links), "--out-dir", str(out)])
+    assert code == 2
+    assert (f"error: --links {links}: line {lineno}: {message} in --corpus {corpus_path}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_vr_filter_takes_the_links_of_link(tmp_path):
+    corpus_path, videos_path = vr_fixture(tmp_path)
+    assert run(["build-index", "--corpus", str(corpus_path), "--dim", "16",
+                "--out-dir", str(tmp_path / "ix")]) == 0
+    model = tmp_path / "model.txt"
+    save_model(new_model(7, unlinkable=True), model)
+    assert run(["link", "--corpus", str(corpus_path), "--embeddings",
+                str(tmp_path / "ix" / "embeddings.txt"), "--model", str(model),
+                "--out-dir", str(tmp_path / "ln")]) == 0
+    assert run(["vr-filter", "--videos", str(videos_path), "--corpus", str(corpus_path),
+                "--index", str(vr_index(tmp_path, videos_path)), "--level", "fil_l2",
+                "--links", str(tmp_path / "ln" / "links.tsv"), "--out-dir", str(tmp_path / "vf2")]) == 0
 
 
 @pytest.mark.parametrize("command", ["vr-filter", "vr-eval"])

@@ -1,4 +1,5 @@
 import json
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -63,7 +64,7 @@ def cycle_records():
 
 def test_link_step_exact_match():
     pipeline = make_pipeline(chain_records())
-    decision = link_step(pipeline, "A_s0")
+    decision = link_step(pipeline, "A_s0", {})
     assert decision.outcome == "B"
     assert decision.sim2 == 10.0  # the exact-match feature times its weight
 
@@ -72,7 +73,7 @@ def test_link_step_never_links_parent():
     # B_s0's text matches C exactly; parent B is excluded from its candidates
     pipeline = make_pipeline(chain_records())
     for step in pipeline.corpus.steps():
-        decision = link_step(pipeline, step.step_id)
+        decision = link_step(pipeline, step.step_id, {})
         assert decision.outcome != step.parent_goal_id
 
 
@@ -80,7 +81,7 @@ def test_link_step_unlinkable_argmax():
     # the placeholder's bias outscores every non-matching candidate
     model = exact_match_model(unlinkable=True)
     pipeline = make_pipeline(chain_records(), model=model)
-    decision = link_step(pipeline, "C_s0")  # "empty the bag" matches no title
+    decision = link_step(pipeline, "C_s0", {})  # "empty the bag" matches no title
     assert decision.outcome == UNLINKABLE
 
 
@@ -179,7 +180,7 @@ def test_link_dumps_round_trip(tmp_path):
     links_path = tmp_path / "links.tsv"
     write_links(links_path, ranked)
     loaded = read_links(links_path)
-    assert loaded == {s: d.outcome for s, d in zip(ranked.step_ids, decisions(ranked))}
+    assert loaded == {s: d.outcome for s, d in decisions(ranked).items()}
 
     rankings_path = tmp_path / "rankings.tsv"
     write_candidates(rankings_path, ranked)
@@ -190,12 +191,14 @@ def test_link_dumps_round_trip(tmp_path):
     assert columns(read_candidates(rankings_path)) == columns(ranked)
 
 
-def test_link_decisions_are_reused_per_pipeline():
+def test_link_step_keeps_decisions_in_the_callers_dict():
     pipeline = make_pipeline(chain_records())
-    first = link_step(pipeline, "A_s0")
-    assert link_step(pipeline, "A_s0") is first
-    fresh = make_pipeline(chain_records())
-    assert link_step(fresh, "A_s0") == first
+    decided = {}
+    first = link_step(pipeline, "A_s0", decided)
+    assert decided == {"A_s0": first}
+    assert link_step(pipeline, "A_s0", decided) is first
+    assert link_step(pipeline, "A_s0", {}) == first
+    assert vars(pipeline).keys() == {"corpus", "index", "store", "model", "features"}
     with pytest.raises(AttributeError):
         pipeline.model = exact_match_model()
 
@@ -204,12 +207,12 @@ def test_batched_links_equal_one_step_at_a_time():
     records, _ = identity_records(30)  # 90 steps: several feature blocks
     model = replace(exact_match_model(unlinkable=True), k=5)
     batched = link_all(make_pipeline(records, model=model))
-    for i, (step_id, decision) in enumerate(zip(batched.step_ids, decisions(batched))):
+    for i, (step_id, decision) in enumerate(decisions(batched).items()):
         alone = make_pipeline(records, model=model)
         one = hierarchy.link_steps(alone, (step_id,))
         assert one.goal_ids == batched.goal_ids[batched.rows(i)]
         assert one.sim2.tobytes() == batched.sim2[batched.rows(i)].tobytes()
-        assert link_step(alone, step_id) == decision
+        assert link_step(alone, step_id, {}) == decision
 
 
 def test_expand_links_each_level_in_one_batch(monkeypatch):
@@ -220,7 +223,7 @@ def test_expand_links_each_level_in_one_batch(monkeypatch):
 
     def record(pipeline, step_ids):
         calls.append(list(step_ids))
-        link_steps(pipeline, calls[-1])
+        return link_steps(pipeline, calls[-1])
 
     monkeypatch.setattr(hierarchy, "link_steps", record)
     tree = expand(pipeline, "a00", max_depth=2)
@@ -229,3 +232,49 @@ def test_expand_links_each_level_in_one_batch(monkeypatch):
         if goal.depth < 2:
             levels.setdefault(goal.depth, []).extend(s.step_id for s in goal.steps)
     assert levels[1] and calls == [levels[0], levels[1]]
+
+
+def reference_walk(pipeline, root, max_depth):
+    """expand's rules, walked breadth-first over `link`'s decisions of every
+    step: (depth, step, link, sim1, sim2, suppressed_cycle) per step node."""
+    decided = decisions(link_all(pipeline))
+    rows, queue = [], deque([(root, 0, frozenset({root}))])
+    while queue:
+        goal, depth, path = queue.popleft()
+        for step in pipeline.corpus.article(goal).steps:
+            if depth == max_depth:
+                rows.append((depth, step.step_id, None, None, None, False))
+                continue
+            decision = decided[step.step_id]
+            cycle = decision.outcome in path
+            rows.append((depth, step.step_id, *decision, cycle))
+            if decision.outcome != UNLINKABLE and not cycle:
+                queue.append((decision.outcome, depth + 1, path | {decision.outcome}))
+    return rows
+
+
+def tree_rows(tree):
+    """The step nodes of `tree`, breadth-first, as `reference_walk` gives them."""
+    rows, queue = [], deque([tree.root])
+    while queue:
+        goal = queue.popleft()
+        for step in goal.steps:
+            rows.append((step.depth, step.step_id, *(step.decision or (None,) * 3),
+                         step.suppressed_cycle))
+            if step.child is not None:
+                queue.append(step.child)
+    return rows
+
+
+@pytest.mark.parametrize("records, model", [
+    (chain_records(), exact_match_model()),
+    (chain_records(), exact_match_model(unlinkable=True)),
+    (identity_records(6)[0], exact_match_model()),
+    (cycle_records(), exact_match_model()),
+], ids=["chain", "chain-unlinkable", "identity", "cycle"])
+def test_expand_agrees_with_link(records, model):
+    pipeline = make_pipeline(records, model=model)
+    for root in pipeline.corpus.goal_ids():
+        for max_depth in range(4):
+            tree = expand(pipeline, root, max_depth)
+            assert tree_rows(tree) == reference_walk(pipeline, root, max_depth), (root, max_depth)
