@@ -61,10 +61,18 @@ class UsageError(Exception):
     pass
 
 
-# The least value of each integer flag, by dest (each is the flag of one
-# subcommand); `main` checks it before the command runs.
-MINIMUM = {"dim": MIN_DIM, "k": 1, "epochs": 1, "batch": 1, "window": 1, "max_depth": 0, "n": 1,
-           "cap": 0}
+def _at_least(least: int):
+    return f">= {least}", lambda value: value >= least
+
+
+# The bound of each numeric flag, by dest (each is the flag of one subcommand),
+# as its text and its test; `main` checks it before the command runs.
+_POSITIVE = ("a finite number > 0", lambda value: math.isfinite(value) and value > 0)
+BOUNDS = {"dim": _at_least(MIN_DIM), "k": _at_least(1), "epochs": _at_least(1),
+          "batch": _at_least(1), "window": _at_least(1), "max_depth": _at_least(0),
+          "n": _at_least(1), "cap": _at_least(0), "lr": _POSITIVE, "k1": _POSITIVE,
+          "lambda_init": ("a finite number", math.isfinite),
+          "b": ("in [0, 1]", lambda value: 0 <= value <= 1)}
 
 
 class Parser(argparse.ArgumentParser):
@@ -179,8 +187,6 @@ def cmd_retrieve(args) -> None:
 
 
 def cmd_train_reranker(args) -> None:
-    if not (math.isfinite(args.lr) and args.lr > 0):
-        raise UsageError(f"--lr must be a finite number > 0, got {args.lr!r}")
     corpus = load_corpus(args.corpus)
     candidates = read_candidates(args.candidates)
     gold = load_gold_links(args.gold)
@@ -278,7 +284,9 @@ def cmd_eval_links(args) -> None:
     rankings = read_candidates(args.rankings)
     gold = load_gold_links(args.gold)
     if args.split != "all":
-        gold = split_links(gold)[args.split]
+        n, gold = len(gold), split_links(gold)[args.split]
+        if not gold:
+            raise DataError(f"--gold {args.gold}: {n} links leave the {args.split} split empty")
     try:
         report = recall_report(rankings, gold, _parse_ns(args.ns))
     except KeyError as exc:  # a gold step without a ranking
@@ -539,10 +547,10 @@ def main(argv: list[str] | None = None) -> int:
         actions = parser.subcommands[args.command]._actions  # type: ignore[attr-defined]
         given = (getattr(args, a.dest) for a in actions if a.type is infile)
         args._inputs = sorted(set(filter(None, given)))
-        for action in actions:
-            least, value = MINIMUM.get(action.dest), getattr(args, action.dest, None)
-            if least is not None and value < least:
-                raise UsageError(f"{action.option_strings[0]} must be >= {least}, got {value}")
+        for action in (action for action in actions if action.dest in BOUNDS):
+            (bound, holds), value = BOUNDS[action.dest], getattr(args, action.dest)
+            if not holds(value):
+                raise UsageError(f"{action.option_strings[0]} must be {bound}, got {value}")
         args._outputs = []
         args.func(args)
         _write_manifest(args)

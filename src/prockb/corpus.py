@@ -3,7 +3,7 @@
 One article per line: ``{"id": ..., "title": ..., "steps": [{"id": ..., "text": ...}, ...]}``.
 Titles are the goals; steps are the goal's children, in article order. All text
 is NFC-normalized with internal whitespace collapsed; case is preserved. A
-corpus is immutable once loaded and safe to share across workers.
+corpus is immutable once loaded.
 """
 
 import unicodedata

@@ -2,7 +2,7 @@
 
 Tokenization is lowercase plus splitting on non-alphanumeric runs. IDF uses
 the non-negative form ln(1 + (N - df + 0.5) / (df + 0.5)). Defaults k1=1.2,
-b=0.75. Indexes are immutable once built; queries may run concurrently.
+b=0.75. Indexes are immutable once built.
 """
 
 import json

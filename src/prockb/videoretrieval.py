@@ -14,13 +14,15 @@ weights in LEVEL_WEIGHTS. Query levels:
 Filtering is greedy hill climbing over per-goal training videos: starting
 from the bare goal, repeatedly add the unused candidate step with the lowest
 cost, keep it only if it strictly improves on the best cost so far, and stop
-otherwise. The round counter starts at min(n_candidates, cap) and runs to 0
-inclusive, so at most min(n, cap) + 1 clauses can be accepted.
+otherwise. With n distinct candidates the filter runs at most min(n, cap) + 1
+rounds and accepts at most min(n, cap + 1) clauses.
 """
 
 import math
 import random
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -224,34 +226,25 @@ def hill_climb(
 
     Start from [goal]. Each round, evaluate the cost of adding every unused
     candidate, take the cheapest (first one wins ties), and accept it only if
-    it strictly beats the best cost so far; otherwise stop. The round counter
-    runs from min(n, cap) down to 0 inclusive.
+    it strictly beats the best cost so far; otherwise, or when no candidate
+    is left, stop. At most min(n, cap) + 1 rounds run.
 
     `cost_fn` takes a list of clause lists and returns their costs: it is
     called once for the baseline [[goal]] and once per round with every
-    trial of that round.
+    trial of that round, which all share the accepted clauses.
     """
     best_query = [goal_text]
-    min_cost = cost_fn([best_query])[0]
-    accepted = [min_cost]
-    r = min(len(candidates), cap)
-    rounds = 0
-    while r >= 0:
-        rounds += 1
+    accepted = [cost_fn([best_query])[0]]
+    for rounds in range(1, min(len(candidates), cap) + 2):
         trials = [best_query + [cand] for cand in candidates if cand not in best_query]
-        in_cost = math.inf
-        in_query: list[str] | None = None
-        for trial, cost in zip(trials, cost_fn(trials) if trials else ()):
-            if cost < in_cost:
-                in_cost = cost
-                in_query = trial
-        if in_cost < min_cost and in_query is not None:
-            min_cost = in_cost
-            best_query = in_query
-            accepted.append(min_cost)
-        else:
+        if not trials:
             break
-        r -= 1
+        costs = cost_fn(trials)
+        best = min(range(len(trials)), key=costs.__getitem__)
+        if not costs[best] < accepted[-1]:
+            break
+        best_query = trials[best]
+        accepted.append(costs[best])
     return FilterTrace(clauses=best_query[1:], accepted_costs=accepted, rounds=rounds)
 
 
@@ -264,10 +257,11 @@ def make_cost_fn(
 ) -> Callable[[list[list[str]]], list[float]]:
     """Costs of clause lists over a set of relevant videos.
 
-    The returned function takes a list of trials, each a clause list (goal
-    first), and returns one cost per trial. mean_rank: average rank of the
-    relevant videos in the full-pool ranking (lower is better).
-    neg_recall50: negative fraction of relevant videos ranked in the top 50.
+    The returned function scores one round: it takes trials, clause lists
+    (goal first) that share all but their last clause (their head), and
+    returns one cost per trial; mixed heads raise ValueError. mean_rank:
+    average rank of the relevant videos in the full-pool ranking (lower is
+    better). neg_recall50: negative fraction ranked in the top 50.
     """
     if kind not in COST_KINDS:
         raise ValueError(f"unknown cost kind {kind!r}")
@@ -275,26 +269,18 @@ def make_cost_fn(
         raise ValueError("cost function needs at least one relevant video")
     scorer = ClauseScorer(index)
     rel_idx = np.array([index.doc_idx(v) for v in relevant_ids], dtype=np.int64)
-    head: list[str] = []
-    head_scores = np.zeros(0)
 
     def costs(trials: list[list[str]]) -> list[float]:
-        # A trial is the accepted clauses (its head) plus one candidate. Its
-        # row is w_s * clause_scores + head_scores; query_scores adds clauses
-        # left to right, and addition commutes, so the row is that sum bit
-        # for bit.
-        nonlocal head, head_scores
-        block = np.empty((len(trials), index.n_docs))
-        for row, clauses in zip(block, trials):
-            if len(clauses) == 1:
-                np.multiply(w_g, scorer.clause_scores(clauses[0]), out=row)
-                continue
-            if clauses[:-1] != head:
-                head = clauses[:-1]
-                head_scores = scorer.query_scores(
-                    Query("", head[0], tuple(head[1:]), w_g=w_g, w_s=w_s, level=""))
-            np.multiply(w_s, scorer.clause_scores(clauses[-1]), out=row)
-            row += head_scores
+        # weight * last clause + head: query_scores' sum bit for bit, as addition commutes
+        if not trials:
+            return []
+        head = trials[0][:-1]
+        if any(clauses[:-1] != head for clauses in trials):
+            raise ValueError("the trials of one cost call must share all but their last clause")
+        block = np.stack([scorer.clause_scores(clauses[-1]) for clauses in trials])
+        block *= w_s if head else w_g  # the bare goal has no head
+        if head:
+            block += scorer.query_scores(Query("", head[0], tuple(head[1:]), w_g, w_s, ""))
         ranks = relevant_ranks(block, rel_idx, index.id_rank)
         if kind == "mean_rank":
             return (ranks.sum(axis=1) / len(rel_idx)).tolist()
@@ -340,23 +326,17 @@ def vr_metrics(ranks: Mapping[str, Sequence[int]], ns: Sequence[int]) -> VRMetri
     goals = sorted(ranks)
     if not goals:
         raise ValueError("no goals to evaluate")
-    recall = {n: 0.0 for n in ns}
-    precision = {n: 0.0 for n in ns}
-    mr = 0.0
     for goal_id in goals:
-        goal_ranks = ranks[goal_id]
-        if not goal_ranks:
+        if not ranks[goal_id]:
             raise ValueError(f"goal {goal_id!r} has an empty relevant set")
-        for n in ns:
-            within = sum(1 for r in goal_ranks if r <= n)
-            recall[n] += within / len(goal_ranks)
-            precision[n] += within / n
-        mr += sum(goal_ranks) / len(goal_ranks)
-    m = len(goals)
+
+    def mean(terms: list[float]) -> float:  # left to right: `sum` compensates from Python 3.12
+        return reduce(add, terms, 0.0) / len(terms)
+    within = {n: [sum(1 for r in ranks[g] if r <= n) for g in goals] for n in ns}
     return VRMetrics(
-        recall={n: recall[n] / m for n in ns},
-        precision={n: precision[n] / m for n in ns},
-        mean_rank=mr / m,
+        recall={n: mean([w / len(ranks[g]) for w, g in zip(within[n], goals)]) for n in ns},
+        precision={n: mean([w / n for w in within[n]]) for n in ns},
+        mean_rank=mean([sum(ranks[g]) / len(ranks[g]) for g in goals]),
     )
 
 

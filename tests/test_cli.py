@@ -545,6 +545,26 @@ def test_eval_links_gold_step_without_ranking_names_both_files(identity_setup, t
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n_links, split", [(3, "test"), (3, "dev"), (9, "test")])
+def test_eval_links_on_an_empty_split_names_the_gold_file(identity_setup, tmp_path, capsys,
+                                                          n_links, split):
+    """Fewer than 10 gold links leave the test split empty, fewer than 5 the dev split."""
+    _, gold_path, gold = identity_setup
+    few = tmp_path / "few_gold.tsv"
+    few.write_text("".join(gold_path.read_text().splitlines(keepends=True)[:n_links]))
+    rankings = tmp_path / "rankings.tsv"
+    rankings.write_text("".join(f"{s}\t1\t{g}\t0.5\n" for s, g in gold.items()))
+    out = tmp_path / "ev"
+    capsys.readouterr()
+    assert run(["eval-links", "--rankings", str(rankings), "--gold", str(few), "--split", split,
+                "--out-dir", str(out)]) == 2
+    assert (f"error: --gold {few}: {n_links} links leave the {split} split empty"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    assert run(["eval-links", "--rankings", str(rankings), "--gold", str(few), "--split", "train",
+                "--out-dir", str(out)]) == 0
+
+
 def _edit_json(edit):
     def apply(text):
         payload = json.loads(text)
@@ -1027,7 +1047,8 @@ def test_config_without_path_is_a_usage_error(capsys):
 @pytest.mark.parametrize(
     "flag, value",
     [("--batch", "0"), ("--batch", "-3"), ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-inf"),
-     ("--lr", "0"), ("--lr", "-0.5"), ("--window", "0"), ("--epochs", "0"), ("--epochs", "-1")],
+     ("--lr", "0"), ("--lr", "-0.5"), ("--window", "0"), ("--epochs", "0"), ("--epochs", "-1"),
+     ("--lambda-init", "nan"), ("--lambda-init", "inf"), ("--lambda-init", "-inf")],
 )
 def test_bad_training_flag_is_a_usage_error(config_commands, tmp_path, capsys, flag, value):
     capsys.readouterr()
@@ -1037,15 +1058,17 @@ def test_bad_training_flag_is_a_usage_error(config_commands, tmp_path, capsys, f
     assert not out.exists()
 
 
-@pytest.mark.parametrize("values", [{"batch": 0}, {"lr": "nan"}, {"lr": -1}, {"epochs": 0}],
-                         ids=["batch-0", "lr-nan", "lr-negative", "epochs-0"])
+@pytest.mark.parametrize("values", [{"batch": 0}, {"lr": "nan"}, {"lr": -1}, {"epochs": 0},
+                                    {"lambda_init": "inf"}],
+                         ids=["batch-0", "lr-nan", "lr-negative", "epochs-0", "lambda-init-inf"])
 def test_bad_training_config_value_is_a_usage_error(config_commands, tmp_path, capsys, values):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(values))
     capsys.readouterr()
     argv = ["--config", str(config), *config_commands["train-reranker"]]
     assert run([*argv, "--out-dir", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith(f"usage error: --{next(iter(values))} must be")
+    flag = "--" + next(iter(values)).replace("_", "-")
+    assert capsys.readouterr().err.startswith(f"usage error: {flag} must be")
 
 
 def test_diverging_training_exits_2_naming_lr(config_commands, tmp_path, capsys):
@@ -1076,17 +1099,6 @@ def test_python_dash_m_runs_the_cli(tmp_path, module):
     shown = python_m("--help")
     assert shown.returncode == 0
     assert shown.stdout.startswith("usage: prockb")
-
-
-@pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("command", ["vr-index"])
-def test_non_finite_k1_exits_2(tmp_path, capsys, command, value):
-    _, videos_path = vr_fixture(tmp_path)
-    capsys.readouterr()
-    out = tmp_path / "out"
-    assert run([command, "--videos", str(videos_path), f"--k1={value}", "--out-dir", str(out)]) == 2
-    assert f"k1 must be a finite number > 0, got {value}" in capsys.readouterr().err
-    assert not out.exists()
 
 
 @pytest.fixture
@@ -1181,6 +1193,29 @@ def test_bad_integer_flag_is_a_usage_error(input_files, tmp_path, capsys, name, 
     assert run([*argv, flag, value, "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"usage error: {flag} must be >= ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["search", "vr-index"])
+@pytest.mark.parametrize(
+    "flag, value, bound",
+    [("--k1", "0", "a finite number > 0"), ("--k1", "nan", "a finite number > 0"),
+     ("--k1", "inf", "a finite number > 0"), ("--b", "2", "in [0, 1]"),
+     ("--b", "-0.1", "in [0, 1]"), ("--b", "nan", "in [0, 1]")],
+    ids=["k1-0", "k1-nan", "k1-inf", "b-2", "b-negative", "b-nan"],
+)
+def test_bad_bm25_flag_is_a_usage_error(input_files, tmp_path, capsys, name, flag, value, bound):
+    """The BM25 flags are checked by name before --out-dir is made, from the
+    command line and from --config alike."""
+    argv = _subcommand(input_files, name)
+    out = tmp_path / "out"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({flag[2:]: value}))
+    for bad in ([*argv, flag, value], ["--config", str(config), *argv]):
+        capsys.readouterr()
+        assert run([*bad, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"usage error: {flag} must be {bound}, got {float(value)}")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("name, flag", [("link", "--k"), ("expand", "--k"),

@@ -170,8 +170,9 @@ def test_idf_never_negative():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        TextIndex(TWO_DOCS, k1=0.0)
+    for k1 in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="k1 must be a finite number > 0"):
+            TextIndex(TWO_DOCS, k1=k1)
     with pytest.raises(ValueError):
         TextIndex(TWO_DOCS, b=1.5)
     assert (DEFAULT_K1, DEFAULT_B) == (1.2, 0.75)

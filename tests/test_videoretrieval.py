@@ -298,10 +298,16 @@ def test_filter_matches_full_lexsort_cost(case, kind, cap, trials):
     index = build_video_index(videos)
     cost_fn = make_cost_fn(index, relevant, 1.0, 0.5, kind=kind)
     reference = lexsort_cost_fn(index, relevant, 1.0, 0.5, kind)
-    # any call order and any mix of heads, not only hill_climb's
-    assert cost_fn(trials) == [reference(clauses) for clauses in trials]
+    # any call order; one call is one round, whose trials share their head
     for clauses in trials:
         assert cost_fn([clauses]) == [reference(clauses)]
+        round_trials = [clauses[:-1] + [word] for word in WORDS + ["zzz"]]
+        assert cost_fn(round_trials) == [reference(trial) for trial in round_trials]
+    if len({tuple(clauses[:-1]) for clauses in trials}) > 1:
+        with pytest.raises(ValueError, match="share"):
+            cost_fn(trials)
+    else:  # also the empty call
+        assert cost_fn(trials) == [reference(clauses) for clauses in trials]
 
     trace = hill_climb(goal, candidates, make_cost_fn(index, relevant, 1.0, 0.5, kind=kind), cap)
     expected = hill_climb(goal, candidates, one_at_a_time(reference), cap)
@@ -479,6 +485,10 @@ def test_cost_fn_kinds():
     clauses = ["zebra quortex"]
     assert mean_rank([clauses]) == [2.0]
     assert neg_recall([clauses]) == [-1.0]
+    # one call is one round: its trials share all but their last clause
+    with pytest.raises(ValueError, match="share"):
+        mean_rank([["zebra quortex"], ["zebra quortex", "alpha beta"]])
+    assert mean_rank([]) == neg_recall([]) == []
     with pytest.raises(ValueError, match="cost"):
         make_cost_fn(index, train, 1.0, 0.5, kind="mystery")
 
