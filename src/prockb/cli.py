@@ -20,13 +20,12 @@ import numpy as np
 
 from . import __version__
 from .artifacts import fail, read_json, read_text, tab_rows, write_json, write_rows
-from .corpus import CONTEXT_MODES, load_corpus, validation_report
+from .corpus import CONTEXT_MODES, UNLINKABLE, load_corpus, validation_report
 from .embedding import MIN_DIM, embed_corpus, load_embeddings, save_embeddings
 from .errors import DataError
 from .hierarchy import LinkPipeline, expand, link_all, read_links, write_links, write_tree
 from .linkeval import load_gold_links, recall_report, split_links
 from .rerank import (
-    UNLINKABLE,
     LexicalFeatureSource,
     load_feature_file,
     load_model,
@@ -186,21 +185,31 @@ def cmd_retrieve(args) -> None:
     write_candidates(_output(args, "candidates.tsv")[0], ranked)
 
 
+def _split(args, gold: dict[str, str]) -> dict[str, dict[str, str]]:
+    try:
+        return split_links(gold)
+    except DataError as exc:  # too few links
+        raise DataError(f"--gold {args.gold}: {exc}") from None
+
+
 def cmd_train_reranker(args) -> None:
     corpus = load_corpus(args.corpus)
     candidates = read_candidates(args.candidates)
     gold = load_gold_links(args.gold)
-    listed = zip(candidates.step_ids, candidates.goal_lists())
-    for path, what, step_id, goal_id in chain(
-            ((args.gold, "gold link", *link) for link in gold.items()),
-            ((args.candidates, "candidate", s, g) for s, goals in listed for g in goals)):
-        try:
-            corpus.step(step_id)
-            corpus.article(goal_id)
-        except KeyError as exc:
-            raise DataError(f"{path}: {what} {step_id} -> {goal_id}: "
-                            f"{exc.args[0]} in {args.corpus}") from None
-    split = split_links(gold)
+    step_ids, goal_ids = {step.step_id for step in corpus.steps()}, set(corpus.goal_ids())
+    if not (step_ids.issuperset(chain(gold, candidates.step_ids))
+            and goal_ids.issuperset(chain(gold.values(), candidates.goal_ids))):
+        listed = zip(candidates.step_ids, candidates.goal_lists())  # only to name the first offender
+        for path, what, step_id, goal_id in chain(
+                ((args.gold, "gold link", *link) for link in gold.items()),
+                ((args.candidates, "candidate", s, g) for s, goals in listed for g in goals)):
+            try:
+                corpus.step(step_id)
+                corpus.article(goal_id)
+            except KeyError as exc:
+                raise DataError(f"{path}: {what} {step_id} -> {goal_id}: "
+                                f"{exc.args[0]} in {args.corpus}") from None
+    split = _split(args, gold)
 
     source = load_feature_file(args.features) if args.features else LexicalFeatureSource(
         corpus, context_mode=args.context_mode, window=args.window
@@ -284,7 +293,7 @@ def cmd_eval_links(args) -> None:
     rankings = read_candidates(args.rankings)
     gold = load_gold_links(args.gold)
     if args.split != "all":
-        n, gold = len(gold), split_links(gold)[args.split]
+        n, gold = len(gold), _split(args, gold)[args.split]
         if not gold:
             raise DataError(f"--gold {args.gold}: {n} links leave the {args.split} split empty")
     try:

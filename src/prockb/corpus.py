@@ -16,9 +16,9 @@ from .errors import DataError
 
 CONTEXT_MODES = ("none", "goal", "surround", "both")
 
-# Reserved for the synthetic placeholder goal used by the reranker; a corpus id
-# equal to it would make link dumps ambiguous.
-RESERVED_IDS = frozenset({"UNLINKABLE"})
+UNLINKABLE = "UNLINKABLE"  # the goal of a step that links to no goal
+# Ids no corpus may use: a goal id UNLINKABLE would make link dumps ambiguous.
+RESERVED_IDS = frozenset({UNLINKABLE})
 
 
 def normalize_text(text: str) -> str:

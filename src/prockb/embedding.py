@@ -41,6 +41,13 @@ class _SignedBuckets(dict):
         return signed
 
 
+def unit(vec: np.ndarray) -> np.ndarray:
+    """`vec` over its Euclidean norm, or `vec` itself when the norm is 0: the
+    one vector normalisation of stage 1."""
+    norm = math.sqrt(float(vec @ vec))
+    return vec / norm if norm else vec
+
+
 def embed_text(
     text: str,
     dim: int,
@@ -71,25 +78,7 @@ def embed_text(
     grams = [padded[i : i + n] for n in NGRAM_SIZES for i in range(len(padded) - n + 1)]
     signed = np.fromiter(map(buckets.__getitem__, grams), dtype=np.int64, count=len(grams))
     vec = np.bincount(np.abs(signed) - 1, weights=np.sign(signed), minlength=dim)
-    vec /= len(grams)
-    norm = math.sqrt(float(vec @ vec))
-    if norm > 0.0:
-        vec /= norm
-    return vec
-
-
-def cosine(u, v) -> float:
-    """Cosine similarity; 0 if either vector has zero norm."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = math.sqrt(float(u @ u))
-    nv = math.sqrt(float(v @ v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    c = float(u @ v) / (nu * nv)
-    return max(-1.0, min(1.0, c))
+    return unit(vec / len(grams))
 
 
 class EmbeddingStore:

@@ -15,9 +15,9 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .artifacts import tab_rows, write_columns, write_json
-from .corpus import Corpus
+from .corpus import UNLINKABLE, Corpus
 from .embedding import EmbeddingStore
-from .rerank import UNLINKABLE, FeatureSource, RerankModel, score_candidates
+from .rerank import FeatureSource, RerankModel, score_candidates
 from .retrieval import GoalIndex, Ranked, retrieve_all
 
 

@@ -21,19 +21,20 @@ plugged in without any ML runtime here.
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import chain, pairwise, repeat
+from operator import add
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
 from .artifacts import fail, lines, read_vectors
-from .corpus import CONTEXT_MODES, Corpus, context_of
+from .corpus import CONTEXT_MODES, UNLINKABLE, Corpus, context_of
 from .errors import DataError
 from .retrieval import DEFAULT_K, Ranked
-from .textsearch import tokenize
+from .textsearch import idf, tokenize
 
-UNLINKABLE = "UNLINKABLE"
 SCORE_ROWS = 1024  # feature rows per block when scoring
 
 
@@ -54,13 +55,9 @@ class FeatureSource(Protocol):
 
 
 def idf_table(texts: Iterable[str]) -> dict[str, float]:
-    """Per-token IDF over a document collection (same form as the BM25 IDF)."""
-    df: Counter[str] = Counter()
-    n = 0
-    for text in texts:
-        n += 1
-        df.update(set(tokenize(text)))
-    return {t: math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for t, d in df.items()}
+    """Per-token IDF over a document collection: `textsearch.idf`, the BM25 IDF."""
+    sets = [set(tokenize(text)) for text in texts]
+    return {t: idf(len(sets), d) for t, d in Counter(chain.from_iterable(sets)).items()}
 
 
 class _Texts(NamedTuple):
@@ -81,16 +78,16 @@ class _Texts(NamedTuple):
     folded: list[str]  # each text casefolded, for the exact-match flag
 
 
-def _analyse(texts: Sequence[str], vocab: Mapping[str, int], idf: Mapping[str, float]) -> _Texts:
+def _analyse(texts: Sequence[str], vocab: Mapping[str, int], idfs: Mapping[str, float]) -> _Texts:
     """Tokens and char 3-grams of all `texts` at once. Tokens come from
-    `tokenize`, with ids from `vocab` and IDFs from `idf` (1.0 for a token it
+    `tokenize`, with ids from `vocab` and IDFs from `idfs` (1.0 for a token it
     lacks); 3-grams are those of each lowercased text, none of them across
     two texts."""
     token_lists = [sorted(set(tokenize(text))) for text in texts]
     token_offsets = np.cumsum([0, *map(len, token_lists)], dtype=np.int64)
     flat = list(chain.from_iterable(token_lists))
-    token_idf = list(map(idf.get, flat, repeat(1.0)))
-    idf_sum = [sum(token_idf[a:b]) for a, b in pairwise(token_offsets.tolist())]
+    token_idf = list(map(idfs.get, flat, repeat(1.0)))
+    idf_sum = [reduce(add, token_idf[a:b], 0.0) for a, b in pairwise(token_offsets.tolist())]
 
     lowered = [text.lower() for text in texts]
     owner = np.repeat(np.arange(len(texts)), list(map(len, lowered)))
@@ -566,6 +563,9 @@ def train(
         dev = (source.features(dev_lists.step_ids, dev_lists.goal_lists()), dev_lists.sim1,
                dev_lists.offsets, dev_slots)
 
+    def mean(losses: list[float]) -> float:  # left to right: `sum` compensates from Python 3.12
+        return reduce(add, losses, 0.0) / len(losses)
+
     curve: list[EpochStats] = []
     best: tuple[float, RerankModel] | None = None
     for epoch in range(1, epochs + 1):
@@ -586,8 +586,8 @@ def train(
                             unlinkable_feat=None if grad.unlinkable_feat is None
                             else model.unlinkable_feat - step * grad.unlinkable_feat)
 
-        train_loss = sum(epoch_losses) / len(epoch_losses)
-        dev_loss = None if dev is None else sum(nll_loss(model, *dev)[0].tolist()) / len(dev[3])
+        train_loss = mean(epoch_losses)
+        dev_loss = None if dev is None else mean(nll_loss(model, *dev)[0].tolist())
         curve.append(EpochStats(epoch=epoch, train_loss=train_loss, dev_loss=dev_loss))
         if dev_loss is not None and (best is None or dev_loss < best[0]):
             best = (dev_loss, model)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .artifacts import check_rows, fail, float_column, int_column, tab_blocks, write_columns
 from .corpus import Step
-from .embedding import EmbeddingStore
+from .embedding import EmbeddingStore, unit
 
 DEFAULT_K = 30
 
@@ -77,10 +77,7 @@ def build_index(store: EmbeddingStore, goal_ids: Iterable[str]) -> GoalIndex:
     ordered = sorted(set(goal_ids))
     matrix = np.zeros((len(ordered), store.dim), dtype=np.float64)
     for row, goal_id in enumerate(ordered):
-        vec = store[goal_id]
-        norm = float(np.linalg.norm(vec))
-        if norm != 0.0:
-            matrix[row] = vec / norm
+        matrix[row] = unit(store[goal_id])
     return GoalIndex(goal_ids=ordered, matrix=matrix)
 
 
@@ -103,9 +100,7 @@ def topk(
     if k > keep.sum():
         raise ValueError(f"k={k} exceeds {keep.sum()} goals available after exclusion")
 
-    norm = float(np.linalg.norm(q))
-    unit = q / norm if norm > 0.0 else q
-    scores = index.matrix @ unit
+    scores = index.matrix @ unit(q)
     # Rows are in ascending goal_id order, so a stable sort on -score breaks
     # ties by goal_id for free.
     order = np.argsort(-scores, kind="stable")

@@ -28,6 +28,12 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+def idf(n_docs: int, df: int) -> float:
+    """The BM25 IDF of a term in `df` of `n_docs` documents, with `math.log`
+    (`np.log` may differ in the last bit)."""
+    return math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+
+
 class TextIndex:
     """Inverted index with per-term postings and BM25 statistics."""
 
@@ -94,8 +100,7 @@ class TextIndex:
         self.id_rank = np.empty(self.n_docs, dtype=np.int64)
         self.id_rank[sorted(range(self.n_docs), key=doc_ids.__getitem__)] = np.arange(self.n_docs)
 
-        # _idf uses math.log per term; np.log may differ in the last bit.
-        idfs = np.array([self._idf(df) for df in dfs], dtype=np.float64)
+        idfs = np.array([idf(self.n_docs, df) for df in dfs], dtype=np.float64)
         avgdl = self.avgdl if self.avgdl > 0.0 else 1.0
         dl = self.doc_lens[idxs]
         denom = tfs + self.k1 * (1.0 - self.b + self.b * dl / avgdl)
@@ -105,28 +110,11 @@ class TextIndex:
         ends = list(accumulate(dfs))
         self._spans = {term: slice(end - df, end) for term, df, end in zip(terms, dfs, ends)}
 
-    def _idf(self, df: int) -> float:
-        return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
-
     def doc_idx(self, doc_id: str) -> int:
         try:
             return self.positions[doc_id]
         except KeyError:
             raise KeyError(f"unknown doc id {doc_id!r}") from None
-
-    def score(self, query: str, doc_id: str) -> float:
-        """Okapi BM25 of one document against a query; additive over terms."""
-        idx = self.doc_idx(doc_id)
-        total = 0.0
-        for term in tokenize(query):
-            span = self._spans.get(term)
-            if span is None:
-                continue
-            idxs = self._idxs[span]
-            pos = int(np.searchsorted(idxs, idx))
-            if pos < len(idxs) and idxs[pos] == idx:
-                total += float(self._weights[span][pos])
-        return total
 
     def score_all(self, query: str) -> np.ndarray:
         """BM25 of every indexed document against a query: one scatter-add

@@ -29,10 +29,9 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .artifacts import fail, json_lines, read_json, write_json
-from .corpus import Corpus, normalize_text
+from .corpus import UNLINKABLE, Corpus, normalize_text
 from .errors import DataError
 from .linkeval import SPLIT_SEED, split
-from .rerank import UNLINKABLE
 from .textsearch import DEFAULT_B, DEFAULT_K1, TextIndex
 
 L0 = "L0"
@@ -134,14 +133,6 @@ def make_query(
     return Query(goal_id, article.title, tuple(texts), w_g=w_g, w_s=w_s, level=level)
 
 
-def rel(index: TextIndex, query: Query, video_id: str) -> float:
-    """Weighted BM25 relevance of one video against a multi-clause query."""
-    total = query.w_g * index.score(query.goal_text, video_id)
-    for clause in query.steps:
-        total += query.w_s * index.score(clause, video_id)
-    return total
-
-
 def relevant_ranks(scores: np.ndarray, rel_idx: np.ndarray, id_rank: np.ndarray) -> np.ndarray:
     """1-based ranks of the columns `rel_idx` in each row of the (m, N)
     block `scores`, in the order (score desc, `id_rank` asc): row i of the
@@ -186,6 +177,8 @@ class ClauseScorer:
         return vec
 
     def query_scores(self, query: Query) -> np.ndarray:
+        """rel(query, v) of every video: w_g times the goal text's BM25, plus
+        w_s times each step clause's, added in clause order."""
         scores = query.w_g * self.clause_scores(query.goal_text)
         for clause in query.steps:
             scores = scores + query.w_s * self.clause_scores(clause)

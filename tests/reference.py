@@ -10,12 +10,20 @@ rows bit for bit, and DataError messages character for character.
 One change from the old reader: a line with more than 5 columns is an error
 here too ("expected 4 or 5 columns, got N"); it used to be read, and the
 fields past sim2 dropped.
+
+The two similarities are here too, one pair at a time: the cosine of two
+vectors, and BM25 computed from raw (doc_id, text) pairs, one posting at a
+time with Python floats, which the index's `score_all` must equal bit for
+bit.
 """
 
 import math
 from array import array
+from collections import Counter
+from functools import reduce
 from itertools import pairwise
 from math import isfinite, nan
+from operator import add
 from sys import intern
 from typing import Iterable, NamedTuple, Sequence
 
@@ -26,6 +34,44 @@ from prockb.corpus import Corpus, context_of
 from prockb.rerank import idf_table
 from prockb.retrieval import Ranked
 from prockb.textsearch import tokenize
+
+
+# ---------------------------------------------------------------------------
+# Similarities
+
+def cosine(u, v) -> float:
+    """Cosine similarity; 0 if either vector has zero norm."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape:
+        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    nu = math.sqrt(float(u @ u))
+    nv = math.sqrt(float(v @ v))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return max(-1.0, min(1.0, float(u @ v) / (nu * nv)))
+
+
+def bm25(docs, query: str, k1: float = 1.2, b: float = 0.75) -> dict[str, float]:
+    """Okapi BM25 of each of `docs`, (doc_id, text) pairs, against `query`,
+    from each text's token counts, in `docs` order. Each posting's weight is
+    idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)), with
+    idf = ln(1 + (N - df + 0.5) / (df + 0.5)), evaluated left to right in
+    Python floats; a document's score adds the weights of the query's tokens
+    in query order, repeats included."""
+    counts = [Counter(tokenize(text)) for _, text in docs]
+    lengths = [sum(count.values()) for count in counts]
+    avgdl = (sum(lengths) / len(docs) if docs else 0.0) or 1.0
+    scores = dict.fromkeys((doc_id for doc_id, _ in docs), 0.0)
+    for term in tokenize(query):
+        df = sum(term in count for count in counts)
+        idf = math.log(1.0 + (len(docs) - df + 0.5) / (df + 0.5))
+        for (doc_id, _), count, dl in zip(docs, counts, lengths):
+            if term in count:
+                tf = count[term]
+                scores[doc_id] += (idf * float(tf) * (k1 + 1.0)
+                                   / (tf + k1 * (1.0 - b + b * dl / avgdl)))
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +152,7 @@ class _Text(NamedTuple):
 
     tokens: np.ndarray  # distinct token ids, in ascending token-string order
     token_idf: np.ndarray  # IDF of each token, same order
-    idf_sum: float  # sum of token_idf, added in that order
+    idf_sum: float  # sum of token_idf, added left to right
     grams: np.ndarray  # ids of the distinct char 3-grams of the lowercased text, by ascending code
     gram_counts: np.ndarray  # occurrences of each 3-gram
     gram_norm: float  # Euclidean norm of gram_counts
@@ -163,7 +209,7 @@ class LexicalFeatureSource:
         return _Text(
             tokens=self._token_ids(tokens),
             token_idf=np.array(token_idf, dtype=np.float64),
-            idf_sum=sum(token_idf),
+            idf_sum=reduce(add, token_idf, 0.0),
             grams=np.array(
                 [gram_ids.setdefault(g, len(gram_ids)) for g in grams.tolist()], dtype=np.int64
             ),

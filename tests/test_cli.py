@@ -11,10 +11,10 @@ import prockb
 from conftest import identity_records, write_jsonl
 from prockb.artifacts import write_vectors
 from prockb.cli import main
-from prockb.corpus import load_corpus
+from prockb.corpus import UNLINKABLE, load_corpus
 from prockb.embedding import load_embeddings
 from prockb.hierarchy import LinkPipeline, link_all
-from prockb.rerank import UNLINKABLE, LexicalFeatureSource, load_model, new_model, save_model
+from prockb.rerank import LexicalFeatureSource, load_model, new_model, save_model
 from prockb.retrieval import build_index, read_candidates
 from prockb.videoretrieval import FIL_L1, Query, write_queries
 
@@ -563,6 +563,22 @@ def test_eval_links_on_an_empty_split_names_the_gold_file(identity_setup, tmp_pa
     assert not out.exists()
     assert run(["eval-links", "--rankings", str(rankings), "--gold", str(few), "--split", "train",
                 "--out-dir", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command", ["eval-links", "train-reranker"])
+def test_too_few_gold_links_to_split_names_the_gold_file(identity_setup, tmp_path, capsys, command):
+    """2 gold links cannot be cut into train, dev and test."""
+    corpus_path, gold_path, _, candidates = _linked(identity_setup, tmp_path)
+    few = tmp_path / "few_gold.tsv"
+    few.write_text("".join(gold_path.read_text().splitlines(keepends=True)[:2]))
+    out = tmp_path / "out"
+    args = {"eval-links": ["--rankings", str(candidates), "--split", "test"],
+            "train-reranker": ["--corpus", str(corpus_path), "--candidates", str(candidates)]}
+    capsys.readouterr()
+    assert run([command, *args[command], "--gold", str(few), "--out-dir", str(out)]) == 2
+    assert (f"error: --gold {few}: cannot split 2 links into 3 parts"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def _edit_json(edit):

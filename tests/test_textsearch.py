@@ -1,5 +1,4 @@
 import json
-import math
 import random
 
 import numpy as np
@@ -12,8 +11,10 @@ from prockb.textsearch import (
     DEFAULT_B,
     DEFAULT_K1,
     TextIndex,
+    idf,
     tokenize,
 )
+from reference import bm25
 
 TWO_DOCS = [("d1", "stain the cabinet"), ("d2", "make fries")]
 
@@ -34,19 +35,18 @@ def postings_for(index, term):
                       index._tfs[span].astype(np.int64).tolist()))
 
 
-def idf(index, term):
-    """The BM25 idf of a term the index holds."""
-    return index._idf(len(postings_for(index, term)))
-
-
 def doc_length(index, doc_id):
     return int(index.doc_lens[index.doc_idx(doc_id)])
 
 
-def brute_force_search(index, query, n):
-    scored = [(doc_id, index.score(query, doc_id)) for doc_id in index.doc_ids]
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return scored[:n]
+def score(index, query, doc_id):
+    """BM25 of one document, read from `score_all`."""
+    return index.score_all(query)[index.doc_idx(doc_id)]
+
+
+def brute_force_search(docs, query, n):
+    """The reference BM25 of every doc, fully sorted, ties by doc id."""
+    return sorted(bm25(docs, query).items(), key=lambda item: (-item[1], item[0]))[:n]
 
 
 def test_tokenizer():
@@ -82,30 +82,30 @@ def test_duplicate_doc_id_rejected():
 def test_okapi_hand_value_one_doc():
     # ln(4/3) * (2 * 2.2) / (2 + 1.2) evaluated by hand
     index = TextIndex([("d1", "a a b")])
-    assert index.score("a", "d1") == pytest.approx(0.39556284962119864, abs=1e-6)
+    assert score(index, "a", "d1") == pytest.approx(0.39556284962119864, abs=1e-6)
 
 
 def test_okapi_hand_values_two_docs():
     index = TextIndex(TWO_DOCS)
     # df=1 terms: idf = ln 2; dl=3 vs avgdl=2.5 for d1, dl=2 for d2
-    assert index.score("cabinet", "d1") == pytest.approx(0.64072428455121, abs=1e-6)
-    assert index.score("fries", "d2") == pytest.approx(0.7549127709068711, abs=1e-6)
-    assert index.score("the cabinet", "d1") == pytest.approx(1.28144856910242, abs=1e-6)
+    assert score(index, "cabinet", "d1") == pytest.approx(0.64072428455121, abs=1e-6)
+    assert score(index, "fries", "d2") == pytest.approx(0.7549127709068711, abs=1e-6)
+    assert score(index, "the cabinet", "d1") == pytest.approx(1.28144856910242, abs=1e-6)
 
 
 def test_absent_term_contributes_zero():
     index = TextIndex(TWO_DOCS)
-    base = index.score("cabinet", "d1")
-    assert index.score("cabinet zzz", "d1") == base
-    assert index.score("zzz", "d1") == 0.0
+    base = score(index, "cabinet", "d1")
+    assert score(index, "cabinet zzz", "d1") == base
+    assert score(index, "zzz", "d1") == 0.0
 
 
 def test_score_additive_over_query_terms():
     index = TextIndex(random_docs(20, seed=1))
     for doc_id in index.doc_ids[:5]:
-        a = index.score("w1", doc_id)
-        b = index.score("w2 w3", doc_id)
-        assert index.score("w1 w2 w3", doc_id) == pytest.approx(a + b, rel=1e-12)
+        a = score(index, "w1", doc_id)
+        b = score(index, "w2 w3", doc_id)
+        assert score(index, "w1 w2 w3", doc_id) == pytest.approx(a + b, rel=1e-12)
 
 
 def test_own_text_ranks_at_least_as_high():
@@ -115,15 +115,16 @@ def test_own_text_ranks_at_least_as_high():
         docs = [(i, t if t else "filler") for i, t in docs]
         index = TextIndex(docs)
         for doc_id, text in docs:
-            own = index.score(text, doc_id)
-            assert all(own >= index.score(text, other) - 1e-12 for other, _ in docs)
+            own = score(index, text, doc_id)
+            assert all(own >= score(index, text, other) - 1e-12 for other, _ in docs)
 
 
 def test_search_matches_brute_force():
-    index = TextIndex(random_docs(50, seed=3))
+    docs = random_docs(50, seed=3)
+    index = TextIndex(docs)
     for query in ("w1 w2", "w5", "w0 w0 w9", "zzz"):
         got = index.ranked(query, 50)
-        want = brute_force_search(index, query, 50)
+        want = brute_force_search(docs, query, 50)
         assert [d for d, _ in got] == [d for d, _ in want]
 
 
@@ -150,7 +151,7 @@ def test_search_n_validation():
 def test_unknown_doc_rejected():
     index = TextIndex(TWO_DOCS)
     with pytest.raises(KeyError, match="ghost"):
-        index.score("cabinet", "ghost")
+        index.doc_idx("ghost")
 
 
 def test_index_isolation():
@@ -164,9 +165,11 @@ def test_index_isolation():
 
 
 def test_idf_never_negative():
-    index = TextIndex([("d1", "common"), ("d2", "common"), ("d3", "common rare")])
-    assert idf(index, "common") >= 0.0
-    assert idf(index, "rare") > idf(index, "common")
+    """Three docs, "common" in all of them and "rare" in one; and every df of
+    up to 50 docs."""
+    assert idf(3, 3) >= 0.0
+    assert idf(3, 1) > idf(3, 3)
+    assert all(idf(n, df) >= 0.0 for n in range(1, 51) for df in range(1, n + 1))
 
 
 def test_params_validation():
@@ -184,8 +187,7 @@ def test_json_round_trip():
     assert clone.doc_ids == index.doc_ids
     assert clone.avgdl == index.avgdl
     for query in ("w1 w4", "w2"):
-        for doc_id in index.doc_ids:
-            assert clone.score(query, doc_id) == index.score(query, doc_id)
+        assert clone.score_all(query).tobytes() == index.score_all(query).tobytes()
         assert clone.ranked(query, 12) == index.ranked(query, 12)
 
 
@@ -199,35 +201,18 @@ def test_json_load_sorts_postings_out_of_doc_order():
         assert clone.ranked(query, 12) == index.ranked(query, 12)
 
 
-def per_posting_scores(index, query_terms):
-    """BM25 of every doc, one posting at a time with Python floats, adding
-    each query term's contributions in query order."""
-    scores = [0.0] * index.n_docs
-    avgdl = index.avgdl if index.avgdl > 0.0 else 1.0
-    k1, b = index.k1, index.b
-    for term in query_terms:
-        postings = postings_for(index, term)
-        df = len(postings)
-        idf = math.log(1.0 + (index.n_docs - df + 0.5) / (df + 0.5))
-        for doc_id, tf in postings:
-            dl = float(doc_length(index, doc_id))
-            weight = idf * float(tf) * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))
-            scores[index.doc_idx(doc_id)] += weight
-    return np.array(scores)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 25), st.integers(0, 2**32 - 1),
        st.floats(0.1, 3.0), st.floats(0.0, 1.0),
        st.lists(st.sampled_from([f"w{i}" for i in range(12)] + ["zzz"]), max_size=8))
 def test_score_all_is_the_per_posting_formula_bit_for_bit(n_docs, seed, k1, b, query_terms):
-    """Any query term order, repeats and unknown terms included, and the
-    same bits after a JSON round trip."""
-    index = TextIndex(random_docs(n_docs, seed, vocab_size=12), k1=k1, b=b)
-    expected = per_posting_scores(index, query_terms).view(np.uint64)
+    """score_all is the reference BM25 of the raw texts bit for bit: any
+    query term order, repeats and unknown terms included, and the same bits
+    after a JSON round trip."""
+    docs = random_docs(n_docs, seed, vocab_size=12)
+    index = TextIndex(docs, k1=k1, b=b)
     query = " ".join(query_terms)
+    expected = np.array(list(bm25(docs, query, k1, b).values())).view(np.uint64)
     assert index.score_all(query).view(np.uint64).tolist() == expected.tolist()
     clone = TextIndex.from_json(index.to_json())
     assert clone.score_all(query).view(np.uint64).tolist() == expected.tolist()
-    for doc_id in index.doc_ids:
-        assert index.score(query, doc_id) == index.score_all(query)[index.doc_idx(doc_id)]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import make_corpus
 from prockb import videoretrieval
+from prockb.corpus import normalize_text
 from prockb.errors import DataError
 from prockb.videoretrieval import (
     FIL_L1,
@@ -29,12 +30,12 @@ from prockb.videoretrieval import (
     make_query,
     rank_videos,
     read_queries,
-    rel,
     relevant_ranks,
     split_videos,
     vr_metrics,
     write_queries,
 )
+from reference import bm25
 
 RECIPE_RECORDS = [
     {
@@ -64,6 +65,16 @@ def toy_videos():
         VideoDoc("v3", "peel", "cut the avocado in half and remove the stone"),
         VideoDoc("v4", "peel", "use a spoon to scoop the flesh"),
     ]
+
+
+def rel(videos, query, video_id):
+    """Weighted BM25 relevance of one video against a multi-clause query,
+    from the reference BM25 of the captions as `build_video_index` reads them."""
+    docs = [(v.video_id, normalize_text(v.caption)) for v in videos]
+    total = query.w_g * bm25(docs, query.goal_text)[video_id]
+    for clause in query.steps:
+        total += query.w_s * bm25(docs, clause)[video_id]
+    return total
 
 
 def test_load_videos(tmp_path):
@@ -140,27 +151,32 @@ def test_make_query_levels(level, steps, weights):
 
 
 def test_rel_l0_is_plain_bm25():
+    """query_scores, the one rel of the package, of an L0 query is the goal
+    text's BM25."""
     index = build_video_index(toy_videos())
     query = Query("fries", "bake the avocado", (), w_g=1.0, w_s=0.0, level=L0)
+    scores = ClauseScorer(index).query_scores(query)
+    assert scores.tobytes() == index.score_all("bake the avocado").tobytes()
     for vid in ("v1", "v2", "v3", "v4"):
-        assert rel(index, query, vid) == index.score("bake the avocado", vid)
+        assert scores[index.doc_idx(vid)] == rel(toy_videos(), query, vid)
 
 
 def test_rel_weighted_sum():
     index = build_video_index(toy_videos())
+    docs = [(v.video_id, normalize_text(v.caption)) for v in toy_videos()]
     goal_text, step_text = "bake the avocado", "remove the stone"
     query = Query("fries", goal_text, (step_text,), w_g=1.0, w_s=0.1, level=L1)
+    scores = ClauseScorer(index).query_scores(query)
     for vid in ("v1", "v3"):
-        expected = index.score(goal_text, vid) + 0.1 * index.score(step_text, vid)
-        assert rel(index, query, vid) == pytest.approx(expected, rel=1e-12)
+        expected = bm25(docs, goal_text)[vid] + 0.1 * bm25(docs, step_text)[vid]
+        assert scores[index.doc_idx(vid)] == pytest.approx(expected, rel=1e-12)
 
 
 def test_zero_overlap_clause_changes_nothing():
-    index = build_video_index(toy_videos())
+    scorer = ClauseScorer(build_video_index(toy_videos()))
     base = Query("fries", "bake the avocado", (), w_g=1.0, w_s=0.5, level=L0)
     noisy = Query("fries", "bake the avocado", ("zzz qqq",), w_g=1.0, w_s=0.5, level=L1)
-    for vid in ("v1", "v2", "v3", "v4"):
-        assert rel(index, base, vid) == rel(index, noisy, vid)
+    assert scorer.query_scores(base).tobytes() == scorer.query_scores(noisy).tobytes()
 
 
 def test_rank_videos_single_and_ties():
@@ -185,7 +201,7 @@ def test_rank_videos_matches_brute_force():
     index = build_video_index(videos)
     query = Query("g", "w1 w2 w3", ("w4 w5", "w6"), w_g=1.0, w_s=0.5, level=L1)
     brute = sorted(
-        ((v.video_id, rel(index, query, v.video_id)) for v in videos),
+        ((v.video_id, rel(videos, query, v.video_id)) for v in videos),
         key=lambda item: (-item[1], item[0]),
     )
     ranks = rank_videos(ClauseScorer(index), query, [v for v, _ in brute])
