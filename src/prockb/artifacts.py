@@ -14,9 +14,10 @@ embeddings and pair features share.
 """
 
 import json
+from array import array
 from contextlib import contextmanager
 from itertools import compress, islice, repeat
-from math import nan
+from math import isfinite, nan
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -201,17 +202,21 @@ def check_rows(path, linenos: Sequence[int],
         raise fail(path, linenos[row], message(row))
 
 
-def read_vectors(path, n_ids: int) -> tuple[int, dict]:
+def read_vectors(path, n_ids: int) -> tuple[list, np.ndarray]:
     """Read a ``dim=<d>`` header, then rows of `n_ids` id fields and d finite
-    numbers, separated by whitespace. Returns d and {id: vector}, where an id
-    is its one field, or the tuple of its fields; ids are unique."""
+    numbers, separated by whitespace. Returns the ids, each its one field or
+    the tuple of its fields, and the float64 matrix of their rows, in file
+    order; the values are parsed into one buffer. A row's faults are checked
+    in the order width, non-numeric, non-finite, duplicate id."""
     rows = lines(path)
     lineno, header = next(rows, (1, ""))
     header = header.strip()
     dim = int(header[4:]) if header.startswith("dim=") and header[4:].isdecimal() else 0
     if dim < 1:
         raise fail(path, lineno, f"expected header 'dim=<d>' with d >= 1, got {header!r}")
-    table: dict = {}
+    ids: list = []
+    seen: set = set()
+    values = array("d")
     for lineno, line in rows:
         fields = line.split()
         row_id = fields[0] if n_ids == 1 else tuple(fields[:n_ids])
@@ -219,15 +224,17 @@ def read_vectors(path, n_ids: int) -> tuple[int, dict]:
         if len(fields) - n_ids != dim:
             raise fail(path, lineno, f"{row} has {len(fields) - n_ids} values, expected {dim}")
         try:
-            vec = np.array([float(x) for x in fields[n_ids:]], dtype=np.float64)
+            vec = list(map(float, fields[n_ids:]))
         except ValueError:
             raise fail(path, lineno, f"{row} has a non-numeric value") from None
-        if not np.all(np.isfinite(vec)):
+        if not all(map(isfinite, vec)):
             raise fail(path, lineno, f"{row} has a non-finite value")
-        if row_id in table:
+        if row_id in seen:
             raise fail(path, lineno, f"duplicate {row}")
-        table[row_id] = vec
-    return dim, table
+        seen.add(row_id)
+        ids.append(row_id)
+        values.extend(vec)
+    return ids, np.frombuffer(values, dtype=np.float64).reshape(len(ids), dim)
 
 
 def write_vectors(path, dim: int, rows: Iterable[tuple[str, np.ndarray]]) -> None:

@@ -23,7 +23,7 @@ from .artifacts import fail, read_json, read_text, tab_rows, write_json, write_r
 from .corpus import CONTEXT_MODES, UNLINKABLE, load_corpus, validation_report
 from .embedding import MIN_DIM, embed_corpus, load_embeddings, save_embeddings
 from .errors import DataError
-from .hierarchy import LinkPipeline, expand, link_all, read_links, write_links, write_tree
+from .hierarchy import LinkPipeline, expand, link_all, write_links, write_tree
 from .linkeval import load_gold_links, recall_report, split_links
 from .rerank import (
     LexicalFeatureSource,
@@ -159,14 +159,19 @@ def _parse_ns(raw: str) -> list[int]:
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def _embeddings(path: str, corpus):
-    """The vectors in `path`, which must hold one for each goal and step of `corpus`."""
-    store = load_embeddings(path)
+def _stage1(args):
+    """The --corpus, its vectors from --embeddings, which must hold all of its
+    goals and steps, and the goal index that `retrieve`, `link` and `expand` search."""
+    corpus = load_corpus(args.corpus)
+    if len(corpus.articles) == 1:
+        raise DataError(f"--corpus {args.corpus}: one article, so its steps have no "
+                        f"other goal to link to")
+    store = load_embeddings(args.embeddings)
     ids = corpus.goal_ids() + [step.step_id for step in corpus.steps()]
     missing = next((i for i in ids if i not in store), None)
     if missing is not None:
-        raise DataError(f"{path}: no embedding for corpus id {missing!r}")
-    return store
+        raise DataError(f"{args.embeddings}: no embedding for corpus id {missing!r}")
+    return corpus, store, build_index(store, corpus.goal_ids())
 
 
 def cmd_build_index(args) -> None:
@@ -178,9 +183,7 @@ def cmd_build_index(args) -> None:
 
 
 def cmd_retrieve(args) -> None:
-    corpus = load_corpus(args.corpus)
-    store = _embeddings(args.embeddings, corpus)
-    index = build_index(store, corpus.goal_ids())
+    corpus, store, index = _stage1(args)
     ranked = retrieve_all(index, store, corpus.steps(), args.k)
     write_candidates(_output(args, "candidates.tsv")[0], ranked)
 
@@ -251,9 +254,7 @@ def cmd_train_reranker(args) -> None:
 
 def _pipeline(args) -> LinkPipeline:
     """The pipeline `link` and `expand` run."""
-    corpus = load_corpus(args.corpus)
-    store = _embeddings(args.embeddings, corpus)
-    index = build_index(store, corpus.goal_ids())
+    corpus, store, index = _stage1(args)
     model = load_model(args.model)
     if args.features:
         source = load_feature_file(args.features)
@@ -296,6 +297,8 @@ def cmd_eval_links(args) -> None:
         n, gold = len(gold), _split(args, gold)[args.split]
         if not gold:
             raise DataError(f"--gold {args.gold}: {n} links leave the {args.split} split empty")
+    elif not gold:
+        raise DataError(f"--gold {args.gold}: no gold links to evaluate")
     try:
         report = recall_report(rankings, gold, _parse_ns(args.ns))
     except KeyError as exc:  # a gold step without a ranking
@@ -349,8 +352,9 @@ def _videos(args, corpus=None):
 def cmd_vr_filter(args) -> None:
     corpus = load_corpus(args.corpus)
     splits, index = _videos(args, corpus)
-    links = read_links(args.links) if args.links else None  # a duplicate step is reported first
-    for lineno, (step_id, outcome, *_) in tab_rows(args.links, 2) if args.links else ():
+    links = {} if args.links else None
+    rows = tab_rows(args.links, 2, unique="step") if args.links else ()
+    for lineno, (step_id, outcome, *_) in rows:  # each line checked as it is read
         try:
             corpus.step(step_id)
             if outcome != UNLINKABLE:
@@ -358,6 +362,7 @@ def cmd_vr_filter(args) -> None:
         except KeyError as exc:  # a link dump of another corpus
             raise fail(f"--links {args.links}", lineno,
                        f"{exc.args[0]} in --corpus {args.corpus}") from None
+        links[step_id] = outcome
     if args.level == FIL_L2 and links is None:
         raise UsageError("--links is required for level fil_l2")
 

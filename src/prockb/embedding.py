@@ -1,13 +1,17 @@
-"""Dense text vectors for stage-1 similarity.
+"""Dense text vectors for stage-1 similarity, and the one vector table.
 
 Two sources: a built-in deterministic embedder that averages signed hashed
 character n-grams (n in 3..5), and a plain text file of vectors produced by
 any external sentence encoder. Both feed the same cosine-based retrieval.
+
+Embeddings, the stage-1 goal index and pair-feature files are each one
+`EmbeddingStore`: ids in row order and one float64 matrix with a row per id.
 """
 
 import hashlib
 import math
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -43,9 +47,13 @@ class _SignedBuckets(dict):
 
 def unit(vec: np.ndarray) -> np.ndarray:
     """`vec` over its Euclidean norm, or `vec` itself when the norm is 0: the
-    one vector normalisation of stage 1."""
-    norm = math.sqrt(float(vec @ vec))
-    return vec / norm if norm else vec
+    one vector normalisation of stage 1. A nonzero vector whose squared norm
+    is not a normal float is first divided by its largest magnitude."""
+    square = float(np.vdot(vec, vec))  # `vec @ vec` bit for bit, without an overflow warning
+    if not 2.0**-1022 <= square < math.inf and vec.any():
+        vec = vec / np.abs(vec).max()
+        square = float(np.vdot(vec, vec))
+    return vec / math.sqrt(square) if square else vec
 
 
 def embed_text(
@@ -82,45 +90,46 @@ def embed_text(
 
 
 class EmbeddingStore:
-    """Immutable id -> vector map with a single dimension."""
+    """Immutable vector table: `ids` in row order, `row` (id -> row) and one
+    float64 `matrix` of shape (len(ids), dim). An id is a string, or for
+    pair features a (step_id, goal_id) tuple."""
 
-    def __init__(self, dim: int, vectors: dict[str, np.ndarray]):
-        self.dim = dim
-        self._vectors = vectors
+    def __init__(self, ids: Sequence, matrix: np.ndarray):
+        self.ids = list(ids)
+        self.row = {row_id: row for row, row_id in enumerate(self.ids)}
+        self.matrix = matrix
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self.ids)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._vectors
+    def __contains__(self, key) -> bool:
+        return key in self.row
 
-    def __getitem__(self, key: str) -> np.ndarray:
-        try:
-            return self._vectors[key]
-        except KeyError:
-            raise KeyError(f"no embedding for id {key!r}") from None
-
-    def ids(self) -> list[str]:
-        return list(self._vectors)
+    def __getitem__(self, key) -> np.ndarray:
+        return self.matrix[self.row[key]]  # a KeyError names the id
 
 
 def embed_corpus(corpus: Corpus, dim: int, seed: int = 0, lowercase: bool = False) -> EmbeddingStore:
     """Embed every goal title and step text with the built-in embedder,
-    hashing each distinct n-gram once."""
+    hashing each distinct n-gram once; rows are in corpus order, each goal
+    before its steps."""
     buckets = _SignedBuckets(dim, seed)
-    vectors: dict[str, np.ndarray] = {}
+    texts: dict[str, str] = {}
     for article in corpus.articles:
-        vectors[article.goal_id] = embed_text(article.title, dim, seed, lowercase, buckets)
-        for step in article.steps:
-            vectors[step.step_id] = embed_text(step.text, dim, seed, lowercase, buckets)
-    return EmbeddingStore(dim=dim, vectors=vectors)
+        texts[article.goal_id] = article.title
+        texts.update((step.step_id, step.text) for step in article.steps)
+    rows = (embed_text(text, dim, seed, lowercase, buckets) for text in texts.values())
+    return EmbeddingStore(texts, np.fromiter(rows, np.dtype((np.float64, dim)), len(texts)))
 
 
 def load_embeddings(path: str | Path) -> EmbeddingStore:
     """Read a vector file: header ``dim=<d>``, then rows ``id v1 ... vd``."""
-    dim, vectors = read_vectors(path, 1)
-    return EmbeddingStore(dim=dim, vectors=vectors)
+    return EmbeddingStore(*read_vectors(path, 1))
 
 
 def save_embeddings(store: EmbeddingStore, path: str | Path) -> None:
-    write_vectors(path, store.dim, ((row_id, store[row_id]) for row_id in store.ids()))
+    write_vectors(path, store.dim, zip(store.ids, store.matrix))

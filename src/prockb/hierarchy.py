@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .artifacts import tab_rows, write_columns, write_json
+from .artifacts import write_columns, write_json
 from .corpus import UNLINKABLE, Corpus
 from .embedding import EmbeddingStore
 from .rerank import FeatureSource, RerankModel, score_candidates
-from .retrieval import GoalIndex, Ranked, retrieve_all
+from .retrieval import Ranked, retrieve_all
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class LinkPipeline:
     caller that reuses them, as `expand` does within a tree, keeps its own."""
 
     corpus: Corpus
-    index: GoalIndex
+    index: EmbeddingStore
     store: EmbeddingStore
     model: RerankModel
     features: FeatureSource
@@ -104,11 +104,6 @@ def write_links(path: str | Path, ranked: Ranked) -> None:
     write_columns(path, len(ranked.step_ids), lambda rows: (
         ranked.step_ids[rows], map(ranked.goal_ids.__getitem__, first[rows].tolist()),
         ranked.sim1[first[rows]], ranked.sim2[first[rows]]))
-
-
-def read_links(path: str | Path) -> dict[str, str]:
-    """step_id -> outcome map from a link dump; each step appears once."""
-    return {fields[0]: fields[1] for _, fields in tab_rows(path, 2, unique="step")}
 
 
 # ---------------------------------------------------------------------------

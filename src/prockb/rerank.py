@@ -31,6 +31,7 @@ import numpy as np
 
 from .artifacts import fail, lines, read_vectors
 from .corpus import CONTEXT_MODES, UNLINKABLE, Corpus, context_of
+from .embedding import EmbeddingStore
 from .errors import DataError
 from .retrieval import DEFAULT_K, Ranked
 from .textsearch import idf, tokenize
@@ -267,36 +268,31 @@ class LexicalFeatureSource:
 
 
 class TableFeatureSource:
-    """Feature rows keyed by (step_id, goal_id), typically loaded from disk;
-    `path` is the file, named when a row is missing."""
+    """Feature rows from a table keyed by (step_id, goal_id), typically
+    loaded from disk; `path` is the file, named when a row is missing."""
 
     name = "table"
 
-    def __init__(
-        self, dim: int, table: dict[tuple[str, str], np.ndarray], path: str | Path | None = None
-    ):
-        self.dim = dim
-        self._table = table
+    def __init__(self, table: EmbeddingStore, path: str | Path | None = None):
+        self.table = table
+        self.dim = table.dim
         self.path = path
 
     def features(
         self, step_ids: tuple[str, ...], goal_ids: tuple[tuple[str, ...], ...]
     ) -> np.ndarray:
-        rows = []
-        for step_id, goals in zip(step_ids, goal_ids):
-            for goal_id in goals:
-                row = self._table.get((step_id, goal_id))
-                if row is None:
-                    where = f"{self.path}: " if self.path is not None else ""
-                    raise KeyError(f"{where}no feature row for step {step_id!r}, goal {goal_id!r}")
-                rows.append(row)
-        return np.stack(rows) if rows else np.zeros((0, self.dim), dtype=np.float64)
+        pairs = [(step_id, goal) for step_id, goals in zip(step_ids, goal_ids) for goal in goals]
+        rows = list(map(self.table.row.get, pairs))
+        if None in rows:
+            step_id, goal_id = pairs[rows.index(None)]
+            where = f"{self.path}: " if self.path is not None else ""
+            raise KeyError(f"{where}no feature row for step {step_id!r}, goal {goal_id!r}")
+        return self.table.matrix[rows]
 
 
 def load_feature_file(path: str | Path) -> TableFeatureSource:
     """Read ``dim=<d>`` header then rows ``step_id goal_id v1 ... vd``."""
-    dim, table = read_vectors(path, 2)
-    return TableFeatureSource(dim=dim, table=table, path=path)
+    return TableFeatureSource(EmbeddingStore(*read_vectors(path, 2)), path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Stage 1: exact top-k goal retrieval by cosine over an embedding matrix.
 
-The index is a row-normalized matrix of goal vectors, so cosine top-k reduces
-to inner-product top-k. Search is an exact full scan; ties break by ascending
-goal_id so candidate lists are stable across runs.
+The index is an `EmbeddingStore` of the goals in ascending id order, each row
+normalised by `unit`, so cosine top-k reduces to inner-product top-k. Search
+is an exact full scan; ties break by ascending goal_id so candidate lists are
+stable across runs.
 
 Every ranked goal list, from stage-1 candidates to reranked links, is a
 `Ranked`; one writer and one reader move it to and from TSV.
@@ -55,34 +56,16 @@ def _column(parts: Sequence[Sequence[float]]) -> np.ndarray:
     return np.fromiter(chain.from_iterable(parts), dtype=np.float64)
 
 
-class GoalIndex:
-    """Searchable goal embeddings: ids in ascending order, unit-norm rows."""
-
-    def __init__(self, goal_ids: list[str], matrix: np.ndarray):
-        self.goal_ids = goal_ids
-        self.row = {goal_id: row for row, goal_id in enumerate(goal_ids)}
-        self.matrix = matrix
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-    def __len__(self) -> int:
-        return len(self.goal_ids)
-
-
-def build_index(store: EmbeddingStore, goal_ids: Iterable[str]) -> GoalIndex:
-    """Stack goal vectors into a normalized matrix. Zero vectors are kept as
-    zero rows; they score 0 against every query."""
-    ordered = sorted(set(goal_ids))
-    matrix = np.zeros((len(ordered), store.dim), dtype=np.float64)
-    for row, goal_id in enumerate(ordered):
-        matrix[row] = unit(store[goal_id])
-    return GoalIndex(goal_ids=ordered, matrix=matrix)
+def build_index(store: EmbeddingStore, goal_ids: Iterable[str]) -> EmbeddingStore:
+    """The table of the goals in ascending id order, each row `unit` of its
+    vector; a zero vector stays a zero row, which scores 0 against every query."""
+    ids = sorted(set(goal_ids))
+    rows = (unit(store[goal_id]) for goal_id in ids)
+    return EmbeddingStore(ids, np.fromiter(rows, np.dtype((np.float64, store.dim)), len(ids)))
 
 
 def topk(
-    index: GoalIndex, step_vec: np.ndarray, k: int, exclude: Iterable[str] = ()
+    index: EmbeddingStore, step_vec: np.ndarray, k: int, exclude: Iterable[str] = ()
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k goals by cosine, ties by ascending goal_id: their index
     rows and scores, best first.
@@ -92,15 +75,12 @@ def topk(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    q = np.asarray(step_vec, dtype=np.float64)
-    if q.shape != (index.dim,):
-        raise ValueError(f"query dim {q.shape} does not match index dim {index.dim}")
     keep = np.ones(len(index), dtype=bool)
     keep[[index.row[g] for g in exclude if g in index.row]] = False
     if k > keep.sum():
         raise ValueError(f"k={k} exceeds {keep.sum()} goals available after exclusion")
 
-    scores = index.matrix @ unit(q)
+    scores = index.matrix @ unit(step_vec)
     # Rows are in ascending goal_id order, so a stable sort on -score breaks
     # ties by goal_id for free.
     order = np.argsort(-scores, kind="stable")
@@ -109,7 +89,7 @@ def topk(
 
 
 def retrieve_all(
-    index: GoalIndex, store: EmbeddingStore, steps: Iterable[Step], k: int = DEFAULT_K
+    index: EmbeddingStore, store: EmbeddingStore, steps: Iterable[Step], k: int = DEFAULT_K
 ) -> Ranked:
     """The stage-1 candidates of each of `steps`, for `retrieve` and `link`
     alike: topk without the step's own goal, which a step never links to,
@@ -121,7 +101,7 @@ def retrieve_all(
             raise ValueError(f"no goals available for step {step.step_id!r}")
         rows, scores = topk(index, store[step.step_id], min(k, available), [step.parent_goal_id])
         step_ids.append(step.step_id)
-        goal_ids.append([index.goal_ids[row] for row in rows.tolist()])
+        goal_ids.append([index.ids[row] for row in rows.tolist()])
         sims.append(scores)
     return Ranked.from_lists(step_ids, goal_ids, sims)
 

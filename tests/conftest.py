@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from prockb.artifacts import tab_rows
 from prockb.corpus import Corpus, corpus_from_records
+from prockb.embedding import EmbeddingStore
 from prockb.rerank import nll_loss, score_candidates
 from prockb.retrieval import Ranked
 
@@ -56,6 +58,18 @@ def identity_records(n: int = 50, fillers: int = 2) -> tuple[list[dict], dict[st
 
 def _title(i: int) -> str:
     return f"Perform Task{i:02d} Using Widget{i:02d}"
+
+
+def vector_table(dim: int, vectors: dict) -> EmbeddingStore:
+    """The table of `vectors` (id -> vector of width `dim`), in dict order."""
+    matrix = np.array(list(vectors.values()), dtype=np.float64).reshape(len(vectors), dim)
+    return EmbeddingStore(list(vectors), matrix)
+
+
+def read_links(path) -> dict[str, str]:
+    """step_id -> outcome of a link dump, read as `vr-filter --links` reads
+    it: tab rows of at least two fields, each step once."""
+    return {fields[0]: fields[1] for _, fields in tab_rows(path, 2, unique="step")}
 
 
 def one_list(step_id: str, goal_ids, sim1s) -> Ranked:

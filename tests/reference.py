@@ -11,6 +11,9 @@ One change from the old reader: a line with more than 5 columns is an error
 here too ("expected 4 or 5 columns, got N"); it used to be read, and the
 fields past sim2 dropped.
 
+The ``dim=<d>`` vector reader is here as it was before vectors became rows
+of one matrix: one line at a time, each row parsed into its own array.
+
 The two similarities are here too, one pair at a time: the cosine of two
 vectors, and BM25 computed from raw (doc_id, text) pairs, one posting at a
 time with Python floats, which the index's `score_all` must equal bit for
@@ -142,6 +145,40 @@ def read_candidates(path) -> Ranked:
     offsets = np.searchsorted(in_order[0], np.arange(len(steps) + 1))
     return Ranked(tuple(steps), offsets, tuple(np.array(goal_ids, dtype=object)[order]),
                   np.asarray(sims[0])[order], np.asarray(sims[1])[order] if sims[1] else None)
+
+
+# ---------------------------------------------------------------------------
+# Vector files
+
+def read_vectors(path, n_ids: int) -> tuple[int, dict]:
+    """Line by line: a ``dim=<d>`` header, then rows of `n_ids` id fields and
+    d finite numbers, each row checked for its width, a non-numeric value, a
+    non-finite value and a repeated id, in that order, before the next line
+    is read. Returns d and {id: vector}, an id being its one field or the
+    tuple of its fields."""
+    rows = lines(path)
+    lineno, header = next(rows, (1, ""))
+    header = header.strip()
+    dim = int(header[4:]) if header.startswith("dim=") and header[4:].isdecimal() else 0
+    if dim < 1:
+        raise fail(path, lineno, f"expected header 'dim=<d>' with d >= 1, got {header!r}")
+    table: dict = {}
+    for lineno, line in rows:
+        fields = line.split()
+        row_id = fields[0] if n_ids == 1 else tuple(fields[:n_ids])
+        row = f"row {' '.join(fields[:n_ids])!r}"
+        if len(fields) - n_ids != dim:
+            raise fail(path, lineno, f"{row} has {len(fields) - n_ids} values, expected {dim}")
+        try:
+            vec = np.array([float(x) for x in fields[n_ids:]], dtype=np.float64)
+        except ValueError:
+            raise fail(path, lineno, f"{row} has a non-numeric value") from None
+        if not np.all(np.isfinite(vec)):
+            raise fail(path, lineno, f"{row} has a non-finite value")
+        if row_id in table:
+            raise fail(path, lineno, f"duplicate {row}")
+        table[row_id] = vec
+    return dim, table
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import identity_records, make_corpus, one_list, one_loss, score_list
+from conftest import identity_records, make_corpus, one_list, one_loss, score_list, vector_table
 from prockb.corpus import UNLINKABLE, corpus_from_records
 from prockb.embedding import embed_corpus
 from prockb.hierarchy import LinkPipeline, expand, tree_to_dict
@@ -99,9 +99,7 @@ def test_a2_retrieval_exactness():
         for trial in range(20):
             rng = np.random.default_rng(1000 + trial)
             vectors = {f"g{i:03d}": rng.normal(size=16) for i in range(200)}
-            from prockb.embedding import EmbeddingStore
-
-            store = EmbeddingStore(dim=16, vectors=vectors)
+            store = vector_table(16, vectors)
             index = build_index(store, vectors.keys())
             for _ in range(50):
                 query = rng.normal(size=16)
@@ -110,7 +108,7 @@ def test_a2_retrieval_exactness():
                     ((g, cosine(v, query)) for g, v in vectors.items()),
                     key=lambda item: (-item[1], item[0]),
                 )[:10]
-                assert [index.goal_ids[r] for r in rows] == [g for g, _ in oracle]
+                assert [index.ids[r] for r in rows] == [g for g, _ in oracle]
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +189,7 @@ def test_a4_loss_anchors():
             goal_ids = [f"g{i:02d}" for i in range(m)]
             sim1s = rng.uniform(-1, 1, size=m)
             table = TableFeatureSource(
-                8, {(f"s{step}", g): rng.normal(size=8) for g in goal_ids}
+                vector_table(8, {(f"s{step}", g): rng.normal(size=8) for g in goal_ids})
             )
             scored = score_list(model, one_list(f"s{step}", goal_ids, sim1s), table)
             assert scored.goal_ids.count(UNLINKABLE) == 1
@@ -230,7 +228,7 @@ def test_a5_reranker_learning():
     with criterion("A5 reranker learning"):
         train_ex, t1 = _separable(40, 8, 4, seed=0, prefix="tr")
         dev_ex, t2 = _separable(16, 8, 4, seed=1, prefix="dv")
-        source = TableFeatureSource(8, {**t1, **t2})
+        source = TableFeatureSource(vector_table(8, {**t1, **t2}))
         model = new_model(8, lam=0.0)
 
         assert _recall1(model, dev_ex, source) <= 0.5

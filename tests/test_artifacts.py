@@ -17,12 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import columns, write_jsonl
+from conftest import columns, read_links, vector_table, write_jsonl
 from prockb.artifacts import tab_rows, write_rows, write_vectors
 from prockb.corpus import CONTEXT_MODES, corpus_from_records, load_corpus
-from prockb.embedding import EmbeddingStore, load_embeddings, save_embeddings
+from prockb.embedding import load_embeddings, save_embeddings
 from prockb.errors import DataError
-from prockb.hierarchy import decisions, read_links, write_links
+from prockb.hierarchy import decisions, write_links
 from prockb.linkeval import load_gold_links, split, split_links
 from prockb.rerank import (
     RerankModel,
@@ -56,7 +56,7 @@ def vector(dim: int):
 def embeddings(draw):
     dim = draw(st.integers(1, 4))
     ids = draw(st.lists(ident, min_size=1, max_size=4, unique=True))
-    return EmbeddingStore(dim, {row_id: draw(vector(dim)) for row_id in ids})
+    return vector_table(dim, {row_id: draw(vector(dim)) for row_id in ids})
 
 
 @st.composite
@@ -132,11 +132,11 @@ def _write_videos(path, videos):
 
 
 def _store_rows(store):
-    return store.dim, [(row_id, store[row_id].tobytes()) for row_id in store.ids()]
+    return store.dim, [(row_id, store[row_id].tobytes()) for row_id in store.ids]
 
 
 def _table_rows(source):
-    return source.dim, [(key, vec.tobytes()) for key, vec in source._table.items()]
+    return source.dim, [(key, source.table[key].tobytes()) for key in source.table.ids]
 
 
 def _model_fields(model):
@@ -169,7 +169,8 @@ KINDS = {
         feature_rows(),
         lambda path, rows: write_vectors(path, rows[0], ((f"{s} {g}", v) for s, g, v in rows[1])),
         lambda path: _table_rows(load_feature_file(path)),
-        lambda rows: _table_rows(TableFeatureSource(rows[0], {(s, g): v for s, g, v in rows[1]})),
+        lambda rows: _table_rows(
+            TableFeatureSource(vector_table(rows[0], {(s, g): v for s, g, v in rows[1]}))),
         " ",
     ),
     "candidates": Kind(ranked_lists(sim2=False), write_candidates,

@@ -382,7 +382,8 @@ def test_vr_filter_l2_requires_links(tmp_path):
 @pytest.mark.parametrize("text, lineno, message", [
     ("g0_s0\tnogoal\t0.5\t0.5\ng0_s1\tnogoal\t0.5\t0.5\n", 1, "unknown goal_id 'nogoal'"),
     ("g0_s0\tUNLINKABLE\nnostep\tg1\n", 2, "unknown step_id 'nostep'"),
-], ids=["unknown-goal", "unknown-step"])
+    ("nostep\tg1\ng0_s0\tg1\ng0_s0\tg2\n", 1, "unknown step_id 'nostep'"),
+], ids=["unknown-goal", "unknown-step", "unknown-step-before-a-duplicate"])
 def test_vr_filter_link_outside_the_corpus_exits_2(tmp_path, capsys, text, lineno, message):
     """A link dump of another corpus is rejected, not read as links to nothing."""
     corpus_path, videos_path = vr_fixture(tmp_path)
@@ -542,6 +543,19 @@ def test_eval_links_gold_step_without_ranking_names_both_files(identity_setup, t
     missing = next(step_id for step_id in gold if step_id != "a00_probe")
     assert (f"error: --rankings {rankings}: no ranking for gold step {missing!r} "
             f"of --gold {gold_path}") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_links_on_an_empty_gold_file_names_it(identity_setup, tmp_path, capsys):
+    gold = tmp_path / "empty_gold.tsv"
+    gold.write_text("")
+    rankings = tmp_path / "rankings.tsv"
+    rankings.write_text("a00_probe\t1\ta01\t0.5\n")
+    out = tmp_path / "ev"
+    capsys.readouterr()
+    assert run(["eval-links", "--rankings", str(rankings), "--gold", str(gold), "--split", "all",
+                "--out-dir", str(out)]) == 2
+    assert f"error: --gold {gold}: no gold links to evaluate" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -898,6 +912,29 @@ def test_missing_embedding_exits_2_with_path(input_files, tmp_path, capsys, argv
     assert code == 2
     assert f"{embeddings}: no embedding for corpus id {missing!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("retrieve", []), ("link", ["--model", "{model}"]),
+    ("expand", ["--model", "{model}", "--root", "g1"]),
+], ids=["retrieve", "link", "expand"])
+def test_one_article_corpus_exits_2_naming_the_corpus(tmp_path, capsys, command, flags):
+    """Its steps have no goal but their own, which stage 1 excludes."""
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, [{"id": "g1", "title": "Make Tea",
+                          "steps": [{"id": "s1", "text": "boil water"}]}])
+    assert run(["build-index", "--corpus", str(corpus), "--dim", "16",
+                "--out-dir", str(tmp_path / "ix")]) == 0
+    model = tmp_path / "model.txt"
+    save_model(new_model(7), model)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    embeddings = tmp_path / "ix" / "embeddings.txt"
+    code = run([command, "--corpus", str(corpus), "--embeddings", str(embeddings),
+                *(flag.format(model=model) for flag in flags), "--out-dir", str(out)])
+    assert code == 2
+    assert f"error: --corpus {corpus}: one article" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_link_rankings_read_back_equal_link_all(identity_setup, tmp_path):

@@ -1,15 +1,15 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_corpus, two_article_records
+from conftest import make_corpus, two_article_records, vector_table
 from prockb.embedding import (
     NGRAM_SIZES,
-    EmbeddingStore,
     _SignedBuckets,
     embed_corpus,
     embed_text,
@@ -78,6 +78,22 @@ def test_unit_is_the_norm_of_linalg_bit_for_bit():
     assert unit(zero) is zero
 
 
+@pytest.mark.parametrize("vec", [[1e200, 2e200, 0.0], [-1e300, 1e300, 5.0], [1e-170, 0.0, 0.0],
+                                 [1e-160, -3e-160, 0.0], [5e-324, 0.0, 5e-324]],
+                         ids=["overflow", "overflow-mixed", "underflow", "subnormal-square",
+                              "subnormal"])
+def test_unit_of_a_vector_whose_square_overflows_or_underflows(vec):
+    """Scaled by its largest magnitude first, the vector comes back as the
+    unit vector pointing its way, and numpy warns of nothing."""
+    vec = np.array(vec)
+    scaled = [x / max(map(abs, vec.tolist())) for x in vec.tolist()]
+    want = np.array(scaled) / math.sqrt(math.fsum(x * x for x in scaled))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = unit(vec)
+    assert np.abs(got - want).max() <= 1e-15
+
+
 # The reference cosine is the oracle of the stage-1 tests.
 
 def test_cosine_basics():
@@ -112,7 +128,7 @@ def test_store_round_trip(tmp_path):
         "g2": np.array([0.0, 0.0, 0.0, 0.0]),
         "s1": np.array([9.25, -1.125, 3.0, 7.0]),
     }
-    store = EmbeddingStore(dim=4, vectors=vectors)
+    store = vector_table(4, vectors)
     path = tmp_path / "vecs.txt"
     save_embeddings(store, path)
     loaded = load_embeddings(path)
@@ -151,7 +167,7 @@ def test_load_duplicate_id(tmp_path):
 
 
 def test_missing_id_lookup_names_id():
-    store = EmbeddingStore(dim=2, vectors={"a": np.zeros(2)})
+    store = vector_table(2, {"a": np.zeros(2)})
     with pytest.raises(KeyError, match="ghost"):
         store["ghost"]
 
@@ -239,7 +255,7 @@ def test_embed_corpus_matches_per_occurrence_reference(corpus, dim, seed, lowerc
     for article in corpus.articles:
         texts[article.goal_id] = article.title
         texts.update((step.step_id, step.text) for step in article.steps)
-    assert store.ids() == list(texts)
+    assert store.ids == list(texts)
     for row_id, text in texts.items():
         assert store[row_id].tobytes() == reference_embed(text, dim, seed, lowercase).tobytes()
 

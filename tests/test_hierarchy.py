@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import columns, identity_records, make_corpus
+from conftest import columns, identity_records, make_corpus, read_links
 from prockb import hierarchy
 from prockb.corpus import UNLINKABLE
 from prockb.embedding import embed_corpus
@@ -15,7 +15,6 @@ from prockb.hierarchy import (
     expand,
     link_all,
     link_step,
-    read_links,
     tree_to_dict,
     write_links,
 )

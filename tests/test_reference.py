@@ -1,8 +1,9 @@
-"""The block-at-a-time ranked-list TSV reader and writer, and the lexical
-feature source, against the row-at-a-time references in `reference.py`:
-the same bytes, the same columns and feature rows bit for bit, and the same
-DataError text for every damaged file. Small blocks (`artifacts.BLOCK`
-patched) put bad lines and blank lines past the first block."""
+"""The block-at-a-time ranked-list TSV reader and writer, the vector reader
+that parses all rows into one matrix, and the lexical feature source,
+against the row-at-a-time references in `reference.py`: the same bytes, the
+same columns, vectors and feature rows bit for bit, and the same DataError
+text for every damaged file. Small blocks (`artifacts.BLOCK` patched) put
+bad lines and blank lines past the first block."""
 
 import tempfile
 import tracemalloc
@@ -178,6 +179,114 @@ def test_bad_line_before_bad_utf8_of_the_same_block(tmp_path):
     assert data.index(b"\xff") - data.index(b"one") > 8192  # a text file decodes 8 KiB at a time
     assert outcome(read_candidates, path) == outcome(reference.read_candidates, path)
     assert outcome(read_candidates, path) == f"{path}: line 258: rank 'one' is not an integer"
+
+
+# ---------------------------------------------------------------------------
+# Vector files
+
+@st.composite
+def vector_files(draw):
+    """The lines of a ``dim=<d>`` file of up to 8 rows with 1 or 2 id fields,
+    and that number of id fields."""
+    n_ids, dim = draw(st.sampled_from([1, 2])), draw(st.integers(1, 5))
+    keys = draw(st.lists(st.tuples(*[ident] * n_ids), max_size=8, unique=True))
+    rows = [" ".join([*key, *map(repr, draw(st.lists(score, min_size=dim, max_size=dim)))])
+            for key in keys]
+    return [f"dim={dim}", *rows], n_ids
+
+
+def vector_outcome(read, path, n_ids):
+    """What `read` makes of the file: its width and each id with its row's
+    bytes, or the text of its DataError."""
+    try:
+        result = read(path, n_ids)
+    except DataError as exc:
+        return str(exc)
+    if isinstance(result[1], dict):  # the reference's (dim, {id: vector})
+        return result[0], [(key, vec.tobytes()) for key, vec in result[1].items()]
+    ids, matrix = result
+    assert matrix.dtype == np.float64 and matrix.shape == (len(ids), matrix.shape[1])
+    return matrix.shape[1], [(key, row.tobytes()) for key, row in zip(ids, matrix)]
+
+
+def damage_vectors(lines: list[str], rng, i: int) -> list[str]:
+    """`lines` with line i (0 is the header) damaged in one way."""
+    i = min(i, len(lines) - 1)
+    fields = lines[i].split(" ")
+    how = rng.choice(["drop", "extra", "number", "duplicate", "blank", "crlf"])
+    if how == "drop":
+        lines[i] = " ".join(fields[:-1])
+    elif how == "extra":
+        lines[i] = " ".join(fields + [rng.choice(["1.5", "x"])])
+    elif how == "number":
+        fields[rng.randrange(len(fields))] = rng.choice(NUMBERS)
+        lines[i] = " ".join(fields)
+    elif how == "duplicate":
+        lines.insert(i, lines[i])
+    elif how == "blank":
+        lines.insert(i, rng.choice(["", "   ", "\t"]))
+    else:
+        lines[i] += "\r"
+    return lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_files(), blocks, st.integers(0, 3), st.randoms(use_true_random=False))
+def test_vectors_read_or_fail_as_line_by_line(file, block, faults, rng):
+    """The same ids, rows bit for bit, and the same message and line for
+    every fault, with 1 and 2 id columns."""
+    lines, n_ids = file
+    for _ in range(faults):
+        lines = damage_vectors(lines, rng, rng.randrange(len(lines)))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(artifacts, "BLOCK", block):
+        path = Path(tmp) / "vectors.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got = vector_outcome(artifacts.read_vectors, path, n_ids)
+        assert got == vector_outcome(reference.read_vectors, path, n_ids)
+
+
+@pytest.mark.parametrize("n_ids", [1, 2])
+@pytest.mark.parametrize("bad, message", [
+    ("{id} 1.0 2.0", "row '{id}' has 2 values, expected 3"),
+    ("{id} 1.0 x nan", "row '{id}' has a non-numeric value"),
+    ("{id} 1.0 1e999 3.0", "row '{id}' has a non-finite value"),
+    ("{id} 1.0 2.0 nan", "row '{id}' has a non-finite value"),
+    ("{first} 1.0 2.0 3.0", "duplicate row '{first}'"),
+], ids=["width", "non-numeric-before-non-finite", "overflow", "nan", "duplicate"])
+def test_bad_vector_row_after_many_blocks_and_blank_lines(tmp_path, n_ids, bad, message):
+    """At the real block size, with a blank line in every few and the bad
+    line far into the file, each fault kind is reported as line by line."""
+    key = (lambda i: f"r{i}") if n_ids == 1 else (lambda i: f"s{i} g{i % 7}")
+    lines = ["dim=3"]
+    for i in range(700):
+        lines.append(f"{key(i)} {i / 7!r} -{i}.5 1e-{i % 300}")
+        if i % 3 == 0:
+            lines.append(" " if i % 2 else "")
+    lines.insert(900, bad.format(id=key(9999), first=key(0)))
+    path = tmp_path / "vectors.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    got = vector_outcome(artifacts.read_vectors, path, n_ids)
+    assert got == vector_outcome(reference.read_vectors, path, n_ids)
+    assert got == f"{path}: line 901: " + message.format(id=key(9999), first=key(0))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("dim=2\na 1 2\na 1\n", "line 3: row 'a' has 1 values, expected 2"),
+    ("dim=2\na 1 2\nb x\na 3 4\n", "line 3: row 'b' has 1 values, expected 2"),
+    ("dim=2\na 1 2\na 1 inf\n", "line 3: row 'a' has a non-finite value"),
+    ("dim=2\na 1 2\nb 1 2 3\na 3 4\n", "line 3: row 'b' has 3 values, expected 2"),
+    ("dim=2\na 1 2\na 3 4\nb 1\n", "line 3: duplicate row 'a'"),
+    ("\n\ndim=0\na 1\n", "line 3: expected header 'dim=<d>' with d >= 1, got 'dim=0'"),
+    ("", "line 1: expected header 'dim=<d>' with d >= 1, got ''"),
+], ids=["width-before-duplicate", "width-before-a-later-duplicate", "non-finite-before-duplicate",
+        "width-before-a-later-duplicate-of-the-block", "duplicate-before-a-later-width",
+        "header-after-blank-lines", "empty-file"])
+def test_first_vector_fault_in_line_order(tmp_path, text, message):
+    path = tmp_path / "vectors.txt"
+    path.write_text(text, encoding="utf-8")
+    got = vector_outcome(artifacts.read_vectors, path, 1)
+    assert got == vector_outcome(reference.read_vectors, path, 1)
+    assert got == f"{path}: {message}"
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import columns, identity_records, make_corpus, one_list, one_loss, score_list
+from conftest import (
+    columns, identity_records, make_corpus, one_list, one_loss, score_list, vector_table,
+)
 from prockb.artifacts import write_vectors
 from prockb.corpus import CONTEXT_MODES, UNLINKABLE, context_of
 from prockb.errors import DataError
@@ -266,7 +268,7 @@ def test_blocks_do_not_depend_on_warm_up_order():
 def test_empty_block_has_model_width(lex_corpus):
     source = LexicalFeatureSource(lex_corpus)
     assert source.features(("t1",), ((),)).shape == (0, 7)
-    assert TableFeatureSource(8, {}).features(("t1",), ((),)).shape == (0, 8)
+    assert TableFeatureSource(vector_table(8, {})).features(("t1",), ((),)).shape == (0, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +276,7 @@ def test_empty_block_has_model_width(lex_corpus):
 
 def test_sim2_arithmetic():
     def sim2(model, row, sim1):
-        source = TableFeatureSource(2, {("s", "g"): np.array(row)})
+        source = TableFeatureSource(vector_table(2, {("s", "g"): np.array(row)}))
         return score_list(model, one_list("s", ["g"], [sim1]), source).sim2.tolist()
 
     assert sim2(RerankModel(w=np.array([1.0, 0.0]), lam=0.0), [0.7, 3.0], 0.9) == [0.7]
@@ -290,9 +292,7 @@ def test_sim2_dim_mismatch():
 
 
 def zero_table(step_id, goal_ids, dim=8):
-    return TableFeatureSource(
-        dim, {(step_id, g): np.zeros(dim) for g in goal_ids}
-    )
+    return TableFeatureSource(vector_table(dim, {(step_id, g): np.zeros(dim) for g in goal_ids}))
 
 
 def test_identity_reranker_preserves_stage1_order():
@@ -318,7 +318,7 @@ def test_score_candidates_reranks_each_list_on_its_own():
     rng = np.random.default_rng(4)
     lists = [("s1", ["ga", "gb", "gc"]), ("s2", ["gb"]), ("s3", ["gc", "ga"])]
     table = {(s, g): rng.normal(size=8) for s, goals in lists for g in goals}
-    source = TableFeatureSource(8, table)
+    source = TableFeatureSource(vector_table(8, table))
     sim1s = [rng.uniform(-1, 1, size=len(goals)) for _, goals in lists]
     model = RerankModel(w=rng.normal(size=8), lam=0.5, unlinkable_feat=rng.normal(size=8))
     ranked = Ranked.from_lists([s for s, _ in lists], [goals for _, goals in lists], sim1s)
@@ -335,7 +335,7 @@ def test_top1_is_argmax_of_per_pair_sim2():
     rng = np.random.default_rng(0)
     goal_ids = tuple(f"g{i}" for i in range(6))
     table = {("s", g): rng.normal(size=8) for g in goal_ids}
-    source = TableFeatureSource(8, table)
+    source = TableFeatureSource(vector_table(8, table))
     sim1s = rng.uniform(-1, 1, size=len(goal_ids))
     model = RerankModel(w=rng.normal(size=8), lam=float(rng.normal()))
     scored = score_list(model, one_list("s", goal_ids, sim1s), source)
@@ -376,7 +376,8 @@ def scoring_cases(draw, value):
 def test_sim2_matches_per_row_arithmetic(case):
     model, feats, sim1s = case
     goal_ids = [f"g{i}" for i in range(len(sim1s))]
-    source = TableFeatureSource(model.dim, {("s", g): row for g, row in zip(goal_ids, feats)})
+    table = {("s", g): row for g, row in zip(goal_ids, feats)}
+    source = TableFeatureSource(vector_table(model.dim, table))
     scored = score_list(model, one_list("s", goal_ids, sim1s), source)
     got = dict(zip(scored.goal_ids, scored.sim2.tolist()))
     slots = goal_ids + [UNLINKABLE] * model.unlinkable_enabled
@@ -393,7 +394,8 @@ def test_sim2_matches_per_row_arithmetic(case):
 def test_score_candidates_order_matches_per_row_arithmetic(case):
     model, feats, sim1s = case
     goal_ids = [f"g{i}" for i in range(len(sim1s))]
-    source = TableFeatureSource(model.dim, {("s", g): row for g, row in zip(goal_ids, feats)})
+    table = {("s", g): row for g, row in zip(goal_ids, feats)}
+    source = TableFeatureSource(vector_table(model.dim, table))
     scored = score_list(model, one_list("s", goal_ids, sim1s), source)
     slots = list(zip(goal_ids, sim1s.tolist()))
     if model.unlinkable_enabled:
@@ -567,7 +569,7 @@ def separable_set(n: int, dim: int = 8, m: int = 4, seed: int = 0, prefix: str =
         step_ids.append(step_id)
         goal_ids.append(goals)
     lists = Ranked.from_lists(step_ids, goal_ids, [[0.5] * m] * n)
-    return (lists, [m - 1] * n), TableFeatureSource(dim, table)
+    return (lists, [m - 1] * n), TableFeatureSource(vector_table(dim, table))
 
 
 def rerank_recall_at_1(model, examples, source):
@@ -581,7 +583,8 @@ def rerank_recall_at_1(model, examples, source):
 def test_training_learns_separable_set():
     train_examples, source = separable_set(40, seed=0, prefix="tr")
     dev_examples, dev_source = separable_set(16, seed=1, prefix="dv")
-    merged = TableFeatureSource(8, {**source._table, **dev_source._table})
+    rows = {key: row for t in (source.table, dev_source.table) for key, row in zip(t.ids, t.matrix)}
+    merged = TableFeatureSource(vector_table(8, rows))
     model = new_model(8, lam=0.0)
 
     assert rerank_recall_at_1(model, dev_examples, merged) <= 0.5
@@ -662,8 +665,8 @@ def test_placeholder_slot_trains_toward_unlinkable():
     lists = one_list("s", ["g1", "g2"], [0.9, 0.1])
     examples = make_training_examples(lists, {"s": "g9"}, unlinkable=True)
     assert examples[1] == [2]
-    source = TableFeatureSource(2, {("s", "g1"): np.array([1.0, 0.0]),
-                                    ("s", "g2"): np.array([0.0, 1.0])})
+    source = TableFeatureSource(vector_table(2, {("s", "g1"): np.array([1.0, 0.0]),
+                                                 ("s", "g2"): np.array([0.0, 1.0])}))
     result = train(new_model(2, lam=0.0, unlinkable=True), examples, source, lr=1.0, epochs=20)
     assert score_list(result.model, lists, source).goal_ids[0] == UNLINKABLE
 

@@ -1,22 +1,24 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from conftest import columns, make_corpus, two_article_records
+from conftest import columns, make_corpus, two_article_records, vector_table
 from prockb.errors import DataError
-from prockb.embedding import EmbeddingStore, embed_corpus
+from prockb.embedding import embed_corpus, unit
 from prockb.retrieval import build_index, read_candidates, retrieve_all, topk, write_candidates
 from reference import cosine
 
 
 def basis_store(n=3, dim=4):
     vectors = {f"g{i}": np.eye(dim)[i] for i in range(n)}
-    return EmbeddingStore(dim=dim, vectors=vectors)
+    return vector_table(dim, vectors)
 
 
 def random_store(n_goals, dim, seed):
     rng = np.random.default_rng(seed)
     vectors = {f"g{i:03d}": rng.normal(size=dim) for i in range(n_goals)}
-    return EmbeddingStore(dim=dim, vectors=vectors)
+    return vector_table(dim, vectors)
 
 
 def brute_force_ranking(store, goal_ids, query, exclude=()):
@@ -29,7 +31,7 @@ def brute_force_ranking(store, goal_ids, query, exclude=()):
 def top(index, query, k, exclude=()):
     """topk as (goal_id, score) pairs."""
     rows, scores = topk(index, query, k, exclude)
-    return [(index.goal_ids[row], score) for row, score in zip(rows.tolist(), scores.tolist())]
+    return [(index.ids[row], score) for row, score in zip(rows.tolist(), scores.tolist())]
 
 
 def test_topk_basis_vectors():
@@ -41,7 +43,7 @@ def test_topk_basis_vectors():
 
 def test_topk_matches_brute_force_oracle():
     store = random_store(200, 16, seed=11)
-    goal_ids = store.ids()
+    goal_ids = store.ids
     index = build_index(store, goal_ids)
     rng = np.random.default_rng(12)
     for _ in range(50):
@@ -64,7 +66,7 @@ def test_topk_k_too_large():
 
 def test_topk_exclusion_shifts_window():
     store = random_store(40, 8, seed=5)
-    index = build_index(store, store.ids())
+    index = build_index(store, store.ids)
     rng = np.random.default_rng(6)
     query = rng.normal(size=8)
     full = top(index, query, k=11)
@@ -83,22 +85,46 @@ def test_topk_exclusion_reduces_pool():
 
 def test_tie_break_ascending_goal_id():
     vec = np.array([1.0, 0.0, 0.0, 0.0])
-    store = EmbeddingStore(dim=4, vectors={"gb": vec, "ga": vec * 2.0, "gc": vec})
+    store = vector_table(4, {"gb": vec, "ga": vec * 2.0, "gc": vec})
     index = build_index(store, ["gb", "ga", "gc"])
     assert top(index, vec, k=3) == [("ga", 1.0), ("gb", 1.0), ("gc", 1.0)]
 
 
 def test_zero_goal_vector_scores_zero():
-    store = EmbeddingStore(
-        dim=4, vectors={"gz": np.zeros(4), "ga": np.array([1.0, 0, 0, 0])}
-    )
+    store = vector_table(4, {"gz": np.zeros(4), "ga": np.array([1.0, 0, 0, 0])})
     index = build_index(store, ["gz", "ga"])
     assert top(index, np.array([1.0, 0, 0, 0]), k=2)[1] == ("gz", 0.0)
 
 
+def test_goal_whose_square_norm_overflows_ranks_by_its_direction():
+    store = vector_table(3, {"ga": np.ones(3), "gbig": np.array([1e200, 2e200, 0.0])})
+    index = build_index(store, store.ids)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (first, score), _ = top(index, np.array([1.0, 2.0, 0.0]), k=2)
+    assert first == "gbig" and abs(score - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("dim", [8, 9, 15, 16, 17, 33, 64, 100, 128, 257, 512, 768, 1023, 1024])
+def test_rows_of_one_matrix_score_as_their_copies_bit_for_bit(dim):
+    """`unit` of a matrix row, and a product of a matrix view with it, equal
+    the same on fresh copies, for rows that start at every 8-byte offset:
+    vectors are rows of one table, where they used to be arrays of their own."""
+    rng = np.random.default_rng(dim)
+    n = 12
+    flat = rng.normal(size=n * dim + 8)
+    for offset in range(8):
+        matrix = flat[offset : offset + n * dim].reshape(n, dim)
+        for row in matrix:
+            assert unit(row).tobytes() == unit(row.copy()).tobytes()
+        for query in (matrix[1], matrix[n - 1], rng.normal(size=dim)):
+            want = matrix.copy() @ unit(query.copy())
+            assert (matrix @ unit(query)).tobytes() == want.tobytes()
+
+
 def test_scores_non_increasing():
     store = random_store(60, 8, seed=2)
-    index = build_index(store, store.ids())
+    index = build_index(store, store.ids)
     _, sims = topk(index, np.random.default_rng(3).normal(size=8), k=25)
     assert np.all(sims[:-1] >= sims[1:])
 
