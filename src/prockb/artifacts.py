@@ -222,7 +222,9 @@ def read_vectors(path, n_ids: int) -> tuple[list, np.ndarray]:
         row_id = fields[0] if n_ids == 1 else tuple(fields[:n_ids])
         row = f"row {' '.join(fields[:n_ids])!r}"
         if len(fields) - n_ids != dim:
-            raise fail(path, lineno, f"{row} has {len(fields) - n_ids} values, expected {dim}")
+            raise fail(path, lineno, f"{row} has {len(fields) - n_ids} values, expected {dim}"
+                       if len(fields) >= n_ids else  # a lone id of a two-id row
+                       f"{row} has 1 field, expected {n_ids} ids and {dim} values")
         try:
             vec = list(map(float, fields[n_ids:]))
         except ValueError:

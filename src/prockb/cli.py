@@ -4,7 +4,8 @@ Every subcommand reads declared inputs, writes its artifacts plus a
 manifest.json (config hash, input digests, package version) into --out-dir,
 and never mutates inputs. A subcommand names all its artifacts in one
 `_output` call; `main` writes the manifest from those names and from the
-flags of type `infile`. Exit codes: 0 ok, 1 usage, 2 data error, 3 internal.
+flags of type `infile`. Each input is checked where it is read. Exit codes:
+0 ok, 1 `UsageError`, 2 `DataError` (bad input), 3 any other exception.
 """
 
 import argparse
@@ -13,13 +14,12 @@ import json
 import math
 import sys
 from dataclasses import replace
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .artifacts import fail, read_json, read_text, tab_rows, write_json, write_rows
+from .artifacts import check_rows, read_json, read_text, tab_rows, write_json, write_rows
 from .corpus import CONTEXT_MODES, UNLINKABLE, load_corpus, validation_report
 from .embedding import MIN_DIM, embed_corpus, load_embeddings, save_embeddings
 from .errors import DataError
@@ -197,22 +197,8 @@ def _split(args, gold: dict[str, str]) -> dict[str, dict[str, str]]:
 
 def cmd_train_reranker(args) -> None:
     corpus = load_corpus(args.corpus)
-    candidates = read_candidates(args.candidates)
-    gold = load_gold_links(args.gold)
-    step_ids, goal_ids = {step.step_id for step in corpus.steps()}, set(corpus.goal_ids())
-    if not (step_ids.issuperset(chain(gold, candidates.step_ids))
-            and goal_ids.issuperset(chain(gold.values(), candidates.goal_ids))):
-        listed = zip(candidates.step_ids, candidates.goal_lists())  # only to name the first offender
-        for path, what, step_id, goal_id in chain(
-                ((args.gold, "gold link", *link) for link in gold.items()),
-                ((args.candidates, "candidate", s, g) for s, goals in listed for g in goals)):
-            try:
-                corpus.step(step_id)
-                corpus.article(goal_id)
-            except KeyError as exc:
-                raise DataError(f"{path}: {what} {step_id} -> {goal_id}: "
-                                f"{exc.args[0]} in {args.corpus}") from None
-    split = _split(args, gold)
+    candidates = read_candidates(args.candidates, corpus)
+    split = _split(args, load_gold_links(args.gold, corpus))
 
     source = load_feature_file(args.features) if args.features else LexicalFeatureSource(
         corpus, context_mode=args.context_mode, window=args.window
@@ -220,7 +206,8 @@ def cmd_train_reranker(args) -> None:
     train_examples = make_training_examples(candidates, split["train"], unlinkable=args.unlinkable)
     dev_examples = make_training_examples(candidates, split["dev"], unlinkable=args.unlinkable)
     if not train_examples[1]:
-        raise DataError("no training examples: no gold step has retrieved candidates")
+        raise DataError(f"no training examples: no gold step of the train split of --gold "
+                        f"{args.gold} has retrieved candidates in --candidates {args.candidates}")
 
     model = replace(new_model(
         dim=source.dim,
@@ -284,8 +271,9 @@ def cmd_link(args) -> None:
 
 def cmd_expand(args) -> None:
     pipeline = _pipeline(args)
-    if args.root not in pipeline.corpus:
-        raise DataError(f"--root {args.root!r} is not a goal of --corpus {args.corpus}")
+    unknown, message = pipeline.corpus.unknown("goal_id", (args.root,))
+    if unknown is not None:
+        raise DataError(f"--root: {message(0)}")
     tree = expand(pipeline, args.root, args.max_depth)
     write_tree(tree, _output(args, "tree.json")[0])
 
@@ -329,10 +317,10 @@ def cmd_vr_index(args) -> None:
 
 
 def _videos(args, corpus=None):
-    """The split of the videos in --videos, and the index in --index, which
-    must hold exactly those videos. Given the --corpus `corpus`, every video
-    goal must be one of its goals."""
-    videos = load_videos(args.videos)
+    """The split of the videos in --videos, read against the --corpus
+    `corpus` if given, and the index in --index, which must hold exactly
+    those videos."""
+    videos = load_videos(args.videos, corpus)
     index = TextIndex.from_json(read_text(args.index), source=args.index)
     ids = {video.video_id for video in videos}
     if ids != index.positions.keys():
@@ -341,11 +329,6 @@ def _videos(args, corpus=None):
         first, where = (only_videos[0], args.videos) if only_videos else (only_index[0], args.index)
         raise DataError(f"{args.index}: not an index of the videos in {args.videos}: "
                         f"video {first!r} is only in {where}")
-    if corpus is not None:
-        missing = next((video.goal_id for video in videos if video.goal_id not in corpus), None)
-        if missing is not None:
-            raise DataError(f"{args.videos}: video goal {missing!r} is not a goal "
-                            f"of {args.corpus}")
     return split_videos(videos), index
 
 
@@ -355,13 +338,9 @@ def cmd_vr_filter(args) -> None:
     links = {} if args.links else None
     rows = tab_rows(args.links, 2, unique="step") if args.links else ()
     for lineno, (step_id, outcome, *_) in rows:  # each line checked as it is read
-        try:
-            corpus.step(step_id)
-            if outcome != UNLINKABLE:
-                corpus.article(outcome)
-        except KeyError as exc:  # a link dump of another corpus
-            raise fail(f"--links {args.links}", lineno,
-                       f"{exc.args[0]} in --corpus {args.corpus}") from None
+        goals = () if outcome == UNLINKABLE else (outcome,)  # the placeholder is not a goal
+        check_rows(args.links, (lineno,), [corpus.unknown("step_id", (step_id,)),
+                                           corpus.unknown("goal_id", goals)])
         links[step_id] = outcome
     if args.level == FIL_L2 and links is None:
         raise UsageError("--links is required for level fil_l2")
@@ -382,10 +361,6 @@ def cmd_vr_eval(args) -> None:
 
     if args.queries:
         queries = read_queries(args.queries)
-        for i, query in enumerate(queries, 1):
-            if query.level != queries[0].level:
-                raise DataError(f"{args.queries}: item {i}: level {query.level!r} differs "
-                                f"from item 1's {queries[0].level!r}")
     else:
         queries = [make_query(corpus, goal_id, args.level or L0) for goal_id in splits["train"]]
 
@@ -572,14 +547,13 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, KeyError, ValueError) as exc:
-        message = exc.args[0] if exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
+    except DataError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse --help
         code = exc.code if isinstance(exc.code, int) else 0
         return code
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # a fault of the program, not of its inputs
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

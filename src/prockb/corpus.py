@@ -9,7 +9,9 @@ corpus is immutable once loaded.
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .artifacts import json_lines
 from .errors import DataError
@@ -46,6 +48,7 @@ class Corpus:
     articles: tuple[Article, ...]
     _by_goal: dict[str, Article] = field(repr=False, compare=False)
     _by_step: dict[str, Step] = field(repr=False, compare=False)
+    source: str | Path | None = field(default=None, compare=False)  # the file it was read from
 
     @property
     def n_goals(self) -> int:
@@ -59,16 +62,10 @@ class Corpus:
         return [a.goal_id for a in self.articles]
 
     def article(self, goal_id: str) -> Article:
-        try:
-            return self._by_goal[goal_id]
-        except KeyError:
-            raise KeyError(f"unknown goal_id {goal_id!r}") from None
+        return self._by_goal[goal_id]
 
     def step(self, step_id: str) -> Step:
-        try:
-            return self._by_step[step_id]
-        except KeyError:
-            raise KeyError(f"unknown step_id {step_id!r}") from None
+        return self._by_step[step_id]
 
     def steps(self) -> Iterator[Step]:
         for article in self.articles:
@@ -77,14 +74,27 @@ class Corpus:
     def __contains__(self, goal_id: str) -> bool:
         return goal_id in self._by_goal
 
+    def unknown(self, kind: str, ids: Sequence[str]) -> tuple[np.ndarray | None, Callable[[int], str]]:
+        """The `artifacts.check_rows` check that each of `ids` is a step
+        (`kind` "step_id") or a goal ("goal_id") of this corpus: the mask of
+        those that are not, None if all are, and row i's message, which names
+        the corpus file. Every input read against a corpus uses it."""
+        known = self._by_step if kind == "step_id" else self._by_goal
+        mask = None
+        if not known.keys() >= set(ids):
+            mask = ~np.fromiter(map(known.__contains__, ids), bool, len(ids))
+        where = "" if self.source is None else f" in {self.source}"
+        return mask, lambda i: f"unknown {kind} {ids[i]!r}{where}"
+
 
 def corpus_from_records(records: Iterable[dict], source=None) -> Corpus:
     """Assemble and validate a Corpus from article dicts.
 
     Each record needs ``id``, ``title`` and a non-empty ``steps`` list of
-    ``{"id", "text"}`` dicts. Raises DataError on duplicate ids, empty titles
-    or step texts (after normalization), or malformed records; its message
-    starts with `source`, when given.
+    ``{"id", "text"}`` dicts; ids are strings or integers, titles and texts
+    strings. Raises DataError on duplicate ids, empty titles or step texts
+    (after normalization), or malformed records; its message starts with
+    `source`, when given, which the corpus keeps.
     """
     articles: list[Article] = []
     by_goal: dict[str, Article] = {}
@@ -97,7 +107,7 @@ def corpus_from_records(records: Iterable[dict], source=None) -> Corpus:
             raise DataError(f"{where}: expected an object, got {type(rec).__name__}")
         try:
             goal_id = _as_id(rec["id"], where)
-            title = normalize_text(str(rec["title"]))
+            title = normalize_text(json_text(rec["title"], f"{where}: title"))
             raw_steps = rec["steps"]
         except KeyError as exc:
             raise DataError(f"{where}: missing field {exc.args[0]!r}") from None
@@ -114,7 +124,7 @@ def corpus_from_records(records: Iterable[dict], source=None) -> Corpus:
                 raise DataError(f"{where}: step {pos} of {goal_id!r} is not an object")
             try:
                 step_id = _as_id(raw["id"], where)
-                text = normalize_text(str(raw["text"]))
+                text = normalize_text(json_text(raw["text"], f"{where}: text of step {step_id!r}"))
             except KeyError as exc:
                 raise DataError(
                     f"{where}: step {pos} of {goal_id!r} missing field {exc.args[0]!r}"
@@ -136,13 +146,25 @@ def corpus_from_records(records: Iterable[dict], source=None) -> Corpus:
     if overlap:
         raise DataError(f"{prefix}ids used as both goal_id and step_id: {sorted(overlap)[:5]}")
 
-    return Corpus(articles=tuple(articles), _by_goal=by_goal, _by_step=by_step)
+    return Corpus(articles=tuple(articles), _by_goal=by_goal, _by_step=by_step, source=source)
+
+
+def json_id(value, what: str) -> str:
+    """The text of `value`, a JSON id: a string or an integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise DataError(f"{what} must be a string or integer, got {value!r}")
+    return str(value)
+
+
+def json_text(value, what: str) -> str:
+    """`value`, a JSON text, which must be a string."""
+    if not isinstance(value, str):
+        raise DataError(f"{what} must be a string, got {value!r}")
+    return value
 
 
 def _as_id(value, where: str) -> str:
-    if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise DataError(f"{where}: id must be a string or integer, got {value!r}")
-    out = str(value)
+    out = json_id(value, f"{where}: id")
     if not out:
         raise DataError(f"{where}: empty id")
     if out in RESERVED_IDS:

@@ -9,7 +9,8 @@ import random
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .artifacts import tab_rows
+from .artifacts import check_rows, tab_rows
+from .corpus import Corpus
 from .errors import DataError
 from .retrieval import Ranked
 
@@ -34,11 +35,17 @@ def split(items: list, rng: random.Random, ratios: Sequence[float]) -> dict[str,
     }
 
 
-def load_gold_links(path: str | Path) -> dict[str, str]:
+def load_gold_links(path: str | Path, corpus: Corpus | None = None) -> dict[str, str]:
     """step_id -> gold goal_id from TSV rows ``step_id<TAB>gold_goal_id``;
-    each step appears once."""
-    return {step_id: goal_id
-            for _, (step_id, goal_id) in tab_rows(path, 2, exact=True, unique="step")}
+    each step appears once. Given `corpus`, each step and goal must be one
+    of its own; the first faulty line is reported."""
+    gold = {}
+    for lineno, (step_id, goal_id) in tab_rows(path, 2, exact=True, unique="step"):
+        if corpus is not None:
+            check_rows(path, (lineno,), [corpus.unknown("step_id", (step_id,)),
+                                         corpus.unknown("goal_id", (goal_id,))])
+        gold[step_id] = goal_id
+    return gold
 
 
 def split_links(gold: Mapping[str, str]) -> dict[str, dict[str, str]]:

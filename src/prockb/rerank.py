@@ -176,10 +176,7 @@ class LexicalFeatureSource:
         self._goal_folded = np.array([self._folded[text] for text in goals.folded], dtype=np.int64)
 
     def _goal_rows(self, goal_ids: Sequence[str]) -> np.ndarray:
-        rows = list(map(self._goal_row.get, goal_ids))
-        if None in rows:
-            self.corpus.article(next(g for g, row in zip(goal_ids, rows) if row is None))
-        return np.array(rows, dtype=np.int64)
+        return np.fromiter(map(self._goal_row.__getitem__, goal_ids), np.int64, len(goal_ids))
 
     def _context(self, step_id: str) -> list[str]:
         ctx = context_of(self.corpus, step_id, self.context_mode, self.window)
@@ -269,7 +266,7 @@ class LexicalFeatureSource:
 
 class TableFeatureSource:
     """Feature rows from a table keyed by (step_id, goal_id), typically
-    loaded from disk; `path` is the file, named when a row is missing."""
+    loaded from disk. A missing row is a DataError that names `path`, the file."""
 
     name = "table"
 
@@ -286,7 +283,7 @@ class TableFeatureSource:
         if None in rows:
             step_id, goal_id = pairs[rows.index(None)]
             where = f"{self.path}: " if self.path is not None else ""
-            raise KeyError(f"{where}no feature row for step {step_id!r}, goal {goal_id!r}")
+            raise DataError(f"{where}no feature row for step {step_id!r}, goal {goal_id!r}")
         return self.table.matrix[rows]
 
 

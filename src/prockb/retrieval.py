@@ -13,13 +13,12 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain, pairwise, zip_longest
 from pathlib import Path
-from sys import intern
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .artifacts import check_rows, fail, float_column, int_column, tab_blocks, write_columns
-from .corpus import Step
+from .corpus import Corpus, Step
 from .embedding import EmbeddingStore, unit
 
 DEFAULT_K = 30
@@ -120,18 +119,20 @@ def write_candidates(path: str | Path, ranked: Ranked) -> None:
     write_columns(path, len(ranked.goal_ids), block)
 
 
-def read_candidates(path: str | Path) -> Ranked:
+def read_candidates(path: str | Path, corpus: Corpus | None = None) -> Ranked:
     """Read the TSV that `write_candidates` writes: step_id, an integer
     rank, goal_id, sim1 and, in every line or in none, sim2. Each step's rows
     are taken in rank order, steps in the order they first appear. Raises
     DataError, with path and line, on a line with fewer than 4 columns or
-    more than 5, a rank that is not an integer, a score that is not a finite
-    number, a repeated (step_id, rank), or a sim2 in some lines only; where
-    a line has several faults, the first in that order."""
+    more than 5, a rank that is not an integer, a sim2 in some lines only, a
+    score that is not a finite number, a step or goal not in `corpus` (if
+    given), or a repeated (step_id, rank); of a line's faults, the first in
+    that order, and of the lines, the first, repeats once all are read."""
     steps: dict[str, int] = {}  # step_id -> its list, numbered in order of first appearance
     # Each row's list, rank, line number, sim1 and sim2, in file order.
     columns = array("q"), array("q"), array("q"), array("d"), array("d")
     goal_ids: list[str] = []
+    goals: dict[str, str] = {}  # one string per goal, not per row, kept by this read only
     width = 0  # the first line's number of columns: 4, or 5 with sim2
     for linenos, rows in tab_blocks(path, 4, 5):
         width = width or len(rows[0])
@@ -146,13 +147,15 @@ def read_candidates(path: str | Path) -> Ranked:
             *((~np.isfinite(sim) & (widths > 3 + j),
                lambda i, j=j: f"sim{j + 1} {texts[j][i]!r} is not a finite number")
               for j, sim in enumerate(sims)),
+            *(() if corpus is None else
+              (corpus.unknown("step_id", step), corpus.unknown("goal_id", goal))),
         ])
         for step_id in dict.fromkeys(step):
             steps.setdefault(step_id, len(steps))
         columns[0].extend(map(steps.__getitem__, step))
         for column, values in zip(columns[1:], (ranks, linenos, *sims)):
             column.frombytes(np.asarray(values, dtype=column.typecode).tobytes())
-        goal_ids += map(intern, goal)  # one string per goal, not per row
+        goal_ids += map(goals.setdefault, goal, goal)
     lists, ranks, linenos, *sims = (np.frombuffer(c, dtype=c.typecode) for c in columns)
     order = np.lexsort((ranks, lists))
     in_order = lists[order], ranks[order]

@@ -28,8 +28,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .artifacts import fail, json_lines, read_json, write_json
-from .corpus import UNLINKABLE, Corpus, normalize_text
+from .artifacts import check_rows, fail, json_lines, read_json, write_json
+from .corpus import UNLINKABLE, Corpus, json_id, json_text, normalize_text
 from .errors import DataError
 from .linkeval import SPLIT_SEED, split
 from .textsearch import DEFAULT_B, DEFAULT_K1, TextIndex
@@ -56,20 +56,26 @@ class VideoDoc:
     caption: str
 
 
-def load_videos(path: str | Path) -> list[VideoDoc]:
-    """Read video JSONL: ``{"video_id", "goal_id", "caption"}`` per line."""
+def load_videos(path: str | Path, corpus: Corpus | None = None) -> list[VideoDoc]:
+    """Read video JSONL: ``{"video_id", "goal_id", "caption"}`` per line.
+    Ids are strings or integers, as in a corpus, and captions strings. Given
+    `corpus`, each video's goal must be one of its goals; the first faulty
+    line is reported."""
     videos, seen = [], set()
     for lineno, rec in json_lines(path):
+        where = f"{path}: line {lineno}: "
         try:
-            vid = str(rec["video_id"])
-            gid = str(rec["goal_id"])
-            caption = str(rec["caption"])
+            vid = json_id(rec["video_id"], where + "video_id")
+            gid = json_id(rec["goal_id"], where + "goal_id")
+            caption = json_text(rec["caption"], where + "caption")
         except KeyError as exc:
             raise fail(path, lineno, f"missing field {exc.args[0]!r}") from None
         except TypeError:
             raise fail(path, lineno, "expected a JSON object") from None
         if vid in seen:
             raise fail(path, lineno, f"duplicate video_id {vid!r}")
+        if corpus is not None:
+            check_rows(path, (lineno,), [corpus.unknown("goal_id", (gid,))])
         seen.add(vid)
         videos.append(VideoDoc(video_id=vid, goal_id=gid, caption=caption))
     return videos
@@ -354,8 +360,8 @@ def read_queries(path: str | Path) -> list[Query]:
     Raises DataError, naming the path and the 1-based item number, for
     malformed JSON, a payload that is not a list, an item that is not an
     object, a missing field, a non-string goal id, goal or step, a weight
-    that is not a finite number, a level outside L0/L1/FIL_L1/FIL_L2, and a
-    goal id that an earlier item already has.
+    that is not a finite number, a level outside L0/L1/FIL_L1/FIL_L2 or
+    other than item 1's, and a goal id that an earlier item already has.
     """
     payload = read_json(path)
     if not isinstance(payload, list):
@@ -379,6 +385,9 @@ def read_queries(path: str | Path) -> list[Query]:
             raise DataError(f"{where}: w_g and w_s must be finite numbers")
         if item["level"] not in LEVELS:
             raise DataError(f"{where}: unknown level {item['level']!r}")
+        if queries and item["level"] != queries[0].level:
+            raise DataError(f"{where}: level {item['level']!r} differs "
+                            f"from item 1's {queries[0].level!r}")
         if item["goal_id"] in seen:
             raise DataError(f"{where}: duplicate goal_id {item['goal_id']!r}")
         seen.add(item["goal_id"])

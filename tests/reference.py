@@ -100,10 +100,11 @@ def write_candidates(path, ranked: Ranked) -> None:
                 handle.write("\t".join(map(str, (step_id, rank, *row))) + "\n")
 
 
-def read_candidates(path) -> Ranked:
-    """Line by line: each line's columns counted, its rank, width and scores
-    checked, in that order, before the next line is read; repeated ranks are
-    found once the whole file is read."""
+def read_candidates(path, corpus=None) -> Ranked:
+    """Line by line: each line's columns counted, its rank, width, scores
+    and, given `corpus`, its step and goal checked, in that order, before
+    the next line is read; repeated ranks are found once the whole file is
+    read."""
     steps: dict[str, int] = {}
     lists, ranks, linenos = array("q"), array("q"), array("q")
     goal_ids: list[str] = []
@@ -132,6 +133,11 @@ def read_candidates(path) -> Ranked:
             if not isfinite(value):
                 raise fail(path, lineno, f"{name} {text!r} is not a finite number")
             column.append(value)
+        if corpus is not None:
+            if fields[0] not in {step.step_id for step in corpus.steps()}:
+                raise fail(path, lineno, f"unknown step_id {fields[0]!r} in {corpus.source}")
+            if fields[2] not in corpus.goal_ids():
+                raise fail(path, lineno, f"unknown goal_id {fields[2]!r} in {corpus.source}")
         lists.append(steps.setdefault(fields[0], len(steps)))
         linenos.append(lineno)
         goal_ids.append(intern(fields[2]))
@@ -168,7 +174,9 @@ def read_vectors(path, n_ids: int) -> tuple[int, dict]:
         row_id = fields[0] if n_ids == 1 else tuple(fields[:n_ids])
         row = f"row {' '.join(fields[:n_ids])!r}"
         if len(fields) - n_ids != dim:
-            raise fail(path, lineno, f"{row} has {len(fields) - n_ids} values, expected {dim}")
+            raise fail(path, lineno, f"{row} has {len(fields) - n_ids} values, expected {dim}"
+                       if len(fields) >= n_ids else  # a lone id of a two-id row
+                       f"{row} has 1 field, expected {n_ids} ids and {dim} values")
         try:
             vec = np.array([float(x) for x in fields[n_ids:]], dtype=np.float64)
         except ValueError:

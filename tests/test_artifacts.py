@@ -99,10 +99,12 @@ def models(draw):
 
 @st.composite
 def query_lists(draw):
+    """Queries of one level, as one queries.json holds."""
     goals = draw(st.lists(ident, min_size=1, max_size=3, unique=True))
+    level = draw(st.sampled_from(LEVELS))
     return [
         Query(goal_id, draw(text), tuple(draw(st.lists(text, max_size=3))), draw(number),
-              draw(number), level=draw(st.sampled_from(LEVELS)))
+              draw(number), level=level)
         for goal_id in goals
     ]
 

@@ -9,10 +9,12 @@ import pytest
 
 import prockb
 from conftest import identity_records, write_jsonl
+from prockb import cli
 from prockb.artifacts import write_vectors
 from prockb.cli import main
 from prockb.corpus import UNLINKABLE, load_corpus
 from prockb.embedding import load_embeddings
+from prockb.errors import DataError
 from prockb.hierarchy import LinkPipeline, link_all
 from prockb.rerank import LexicalFeatureSource, load_model, new_model, save_model
 from prockb.retrieval import build_index, read_candidates
@@ -109,6 +111,26 @@ def test_usage_errors_exit_1(capsys):
     assert run([]) == 1
 
 
+@pytest.mark.parametrize("exc, code, err", [
+    (DataError("x.tsv: line 2: bad row"), 2, "error: x.tsv: line 2: bad row"),
+    (cli.UsageError("give --k"), 1, "usage error: give --k"),
+    (KeyError("ghost"), 3, "internal error: KeyError: 'ghost'"),
+    (ValueError("k must be >= 1"), 3, "internal error: ValueError: k must be >= 1"),
+], ids=["data-error", "usage-error", "key-error", "value-error"])
+def test_only_a_data_error_exits_2(input_files, tmp_path, capsys, monkeypatch, exc, code, err):
+    """Any exception but a DataError or a UsageError is a fault of the
+    program, not of its inputs."""
+    def command(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_search", command)
+    capsys.readouterr()
+    out = tmp_path / "s"
+    assert run(["search", "--corpus", str(input_files["corpus"]), "--query", "tea",
+                "--out-dir", str(out)]) == code
+    assert capsys.readouterr().err == err + "\n"
+    assert not out.exists()
+
+
 def test_rerun_is_byte_identical(identity_setup, tmp_path):
     corpus_path, _, _ = identity_setup
     out = tmp_path / "ix"
@@ -197,34 +219,33 @@ def test_clash_on_a_later_artifact_writes_no_artifact(identity_setup, tmp_path, 
     assert not (out / "embeddings.txt").exists()
 
 
-@pytest.mark.parametrize("line, link", [("ghost\ta01\n", "ghost -> a01"),
-                                        ("a00_f0\tnowhere\n", "a00_f0 -> nowhere")],
+@pytest.mark.parametrize("line, message", [("ghost\ta01\n", "unknown step_id 'ghost'"),
+                                           ("a00_f0\tnowhere\n", "unknown goal_id 'nowhere'")],
                          ids=["unknown-step", "unknown-goal"])
-def test_gold_link_outside_the_corpus_exits_2(identity_setup, tmp_path, capsys, line, link):
+def test_gold_link_outside_the_corpus_exits_2(identity_setup, tmp_path, capsys, line, message):
     corpus_path, gold_path, _, candidates = _linked(identity_setup, tmp_path)
     with open(gold_path, "a") as handle:
         handle.write(line)
+    lineno = len(gold_path.read_text().splitlines())
     capsys.readouterr()
     code = run(["train-reranker", "--corpus", str(corpus_path), "--candidates", str(candidates),
                 "--gold", str(gold_path), "--epochs", "1", "--out-dir", str(tmp_path / "tr")])
     assert code == 2
-    assert f"{gold_path}: gold link {link}: unknown" in capsys.readouterr().err
+    assert (f"error: {gold_path}: line {lineno}: {message} in {corpus_path}"
+            in capsys.readouterr().err)
     assert not (tmp_path / "tr").exists()
 
 
-@pytest.mark.parametrize("step, rank, renamed, link", [
-    (None, "10", 2, "a00_probe -> zz_{goal}: unknown goal_id 'zz_{goal}'"),
-    ("a00_f0", "10", 2, "a00_f0 -> zz_{goal}: unknown goal_id 'zz_{goal}'"),
-    ("a00_f0", None, 0, "zz_a00_f0 -> {goal}: unknown step_id 'zz_a00_f0'"),
+@pytest.mark.parametrize("step, rank, renamed", [
+    (None, "10", 2), ("a00_f0", "10", 2), ("a00_f0", None, 0),
 ], ids=["goal-in-every-list", "goal-in-a-list-without-gold", "unknown-step"])
 def test_candidate_outside_the_corpus_exits_2(identity_setup, tmp_path, capsys,
-                                              step, rank, renamed, link):
+                                              step, rank, renamed):
     """Every step and goal of --candidates is checked against --corpus, also
-    in a list that training drops."""
+    in a list that training drops; the first line renamed is reported."""
     corpus_path, gold_path, _, candidates = _linked(identity_setup, tmp_path)
     rows = [line.split("\t") for line in candidates.read_text().splitlines()]
     damaged = [i for i, row in enumerate(rows) if step in (None, row[0]) and rank in (None, row[1])]
-    first = rows[damaged[0]][2]
     for i in damaged:
         rows[i][renamed] = "zz_" + rows[i][renamed]
     candidates.write_text("".join("\t".join(row) + "\n" for row in rows))
@@ -232,8 +253,10 @@ def test_candidate_outside_the_corpus_exits_2(identity_setup, tmp_path, capsys,
     code = run(["train-reranker", "--corpus", str(corpus_path), "--candidates", str(candidates),
                 "--gold", str(gold_path), "--epochs", "1", "--out-dir", str(tmp_path / "tr")])
     assert code == 2
-    message = f"{candidates}: candidate {link.format(goal=first)} in {corpus_path}"
-    assert message in capsys.readouterr().err
+    kind = "step_id" if renamed == 0 else "goal_id"
+    unknown = rows[damaged[0]][renamed]
+    assert (f"error: {candidates}: line {damaged[0] + 1}: unknown {kind} {unknown!r} "
+            f"in {corpus_path}") in capsys.readouterr().err
     assert not (tmp_path / "tr").exists()
 
 
@@ -356,6 +379,7 @@ def test_vr_pipeline(tmp_path):
 @pytest.mark.parametrize("command", ["vr-filter", "vr-eval"])
 def test_video_goal_outside_the_corpus_exits_2(tmp_path, capsys, command):
     corpus_path, videos_path = vr_fixture(tmp_path)
+    lineno = len(videos_path.read_text().splitlines()) + 1
     with open(videos_path, "a") as handle:
         for v in range(4):
             handle.write(json.dumps({"video_id": f"g9v{v}", "goal_id": "g9",
@@ -366,7 +390,7 @@ def test_video_goal_outside_the_corpus_exits_2(tmp_path, capsys, command):
     code = run([command, "--videos", str(videos_path), "--corpus", str(corpus_path),
                 "--index", str(index_path), "--out-dir", str(out)])
     assert code == 2
-    assert (f"error: {videos_path}: video goal 'g9' is not a goal of {corpus_path}"
+    assert (f"error: {videos_path}: line {lineno}: unknown goal_id 'g9' in {corpus_path}"
             in capsys.readouterr().err)
     assert not out.exists()
 
@@ -393,7 +417,7 @@ def test_vr_filter_link_outside_the_corpus_exits_2(tmp_path, capsys, text, linen
                 "--index", str(vr_index(tmp_path, videos_path)), "--level", "fil_l2",
                 "--links", str(links), "--out-dir", str(out)])
     assert code == 2
-    assert (f"error: --links {links}: line {lineno}: {message} in --corpus {corpus_path}"
+    assert (f"error: {links}: line {lineno}: {message} in {corpus_path}"
             in capsys.readouterr().err)
     assert not out.exists()
 
@@ -577,6 +601,22 @@ def test_eval_links_on_an_empty_split_names_the_gold_file(identity_setup, tmp_pa
     assert not out.exists()
     assert run(["eval-links", "--rankings", str(rankings), "--gold", str(few), "--split", "train",
                 "--out-dir", str(out)]) == 0
+
+
+def test_training_without_a_gold_step_in_the_candidates_names_both(identity_setup, tmp_path,
+                                                                   capsys):
+    corpus_path, gold_path, _, candidates = _linked(identity_setup, tmp_path)
+    gold = identity_setup[2]
+    rows = candidates.read_text().splitlines(keepends=True)
+    candidates.write_text("".join(row for row in rows if row.split("\t")[0] not in gold))
+    out = tmp_path / "tr"
+    capsys.readouterr()
+    assert run(["train-reranker", "--corpus", str(corpus_path), "--candidates", str(candidates),
+                "--gold", str(gold_path), "--out-dir", str(out)]) == 2
+    assert (f"error: no training examples: no gold step of the train split of --gold "
+            f"{gold_path} has retrieved candidates in --candidates {candidates}"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["eval-links", "train-reranker"])
@@ -834,19 +874,51 @@ def test_damage_test_commands_pass_on_valid_inputs(input_files, tmp_path, kind):
         ("features", "dim=eight\n", "line 1: expected header 'dim=<d>'"),
         ("features", "dim=8\n" + "a00_probe a01 x" + " 0.5" * 7 + "\n",
          "line 2: row 'a00_probe a01' has a non-numeric value"),
+        ("features", "dim=8\na00_probe\n",
+         "line 2: row 'a00_probe' has 1 field, expected 2 ids and 8 values"),
         ("embeddings", "dim=x\n", "line 1: expected header 'dim=<d>'"),
         ("links", "g0_s0\tg1\ng0_s1\tg2\ng0_s0\tg2\n", "line 3: duplicate step 'g0_s0'"),
+        ("links", "g0_s0\tg1\nnostep\tg1\n", "line 2: unknown step_id 'nostep' in {vr_corpus}"),
+        ("links", "g0_s0\tUNLINKABLE\ng0_s1\tnogoal\t0.5\t0.5\n",
+         "line 2: unknown goal_id 'nogoal' in {vr_corpus}"),
         ("gold", "a00_probe\ta01\na00_probe\ta02\n", "line 2: duplicate step 'a00_probe'"),
+        ("gold", "a00_probe\ta01\nghost\ta01\n", "line 2: unknown step_id 'ghost' in {corpus}"),
+        ("gold", "a00_probe\tnowhere\n", "line 1: unknown goal_id 'nowhere' in {corpus}"),
+        ("candidates", "a00_probe\t1\ta01\t0.5\nghost\t1\ta01\t0.5\n",
+         "line 2: unknown step_id 'ghost' in {corpus}"),
+        ("candidates", "a00_probe\t1\tnowhere\t0.5\n",
+         "line 1: unknown goal_id 'nowhere' in {corpus}"),
+        ("candidates", "".join(f"a0{i % 3}_probe\t{i}\t{'nowhere' if i == 3 else 'a04'}\t0.5\n"
+                               for i in range(1, 9)) + "a00_probe\tx\ta01\t0.5\n",
+         "line 3: unknown goal_id 'nowhere' in {corpus}"),
         ("model", "dim=8\ndim=8\n", "line 2: duplicate key 'dim'"),
+        ("corpus", '{"id": "g1", "title": null, "steps": [{"id": "s1", "text": "boil"}]}\n',
+         "record 1: title must be a string, got None"),
+        ("corpus", '{"id": "g1", "title": "Make Videos", '
+                   '"steps": [{"id": "s1", "text": ["buy", "a camera"]}]}\n',
+         "record 1: text of step 's1' must be a string, got ['buy', 'a camera']"),
+        ("videos", '{"video_id": "v1", "goal_id": "g0", "caption": null}\n',
+         "line 1: caption must be a string, got None"),
+        ("videos", '{"video_id": "v1", "goal_id": "g0", "caption": "x"}\n'
+                   '{"video_id": true, "goal_id": "g0", "caption": "x"}\n',
+         "line 2: video_id must be a string or integer, got True"),
+        ("videos", '{"video_id": "v1", "goal_id": ["g0"], "caption": "x"}\n',
+         "line 1: goal_id must be a string or integer, got ['g0']"),
     ],
     ids=["duplicate-feature-row", "bad-feature-header", "non-numeric-feature",
-         "bad-embedding-header", "duplicate-link-step", "duplicate-gold-step",
-         "duplicate-model-key"],
+         "feature-row-of-one-field", "bad-embedding-header", "duplicate-link-step",
+         "unknown-link-step", "unknown-link-goal", "duplicate-gold-step", "unknown-gold-step",
+         "unknown-gold-goal", "unknown-candidate-step", "unknown-candidate-goal",
+         "unknown-candidate-goal-before-a-later-bad-rank", "duplicate-model-key",
+         "null-title", "list-step-text", "null-caption", "bool-video-id", "list-goal-id"],
 )
 def test_bad_rows_exit_2_with_path_and_line(input_files, tmp_path, capsys, kind, text, message):
+    """A reader given --corpus rejects a step or goal that is not one of
+    its own at the first faulty line, naming the corpus file."""
     code, damaged = _run_on(input_files, tmp_path, kind, text.encode())
     assert code == 2
-    assert f"{damaged}: {message}" in capsys.readouterr().err
+    message = message.format(**{name: str(path) for name, path in input_files.items()})
+    assert f"error: {damaged}: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["link", "expand"])
@@ -1290,7 +1362,7 @@ def test_expand_root_outside_the_corpus_exits_2(input_files, tmp_path, capsys):
     out = tmp_path / "out"
     capsys.readouterr()
     assert run([*argv, "--root", "nosuch", "--out-dir", str(out)]) == 2
-    assert (f"error: --root 'nosuch' is not a goal of --corpus {input_files['corpus']}"
+    assert (f"error: --root: unknown goal_id 'nosuch' in {input_files['corpus']}"
             in capsys.readouterr().err)
     assert not out.exists()
 

@@ -51,10 +51,10 @@ def bits(ranked: Ranked) -> tuple:
             sim2)
 
 
-def outcome(read, path):
+def outcome(read, path, *args):
     """What `read` makes of the file: its columns, or the text of its DataError."""
     try:
-        return bits(read(path))
+        return bits(read(path, *args))
     except DataError as exc:
         return str(exc)
 
@@ -124,6 +124,37 @@ def test_damaged_file_reads_or_fails_as_line_by_line(ranked, block, faults, rng)
             lines = damage(lines, rng, rng.choice([again, rng.randrange(len(lines))]))
         path.write_bytes(b"\n".join(lines) + b"\n")
         assert outcome(read_candidates, path) == outcome(reference.read_candidates, path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ranked_lists(), blocks, st.integers(2, 3), st.randoms(use_true_random=False))
+def test_ids_outside_the_corpus_fail_as_line_by_line(ranked, block, faults, rng):
+    """Given a corpus, a step or goal that is not one of its own is reported
+    at its line, after that line's other faults and before later lines."""
+    goals = sorted({"g" + goal_id for goal_id in ranked.goal_ids})
+    steps = [{"id": "s" + step_id, "text": "x"} for step_id in ranked.step_ids]
+    corpus = corpus_from_records(
+        [{"id": goal, "title": "t", "steps": steps if i == 0 else [{"id": "d" + goal, "text": "x"}]}
+         for i, goal in enumerate(goals)], source="corpus.jsonl")
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(artifacts, "BLOCK", block):
+        path = Path(tmp) / "candidates.tsv"
+        reference.write_candidates(path, ranked)
+        lines = []
+        for line in path.read_bytes().splitlines():
+            step_id, rank, goal_id, *sims = line.split(b"\t")
+            lines.append(b"\t".join([b"s" + step_id, rank, b"g" + goal_id, *sims]))
+        again = rng.randrange(len(lines))  # a line that may take several faults
+        for _ in range(faults):
+            i = rng.choice([again, rng.randrange(len(lines))])
+            if rng.random() < 0.5:
+                fields = lines[i].split(b"\t")
+                fields[rng.choice([j for j in (0, 2) if j < len(fields)])] = b"zz"
+                lines[i] = b"\t".join(fields)
+            else:
+                lines = damage(lines, rng, i)
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        got = outcome(read_candidates, path, corpus)
+        assert got == outcome(reference.read_candidates, path, corpus)
 
 
 @pytest.mark.parametrize("bad, message", [

@@ -538,7 +538,7 @@ def test_vr_metrics_empty_gold():
 def test_queries_json_round_trip(tmp_path):
     queries = [
         Query("g1", "goal one", ("s1", "s2"), 1.0, 0.5, FIL_L1),
-        Query("g2", "goal two", (), 1.0, 0.0, L0),
+        Query("g2", "goal two", (), 1.0, 0.0, FIL_L1),
     ]
     path = tmp_path / "queries.json"
     write_queries(path, queries)
