@@ -240,11 +240,12 @@ def read_vectors(path, n_ids: int) -> tuple[list, np.ndarray]:
 
 
 def write_vectors(path, dim: int, rows: Iterable[tuple[str, np.ndarray]]) -> None:
-    """Write the ``dim=<d>`` format; each row's id is written as given."""
+    """Write the ``dim=<d>`` format; each row's id is written as given, and
+    each value as the repr of its float."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"dim={dim}\n")
         for row_id, vec in rows:
-            values = " ".join(repr(float(x)) for x in vec)
+            values = " ".join(map(repr, np.asarray(vec, dtype=np.float64).tolist()))
             handle.write(f"{row_id} {values}\n")
 
 

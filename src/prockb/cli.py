@@ -24,7 +24,7 @@ from .corpus import CONTEXT_MODES, UNLINKABLE, load_corpus, validation_report
 from .embedding import MIN_DIM, embed_corpus, load_embeddings, save_embeddings
 from .errors import DataError
 from .hierarchy import LinkPipeline, expand, link_all, write_links, write_tree
-from .linkeval import load_gold_links, recall_report, split_links
+from .linkeval import check_ranked, load_gold_links, recall_report, split_links
 from .rerank import (
     LexicalFeatureSource,
     load_feature_file,
@@ -287,10 +287,8 @@ def cmd_eval_links(args) -> None:
             raise DataError(f"--gold {args.gold}: {n} links leave the {args.split} split empty")
     elif not gold:
         raise DataError(f"--gold {args.gold}: no gold links to evaluate")
-    try:
-        report = recall_report(rankings, gold, _parse_ns(args.ns))
-    except KeyError as exc:  # a gold step without a ranking
-        raise DataError(f"--rankings {args.rankings}: {exc.args[0]} of --gold {args.gold}") from None
+    check_ranked(rankings, gold, args.gold, args.rankings)
+    report = recall_report(rankings, gold, _parse_ns(args.ns))
     tsv, js = _output(args, "recall.tsv", "recall.json")
     write_rows(tsv, [("n", "recall"), *sorted(report.items())])
     write_json(js, {str(n): v for n, v in report.items()})
@@ -319,9 +317,10 @@ def cmd_vr_index(args) -> None:
 def _videos(args, corpus=None):
     """The split of the videos in --videos, read against the --corpus
     `corpus` if given, and the index in --index, which must hold exactly
-    those videos."""
-    videos = load_videos(args.videos, corpus)
+    those videos. The index is read first, so that its parse is freed before
+    the videos are read, and a fault of it is reported before one of them."""
     index = TextIndex.from_json(read_text(args.index), source=args.index)
+    videos = load_videos(args.videos, corpus)
     ids = {video.video_id for video in videos}
     if ids != index.positions.keys():
         only_videos = [video.video_id for video in videos if video.video_id not in index.positions]
@@ -365,8 +364,9 @@ def cmd_vr_eval(args) -> None:
         queries = [make_query(corpus, goal_id, args.level or L0) for goal_id in splits["train"]]
 
     part = splits[args.split]
-    scorer = ClauseScorer(index)
-    ranks = {q.goal_id: rank_videos(scorer, q, part[q.goal_id])
+    # A scorer per query: queries rarely share a clause, and a shared scorer
+    # would keep a score vector of every clause of every query.
+    ranks = {q.goal_id: rank_videos(ClauseScorer(index), q, part[q.goal_id])
              for q in queries if part.get(q.goal_id)}
     if not ranks:
         given = f"--queries {args.queries}" if args.queries else f"--corpus {args.corpus}"

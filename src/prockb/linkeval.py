@@ -9,7 +9,7 @@ import random
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .artifacts import check_rows, tab_rows
+from .artifacts import check_rows, fail, tab_rows
 from .corpus import Corpus
 from .errors import DataError
 from .retrieval import Ranked
@@ -46,6 +46,18 @@ def load_gold_links(path: str | Path, corpus: Corpus | None = None) -> dict[str,
                                          corpus.unknown("goal_id", (goal_id,))])
         gold[step_id] = goal_id
     return gold
+
+
+def check_ranked(rankings: Ranked, gold: Mapping[str, str], path, rankings_path) -> None:
+    """Raise DataError at the line of the gold file `path` of the first gold
+    step, in file order, that has no ranking in `rankings` (read from
+    `rankings_path`). The file is read again only to find that line."""
+    ranked = set(rankings.step_ids)
+    if ranked.issuperset(gold):
+        return
+    for lineno, (step_id, _) in tab_rows(path, 2, exact=True):
+        if step_id in gold and step_id not in ranked:
+            raise fail(path, lineno, f"no ranking for gold step {step_id!r} in {rankings_path}")
 
 
 def split_links(gold: Mapping[str, str]) -> dict[str, dict[str, str]]:

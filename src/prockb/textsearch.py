@@ -10,7 +10,7 @@ import math
 import re
 from itertools import accumulate, chain
 from operator import itemgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -164,6 +164,7 @@ class TextIndex:
             payload = json.loads(blob)
         except json.JSONDecodeError as exc:
             raise fail(f"malformed JSON: {exc.msg}") from None
+        del blob  # the text is not needed once parsed
         if not isinstance(payload, dict):
             raise fail("index must be a JSON object")
         missing = [key for key in INDEX_FIELDS if key not in payload]
@@ -193,28 +194,10 @@ class TextIndex:
             dup = next(d for i, d in enumerate(doc_ids) if positions[d] != i)
             raise fail(f"duplicate doc id {dup!r}")
         lengths = [length for _, length in docs]
-
-        postings = payload["postings"]
-        if not isinstance(postings, dict) or not all(
-            isinstance(pairs, list) and pairs for pairs in postings.values()
-        ):
-            raise fail("postings must map each term to a non-empty list of [doc_id, tf] pairs")
-        terms = list(postings)
-        dfs = list(map(len, postings.values()))
-        flat = list(chain.from_iterable(postings.values()))
-        try:
-            if not set(map(len, flat)) <= {2}:
-                raise TypeError  # a pair of another length
-            idxs = np.fromiter(map(positions.__getitem__, map(itemgetter(0), flat)),
-                               dtype=np.int64, count=len(flat))
-        except KeyError as exc:
-            raise fail(f"posting of unknown doc {exc.args[0]!r}") from None
-        except TypeError:
-            raise fail("postings must be [doc_id, tf] pairs") from None
-        tf_list = list(map(itemgetter(1), flat))
-        tfs = np.array(tf_list, dtype=np.float64) if set(map(type, tf_list)) <= {int} else None
-        if tfs is None or (tfs < 1).any():
-            raise fail("tf must be a positive integer")
+        del docs
+        # The parsed postings are freed when `_read_postings` returns.
+        terms, dfs, idxs, tfs = _read_postings(payload.pop("postings"), positions, fail)
+        del payload
         ends = np.cumsum(dfs, dtype=np.int64)
         starts = ends - dfs
         # Positions where a doc index does not rise, other than a term's first.
@@ -236,3 +219,36 @@ class TextIndex:
         index._finalise(doc_ids, positions, lengths, terms, dfs, idxs, tfs)
         return index
 
+
+def _read_postings(
+    postings, positions: dict[str, int], fail: Callable[[str], DataError]
+) -> tuple[list[str], list[int], np.ndarray, np.ndarray]:
+    """The terms, document frequencies, doc indexes and tfs of the parsed
+    `postings` of an index file, in file order. Each check is one streaming
+    pass over the pairs, so no per-posting list is built. The checks run in
+    the order pair shape, unknown doc, tf."""
+    if not isinstance(postings, dict) or not all(
+        isinstance(pairs, list) and pairs for pairs in postings.values()
+    ):
+        raise fail("postings must map each term to a non-empty list of [doc_id, tf] pairs")
+    dfs = list(map(len, postings.values()))
+    n_postings = sum(dfs)
+
+    def pairs():
+        return chain.from_iterable(postings.values())
+
+    try:
+        if not set(map(len, pairs())) <= {2}:
+            raise TypeError  # a pair of another length
+        idxs = np.fromiter(map(positions.__getitem__, map(itemgetter(0), pairs())),
+                           dtype=np.int64, count=n_postings)
+    except KeyError as exc:
+        raise fail(f"posting of unknown doc {exc.args[0]!r}") from None
+    except TypeError:
+        raise fail("postings must be [doc_id, tf] pairs") from None
+    if not set(map(type, map(itemgetter(1), pairs()))) <= {int}:
+        raise fail("tf must be a positive integer")
+    tfs = np.fromiter(map(itemgetter(1), pairs()), dtype=np.float64, count=n_postings)
+    if (tfs < 1).any():
+        raise fail("tf must be a positive integer")
+    return list(postings), dfs, idxs, tfs

@@ -169,7 +169,11 @@ def relevant_ranks(scores: np.ndarray, rel_idx: np.ndarray, id_rank: np.ndarray)
 
 
 class ClauseScorer:
-    """Caches per-clause BM25 score vectors so query scoring is a few adds."""
+    """Caches per-clause BM25 score vectors so query scoring is a few adds.
+
+    The cache holds one dense vector per distinct clause and is never
+    trimmed, so a scorer lives for one goal's climb (`make_cost_fn`) or one
+    query (`vr-eval`), not for a whole command."""
 
     def __init__(self, index: TextIndex):
         self.index = index

@@ -1,7 +1,10 @@
+import gc
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from prockb.corpus import UNLINKABLE, load_corpus
 from prockb.embedding import load_embeddings
 from prockb.errors import DataError
 from prockb.hierarchy import LinkPipeline, link_all
+from prockb.linkeval import split_links
 from prockb.rerank import LexicalFeatureSource, load_model, new_model, save_model
 from prockb.retrieval import build_index, read_candidates
 from prockb.videoretrieval import FIL_L1, Query, write_queries
@@ -557,17 +561,41 @@ def test_eval_links_rejects_bad_ranks(identity_setup, tmp_path, capsys, rows, me
 
 
 def test_eval_links_gold_step_without_ranking_names_both_files(identity_setup, tmp_path, capsys):
+    _eval_links_without_a_ranking(identity_setup, tmp_path, capsys, "all")
+
+
+def test_eval_links_test_split_step_without_ranking_names_its_gold_line(identity_setup, tmp_path,
+                                                                        capsys):
+    _eval_links_without_a_ranking(identity_setup, tmp_path, capsys, "test")
+
+
+def _eval_links_without_a_ranking(identity_setup, tmp_path, capsys, part):
+    """Rank only the first gold step of `part`: the next one, in the gold
+    file's order, is reported at its line."""
     _, gold_path, gold = identity_setup
+    evaluated = gold if part == "all" else split_links(gold)[part]
+    ranked = next(iter(evaluated))
     rankings = tmp_path / "rankings.tsv"
-    rankings.write_text("a00_probe\t1\ta01\t0.5\n")
+    rankings.write_text(f"{ranked}\t1\ta01\t0.5\n")
     out = tmp_path / "ev"
     code = run(["eval-links", "--rankings", str(rankings), "--gold", str(gold_path),
-                "--out-dir", str(out)])
+                "--split", part, "--out-dir", str(out)])
     assert code == 2
-    missing = next(step_id for step_id in gold if step_id != "a00_probe")
-    assert (f"error: --rankings {rankings}: no ranking for gold step {missing!r} "
-            f"of --gold {gold_path}") in capsys.readouterr().err
+    lineno, missing = next((n, s) for n, s in enumerate(gold, 1) if s in evaluated and s != ranked)
+    assert (f"error: {gold_path}: line {lineno}: no ranking for gold step {missing!r} "
+            f"in {rankings}") in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_eval_links_needs_rankings_of_the_evaluated_split_only(identity_setup, tmp_path):
+    _, gold_path, gold = identity_setup
+    rankings = tmp_path / "rankings.tsv"
+    rankings.write_text("".join(f"{step_id}\t1\t{goal_id}\t0.5\n"
+                                for step_id, goal_id in split_links(gold)["test"].items()))
+    out = tmp_path / "ev"
+    assert run(["eval-links", "--rankings", str(rankings), "--gold", str(gold_path),
+                "--split", "test", "--ns", "1", "--out-dir", str(out)]) == 0
+    assert json.loads((out / "recall.json").read_text()) == {"1": 1.0}
 
 
 def test_eval_links_on_an_empty_gold_file_names_it(identity_setup, tmp_path, capsys):
@@ -647,6 +675,16 @@ def _first_term(payload):
     return payload["postings"][sorted(payload["postings"])[0]]
 
 
+def _last_term(payload):
+    return payload["postings"][sorted(payload["postings"])[-1]]
+
+
+def _ghost_then_zero_tf(payload):
+    """An unknown doc in the first term and a zero tf in the last."""
+    _first_term(payload)[0][0] = "ghost"
+    _last_term(payload)[-1][1] = 0
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -667,10 +705,11 @@ def _first_term(payload):
         (_edit_json(lambda p: _first_term(p).append(list(_first_term(p)[0]))), "twice"),
         (_edit_json(lambda p: p["docs"][0].__setitem__(1, p["docs"][0][1] + 1)),
          "has length"),
+        (_edit_json(_ghost_then_zero_tf), "posting of unknown doc 'ghost'"),
     ],
     ids=["truncated", "non-object", "missing-key", "stem-key", "non-numeric-k1", "duplicate-doc",
          "negative-length", "unknown-posting-doc", "zero-tf", "negative-tf", "float-tf",
-         "duplicate-posting-doc", "length-mismatch"],
+         "duplicate-posting-doc", "length-mismatch", "unknown-doc-before-a-later-zero-tf"],
 )
 def test_vr_eval_rejects_bad_index(tmp_path, capsys, edit, message):
     corpus_path, videos_path = vr_fixture(tmp_path)
@@ -682,6 +721,23 @@ def test_vr_eval_rejects_bad_index(tmp_path, capsys, edit, message):
     assert code == 2
     err = capsys.readouterr().err
     assert f"{index_path}: " in err and message in err
+
+
+@pytest.mark.parametrize("command", ["vr-filter", "vr-eval"])
+def test_a_bad_index_is_reported_before_bad_videos(tmp_path, capsys, command):
+    """--index is read before --videos, so that its parse is freed before the
+    videos are read; a fault of both files is the index's."""
+    corpus_path, videos_path = vr_fixture(tmp_path)
+    index_path = vr_index(tmp_path, videos_path)
+    index_path.write_text(index_path.read_text()[:100])
+    with open(videos_path, "a") as handle:
+        handle.write("{not json\n")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run([command, "--videos", str(videos_path), "--corpus", str(corpus_path),
+                "--index", str(index_path), "--out-dir", str(out)]) == 2
+    assert f"error: {index_path}: malformed JSON" in capsys.readouterr().err
+    assert not out.exists()
 
 
 _EXTRA_VIDEO = {"video_id": "x0", "goal_id": "g0", "caption": "filler words"}
@@ -712,6 +768,50 @@ def test_index_of_other_videos_exits_2(tmp_path, capsys, command, edit, first, o
     assert not (tmp_path / "out").exists()
     same = vr_index(tmp_path, videos_path)
     assert run([*argv, "--index", str(same), "--out-dir", str(tmp_path / "same")]) == 0
+
+
+def test_vr_eval_memory_does_not_grow_with_distinct_clauses(tmp_path):
+    """vr-eval keeps the score vectors of one query's clauses, not of every
+    clause of the command: 20 queries of 10 clauses peak about as high with
+    200 distinct clauses as with the same 10 clauses in every query."""
+    goals, per_goal, clauses = 20, 40, 10
+    rng = random.Random(0)
+    words = [f"word{i:03d}" for i in range(goals * clauses)]
+    videos_path = tmp_path / "videos.jsonl"
+    # Captions are short, so that the index's parse peaks below 200 clause
+    # vectors and a cache of them shows in the command's peak.
+    write_jsonl(videos_path, [
+        {"video_id": f"g{g:02d}v{v:02d}", "goal_id": f"g{g:02d}",
+         "caption": " ".join(rng.choices(words, k=3))}
+        for g in range(goals) for v in range(per_goal)])
+    index_path = vr_index(tmp_path, videos_path)
+    vector_bytes = goals * per_goal * 8
+
+    def peak(name, clause_word):
+        path = tmp_path / f"{name}.json"
+        write_queries(path, [
+            Query(f"g{g:02d}", "goal", tuple(f"{clause_word(g, j)} now" for j in range(clauses)),
+                  w_g=1.0, w_s=0.5, level=FIL_L1)
+            for g in range(goals)])
+        argv = ["vr-eval", "--videos", str(videos_path), "--queries", str(path),
+                "--index", str(index_path), "--out-dir", str(tmp_path / name)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def shared(g, j):
+        return words[j]
+
+    def distinct(g, j):
+        return words[g * clauses + j]
+
+    peak("warm-up", shared)
+    few, many = peak("few", shared), peak("many", distinct)
+    assert many - few < 4 * vector_bytes, (few, many)
 
 
 _QUERY = {"goal_id": "g0", "goal": "achieve goaltok0", "steps": ["do steptok0a now"],
