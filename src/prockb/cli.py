@@ -112,9 +112,9 @@ def _output(args, *names: str) -> list[Path]:
 
 
 def _clear(out_dir: Path, inputs: list[str]) -> None:
-    """Delete the manifest in `out_dir`, if any, and the files its outputs
-    name, except this run's `inputs`. Only bare file names are deleted, so
-    nothing outside `out_dir` is touched."""
+    """Delete the files that the manifest in `out_dir`, if any, names as
+    outputs, except this run's `inputs` and the manifest, then the manifest.
+    Only bare file names are deleted, so nothing outside `out_dir` is touched."""
     manifest = out_dir / "manifest.json"
     if not manifest.is_file():
         return
@@ -123,7 +123,7 @@ def _clear(out_dir: Path, inputs: list[str]) -> None:
     keep = {Path(name).resolve() for name in inputs}
     for name in outputs if isinstance(outputs, list) else []:
         path = out_dir / str(name)
-        if path.name == name and path.is_file() and path.resolve() not in keep:
+        if path.name == name != manifest.name and path.is_file() and path.resolve() not in keep:
             path.unlink()
     manifest.unlink()
 

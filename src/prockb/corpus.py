@@ -92,9 +92,9 @@ def corpus_from_records(records: Iterable[dict], source=None) -> Corpus:
 
     Each record needs ``id``, ``title`` and a non-empty ``steps`` list of
     ``{"id", "text"}`` dicts; ids are strings or integers, titles and texts
-    strings. Raises DataError on duplicate ids, empty titles or step texts
-    (after normalization), or malformed records; its message starts with
-    `source`, when given, which the corpus keeps.
+    strings. Raises DataError on no records, duplicate ids, empty titles or
+    step texts (after normalization), or malformed records; its message
+    starts with `source`, when given, which the corpus keeps.
     """
     articles: list[Article] = []
     by_goal: dict[str, Article] = {}
@@ -141,6 +141,8 @@ def corpus_from_records(records: Iterable[dict], source=None) -> Corpus:
         by_goal[goal_id] = article
         articles.append(article)
 
+    if not articles:
+        raise DataError(f"{prefix}no articles")
     # Goal and step vectors share one id namespace downstream.
     overlap = by_goal.keys() & by_step.keys()
     if overlap:

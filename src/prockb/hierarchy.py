@@ -79,7 +79,8 @@ def link_steps(pipeline: LinkPipeline, step_ids: Iterable[str]) -> Ranked:
     features in one call, then rerank."""
     steps = [pipeline.corpus.step(step_id) for step_id in dict.fromkeys(step_ids)]
     candidates = retrieve_all(pipeline.index, pipeline.store, steps, pipeline.model.k)
-    feats = pipeline.features.features(candidates.step_ids, candidates.goal_lists())
+    feats = pipeline.features.features(candidates.step_ids, candidates.goal_ids,
+                                       candidates.offsets)
     return score_candidates(pipeline.model, candidates, feats)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .artifacts import check_rows, fail, tab_rows
-from .corpus import Corpus
+from .corpus import UNLINKABLE, Corpus
 from .errors import DataError
 from .retrieval import Ranked
 
@@ -37,10 +37,13 @@ def split(items: list, rng: random.Random, ratios: Sequence[float]) -> dict[str,
 
 def load_gold_links(path: str | Path, corpus: Corpus | None = None) -> dict[str, str]:
     """step_id -> gold goal_id from TSV rows ``step_id<TAB>gold_goal_id``;
-    each step appears once. Given `corpus`, each step and goal must be one
-    of its own; the first faulty line is reported."""
+    each step appears once, and its goal is never the placeholder
+    UNLINKABLE. Given `corpus`, each step and goal must be one of its own;
+    the first faulty line is reported."""
     gold = {}
     for lineno, (step_id, goal_id) in tab_rows(path, 2, exact=True, unique="step"):
+        if goal_id == UNLINKABLE:
+            raise fail(path, lineno, f"gold goal {UNLINKABLE!r} is the placeholder, not a goal")
         if corpus is not None:
             check_rows(path, (lineno,), [corpus.unknown("step_id", (step_id,)),
                                          corpus.unknown("goal_id", (goal_id,))])
@@ -71,8 +74,8 @@ def split_links(gold: Mapping[str, str]) -> dict[str, dict[str, str]]:
 def recall_at(rankings: Ranked, gold: Mapping[str, str], n: int) -> float:
     """Fraction of gold steps whose goal appears in the top n of its ranking.
 
-    Placeholder (UNLINKABLE) entries simply occupy rank positions and never
-    match. The denominator is every evaluated step.
+    Placeholder (UNLINKABLE) entries occupy rank positions and never match,
+    as no gold goal is UNLINKABLE. The denominator is every evaluated step.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

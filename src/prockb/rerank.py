@@ -43,16 +43,16 @@ SCORE_ROWS = 1024  # feature rows per block when scoring
 # Feature sources
 
 class FeatureSource(Protocol):
-    """Pair features for stage 2: `features` gives the rows of a batch of
-    candidate lists, one list per step, list after list, shape
-    (total candidates, dim); `name` goes into the link config hash."""
+    """Pair features for stage 2: `features` takes the columns of a `Ranked`,
+    where step i's candidate goals are goal_ids[offsets[i]:offsets[i+1]], and
+    gives one row per (step, goal) pair in that order, shape (len(goal_ids),
+    dim); `name` goes into the link config hash."""
 
     name: str
     dim: int
 
-    def features(
-        self, step_ids: tuple[str, ...], goal_ids: tuple[tuple[str, ...], ...]
-    ) -> np.ndarray: ...
+    def features(self, step_ids: tuple[str, ...], goal_ids: tuple[str, ...],
+                 offsets: np.ndarray) -> np.ndarray: ...
 
 
 def idf_table(texts: Iterable[str]) -> dict[str, float]:
@@ -147,12 +147,13 @@ class LexicalFeatureSource:
     columns (`_Texts`) that a block of pairs gathers by goal row. `features`
     takes `block` candidate lists at a time, analyses their step texts
     together, and computes all their pairs with array operations: each
-    pair's goal tokens and 3-grams are looked up in tables of the block's
-    step tokens, context tokens and step 3-grams. Token ids rank the goal
-    titles' tokens, 3-gram ids their 3-grams; a step token or 3-gram that no
-    title has is shared with no goal. Each pair's sums run over the goal's
-    own tokens and 3-grams in their fixed order, so a row's bytes do not
-    depend on the batch it comes in.
+    pair's goal tokens and 3-grams are gathered, pair after pair, and looked
+    up in tables of the block's step tokens, context tokens and step 3-gram
+    counts. Token ids rank the goal titles' tokens, 3-gram ids their
+    3-grams; a step token or 3-gram that no title has is shared with no
+    goal. Each pair's sums run over the goal's own tokens and 3-grams in
+    their fixed order, so a row's bytes do not depend on the batch it comes
+    in.
     """
 
     name = "lexical"
@@ -183,25 +184,22 @@ class LexicalFeatureSource:
         pieces = (ctx.goal_text or "",) + ctx.prev_steps + ctx.next_steps
         return sorted({t for piece in pieces for t in tokenize(piece)})
 
-    def features(
-        self, step_ids: tuple[str, ...], goal_ids: tuple[tuple[str, ...], ...]
-    ) -> np.ndarray:
-        """Feature rows of each step against each of its goals, list after
-        list, shape (total goals, dim)."""
-        sizes = [len(goals) for goals in goal_ids]
-        out = np.zeros((sum(sizes), self.dim), dtype=np.float64)
-        row = 0
+    def features(self, step_ids: tuple[str, ...], goal_ids: tuple[str, ...],
+                 offsets: np.ndarray) -> np.ndarray:
+        """Feature rows of each step against each of its goals (`FeatureSource`),
+        shape (len(goal_ids), dim)."""
+        out = np.zeros((len(goal_ids), self.dim), dtype=np.float64)
         for start in range(0, len(step_ids), self.block):
-            stop = start + self.block
-            rows = sum(sizes[start:stop])
-            self._block(step_ids[start:stop], goal_ids[start:stop], out[row : row + rows])
-            row += rows
+            bounds = offsets[start : start + self.block + 1]
+            rows = slice(int(bounds[0]), int(bounds[-1]))
+            self._block(step_ids[start : start + self.block], goal_ids[rows], bounds - bounds[0],
+                        out[rows])
         return out
 
-    def _block(
-        self, step_ids: tuple[str, ...], goal_ids: tuple[tuple[str, ...], ...], out: np.ndarray
-    ) -> None:
-        """Fill `out` with the rows of one block of candidate lists."""
+    def _block(self, step_ids: tuple[str, ...], goal_ids: tuple[str, ...], bounds: np.ndarray,
+               out: np.ndarray) -> None:
+        """Fill `out` with the rows of one block of candidate lists, list i
+        being goal_ids[bounds[i]:bounds[i+1]]."""
         n = len(out)
         if not n:
             return
@@ -211,8 +209,8 @@ class LexicalFeatureSource:
         context_offsets = np.cumsum([0, *map(len, contexts)], dtype=np.int64)
         context_ids = np.fromiter(map(vocab.get, chain.from_iterable(contexts), repeat(-1)),
                                   np.int64, context_offsets[-1])
-        lists = np.repeat(np.arange(len(step_ids)), [len(goals) for goals in goal_ids])
-        rows = self._goal_rows(list(chain.from_iterable(goal_ids)))
+        lists = np.repeat(np.arange(len(step_ids)), np.diff(bounds))
+        rows = self._goal_rows(goal_ids)
 
         # Each pair's goal tokens end to end; seg holds the pair of each.
         taken, offsets = _take(goals.token_offsets, rows)
@@ -226,21 +224,15 @@ class LexicalFeatureSource:
         columns, table = _step_table(context_offsets, context_ids, None, len(vocab))
         n_ctx_shared = np.bincount(seg[table[token_lists, columns[tokens]] > 0], minlength=n)
 
-        # Each pair's 3-gram count products, over the 3-grams of its goal that
-        # some step of the block has; their sums are exact integers.
+        # Each pair's goal 3-gram counts times the step's counts of the same
+        # 3-grams (0 for one the step lacks); their sums are exact integers.
         ids = np.searchsorted(self._grams, steps.grams)
         ids[np.append(self._grams, -1)[ids] != steps.grams] = -1  # a 3-gram no title has
         columns, table = _step_table(steps.gram_offsets, ids, steps.gram_counts, len(self._grams))
-        distinct, goal_of_pair = np.unique(rows, return_inverse=True)
-        taken, offsets = _take(goals.gram_offsets, distinct)
-        gram_columns = columns[self._goal_grams[taken]]
-        kept = gram_columns > 0
-        kept_offsets = np.cumsum(np.append(0, kept))[offsets]
-        picked, offsets = _take(kept_offsets, goal_of_pair)
+        taken, offsets = _take(goals.gram_offsets, rows)
         gram_seg = np.repeat(np.arange(n), np.diff(offsets))
-        step_counts = table[lists[gram_seg], gram_columns[kept][picked]]
-        dot = np.bincount(gram_seg, goals.gram_counts[taken][kept][picked] * step_counts,
-                          minlength=n)
+        step_counts = table[lists[gram_seg], columns[self._goal_grams[taken]]]
+        dot = np.bincount(gram_seg, goals.gram_counts[taken] * step_counts, minlength=n)
 
         n_step = np.diff(steps.token_offsets)[lists]
         n_goal = np.diff(goals.token_offsets)[rows]
@@ -275,10 +267,10 @@ class TableFeatureSource:
         self.dim = table.dim
         self.path = path
 
-    def features(
-        self, step_ids: tuple[str, ...], goal_ids: tuple[tuple[str, ...], ...]
-    ) -> np.ndarray:
-        pairs = [(step_id, goal) for step_id, goals in zip(step_ids, goal_ids) for goal in goals]
+    def features(self, step_ids: tuple[str, ...], goal_ids: tuple[str, ...],
+                 offsets: np.ndarray) -> np.ndarray:
+        steps = np.repeat(np.array(step_ids, dtype=object), np.diff(offsets))
+        pairs = list(zip(steps.tolist(), goal_ids))
         rows = list(map(self.table.row.get, pairs))
         if None in rows:
             step_id, goal_id = pairs[rows.index(None)]
@@ -464,16 +456,18 @@ def make_training_examples(
     When the gold goal is missing from a list, its slot is the placeholder's,
     the list's length, in unlinkable mode; the list is dropped otherwise.
     """
-    picks, slots = [], []
-    for i, (step_id, goals) in enumerate(zip(ranked.step_ids, ranked.goal_lists())):
-        gold_goal = gold.get(step_id)
-        if gold_goal in goals or (gold_goal is not None and unlinkable):
-            picks.append(i)
-            slots.append(goals.index(gold_goal) if gold_goal in goals else len(goals))
-    rows, offsets = _take(ranked.offsets, np.array(picks, dtype=np.int64))
-    lists = Ranked(tuple(map(ranked.step_ids.__getitem__, picks)), offsets,
-                   tuple(map(ranked.goal_ids.__getitem__, rows.tolist())), ranked.sim1[rows])
-    return lists, slots
+    sizes = np.diff(ranked.offsets)
+    golds = np.array([gold.get(step_id) for step_id in ranked.step_ids], dtype=object)
+    lists = np.repeat(np.arange(len(sizes)), sizes)
+    hits = np.flatnonzero(np.array(ranked.goal_ids, dtype=object) == golds[lists])
+    found, first = np.unique(lists[hits], return_index=True)  # each list's first hit
+    slots = np.where(np.not_equal(golds, None) & unlinkable, sizes, -1)
+    slots[found] = hits[first] - ranked.offsets[found]
+    picks = np.flatnonzero(slots >= 0)
+    rows, offsets = _take(ranked.offsets, picks)
+    examples = Ranked(tuple(map(ranked.step_ids.__getitem__, picks.tolist())), offsets,
+                      tuple(map(ranked.goal_ids.__getitem__, rows.tolist())), ranked.sim1[rows])
+    return examples, slots[picks].tolist()
 
 
 def nll_loss(model: RerankModel, feats: np.ndarray, sim1: np.ndarray, offsets: np.ndarray,
@@ -548,13 +542,13 @@ def train(
     if not len(slots):
         raise ValueError("empty training set")
     rng = np.random.default_rng(seed)
-    feats = source.features(lists.step_ids, lists.goal_lists())
+    feats = source.features(lists.step_ids, lists.goal_ids, lists.offsets)
     slots = np.asarray(slots, dtype=np.int64)
     dev = None
     if dev_examples and len(dev_examples[1]):
         dev_lists, dev_slots = dev_examples
-        dev = (source.features(dev_lists.step_ids, dev_lists.goal_lists()), dev_lists.sim1,
-               dev_lists.offsets, dev_slots)
+        dev = (source.features(dev_lists.step_ids, dev_lists.goal_ids, dev_lists.offsets),
+               dev_lists.sim1, dev_lists.offsets, dev_slots)
 
     def mean(losses: list[float]) -> float:  # left to right: `sum` compensates from Python 3.12
         return reduce(add, losses, 0.0) / len(losses)

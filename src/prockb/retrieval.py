@@ -11,7 +11,7 @@ Every ranked goal list, from stage-1 candidates to reranked links, is a
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain, pairwise, zip_longest
+from itertools import chain, zip_longest
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -46,9 +46,6 @@ class Ranked:
 
     def rows(self, i: int) -> slice:
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
-
-    def goal_lists(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(self.goal_ids[a:b] for a, b in pairwise(self.offsets.tolist()))
 
 
 def _column(parts: Sequence[Sequence[float]]) -> np.ndarray:

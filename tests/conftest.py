@@ -1,6 +1,7 @@
 """Shared corpus builders for the test suite."""
 
 import json
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -83,9 +84,16 @@ def columns(ranked: Ranked) -> tuple:
     return ranked.step_ids, ranked.offsets.tolist(), ranked.goal_ids, ranked.sim1.tolist(), sim2
 
 
+def pair_features(source, step_ids, goal_lists) -> np.ndarray:
+    """`source.features` of the lists `goal_lists`, one per step of `step_ids`."""
+    offsets = np.cumsum([0, *map(len, goal_lists)], dtype=np.int64)
+    return source.features(tuple(step_ids), tuple(chain.from_iterable(goal_lists)), offsets)
+
+
 def score_list(model, ranked: Ranked, source) -> Ranked:
     """`score_candidates` on `ranked`, with its features from `source`."""
-    return score_candidates(model, ranked, source.features(ranked.step_ids, ranked.goal_lists()))
+    return score_candidates(model, ranked,
+                            source.features(ranked.step_ids, ranked.goal_ids, ranked.offsets))
 
 
 def one_loss(model, feats, sim1s, slot):

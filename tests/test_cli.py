@@ -165,11 +165,13 @@ def test_reused_out_dir_keeps_only_the_new_run_artifacts(identity_setup, tmp_pat
 
 
 def test_reused_out_dir_deletes_only_bare_names_it_listed(identity_setup, tmp_path):
+    """... and deletes the old manifest once, even when it lists itself."""
     corpus_path, _, _ = identity_setup
     out = tmp_path / "ix"
     (tmp_path / "x").write_text("outside\n")
     out.mkdir()
-    (out / "manifest.json").write_text(json.dumps({"outputs": ["../x", "", ".", ".."]}))
+    (out / "manifest.json").write_text(
+        json.dumps({"outputs": ["../x", "", ".", "..", "manifest.json"]}))
     assert run(["build-index", "--corpus", str(corpus_path), "--out-dir", str(out)]) == 0
     assert (tmp_path / "x").read_text() == "outside\n"
     assert json.loads((out / "manifest.json").read_text())["command"] == "build-index"
@@ -587,6 +589,18 @@ def _eval_links_without_a_ranking(identity_setup, tmp_path, capsys, part):
     assert not out.exists()
 
 
+def test_eval_links_rejects_a_placeholder_gold_goal(tmp_path, capsys):
+    """The placeholder ranked first is no hit for a gold line naming it."""
+    gold, rankings, out = tmp_path / "gold.tsv", tmp_path / "rankings.tsv", tmp_path / "ev"
+    gold.write_text("s1\tUNLINKABLE\n")
+    rankings.write_text("s1\t1\tUNLINKABLE\t0.5\t0.9\ns1\t2\tg1\t0.5\t0.4\n")
+    assert run(["eval-links", "--rankings", str(rankings), "--gold", str(gold), "--split", "all",
+                "--ns", "1", "--out-dir", str(out)]) == 2
+    assert (f"error: {gold}: line 1: gold goal 'UNLINKABLE' is the placeholder, not a goal"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_eval_links_needs_rankings_of_the_evaluated_split_only(identity_setup, tmp_path):
     _, gold_path, gold = identity_setup
     rankings = tmp_path / "rankings.tsv"
@@ -941,12 +955,13 @@ _READERS = {
 }
 
 
-def _run_on(input_files, tmp_path, kind, content: bytes):
-    """Run the command that reads `kind` with that input replaced by `content`."""
+def _run_on(input_files, tmp_path, kind, content: bytes, argv=None):
+    """Run the command that reads `kind`, or `argv`, with that input replaced
+    by `content`."""
     damaged = tmp_path / input_files[kind].name
     damaged.write_bytes(content)
     paths = {**{k: str(v) for k, v in input_files.items()}, kind: str(damaged)}
-    argv = [arg.format(**paths) for arg in _READERS[kind]]
+    argv = [arg.format(**paths) for arg in argv or _READERS[kind]]
     return run(argv + ["--out-dir", str(tmp_path / "out")]), damaged
 
 
@@ -957,6 +972,35 @@ def test_non_utf8_input_exits_2_with_path(input_files, tmp_path, capsys, kind):
     assert code == 2
     assert f"{damaged}: line 1: not valid UTF-8" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind, content, argv", [
+    ("corpus", b"", _READERS["corpus"]),
+    ("corpus", b"", _READERS["embeddings"]),
+    ("corpus", b"", _READERS["model"]),
+    ("corpus", b"", ["search", "--corpus", "{corpus}", "--query", "widget"]),
+    ("gold", b"", _READERS["gold"]),
+    ("gold", b"", _READERS["rankings"]),
+    ("gold", b"a00_probe\tUNLINKABLE\n", _READERS["rankings"]),
+    ("candidates", b"", _READERS["candidates"]),
+    ("videos", b"", _READERS["videos"]),
+    ("videos", b"", _READERS["queries"]),
+    ("videos", b"", _READERS["vr_index"]),
+    ("manifest", b'{"outputs": ["manifest.json", "embeddings.txt"]}', _READERS["corpus"]),
+], ids=["empty-corpus-build-index", "empty-corpus-retrieve", "empty-corpus-link",
+        "empty-corpus-search", "empty-gold-train-reranker", "empty-gold-eval-links",
+        "placeholder-gold-goal", "empty-candidates", "empty-videos-vr-index",
+        "empty-videos-vr-eval-queries", "empty-videos-vr-eval", "self-listing-manifest"])
+def test_no_input_reaches_exit_3(input_files, tmp_path, capsys, kind, content, argv):
+    """Exit 3 is kept for faults of the program: an edge input ends in 2 at
+    most. The manifest case reuses an --out-dir whose old manifest lists
+    itself among its outputs."""
+    if kind == "manifest":
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "manifest.json").write_bytes(content)
+        kind, content = "corpus", input_files["corpus"].read_bytes()
+    code, _ = _run_on(input_files, tmp_path, kind, content, argv)
+    assert code != 3, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", sorted(_READERS))
@@ -1126,7 +1170,8 @@ def test_link_rankings_read_back_equal_link_all(identity_setup, tmp_path):
     want = link_all(pipeline)
     got = read_candidates(tmp_path / "ln" / "rankings.tsv")
     assert got.step_ids == want.step_ids
-    assert got.goal_lists() == want.goal_lists()
+    assert got.offsets.tolist() == want.offsets.tolist()
+    assert got.goal_ids == want.goal_ids
     assert UNLINKABLE in got.goal_ids
     assert got.sim1.tobytes() == want.sim1.tobytes()
     assert got.sim2.tobytes() == want.sim2.tobytes()

@@ -24,6 +24,15 @@ def test_load_two_article_file(tmp_path):
     assert corpus.step("s4").position == 0
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank-lines"])
+def test_corpus_without_articles_names_its_path(tmp_path, text):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(text)
+    with pytest.raises(DataError) as info:
+        load_corpus(path)
+    assert str(info.value) == f"{path}: no articles"
+
+
 def test_duplicate_goal_id_rejected(tmp_path):
     records = two_article_records()
     records[1]["id"] = "g1"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_corpus
+from conftest import make_corpus, two_article_records
 from prockb.errors import DataError
 from prockb.linkeval import (
     LINK_RATIOS,
@@ -116,6 +116,17 @@ def test_gold_links_io(tmp_path):
     path = tmp_path / "gold.tsv"
     path.write_text("s1\tg1\ns4\tg2\n")
     assert list(load_gold_links(path).items()) == [("s1", "g1"), ("s4", "g2")]
+
+
+def test_gold_links_reject_the_placeholder_as_a_goal(tmp_path):
+    """UNLINKABLE is no goal, with or without a corpus to check goals against."""
+    path = tmp_path / "gold.tsv"
+    path.write_text("s1\tg2\ns4\tUNLINKABLE\n")
+    for corpus in (None, make_corpus(two_article_records())):
+        with pytest.raises(DataError) as info:
+            load_gold_links(path, corpus)
+        assert str(info.value) == (f"{path}: line 2: gold goal 'UNLINKABLE' is the "
+                                   f"placeholder, not a goal")
 
 
 def test_gold_links_malformed(tmp_path):

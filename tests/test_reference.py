@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from conftest import pair_features
 from prockb import artifacts, rerank
 from prockb.corpus import CONTEXT_MODES, corpus_from_records
 from prockb.errors import DataError
@@ -361,7 +362,7 @@ def test_feature_rows_match_text_by_text(corpus, context_mode, window, block, da
     source = LexicalFeatureSource(corpus, context_mode=context_mode, window=window)
     source.block = block
     want = reference.LexicalFeatureSource(corpus, context_mode=context_mode, window=window)
-    assert source.features(steps, goals).tobytes() == want.features(steps, goals).tobytes()
+    assert pair_features(source, steps, goals).tobytes() == want.features(steps, goals).tobytes()
 
 
 # ---------------------------------------------------------------------------

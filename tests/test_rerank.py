@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    columns, identity_records, make_corpus, one_list, one_loss, score_list, vector_table,
+    columns, identity_records, make_corpus, one_list, one_loss, pair_features, score_list,
+    vector_table,
 )
 from prockb.artifacts import write_vectors
 from prockb.corpus import CONTEXT_MODES, UNLINKABLE, context_of
@@ -54,7 +55,7 @@ def lex_corpus():
 
 def test_exact_match_features(lex_corpus):
     source = LexicalFeatureSource(lex_corpus)
-    feats = source.features(("t1",), (("art1",),))[0]
+    feats = pair_features(source, ("t1",), (("art1",),))[0]
     assert feats[5] == 1.0  # exact match
     assert feats[1] == 1.0  # token jaccard
     assert feats[0] == 1.0  # bias
@@ -62,7 +63,7 @@ def test_exact_match_features(lex_corpus):
 
 def test_disjoint_tokens(lex_corpus):
     source = LexicalFeatureSource(lex_corpus)
-    feats = source.features(("t2",), (("art2",),))[0]
+    feats = pair_features(source, ("t2",), (("art2",),))[0]
     assert feats[1] == 0.0
     assert feats[5] == 0.0
 
@@ -71,7 +72,7 @@ def test_features_finite_and_sized(lex_corpus):
     source = LexicalFeatureSource(lex_corpus, context_mode="both", window=1)
     for step_id in ("t1", "t2", "t3"):
         for goal_id in ("art1", "art2"):
-            feats = source.features((step_id,), ((goal_id,),))[0]
+            feats = pair_features(source, (step_id,), ((goal_id,),))[0]
             assert feats.shape == (7,)
             assert np.all(np.isfinite(feats))
 
@@ -137,13 +138,14 @@ def assert_blocks_match_reference(corpus, context_mode, window):
     source = LexicalFeatureSource(corpus, context_mode=context_mode, window=window)
     goal_ids = tuple(corpus.goal_ids())
     for step in corpus.steps():
-        got = source.features((step.step_id,), (goal_ids,))
+        got = pair_features(source, (step.step_id,), (goal_ids,))
         want = np.stack([reference_features(source, step.step_id, g) for g in goal_ids])
         assert got.shape == (len(goal_ids), 7)
         assert got[:, EXACT_COLUMNS].tobytes() == want[:, EXACT_COLUMNS].tobytes()
         assert np.max(np.abs(got[:, 3] - want[:, 3])) <= 1e-12
         for row, goal_id in zip(got, goal_ids):
-            assert source.features((step.step_id,), ((goal_id,),))[0].tobytes() == row.tobytes()
+            one = pair_features(source, (step.step_id,), ((goal_id,),))[0]
+            assert one.tobytes() == row.tobytes()
 
 
 @pytest.mark.parametrize("context_mode", CONTEXT_MODES)
@@ -220,7 +222,7 @@ def test_batch_rows_match_reference_in_any_split(batch, context_mode, window, bl
     corpus, step_ids, goal_ids = batch
     source = LexicalFeatureSource(corpus, context_mode=context_mode, window=window)
     source.block = block  # several blocks per batch
-    got = source.features(step_ids, goal_ids)
+    got = pair_features(source, step_ids, goal_ids)
     want = [reference_features(source, step_id, goal_id)
             for step_id, goals in zip(step_ids, goal_ids) for goal_id in goals]
     assert got.shape == (len(want), 7)
@@ -230,7 +232,7 @@ def test_batch_rows_match_reference_in_any_split(batch, context_mode, window, bl
     cuts = sorted(data.draw(st.lists(st.integers(0, len(step_ids)), max_size=3)))
     bounds = list(zip([0] + cuts, cuts + [len(step_ids)]))
     fresh = LexicalFeatureSource(corpus, context_mode=context_mode, window=window)
-    parts = [fresh.features(step_ids[a:b], goal_ids[a:b]) for a, b in reversed(bounds)]
+    parts = [pair_features(fresh, step_ids[a:b], goal_ids[a:b]) for a, b in reversed(bounds)]
     assert np.concatenate(parts[::-1]).tobytes() == got.tobytes()
 
 
@@ -241,11 +243,11 @@ def test_table_batch_stacks_rows_and_names_a_missing_one(tmp_path):
     write_feature_file(path, 4, rows)
     source = load_feature_file(path)
     table = dict(((s, g), vec) for s, g, vec in rows)
-    got = source.features(("s2", "s1", "s2"), (("g2", "g1"), (), ("g2",)))
+    got = pair_features(source, ("s2", "s1", "s2"), (("g2", "g1"), (), ("g2",)))
     want = np.stack([table["s2", "g2"], table["s2", "g1"], table["s2", "g2"]])
     assert got.tobytes() == want.tobytes()
     with pytest.raises(DataError) as info:
-        source.features(("s1", "s2"), (("g1",), ("g2", "g9")))
+        pair_features(source, ("s1", "s2"), (("g1",), ("g2", "g9")))
     assert str(info.value) == f"{path}: no feature row for step 's2', goal 'g9'"
 
 
@@ -257,18 +259,18 @@ def test_blocks_do_not_depend_on_warm_up_order():
     forward = LexicalFeatureSource(corpus, context_mode="both")
     backward = LexicalFeatureSource(corpus, context_mode="both")
     for step_id in step_ids:
-        forward.features((step_id,), (goal_ids,))
+        pair_features(forward, (step_id,), (goal_ids,))
     for step_id in reversed(step_ids):
-        backward.features((step_id,), (goal_ids[::-1],))
+        pair_features(backward, (step_id,), (goal_ids[::-1],))
     for step_id in step_ids:
-        want = forward.features((step_id,), (goal_ids,))
-        assert backward.features((step_id,), (goal_ids,)).tobytes() == want.tobytes()
+        want = pair_features(forward, (step_id,), (goal_ids,))
+        assert pair_features(backward, (step_id,), (goal_ids,)).tobytes() == want.tobytes()
 
 
 def test_empty_block_has_model_width(lex_corpus):
     source = LexicalFeatureSource(lex_corpus)
-    assert source.features(("t1",), ((),)).shape == (0, 7)
-    assert TableFeatureSource(vector_table(8, {})).features(("t1",), ((),)).shape == (0, 8)
+    assert pair_features(source, ("t1",), ((),)).shape == (0, 7)
+    assert pair_features(TableFeatureSource(vector_table(8, {})), ("t1",), ((),)).shape == (0, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +341,7 @@ def test_top1_is_argmax_of_per_pair_sim2():
     sim1s = rng.uniform(-1, 1, size=len(goal_ids))
     model = RerankModel(w=rng.normal(size=8), lam=float(rng.normal()))
     scored = score_list(model, one_list("s", goal_ids, sim1s), source)
-    feats = source.features(("s",), (goal_ids,))
+    feats = pair_features(source, ("s",), (goal_ids,))
     sim2s = (feats * model.w).sum(axis=1) + model.lam * sim1s
     per_pair = dict(zip(goal_ids, sim2s.tolist()))
     assert scored.goal_ids[0] == max(per_pair, key=lambda g: (per_pair[g], g))
@@ -750,9 +752,9 @@ def test_feature_file_round_trip(tmp_path):
     source = load_feature_file(path)
     assert source.dim == 8
     for step_id, goal_id, vec in rows:
-        assert source.features((step_id,), ((goal_id,),))[0].tobytes() == vec.tobytes()
+        assert pair_features(source, (step_id,), ((goal_id,),))[0].tobytes() == vec.tobytes()
     with pytest.raises(DataError, match=r"s1.*g9"):
-        source.features(("s1",), (("g1", "g9"),))
+        pair_features(source, ("s1",), (("g1", "g9"),))
 
 
 def test_feature_file_validation(tmp_path):

@@ -141,7 +141,8 @@ def test_retrieve_all_excludes_parent():
     index = build_index(store, corpus.goal_ids())
     ranked = retrieve_all(index, store, corpus.steps(), k=1)
     assert ranked.step_ids == tuple(s.step_id for s in corpus.steps())
-    for step, goals in zip(corpus.steps(), ranked.goal_lists()):
+    for i, step in enumerate(corpus.steps()):
+        goals = ranked.goal_ids[ranked.rows(i)]
         assert len(goals) == 1
         assert step.parent_goal_id not in goals
 
@@ -200,5 +201,6 @@ def test_read_candidates_accepts_same_rank_for_different_steps(tmp_path):
     path.write_text("s1\t2\tg2\t0.1\ns2\t1\tg1\t0.3\ns1\t1\tg1\t0.5\n")
     ranked = read_candidates(path)
     assert ranked.step_ids == ("s1", "s2")
-    assert ranked.goal_lists() == (("g1", "g2"), ("g1",))
+    assert ranked.offsets.tolist() == [0, 2, 3]
+    assert ranked.goal_ids == ("g1", "g2", "g1")
     assert ranked.sim1.tolist() == [0.5, 0.1, 0.3]
