@@ -98,14 +98,19 @@ def _output(args, *names: str) -> list[Path]:
     `main` lists in the manifest's outputs. A command calls this once, after
     it has read and checked its inputs, so a failed run leaves no --out-dir
     behind. An artifact that would overwrite an input is a usage error, found
-    before --out-dir is made or cleared of an earlier run's artifacts."""
+    before --out-dir is made or cleared of an earlier run's artifacts, and so
+    is an --out-dir that cannot be made, such as a file or a path under one."""
     out_dir = Path(args.out_dir)
     paths = [out_dir / name for name in names]
     for path in paths:
         clash = next((i for i in args._inputs if Path(i).resolve() == path.resolve()), None)
         if clash is not None:
             raise UsageError(f"artifact {path} would overwrite the input {clash}")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"--out-dir {out_dir}: cannot make the directory: "
+                         f"{exc.strerror}") from None
     _clear(out_dir, args._inputs)
     args._outputs = list(names)
     return paths
@@ -153,6 +158,8 @@ def _parse_ns(raw: str) -> list[int]:
         raise UsageError(f"bad N list {raw!r}; expected comma-separated integers") from None
     if not ns or any(n < 1 for n in ns):
         raise UsageError(f"bad N list {raw!r}")
+    if len(set(ns)) < len(ns):
+        raise UsageError(f"bad N list {raw!r}; an N is repeated")
     return ns
 
 

@@ -9,6 +9,8 @@ import random
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .artifacts import check_rows, fail, tab_rows
 from .corpus import UNLINKABLE, Corpus
 from .errors import DataError
@@ -71,29 +73,18 @@ def split_links(gold: Mapping[str, str]) -> dict[str, dict[str, str]]:
     return {name: {step_id: gold[step_id] for step_id in steps} for name, steps in parts.items()}
 
 
-def recall_at(rankings: Ranked, gold: Mapping[str, str], n: int) -> float:
-    """Fraction of gold steps whose goal appears in the top n of its ranking.
-
-    Placeholder (UNLINKABLE) entries occupy rank positions and never match,
-    as no gold goal is UNLINKABLE. The denominator is every evaluated step.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+def recall_report(rankings: Ranked, gold: Mapping[str, str], ns: Sequence[int]) -> dict[int, float]:
+    """recall@n for each n of `ns`: the fraction of gold steps whose goal is
+    in the top n of its ranking, at its first position there
+    (`Ranked.gold_slots`). Placeholder (UNLINKABLE) entries occupy rank
+    positions and never match. The denominator is every evaluated step."""
+    if any(n < 1 for n in ns):
+        raise ValueError(f"n must be >= 1, got {min(ns)}")
     if not gold:
         raise ValueError("no gold links to evaluate")
-    position = {step_id: i for i, step_id in enumerate(rankings.step_ids)}
-    hits = 0
-    for step_id, goal_id in gold.items():
-        try:
-            rows = rankings.rows(position[step_id])
-        except KeyError:
-            raise KeyError(f"no ranking for gold step {step_id!r}") from None
-        if goal_id in rankings.goal_ids[rows.start : min(rows.stop, rows.start + n)]:
-            hits += 1
-    return hits / len(gold)
-
-
-def recall_report(
-    rankings: Ranked, gold: Mapping[str, str], ns: Sequence[int]
-) -> dict[int, float]:
-    return {n: recall_at(rankings, gold, n) for n in ns}
+    missing = set(gold).difference(rankings.step_ids)
+    if missing:
+        raise KeyError(f"no ranking for gold step {next(s for s in gold if s in missing)!r}")
+    slots = rankings.gold_slots(gold)  # one list per step; -1 for a step with no gold
+    found = slots[slots >= 0]
+    return {n: int(np.count_nonzero(found < n)) / len(gold) for n in ns}

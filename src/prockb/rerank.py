@@ -451,18 +451,15 @@ def make_training_examples(
     ranked: Ranked, gold: Mapping[str, str], unlinkable: bool = False
 ) -> tuple[Ranked, list[int]]:
     """The lists of `ranked` whose step has a gold link, and the slot of the
-    gold goal in each.
+    gold goal in each, its first position (`Ranked.gold_slots`).
 
     When the gold goal is missing from a list, its slot is the placeholder's,
     the list's length, in unlinkable mode; the list is dropped otherwise.
     """
-    sizes = np.diff(ranked.offsets)
-    golds = np.array([gold.get(step_id) for step_id in ranked.step_ids], dtype=object)
-    lists = np.repeat(np.arange(len(sizes)), sizes)
-    hits = np.flatnonzero(np.array(ranked.goal_ids, dtype=object) == golds[lists])
-    found, first = np.unique(lists[hits], return_index=True)  # each list's first hit
-    slots = np.where(np.not_equal(golds, None) & unlinkable, sizes, -1)
-    slots[found] = hits[first] - ranked.offsets[found]
+    slots = ranked.gold_slots(gold)
+    if unlinkable:
+        has_gold = np.array([step_id in gold for step_id in ranked.step_ids], dtype=bool)
+        slots = np.where((slots < 0) & has_gold, np.diff(ranked.offsets), slots)
     picks = np.flatnonzero(slots >= 0)
     rows, offsets = _take(ranked.offsets, picks)
     examples = Ranked(tuple(map(ranked.step_ids.__getitem__, picks.tolist())), offsets,

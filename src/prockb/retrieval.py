@@ -11,9 +11,9 @@ Every ranked goal list, from stage-1 candidates to reranked links, is a
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain, zip_longest
+from itertools import zip_longest
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -36,20 +36,21 @@ class Ranked:
     sim1: np.ndarray  # float64
     sim2: np.ndarray | None = None
 
-    @classmethod
-    def from_lists(cls, step_ids: Iterable[str], goal_ids: Sequence[Sequence[str]],
-                   sim1: Sequence[Sequence[float]], sim2: Sequence[Sequence[float]] | None = None):
-        """The lists of `step_ids`, given list by list."""
-        offsets = np.cumsum([0, *map(len, goal_ids)], dtype=np.int64)
-        return cls(tuple(step_ids), offsets, tuple(chain.from_iterable(goal_ids)), _column(sim1),
-                   None if sim2 is None else _column(sim2))
-
     def rows(self, i: int) -> slice:
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
 
-
-def _column(parts: Sequence[Sequence[float]]) -> np.ndarray:
-    return np.fromiter(chain.from_iterable(parts), dtype=np.float64)
+    def gold_slots(self, gold: Mapping[str, str]) -> np.ndarray:
+        """Each list's first position of its step's goal in `gold`, in one
+        comparison over the goal column; -1 when the step has no gold goal or
+        its list lacks it. The placeholder UNLINKABLE, never a gold goal,
+        matches none."""
+        golds = np.array(list(map(gold.get, self.step_ids)), dtype=object)
+        lists = np.repeat(np.arange(len(self.step_ids)), np.diff(self.offsets))
+        hits = np.flatnonzero(np.array(self.goal_ids, dtype=object) == golds[lists])
+        found, first = np.unique(lists[hits], return_index=True)  # each list's first hit
+        slots = np.full(len(self.step_ids), -1, dtype=np.int64)
+        slots[found] = hits[first] - self.offsets[found]
+        return slots
 
 
 def build_index(store: EmbeddingStore, goal_ids: Iterable[str]) -> EmbeddingStore:
@@ -61,27 +62,27 @@ def build_index(store: EmbeddingStore, goal_ids: Iterable[str]) -> EmbeddingStor
 
 
 def topk(
-    index: EmbeddingStore, step_vec: np.ndarray, k: int, exclude: Iterable[str] = ()
+    index: EmbeddingStore, step_vec: np.ndarray, k: int, exclude: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k goals by cosine, ties by ascending goal_id: their index
     rows and scores, best first.
 
-    Goals in `exclude` are never returned (used to forbid self-links). Raises
-    ValueError when k exceeds the goals available after exclusion.
+    The row `exclude`, if given, is never returned (used to forbid
+    self-links). Raises ValueError when k exceeds the rows left.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    keep = np.ones(len(index), dtype=bool)
-    keep[[index.row[g] for g in exclude if g in index.row]] = False
-    if k > keep.sum():
-        raise ValueError(f"k={k} exceeds {keep.sum()} goals available after exclusion")
+    available = len(index) - (exclude is not None)
+    if k > available:
+        raise ValueError(f"k={k} exceeds {available} goals available after exclusion")
 
     scores = index.matrix @ unit(step_vec)
     # Rows are in ascending goal_id order, so a stable sort on -score breaks
     # ties by goal_id for free.
     order = np.argsort(-scores, kind="stable")
-    rows = order[keep[order]][:k]
-    return rows, scores[rows]
+    if exclude is not None:
+        order = order[order != exclude]
+    return order[:k], scores[order[:k]]
 
 
 def retrieve_all(
@@ -90,16 +91,17 @@ def retrieve_all(
     """The stage-1 candidates of each of `steps`, for `retrieve` and `link`
     alike: topk without the step's own goal, which a step never links to,
     with k clamped to the goals left. Raises ValueError when no goal is left."""
-    step_ids, goal_ids, sims = [], [], []
-    for step in steps:
-        available = len(index) - (step.parent_goal_id in index.row)
-        if available < 1:
-            raise ValueError(f"no goals available for step {step.step_id!r}")
-        rows, scores = topk(index, store[step.step_id], min(k, available), [step.parent_goal_id])
-        step_ids.append(step.step_id)
-        goal_ids.append([index.ids[row] for row in rows.tolist()])
-        sims.append(scores)
-    return Ranked.from_lists(step_ids, goal_ids, sims)
+    steps = list(steps)
+    parents = [index.row.get(step.parent_goal_id) for step in steps]
+    available = [len(index) - (row is not None) for row in parents]
+    if 0 in available:
+        raise ValueError(f"no goals available for step {steps[available.index(0)].step_id!r}")
+    offsets = np.cumsum([0, *(min(k, n) for n in available)], dtype=np.int64)
+    rows, sim1 = np.empty(offsets[-1], dtype=np.intp), np.empty(offsets[-1])
+    for step, parent, a, b in zip(steps, parents, offsets[:-1].tolist(), offsets[1:].tolist()):
+        rows[a:b], sim1[a:b] = topk(index, store[step.step_id], b - a, parent)
+    return Ranked(tuple(step.step_id for step in steps), offsets,
+                  tuple(map(index.ids.__getitem__, rows.tolist())), sim1)
 
 
 def write_candidates(path: str | Path, ranked: Ranked) -> None:

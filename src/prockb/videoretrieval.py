@@ -60,7 +60,7 @@ def load_videos(path: str | Path, corpus: Corpus | None = None) -> list[VideoDoc
     """Read video JSONL: ``{"video_id", "goal_id", "caption"}`` per line.
     Ids are strings or integers, as in a corpus, and captions strings. Given
     `corpus`, each video's goal must be one of its goals; the first faulty
-    line is reported."""
+    line is reported. A file with no videos is a DataError too."""
     videos, seen = [], set()
     for lineno, rec in json_lines(path):
         where = f"{path}: line {lineno}: "
@@ -78,6 +78,8 @@ def load_videos(path: str | Path, corpus: Corpus | None = None) -> list[VideoDoc
             check_rows(path, (lineno,), [corpus.unknown("goal_id", (gid,))])
         seen.add(vid)
         videos.append(VideoDoc(video_id=vid, goal_id=gid, caption=caption))
+    if not videos:
+        raise DataError(f"{path}: no videos")
     return videos
 
 

@@ -73,9 +73,21 @@ def read_links(path) -> dict[str, str]:
     return {fields[0]: fields[1] for _, fields in tab_rows(path, 2, unique="step")}
 
 
+def from_lists(step_ids, goal_ids, sim1, sim2=None) -> Ranked:
+    """The `Ranked` of the lists of `step_ids`, given list by list: each
+    step's goal ids, sim1 and, if given, sim2 scores."""
+    offsets = np.cumsum([0, *map(len, goal_ids)], dtype=np.int64)
+    return Ranked(tuple(step_ids), offsets, tuple(chain.from_iterable(goal_ids)), _column(sim1),
+                  None if sim2 is None else _column(sim2))
+
+
+def _column(parts) -> np.ndarray:
+    return np.fromiter(chain.from_iterable(parts), dtype=np.float64)
+
+
 def one_list(step_id: str, goal_ids, sim1s) -> Ranked:
     """A `Ranked` of one list."""
-    return Ranked.from_lists([step_id], [goal_ids], [sim1s])
+    return from_lists([step_id], [goal_ids], [sim1s])
 
 
 def columns(ranked: Ranked) -> tuple:

@@ -14,6 +14,9 @@ fields past sim2 dropped.
 The ``dim=<d>`` vector reader is here as it was before vectors became rows
 of one matrix: one line at a time, each row parsed into its own array.
 
+Gold recall is here as the per-step loop it was before one comparison over
+the goal column found every list's gold position (`Ranked.gold_slots`).
+
 The two similarities are here too, one pair at a time: the cosine of two
 vectors, and BM25 computed from raw (doc_id, text) pairs, one posting at a
 time with Python floats, which the index's `score_all` must equal bit for
@@ -151,6 +154,22 @@ def read_candidates(path, corpus=None) -> Ranked:
     offsets = np.searchsorted(in_order[0], np.arange(len(steps) + 1))
     return Ranked(tuple(steps), offsets, tuple(np.array(goal_ids, dtype=object)[order]),
                   np.asarray(sims[0])[order], np.asarray(sims[1])[order] if sims[1] else None)
+
+
+# ---------------------------------------------------------------------------
+# Gold positions
+
+def recall_at(rankings: Ranked, gold, n: int) -> float:
+    """Step by step: the fraction of gold steps whose goal is among the
+    first n goals of its ranking. Placeholder (UNLINKABLE) entries occupy
+    rank positions and never match, as no gold goal is UNLINKABLE."""
+    position = {step_id: i for i, step_id in enumerate(rankings.step_ids)}
+    hits = 0
+    for step_id, goal_id in gold.items():
+        rows = rankings.rows(position[step_id])
+        if goal_id in rankings.goal_ids[rows.start : min(rows.stop, rows.start + n)]:
+            hits += 1
+    return hits / len(gold)
 
 
 # ---------------------------------------------------------------------------

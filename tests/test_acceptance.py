@@ -13,11 +13,11 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import identity_records, make_corpus, one_list, one_loss, score_list, vector_table
+from conftest import from_lists, identity_records, make_corpus, one_list, one_loss, score_list, vector_table
 from prockb.corpus import UNLINKABLE, corpus_from_records
 from prockb.embedding import embed_corpus
 from prockb.hierarchy import LinkPipeline, expand, tree_to_dict
-from prockb.linkeval import recall_at, split_links
+from prockb.linkeval import recall_report, split_links
 from prockb.rerank import (
     LexicalFeatureSource,
     RerankModel,
@@ -26,7 +26,7 @@ from prockb.rerank import (
     new_model,
     train,
 )
-from prockb.retrieval import Ranked, build_index, retrieve_all, topk
+from prockb.retrieval import build_index, retrieve_all, topk
 from prockb.textsearch import TextIndex
 from prockb.videoretrieval import (
     FIL_L1,
@@ -88,7 +88,7 @@ def test_a1_end_to_end_linking_sanity():
             dev_examples=dev_examples,
         )
 
-        assert recall_at(score_list(result.model, lists, source), gold, 1) == 1.0
+        assert recall_report(score_list(result.model, lists, source), gold, [1]) == {1: 1.0}
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,7 @@ def _separable(n, dim, m, seed, prefix):
         goals.append(gold)
         step_ids.append(step_id)
         goal_ids.append(goals)
-    return (Ranked.from_lists(step_ids, goal_ids, [[0.5] * m] * n), [m - 1] * n), table
+    return (from_lists(step_ids, goal_ids, [[0.5] * m] * n), [m - 1] * n), table
 
 
 def _recall1(model, examples, source):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import columns, read_links, vector_table, write_jsonl
+from conftest import columns, from_lists, read_links, vector_table, write_jsonl
 from prockb.artifacts import tab_rows, write_rows, write_vectors
 from prockb.corpus import CONTEXT_MODES, corpus_from_records, load_corpus
 from prockb.embedding import load_embeddings, save_embeddings
@@ -31,7 +31,7 @@ from prockb.rerank import (
     load_model,
     save_model,
 )
-from prockb.retrieval import Ranked, read_candidates, write_candidates
+from prockb.retrieval import read_candidates, write_candidates
 from prockb.videoretrieval import (
     LEVELS,
     Query,
@@ -74,7 +74,7 @@ def ranked_lists(draw, sim2: bool):
     goals = [draw(st.lists(ident, min_size=1, max_size=3)) for _ in steps]
     scores = [[draw(st.lists(number, min_size=len(g), max_size=len(g))) for g in goals]
               for _ in range(1 + sim2)]
-    return Ranked.from_lists(steps, goals, *scores)
+    return from_lists(steps, goals, *scores)
 
 
 @st.composite

@@ -987,20 +987,59 @@ def test_non_utf8_input_exits_2_with_path(input_files, tmp_path, capsys, kind):
     ("videos", b"", _READERS["queries"]),
     ("videos", b"", _READERS["vr_index"]),
     ("manifest", b'{"outputs": ["manifest.json", "embeddings.txt"]}', _READERS["corpus"]),
+    ("out-dir", b"a file\n", _READERS["corpus"]),
 ], ids=["empty-corpus-build-index", "empty-corpus-retrieve", "empty-corpus-link",
         "empty-corpus-search", "empty-gold-train-reranker", "empty-gold-eval-links",
         "placeholder-gold-goal", "empty-candidates", "empty-videos-vr-index",
-        "empty-videos-vr-eval-queries", "empty-videos-vr-eval", "self-listing-manifest"])
+        "empty-videos-vr-eval-queries", "empty-videos-vr-eval", "self-listing-manifest",
+        "out-dir-is-a-file"])
 def test_no_input_reaches_exit_3(input_files, tmp_path, capsys, kind, content, argv):
     """Exit 3 is kept for faults of the program: an edge input ends in 2 at
     most. The manifest case reuses an --out-dir whose old manifest lists
-    itself among its outputs."""
+    itself among its outputs; the out-dir case gives an --out-dir that is a
+    file."""
     if kind == "manifest":
         (tmp_path / "out").mkdir()
         (tmp_path / "out" / "manifest.json").write_bytes(content)
         kind, content = "corpus", input_files["corpus"].read_bytes()
+    elif kind == "out-dir":
+        (tmp_path / "out").write_bytes(content)
+        kind, content = "corpus", input_files["corpus"].read_bytes()
     code, _ = _run_on(input_files, tmp_path, kind, content, argv)
     assert code != 3, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+def test_out_dir_that_cannot_be_made_is_a_usage_error(input_files, tmp_path, capsys, under):
+    """An --out-dir that is a file, or lies under one, stops the command
+    before it writes anything, with the reason the directory cannot be made."""
+    (tmp_path / "out").write_text("a file\n")
+    out = tmp_path / "out" / "ix" if under else tmp_path / "out"
+    argv = ["build-index", "--corpus", str(input_files["corpus"]), "--out-dir", str(out)]
+    assert run(argv) == 1
+    reason = "Not a directory" if under else "File exists"
+    assert capsys.readouterr().err == (
+        f"usage error: --out-dir {out}: cannot make the directory: {reason}\n")
+    assert (tmp_path / "out").read_text() == "a file\n"
+
+
+@pytest.mark.parametrize("reader", ["videos", "links", "vr_index"],
+                         ids=["vr-index", "vr-filter", "vr-eval"])
+def test_videos_file_without_videos_exits_2(input_files, tmp_path, capsys, reader):
+    code, damaged = _run_on(input_files, tmp_path, "videos", b"", _READERS[reader])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {damaged}: no videos\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("reader, ns", [("rankings", "1,1"), ("vr_index", "1,1,2")],
+                         ids=["eval-links", "vr-eval"])
+def test_repeated_n_is_a_usage_error(input_files, tmp_path, capsys, reader, ns):
+    paths = {k: str(v) for k, v in input_files.items()}
+    argv = [arg.format(**paths) for arg in _READERS[reader]]
+    assert run([*argv, "--ns", ns, "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"usage error: bad N list {ns!r}; an N is repeated\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("kind", sorted(_READERS))

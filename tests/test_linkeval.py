@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_corpus, two_article_records
+from conftest import from_lists, make_corpus, two_article_records
 from prockb.errors import DataError
 from prockb.linkeval import (
     LINK_RATIOS,
     load_gold_links,
-    recall_at,
     recall_report,
     split,
     split_links,
@@ -25,7 +24,7 @@ def links(n):
 def ranked(goal_lists: dict) -> Ranked:
     """step_id -> goal ids, best first, as a Ranked (sim1 0)."""
     goals = list(goal_lists.values())
-    return Ranked.from_lists(goal_lists, goals, [[0.0] * len(g) for g in goals])
+    return from_lists(goal_lists, goals, [[0.0] * len(g) for g in goals])
 
 
 @settings(max_examples=100, deadline=None)
@@ -80,16 +79,13 @@ def test_recall_at_basic():
         "s4": ["x", "y", "z"],  # gold at rank 50: never present
     })
     gold = {f"s{i}": f"gold{i}" for i in range(1, 5)}
-    assert recall_at(rankings, gold, 1) == 0.25
-    assert recall_at(rankings, gold, 2) == 0.5
-    assert recall_at(rankings, gold, 3) == 0.75
-    assert recall_at(rankings, gold, 100) == 0.75
+    assert recall_report(rankings, gold, [1, 2, 3, 100]) == {1: 0.25, 2: 0.5, 3: 0.75, 100: 0.75}
 
 
 def test_recall_all_present():
     rankings = ranked({"s1": ["a", "gold1"], "s2": ["gold2", "b"]})
     gold = {"s1": "gold1", "s2": "gold2"}
-    assert recall_at(rankings, gold, 2) == 1.0
+    assert recall_report(rankings, gold, [2]) == {2: 1.0}
 
 
 def test_recall_non_decreasing_in_n():
@@ -103,13 +99,12 @@ def test_recall_non_decreasing_in_n():
 def test_unlinkable_occupies_rank():
     rankings = ranked({"s1": ["UNLINKABLE", "gold1"]})
     gold = {"s1": "gold1"}
-    assert recall_at(rankings, gold, 1) == 0.0
-    assert recall_at(rankings, gold, 2) == 1.0
+    assert recall_report(rankings, gold, [1, 2]) == {1: 0.0, 2: 1.0}
 
 
 def test_recall_missing_ranking():
     with pytest.raises(KeyError, match="s9"):
-        recall_at(ranked({"s1": ["g"]}), {"s9": "g"}, 1)
+        recall_report(ranked({"s1": ["g"]}), {"s9": "g"}, [1])
 
 
 def test_gold_links_io(tmp_path):
@@ -158,6 +153,5 @@ def test_reranked_recall_bounded_by_stage1_recall_at_k():
     model = RerankModel(w=rng.normal(size=7), lam=0.2)  # arbitrary reranker
     reranked = score_list(model, stage1, LexicalFeatureSource(corpus))
 
-    cap = recall_at(stage1, gold, k)
-    for n in (1, 2, 4, k):
-        assert recall_at(reranked, gold, n) <= cap
+    cap = recall_report(stage1, gold, [k])[k]
+    assert all(recall <= cap for recall in recall_report(reranked, gold, [1, 2, 4, k]).values())

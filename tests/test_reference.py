@@ -16,11 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import pair_features
+from conftest import from_lists, pair_features
 from prockb import artifacts, rerank
-from prockb.corpus import CONTEXT_MODES, corpus_from_records
+from prockb.corpus import CONTEXT_MODES, UNLINKABLE, corpus_from_records
 from prockb.errors import DataError
-from prockb.rerank import LexicalFeatureSource, RerankModel, score_candidates
+from prockb.linkeval import recall_report
+from prockb.rerank import LexicalFeatureSource, RerankModel, make_training_examples, score_candidates
 from prockb.retrieval import Ranked, read_candidates, write_candidates
 
 ident = st.text(alphabet="abxyz_019éß字", max_size=4).map(lambda s: "k" + s)
@@ -42,7 +43,7 @@ def ranked_lists(draw, sim2=None, empty=False):
     goals = [draw(st.lists(ident, min_size=0 if empty else 1, max_size=8)) for _ in steps]
     scores = [[draw(st.lists(score, min_size=len(g), max_size=len(g))) for g in goals]
               for _ in range(1 + sim2)]
-    return Ranked.from_lists(steps, goals, *scores)
+    return from_lists(steps, goals, *scores)
 
 
 def bits(ranked: Ranked) -> tuple:
@@ -381,12 +382,49 @@ def test_block_scores_match_one_product(n, dim, block, data):
     assert got.tobytes() == ((feats * model.w).sum(axis=1) + model.lam * sim1).tobytes()
 
 
+@st.composite
+def gold_lists(draw):
+    """Lists of up to 8 goals from a pool of three goals and the placeholder,
+    so a gold goal may appear twice, be absent or sit behind UNLINKABLE
+    rows, and gold goals from that pool and one no list has, for some of
+    the steps only."""
+    steps = draw(st.lists(ident, min_size=1, max_size=6, unique=True))
+    pool = ["g0", "g1", "g2", UNLINKABLE]
+    goals = [draw(st.lists(st.sampled_from(pool), max_size=8)) for _ in steps]
+    gold = {step_id: goal for step_id in steps
+            if (goal := draw(st.sampled_from([None, "g0", "g1", "g2", "g9"]))) is not None}
+    return from_lists(steps, goals, [[0.0] * len(g) for g in goals]), gold
+
+
+@settings(max_examples=200, deadline=None)
+@given(gold_lists(), st.lists(st.integers(1, 9), min_size=1, max_size=4, unique=True),
+       st.booleans())
+def test_gold_slots_match_the_step_by_step_search(lists, ns, unlinkable):
+    """`recall_report` equals the per-step loop, and the training slots are
+    each list's first index of its gold goal: in unlinkable mode the list's
+    length for an absent goal, which otherwise drops the list."""
+    ranked, gold = lists
+    if gold:
+        report = recall_report(ranked, gold, ns)
+        assert report == {n: reference.recall_at(ranked, gold, n) for n in ns}
+        assert {type(recall) for recall in report.values()} == {float}
+    goals = {step_id: list(ranked.goal_ids[ranked.rows(i)])
+             for i, step_id in enumerate(ranked.step_ids)}
+    want = [(step_id, row.index(gold[step_id]) if gold[step_id] in row else len(row))
+            for step_id, row in goals.items()
+            if step_id in gold and (unlinkable or gold[step_id] in row)]
+    examples, slots = make_training_examples(ranked, gold, unlinkable)
+    assert list(zip(examples.step_ids, slots)) == want
+    assert [list(examples.goal_ids[examples.rows(i)]) for i in range(len(slots))] == [
+        goals[step_id] for step_id in examples.step_ids]
+
+
 def big_ranked(sim2: bool) -> Ranked:
     """800 lists of 25 goals: 20,000 rows."""
     rng = np.random.default_rng(5)
     goals = [[f"g{j:04d}" for j in rng.choice(2000, 25, replace=False)] for _ in range(800)]
     scores = [rng.normal(size=(800, 25)).tolist() for _ in range(1 + sim2)]
-    return Ranked.from_lists([f"s{i:04d}" for i in range(800)], goals, *scores)
+    return from_lists([f"s{i:04d}" for i in range(800)], goals, *scores)
 
 
 def peak_mib(fn, *args) -> float:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    columns, identity_records, make_corpus, one_list, one_loss, pair_features, score_list,
+    columns, from_lists, identity_records, make_corpus, one_list, one_loss, pair_features, score_list,
     vector_table,
 )
 from prockb.artifacts import write_vectors
@@ -26,7 +26,6 @@ from prockb.rerank import (
     score_candidates,
     train,
 )
-from prockb.retrieval import Ranked
 from prockb.textsearch import tokenize
 
 
@@ -323,7 +322,7 @@ def test_score_candidates_reranks_each_list_on_its_own():
     source = TableFeatureSource(vector_table(8, table))
     sim1s = [rng.uniform(-1, 1, size=len(goals)) for _, goals in lists]
     model = RerankModel(w=rng.normal(size=8), lam=0.5, unlinkable_feat=rng.normal(size=8))
-    ranked = Ranked.from_lists([s for s, _ in lists], [goals for _, goals in lists], sim1s)
+    ranked = from_lists([s for s, _ in lists], [goals for _, goals in lists], sim1s)
     whole = score_list(model, ranked, source)
     parts = [score_list(model, one_list(s, goals, sim1), source)
              for (s, goals), sim1 in zip(lists, sim1s)]
@@ -570,7 +569,7 @@ def separable_set(n: int, dim: int = 8, m: int = 4, seed: int = 0, prefix: str =
             )
         step_ids.append(step_id)
         goal_ids.append(goals)
-    lists = Ranked.from_lists(step_ids, goal_ids, [[0.5] * m] * n)
+    lists = from_lists(step_ids, goal_ids, [[0.5] * m] * n)
     return (lists, [m - 1] * n), TableFeatureSource(vector_table(dim, table))
 
 
@@ -638,14 +637,14 @@ def test_training_diverges_with_huge_lr():
 def test_empty_training_set_rejected():
     _, source = separable_set(2)
     with pytest.raises(ValueError, match="empty"):
-        train(new_model(8), (Ranked.from_lists([], [], []), []), source, lr=0.1, epochs=1)
+        train(new_model(8), (from_lists([], [], []), []), source, lr=0.1, epochs=1)
 
 
 # ---------------------------------------------------------------------------
 # Training example construction
 
 def test_make_training_examples_modes():
-    lists = Ranked.from_lists(["s1", "s2", "s3"], [["g1", "g2"], ["g3"], ["g4"]],
+    lists = from_lists(["s1", "s2", "s3"], [["g1", "g2"], ["g3"], ["g4"]],
                               [[0.9, 0.1], [0.8], [0.7]])
     gold = {"s1": "g2", "s2": "g9", "s3": "g4"}  # s2's gold missing from its list
 

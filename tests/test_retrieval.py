@@ -28,9 +28,9 @@ def brute_force_ranking(store, goal_ids, query, exclude=()):
     return scored
 
 
-def top(index, query, k, exclude=()):
-    """topk as (goal_id, score) pairs."""
-    rows, scores = topk(index, query, k, exclude)
+def top(index, query, k, exclude=None):
+    """topk as (goal_id, score) pairs; `exclude` is a goal id."""
+    rows, scores = topk(index, query, k, None if exclude is None else index.row[exclude])
     return [(index.ids[row], score) for row, score in zip(rows.tolist(), scores.tolist())]
 
 
@@ -71,7 +71,7 @@ def test_topk_exclusion_shifts_window():
     query = rng.normal(size=8)
     full = top(index, query, k=11)
     top1 = full[0][0]
-    requeried = top(index, query, k=10, exclude={top1})
+    requeried = top(index, query, k=10, exclude=top1)
     assert requeried == full[1:11]
     assert top1 not in [g for g, _ in requeried]
 
@@ -80,7 +80,7 @@ def test_topk_exclusion_reduces_pool():
     store = basis_store()
     index = build_index(store, ["g0", "g1", "g2"])
     with pytest.raises(ValueError, match="exclusion"):
-        topk(index, np.eye(4)[0], k=3, exclude={"g1"})
+        topk(index, np.eye(4)[0], k=3, exclude=index.row["g1"])
 
 
 def test_tie_break_ascending_goal_id():
