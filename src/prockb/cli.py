@@ -137,7 +137,7 @@ def _write_manifest(args) -> None:
     config = {
         k: v
         for k, v in sorted(vars(args).items())
-        if k not in ("func", "out_dir", "config") and not k.startswith("_")
+        if k not in ("func", "out_dir") and not k.startswith("_")
     }
     write_json(Path(args.out_dir) / "manifest.json", {
         "command": args.command,
@@ -396,7 +396,6 @@ def cmd_vr_eval(args) -> None:
 
 def build_parser() -> Parser:
     parser = Parser(prog="prockb", description=__doc__)
-    parser.add_argument("--config", help="JSON file of flag defaults; explicit flags win")
     sub = parser.add_subparsers(dest="command", required=True)
     parser.subcommands = {}  # type: ignore[attr-defined]
 
@@ -490,56 +489,10 @@ def build_parser() -> Parser:
     return parser
 
 
-def _apply_config(parser: Parser, argv: list[str]) -> list[str]:
-    """Pull --config out of argv and fold its values in as the defaults of
-    the subcommand being run. Every key must be a flag of some subcommand;
-    the keys that are flags of the one being run are converted and checked
-    (the same key can have other choices in another subcommand)."""
-    pre = Parser(add_help=False, allow_abbrev=False)
-    pre.add_argument("--config")
-    known, rest = pre.parse_known_args(argv)
-    path = known.config
-    if path:
-        config = read_json(path)
-        if not isinstance(config, dict):
-            raise DataError(f"{path}: config must be a JSON object")
-        subparsers = parser.subcommands  # type: ignore[attr-defined]
-        # The top-level parser has no other flag, so the subcommand comes first.
-        command = subparsers.get(rest[0]) if rest else None
-        for key, value in config.items():
-            if not any(a.dest == key for p in subparsers.values() for a in p._actions):
-                raise DataError(f"{path}: no subcommand has the flag for config key {key!r}")
-            action = next((a for a in getattr(command, "_actions", ()) if a.dest == key), None)
-            if action is not None:
-                command.set_defaults(**{key: _config_value(path, key, action, value)})
-    return rest
-
-
-def _config_value(path: str, key: str, action: argparse.Action, value):
-    """`value` as its flag would give it: a switch takes a JSON boolean, any
-    other flag a JSON string or number, converted from its string form by
-    the flag's type and checked against its choices."""
-    if isinstance(action, argparse._StoreTrueAction):
-        if isinstance(value, bool):
-            return value
-    elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
-        try:
-            converted = (action.type or str)(str(value))
-        except ValueError:
-            pass
-        else:
-            if action.choices is None or converted in action.choices:
-                return converted
-    raise DataError(f"{path}: config key {key!r}: {value!r} is not a valid value "
-                    f"for {action.option_strings[0]}")
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config(parser, argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv)  # None parses sys.argv[1:]
         actions = parser.subcommands[args.command]._actions  # type: ignore[attr-defined]
         given = (getattr(args, a.dest) for a in actions if a.type is infile)
         args._inputs = sorted(set(filter(None, given)))

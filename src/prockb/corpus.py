@@ -155,13 +155,19 @@ def json_id(value, what: str) -> str:
     """The text of `value`, a JSON id: a string or an integer, not a bool."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise DataError(f"{what} must be a string or integer, got {value!r}")
-    return str(value)
+    return json_text(str(value), what)
 
 
 def json_text(value, what: str) -> str:
-    """`value`, a JSON text, which must be a string."""
+    """`value`, a JSON text, which must be a string that UTF-8 can write: a
+    lone surrogate escape such as "\\ud800" is rejected, an escaped pair
+    such as "\\ud83d\\ude00" reads as its one character."""
     if not isinstance(value, str):
         raise DataError(f"{what} must be a string, got {value!r}")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise DataError(f"{what}: lone surrogate {value[exc.start]!r} in {value!r}") from None
     return value
 
 

@@ -3,9 +3,9 @@
 A LinkPipeline bundles the stage-1 index, the reranker, and a feature source.
 Linking a batch of steps is retrieve -> rerank, and each step's decision is
 the first entry of its reranked list. Expansion replaces a linked step by the
-linked article's steps, one tree level at a time, stopping at max_depth and
-refusing to revisit any goal already on the root-to-node path so trees stay
-acyclic and finite.
+linked article's steps, one tree level at a time, stopping at max_depth or
+at the first level that adds no goal node, and refusing to revisit any goal
+already on the root-to-node path so trees stay acyclic and finite.
 """
 
 import hashlib
@@ -150,8 +150,9 @@ def expand(pipeline: LinkPipeline, root_goal_id: str, max_depth: int) -> Procedu
     A step is expanded iff it links to a goal, that goal is not already on
     the path from the root, and the step sits above max_depth. Unlinkable
     steps and suppressed cycles stay leaves. max_depth=0 returns the bare
-    depth-one article. Each level's undecided steps are linked in one batch,
-    and a step met again reuses its decision.
+    depth-one article. Growth stops at max_depth or at the first level that
+    adds no goal node, whichever comes first. Each level's undecided steps
+    are linked in one batch, and a step met again reuses its decision.
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
@@ -160,6 +161,8 @@ def expand(pipeline: LinkPipeline, root_goal_id: str, max_depth: int) -> Procedu
     decided: dict[str, LinkDecision] = {}
     level = [(root, frozenset({root_goal_id}))]  # goal nodes, each with its path's goals
     for depth in range(max_depth + 1):
+        if not level:  # the last level added no goal node
+            break
         for node, _ in level:
             node.steps = [StepNode(step_id=step.step_id, text=step.text, depth=depth)
                           for step in corpus.article(node.goal_id).steps]

@@ -33,7 +33,7 @@ from .artifacts import fail, lines, read_vectors
 from .corpus import CONTEXT_MODES, UNLINKABLE, Corpus, context_of
 from .embedding import EmbeddingStore
 from .errors import DataError
-from .retrieval import DEFAULT_K, Ranked
+from .retrieval import DEFAULT_K, Ranked, take
 from .textsearch import idf, tokenize
 
 SCORE_ROWS = 1024  # feature rows per block when scoring
@@ -213,7 +213,7 @@ class LexicalFeatureSource:
         rows = self._goal_rows(goal_ids)
 
         # Each pair's goal tokens end to end; seg holds the pair of each.
-        taken, offsets = _take(goals.token_offsets, rows)
+        taken, offsets = take(goals.token_offsets, rows)
         seg = np.repeat(np.arange(n), np.diff(offsets))
         token_lists, tokens = lists[seg], goals.tokens[taken]
         columns, table = _step_table(steps.token_offsets, steps.tokens, None, len(vocab))
@@ -229,7 +229,7 @@ class LexicalFeatureSource:
         ids = np.searchsorted(self._grams, steps.grams)
         ids[np.append(self._grams, -1)[ids] != steps.grams] = -1  # a 3-gram no title has
         columns, table = _step_table(steps.gram_offsets, ids, steps.gram_counts, len(self._grams))
-        taken, offsets = _take(goals.gram_offsets, rows)
+        taken, offsets = take(goals.gram_offsets, rows)
         gram_seg = np.repeat(np.arange(n), np.diff(offsets))
         step_counts = table[lists[gram_seg], columns[self._goal_grams[taken]]]
         dot = np.bincount(gram_seg, goals.gram_counts[taken] * step_counts, minlength=n)
@@ -439,14 +439,6 @@ def score_candidates(model: RerankModel, ranked: Ranked, feats: np.ndarray) -> R
 # ---------------------------------------------------------------------------
 # Training
 
-def _take(offsets: np.ndarray, lists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of `lists`, indices of the lists of `offsets`, list after
-    list, and the offsets of those lists among the rows taken."""
-    sizes = np.diff(offsets)[lists]
-    taken = np.concatenate(([0], np.cumsum(sizes)))
-    return np.arange(taken[-1]) + np.repeat(offsets[:-1][lists] - taken[:-1], sizes), taken
-
-
 def make_training_examples(
     ranked: Ranked, gold: Mapping[str, str], unlinkable: bool = False
 ) -> tuple[Ranked, list[int]]:
@@ -461,7 +453,7 @@ def make_training_examples(
         has_gold = np.array([step_id in gold for step_id in ranked.step_ids], dtype=bool)
         slots = np.where((slots < 0) & has_gold, np.diff(ranked.offsets), slots)
     picks = np.flatnonzero(slots >= 0)
-    rows, offsets = _take(ranked.offsets, picks)
+    rows, offsets = take(ranked.offsets, picks)
     examples = Ranked(tuple(map(ranked.step_ids.__getitem__, picks.tolist())), offsets,
                       tuple(map(ranked.goal_ids.__getitem__, rows.tolist())), ranked.sim1[rows])
     return examples, slots[picks].tolist()
@@ -557,7 +549,7 @@ def train(
         epoch_losses: list[float] = []
         for start in range(0, len(order), batch_size):
             batch = order[start : start + batch_size]
-            rows, offsets = _take(lists.offsets, batch)
+            rows, offsets = take(lists.offsets, batch)
             losses, grad = nll_loss(model, feats[rows], lists.sim1[rows], offsets, slots[batch])
             if not np.isfinite(losses).all():
                 raise RuntimeError(

@@ -41,16 +41,28 @@ class Ranked:
 
     def gold_slots(self, gold: Mapping[str, str]) -> np.ndarray:
         """Each list's first position of its step's goal in `gold`, in one
-        comparison over the goal column; -1 when the step has no gold goal or
-        its list lacks it. The placeholder UNLINKABLE, never a gold goal,
-        matches none."""
-        golds = np.array(list(map(gold.get, self.step_ids)), dtype=object)
-        lists = np.repeat(np.arange(len(self.step_ids)), np.diff(self.offsets))
-        hits = np.flatnonzero(np.array(self.goal_ids, dtype=object) == golds[lists])
-        found, first = np.unique(lists[hits], return_index=True)  # each list's first hit
+        comparison over the rows of the lists whose step has a gold goal; -1
+        when the step has none or its list lacks it. The placeholder
+        UNLINKABLE, never a gold goal, matches none."""
+        lists = np.array([i for i, step_id in enumerate(self.step_ids) if step_id in gold],
+                         dtype=np.int64)
+        rows, offsets = take(self.offsets, lists)
+        goals = np.array(list(map(self.goal_ids.__getitem__, rows.tolist())), dtype=object)
+        golds = np.array([gold[self.step_ids[i]] for i in lists.tolist()], dtype=object)
+        owners = np.repeat(np.arange(len(lists)), np.diff(offsets))
+        hits = np.flatnonzero(goals == golds[owners])
+        found, first = np.unique(owners[hits], return_index=True)  # each list's first hit
         slots = np.full(len(self.step_ids), -1, dtype=np.int64)
-        slots[found] = hits[first] - self.offsets[found]
+        slots[lists[found]] = hits[first] - offsets[found]
         return slots
+
+
+def take(offsets: np.ndarray, lists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of `lists`, indices of the lists of `offsets`, list after
+    list, and the offsets of those lists among the rows taken."""
+    sizes = np.diff(offsets)[lists]
+    taken = np.concatenate(([0], np.cumsum(sizes)))
+    return np.arange(taken[-1]) + np.repeat(offsets[:-1][lists] - taken[:-1], sizes), taken
 
 
 def build_index(store: EmbeddingStore, goal_ids: Iterable[str]) -> EmbeddingStore:

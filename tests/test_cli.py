@@ -2,6 +2,8 @@ import gc
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -278,20 +280,21 @@ def test_manifest_contents(identity_setup, tmp_path):
     assert "out_dir" not in manifest["config"]
 
 
-def test_config_file_defaults_flags_win(identity_setup, tmp_path):
+@pytest.mark.parametrize("where", ["before", "after"])
+def test_config_flag_is_a_usage_error(identity_setup, tmp_path, capsys, where):
+    """Every flag value comes from the command line: there is no file of
+    flag defaults, so --config is an unknown flag on either side of the
+    subcommand."""
     corpus_path, _, _ = identity_setup
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"dim": 16, "seed": 9}))
-
-    run(["--config", str(config), "build-index", "--corpus", str(corpus_path),
-         "--out-dir", str(tmp_path / "a")])
-    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
-    assert manifest["config"]["dim"] == 16 and manifest["config"]["seed"] == 9
-
-    run(["--config", str(config), "build-index", "--corpus", str(corpus_path),
-         "--dim", "24", "--out-dir", str(tmp_path / "b")])
-    manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
-    assert manifest["config"]["dim"] == 24 and manifest["config"]["seed"] == 9
+    config.write_text(json.dumps({"dim": 16}))
+    out = tmp_path / "ix"
+    command = ["build-index", "--corpus", str(corpus_path), "--out-dir", str(out)]
+    flag = ["--config", str(config)]
+    capsys.readouterr()
+    assert run([*flag, *command] if where == "before" else [*command, *flag]) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not out.exists()
 
 
 def test_search_cli(tmp_path):
@@ -925,8 +928,6 @@ def input_files(tmp_path_factory):
     write_queries(files["queries"], [Query("g0", "achieve goaltok0", (), 1.0, 0.5, FIL_L1)])
     assert main(["vr-index", "--videos", str(files["videos"]), "--out-dir", str(tmp / "vix")]) == 0
     files["vr_index"] = tmp / "vix" / "vr_index.json"
-    files["config"] = tmp / "config.json"
-    files["config"].write_text("{}\n")
     return files
 
 
@@ -951,7 +952,6 @@ _READERS = {
                 "--index", "{vr_index}"],
     "vr_index": ["vr-eval", "--videos", "{videos}", "--corpus", "{vr_corpus}",
                  "--index", "{vr_index}"],
-    "config": ["--config", "{config}", "build-index", "--corpus", "{corpus}"],
 }
 
 
@@ -988,11 +988,15 @@ def test_non_utf8_input_exits_2_with_path(input_files, tmp_path, capsys, kind):
     ("videos", b"", _READERS["vr_index"]),
     ("manifest", b'{"outputs": ["manifest.json", "embeddings.txt"]}', _READERS["corpus"]),
     ("out-dir", b"a file\n", _READERS["corpus"]),
+    ("corpus", b'{"id": "g0", "title": "a \\ud800", "steps": [{"id": "s0", "text": "b"}]}\n',
+     _READERS["corpus"]),
+    ("videos", b'{"video_id": "v\\ud800", "goal_id": "g0", "caption": "c"}\n',
+     _READERS["videos"]),
 ], ids=["empty-corpus-build-index", "empty-corpus-retrieve", "empty-corpus-link",
         "empty-corpus-search", "empty-gold-train-reranker", "empty-gold-eval-links",
         "placeholder-gold-goal", "empty-candidates", "empty-videos-vr-index",
         "empty-videos-vr-eval-queries", "empty-videos-vr-eval", "self-listing-manifest",
-        "out-dir-is-a-file"])
+        "out-dir-is-a-file", "surrogate-title-build-index", "surrogate-video-id-vr-index"])
 def test_no_input_reaches_exit_3(input_files, tmp_path, capsys, kind, content, argv):
     """Exit 3 is kept for faults of the program: an edge input ends in 2 at
     most. The manifest case reuses an --out-dir whose old manifest lists
@@ -1256,101 +1260,18 @@ def _check_link_lists_are_the_retrieved_ones(tmp_path, articles, k, size):
     assert len(retrieved) == 3 * articles and all(len(g) == size for g in retrieved.values())
 
 
-def test_config_key_reaches_only_subcommands_with_that_flag(input_files, tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"dim": 16}))
-    out = tmp_path / "ret"
-    assert run(["--config", str(config), "retrieve", "--corpus", str(input_files["corpus"]),
-                "--embeddings", str(input_files["embeddings"]), "--out-dir", str(out)]) == 0
-    assert "dim" not in json.loads((out / "manifest.json").read_text())["config"]
-
-
-def test_config_key_of_no_subcommand_exits_2(input_files, tmp_path, capsys):
-    config = tmp_path / "config.json"
-    for key, value in (("epochz", 3), ("wg", 0.5), ("no_exclude_parent", True)):
-        config.write_text(json.dumps({key: value}))
-        code = run([f"--config={config}", "retrieve", "--corpus", str(input_files["corpus"]),
-                    "--embeddings", str(input_files["embeddings"]),
-                    "--out-dir", str(tmp_path / "r")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"{config}: " in err and repr(key) in err
-
-
 @pytest.fixture
-def config_commands(identity_setup, tmp_path):
-    """`retrieve` and `train-reranker` argv (without --out-dir) over a
-    20-article corpus, so `--k 5` cuts the candidate lists."""
+def train_argv(identity_setup, tmp_path):
+    """`train-reranker` argv (without --out-dir) over a 20-article corpus
+    and its top-5 candidates."""
     corpus_path, gold_path, _ = identity_setup
     assert run(["build-index", "--corpus", str(corpus_path), "--dim", "16",
                 "--out-dir", str(tmp_path / "ix")]) == 0
-    retrieve = ["retrieve", "--corpus", str(corpus_path),
-                "--embeddings", str(tmp_path / "ix" / "embeddings.txt")]
-    assert run([*retrieve, "--k", "5", "--out-dir", str(tmp_path / "ret")]) == 0
-    train = ["train-reranker", "--corpus", str(corpus_path), "--gold", str(gold_path),
-             "--candidates", str(tmp_path / "ret" / "candidates.tsv")]
-    return {"retrieve": retrieve, "train-reranker": train}
-
-
-@pytest.mark.parametrize(
-    "command, values",
-    [("retrieve", {"k": [5]}), ("retrieve", {"k": 5.7}), ("retrieve", {"k": True}),
-     ("retrieve", {"k": None}), ("train-reranker", {"unlinkable": "false"}),
-     ("train-reranker", {"unlinkable": 1}), ("train-reranker", {"context_mode": "bogus"})],
-    ids=["list", "float-for-int", "bool-for-int", "null", "string-for-switch",
-         "number-for-switch", "not-a-choice"],
-)
-def test_config_value_of_wrong_type_exits_2(config_commands, tmp_path, capsys, command, values):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(values))
-    capsys.readouterr()
-    out = tmp_path / "out"
-    assert run(["--config", str(config), *config_commands[command], "--out-dir", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert f"{config}: config key {next(iter(values))!r}" in err
-    assert not out.exists()
-
-
-def test_config_values_convert_like_flags(config_commands, tmp_path):
-    retrieve = config_commands["retrieve"]
-    want = (tmp_path / "ret" / "candidates.tsv").read_text()
-    assert len(want.splitlines()) == 5 * 60
-    for name, values in (("int", {"k": 5}), ("str", {"k": "5"})):
-        config = tmp_path / f"{name}.json"
-        config.write_text(json.dumps(values))
-        out = tmp_path / name
-        assert run(["--config", str(config), *retrieve, "--out-dir", str(out)]) == 0
-        assert (out / "candidates.tsv").read_text() == want
-        assert json.loads((out / "manifest.json").read_text())["config"]["k"] == 5
-
-    train = config_commands["train-reranker"]
-    config = tmp_path / "switch.json"
-    config.write_text(json.dumps({"unlinkable": True}))
-    assert run(["--config", str(config), *train, "--out-dir", str(tmp_path / "sw")]) == 0
-    assert run([*train, "--unlinkable", "--out-dir", str(tmp_path / "swflag")]) == 0
-    assert run([*train, "--out-dir", str(tmp_path / "plain")]) == 0
-    models = [(tmp_path / name / "model.txt").read_text() for name in ("sw", "swflag", "plain")]
-    assert models[0] == models[1] != models[2]
-
-
-def test_config_value_is_checked_by_the_subcommand_run(tmp_path, capsys):
-    corpus_path, videos_path = vr_fixture(tmp_path)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"level": "l1"}))  # a vr-eval level, not a vr-filter one
-    inputs = ["--videos", str(videos_path), "--corpus", str(corpus_path),
-              "--index", str(vr_index(tmp_path, videos_path))]
-    assert run(["--config", str(config), "vr-eval", *inputs, "--out-dir", str(tmp_path / "ve")]) == 0
-    _, row = (tmp_path / "ve" / "vr_metrics.tsv").read_text().splitlines()
-    assert row.split("\t")[0] == "L1"
-    capsys.readouterr()
-    assert run(["--config", str(config), "vr-filter", *inputs,
-                "--out-dir", str(tmp_path / "vf")]) == 2
-    assert f"{config}: config key 'level'" in capsys.readouterr().err
-
-
-def test_config_without_path_is_a_usage_error(capsys):
-    assert run(["--config"]) == 1
-    assert "--config" in capsys.readouterr().err
+    assert run(["retrieve", "--corpus", str(corpus_path), "--embeddings",
+                str(tmp_path / "ix" / "embeddings.txt"), "--k", "5",
+                "--out-dir", str(tmp_path / "ret")]) == 0
+    return ["train-reranker", "--corpus", str(corpus_path), "--gold", str(gold_path),
+            "--candidates", str(tmp_path / "ret" / "candidates.tsv")]
 
 
 @pytest.mark.parametrize(
@@ -1359,30 +1280,17 @@ def test_config_without_path_is_a_usage_error(capsys):
      ("--lr", "0"), ("--lr", "-0.5"), ("--window", "0"), ("--epochs", "0"), ("--epochs", "-1"),
      ("--lambda-init", "nan"), ("--lambda-init", "inf"), ("--lambda-init", "-inf")],
 )
-def test_bad_training_flag_is_a_usage_error(config_commands, tmp_path, capsys, flag, value):
+def test_bad_training_flag_is_a_usage_error(train_argv, tmp_path, capsys, flag, value):
     capsys.readouterr()
     out = tmp_path / "out"
-    assert run([*config_commands["train-reranker"], f"{flag}={value}", "--out-dir", str(out)]) == 1
+    assert run([*train_argv, f"{flag}={value}", "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"usage error: {flag} must be")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("values", [{"batch": 0}, {"lr": "nan"}, {"lr": -1}, {"epochs": 0},
-                                    {"lambda_init": "inf"}],
-                         ids=["batch-0", "lr-nan", "lr-negative", "epochs-0", "lambda-init-inf"])
-def test_bad_training_config_value_is_a_usage_error(config_commands, tmp_path, capsys, values):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(values))
+def test_diverging_training_exits_2_naming_lr(train_argv, tmp_path, capsys):
     capsys.readouterr()
-    argv = ["--config", str(config), *config_commands["train-reranker"]]
-    assert run([*argv, "--out-dir", str(tmp_path / "out")]) == 1
-    flag = "--" + next(iter(values)).replace("_", "-")
-    assert capsys.readouterr().err.startswith(f"usage error: {flag} must be")
-
-
-def test_diverging_training_exits_2_naming_lr(config_commands, tmp_path, capsys):
-    capsys.readouterr()
-    argv = [*config_commands["train-reranker"], "--lr", "1e308", "--epochs", "3"]
+    argv = [*train_argv, "--lr", "1e308", "--epochs", "3"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning would end in exit 3
         assert run([*argv, "--out-dir", str(tmp_path / "out")]) == 2
@@ -1423,17 +1331,6 @@ def test_bad_vr_filter_flag_is_a_usage_error(vr_filter_argv, tmp_path, capsys, f
     out = tmp_path / "out"
     assert run([*vr_filter_argv, f"{flag}={value}", "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"usage error: {flag} must be")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("values", [{"cap": -1}], ids=["cap-negative"])
-def test_bad_vr_filter_config_value_is_a_usage_error(vr_filter_argv, tmp_path, capsys, values):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(values))
-    capsys.readouterr()
-    out = tmp_path / "out"
-    assert run(["--config", str(config), *vr_filter_argv, "--out-dir", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(f"usage error: --{next(iter(values))} must be")
     assert not out.exists()
 
 
@@ -1513,18 +1410,13 @@ def test_bad_integer_flag_is_a_usage_error(input_files, tmp_path, capsys, name, 
     ids=["k1-0", "k1-nan", "k1-inf", "b-2", "b-negative", "b-nan"],
 )
 def test_bad_bm25_flag_is_a_usage_error(input_files, tmp_path, capsys, name, flag, value, bound):
-    """The BM25 flags are checked by name before --out-dir is made, from the
-    command line and from --config alike."""
-    argv = _subcommand(input_files, name)
+    """The BM25 flags are checked by name before --out-dir is made."""
     out = tmp_path / "out"
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({flag[2:]: value}))
-    for bad in ([*argv, flag, value], ["--config", str(config), *argv]):
-        capsys.readouterr()
-        assert run([*bad, "--out-dir", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(
-            f"usage error: {flag} must be {bound}, got {float(value)}")
-        assert not out.exists()
+    capsys.readouterr()
+    assert run([*_subcommand(input_files, name), flag, value, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"usage error: {flag} must be {bound}, got {float(value)}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name, flag", [("link", "--k"), ("expand", "--k"),
@@ -1578,19 +1470,12 @@ def test_vr_eval_manifest_records_the_level_evaluated(input_files, tmp_path, kin
     assert (out / "vr_metrics.tsv").read_text().splitlines()[1].split("\t")[0] == level
 
 
-@pytest.mark.parametrize("by", ["flag", "config"])
-def test_vr_eval_level_with_queries_is_a_usage_error(input_files, tmp_path, capsys, by):
+def test_vr_eval_level_with_queries_is_a_usage_error(input_files, tmp_path, capsys):
     paths = {k: str(v) for k, v in input_files.items()}
     argv = [arg.format(**paths) for arg in _READERS["queries"]]
-    if by == "flag":
-        argv += ["--level", "L0"]
-    else:
-        config = tmp_path / "config.json"
-        config.write_text('{"level": "L0"}\n')
-        argv = ["--config", str(config), *argv]
     capsys.readouterr()
     out = tmp_path / "ve"
-    assert run([*argv, "--out-dir", str(out)]) == 1
+    assert run([*argv, "--level", "L0", "--out-dir", str(out)]) == 1
     assert "--level is for --corpus queries" in capsys.readouterr().err
     assert not out.exists()
 
@@ -1617,3 +1502,28 @@ def test_non_ascii_paths_and_root_are_kept_with_the_same_config_hash(tmp_path, m
         text = Path(out, "manifest.json").read_bytes().decode("utf-8")
         assert json.loads(text)["config_hash"] == config_hash
         assert all(part in text for part in kept) and "\\u" not in text
+
+
+def readme_commands() -> list[list[str]]:
+    """Every `prockb` command in the README's fenced blocks, as the shell
+    would split it: `\\` continuations joined, quotes and `#` comments read
+    by `shlex`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines]
+    return [argv for argv in commands if argv[:1] == ["prockb"]]
+
+
+def test_readme_commands_parse():
+    """Each README command names a subcommand and flags that exist, and
+    every subcommand has one; they are parsed only, never run."""
+    parser = cli.build_parser()
+    commands = readme_commands()
+    assert {parser.parse_args(argv[1:]).command for argv in commands} == set(parser.subcommands)
+
+
+def test_every_bound_is_of_a_flag():
+    parser = cli.build_parser()
+    dests = {a.dest for p in parser.subcommands.values() for a in p._actions}
+    assert set(cli.BOUNDS) <= dests, set(cli.BOUNDS) - dests

@@ -91,6 +91,23 @@ def test_id_with_whitespace_rejected(tmp_path, where, space):
     assert str(info.value) == f"{path}: record 2: id {bad!r} contains whitespace"
 
 
+def test_lone_surrogate_escape_is_a_data_error_at_its_record(tmp_path):
+    """json.dumps writes "\\ud800" for a lone surrogate and "\\ud83d\\ude00"
+    for the pair of one character outside the BMP: the pair reads, the
+    lone escape cannot be written as UTF-8 and is rejected."""
+    records = two_article_records()
+    records[0]["title"] = "Choose \U0001F600"
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(path, records)
+    assert "\\ud83d\\ude00" in path.read_text()
+    assert load_corpus(path).article("g1").title == "Choose \U0001F600"
+    records[1]["title"] = "Make \ud800"
+    write_jsonl(path, records)
+    with pytest.raises(DataError) as info:
+        load_corpus(path)
+    assert str(info.value) == f"{path}: record 2: title: lone surrogate '\\ud800' in 'Make \\ud800'"
+
+
 def test_reserved_id_rejected():
     records = [{"id": "UNLINKABLE", "title": "T", "steps": [{"id": "s1", "text": "x"}]}]
     with pytest.raises(DataError, match="reserved"):

@@ -1,4 +1,6 @@
 import json
+import signal
+import sys
 from collections import deque
 from dataclasses import replace
 
@@ -113,6 +115,29 @@ def test_expand_respects_max_depth_everywhere():
     for goal in tree.goal_nodes():
         assert goal.depth <= 1
     assert tree.root.steps[0].child.steps[0].child is None
+
+
+def test_expand_stops_at_the_first_level_without_goal_nodes():
+    """An unbounded max_depth costs only the tree: A -> B -> C, whose step
+    links back onto its path, stops growing after depth 2. The tree equals
+    the one grown to one level past that, but for its max_depth."""
+    pipeline = make_pipeline(chain_records())
+
+    def timeout(signum, frame):
+        raise TimeoutError("expand kept looping over empty levels")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    try:
+        tree = expand(pipeline, "A", max_depth=sys.maxsize)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    deepest = max(goal.depth for goal in tree.goal_nodes())
+    assert deepest == 2 and tree.max_depth == sys.maxsize
+    grown, bounded = (tree_to_dict(t) for t in (tree, expand(pipeline, "A", deepest + 1)))
+    assert grown.pop("max_depth") == sys.maxsize and bounded.pop("max_depth") == deepest + 1
+    assert grown == bounded
 
 
 def test_expand_suppresses_cycles():
