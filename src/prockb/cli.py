@@ -4,7 +4,7 @@ Every subcommand reads declared inputs, writes its artifacts plus a
 manifest.json (config hash, input digests, package version) into --out-dir,
 and never mutates inputs. A subcommand names all its artifacts in one
 `_output` call; `main` writes the manifest from those names and from the
-flags of type `infile`. Each input is checked where it is read. Exit codes:
+flags of type `Infile`. Each input is checked where it is read. Exit codes:
 0 ok, 1 `UsageError`, 2 `DataError` (bad input), 3 any other exception.
 """
 
@@ -60,18 +60,34 @@ class UsageError(Exception):
     pass
 
 
+def _checked(parse, bound: str, holds):
+    """The argparse type of a flag: its value by `parse`, which must be
+    `bound` (`holds` tests it); argparse names the flag in either error."""
+    def check(text: str):
+        value = parse(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value!r}")
+        return value
+    check.__name__ = parse.__name__  # so a bad int reads "invalid int value: 'x'"
+    return check
+
+
 def _at_least(least: int):
-    return f">= {least}", lambda value: value >= least
+    return _checked(int, f">= {least}", lambda value: value >= least)
 
 
-# The bound of each numeric flag, by dest (each is the flag of one subcommand),
-# as its text and its test; `main` checks it before the command runs.
-_POSITIVE = ("a finite number > 0", lambda value: math.isfinite(value) and value > 0)
-BOUNDS = {"dim": _at_least(MIN_DIM), "k": _at_least(1), "epochs": _at_least(1),
-          "batch": _at_least(1), "window": _at_least(1), "max_depth": _at_least(0),
-          "n": _at_least(1), "cap": _at_least(0), "lr": _POSITIVE, "k1": _POSITIVE,
-          "lambda_init": ("a finite number", math.isfinite),
-          "b": ("in [0, 1]", lambda value: 0 <= value <= 1)}
+_POSITIVE = _checked(float, "a finite number > 0", lambda value: math.isfinite(value) and value > 0)
+_FINITE = _checked(float, "a finite number", math.isfinite)
+_UNIT = _checked(float, "in [0, 1]", lambda value: 0 <= value <= 1)
+# The manifest records every flag but --out-dir; a non-UTF-8 argv byte is a lone surrogate.
+_TEXT = _checked(str, "valid UTF-8", lambda text: text.encode("utf-8", "replace").decode() == text)
+
+
+class Infile(str):
+    """The argparse type of a flag that names an input file; `main` lists
+    every file given by such a flag in the manifest's inputs."""
+    def __new__(cls, path: str):
+        return super().__new__(cls, _TEXT(path))
 
 
 class Parser(argparse.ArgumentParser):
@@ -85,12 +101,6 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: handle.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def infile(path: str) -> str:
-    """The argparse type of a flag that names an input file; `main` lists
-    every file given by such a flag in the manifest's inputs."""
-    return path
 
 
 def _output(args, *names: str) -> list[Path]:
@@ -286,6 +296,7 @@ def cmd_expand(args) -> None:
 
 
 def cmd_eval_links(args) -> None:
+    ns = _parse_ns(args.ns)
     rankings = read_candidates(args.rankings)
     gold = load_gold_links(args.gold)
     if args.split != "all":
@@ -295,7 +306,7 @@ def cmd_eval_links(args) -> None:
     elif not gold:
         raise DataError(f"--gold {args.gold}: no gold links to evaluate")
     check_ranked(rankings, gold, args.gold, args.rankings)
-    report = recall_report(rankings, gold, _parse_ns(args.ns))
+    report = recall_report(rankings, gold, ns)
     tsv, js = _output(args, "recall.tsv", "recall.json")
     write_rows(tsv, [("n", "recall"), *sorted(report.items())])
     write_json(js, {str(n): v for n, v in report.items()})
@@ -339,6 +350,8 @@ def _videos(args, corpus=None):
 
 
 def cmd_vr_filter(args) -> None:
+    if args.level == FIL_L2 and not args.links:
+        raise UsageError("--links is required for level fil_l2")
     corpus = load_corpus(args.corpus)
     splits, index = _videos(args, corpus)
     links = {} if args.links else None
@@ -348,8 +361,6 @@ def cmd_vr_filter(args) -> None:
         check_rows(args.links, (lineno,), [corpus.unknown("step_id", (step_id,)),
                                            corpus.unknown("goal_id", goals)])
         links[step_id] = outcome
-    if args.level == FIL_L2 and links is None:
-        raise UsageError("--links is required for level fil_l2")
 
     queries = [filter_steps(make_query(corpus, goal_id, args.level, links), train_ids, index,
                             cap=args.cap, cost_kind=args.cost)
@@ -358,8 +369,7 @@ def cmd_vr_filter(args) -> None:
 
 
 def cmd_vr_eval(args) -> None:
-    if bool(args.queries) == bool(args.corpus):
-        raise UsageError("give exactly one of --queries and --corpus")
+    ns = _parse_ns(args.ns)
     if args.queries and args.level is not None:
         raise UsageError("--level is for --corpus queries; --queries gives each query's level")
     corpus = load_corpus(args.corpus) if args.corpus else None
@@ -379,7 +389,6 @@ def cmd_vr_eval(args) -> None:
         given = f"--queries {args.queries}" if args.queries else f"--corpus {args.corpus}"
         raise DataError(f"no goals to evaluate: no goal of {given} has videos in the "
                         f"--split {args.split} part of --videos {args.videos}")
-    ns = _parse_ns(args.ns)
     metrics = vr_metrics(ranks, ns)
     args.level = queries[0].level  # the level evaluated, which the manifest records
 
@@ -397,39 +406,37 @@ def cmd_vr_eval(args) -> None:
 def build_parser() -> Parser:
     parser = Parser(prog="prockb", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.subcommands = {}  # type: ignore[attr-defined]
 
     def add(name, func, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func, command=name)
         p.add_argument("--out-dir", required=True, help="directory for artifacts + manifest")
-        parser.subcommands[name] = p  # type: ignore[attr-defined]
         return p
 
     p = add("build-index", cmd_build_index, help="embed a corpus with the hashed n-gram embedder")
-    p.add_argument("--corpus", required=True, type=infile)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--corpus", required=True, type=Infile)
+    p.add_argument("--dim", type=_at_least(MIN_DIM), default=64)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--lowercase", action="store_true", help="lowercase text before embedding")
 
     p = add("retrieve", cmd_retrieve, help="top-k candidate goals for every step")
-    p.add_argument("--corpus", required=True, type=infile)
-    p.add_argument("--embeddings", required=True, type=infile)
-    p.add_argument("--k", type=int, default=DEFAULT_K)
+    p.add_argument("--corpus", required=True, type=Infile)
+    p.add_argument("--embeddings", required=True, type=Infile)
+    p.add_argument("--k", type=_at_least(1), default=DEFAULT_K)
 
     p = add("train-reranker", cmd_train_reranker, help="train W and lambda on gold links")
-    p.add_argument("--corpus", required=True, type=infile)
-    p.add_argument("--candidates", required=True, type=infile)
-    p.add_argument("--gold", required=True, type=infile)
-    p.add_argument("--features", type=infile, help="precomputed pair-feature file")
+    p.add_argument("--corpus", required=True, type=Infile)
+    p.add_argument("--candidates", required=True, type=Infile)
+    p.add_argument("--gold", required=True, type=Infile)
+    p.add_argument("--features", type=Infile, help="precomputed pair-feature file")
     p.add_argument("--context-mode", choices=CONTEXT_MODES, default="both")
-    p.add_argument("--window", type=int, default=1)
-    p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--window", type=_at_least(1), default=1)
+    p.add_argument("--lr", type=_POSITIVE, default=0.5)
+    p.add_argument("--epochs", type=_at_least(1), default=20)
+    p.add_argument("--batch", type=_at_least(1), default=32)
+    p.add_argument("--seed", type=_at_least(0), default=0,
                    help="seeds the mini-batch order only; every split is cut under seed 0")
-    p.add_argument("--lambda-init", type=float, default=1.0)
+    p.add_argument("--lambda-init", type=_FINITE, default=1.0)
     p.add_argument("--freeze-lambda", action="store_true")
     p.add_argument("--unlinkable", action="store_true")
 
@@ -438,53 +445,54 @@ def build_parser() -> Parser:
         ("expand", cmd_expand, False),
     ):
         p = add(name, func, help="link every step" if name == "link" else "grow a procedure tree")
-        p.add_argument("--corpus", required=True, type=infile)
-        p.add_argument("--embeddings", required=True, type=infile)
-        p.add_argument("--model", required=True, type=infile)
-        p.add_argument("--features", type=infile)
+        p.add_argument("--corpus", required=True, type=Infile)
+        p.add_argument("--embeddings", required=True, type=Infile)
+        p.add_argument("--model", required=True, type=Infile)
+        p.add_argument("--features", type=Infile)
         if extra:
             p.add_argument("--rankings", action="store_true", help="also dump full reranked lists")
         else:
-            p.add_argument("--root", required=True)
-            p.add_argument("--max-depth", type=int, default=2)
+            p.add_argument("--root", required=True, type=_TEXT)
+            p.add_argument("--max-depth", type=_at_least(0), default=2)
 
     p = add("eval-links", cmd_eval_links, help="recall@N of a rankings file vs gold links")
-    p.add_argument("--rankings", required=True, type=infile)
-    p.add_argument("--gold", required=True, type=infile)
-    p.add_argument("--ns", default="1,10,30")
+    p.add_argument("--rankings", required=True, type=Infile)
+    p.add_argument("--gold", required=True, type=Infile)
+    p.add_argument("--ns", type=_TEXT, default="1,10,30")
     p.add_argument("--split", choices=["all", "train", "dev", "test"], default="all")
 
     p = add("search", cmd_search, help="BM25 search over goal titles or full articles")
-    p.add_argument("--corpus", required=True, type=infile)
-    p.add_argument("--query", required=True)
+    p.add_argument("--corpus", required=True, type=Infile)
+    p.add_argument("--query", required=True, type=_TEXT)
     p.add_argument("--mode", choices=["goal", "article"], default="goal")
-    p.add_argument("-n", type=int, default=10)
-    p.add_argument("--k1", type=float, default=DEFAULT_K1)
-    p.add_argument("--b", type=float, default=DEFAULT_B)
+    p.add_argument("-n", type=_at_least(1), default=10)
+    p.add_argument("--k1", type=_POSITIVE, default=DEFAULT_K1)
+    p.add_argument("--b", type=_UNIT, default=DEFAULT_B)
 
     p = add("vr-index", cmd_vr_index, help="build and persist a BM25 index over captions")
-    p.add_argument("--videos", required=True, type=infile)
-    p.add_argument("--k1", type=float, default=DEFAULT_K1)
-    p.add_argument("--b", type=float, default=DEFAULT_B)
+    p.add_argument("--videos", required=True, type=Infile)
+    p.add_argument("--k1", type=_POSITIVE, default=DEFAULT_K1)
+    p.add_argument("--b", type=_UNIT, default=DEFAULT_B)
 
     p = add("vr-filter", cmd_vr_filter, help="hill-climb filtered queries per goal")
-    p.add_argument("--videos", required=True, type=infile)
-    p.add_argument("--corpus", required=True, type=infile)
+    p.add_argument("--videos", required=True, type=Infile)
+    p.add_argument("--corpus", required=True, type=Infile)
     p.add_argument("--level", choices=[FIL_L1, FIL_L2], default=FIL_L1, type=str.upper)
-    p.add_argument("--links", type=infile, help="step->goal link dump, needed for fil_l2")
-    p.add_argument("--index", required=True, type=infile, help="vr_index.json from vr-index")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--links", type=Infile, help="step->goal link dump, needed for fil_l2")
+    p.add_argument("--index", required=True, type=Infile, help="vr_index.json from vr-index")
+    p.add_argument("--cap", type=_at_least(0), default=DEFAULT_CAP)
     p.add_argument("--cost", choices=COST_KINDS, default=COST_KINDS[0])
 
     p = add("vr-eval", cmd_vr_eval, help="recall/precision@N and mean rank per query level")
-    p.add_argument("--videos", required=True, type=infile)
-    p.add_argument("--queries", type=infile, help="queries.json from vr-filter; or --corpus")
-    p.add_argument("--corpus", type=infile, help="builds unfiltered --level queries; or --queries")
+    p.add_argument("--videos", required=True, type=Infile)
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--queries", type=Infile, help="queries.json from vr-filter")
+    group.add_argument("--corpus", type=Infile, help="builds unfiltered --level queries")
     p.add_argument("--level", choices=[L0, L1], type=str.upper,
                    help="level of the --corpus queries (default L0)")
-    p.add_argument("--index", required=True, type=infile, help="vr_index.json from vr-index")
+    p.add_argument("--index", required=True, type=Infile, help="vr_index.json from vr-index")
     p.add_argument("--split", choices=["train", "dev", "test"], default="test")
-    p.add_argument("--ns", default="1,10,25,50")
+    p.add_argument("--ns", type=_TEXT, default="1,10,25,50")
 
     return parser
 
@@ -493,13 +501,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)  # None parses sys.argv[1:]
-        actions = parser.subcommands[args.command]._actions  # type: ignore[attr-defined]
-        given = (getattr(args, a.dest) for a in actions if a.type is infile)
-        args._inputs = sorted(set(filter(None, given)))
-        for action in (action for action in actions if action.dest in BOUNDS):
-            (bound, holds), value = BOUNDS[action.dest], getattr(args, action.dest)
-            if not holds(value):
-                raise UsageError(f"{action.option_strings[0]} must be {bound}, got {value}")
+        args._inputs = sorted({v for v in vars(args).values() if isinstance(v, Infile) and v})
         args._outputs = []
         args.func(args)
         _write_manifest(args)
