@@ -13,6 +13,7 @@ tab-separated rows, indented JSON, and the ``dim=<d>`` vector format that
 embeddings and pair features share.
 """
 
+import hashlib
 import json
 from array import array
 from contextlib import contextmanager
@@ -47,6 +48,15 @@ def _reading(path):
             lineno = data.count(b"\n", 0, exc.start) + 1
             raise fail(path, lineno, f"not valid UTF-8 (byte {exc.start})") from None
         raise
+
+
+def sha256(path) -> str:
+    """The hex sha256 of a file's bytes."""
+    digest = hashlib.sha256()
+    with _reading(path), open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def line_blocks(path) -> Iterator[tuple[Sequence[int], list[str]]]:

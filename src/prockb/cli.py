@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .artifacts import check_rows, read_json, read_text, tab_rows, write_json, write_rows
+from .artifacts import check_rows, read_json, read_text, sha256, tab_rows, write_json, write_rows
 from .corpus import CONTEXT_MODES, UNLINKABLE, load_corpus, validation_report
 from .embedding import MIN_DIM, embed_corpus, load_embeddings, save_embeddings
 from .errors import DataError
@@ -77,7 +77,6 @@ def _at_least(least: int):
 
 
 _POSITIVE = _checked(float, "a finite number > 0", lambda value: math.isfinite(value) and value > 0)
-_FINITE = _checked(float, "a finite number", math.isfinite)
 _UNIT = _checked(float, "in [0, 1]", lambda value: 0 <= value <= 1)
 # The manifest records every flag but --out-dir; a non-UTF-8 argv byte is a lone surrogate.
 _TEXT = _checked(str, "valid UTF-8", lambda text: text.encode("utf-8", "replace").decode() == text)
@@ -90,17 +89,24 @@ class Infile(str):
         return super().__new__(cls, _TEXT(path))
 
 
+class Ns(str):
+    """The argparse type of --ns: comma-separated integers >= 1, each given
+    once. The text is kept as given, for the manifest; `ns` is the list."""
+    def __new__(cls, text: str):
+        self = super().__new__(cls, text)
+        try:
+            self.ns = [int(n) for n in text.split(",") if n.strip()]
+        except ValueError:
+            self.ns = []
+        if not self.ns or min(self.ns) < 1 or len(set(self.ns)) < len(self.ns):
+            raise argparse.ArgumentTypeError(
+                f"must be comma-separated integers >= 1, each given once, got {text!r}")
+        return self
+
+
 class Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _output(args, *names: str) -> list[Path]:
@@ -155,22 +161,10 @@ def _write_manifest(args) -> None:
         "config_hash": hashlib.sha256(
             json.dumps(config, sort_keys=True).encode("utf-8")
         ).hexdigest(),
-        "inputs": {name: _sha256(Path(name)) for name in args._inputs},
+        "inputs": {name: sha256(name) for name in args._inputs},
         "outputs": sorted(args._outputs),
         "version": __version__,
     })
-
-
-def _parse_ns(raw: str) -> list[int]:
-    try:
-        ns = [int(x) for x in raw.split(",") if x.strip()]
-    except ValueError:
-        raise UsageError(f"bad N list {raw!r}; expected comma-separated integers") from None
-    if not ns or any(n < 1 for n in ns):
-        raise UsageError(f"bad N list {raw!r}")
-    if len(set(ns)) < len(ns):
-        raise UsageError(f"bad N list {raw!r}; an N is repeated")
-    return ns
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +220,10 @@ def cmd_train_reranker(args) -> None:
         raise DataError(f"no training examples: no gold step of the train split of --gold "
                         f"{args.gold} has retrieved candidates in --candidates {args.candidates}")
 
-    model = replace(new_model(
-        dim=source.dim,
-        lam=args.lambda_init,
-        unlinkable=args.unlinkable,
-        context_mode=args.context_mode,
-        window=args.window,
-    ), k=int(np.diff(candidates.offsets).max()))  # as retrieve clamped it, for link to reuse
+    model = replace(new_model(source.dim, unlinkable=args.unlinkable,
+                              context_mode=args.context_mode, window=args.window),
+                    k=int(np.diff(candidates.offsets).max()),  # as retrieve clamped it, for link
+                    features=sha256(args.features) if args.features else None)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             result = train(
@@ -243,7 +234,6 @@ def cmd_train_reranker(args) -> None:
                 epochs=args.epochs,
                 batch_size=args.batch,
                 seed=args.seed,
-                freeze_lambda=args.freeze_lambda,
                 dev_examples=dev_examples,
             )
     except RuntimeError as exc:
@@ -257,24 +247,26 @@ def cmd_train_reranker(args) -> None:
 
 
 def _pipeline(args) -> LinkPipeline:
-    """The pipeline `link` and `expand` run."""
+    """The pipeline `link` and `expand` run. --features must be the file
+    whose sha256 the --model checkpoint names, and is not given for a model
+    trained on lexical features; this is checked before the file is parsed."""
     corpus, store, index = _stage1(args)
     model = load_model(args.model)
+    digest = sha256(args.features) if args.features else None
+    if digest != model.features:
+        trained = (f"the --features file of sha256 {model.features}" if model.features
+                   else "lexical features")
+        given = (f"--features {args.features} (sha256 {digest})" if digest
+                 else "lexical features (no --features given)")
+        raise DataError(f"--model {args.model} was trained on {trained}, not on {given}")
     if args.features:
         source = load_feature_file(args.features)
     else:
         source = LexicalFeatureSource(corpus, context_mode=model.context_mode, window=model.window)
     if model.dim != source.dim:
-        features = args.features or f"{source.name} features"
-        raise DataError(f"{args.model}: model width {model.dim} does not match "
-                        f"the feature width {source.dim} of {features}")
-    return LinkPipeline(
-        corpus=corpus,
-        index=index,
-        store=store,
-        model=model,
-        features=source,
-    )
+        raise DataError(f"{args.model}: model width {model.dim} does not match the feature "
+                        f"width {source.dim} of {args.features or 'lexical features'}")
+    return LinkPipeline(corpus=corpus, index=index, store=store, model=model, features=source)
 
 
 def cmd_link(args) -> None:
@@ -296,7 +288,6 @@ def cmd_expand(args) -> None:
 
 
 def cmd_eval_links(args) -> None:
-    ns = _parse_ns(args.ns)
     rankings = read_candidates(args.rankings)
     gold = load_gold_links(args.gold)
     if args.split != "all":
@@ -306,7 +297,7 @@ def cmd_eval_links(args) -> None:
     elif not gold:
         raise DataError(f"--gold {args.gold}: no gold links to evaluate")
     check_ranked(rankings, gold, args.gold, args.rankings)
-    report = recall_report(rankings, gold, ns)
+    report = recall_report(rankings, gold, args.ns.ns)
     tsv, js = _output(args, "recall.tsv", "recall.json")
     write_rows(tsv, [("n", "recall"), *sorted(report.items())])
     write_json(js, {str(n): v for n, v in report.items()})
@@ -369,7 +360,7 @@ def cmd_vr_filter(args) -> None:
 
 
 def cmd_vr_eval(args) -> None:
-    ns = _parse_ns(args.ns)
+    ns = args.ns.ns
     if args.queries and args.level is not None:
         raise UsageError("--level is for --corpus queries; --queries gives each query's level")
     corpus = load_corpus(args.corpus) if args.corpus else None
@@ -436,8 +427,6 @@ def build_parser() -> Parser:
     p.add_argument("--batch", type=_at_least(1), default=32)
     p.add_argument("--seed", type=_at_least(0), default=0,
                    help="seeds the mini-batch order only; every split is cut under seed 0")
-    p.add_argument("--lambda-init", type=_FINITE, default=1.0)
-    p.add_argument("--freeze-lambda", action="store_true")
     p.add_argument("--unlinkable", action="store_true")
 
     for name, func, extra in (
@@ -458,7 +447,7 @@ def build_parser() -> Parser:
     p = add("eval-links", cmd_eval_links, help="recall@N of a rankings file vs gold links")
     p.add_argument("--rankings", required=True, type=Infile)
     p.add_argument("--gold", required=True, type=Infile)
-    p.add_argument("--ns", type=_TEXT, default="1,10,30")
+    p.add_argument("--ns", type=Ns, default="1,10,30")
     p.add_argument("--split", choices=["all", "train", "dev", "test"], default="all")
 
     p = add("search", cmd_search, help="BM25 search over goal titles or full articles")
@@ -492,7 +481,7 @@ def build_parser() -> Parser:
                    help="level of the --corpus queries (default L0)")
     p.add_argument("--index", required=True, type=Infile, help="vr_index.json from vr-index")
     p.add_argument("--split", choices=["train", "dev", "test"], default="test")
-    p.add_argument("--ns", type=_TEXT, default="1,10,25,50")
+    p.add_argument("--ns", type=Ns, default="1,10,25,50")
 
     return parser
 

@@ -9,7 +9,6 @@ already on the root-to-node path so trees stay acyclic and finite.
 """
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -17,7 +16,7 @@ from typing import Iterable, Iterator, NamedTuple
 from .artifacts import write_columns, write_json
 from .corpus import UNLINKABLE, Corpus
 from .embedding import EmbeddingStore
-from .rerank import FeatureSource, RerankModel, score_candidates
+from .rerank import FeatureSource, RerankModel, model_text, score_candidates
 from .retrieval import Ranked, retrieve_all
 
 
@@ -33,28 +32,11 @@ class LinkPipeline:
     features: FeatureSource
 
     def config_hash(self) -> str:
-        payload = {  # "exclude_parent" is always true; kept so tree config hashes stay put
-            "k": self.model.k,
-            "exclude_parent": True,
-            "dim": self.index.dim,
-            "n_goals": len(self.index),
-            "model": {
-                "d": self.model.dim,
-                "lambda": self.model.lam,
-                "w": hashlib.sha256(self.model.w.tobytes()).hexdigest(),
-                "unlinkable": self.model.unlinkable_enabled,
-                "u": (
-                    hashlib.sha256(self.model.unlinkable_feat.tobytes()).hexdigest()
-                    if self.model.unlinkable_feat is not None
-                    else None
-                ),
-                "context_mode": self.model.context_mode,
-                "window": self.model.window,
-            },
-            "features": self.features.name,
-        }
-        blob = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+        """The hash of the model's checkpoint text and the goal index's width
+        and size. The checkpoint names the pair-feature file the model was
+        trained on, which `link` and `expand` are given with it."""
+        text = f"{model_text(self.model)}index dim={self.index.dim} goals={len(self.index)}\n"
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 class LinkDecision(NamedTuple):

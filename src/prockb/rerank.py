@@ -19,6 +19,7 @@ plugged in without any ML runtime here.
 """
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import reduce
@@ -46,9 +47,8 @@ class FeatureSource(Protocol):
     """Pair features for stage 2: `features` takes the columns of a `Ranked`,
     where step i's candidate goals are goal_ids[offsets[i]:offsets[i+1]], and
     gives one row per (step, goal) pair in that order, shape (len(goal_ids),
-    dim); `name` goes into the link config hash."""
+    dim)."""
 
-    name: str
     dim: int
 
     def features(self, step_ids: tuple[str, ...], goal_ids: tuple[str, ...],
@@ -156,7 +156,6 @@ class LexicalFeatureSource:
     in.
     """
 
-    name = "lexical"
     dim = 7
     block = 16  # candidate lists per array pass
 
@@ -260,8 +259,6 @@ class TableFeatureSource:
     """Feature rows from a table keyed by (step_id, goal_id), typically
     loaded from disk. A missing row is a DataError that names `path`, the file."""
 
-    name = "table"
-
     def __init__(self, table: EmbeddingStore, path: str | Path | None = None):
         self.table = table
         self.dim = table.dim
@@ -295,6 +292,7 @@ class RerankModel:
     context_mode: str = "none"
     window: int = 1
     k: int = DEFAULT_K  # stage-1 list length of the candidates it was trained on
+    features: str | None = None  # sha256 of the pair-feature file it was trained on, if any
 
     @property
     def dim(self) -> int:
@@ -322,24 +320,29 @@ def new_model(
     )
 
 
+def model_text(model: RerankModel) -> str:
+    """The checkpoint of `model`, the one description of it: `save_model`
+    writes it and the link config hash is taken over it. The ``features``
+    line and the U row are written only for a model that has them."""
+    keys = [("dim", model.dim), ("lambda", repr(model.lam)),
+            ("unlinkable", int(model.unlinkable_enabled)), ("context_mode", model.context_mode),
+            ("window", model.window), ("k", model.k), ("features", model.features)]
+    rows = [("W", model.w), ("U", model.unlinkable_feat)]
+    return "".join([*(f"{key}={value}\n" for key, value in keys if value is not None),
+                    *(f"{name} {' '.join(repr(float(x)) for x in row)}\n"
+                      for name, row in rows if row is not None)])
+
+
 def save_model(model: RerankModel, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"dim={model.dim}\n")
-        handle.write(f"lambda={model.lam!r}\n")
-        handle.write(f"unlinkable={int(model.unlinkable_enabled)}\n")
-        handle.write(f"context_mode={model.context_mode}\n")
-        handle.write(f"window={model.window}\n")
-        handle.write(f"k={model.k}\n")
-        handle.write("W " + " ".join(repr(float(x)) for x in model.w) + "\n")
-        if model.unlinkable_feat is not None:
-            handle.write("U " + " ".join(repr(float(x)) for x in model.unlinkable_feat) + "\n")
+    Path(path).write_text(model_text(model), encoding="utf-8")
 
 
 def load_model(path: str | Path) -> RerankModel:
     """Read a checkpoint written by `save_model`: ``key=value`` lines, then
     the W row and, for an unlinkable model (``unlinkable=1``) only, the U
     row. Keys are unique; ``k``, the stage-1 k that `link` and `expand`
-    retrieve with, is an integer >= 1."""
+    retrieve with, is an integer >= 1; ``features``, if there, is the sha256
+    of the pair-feature file the model was trained on, 64 lowercase hex digits."""
     fields: dict[str, str] = {}
     for lineno, line in lines(path):
         line = line.strip()
@@ -362,6 +365,7 @@ def load_model(path: str | Path) -> RerankModel:
             context_mode=fields["context_mode"],
             window=int(fields["window"]),
             k=int(fields["k"]),
+            features=fields.get("features"),
         )
     except (KeyError, ValueError) as exc:
         raise DataError(f"{path}: malformed model checkpoint ({exc})") from None
@@ -375,6 +379,9 @@ def load_model(path: str | Path) -> RerankModel:
     for name, value in (("window", model.window), ("k", model.k)):
         if value < 1:
             raise DataError(f"{path}: {name} must be >= 1, got {value}")
+    if model.features is not None and not re.fullmatch("[0-9a-f]{64}", model.features):
+        raise DataError(f"{path}: features must be a sha256 of 64 lowercase hex digits, "
+                        f"got {model.features!r}")
     if unlinkable not in ("0", "1"):
         raise DataError(f"{path}: unlinkable must be 0 or 1, got {unlinkable!r}")
     if unlinkable != str(int(model.unlinkable_enabled)):
@@ -516,7 +523,6 @@ def train(
     epochs: int,
     batch_size: int = 32,
     seed: int = 0,
-    freeze_lambda: bool = False,
     dev_examples: tuple[Ranked, Sequence[int]] | None = None,
 ) -> TrainResult:
     """Mini-batch SGD on the mean listwise NLL over `examples`, the lists
@@ -558,7 +564,7 @@ def train(
             epoch_losses += losses.tolist()
             step = lr / len(batch)  # a new model each step, so a kept one never changes
             model = replace(model, w=model.w - step * grad.w,
-                            lam=model.lam if freeze_lambda else model.lam - step * grad.lam,
+                            lam=model.lam - step * grad.lam,
                             unlinkable_feat=None if grad.unlinkable_feat is None
                             else model.unlinkable_feat - step * grad.unlinkable_feat)
 

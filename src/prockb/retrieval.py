@@ -113,7 +113,7 @@ def retrieve_all(
     for step, parent, a, b in zip(steps, parents, offsets[:-1].tolist(), offsets[1:].tolist()):
         rows[a:b], sim1[a:b] = topk(index, store[step.step_id], b - a, parent)
     return Ranked(tuple(step.step_id for step in steps), offsets,
-                  tuple(map(index.ids.__getitem__, rows.tolist())), sim1)
+                  tuple(np.array(index.ids, dtype=object)[rows]), sim1)
 
 
 def write_candidates(path: str | Path, ranked: Ranked) -> None:

@@ -9,14 +9,16 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import prockb
 from conftest import identity_records, write_jsonl
 from prockb import cli
-from prockb.artifacts import write_vectors
+from prockb.artifacts import sha256, write_vectors
 from prockb.cli import main
 from prockb.corpus import UNLINKABLE, load_corpus
 from prockb.embedding import load_embeddings
@@ -1045,13 +1047,16 @@ def test_videos_file_without_videos_exits_2(input_files, tmp_path, capsys, reade
     assert not (tmp_path / "out").exists()
 
 
+NS_BOUND = "must be comma-separated integers >= 1, each given once"
+
+
 @pytest.mark.parametrize("reader, ns", [("rankings", "1,1"), ("vr_index", "1,1,2")],
                          ids=["eval-links", "vr-eval"])
 def test_repeated_n_is_a_usage_error(input_files, tmp_path, capsys, reader, ns):
     paths = {k: str(v) for k, v in input_files.items()}
     argv = [arg.format(**paths) for arg in _READERS[reader]]
     assert run([*argv, "--ns", ns, "--out-dir", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == f"usage error: bad N list {ns!r}; an N is repeated\n"
+    assert capsys.readouterr().err == f"usage error: argument --ns: {NS_BOUND}, got {ns!r}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -1060,8 +1065,27 @@ def test_bad_n_list_is_reported_before_any_input_is_read(input_files, tmp_path, 
     paths = {kind: str(tmp_path / f"missing-{kind}") for kind in input_files}
     argv = [arg.format(**paths) for arg in _READERS[reader]]
     assert run([*argv, "--ns", "0", "--out-dir", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == "usage error: bad N list '0'\n"
+    assert capsys.readouterr().err == f"usage error: argument --ns: {NS_BOUND}, got '0'\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("reader", ["rankings", "vr_index"], ids=["eval-links", "vr-eval"])
+@pytest.mark.parametrize("ns", ["x", "", ",", "1,-2", "1.5", "1,\udcff"])
+def test_bad_ns_names_the_flag(input_files, tmp_path, capsys, reader, ns):
+    """argparse parses --ns, so a list that is not integers names the flag too."""
+    paths = {k: str(v) for k, v in input_files.items()}
+    argv = [arg.format(**paths) for arg in _READERS[reader]]
+    assert run([*argv, "--ns", ns, "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"usage error: argument --ns: {NS_BOUND}, got {ns!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_ns_is_recorded_as_given(input_files, tmp_path):
+    out = tmp_path / "ev"
+    assert run(["eval-links", "--rankings", str(input_files["rankings"]), "--gold",
+                str(input_files["gold"]), "--ns", " 2, 1,", "--out-dir", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["ns"] == " 2, 1,"
+    assert json.loads((out / "recall.json").read_text()).keys() == {"1", "2"}
 
 
 @pytest.mark.parametrize("name, flag", [("build-index", "--corpus"), ("search", "--query")])
@@ -1170,8 +1194,8 @@ def test_feature_table_of_another_width_exits_2_with_paths(identity_setup, tmp_p
     corpus_path, _, embeddings, _ = _linked(identity_setup, tmp_path)
     _, _, gold = identity_setup
     model, features = tmp_path / "model.txt", tmp_path / "features.txt"
-    save_model(new_model(7), model)
     write_feature_file(features, 8, [(s, g, [0.5] * 8) for s, g in gold.items()])
+    save_model(replace(new_model(7), features=sha256(features)), model)
     capsys.readouterr()
     code = run(["link", "--corpus", str(corpus_path), "--embeddings", str(embeddings),
                 "--model", str(model), "--features", str(features),
@@ -1184,14 +1208,88 @@ def test_feature_table_of_another_width_exits_2_with_paths(identity_setup, tmp_p
 def test_missing_feature_row_exits_2_with_path(identity_setup, tmp_path, capsys):
     corpus_path, _, embeddings, _ = _linked(identity_setup, tmp_path)
     model, features = tmp_path / "model.txt", tmp_path / "features.txt"
-    save_model(new_model(7), model)
     write_feature_file(features, 7, [("a00_probe", "a01", [0.5] * 7)])
+    save_model(replace(new_model(7), features=sha256(features)), model)
     capsys.readouterr()
     code = run(["link", "--corpus", str(corpus_path), "--embeddings", str(embeddings),
                 "--model", str(model), "--features", str(features),
                 "--out-dir", str(tmp_path / "ln")])
     assert code == 2
     assert f"{features}: no feature row for step 'a00_probe'" in capsys.readouterr().err
+
+
+def _candidate_features(candidates, path):
+    """A 7-wide pair-feature file holding a row for every pair of `candidates`."""
+    ranked = read_candidates(candidates)
+    steps = np.repeat(np.array(ranked.step_ids, dtype=object), np.diff(ranked.offsets))
+    write_feature_file(path, 7, [(s, g, [1.0, float(s.endswith("probe")), 0.5, 0, 0, 0, 0])
+                                 for s, g in zip(steps, ranked.goal_ids)])
+
+
+def test_table_checkpoint_links_only_with_its_feature_file(identity_setup, tmp_path):
+    """`train-reranker --features` names the file in the checkpoint by its
+    sha256; `link` and `expand` given that file run, and the tree's config
+    hash is the same when the same inputs are read from another directory."""
+    corpus_path, gold_path, embeddings, candidates = _linked(identity_setup, tmp_path)
+    features = tmp_path / "features.txt"
+    _candidate_features(candidates, features)
+    assert run(["train-reranker", "--corpus", str(corpus_path), "--candidates", str(candidates),
+                "--gold", str(gold_path), "--features", str(features), "--epochs", "2",
+                "--out-dir", str(tmp_path / "tr")]) == 0
+    model = tmp_path / "tr" / "model.txt"
+    assert f"\nk=10\nfeatures={sha256(features)}\nW " in model.read_text()
+    assert load_model(model).features == sha256(features)
+    assert run(["link", "--corpus", str(corpus_path), "--embeddings", str(embeddings),
+                "--model", str(model), "--features", str(features),
+                "--out-dir", str(tmp_path / "ln")]) == 0
+    moved = tmp_path / "moved"
+    moved.mkdir()
+    trees = []
+    for where in (tmp_path, moved):
+        paths = [where / name for name in ("c.jsonl", "e.txt", "m.txt", "f.txt")]
+        for source, copy in zip((corpus_path, embeddings, model, features), paths):
+            copy.write_bytes(source.read_bytes())
+        out = where / "tree"
+        assert run(["expand", "--corpus", str(paths[0]), "--embeddings", str(paths[1]),
+                    "--model", str(paths[2]), "--features", str(paths[3]), "--root", "a00",
+                    "--out-dir", str(out)]) == 0
+        trees.append((out / "tree.json").read_bytes())
+    assert trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("command", ["link", "expand"])
+@pytest.mark.parametrize("case", ["table-model-without-features", "lexical-model-with-features",
+                                  "table-model-with-another-table"])
+def test_features_that_are_not_the_checkpoints_exit_2(identity_setup, tmp_path, capsys,
+                                                       monkeypatch, command, case):
+    """`link` and `expand` take --features exactly when the checkpoint names
+    a feature file, and only that file, by its bytes; a mismatch names both
+    flags and is found before --features is parsed or any step is linked."""
+    corpus_path, _, embeddings, _ = _linked(identity_setup, tmp_path)
+    table, other, model = tmp_path / "table.txt", tmp_path / "other.txt", tmp_path / "model.txt"
+    write_feature_file(table, 7, [("a00_probe", "a01", [0.5] * 7)])
+    other.write_text("not a feature table\n")
+    digest, features = {
+        "table-model-without-features": (sha256(table), None),
+        "lexical-model-with-features": (None, other),
+        "table-model-with-another-table": (sha256(table), other),
+    }[case]
+    save_model(replace(new_model(7), features=digest), model)
+    trained = f"the --features file of sha256 {digest}" if digest else "lexical features"
+    given = (f"--features {other} (sha256 {sha256(other)})" if features
+             else "lexical features (no --features given)")
+    monkeypatch.setattr(cli, "load_feature_file", lambda path: pytest.fail("parsed"))
+    monkeypatch.setattr(cli, "link_all", lambda pipeline: pytest.fail("linked"))
+    monkeypatch.setattr(cli, "expand", lambda *args: pytest.fail("expanded"))
+    extra = ["--root", "a00"] if command == "expand" else []
+    extra += ["--features", str(features)] if features else []
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run([command, "--corpus", str(corpus_path), "--embeddings", str(embeddings),
+                "--model", str(model), *extra, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --model {model} was trained on {trained}, " \
+                                      f"not on {given}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -1319,8 +1417,7 @@ def train_argv(identity_setup, tmp_path):
 @pytest.mark.parametrize(
     "flag, value",
     [("--batch", "0"), ("--batch", "-3"), ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-inf"),
-     ("--lr", "0"), ("--lr", "-0.5"), ("--window", "0"), ("--epochs", "0"), ("--epochs", "-1"),
-     ("--lambda-init", "nan"), ("--lambda-init", "inf"), ("--lambda-init", "-inf")],
+     ("--lr", "0"), ("--lr", "-0.5"), ("--window", "0"), ("--epochs", "0"), ("--epochs", "-1")],
 )
 def test_bad_training_flag_is_a_usage_error(train_argv, tmp_path, capsys, flag, value):
     capsys.readouterr()

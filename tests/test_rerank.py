@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from prockb.rerank import (
     load_feature_file,
     load_model,
     make_training_examples,
+    model_text,
     new_model,
     nll_loss,
     save_model,
@@ -607,16 +609,6 @@ def test_zero_lr_leaves_model_unchanged():
     assert result.model.lam == model.lam
 
 
-def test_freeze_lambda_stays_zero():
-    examples, source = separable_set(10)
-    model = new_model(8, lam=0.0, unlinkable=True)
-    result = train(
-        model, examples, source, lr=0.5, epochs=3, batch_size=4, seed=0, freeze_lambda=True
-    )
-    assert result.model.lam == 0.0
-    assert result.model.w.any()  # W still moved
-
-
 def test_training_determinism():
     examples, source = separable_set(20)
     runs = [
@@ -684,10 +676,14 @@ def test_model_checkpoint_round_trip(tmp_path):
         context_mode="both",
         window=2,
         k=12,
+        features="0123456789abcdef" * 4,
     )
     path = tmp_path / "model.txt"
     save_model(model, path)
+    assert path.read_text() == model_text(model)
     loaded = load_model(path)
+    assert model_text(loaded) == model_text(model)
+    assert loaded.features == model.features
     assert loaded.w.tobytes() == model.w.tobytes()
     assert loaded.lam == model.lam
     assert loaded.unlinkable_enabled
@@ -720,9 +716,13 @@ def test_model_checkpoint_validation(tmp_path):
         ({"k": 0}, "W 0.0 1.0 2.0\nU 5.0 5.0 5.0\n", "k must be >= 1, got 0"),
         ({"k": None}, "W 0.0 1.0 2.0\nU 5.0 5.0 5.0\n", r"malformed model checkpoint \('k'\)"),
         ({"k": 2.5}, "W 0.0 1.0 2.0\nU 5.0 5.0 5.0\n", "malformed model checkpoint"),
+        *(({"features": value}, "W 0.0 1.0 2.0\nU 5.0 5.0 5.0\n",
+           f"features must be a sha256 of 64 lowercase hex digits, got '{value}'")
+          for value in ("", "0" * 63, "0" * 65, "A" * 64, "g" * 64)),
     ],
     ids=["no-W-line", "short-U-row", "non-float-W", "no-U-row", "U-row-not-unlinkable",
-         "unlinkable-2", "unlinkable-minus-1", "window-0", "k-0", "no-k-line", "k-2.5"],
+         "unlinkable-2", "unlinkable-minus-1", "window-0", "k-0", "no-k-line", "k-2.5",
+         "features-empty", "features-63", "features-65", "features-upper", "features-not-hex"],
 )
 def test_model_checkpoint_rejects_bad_vectors(tmp_path, keys, vectors, message):
     """`keys` are written over the defaults; a key set to None is left out."""
@@ -734,6 +734,17 @@ def test_model_checkpoint_rejects_bad_vectors(tmp_path, keys, vectors, message):
     with pytest.raises(DataError, match=message) as info:
         load_model(path)
     assert str(path) in str(info.value)
+
+
+def test_checkpoint_has_a_features_line_only_for_a_feature_file():
+    """A lexical checkpoint keeps the lines it had before models named their
+    feature file, as an unlinkable row U is written only for unlinkable models."""
+    assert model_text(new_model(2)) == ("dim=2\nlambda=1.0\nunlinkable=0\ncontext_mode=none\n"
+                                        "window=1\nk=30\nW 0.0 0.0\n")
+    digest = "f" * 64
+    assert model_text(replace(new_model(2), features=digest)) == (
+        f"dim=2\nlambda=1.0\nunlinkable=0\ncontext_mode=none\nwindow=1\nk=30\n"
+        f"features={digest}\nW 0.0 0.0\n")
 
 
 def test_unlinkable_enabled_is_whether_the_model_has_a_u_row():
