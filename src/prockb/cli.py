@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .artifacts import check_rows, read_json, read_text, sha256, tab_rows, write_json, write_rows
-from .corpus import CONTEXT_MODES, UNLINKABLE, load_corpus, validation_report
+from .corpus import UNLINKABLE, load_corpus, validation_report
 from .embedding import MIN_DIM, embed_corpus, load_embeddings, save_embeddings
 from .errors import DataError
 from .hierarchy import LinkPipeline, expand, link_all, write_links, write_tree
@@ -211,17 +211,14 @@ def cmd_train_reranker(args) -> None:
     candidates = read_candidates(args.candidates, corpus)
     split = _split(args, load_gold_links(args.gold, corpus))
 
-    source = load_feature_file(args.features) if args.features else LexicalFeatureSource(
-        corpus, context_mode=args.context_mode, window=args.window
-    )
+    source = load_feature_file(args.features) if args.features else LexicalFeatureSource(corpus)
     train_examples = make_training_examples(candidates, split["train"], unlinkable=args.unlinkable)
     dev_examples = make_training_examples(candidates, split["dev"], unlinkable=args.unlinkable)
     if not train_examples[1]:
         raise DataError(f"no training examples: no gold step of the train split of --gold "
                         f"{args.gold} has retrieved candidates in --candidates {args.candidates}")
 
-    model = replace(new_model(source.dim, unlinkable=args.unlinkable,
-                              context_mode=args.context_mode, window=args.window),
+    model = replace(new_model(source.dim, unlinkable=args.unlinkable),
                     k=int(np.diff(candidates.offsets).max()),  # as retrieve clamped it, for link
                     features=sha256(args.features) if args.features else None)
     try:
@@ -259,10 +256,7 @@ def _pipeline(args) -> LinkPipeline:
         given = (f"--features {args.features} (sha256 {digest})" if digest
                  else "lexical features (no --features given)")
         raise DataError(f"--model {args.model} was trained on {trained}, not on {given}")
-    if args.features:
-        source = load_feature_file(args.features)
-    else:
-        source = LexicalFeatureSource(corpus, context_mode=model.context_mode, window=model.window)
+    source = load_feature_file(args.features) if args.features else LexicalFeatureSource(corpus)
     if model.dim != source.dim:
         raise DataError(f"{args.model}: model width {model.dim} does not match the feature "
                         f"width {source.dim} of {args.features or 'lexical features'}")
@@ -420,8 +414,6 @@ def build_parser() -> Parser:
     p.add_argument("--candidates", required=True, type=Infile)
     p.add_argument("--gold", required=True, type=Infile)
     p.add_argument("--features", type=Infile, help="precomputed pair-feature file")
-    p.add_argument("--context-mode", choices=CONTEXT_MODES, default="both")
-    p.add_argument("--window", type=_at_least(1), default=1)
     p.add_argument("--lr", type=_POSITIVE, default=0.5)
     p.add_argument("--epochs", type=_at_least(1), default=20)
     p.add_argument("--batch", type=_at_least(1), default=32)

@@ -16,8 +16,6 @@ import numpy as np
 from .artifacts import json_lines
 from .errors import DataError
 
-CONTEXT_MODES = ("none", "goal", "surround", "both")
-
 UNLINKABLE = "UNLINKABLE"  # the goal of a step that links to no goal
 # Ids no corpus may use: a goal id UNLINKABLE would make link dumps ambiguous.
 RESERVED_IDS = frozenset({UNLINKABLE})
@@ -188,36 +186,13 @@ def load_corpus(path: str | Path) -> Corpus:
     return corpus_from_records(records, source=path)
 
 
-@dataclass(frozen=True)
-class StepContext:
-    """Context text around one step: its goal and/or neighboring steps."""
-
-    mode: str
-    goal_text: str | None = None
-    prev_steps: tuple[str, ...] = ()
-    next_steps: tuple[str, ...] = ()
-
-
-def context_of(corpus: Corpus, step_id: str, mode: str, window: int = 1) -> StepContext:
-    """Extract a step's context. Neighbors missing at article edges are dropped."""
-    if mode not in CONTEXT_MODES:
-        raise ValueError(f"unknown context mode {mode!r}; expected one of {CONTEXT_MODES}")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+def context_of(corpus: Corpus, step_id: str) -> tuple[str, ...]:
+    """A step's context: its article's title, then the steps just before and
+    after it, where the article has them."""
     step = corpus.step(step_id)
-    if mode == "none":
-        return StepContext(mode=mode)
-
     article = corpus.article(step.parent_goal_id)
-    goal_text = article.title if mode in ("goal", "both") else None
-    prev: tuple[str, ...] = ()
-    nxt: tuple[str, ...] = ()
-    if mode in ("surround", "both"):
-        pos = step.position
-        lo = max(0, pos - window)
-        prev = tuple(s.text for s in article.steps[lo:pos])
-        nxt = tuple(s.text for s in article.steps[pos + 1 : pos + 1 + window])
-    return StepContext(mode=mode, goal_text=goal_text, prev_steps=prev, next_steps=nxt)
+    around = article.steps[max(0, step.position - 1) : step.position + 2]
+    return (article.title, *(s.text for s in around if s is not step))
 
 
 def validation_report(corpus: Corpus) -> str:

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
+import numpy as np
+
 from .artifacts import write_columns, write_json
 from .corpus import UNLINKABLE, Corpus
 from .embedding import EmbeddingStore
@@ -32,11 +34,14 @@ class LinkPipeline:
     features: FeatureSource
 
     def config_hash(self) -> str:
-        """The hash of the model's checkpoint text and the goal index's width
-        and size. The checkpoint names the pair-feature file the model was
-        trained on, which `link` and `expand` are given with it."""
-        text = f"{model_text(self.model)}index dim={self.index.dim} goals={len(self.index)}\n"
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        """The hash of the model's checkpoint text and of the vectors stage 1
+        searches with: the store's ids, one a line, and its matrix's bytes, as
+        read from the embeddings file. The checkpoint names the pair-feature
+        file the model was trained on, which `link` and `expand` are given with it."""
+        digest = hashlib.sha256(model_text(self.model).encode("utf-8"))
+        digest.update("".join(f"{i}\n" for i in self.store.ids).encode("utf-8"))
+        digest.update(np.ascontiguousarray(self.store.matrix))  # its bytes, not copied
+        return digest.hexdigest()[:16]
 
 
 class LinkDecision(NamedTuple):

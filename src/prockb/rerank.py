@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, NamedTuple, Protocol, Sequence
 import numpy as np
 
 from .artifacts import fail, lines, read_vectors
-from .corpus import CONTEXT_MODES, UNLINKABLE, Corpus, context_of
+from .corpus import UNLINKABLE, Corpus, context_of
 from .embedding import EmbeddingStore
 from .errors import DataError
 from .retrieval import DEFAULT_K, Ranked, take
@@ -137,7 +137,8 @@ class LexicalFeatureSource:
 
     Layout, `dim` = 7 columns: [bias, token Jaccard, char-3gram cosine,
     IDF-weighted overlap, token length ratio, exact-match flag, context-goal
-    Jaccard]. The IDF table is built over the corpus goal titles.
+    Jaccard], the context being the step's `corpus.context_of`. The IDF table
+    is built over the corpus goal titles.
 
     The IDF overlap is I / (S_step + S_goal - I), where S is the sum of a
     text's token IDFs and I that of the shared tokens, each summed in
@@ -159,10 +160,8 @@ class LexicalFeatureSource:
     dim = 7
     block = 16  # candidate lists per array pass
 
-    def __init__(self, corpus: Corpus, context_mode: str = "none", window: int = 1):
+    def __init__(self, corpus: Corpus):
         self.corpus = corpus
-        self.context_mode = context_mode
-        self.window = window
         self.idf = idf_table(a.title for a in corpus.articles)
         self._vocab = {token: i for i, token in enumerate(sorted(self.idf))}
         self._goal_row = {a.goal_id: row for row, a in enumerate(corpus.articles)}
@@ -179,9 +178,7 @@ class LexicalFeatureSource:
         return np.fromiter(map(self._goal_row.__getitem__, goal_ids), np.int64, len(goal_ids))
 
     def _context(self, step_id: str) -> list[str]:
-        ctx = context_of(self.corpus, step_id, self.context_mode, self.window)
-        pieces = (ctx.goal_text or "",) + ctx.prev_steps + ctx.next_steps
-        return sorted({t for piece in pieces for t in tokenize(piece)})
+        return sorted({t for piece in context_of(self.corpus, step_id) for t in tokenize(piece)})
 
     def features(self, step_ids: tuple[str, ...], goal_ids: tuple[str, ...],
                  offsets: np.ndarray) -> np.ndarray:
@@ -289,8 +286,6 @@ class RerankModel:
     w: np.ndarray
     lam: float
     unlinkable_feat: np.ndarray | None = None  # the placeholder's row U, if the model has one
-    context_mode: str = "none"
-    window: int = 1
     k: int = DEFAULT_K  # stage-1 list length of the candidates it was trained on
     features: str | None = None  # sha256 of the pair-feature file it was trained on, if any
 
@@ -303,30 +298,17 @@ class RerankModel:
         return self.unlinkable_feat is not None
 
 
-def new_model(
-    dim: int,
-    lam: float = 1.0,
-    unlinkable: bool = False,
-    context_mode: str = "none",
-    window: int = 1,
-) -> RerankModel:
+def new_model(dim: int, lam: float = 1.0, unlinkable: bool = False) -> RerankModel:
     """Zero-initialized model; with W=0 and lam=1 it reproduces stage-1 order."""
-    return RerankModel(
-        w=np.zeros(dim, dtype=np.float64),
-        lam=lam,
-        unlinkable_feat=np.zeros(dim, dtype=np.float64) if unlinkable else None,
-        context_mode=context_mode,
-        window=window,
-    )
+    return RerankModel(w=np.zeros(dim, dtype=np.float64), lam=lam,
+                       unlinkable_feat=np.zeros(dim, dtype=np.float64) if unlinkable else None)
 
 
 def model_text(model: RerankModel) -> str:
     """The checkpoint of `model`, the one description of it: `save_model`
     writes it and the link config hash is taken over it. The ``features``
     line and the U row are written only for a model that has them."""
-    keys = [("dim", model.dim), ("lambda", repr(model.lam)),
-            ("unlinkable", int(model.unlinkable_enabled)), ("context_mode", model.context_mode),
-            ("window", model.window), ("k", model.k), ("features", model.features)]
+    keys = [("lambda", repr(model.lam)), ("k", model.k), ("features", model.features)]
     rows = [("W", model.w), ("U", model.unlinkable_feat)]
     return "".join([*(f"{key}={value}\n" for key, value in keys if value is not None),
                     *(f"{name} {' '.join(repr(float(x)) for x in row)}\n"
@@ -338,55 +320,48 @@ def save_model(model: RerankModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> RerankModel:
-    """Read a checkpoint written by `save_model`: ``key=value`` lines, then
-    the W row and, for an unlinkable model (``unlinkable=1``) only, the U
-    row. Keys are unique; ``k``, the stage-1 k that `link` and `expand`
+    """Read a checkpoint written by `save_model`: the keys ``lambda``, ``k``
+    and ``features``, each as a ``key=value`` line, and the W row and, for an
+    unlinkable model only, the U row. Any other key, or one given twice, is
+    an error at its line. ``k``, the stage-1 k that `link` and `expand`
     retrieve with, is an integer >= 1; ``features``, if there, is the sha256
-    of the pair-feature file the model was trained on, 64 lowercase hex digits."""
+    of the pair-feature file the model was trained on, 64 lowercase hex
+    digits. The model's width is W's, which U must share."""
     fields: dict[str, str] = {}
     for lineno, line in lines(path):
         line = line.strip()
-        key, sep, value = line.partition(" " if line.startswith(("W ", "U ")) else "=")
+        row = line.startswith(("W ", "U "))
+        key, sep, value = line.partition(" " if row else "=")
         if not sep:
             raise fail(path, lineno, "expected 'key=value' or a W or U row")
+        if not row and key not in ("lambda", "k", "features"):
+            raise fail(path, lineno, f"unknown key {key!r}")
         if key in fields:
             raise fail(path, lineno, f"duplicate key {key!r}")
         fields[key] = value
     if "W" not in fields:
         raise DataError(f"{path}: malformed model checkpoint (no W line)")
     try:
-        dim = int(fields["dim"])
         vectors = {n: np.array([float(x) for x in fields[n].split()]) for n in "WU" if n in fields}
-        unlinkable = fields["unlinkable"]
         model = RerankModel(
             w=vectors["W"],
             lam=float(fields["lambda"]),
             unlinkable_feat=vectors.get("U"),
-            context_mode=fields["context_mode"],
-            window=int(fields["window"]),
             k=int(fields["k"]),
             features=fields.get("features"),
         )
     except (KeyError, ValueError) as exc:
         raise DataError(f"{path}: malformed model checkpoint ({exc})") from None
-    for name, vec in vectors.items():
-        if vec.shape[0] != dim:
-            raise DataError(f"{path}: {name} has {vec.shape[0]} values, expected {dim}")
+    u = model.unlinkable_feat
+    if u is not None and len(u) != model.dim:
+        raise DataError(f"{path}: U has {len(u)} values, W has {model.dim}")
     if not all(np.all(np.isfinite(v)) for v in (model.lam, *vectors.values())):
         raise DataError(f"{path}: non-finite value in model checkpoint")
-    if model.context_mode not in CONTEXT_MODES:
-        raise DataError(f"{path}: unknown context_mode {model.context_mode!r}")
-    for name, value in (("window", model.window), ("k", model.k)):
-        if value < 1:
-            raise DataError(f"{path}: {name} must be >= 1, got {value}")
+    if model.k < 1:
+        raise DataError(f"{path}: k must be >= 1, got {model.k}")
     if model.features is not None and not re.fullmatch("[0-9a-f]{64}", model.features):
         raise DataError(f"{path}: features must be a sha256 of 64 lowercase hex digits, "
                         f"got {model.features!r}")
-    if unlinkable not in ("0", "1"):
-        raise DataError(f"{path}: unlinkable must be 0 or 1, got {unlinkable!r}")
-    if unlinkable != str(int(model.unlinkable_enabled)):
-        has = "a" if model.unlinkable_enabled else "no"
-        raise DataError(f"{path}: unlinkable={unlinkable} but the checkpoint has {has} U row")
     return model
 
 

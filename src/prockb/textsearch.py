@@ -151,10 +151,9 @@ class TextIndex:
 
         Raises DataError for malformed JSON, a missing, unknown or mistyped
         field, a duplicate doc id, a negative doc length, a posting of an unknown doc,
-        a duplicate doc within one term's postings, a tf that is not a
-        positive integer, or doc lengths that differ from the postings' tf
-        sums. Postings are re-sorted only for terms not in ascending doc
-        order (`to_json` writes them ascending).
+        a term whose postings repeat a doc or are not in ascending doc order
+        (`to_json` writes them ascending), a tf that is not a positive
+        integer, or doc lengths that differ from the postings' tf sums.
         """
 
         def fail(message: str) -> DataError:
@@ -200,17 +199,15 @@ class TextIndex:
         del payload
         ends = np.cumsum(dfs, dtype=np.int64)
         starts = ends - dfs
-        # Positions where a doc index does not rise, other than a term's first.
+        # The first position where a doc index does not rise, other than a term's first.
         unsorted = np.flatnonzero(np.diff(idxs) <= 0) + 1
         unsorted = unsorted[~np.isin(unsorted, starts)]
-        for t in np.unique(np.searchsorted(ends, unsorted, side="right")):
-            seg = slice(starts[t], ends[t])
-            order = np.argsort(idxs[seg], kind="stable")
-            idxs[seg], tfs[seg] = idxs[seg][order], tfs[seg][order]
-            repeated = np.flatnonzero(np.diff(idxs[seg]) == 0)
-            if len(repeated):
-                doc_id = doc_ids[idxs[seg][repeated[0]]]
-                raise fail(f"term {terms[t]!r} lists doc {doc_id!r} twice")
+        if len(unsorted):
+            i = int(unsorted[0])
+            t = int(np.searchsorted(ends, i, side="right"))
+            doc = idxs[i]
+            order = "twice" if doc in idxs[starts[t] : i] else "out of doc order"
+            raise fail(f"term {terms[t]!r} lists doc {doc_ids[doc]!r} {order}")
         sums = np.bincount(idxs, weights=tfs, minlength=len(doc_ids))
         wrong = np.flatnonzero(sums != np.array(lengths, dtype=np.float64))
         if len(wrong):

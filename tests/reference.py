@@ -4,7 +4,8 @@ They are the row-at-a-time versions that `src` used before it worked a block
 of rows at a time: the ranked-list TSV reader parses and checks one line
 after another, the writer formats one row after another, and the lexical
 feature source analyses each text into its own `_Text` and gathers a block's
-pairs text by text. Tests compare files byte for byte, columns and feature
+pairs text by text, taking each step's context from its article rather than
+from `corpus.context_of`. Tests compare files byte for byte, columns and feature
 rows bit for bit, and DataError messages character for character.
 
 One change from the old reader: a line with more than 5 columns is an error
@@ -36,7 +37,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from prockb.artifacts import _reading, fail
-from prockb.corpus import Corpus, context_of
+from prockb.corpus import Corpus
 from prockb.rerank import idf_table
 from prockb.retrieval import Ranked
 from prockb.textsearch import tokenize
@@ -252,10 +253,8 @@ class LexicalFeatureSource:
     dim = 7
     block = 16
 
-    def __init__(self, corpus: Corpus, context_mode: str = "none", window: int = 1):
+    def __init__(self, corpus: Corpus):
         self.corpus = corpus
-        self.context_mode = context_mode
-        self.window = window
         self.idf = idf_table(a.title for a in corpus.articles)
         self._vocab: dict[str, int] = {}
         self._gram_ids: dict[int, int] = {}
@@ -289,9 +288,12 @@ class LexicalFeatureSource:
         return text
 
     def _step(self, step_id: str) -> tuple[_Text, np.ndarray]:
-        text = self._analyse(self.corpus.step(step_id).text)
-        ctx = context_of(self.corpus, step_id, self.context_mode, self.window)
-        pieces = (ctx.goal_text or "",) + ctx.prev_steps + ctx.next_steps
+        step = self.corpus.step(step_id)
+        text = self._analyse(step.text)
+        # The context: the article's title and the steps next to this one.
+        article = self.corpus.article(step.parent_goal_id)
+        pieces = [article.title] + [s.text for s in article.steps
+                                    if abs(s.position - step.position) == 1]
         context = self._token_ids(sorted({t for piece in pieces for t in tokenize(piece)}))
         return text, context
 

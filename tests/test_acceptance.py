@@ -74,7 +74,7 @@ def test_a1_end_to_end_linking_sanity():
 
         split = split_links(gold)
 
-        source = LexicalFeatureSource(corpus, context_mode="both", window=1)
+        source = LexicalFeatureSource(corpus)
         train_examples = make_training_examples(lists, split["train"])
         dev_examples = make_training_examples(lists, split["dev"])
         result = train(

@@ -2,13 +2,16 @@
 
 A damaged file is read either exactly as the intact one was or rejected with
 a DataError that starts with the path; never parsed into something else, and
-never failed with another exception.
+never failed with another exception. The one exception is a model checkpoint
+whose W row lost values: it states no width but W's, so it reads as a
+narrower model, and `link` and `expand` refuse it against the feature width.
 """
 
 import json
 import random
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -19,7 +22,7 @@ from hypothesis import strategies as st
 
 from conftest import columns, from_lists, read_links, vector_table, write_jsonl
 from prockb.artifacts import tab_rows, write_rows, write_vectors
-from prockb.corpus import CONTEXT_MODES, corpus_from_records, load_corpus
+from prockb.corpus import corpus_from_records, load_corpus
 from prockb.embedding import load_embeddings, save_embeddings
 from prockb.errors import DataError
 from prockb.hierarchy import decisions, write_links
@@ -29,6 +32,7 @@ from prockb.rerank import (
     TableFeatureSource,
     load_feature_file,
     load_model,
+    model_text,
     save_model,
 )
 from prockb.retrieval import read_candidates, write_candidates
@@ -91,8 +95,6 @@ def models(draw):
         w=draw(vector(dim)),
         lam=draw(number),
         unlinkable_feat=draw(vector(dim)) if unlinkable else None,
-        context_mode=draw(st.sampled_from(CONTEXT_MODES)),
-        window=draw(st.integers(1, 3)),
         k=draw(st.integers(1, 50)),
     )
 
@@ -143,8 +145,7 @@ def _table_rows(source):
 
 def _model_fields(model):
     u = None if model.unlinkable_feat is None else model.unlinkable_feat.tobytes()
-    return (model.w.tobytes(), model.lam, model.unlinkable_enabled, u, model.context_mode,
-            model.window, model.k)
+    return model.w.tobytes(), model.lam, model.unlinkable_enabled, u, model.k
 
 
 class Kind(NamedTuple):
@@ -266,7 +267,34 @@ def test_damaged_line_is_read_as_before_or_rejected_with_path(name, data):
         except DataError as exc:
             assert str(exc).startswith(f"{path}: ")
         else:
-            assert after == before
+            if name == "model" and after[0] != before[0]:
+                # A checkpoint's width is its W row's length: a W row that lost its last
+                # value reads as a narrower model, which `link` and `expand` refuse against
+                # the feature width (test_cli's test_link_rejects_bad_checkpoint).
+                assert after == (before[0][: len(after[0])], *before[1:])
+            else:
+                assert after == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=models(), features=st.booleans(), data=st.data())
+def test_checkpoint_with_one_more_key_line_fails_to_load(model, features, data):
+    """`load_model` reads `model_text` and nothing else: one more ``key=value``
+    line, anywhere, is a DataError naming the path, whether its key is one
+    the checkpoint has (then given twice) or one it may not have."""
+    model = replace(model, features="0123456789abcdef" * 4 if features else None)
+    lines = model_text(model).splitlines(keepends=True)
+    present = [line.split("=", 1)[0] for line in lines if "=" in line]
+    key = data.draw(st.sampled_from(
+        [*present, "dim", "unlinkable", "context_mode", "window", "featurs", "W", "U", ""]))
+    value = data.draw(st.sampled_from(["1", "0", "1.0", "both", "f" * 64]))
+    lines.insert(data.draw(st.integers(0, len(lines))), f"{key}={value}\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.txt"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            load_model(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 @settings(max_examples=40, deadline=None)

@@ -533,13 +533,14 @@ def test_train_reranker_seed_orders_batches_only(identity_setup, tmp_path):
     [
         (lambda lines: [l for l in lines if not l.startswith("W ")], "no W line"),
         (lambda lines: [l.rsplit(" ", 1)[0] if l.startswith("U ") else l for l in lines],
-         "U has 6 values, expected 7"),
-        (lambda lines: ["window=0" if l.startswith("window=") else l for l in lines],
-         "window must be >= 1, got 0"),
-        (lambda lines: ["unlinkable=2" if l.startswith("unlinkable=") else l for l in lines],
-         "unlinkable must be 0 or 1, got '2'"),
+         "U has 6 values, W has 7"),
+        # Its width is W's length, so without a U row to compare with, a W row that
+        # lost a value reads as a narrower model, refused against the feature width.
+        (lambda lines: [l.rsplit(" ", 1)[0] if l.startswith("W ") else l for l in lines
+                        if not l.startswith("U ")],
+         "model width 6 does not match the feature width 7 of lexical features"),
     ],
-    ids=["no-W-line", "short-U-row", "window-0", "unlinkable-2"],
+    ids=["no-W-line", "short-U-row", "short-W-row-without-U-row"],
 )
 def test_link_rejects_bad_checkpoint(identity_setup, tmp_path, capsys, edit, message):
     corpus_path, gold_path, embeddings, candidates = _linked(identity_setup, tmp_path)
@@ -1144,7 +1145,7 @@ def test_damage_test_commands_pass_on_valid_inputs(input_files, tmp_path, kind):
         ("candidates", "".join(f"a0{i % 3}_probe\t{i}\t{'nowhere' if i == 3 else 'a04'}\t0.5\n"
                                for i in range(1, 9)) + "a00_probe\tx\ta01\t0.5\n",
          "line 3: unknown goal_id 'nowhere' in {corpus}"),
-        ("model", "dim=8\ndim=8\n", "line 2: duplicate key 'dim'"),
+        ("model", "k=30\nk=30\n", "line 2: duplicate key 'k'"),
         ("corpus", '{"id": "g1", "title": null, "steps": [{"id": "s1", "text": "boil"}]}\n',
          "record 1: title must be a string, got None"),
         ("corpus", '{"id": "g1", "title": "Make Videos", '
@@ -1349,7 +1350,7 @@ def test_link_rankings_read_back_equal_link_all(identity_setup, tmp_path):
     model = load_model(model_path)
     pipeline = LinkPipeline(
         corpus=corpus, index=build_index(store, corpus.goal_ids()), store=store, model=model,
-        features=LexicalFeatureSource(corpus, model.context_mode, model.window))
+        features=LexicalFeatureSource(corpus))
     want = link_all(pipeline)
     got = read_candidates(tmp_path / "ln" / "rankings.tsv")
     assert got.step_ids == want.step_ids
@@ -1417,7 +1418,7 @@ def train_argv(identity_setup, tmp_path):
 @pytest.mark.parametrize(
     "flag, value",
     [("--batch", "0"), ("--batch", "-3"), ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-inf"),
-     ("--lr", "0"), ("--lr", "-0.5"), ("--window", "0"), ("--epochs", "0"), ("--epochs", "-1")],
+     ("--lr", "0"), ("--lr", "-0.5"), ("--epochs", "0"), ("--epochs", "-1")],
 )
 def test_bad_training_flag_is_a_usage_error(train_argv, tmp_path, capsys, flag, value):
     capsys.readouterr()

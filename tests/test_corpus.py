@@ -3,13 +3,7 @@ import json
 import pytest
 
 from conftest import make_corpus, two_article_records, write_jsonl
-from prockb.corpus import (
-    StepContext,
-    context_of,
-    load_corpus,
-    normalize_text,
-    validation_report,
-)
+from prockb.corpus import context_of, load_corpus, normalize_text, validation_report
 from prockb.errors import DataError
 
 
@@ -140,46 +134,34 @@ def test_deterministic_load(tmp_path):
     assert load_corpus(path) == load_corpus(path)
 
 
-def test_context_none_is_empty(two_article_corpus):
-    ctx = context_of(two_article_corpus, "s2", "none")
-    assert ctx == StepContext(mode="none")
-
-
 def test_context_both_window_one(two_article_corpus):
-    ctx = context_of(two_article_corpus, "s2", "both", window=1)
-    assert ctx.goal_text == "Choose a Camera"
-    assert ctx.prev_steps == ("set a budget",)
-    assert ctx.next_steps == ("test the camera",)
+    """The title of the step's article, then the steps just before and after it."""
+    assert context_of(two_article_corpus, "s2") == (
+        "Choose a Camera", "set a budget", "test the camera")
 
 
 def test_context_boundary_truncation(two_article_corpus):
-    ctx = context_of(two_article_corpus, "s1", "surround", window=1)
-    assert ctx.goal_text is None
-    assert ctx.prev_steps == ()
-    assert ctx.next_steps == ("buy a camera",)
+    assert context_of(two_article_corpus, "s1") == ("Choose a Camera", "buy a camera")
+    assert context_of(two_article_corpus, "s3") == ("Choose a Camera", "buy a camera")
+    assert context_of(two_article_corpus, "s5") == ("Make Videos", "purchase a camera")
 
 
 def test_context_goal_mode(two_article_corpus):
-    ctx = context_of(two_article_corpus, "s5", "goal")
-    assert ctx.goal_text == "Make Videos"
-    assert ctx.prev_steps == () and ctx.next_steps == ()
+    """The title is that of the step's own article."""
+    assert context_of(two_article_corpus, "s4")[0] == "Make Videos"
+    assert context_of(two_article_corpus, "s3")[0] == "Choose a Camera"
 
 
 def test_context_window_cap(two_article_corpus):
-    for window in (1, 2, 5):
-        for step_id in ("s1", "s2", "s3", "s4", "s5"):
-            ctx = context_of(two_article_corpus, step_id, "surround", window=window)
-            assert len(ctx.prev_steps) <= window
-            assert len(ctx.next_steps) <= window
+    """At most one step on each side of the step, never the step itself."""
+    for step in two_article_corpus.steps():
+        ctx = context_of(two_article_corpus, step.step_id)
+        assert 2 <= len(ctx) <= 3 and step.text not in ctx[1:]
 
 
 def test_context_errors(two_article_corpus):
     with pytest.raises(KeyError, match="nope"):
-        context_of(two_article_corpus, "nope", "none")
-    with pytest.raises(ValueError, match="mode"):
-        context_of(two_article_corpus, "s1", "weird")
-    with pytest.raises(ValueError, match="window"):
-        context_of(two_article_corpus, "s1", "both", window=0)
+        context_of(two_article_corpus, "nope")
 
 
 def test_validation_report(two_article_corpus):

@@ -10,7 +10,7 @@ import pytest
 from conftest import columns, identity_records, make_corpus, read_links
 from prockb import hierarchy
 from prockb.corpus import UNLINKABLE
-from prockb.embedding import embed_corpus
+from prockb.embedding import EmbeddingStore, embed_corpus
 from prockb.hierarchy import (
     LinkPipeline,
     decisions,
@@ -181,27 +181,29 @@ def test_expand_deterministic_json():
     assert one == two
 
 
-def test_config_hash_is_the_checkpoint_text_and_the_index_shape():
-    """Any change to a checkpoint line, or to the goal index's width or
-    size, changes the hash; an equal model and index give the same one."""
+def test_config_hash_is_the_checkpoint_text_and_the_vectors():
+    """Any change to a checkpoint line, or to the ids or values of the
+    vectors stage 1 searches with, changes the hash; an equal model and
+    equal vectors give the same one."""
     pipeline = make_pipeline(chain_records(), exact_match_model(unlinkable=True))
-    model = pipeline.model
+    model, store = pipeline.model, pipeline.store
     w = model.w.copy()
     w[1] = 0.5
     variants = [
         replace(model, w=w), replace(model, w=np.zeros(8)), replace(model, lam=0.5),
         replace(model, unlinkable_feat=model.unlinkable_feat + 1),
-        replace(model, unlinkable_feat=None),
-        replace(model, context_mode="both"), replace(model, window=2), replace(model, k=29),
+        replace(model, unlinkable_feat=None), replace(model, k=29),
         replace(model, features="0" * 64),
     ]
     hashes = {replace(pipeline, model=variant).config_hash() for variant in variants}
-    index = pipeline.index
-    hashes |= {replace(pipeline, index=build_index(pipeline.store, ["A", "B"])).config_hash(),
-               replace(pipeline, index=type(index)(index.ids, np.zeros((3, 8)))).config_hash()}
-    assert len(hashes | {pipeline.config_hash()}) == len(variants) + 3
+    # A store of one shape with other vectors, as two embeddings files may be.
+    stores = [EmbeddingStore(store.ids, store.matrix[::-1].copy()),
+              EmbeddingStore(store.ids[:-1], store.matrix[:-1]),
+              EmbeddingStore(["X", *store.ids[1:]], store.matrix)]
+    hashes |= {replace(pipeline, store=other).config_hash() for other in stores}
+    assert len(hashes | {pipeline.config_hash()}) == len(variants) + len(stores) + 1
     same = replace(pipeline, model=replace(model, w=model.w.copy()),
-                   index=build_index(pipeline.store, pipeline.corpus.goal_ids()))
+                   store=EmbeddingStore(list(store.ids), store.matrix.copy()))
     assert same.config_hash() == pipeline.config_hash() == make_pipeline(
         chain_records(), exact_match_model(unlinkable=True)).config_hash()
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import reference
 from conftest import from_lists, pair_features
 from prockb import artifacts, rerank
-from prockb.corpus import CONTEXT_MODES, UNLINKABLE, corpus_from_records
+from prockb.corpus import UNLINKABLE, corpus_from_records
 from prockb.errors import DataError
 from prockb.linkeval import recall_report
 from prockb.rerank import LexicalFeatureSource, RerankModel, make_training_examples, score_candidates
@@ -352,17 +352,17 @@ def corpora(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(corpora(), st.sampled_from(CONTEXT_MODES), st.integers(1, 2), st.integers(1, 5), st.data())
-def test_feature_rows_match_text_by_text(corpus, context_mode, window, block, data):
+@given(corpora(), st.integers(1, 5), st.data())
+def test_feature_rows_match_text_by_text(corpus, block, data):
     step_ids = [step.step_id for step in corpus.steps()]
     lists = data.draw(st.lists(
         st.tuples(st.sampled_from(step_ids),
                   st.lists(st.sampled_from(corpus.goal_ids()), max_size=6).map(tuple)),
         min_size=1, max_size=10))
     steps, goals = map(tuple, zip(*lists))
-    source = LexicalFeatureSource(corpus, context_mode=context_mode, window=window)
+    source = LexicalFeatureSource(corpus)
     source.block = block
-    want = reference.LexicalFeatureSource(corpus, context_mode=context_mode, window=window)
+    want = reference.LexicalFeatureSource(corpus)
     assert pair_features(source, steps, goals).tobytes() == want.features(steps, goals).tobytes()
 
 

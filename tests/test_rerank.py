@@ -12,7 +12,7 @@ from conftest import (
     vector_table,
 )
 from prockb.artifacts import write_vectors
-from prockb.corpus import CONTEXT_MODES, UNLINKABLE, context_of
+from prockb.corpus import UNLINKABLE
 from prockb.errors import DataError
 from prockb.rerank import (
     LexicalFeatureSource,
@@ -70,7 +70,7 @@ def test_disjoint_tokens(lex_corpus):
 
 
 def test_features_finite_and_sized(lex_corpus):
-    source = LexicalFeatureSource(lex_corpus, context_mode="both", window=1)
+    source = LexicalFeatureSource(lex_corpus)
     for step_id in ("t1", "t2", "t3"):
         for goal_id in ("art1", "art2"):
             feats = pair_features(source, (step_id,), ((goal_id,),))[0]
@@ -102,17 +102,17 @@ def _char_ngram_cosine(a: str, b: str, n: int = 3) -> float:
 
 def reference_features(source: LexicalFeatureSource, step_id: str, goal_id: str) -> np.ndarray:
     corpus = source.corpus
-    step_text = corpus.step(step_id).text
+    step = corpus.step(step_id)
+    step_text = step.text
     goal_title = corpus.article(goal_id).title
-    ctx = context_of(corpus, step_id, source.context_mode, source.window)
+    article = corpus.article(step.parent_goal_id)
 
     s_tokens = set(tokenize(step_text))
     g_tokens = set(tokenize(goal_title))
-    ctx_tokens: set[str] = set()
-    if ctx.goal_text is not None:
-        ctx_tokens |= set(tokenize(ctx.goal_text))
-    for text in ctx.prev_steps + ctx.next_steps:
-        ctx_tokens |= set(tokenize(text))
+    ctx_tokens = set(tokenize(article.title))  # and the steps either side of the step
+    for other in article.steps:
+        if abs(other.position - step.position) == 1:
+            ctx_tokens |= set(tokenize(other.text))
 
     def idf_sum(tokens: set) -> float:
         return sum(source.idf.get(t, 1.0) for t in sorted(tokens))
@@ -135,8 +135,8 @@ def reference_features(source: LexicalFeatureSource, step_id: str, goal_id: str)
 EXACT_COLUMNS = [0, 1, 2, 4, 5, 6]
 
 
-def assert_blocks_match_reference(corpus, context_mode, window):
-    source = LexicalFeatureSource(corpus, context_mode=context_mode, window=window)
+def assert_blocks_match_reference(corpus):
+    source = LexicalFeatureSource(corpus)
     goal_ids = tuple(corpus.goal_ids())
     for step in corpus.steps():
         got = pair_features(source, (step.step_id,), (goal_ids,))
@@ -149,10 +149,9 @@ def assert_blocks_match_reference(corpus, context_mode, window):
             assert one.tobytes() == row.tobytes()
 
 
-@pytest.mark.parametrize("context_mode", CONTEXT_MODES)
-def test_block_matches_reference_on_identity_corpus(context_mode):
+def test_block_matches_reference_on_identity_corpus():
     records, _ = identity_records(12)
-    assert_blocks_match_reference(make_corpus(records), context_mode, window=1)
+    assert_blocks_match_reference(make_corpus(records))
 
 
 # Titles and steps from a small alphabet with case-folding oddities; some are
@@ -183,9 +182,9 @@ def text_corpora(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(text_corpora(), st.sampled_from(CONTEXT_MODES), st.integers(1, 2))
-def test_block_matches_reference_on_generated_texts(corpus, context_mode, window):
-    assert_blocks_match_reference(corpus, context_mode, window)
+@given(text_corpora())
+def test_block_matches_reference_on_generated_texts(corpus):
+    assert_blocks_match_reference(corpus)
 
 
 @st.composite
@@ -217,11 +216,10 @@ def feature_batches(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(feature_batches(), st.sampled_from(CONTEXT_MODES), st.integers(1, 2), st.integers(1, 4),
-       st.data())
-def test_batch_rows_match_reference_in_any_split(batch, context_mode, window, block, data):
+@given(feature_batches(), st.integers(1, 4), st.data())
+def test_batch_rows_match_reference_in_any_split(batch, block, data):
     corpus, step_ids, goal_ids = batch
-    source = LexicalFeatureSource(corpus, context_mode=context_mode, window=window)
+    source = LexicalFeatureSource(corpus)
     source.block = block  # several blocks per batch
     got = pair_features(source, step_ids, goal_ids)
     want = [reference_features(source, step_id, goal_id)
@@ -232,7 +230,7 @@ def test_batch_rows_match_reference_in_any_split(batch, context_mode, window, bl
 
     cuts = sorted(data.draw(st.lists(st.integers(0, len(step_ids)), max_size=3)))
     bounds = list(zip([0] + cuts, cuts + [len(step_ids)]))
-    fresh = LexicalFeatureSource(corpus, context_mode=context_mode, window=window)
+    fresh = LexicalFeatureSource(corpus)
     parts = [pair_features(fresh, step_ids[a:b], goal_ids[a:b]) for a, b in reversed(bounds)]
     assert np.concatenate(parts[::-1]).tobytes() == got.tobytes()
 
@@ -257,8 +255,8 @@ def test_blocks_do_not_depend_on_warm_up_order():
     corpus = make_corpus(records)
     goal_ids = tuple(corpus.goal_ids())
     step_ids = [s.step_id for s in corpus.steps()]
-    forward = LexicalFeatureSource(corpus, context_mode="both")
-    backward = LexicalFeatureSource(corpus, context_mode="both")
+    forward = LexicalFeatureSource(corpus)
+    backward = LexicalFeatureSource(corpus)
     for step_id in step_ids:
         pair_features(forward, (step_id,), (goal_ids,))
     for step_id in reversed(step_ids):
@@ -463,13 +461,7 @@ def test_loss_error_cases():
 
 def finite_difference_grads(model, feats, sim1s, slot, h=1e-5):
     def loss_with(w, lam, u):
-        probe = RerankModel(
-            w=w,
-            lam=lam,
-            unlinkable_feat=u,
-            context_mode=model.context_mode,
-            window=model.window,
-        )
+        probe = RerankModel(w=w, lam=lam, unlinkable_feat=u)
         return one_loss(probe, feats, sim1s, slot)[0]
 
     grad_w = np.zeros_like(model.w)
@@ -673,8 +665,6 @@ def test_model_checkpoint_round_trip(tmp_path):
         w=rng.normal(size=8),
         lam=-0.375,
         unlinkable_feat=rng.normal(size=8),
-        context_mode="both",
-        window=2,
         k=12,
         features="0123456789abcdef" * 4,
     )
@@ -688,14 +678,12 @@ def test_model_checkpoint_round_trip(tmp_path):
     assert loaded.lam == model.lam
     assert loaded.unlinkable_enabled
     assert loaded.unlinkable_feat.tobytes() == model.unlinkable_feat.tobytes()
-    assert loaded.context_mode == "both"
-    assert loaded.window == 2
     assert loaded.k == 12
 
 
 def test_model_checkpoint_validation(tmp_path):
     path = tmp_path / "model.txt"
-    path.write_text("dim=4\n")
+    path.write_text("lambda=1.0\nk=30\n")
     with pytest.raises(DataError, match="malformed"):
         load_model(path)
 
@@ -704,30 +692,29 @@ def test_model_checkpoint_validation(tmp_path):
     "keys, vectors, message",
     [
         ({}, "", "no W line"),
-        ({}, "W 0.0 1.0 2.0\nU 0.0 1.0\n", "U has 2 values, expected 3"),
+        ({}, "W 0.0 1.0 2.0\nU 0.0 1.0\n", "U has 2 values, W has 3"),
         ({}, "W 0.0 x 2.0\nU 0.0 1.0 2.0\n", "malformed"),
-        ({}, "W 0.0 1.0 2.0\n", "unlinkable=1 but the checkpoint has no U row"),
-        ({"unlinkable": 0}, "W 0.0 1.0 2.0\nU 5.0 5.0 5.0\n",
-         "unlinkable=0 but the checkpoint has a U row"),
-        ({"unlinkable": 2}, "W 0.0 1.0 2.0\nU 5.0 5.0 5.0\n", "unlinkable must be 0 or 1, got '2'"),
-        ({"unlinkable": -1}, "W 0.0 1.0 2.0\nU 5.0 5.0 5.0\n",
-         "unlinkable must be 0 or 1, got '-1'"),
-        ({"window": 0}, "W 0.0 1.0 2.0\nU 5.0 5.0 5.0\n", "window must be >= 1, got 0"),
         ({"k": 0}, "W 0.0 1.0 2.0\nU 5.0 5.0 5.0\n", "k must be >= 1, got 0"),
         ({"k": None}, "W 0.0 1.0 2.0\nU 5.0 5.0 5.0\n", r"malformed model checkpoint \('k'\)"),
         ({"k": 2.5}, "W 0.0 1.0 2.0\nU 5.0 5.0 5.0\n", "malformed model checkpoint"),
         *(({"features": value}, "W 0.0 1.0 2.0\nU 5.0 5.0 5.0\n",
            f"features must be a sha256 of 64 lowercase hex digits, got '{value}'")
           for value in ("", "0" * 63, "0" * 65, "A" * 64, "g" * 64)),
+        # A misspelt key is not read as a missing one, which for `featurs=`
+        # would load a model trained on a feature file as a lexical one.
+        ({"featurs": "0" * 64}, "W 0.0 1.0 2.0\n", r"line 3: unknown key 'featurs'$"),
+        # The earlier format, which stated the width and unlinkable flag apart
+        # from the rows, and a context mode and window that no longer exist.
+        ({"dim": 3, "unlinkable": 1, "context_mode": "both", "window": 1},
+         "W 0.0 1.0 2.0\nU 5.0 5.0 5.0\n", r"line 3: unknown key 'dim'$"),
     ],
-    ids=["no-W-line", "short-U-row", "non-float-W", "no-U-row", "U-row-not-unlinkable",
-         "unlinkable-2", "unlinkable-minus-1", "window-0", "k-0", "no-k-line", "k-2.5",
-         "features-empty", "features-63", "features-65", "features-upper", "features-not-hex"],
+    ids=["no-W-line", "short-U-row", "non-float-W", "k-0", "no-k-line", "k-2.5",
+         "features-empty", "features-63", "features-65", "features-upper", "features-not-hex",
+         "misspelt-features-key", "earlier-format"],
 )
 def test_model_checkpoint_rejects_bad_vectors(tmp_path, keys, vectors, message):
     """`keys` are written over the defaults; a key set to None is left out."""
-    keys = {"dim": 3, "lambda": 1.0, "unlinkable": 1, "context_mode": "none", "window": 1,
-            "k": 30, **keys}
+    keys = {"lambda": 1.0, "k": 30, **keys}
     path = tmp_path / "model.txt"
     path.write_text("".join(f"{key}={value}\n" for key, value in keys.items()
                             if value is not None) + vectors)
@@ -737,14 +724,12 @@ def test_model_checkpoint_rejects_bad_vectors(tmp_path, keys, vectors, message):
 
 
 def test_checkpoint_has_a_features_line_only_for_a_feature_file():
-    """A lexical checkpoint keeps the lines it had before models named their
-    feature file, as an unlinkable row U is written only for unlinkable models."""
-    assert model_text(new_model(2)) == ("dim=2\nlambda=1.0\nunlinkable=0\ncontext_mode=none\n"
-                                        "window=1\nk=30\nW 0.0 0.0\n")
+    """A `features` line is written only for a model trained on a feature
+    file, as a U row only for an unlinkable model."""
+    assert model_text(new_model(2)) == "lambda=1.0\nk=30\nW 0.0 0.0\n"
     digest = "f" * 64
-    assert model_text(replace(new_model(2), features=digest)) == (
-        f"dim=2\nlambda=1.0\nunlinkable=0\ncontext_mode=none\nwindow=1\nk=30\n"
-        f"features={digest}\nW 0.0 0.0\n")
+    assert model_text(replace(new_model(2, unlinkable=True), features=digest)) == (
+        f"lambda=1.0\nk=30\nfeatures={digest}\nW 0.0 0.0\nU 0.0 0.0\n")
 
 
 def test_unlinkable_enabled_is_whether_the_model_has_a_u_row():

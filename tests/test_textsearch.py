@@ -191,14 +191,25 @@ def test_json_round_trip():
         assert clone.ranked(query, 12) == index.ranked(query, 12)
 
 
-def test_json_load_sorts_postings_out_of_doc_order():
+def test_json_load_rejects_postings_out_of_doc_order():
+    """`to_json` writes each term's postings in ascending doc order, and
+    `from_json` requires it: a decrease names the term and the doc, a repeat
+    says the doc is listed twice."""
     index = TextIndex(random_docs(12, seed=3))
     payload = json.loads(index.to_json())
-    for pairs in payload["postings"].values():
-        pairs.reverse()
-    clone = TextIndex.from_json(json.dumps(payload))
-    for query in ("w1 w4", "w2 w3 w5"):
-        assert clone.ranked(query, 12) == index.ranked(query, 12)
+    term = next(t for t, pairs in sorted(payload["postings"].items()) if len(pairs) >= 3)
+    pairs = payload["postings"][term]
+    p0, p1, p2 = pairs[:3]
+    for edit, message in [
+        ([p1, p0], f"lists doc {p0[0]!r} out of doc order"),
+        ([p0, list(p0)], f"lists doc {p0[0]!r} twice"),
+        ([p0, p2, list(p0)], f"lists doc {p0[0]!r} twice"),  # a repeat after a larger doc
+    ]:
+        pairs[: len(edit)] = edit
+        with pytest.raises(DataError) as info:
+            TextIndex.from_json(json.dumps(payload), "vr.json")
+        assert str(info.value) == f"vr.json: term {term!r} {message}"
+        pairs[:3] = [p0, p1, p2]
 
 
 @settings(max_examples=150, deadline=None)
