@@ -9,18 +9,18 @@ BLOCK lines at a time: a block's lines are split once, and its columns are
 parsed or formatted each in one pass, so memory stays that of one block
 however long the file is. Writers take rows, columns or values from the
 modules that own the data types and write them in one of three formats:
-tab-separated rows, indented JSON, and the ``dim=<d>`` vector format that
-embeddings and pair features share.
+tab-separated rows, indented JSON, and the ``dim=<d>`` vector format of
+embeddings.
 """
 
 import hashlib
 import json
 from array import array
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from itertools import compress, islice, repeat
 from math import isfinite, nan
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -212,31 +212,28 @@ def check_rows(path, linenos: Sequence[int],
         raise fail(path, linenos[row], message(row))
 
 
-def read_vectors(path, n_ids: int) -> tuple[list, np.ndarray]:
-    """Read a ``dim=<d>`` header, then rows of `n_ids` id fields and d finite
-    numbers, separated by whitespace. Returns the ids, each its one field or
-    the tuple of its fields, and the float64 matrix of their rows, in file
-    order; the values are parsed into one buffer. A row's faults are checked
-    in the order width, non-numeric, non-finite, duplicate id."""
+def read_vectors(path) -> tuple[list[str], np.ndarray]:
+    """Read a ``dim=<d>`` header, then rows of an id and d finite numbers,
+    separated by whitespace. Returns the ids and the float64 matrix of their
+    rows, in file order; the values are parsed into one buffer. A row's
+    faults are checked in the order width, non-numeric, non-finite,
+    duplicate id."""
     rows = lines(path)
     lineno, header = next(rows, (1, ""))
     header = header.strip()
     dim = int(header[4:]) if header.startswith("dim=") and header[4:].isdecimal() else 0
     if dim < 1:
         raise fail(path, lineno, f"expected header 'dim=<d>' with d >= 1, got {header!r}")
-    ids: list = []
-    seen: set = set()
+    ids: list[str] = []
+    seen: set[str] = set()
     values = array("d")
     for lineno, line in rows:
-        fields = line.split()
-        row_id = fields[0] if n_ids == 1 else tuple(fields[:n_ids])
-        row = f"row {' '.join(fields[:n_ids])!r}"
-        if len(fields) - n_ids != dim:
-            raise fail(path, lineno, f"{row} has {len(fields) - n_ids} values, expected {dim}"
-                       if len(fields) >= n_ids else  # a lone id of a two-id row
-                       f"{row} has 1 field, expected {n_ids} ids and {dim} values")
+        row_id, *fields = line.split()
+        row = f"row {row_id!r}"
+        if len(fields) != dim:
+            raise fail(path, lineno, f"{row} has {len(fields)} values, expected {dim}")
         try:
-            vec = list(map(float, fields[n_ids:]))
+            vec = list(map(float, fields))
         except ValueError:
             raise fail(path, lineno, f"{row} has a non-numeric value") from None
         if not all(map(isfinite, vec)):
@@ -278,7 +275,7 @@ def write_rows(path, rows: Iterable[Sequence]) -> None:
 
 
 def write_json(path, value) -> None:
-    """Write `value` as JSON: sorted keys, indent 2, non-ASCII characters kept, final newline."""
+    """Write `value` as JSON: sorted keys, indent 2, non-ASCII kept, finite numbers, final newline."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(value, handle, sort_keys=True, ensure_ascii=False, indent=2)
+        json.dump(value, handle, sort_keys=True, ensure_ascii=False, indent=2, allow_nan=False)
         handle.write("\n")

@@ -27,7 +27,6 @@ from .hierarchy import LinkPipeline, expand, link_all, write_links, write_tree
 from .linkeval import check_ranked, load_gold_links, recall_report, split_links
 from .rerank import (
     LexicalFeatureSource,
-    load_feature_file,
     load_model,
     make_training_examples,
     new_model,
@@ -211,7 +210,7 @@ def cmd_train_reranker(args) -> None:
     candidates = read_candidates(args.candidates, corpus)
     split = _split(args, load_gold_links(args.gold, corpus))
 
-    source = load_feature_file(args.features) if args.features else LexicalFeatureSource(corpus)
+    source = LexicalFeatureSource(corpus)
     train_examples = make_training_examples(candidates, split["train"], unlinkable=args.unlinkable)
     dev_examples = make_training_examples(candidates, split["dev"], unlinkable=args.unlinkable)
     if not train_examples[1]:
@@ -219,8 +218,7 @@ def cmd_train_reranker(args) -> None:
                         f"{args.gold} has retrieved candidates in --candidates {args.candidates}")
 
     model = replace(new_model(source.dim, unlinkable=args.unlinkable),
-                    k=int(np.diff(candidates.offsets).max()),  # as retrieve clamped it, for link
-                    features=sha256(args.features) if args.features else None)
+                    k=int(np.diff(candidates.offsets).max()))  # as retrieve clamped it, for link
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             result = train(
@@ -244,27 +242,26 @@ def cmd_train_reranker(args) -> None:
 
 
 def _pipeline(args) -> LinkPipeline:
-    """The pipeline `link` and `expand` run. --features must be the file
-    whose sha256 the --model checkpoint names, and is not given for a model
-    trained on lexical features; this is checked before the file is parsed."""
+    """The pipeline `link` and `expand` run, of a --model as wide as the lexical features."""
     corpus, store, index = _stage1(args)
     model = load_model(args.model)
-    digest = sha256(args.features) if args.features else None
-    if digest != model.features:
-        trained = (f"the --features file of sha256 {model.features}" if model.features
-                   else "lexical features")
-        given = (f"--features {args.features} (sha256 {digest})" if digest
-                 else "lexical features (no --features given)")
-        raise DataError(f"--model {args.model} was trained on {trained}, not on {given}")
-    source = load_feature_file(args.features) if args.features else LexicalFeatureSource(corpus)
+    source = LexicalFeatureSource(corpus)
     if model.dim != source.dim:
         raise DataError(f"{args.model}: model width {model.dim} does not match the feature "
-                        f"width {source.dim} of {args.features or 'lexical features'}")
+                        f"width {source.dim} of lexical features")
     return LinkPipeline(corpus=corpus, index=index, store=store, model=model, features=source)
 
 
+def _scored(args, run, *run_args):
+    """`run(*run_args)`, which scores with --model: a sim2 that is not finite is its fault."""
+    try:
+        return run(*run_args)
+    except FloatingPointError as exc:
+        raise DataError(f"--model {args.model}: {exc}") from None
+
+
 def cmd_link(args) -> None:
-    ranked = link_all(_pipeline(args))
+    ranked = _scored(args, link_all, _pipeline(args))
     names = ["links.tsv", "rankings.tsv"] if args.rankings else ["links.tsv"]
     links, *rankings = _output(args, *names)
     write_links(links, ranked)
@@ -277,7 +274,7 @@ def cmd_expand(args) -> None:
     unknown, message = pipeline.corpus.unknown("goal_id", (args.root,))
     if unknown is not None:
         raise DataError(f"--root: {message(0)}")
-    tree = expand(pipeline, args.root, args.max_depth)
+    tree = _scored(args, expand, pipeline, args.root, args.max_depth)
     write_tree(tree, _output(args, "tree.json")[0])
 
 
@@ -413,7 +410,6 @@ def build_parser() -> Parser:
     p.add_argument("--corpus", required=True, type=Infile)
     p.add_argument("--candidates", required=True, type=Infile)
     p.add_argument("--gold", required=True, type=Infile)
-    p.add_argument("--features", type=Infile, help="precomputed pair-feature file")
     p.add_argument("--lr", type=_POSITIVE, default=0.5)
     p.add_argument("--epochs", type=_at_least(1), default=20)
     p.add_argument("--batch", type=_at_least(1), default=32)
@@ -429,7 +425,6 @@ def build_parser() -> Parser:
         p.add_argument("--corpus", required=True, type=Infile)
         p.add_argument("--embeddings", required=True, type=Infile)
         p.add_argument("--model", required=True, type=Infile)
-        p.add_argument("--features", type=Infile)
         if extra:
             p.add_argument("--rankings", action="store_true", help="also dump full reranked lists")
         else:

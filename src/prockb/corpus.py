@@ -7,9 +7,9 @@ corpus is immutable once loaded.
 """
 
 import unicodedata
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 

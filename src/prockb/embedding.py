@@ -4,14 +4,14 @@ Two sources: a built-in deterministic embedder that averages signed hashed
 character n-grams (n in 3..5), and a plain text file of vectors produced by
 any external sentence encoder. Both feed the same cosine-based retrieval.
 
-Embeddings, the stage-1 goal index and pair-feature files are each one
-`EmbeddingStore`: ids in row order and one float64 matrix with a row per id.
+Embeddings and the stage-1 goal index are each one `EmbeddingStore`: string
+ids in row order and one float64 matrix with a row per id.
 """
 
 import hashlib
 import math
+from collections.abc import Sequence
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -90,11 +90,10 @@ def embed_text(
 
 
 class EmbeddingStore:
-    """Immutable vector table: `ids` in row order, `row` (id -> row) and one
-    float64 `matrix` of shape (len(ids), dim). An id is a string, or for
-    pair features a (step_id, goal_id) tuple."""
+    """Immutable vector table: string `ids` in row order, `row` (id -> row)
+    and one float64 `matrix` of shape (len(ids), dim)."""
 
-    def __init__(self, ids: Sequence, matrix: np.ndarray):
+    def __init__(self, ids: Sequence[str], matrix: np.ndarray):
         self.ids = list(ids)
         self.row = {row_id: row for row, row_id in enumerate(self.ids)}
         self.matrix = matrix
@@ -106,10 +105,10 @@ class EmbeddingStore:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __contains__(self, key) -> bool:
+    def __contains__(self, key: str) -> bool:
         return key in self.row
 
-    def __getitem__(self, key) -> np.ndarray:
+    def __getitem__(self, key: str) -> np.ndarray:
         return self.matrix[self.row[key]]  # a KeyError names the id
 
 
@@ -128,7 +127,7 @@ def embed_corpus(corpus: Corpus, dim: int, seed: int = 0, lowercase: bool = Fals
 
 def load_embeddings(path: str | Path) -> EmbeddingStore:
     """Read a vector file: header ``dim=<d>``, then rows ``id v1 ... vd``."""
-    return EmbeddingStore(*read_vectors(path, 1))
+    return EmbeddingStore(*read_vectors(path))
 
 
 def save_embeddings(store: EmbeddingStore, path: str | Path) -> None:

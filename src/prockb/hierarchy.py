@@ -9,9 +9,10 @@ already on the root-to-node path so trees stay acyclic and finite.
 """
 
 import hashlib
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +37,7 @@ class LinkPipeline:
     def config_hash(self) -> str:
         """The hash of the model's checkpoint text and of the vectors stage 1
         searches with: the store's ids, one a line, and its matrix's bytes, as
-        read from the embeddings file. The checkpoint names the pair-feature
-        file the model was trained on, which `link` and `expand` are given with it."""
+        read from the embeddings file."""
         digest = hashlib.sha256(model_text(self.model).encode("utf-8"))
         digest.update("".join(f"{i}\n" for i in self.store.ids).encode("utf-8"))
         digest.update(np.ascontiguousarray(self.store.matrix))  # its bytes, not copied

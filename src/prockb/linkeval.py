@@ -6,8 +6,8 @@ candidate lists is the whole story.
 """
 
 import random
+from collections.abc import Mapping, Sequence
 from pathlib import Path
-from typing import Mapping, Sequence
 
 import numpy as np
 

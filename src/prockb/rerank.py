@@ -12,27 +12,22 @@ the minimum sim1 of the real candidates. A step whose gold goal is missing
 from its candidate list trains toward the placeholder. Scores, losses and
 gradients are numpy sums over the rows of whole batches, in a fixed order
 that does not go through BLAS.
-
-Pair features come either from a built-in lexical extractor or from a text
-file of precomputed vectors, so an external neural pair encoder can be
-plugged in without any ML runtime here.
 """
 
 import math
-import re
 from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import chain, pairwise, repeat
 from operator import add
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Protocol, Sequence
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
-from .artifacts import fail, lines, read_vectors
+from .artifacts import fail, lines
 from .corpus import UNLINKABLE, Corpus, context_of
-from .embedding import EmbeddingStore
 from .errors import DataError
 from .retrieval import DEFAULT_K, Ranked, take
 from .textsearch import idf, tokenize
@@ -252,32 +247,6 @@ class LexicalFeatureSource:
         out[:, 5] = self._goal_folded[rows] == step_folded[lists]
 
 
-class TableFeatureSource:
-    """Feature rows from a table keyed by (step_id, goal_id), typically
-    loaded from disk. A missing row is a DataError that names `path`, the file."""
-
-    def __init__(self, table: EmbeddingStore, path: str | Path | None = None):
-        self.table = table
-        self.dim = table.dim
-        self.path = path
-
-    def features(self, step_ids: tuple[str, ...], goal_ids: tuple[str, ...],
-                 offsets: np.ndarray) -> np.ndarray:
-        steps = np.repeat(np.array(step_ids, dtype=object), np.diff(offsets))
-        pairs = list(zip(steps.tolist(), goal_ids))
-        rows = list(map(self.table.row.get, pairs))
-        if None in rows:
-            step_id, goal_id = pairs[rows.index(None)]
-            where = f"{self.path}: " if self.path is not None else ""
-            raise DataError(f"{where}no feature row for step {step_id!r}, goal {goal_id!r}")
-        return self.table.matrix[rows]
-
-
-def load_feature_file(path: str | Path) -> TableFeatureSource:
-    """Read ``dim=<d>`` header then rows ``step_id goal_id v1 ... vd``."""
-    return TableFeatureSource(EmbeddingStore(*read_vectors(path, 2)), path)
-
-
 # ---------------------------------------------------------------------------
 # Model
 
@@ -287,7 +256,6 @@ class RerankModel:
     lam: float
     unlinkable_feat: np.ndarray | None = None  # the placeholder's row U, if the model has one
     k: int = DEFAULT_K  # stage-1 list length of the candidates it was trained on
-    features: str | None = None  # sha256 of the pair-feature file it was trained on, if any
 
     @property
     def dim(self) -> int:
@@ -306,11 +274,10 @@ def new_model(dim: int, lam: float = 1.0, unlinkable: bool = False) -> RerankMod
 
 def model_text(model: RerankModel) -> str:
     """The checkpoint of `model`, the one description of it: `save_model`
-    writes it and the link config hash is taken over it. The ``features``
-    line and the U row are written only for a model that has them."""
-    keys = [("lambda", repr(model.lam)), ("k", model.k), ("features", model.features)]
+    writes it and the link config hash is taken over it. The U row is
+    written only for a model that has one."""
     rows = [("W", model.w), ("U", model.unlinkable_feat)]
-    return "".join([*(f"{key}={value}\n" for key, value in keys if value is not None),
+    return "".join([f"lambda={model.lam!r}\nk={model.k}\n",
                     *(f"{name} {' '.join(repr(float(x)) for x in row)}\n"
                       for name, row in rows if row is not None)])
 
@@ -320,13 +287,12 @@ def save_model(model: RerankModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> RerankModel:
-    """Read a checkpoint written by `save_model`: the keys ``lambda``, ``k``
-    and ``features``, each as a ``key=value`` line, and the W row and, for an
+    """Read a checkpoint written by `save_model`: the keys ``lambda`` and
+    ``k``, each as a ``key=value`` line, and the W row and, for an
     unlinkable model only, the U row. Any other key, or one given twice, is
     an error at its line. ``k``, the stage-1 k that `link` and `expand`
-    retrieve with, is an integer >= 1; ``features``, if there, is the sha256
-    of the pair-feature file the model was trained on, 64 lowercase hex
-    digits. The model's width is W's, which U must share."""
+    retrieve with, is an integer >= 1. The model's width is W's, which U
+    must share."""
     fields: dict[str, str] = {}
     for lineno, line in lines(path):
         line = line.strip()
@@ -334,7 +300,7 @@ def load_model(path: str | Path) -> RerankModel:
         key, sep, value = line.partition(" " if row else "=")
         if not sep:
             raise fail(path, lineno, "expected 'key=value' or a W or U row")
-        if not row and key not in ("lambda", "k", "features"):
+        if not row and key not in ("lambda", "k"):
             raise fail(path, lineno, f"unknown key {key!r}")
         if key in fields:
             raise fail(path, lineno, f"duplicate key {key!r}")
@@ -348,7 +314,6 @@ def load_model(path: str | Path) -> RerankModel:
             lam=float(fields["lambda"]),
             unlinkable_feat=vectors.get("U"),
             k=int(fields["k"]),
-            features=fields.get("features"),
         )
     except (KeyError, ValueError) as exc:
         raise DataError(f"{path}: malformed model checkpoint ({exc})") from None
@@ -359,9 +324,6 @@ def load_model(path: str | Path) -> RerankModel:
         raise DataError(f"{path}: non-finite value in model checkpoint")
     if model.k < 1:
         raise DataError(f"{path}: k must be >= 1, got {model.k}")
-    if model.features is not None and not re.fullmatch("[0-9a-f]{64}", model.features):
-        raise DataError(f"{path}: features must be a sha256 of 64 lowercase hex digits, "
-                        f"got {model.features!r}")
     return model
 
 
@@ -405,12 +367,17 @@ def score_candidates(model: RerankModel, ranked: Ranked, feats: np.ndarray) -> R
     """Rerank every list of `ranked`, whose feature rows are `feats`: score
     its slots (`_slots`; the placeholder is the goal UNLINKABLE), then sort
     each list by descending sim2, ties by goal_id, in one lexsort over all
-    the lists."""
+    the lists. A sim2 that is not finite, as when W . f overflows, is a
+    FloatingPointError that names its step."""
     sizes = np.diff(ranked.offsets)
     if not sizes.all():
         step_id = ranked.step_ids[int(np.argmin(sizes))]
         raise ValueError(f"step {step_id!r} has an empty candidate list")
-    at, _, offsets, sim1, sim2 = _slots(model, ranked.offsets, feats, ranked.sim1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        at, _, offsets, sim1, sim2 = _slots(model, ranked.offsets, feats, ranked.sim1)
+    if not np.isfinite(sim2).all():
+        step = np.searchsorted(offsets, np.argmin(np.isfinite(sim2)), side="right") - 1
+        raise FloatingPointError(f"sim2 of step {ranked.step_ids[step]!r} is not a finite number")
     goal_ids = np.insert(np.array(ranked.goal_ids, dtype=object), at, UNLINKABLE)
     rank = {goal_id: i for i, goal_id in enumerate(sorted(set(goal_ids)))}
     goal_ranks = np.fromiter(map(rank.get, goal_ids), dtype=np.int64, count=len(goal_ids))

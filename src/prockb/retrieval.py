@@ -10,10 +10,10 @@ Every ranked goal list, from stage-1 candidates to reranked links, is a
 """
 
 from array import array
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
-from typing import Iterable, Mapping
 
 import numpy as np
 

@@ -8,9 +8,9 @@ b=0.75. Indexes are immutable once built.
 import json
 import math
 import re
+from collections.abc import Callable, Sequence
 from itertools import accumulate, chain
 from operator import itemgetter
-from typing import Callable, Sequence
 
 import numpy as np
 

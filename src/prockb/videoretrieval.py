@@ -20,11 +20,11 @@ rounds and accepts at most min(n, cap + 1) clauses.
 
 import math
 import random
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
 
 import numpy as np
 

@@ -67,6 +67,19 @@ def vector_table(dim: int, vectors: dict) -> EmbeddingStore:
     return EmbeddingStore(list(vectors), matrix)
 
 
+class TableSource:
+    """A `FeatureSource` of fixed rows: `rows` maps (step_id, goal_id) to a
+    feature vector of width `dim`; a pair it lacks is a KeyError."""
+
+    def __init__(self, dim: int, rows: dict):
+        self.dim, self.rows = dim, rows
+
+    def features(self, step_ids, goal_ids, offsets) -> np.ndarray:
+        steps = np.repeat(np.array(step_ids, dtype=object), np.diff(offsets))
+        feats = [self.rows[pair] for pair in zip(steps.tolist(), goal_ids)]
+        return np.array(feats, dtype=np.float64).reshape(len(goal_ids), self.dim)
+
+
 def read_links(path) -> dict[str, str]:
     """step_id -> outcome of a link dump, read as `vr-filter --links` reads
     it: tab rows of at least two fields, each step once."""

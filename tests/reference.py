@@ -176,12 +176,11 @@ def recall_at(rankings: Ranked, gold, n: int) -> float:
 # ---------------------------------------------------------------------------
 # Vector files
 
-def read_vectors(path, n_ids: int) -> tuple[int, dict]:
-    """Line by line: a ``dim=<d>`` header, then rows of `n_ids` id fields and
-    d finite numbers, each row checked for its width, a non-numeric value, a
+def read_vectors(path) -> tuple[int, dict]:
+    """Line by line: a ``dim=<d>`` header, then rows of an id and d finite
+    numbers, each row checked for its width, a non-numeric value, a
     non-finite value and a repeated id, in that order, before the next line
-    is read. Returns d and {id: vector}, an id being its one field or the
-    tuple of its fields."""
+    is read. Returns d and {id: vector}."""
     rows = lines(path)
     lineno, header = next(rows, (1, ""))
     header = header.strip()
@@ -191,14 +190,12 @@ def read_vectors(path, n_ids: int) -> tuple[int, dict]:
     table: dict = {}
     for lineno, line in rows:
         fields = line.split()
-        row_id = fields[0] if n_ids == 1 else tuple(fields[:n_ids])
-        row = f"row {' '.join(fields[:n_ids])!r}"
-        if len(fields) - n_ids != dim:
-            raise fail(path, lineno, f"{row} has {len(fields) - n_ids} values, expected {dim}"
-                       if len(fields) >= n_ids else  # a lone id of a two-id row
-                       f"{row} has 1 field, expected {n_ids} ids and {dim} values")
+        row_id = fields[0]
+        row = f"row {row_id!r}"
+        if len(fields) - 1 != dim:
+            raise fail(path, lineno, f"{row} has {len(fields) - 1} values, expected {dim}")
         try:
-            vec = np.array([float(x) for x in fields[n_ids:]], dtype=np.float64)
+            vec = np.array([float(x) for x in fields[1:]], dtype=np.float64)
         except ValueError:
             raise fail(path, lineno, f"{row} has a non-numeric value") from None
         if not np.all(np.isfinite(vec)):

@@ -13,7 +13,10 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import from_lists, identity_records, make_corpus, one_list, one_loss, score_list, vector_table
+from conftest import (
+    TableSource, from_lists, identity_records, make_corpus, one_list, one_loss, score_list,
+    vector_table,
+)
 from prockb.corpus import UNLINKABLE, corpus_from_records
 from prockb.embedding import embed_corpus
 from prockb.hierarchy import LinkPipeline, expand, tree_to_dict
@@ -21,7 +24,6 @@ from prockb.linkeval import recall_report, split_links
 from prockb.rerank import (
     LexicalFeatureSource,
     RerankModel,
-    TableFeatureSource,
     make_training_examples,
     new_model,
     train,
@@ -188,9 +190,7 @@ def test_a4_loss_anchors():
             m = int(rng.integers(1, 12))
             goal_ids = [f"g{i:02d}" for i in range(m)]
             sim1s = rng.uniform(-1, 1, size=m)
-            table = TableFeatureSource(
-                vector_table(8, {(f"s{step}", g): rng.normal(size=8) for g in goal_ids})
-            )
+            table = TableSource(8, {(f"s{step}", g): rng.normal(size=8) for g in goal_ids})
             scored = score_list(model, one_list(f"s{step}", goal_ids, sim1s), table)
             assert scored.goal_ids.count(UNLINKABLE) == 1
             assert scored.sim1[scored.goal_ids.index(UNLINKABLE)] == sim1s.min()
@@ -228,7 +228,7 @@ def test_a5_reranker_learning():
     with criterion("A5 reranker learning"):
         train_ex, t1 = _separable(40, 8, 4, seed=0, prefix="tr")
         dev_ex, t2 = _separable(16, 8, 4, seed=1, prefix="dv")
-        source = TableFeatureSource(vector_table(8, {**t1, **t2}))
+        source = TableSource(8, {**t1, **t2})
         model = new_model(8, lam=0.0)
 
         assert _recall1(model, dev_ex, source) <= 0.5

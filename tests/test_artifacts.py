@@ -8,10 +8,10 @@ narrower model, and `link` and `expand` refuse it against the feature width.
 """
 
 import json
+import math
 import random
 import re
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import columns, from_lists, read_links, vector_table, write_jsonl
-from prockb.artifacts import tab_rows, write_rows, write_vectors
+from prockb.artifacts import tab_rows, write_json, write_rows
 from prockb.corpus import corpus_from_records, load_corpus
 from prockb.embedding import load_embeddings, save_embeddings
 from prockb.errors import DataError
@@ -29,8 +29,6 @@ from prockb.hierarchy import decisions, write_links
 from prockb.linkeval import load_gold_links, split, split_links
 from prockb.rerank import (
     RerankModel,
-    TableFeatureSource,
-    load_feature_file,
     load_model,
     model_text,
     save_model,
@@ -61,13 +59,6 @@ def embeddings(draw):
     dim = draw(st.integers(1, 4))
     ids = draw(st.lists(ident, min_size=1, max_size=4, unique=True))
     return vector_table(dim, {row_id: draw(vector(dim)) for row_id in ids})
-
-
-@st.composite
-def feature_rows(draw):
-    dim = draw(st.integers(1, 4))
-    keys = draw(st.lists(st.tuples(ident, ident), min_size=1, max_size=4, unique=True))
-    return dim, [(step_id, goal_id, draw(vector(dim))) for step_id, goal_id in keys]
 
 
 @st.composite
@@ -139,10 +130,6 @@ def _store_rows(store):
     return store.dim, [(row_id, store[row_id].tobytes()) for row_id in store.ids]
 
 
-def _table_rows(source):
-    return source.dim, [(key, source.table[key].tobytes()) for key in source.table.ids]
-
-
 def _model_fields(model):
     u = None if model.unlinkable_feat is None else model.unlinkable_feat.tobytes()
     return model.w.tobytes(), model.lam, model.unlinkable_enabled, u, model.k
@@ -166,14 +153,6 @@ KINDS = {
         lambda path, store: save_embeddings(store, path),
         lambda path: _store_rows(load_embeddings(path)),
         _store_rows,
-        " ",
-    ),
-    "pair-features": Kind(
-        feature_rows(),
-        lambda path, rows: write_vectors(path, rows[0], ((f"{s} {g}", v) for s, g, v in rows[1])),
-        lambda path: _table_rows(load_feature_file(path)),
-        lambda rows: _table_rows(
-            TableFeatureSource(vector_table(rows[0], {(s, g): v for s, g, v in rows[1]}))),
         " ",
     ),
     "candidates": Kind(ranked_lists(sim2=False), write_candidates,
@@ -277,16 +256,16 @@ def test_damaged_line_is_read_as_before_or_rejected_with_path(name, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(model=models(), features=st.booleans(), data=st.data())
-def test_checkpoint_with_one_more_key_line_fails_to_load(model, features, data):
+@given(model=models(), data=st.data())
+def test_checkpoint_with_one_more_key_line_fails_to_load(model, data):
     """`load_model` reads `model_text` and nothing else: one more ``key=value``
     line, anywhere, is a DataError naming the path, whether its key is one
-    the checkpoint has (then given twice) or one it may not have."""
-    model = replace(model, features="0123456789abcdef" * 4 if features else None)
+    the checkpoint has (then given twice) or one it may not have, such as
+    the `features` key of a model trained on a pair-feature file."""
     lines = model_text(model).splitlines(keepends=True)
     present = [line.split("=", 1)[0] for line in lines if "=" in line]
-    key = data.draw(st.sampled_from(
-        [*present, "dim", "unlinkable", "context_mode", "window", "featurs", "W", "U", ""]))
+    key = data.draw(st.sampled_from([*present, "dim", "unlinkable", "context_mode", "window",
+                                     "features", "featurs", "W", "U", ""]))
     value = data.draw(st.sampled_from(["1", "0", "1.0", "both", "f" * 64]))
     lines.insert(data.draw(st.integers(0, len(lines))), f"{key}={value}\n")
     with tempfile.TemporaryDirectory() as tmp:
@@ -316,6 +295,13 @@ def test_tab_rows_checks_columns_and_unique_first_field(tmp_path):
         list(tab_rows(path, 3))
     with pytest.raises(DataError, match=r"rows.tsv: line 1: expected 1 columns, got 2$"):
         list(tab_rows(path, 1, exact=True))
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_json_artifact_refuses_a_number_that_is_not_finite(tmp_path, value):
+    """JSON has no NaN or Infinity, so `write_json` does not write them."""
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(tmp_path / "x.json", {"sim2": [0.5, value]})
 
 
 def test_missing_file_is_a_data_error_with_path(tmp_path):

@@ -18,7 +18,6 @@ import pytest
 import prockb
 from conftest import identity_records, write_jsonl
 from prockb import cli
-from prockb.artifacts import sha256, write_vectors
 from prockb.cli import main
 from prockb.corpus import UNLINKABLE, load_corpus
 from prockb.embedding import load_embeddings
@@ -28,10 +27,6 @@ from prockb.linkeval import split_links
 from prockb.rerank import LexicalFeatureSource, load_model, new_model, save_model
 from prockb.retrieval import build_index, read_candidates
 from prockb.videoretrieval import FIL_L1, Query, write_queries
-
-
-def write_feature_file(path, dim, rows):
-    write_vectors(path, dim, ((f"{step_id} {goal_id}", vec) for step_id, goal_id, vec in rows))
 
 
 def run(argv):
@@ -927,8 +922,6 @@ def input_files(tmp_path_factory):
     files["candidates"].write_text("".join(f"{s}\t1\t{g}\t0.5\n" for s, g in gold.items()))
     files["model"] = tmp / "model.txt"
     save_model(new_model(7), files["model"])
-    files["features"] = tmp / "features.txt"
-    write_feature_file(files["features"], 8, [(s, g, [0.5] * 8) for s, g in gold.items()])
     files["rankings"] = tmp / "rankings.tsv"
     files["rankings"].write_text("".join(f"{s}\t1\t{g}\t0.5\t0.5\n" for s, g in gold.items()))
 
@@ -954,8 +947,6 @@ _READERS = {
              "--gold", "{gold}"],
     "model": ["link", "--corpus", "{corpus}", "--embeddings", "{embeddings}",
               "--model", "{model}"],
-    "features": ["train-reranker", "--corpus", "{corpus}", "--candidates", "{candidates}",
-                 "--gold", "{gold}", "--features", "{features}"],
     "rankings": ["eval-links", "--rankings", "{rankings}", "--gold", "{gold}"],
     "links": ["vr-filter", "--videos", "{videos}", "--corpus", "{vr_corpus}",
               "--level", "fil_l2", "--links", "{links}", "--index", "{vr_index}"],
@@ -1123,13 +1114,6 @@ def test_damage_test_commands_pass_on_valid_inputs(input_files, tmp_path, kind):
 @pytest.mark.parametrize(
     "kind, text, message",
     [
-        ("features", "dim=8\n" + ("a00_probe a01" + " 0.5" * 8 + "\n") * 2,
-         "line 3: duplicate row 'a00_probe a01'"),
-        ("features", "dim=eight\n", "line 1: expected header 'dim=<d>'"),
-        ("features", "dim=8\n" + "a00_probe a01 x" + " 0.5" * 7 + "\n",
-         "line 2: row 'a00_probe a01' has a non-numeric value"),
-        ("features", "dim=8\na00_probe\n",
-         "line 2: row 'a00_probe' has 1 field, expected 2 ids and 8 values"),
         ("embeddings", "dim=x\n", "line 1: expected header 'dim=<d>'"),
         ("links", "g0_s0\tg1\ng0_s1\tg2\ng0_s0\tg2\n", "line 3: duplicate step 'g0_s0'"),
         ("links", "g0_s0\tg1\nnostep\tg1\n", "line 2: unknown step_id 'nostep' in {vr_corpus}"),
@@ -1159,12 +1143,11 @@ def test_damage_test_commands_pass_on_valid_inputs(input_files, tmp_path, kind):
         ("videos", '{"video_id": "v1", "goal_id": ["g0"], "caption": "x"}\n',
          "line 1: goal_id must be a string or integer, got ['g0']"),
     ],
-    ids=["duplicate-feature-row", "bad-feature-header", "non-numeric-feature",
-         "feature-row-of-one-field", "bad-embedding-header", "duplicate-link-step",
-         "unknown-link-step", "unknown-link-goal", "duplicate-gold-step", "unknown-gold-step",
-         "unknown-gold-goal", "unknown-candidate-step", "unknown-candidate-goal",
-         "unknown-candidate-goal-before-a-later-bad-rank", "duplicate-model-key",
-         "null-title", "list-step-text", "null-caption", "bool-video-id", "list-goal-id"],
+    ids=["bad-embedding-header", "duplicate-link-step", "unknown-link-step", "unknown-link-goal",
+         "duplicate-gold-step", "unknown-gold-step", "unknown-gold-goal", "unknown-candidate-step",
+         "unknown-candidate-goal", "unknown-candidate-goal-before-a-later-bad-rank",
+         "duplicate-model-key", "null-title", "list-step-text", "null-caption", "bool-video-id",
+         "list-goal-id"],
 )
 def test_bad_rows_exit_2_with_path_and_line(input_files, tmp_path, capsys, kind, text, message):
     """A reader given --corpus rejects a step or goal that is not one of
@@ -1191,105 +1174,22 @@ def test_model_of_another_width_exits_2_with_path(identity_setup, tmp_path, caps
     assert f"{model}: model width 16 does not match the feature width 7 of lexical" in err
 
 
-def test_feature_table_of_another_width_exits_2_with_paths(identity_setup, tmp_path, capsys):
-    corpus_path, _, embeddings, _ = _linked(identity_setup, tmp_path)
-    _, _, gold = identity_setup
-    model, features = tmp_path / "model.txt", tmp_path / "features.txt"
-    write_feature_file(features, 8, [(s, g, [0.5] * 8) for s, g in gold.items()])
-    save_model(replace(new_model(7), features=sha256(features)), model)
-    capsys.readouterr()
-    code = run(["link", "--corpus", str(corpus_path), "--embeddings", str(embeddings),
-                "--model", str(model), "--features", str(features),
-                "--out-dir", str(tmp_path / "ln")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert f"{model}: model width 7 does not match the feature width 8 of {features}" in err
-
-
-def test_missing_feature_row_exits_2_with_path(identity_setup, tmp_path, capsys):
-    corpus_path, _, embeddings, _ = _linked(identity_setup, tmp_path)
-    model, features = tmp_path / "model.txt", tmp_path / "features.txt"
-    write_feature_file(features, 7, [("a00_probe", "a01", [0.5] * 7)])
-    save_model(replace(new_model(7), features=sha256(features)), model)
-    capsys.readouterr()
-    code = run(["link", "--corpus", str(corpus_path), "--embeddings", str(embeddings),
-                "--model", str(model), "--features", str(features),
-                "--out-dir", str(tmp_path / "ln")])
-    assert code == 2
-    assert f"{features}: no feature row for step 'a00_probe'" in capsys.readouterr().err
-
-
-def _candidate_features(candidates, path):
-    """A 7-wide pair-feature file holding a row for every pair of `candidates`."""
-    ranked = read_candidates(candidates)
-    steps = np.repeat(np.array(ranked.step_ids, dtype=object), np.diff(ranked.offsets))
-    write_feature_file(path, 7, [(s, g, [1.0, float(s.endswith("probe")), 0.5, 0, 0, 0, 0])
-                                 for s, g in zip(steps, ranked.goal_ids)])
-
-
-def test_table_checkpoint_links_only_with_its_feature_file(identity_setup, tmp_path):
-    """`train-reranker --features` names the file in the checkpoint by its
-    sha256; `link` and `expand` given that file run, and the tree's config
-    hash is the same when the same inputs are read from another directory."""
-    corpus_path, gold_path, embeddings, candidates = _linked(identity_setup, tmp_path)
-    features = tmp_path / "features.txt"
-    _candidate_features(candidates, features)
-    assert run(["train-reranker", "--corpus", str(corpus_path), "--candidates", str(candidates),
-                "--gold", str(gold_path), "--features", str(features), "--epochs", "2",
-                "--out-dir", str(tmp_path / "tr")]) == 0
-    model = tmp_path / "tr" / "model.txt"
-    assert f"\nk=10\nfeatures={sha256(features)}\nW " in model.read_text()
-    assert load_model(model).features == sha256(features)
-    assert run(["link", "--corpus", str(corpus_path), "--embeddings", str(embeddings),
-                "--model", str(model), "--features", str(features),
-                "--out-dir", str(tmp_path / "ln")]) == 0
-    moved = tmp_path / "moved"
-    moved.mkdir()
-    trees = []
-    for where in (tmp_path, moved):
-        paths = [where / name for name in ("c.jsonl", "e.txt", "m.txt", "f.txt")]
-        for source, copy in zip((corpus_path, embeddings, model, features), paths):
-            copy.write_bytes(source.read_bytes())
-        out = where / "tree"
-        assert run(["expand", "--corpus", str(paths[0]), "--embeddings", str(paths[1]),
-                    "--model", str(paths[2]), "--features", str(paths[3]), "--root", "a00",
-                    "--out-dir", str(out)]) == 0
-        trees.append((out / "tree.json").read_bytes())
-    assert trees[0] == trees[1]
-
-
 @pytest.mark.parametrize("command", ["link", "expand"])
-@pytest.mark.parametrize("case", ["table-model-without-features", "lexical-model-with-features",
-                                  "table-model-with-another-table"])
-def test_features_that_are_not_the_checkpoints_exit_2(identity_setup, tmp_path, capsys,
-                                                       monkeypatch, command, case):
-    """`link` and `expand` take --features exactly when the checkpoint names
-    a feature file, and only that file, by its bytes; a mismatch names both
-    flags and is found before --features is parsed or any step is linked."""
+def test_checkpoint_whose_scores_overflow_exits_2(identity_setup, tmp_path, capsys, command):
+    """A checkpoint whose W . f overflows gives no sim2 to write: the run
+    ends in a data error naming --model and the first such step, and
+    writes nothing."""
     corpus_path, _, embeddings, _ = _linked(identity_setup, tmp_path)
-    table, other, model = tmp_path / "table.txt", tmp_path / "other.txt", tmp_path / "model.txt"
-    write_feature_file(table, 7, [("a00_probe", "a01", [0.5] * 7)])
-    other.write_text("not a feature table\n")
-    digest, features = {
-        "table-model-without-features": (sha256(table), None),
-        "lexical-model-with-features": (None, other),
-        "table-model-with-another-table": (sha256(table), other),
-    }[case]
-    save_model(replace(new_model(7), features=digest), model)
-    trained = f"the --features file of sha256 {digest}" if digest else "lexical features"
-    given = (f"--features {other} (sha256 {sha256(other)})" if features
-             else "lexical features (no --features given)")
-    monkeypatch.setattr(cli, "load_feature_file", lambda path: pytest.fail("parsed"))
-    monkeypatch.setattr(cli, "link_all", lambda pipeline: pytest.fail("linked"))
-    monkeypatch.setattr(cli, "expand", lambda *args: pytest.fail("expanded"))
+    model = tmp_path / "model.txt"
+    save_model(replace(new_model(7), w=np.full(7, 1e308)), model)
     extra = ["--root", "a00"] if command == "expand" else []
-    extra += ["--features", str(features)] if features else []
     capsys.readouterr()
     out = tmp_path / "out"
-    assert run([command, "--corpus", str(corpus_path), "--embeddings", str(embeddings),
-                "--model", str(model), *extra, "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: --model {model} was trained on {trained}, " \
-                                      f"not on {given}\n"
+    code = run([command, "--corpus", str(corpus_path), "--embeddings", str(embeddings),
+                "--model", str(model), *extra, "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: --model {model}: sim2 of step 'a00_probe' is not a finite number\n")
     assert not out.exists()
 
 
@@ -1439,6 +1339,35 @@ def test_diverging_training_exits_2_naming_lr(train_argv, tmp_path, capsys):
     assert not (tmp_path / "out" / "model.txt").exists()
 
 
+_REIMPORT = """
+import gc, importlib, sys, types, weakref
+importlib.import_module("prockb.cli")
+old = [weakref.ref(value) for name, module in list(sys.modules.items()) if name.startswith("prockb")
+       for value in vars(module).values()
+       if isinstance(value, (type, types.FunctionType)) and value.__module__ == name]
+for name in [name for name in sys.modules if name.startswith("prockb")]:
+    del sys.modules[name]
+gc.collect()
+importlib.import_module("prockb.cli")
+print(len(old), sorted(ref().__qualname__ for ref in old if ref() is not None))
+"""
+
+
+def test_a_fresh_import_frees_the_package_it_replaces():
+    """Nothing outside prockb holds on to a prockb that was dropped from
+    `sys.modules`, so importing it afresh, as each command of a benchmark
+    chain does, frees the old one. `typing` caches each generic it makes for
+    good, so an annotation such as `typing.Iterator[Step]` would keep `Step`,
+    and with it every module, alive; `collections.abc` generics are not cached."""
+    src = str(Path(prockb.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _REIMPORT], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    n, alive = done.stdout.split(" ", 1)
+    assert int(n) > 50 and alive.strip() == "[]"
+
+
 @pytest.mark.parametrize("module", ["prockb", "prockb.cli"])
 def test_python_dash_m_runs_the_cli(tmp_path, module):
     src = str(Path(prockb.__file__).resolve().parents[1])
@@ -1494,7 +1423,7 @@ def test_id_with_whitespace_exits_2_in_build_index(tmp_path, capsys):
 _SUBCOMMANDS = {
     "build-index": _READERS["corpus"],
     "retrieve": _READERS["embeddings"],
-    "train-reranker": _READERS["features"],
+    "train-reranker": _READERS["candidates"],
     "link": ["link", "--corpus", "{corpus}", "--embeddings", "{embeddings}",
              "--model", "{model}", "--rankings"],
     "expand": ["expand", "--corpus", "{corpus}", "--embeddings", "{embeddings}",
@@ -1525,6 +1454,18 @@ def test_manifest_lists_the_input_files_given_and_the_files_written(input_files,
     assert manifest["outputs"] == written
     given = {arg.format(**paths) for arg in _SUBCOMMANDS[name] if arg.startswith("{")}
     assert set(manifest["inputs"]) == given
+
+
+@pytest.mark.parametrize("name", ["train-reranker", "link", "expand"])
+def test_features_flag_is_a_usage_error(input_files, tmp_path, capsys, name):
+    """Stage 2 reads its pair features from the corpus only; a pair-feature
+    file is not an input."""
+    out = tmp_path / "out"
+    capsys.readouterr()
+    argv = [*_subcommand(input_files, name), "--features", str(input_files["embeddings"])]
+    assert run([*argv, "--out-dir", str(out)]) == 1
+    assert "unrecognized arguments: --features" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -1637,7 +1578,8 @@ def test_non_ascii_paths_and_root_are_kept_with_the_same_config_hash(tmp_path, m
         # build-index's hash is over the same config less the deleted `embeddings` key
         ("ïx", "7fc21e075fb36d3db4fd659b7f455ccf15064f0abe0dd1f2c8a42e4c0477576c",
          ['"corpus": "kórpus.jsonl"']),
-        ("trée", "2fb3454c33595f0f971b26aab5b7d7d7ffe24570b126b28dc3d9940eb0f4fb7a",
+        # expand's is over the same config less the deleted `features` key
+        ("trée", "54704323f38cfd42f9d7bf44004be93986d3761e18484e63b26c150f34be7350",
          ['"root": "ä00"', '"mödel.txt": "', '"ïx/embeddings.txt": "']),
     ):
         text = Path(out, "manifest.json").read_bytes().decode("utf-8")

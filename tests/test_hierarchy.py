@@ -193,7 +193,6 @@ def test_config_hash_is_the_checkpoint_text_and_the_vectors():
         replace(model, w=w), replace(model, w=np.zeros(8)), replace(model, lam=0.5),
         replace(model, unlinkable_feat=model.unlinkable_feat + 1),
         replace(model, unlinkable_feat=None), replace(model, k=29),
-        replace(model, features="0" * 64),
     ]
     hashes = {replace(pipeline, model=variant).config_hash() for variant in variants}
     # A store of one shape with other vectors, as two embeddings files may be.

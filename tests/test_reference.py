@@ -219,20 +219,19 @@ def test_bad_line_before_bad_utf8_of_the_same_block(tmp_path):
 
 @st.composite
 def vector_files(draw):
-    """The lines of a ``dim=<d>`` file of up to 8 rows with 1 or 2 id fields,
-    and that number of id fields."""
-    n_ids, dim = draw(st.sampled_from([1, 2])), draw(st.integers(1, 5))
-    keys = draw(st.lists(st.tuples(*[ident] * n_ids), max_size=8, unique=True))
-    rows = [" ".join([*key, *map(repr, draw(st.lists(score, min_size=dim, max_size=dim)))])
+    """The lines of a ``dim=<d>`` file of up to 8 rows."""
+    dim = draw(st.integers(1, 5))
+    keys = draw(st.lists(ident, max_size=8, unique=True))
+    rows = [" ".join([key, *map(repr, draw(st.lists(score, min_size=dim, max_size=dim)))])
             for key in keys]
-    return [f"dim={dim}", *rows], n_ids
+    return [f"dim={dim}", *rows]
 
 
-def vector_outcome(read, path, n_ids):
+def vector_outcome(read, path):
     """What `read` makes of the file: its width and each id with its row's
     bytes, or the text of its DataError."""
     try:
-        result = read(path, n_ids)
+        result = read(path)
     except DataError as exc:
         return str(exc)
     if isinstance(result[1], dict):  # the reference's (dim, {id: vector})
@@ -265,20 +264,18 @@ def damage_vectors(lines: list[str], rng, i: int) -> list[str]:
 
 @settings(max_examples=150, deadline=None)
 @given(vector_files(), blocks, st.integers(0, 3), st.randoms(use_true_random=False))
-def test_vectors_read_or_fail_as_line_by_line(file, block, faults, rng):
+def test_vectors_read_or_fail_as_line_by_line(lines, block, faults, rng):
     """The same ids, rows bit for bit, and the same message and line for
-    every fault, with 1 and 2 id columns."""
-    lines, n_ids = file
+    every fault."""
     for _ in range(faults):
         lines = damage_vectors(lines, rng, rng.randrange(len(lines)))
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(artifacts, "BLOCK", block):
         path = Path(tmp) / "vectors.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        got = vector_outcome(artifacts.read_vectors, path, n_ids)
-        assert got == vector_outcome(reference.read_vectors, path, n_ids)
+        got = vector_outcome(artifacts.read_vectors, path)
+        assert got == vector_outcome(reference.read_vectors, path)
 
 
-@pytest.mark.parametrize("n_ids", [1, 2])
 @pytest.mark.parametrize("bad, message", [
     ("{id} 1.0 2.0", "row '{id}' has 2 values, expected 3"),
     ("{id} 1.0 x nan", "row '{id}' has a non-numeric value"),
@@ -286,21 +283,20 @@ def test_vectors_read_or_fail_as_line_by_line(file, block, faults, rng):
     ("{id} 1.0 2.0 nan", "row '{id}' has a non-finite value"),
     ("{first} 1.0 2.0 3.0", "duplicate row '{first}'"),
 ], ids=["width", "non-numeric-before-non-finite", "overflow", "nan", "duplicate"])
-def test_bad_vector_row_after_many_blocks_and_blank_lines(tmp_path, n_ids, bad, message):
+def test_bad_vector_row_after_many_blocks_and_blank_lines(tmp_path, bad, message):
     """At the real block size, with a blank line in every few and the bad
     line far into the file, each fault kind is reported as line by line."""
-    key = (lambda i: f"r{i}") if n_ids == 1 else (lambda i: f"s{i} g{i % 7}")
     lines = ["dim=3"]
     for i in range(700):
-        lines.append(f"{key(i)} {i / 7!r} -{i}.5 1e-{i % 300}")
+        lines.append(f"r{i} {i / 7!r} -{i}.5 1e-{i % 300}")
         if i % 3 == 0:
             lines.append(" " if i % 2 else "")
-    lines.insert(900, bad.format(id=key(9999), first=key(0)))
+    lines.insert(900, bad.format(id="r9999", first="r0"))
     path = tmp_path / "vectors.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    got = vector_outcome(artifacts.read_vectors, path, n_ids)
-    assert got == vector_outcome(reference.read_vectors, path, n_ids)
-    assert got == f"{path}: line 901: " + message.format(id=key(9999), first=key(0))
+    got = vector_outcome(artifacts.read_vectors, path)
+    assert got == vector_outcome(reference.read_vectors, path)
+    assert got == f"{path}: line 901: " + message.format(id="r9999", first="r0")
 
 
 @pytest.mark.parametrize("text, message", [
@@ -317,8 +313,8 @@ def test_bad_vector_row_after_many_blocks_and_blank_lines(tmp_path, n_ids, bad, 
 def test_first_vector_fault_in_line_order(tmp_path, text, message):
     path = tmp_path / "vectors.txt"
     path.write_text(text, encoding="utf-8")
-    got = vector_outcome(artifacts.read_vectors, path, 1)
-    assert got == vector_outcome(reference.read_vectors, path, 1)
+    got = vector_outcome(artifacts.read_vectors, path)
+    assert got == vector_outcome(reference.read_vectors, path)
     assert got == f"{path}: {message}"
 
 

@@ -8,17 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    columns, from_lists, identity_records, make_corpus, one_list, one_loss, pair_features, score_list,
-    vector_table,
+    TableSource, columns, from_lists, identity_records, make_corpus, one_list, one_loss,
+    pair_features, score_list,
 )
-from prockb.artifacts import write_vectors
 from prockb.corpus import UNLINKABLE
 from prockb.errors import DataError
 from prockb.rerank import (
     LexicalFeatureSource,
     RerankModel,
-    TableFeatureSource,
-    load_feature_file,
     load_model,
     make_training_examples,
     model_text,
@@ -29,10 +26,6 @@ from prockb.rerank import (
     train,
 )
 from prockb.textsearch import tokenize
-
-
-def write_feature_file(path, dim, rows):
-    write_vectors(path, dim, ((f"{step_id} {goal_id}", vec) for step_id, goal_id, vec in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -235,21 +228,6 @@ def test_batch_rows_match_reference_in_any_split(batch, block, data):
     assert np.concatenate(parts[::-1]).tobytes() == got.tobytes()
 
 
-def test_table_batch_stacks_rows_and_names_a_missing_one(tmp_path):
-    rng = np.random.default_rng(8)
-    rows = [(s, g, rng.normal(size=4)) for s in ("s1", "s2") for g in ("g1", "g2")]
-    path = tmp_path / "features.txt"
-    write_feature_file(path, 4, rows)
-    source = load_feature_file(path)
-    table = dict(((s, g), vec) for s, g, vec in rows)
-    got = pair_features(source, ("s2", "s1", "s2"), (("g2", "g1"), (), ("g2",)))
-    want = np.stack([table["s2", "g2"], table["s2", "g1"], table["s2", "g2"]])
-    assert got.tobytes() == want.tobytes()
-    with pytest.raises(DataError) as info:
-        pair_features(source, ("s1", "s2"), (("g1",), ("g2", "g9")))
-    assert str(info.value) == f"{path}: no feature row for step 's2', goal 'g9'"
-
-
 def test_blocks_do_not_depend_on_warm_up_order():
     records, _ = identity_records(12)
     corpus = make_corpus(records)
@@ -269,7 +247,6 @@ def test_blocks_do_not_depend_on_warm_up_order():
 def test_empty_block_has_model_width(lex_corpus):
     source = LexicalFeatureSource(lex_corpus)
     assert pair_features(source, ("t1",), ((),)).shape == (0, 7)
-    assert pair_features(TableFeatureSource(vector_table(8, {})), ("t1",), ((),)).shape == (0, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +254,7 @@ def test_empty_block_has_model_width(lex_corpus):
 
 def test_sim2_arithmetic():
     def sim2(model, row, sim1):
-        source = TableFeatureSource(vector_table(2, {("s", "g"): np.array(row)}))
+        source = TableSource(2, {("s", "g"): np.array(row)})
         return score_list(model, one_list("s", ["g"], [sim1]), source).sim2.tolist()
 
     assert sim2(RerankModel(w=np.array([1.0, 0.0]), lam=0.0), [0.7, 3.0], 0.9) == [0.7]
@@ -293,7 +270,7 @@ def test_sim2_dim_mismatch():
 
 
 def zero_table(step_id, goal_ids, dim=8):
-    return TableFeatureSource(vector_table(dim, {(step_id, g): np.zeros(dim) for g in goal_ids}))
+    return TableSource(dim, {(step_id, g): np.zeros(dim) for g in goal_ids})
 
 
 def test_identity_reranker_preserves_stage1_order():
@@ -319,7 +296,7 @@ def test_score_candidates_reranks_each_list_on_its_own():
     rng = np.random.default_rng(4)
     lists = [("s1", ["ga", "gb", "gc"]), ("s2", ["gb"]), ("s3", ["gc", "ga"])]
     table = {(s, g): rng.normal(size=8) for s, goals in lists for g in goals}
-    source = TableFeatureSource(vector_table(8, table))
+    source = TableSource(8, table)
     sim1s = [rng.uniform(-1, 1, size=len(goals)) for _, goals in lists]
     model = RerankModel(w=rng.normal(size=8), lam=0.5, unlinkable_feat=rng.normal(size=8))
     ranked = from_lists([s for s, _ in lists], [goals for _, goals in lists], sim1s)
@@ -336,7 +313,7 @@ def test_top1_is_argmax_of_per_pair_sim2():
     rng = np.random.default_rng(0)
     goal_ids = tuple(f"g{i}" for i in range(6))
     table = {("s", g): rng.normal(size=8) for g in goal_ids}
-    source = TableFeatureSource(vector_table(8, table))
+    source = TableSource(8, table)
     sim1s = rng.uniform(-1, 1, size=len(goal_ids))
     model = RerankModel(w=rng.normal(size=8), lam=float(rng.normal()))
     scored = score_list(model, one_list("s", goal_ids, sim1s), source)
@@ -378,7 +355,7 @@ def test_sim2_matches_per_row_arithmetic(case):
     model, feats, sim1s = case
     goal_ids = [f"g{i}" for i in range(len(sim1s))]
     table = {("s", g): row for g, row in zip(goal_ids, feats)}
-    source = TableFeatureSource(vector_table(model.dim, table))
+    source = TableSource(model.dim, table)
     scored = score_list(model, one_list("s", goal_ids, sim1s), source)
     got = dict(zip(scored.goal_ids, scored.sim2.tolist()))
     slots = goal_ids + [UNLINKABLE] * model.unlinkable_enabled
@@ -396,7 +373,7 @@ def test_score_candidates_order_matches_per_row_arithmetic(case):
     model, feats, sim1s = case
     goal_ids = [f"g{i}" for i in range(len(sim1s))]
     table = {("s", g): row for g, row in zip(goal_ids, feats)}
-    source = TableFeatureSource(vector_table(model.dim, table))
+    source = TableSource(model.dim, table)
     scored = score_list(model, one_list("s", goal_ids, sim1s), source)
     slots = list(zip(goal_ids, sim1s.tolist()))
     if model.unlinkable_enabled:
@@ -404,6 +381,22 @@ def test_score_candidates_order_matches_per_row_arithmetic(case):
     want = [(g, s1, score) for (g, s1), (score, _) in zip(slots, per_row_scores(model, feats, sim1s))]
     got = list(zip(scored.goal_ids, scored.sim1.tolist(), scored.sim2.tolist()))
     assert got == sorted(want, key=lambda e: (-e[2], e[0]))
+
+
+@pytest.mark.parametrize("row, u_row, step", [
+    ([2.0, 0.0], None, "s2"),  # W . f overflows to inf
+    ([2.0, 2.0], None, "s2"),  # inf - inf is nan
+    ([0.0, 0.0], [2.0, 0.0], "s1"),  # the placeholder's U row overflows
+], ids=["inf", "nan", "placeholder"])
+def test_score_that_is_not_finite_names_its_step(row, u_row, step):
+    """A sim2 that is not finite is an error that names the first list
+    holding one, raised without a numpy warning."""
+    model = RerankModel(w=np.array([1e308, -1e308]), lam=1.0,
+                        unlinkable_feat=None if u_row is None else np.array(u_row))
+    ranked = from_lists(["s1", "s2"], [["g1"], ["g1", "g2"]], [[0.5], [0.5, 0.5]])
+    feats = np.array([[0.0, 0.0], [0.0, 0.0], row])
+    with pytest.raises(FloatingPointError, match=rf"^sim2 of step '{step}' is not a finite number$"):
+        score_candidates(model, ranked, feats)
 
 
 def test_score_candidates_empty_list():
@@ -564,7 +557,7 @@ def separable_set(n: int, dim: int = 8, m: int = 4, seed: int = 0, prefix: str =
         step_ids.append(step_id)
         goal_ids.append(goals)
     lists = from_lists(step_ids, goal_ids, [[0.5] * m] * n)
-    return (lists, [m - 1] * n), TableFeatureSource(vector_table(dim, table))
+    return (lists, [m - 1] * n), TableSource(dim, table)
 
 
 def rerank_recall_at_1(model, examples, source):
@@ -578,8 +571,7 @@ def rerank_recall_at_1(model, examples, source):
 def test_training_learns_separable_set():
     train_examples, source = separable_set(40, seed=0, prefix="tr")
     dev_examples, dev_source = separable_set(16, seed=1, prefix="dv")
-    rows = {key: row for t in (source.table, dev_source.table) for key, row in zip(t.ids, t.matrix)}
-    merged = TableFeatureSource(vector_table(8, rows))
+    merged = TableSource(8, {**source.rows, **dev_source.rows})
     model = new_model(8, lam=0.0)
 
     assert rerank_recall_at_1(model, dev_examples, merged) <= 0.5
@@ -650,8 +642,8 @@ def test_placeholder_slot_trains_toward_unlinkable():
     lists = one_list("s", ["g1", "g2"], [0.9, 0.1])
     examples = make_training_examples(lists, {"s": "g9"}, unlinkable=True)
     assert examples[1] == [2]
-    source = TableFeatureSource(vector_table(2, {("s", "g1"): np.array([1.0, 0.0]),
-                                                 ("s", "g2"): np.array([0.0, 1.0])}))
+    source = TableSource(2, {("s", "g1"): np.array([1.0, 0.0]),
+                             ("s", "g2"): np.array([0.0, 1.0])})
     result = train(new_model(2, lam=0.0, unlinkable=True), examples, source, lr=1.0, epochs=20)
     assert score_list(result.model, lists, source).goal_ids[0] == UNLINKABLE
 
@@ -666,14 +658,12 @@ def test_model_checkpoint_round_trip(tmp_path):
         lam=-0.375,
         unlinkable_feat=rng.normal(size=8),
         k=12,
-        features="0123456789abcdef" * 4,
     )
     path = tmp_path / "model.txt"
     save_model(model, path)
     assert path.read_text() == model_text(model)
     loaded = load_model(path)
     assert model_text(loaded) == model_text(model)
-    assert loaded.features == model.features
     assert loaded.w.tobytes() == model.w.tobytes()
     assert loaded.lam == model.lam
     assert loaded.unlinkable_enabled
@@ -697,11 +687,11 @@ def test_model_checkpoint_validation(tmp_path):
         ({"k": 0}, "W 0.0 1.0 2.0\nU 5.0 5.0 5.0\n", "k must be >= 1, got 0"),
         ({"k": None}, "W 0.0 1.0 2.0\nU 5.0 5.0 5.0\n", r"malformed model checkpoint \('k'\)"),
         ({"k": 2.5}, "W 0.0 1.0 2.0\nU 5.0 5.0 5.0\n", "malformed model checkpoint"),
-        *(({"features": value}, "W 0.0 1.0 2.0\nU 5.0 5.0 5.0\n",
-           f"features must be a sha256 of 64 lowercase hex digits, got '{value}'")
-          for value in ("", "0" * 63, "0" * 65, "A" * 64, "g" * 64)),
-        # A misspelt key is not read as a missing one, which for `featurs=`
-        # would load a model trained on a feature file as a lexical one.
+        # A checkpoint of a model trained on a pair-feature file, which
+        # stage 2 no longer reads, is refused at its `features` line.
+        ({"features": "0123456789abcdef" * 4}, "W 0.0 1.0 2.0\n",
+         r"line 3: unknown key 'features'$"),
+        # A misspelt key is not read as a missing one.
         ({"featurs": "0" * 64}, "W 0.0 1.0 2.0\n", r"line 3: unknown key 'featurs'$"),
         # The earlier format, which stated the width and unlinkable flag apart
         # from the rows, and a context mode and window that no longer exist.
@@ -709,8 +699,7 @@ def test_model_checkpoint_validation(tmp_path):
          "W 0.0 1.0 2.0\nU 5.0 5.0 5.0\n", r"line 3: unknown key 'dim'$"),
     ],
     ids=["no-W-line", "short-U-row", "non-float-W", "k-0", "no-k-line", "k-2.5",
-         "features-empty", "features-63", "features-65", "features-upper", "features-not-hex",
-         "misspelt-features-key", "earlier-format"],
+         "features-key", "misspelt-features-key", "earlier-format"],
 )
 def test_model_checkpoint_rejects_bad_vectors(tmp_path, keys, vectors, message):
     """`keys` are written over the defaults; a key set to None is left out."""
@@ -723,13 +712,12 @@ def test_model_checkpoint_rejects_bad_vectors(tmp_path, keys, vectors, message):
     assert str(path) in str(info.value)
 
 
-def test_checkpoint_has_a_features_line_only_for_a_feature_file():
-    """A `features` line is written only for a model trained on a feature
-    file, as a U row only for an unlinkable model."""
+def test_checkpoint_has_a_u_row_only_for_an_unlinkable_model():
+    """The checkpoint is `lambda`, `k` and the W row, then a U row only for
+    an unlinkable model."""
     assert model_text(new_model(2)) == "lambda=1.0\nk=30\nW 0.0 0.0\n"
-    digest = "f" * 64
-    assert model_text(replace(new_model(2, unlinkable=True), features=digest)) == (
-        f"lambda=1.0\nk=30\nfeatures={digest}\nW 0.0 0.0\nU 0.0 0.0\n")
+    assert model_text(replace(new_model(2, unlinkable=True), k=7)) == (
+        "lambda=1.0\nk=7\nW 0.0 0.0\nU 0.0 0.0\n")
 
 
 def test_unlinkable_enabled_is_whether_the_model_has_a_u_row():
@@ -737,23 +725,3 @@ def test_unlinkable_enabled_is_whether_the_model_has_a_u_row():
     assert new_model(3, unlinkable=True).unlinkable_enabled
     assert RerankModel(w=np.zeros(3), lam=1.0, unlinkable_feat=np.zeros(3)).unlinkable_enabled
     assert not RerankModel(w=np.zeros(3), lam=1.0).unlinkable_enabled
-
-
-def test_feature_file_round_trip(tmp_path):
-    rng = np.random.default_rng(6)
-    rows = [("s1", "g1", rng.normal(size=8)), ("s1", "g2", rng.normal(size=8))]
-    path = tmp_path / "features.txt"
-    write_feature_file(path, 8, rows)
-    source = load_feature_file(path)
-    assert source.dim == 8
-    for step_id, goal_id, vec in rows:
-        assert pair_features(source, (step_id,), ((goal_id,),))[0].tobytes() == vec.tobytes()
-    with pytest.raises(DataError, match=r"s1.*g9"):
-        pair_features(source, ("s1",), (("g1", "g9"),))
-
-
-def test_feature_file_validation(tmp_path):
-    path = tmp_path / "features.txt"
-    path.write_text("dim=3\ns1 g1 1.0 2.0\n")
-    with pytest.raises(DataError, match="line 2"):
-        load_feature_file(path)
