@@ -256,22 +256,26 @@ def write_vectors(path, dim: int, rows: Iterable[tuple[str, np.ndarray]]) -> Non
             handle.write(f"{row_id} {values}\n")
 
 
-def write_columns(path, n_rows: int, block: Callable[[slice], Iterable[Iterable]]) -> None:
-    """Write `n_rows` tab-separated rows, BLOCK at a time: `block(rows)` gives
-    the columns of the rows in the slice `rows`. Each column is formatted in
-    one pass, each field as `str` gives it, an array's after one `tolist`
-    (for a float, its repr)."""
+def write_columns(
+    path, tables: Iterable[tuple[int, Callable[[slice], Iterable[Iterable]]]]
+) -> None:
+    """Write tab-separated rows, table after table, each taken as it comes.
+    A table is its number of rows n and `block`, written BLOCK rows at a
+    time: `block(rows)` gives the columns of the rows in the slice `rows`.
+    Each column is formatted in one pass, each field as `str` gives it, an
+    array's after one `tolist` (for a float, its repr)."""
     with open(path, "w", encoding="utf-8") as handle:
-        for start in range(0, n_rows, BLOCK):
-            texts = [map(str, column.tolist() if isinstance(column, np.ndarray) else column)
-                     for column in block(slice(start, min(start + BLOCK, n_rows)))]
-            handle.write("\n".join(map("\t".join, zip(*texts, strict=True))) + "\n")
+        for n_rows, block in tables:
+            for start in range(0, n_rows, BLOCK):
+                texts = [map(str, column.tolist() if isinstance(column, np.ndarray) else column)
+                         for column in block(slice(start, min(start + BLOCK, n_rows)))]
+                handle.write("\n".join(map("\t".join, zip(*texts, strict=True))) + "\n")
 
 
 def write_rows(path, rows: Iterable[Sequence]) -> None:
     """Write tab-separated rows of one width, each field as `str` gives it."""
     rows = list(rows)
-    write_columns(path, len(rows), lambda part: zip(*rows[part], strict=True))
+    write_columns(path, [(len(rows), lambda part: zip(*rows[part], strict=True))])
 
 
 def write_json(path, value) -> None:

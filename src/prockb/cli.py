@@ -33,7 +33,14 @@ from .rerank import (
     save_model,
     train,
 )
-from .retrieval import DEFAULT_K, build_index, read_candidates, retrieve_all, write_candidates
+from .retrieval import (
+    DEFAULT_K,
+    build_index,
+    read_candidates,
+    retrieve_all,
+    step_blocks,
+    write_candidates,
+)
 from .textsearch import DEFAULT_B, DEFAULT_K1, TextIndex
 from .videoretrieval import (
     COST_KINDS,
@@ -194,8 +201,8 @@ def cmd_build_index(args) -> None:
 
 def cmd_retrieve(args) -> None:
     corpus, store, index = _stage1(args)
-    ranked = retrieve_all(index, store, corpus.steps(), args.k)
-    write_candidates(_output(args, "candidates.tsv")[0], ranked)
+    blocks = (retrieve_all(index, store, steps, args.k) for steps in step_blocks(corpus.steps()))
+    write_candidates(_output(args, "candidates.tsv")[0], blocks)  # written as stage 1 goes
 
 
 def _split(args, gold: dict[str, str]) -> dict[str, dict[str, str]]:
@@ -261,12 +268,12 @@ def _scored(args, run, *run_args):
 
 
 def cmd_link(args) -> None:
-    ranked = _scored(args, link_all, _pipeline(args))
+    blocks = _scored(args, link_all, _pipeline(args))  # every block scored before any is written
     names = ["links.tsv", "rankings.tsv"] if args.rankings else ["links.tsv"]
     links, *rankings = _output(args, *names)
-    write_links(links, ranked)
+    write_links(links, blocks)
     if rankings:
-        write_candidates(rankings[0], ranked)
+        write_candidates(rankings[0], blocks)
 
 
 def cmd_expand(args) -> None:

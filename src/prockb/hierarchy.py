@@ -20,7 +20,7 @@ from .artifacts import write_columns, write_json
 from .corpus import UNLINKABLE, Corpus
 from .embedding import EmbeddingStore
 from .rerank import FeatureSource, RerankModel, model_text, score_candidates
-from .retrieval import Ranked, retrieve_all
+from .retrieval import Ranked, retrieve_all, step_blocks
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,12 @@ class LinkPipeline:
 
     def config_hash(self) -> str:
         """The hash of the model's checkpoint text and of the vectors stage 1
-        searches with: the store's ids, one a line, and its matrix's bytes, as
-        read from the embeddings file."""
+        searches with: the store's ids, one a line, and its matrix's
+        little-endian float64 bytes, as read from the embeddings file."""
         digest = hashlib.sha256(model_text(self.model).encode("utf-8"))
         digest.update("".join(f"{i}\n" for i in self.store.ids).encode("utf-8"))
-        digest.update(np.ascontiguousarray(self.store.matrix))  # its bytes, not copied
+        # Little-endian bytes on any host; not copied where they already are.
+        digest.update(np.ascontiguousarray(self.store.matrix.astype("<f8", copy=False)))
         return digest.hexdigest()[:16]
 
 
@@ -80,18 +81,24 @@ def link_step(pipeline: LinkPipeline, step_id: str,
     return decided[step_id]
 
 
-def link_all(pipeline: LinkPipeline) -> Ranked:
-    """The reranked list of every corpus step, in corpus order."""
-    return link_steps(pipeline, (step.step_id for step in pipeline.corpus.steps()))
+def link_all(pipeline: LinkPipeline) -> list[Ranked]:
+    """The reranked lists of every corpus step, in corpus order: one
+    `link_steps` per block of steps (`step_blocks`), so pair features and
+    their temporaries live for one block only."""
+    return [link_steps(pipeline, (step.step_id for step in steps))
+            for steps in step_blocks(pipeline.corpus.steps())]
 
 
-def write_links(path: str | Path, ranked: Ranked) -> None:
-    """Link dump TSV: step_id, outcome, sim1, sim2 of each reranked list's
-    first entry, written column by column."""
-    first = ranked.offsets[:-1]
-    write_columns(path, len(ranked.step_ids), lambda rows: (
-        ranked.step_ids[rows], map(ranked.goal_ids.__getitem__, first[rows].tolist()),
-        ranked.sim1[first[rows]], ranked.sim2[first[rows]]))
+def write_links(path: str | Path, blocks: Iterable[Ranked]) -> None:
+    """Link dump TSV: step_id, outcome, sim1, sim2 of the first entry of
+    each reranked list of `blocks`, block after block, column by column."""
+    def table(ranked: Ranked):
+        first = ranked.offsets[:-1]
+        return len(ranked.step_ids), lambda rows: (
+            ranked.step_ids[rows], map(ranked.goal_ids.__getitem__, first[rows].tolist()),
+            ranked.sim1[first[rows]], ranked.sim2[first[rows]])
+
+    write_columns(path, map(table, blocks))
 
 
 # ---------------------------------------------------------------------------

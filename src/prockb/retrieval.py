@@ -6,13 +6,18 @@ is an exact full scan; ties break by ascending goal_id so candidate lists are
 stable across runs.
 
 Every ranked goal list, from stage-1 candidates to reranked links, is a
-`Ranked`; one writer and one reader move it to and from TSV.
+`Ranked`; one writer and one reader move it to and from TSV. `retrieve` and
+`link` work on the corpus steps a block of STEP_BLOCK at a time, one `Ranked`
+per block, and the writers take the blocks in order, so neither command
+holds the stage-1 lists or pair features of more than one block. Every list
+is computed from its own step alone, so the blocks change no byte of any
+artifact.
 """
 
 from array import array
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +27,7 @@ from .corpus import Corpus, Step
 from .embedding import EmbeddingStore, unit
 
 DEFAULT_K = 30
+STEP_BLOCK = 256  # corpus steps per block of stage-1 and stage-2 work
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,6 +69,13 @@ def take(offsets: np.ndarray, lists: np.ndarray) -> tuple[np.ndarray, np.ndarray
     sizes = np.diff(offsets)[lists]
     taken = np.concatenate(([0], np.cumsum(sizes)))
     return np.arange(taken[-1]) + np.repeat(offsets[:-1][lists] - taken[:-1], sizes), taken
+
+
+def step_blocks(steps: Iterable[Step]) -> Iterator[list[Step]]:
+    """`steps` in order, in consecutive blocks of STEP_BLOCK, the last one shorter."""
+    steps = iter(steps)
+    while block := list(islice(steps, STEP_BLOCK)):
+        yield block
 
 
 def build_index(store: EmbeddingStore, goal_ids: Iterable[str]) -> EmbeddingStore:
@@ -116,18 +129,22 @@ def retrieve_all(
                   tuple(np.array(index.ids, dtype=object)[rows]), sim1)
 
 
-def write_candidates(path: str | Path, ranked: Ranked) -> None:
-    """TSV lines of step_id, rank, goal_id, sim1 and, once reranked, sim2,
-    written column by column, a block of rows at a time."""
-    offsets, scores = ranked.offsets, [s for s in (ranked.sim1, ranked.sim2) if s is not None]
+def write_candidates(path: str | Path, blocks: Iterable[Ranked]) -> None:
+    """TSV lines of step_id, rank, goal_id, sim1 and, once reranked, sim2 of
+    each list of `blocks`, block after block, each block written as it comes,
+    column by column."""
+    def table(ranked: Ranked):
+        offsets, scores = ranked.offsets, [s for s in (ranked.sim1, ranked.sim2) if s is not None]
 
-    def block(rows: slice):
-        at = np.arange(rows.start, rows.stop)
-        lists = np.searchsorted(offsets, at, side="right") - 1
-        return (map(ranked.step_ids.__getitem__, lists.tolist()), at - offsets[lists] + 1,
-                ranked.goal_ids[rows], *(sims[rows] for sims in scores))
+        def block(rows: slice):
+            at = np.arange(rows.start, rows.stop)
+            lists = np.searchsorted(offsets, at, side="right") - 1
+            return (map(ranked.step_ids.__getitem__, lists.tolist()), at - offsets[lists] + 1,
+                    ranked.goal_ids[rows], *(sims[rows] for sims in scores))
 
-    write_columns(path, len(ranked.goal_ids), block)
+        return len(ranked.goal_ids), block
+
+    write_columns(path, map(table, blocks))
 
 
 def read_candidates(path: str | Path, corpus: Corpus | None = None) -> Ranked:

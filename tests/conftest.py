@@ -98,6 +98,26 @@ def _column(parts) -> np.ndarray:
     return np.fromiter(chain.from_iterable(parts), dtype=np.float64)
 
 
+def lists_of(ranked: Ranked, start: int, stop: int) -> Ranked:
+    """The `Ranked` of lists start:stop of `ranked`."""
+    rows = slice(int(ranked.offsets[start]), int(ranked.offsets[stop]))
+    return Ranked(ranked.step_ids[start:stop], ranked.offsets[start : stop + 1] - rows.start,
+                  ranked.goal_ids[rows], ranked.sim1[rows],
+                  None if ranked.sim2 is None else ranked.sim2[rows])
+
+
+def joined(blocks) -> Ranked:
+    """The lists of `blocks`, block after block, as one `Ranked`."""
+    blocks = list(blocks)
+    sizes = chain.from_iterable(np.diff(block.offsets).tolist() for block in blocks)
+    sim2 = [block.sim2 for block in blocks]
+    return Ranked(tuple(chain.from_iterable(block.step_ids for block in blocks)),
+                  np.cumsum([0, *sizes], dtype=np.int64),
+                  tuple(chain.from_iterable(block.goal_ids for block in blocks)),
+                  np.concatenate([block.sim1 for block in blocks]),
+                  None if any(s is None for s in sim2) else np.concatenate(sim2))
+
+
 def one_list(step_id: str, goal_ids, sim1s) -> Ranked:
     """A `Ranked` of one list."""
     return from_lists([step_id], [goal_ids], [sim1s])

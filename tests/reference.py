@@ -2,7 +2,8 @@
 
 They are the row-at-a-time versions that `src` used before it worked a block
 of rows at a time: the ranked-list TSV reader parses and checks one line
-after another, the writer formats one row after another, and the lexical
+after another, the ranked-list and link dump writers format one row after
+another, and the lexical
 feature source analyses each text into its own `_Text` and gathers a block's
 pairs text by text, taking each step's context from its article rather than
 from `corpus.context_of`. Tests compare files byte for byte, columns and feature
@@ -102,6 +103,16 @@ def write_candidates(path, ranked: Ranked) -> None:
             rows = zip(ranked.goal_ids[a:b], *(sims[a:b].tolist() for sims in scores))
             for rank, row in enumerate(rows, 1):
                 handle.write("\t".join(map(str, (step_id, rank, *row))) + "\n")
+
+
+def write_links(path, ranked: Ranked) -> None:
+    """Row by row: step_id, then the goal_id, sim1 and sim2 of the first
+    entry of its list, each field as `str` gives it."""
+    sim1, sim2 = ranked.sim1.tolist(), ranked.sim2.tolist()
+    with open(path, "w", encoding="utf-8") as handle:
+        for step_id, first in zip(ranked.step_ids, ranked.offsets.tolist()):
+            fields = step_id, ranked.goal_ids[first], sim1[first], sim2[first]
+            handle.write("\t".join(map(str, fields)) + "\n")
 
 
 def read_candidates(path, corpus=None) -> Ranked:

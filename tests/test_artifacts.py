@@ -155,14 +155,14 @@ KINDS = {
         _store_rows,
         " ",
     ),
-    "candidates": Kind(ranked_lists(sim2=False), write_candidates,
+    "candidates": Kind(ranked_lists(sim2=False), lambda path, r: write_candidates(path, [r]),
                        lambda path: columns(read_candidates(path)), columns, "\t"),
     # As eval-links reads rankings: a line without its sim2 may read as a
     # candidates line, so sim2 is compared in test_rankings_round_trip_keeps_scores.
-    "rankings": Kind(ranked_lists(sim2=True), write_candidates,
+    "rankings": Kind(ranked_lists(sim2=True), lambda path, r: write_candidates(path, [r]),
                      lambda path: columns(read_candidates(path))[:4], lambda r: columns(r)[:4],
                      "\t"),
-    "links": Kind(ranked_lists(sim2=True), write_links, read_links,
+    "links": Kind(ranked_lists(sim2=True), lambda path, r: write_links(path, [r]), read_links,
                   lambda r: {s: d.outcome for s, d in decisions(r).items()}, "\t"),
     "gold": Kind(gold_links(),
                  lambda path, links: write_rows(path, links.items()),
@@ -281,7 +281,7 @@ def test_checkpoint_with_one_more_key_line_fails_to_load(model, data):
 def test_rankings_round_trip_keeps_scores(ranked):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rankings.tsv"
-        write_candidates(path, ranked)
+        write_candidates(path, [ranked])
         assert columns(read_candidates(path)) == columns(ranked)
 
 

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import prockb
-from conftest import identity_records, write_jsonl
-from prockb import cli
+from conftest import identity_records, joined, write_jsonl
+from prockb import cli, hierarchy, retrieval
 from prockb.cli import main
 from prockb.corpus import UNLINKABLE, load_corpus
 from prockb.embedding import load_embeddings
@@ -1174,14 +1174,27 @@ def test_model_of_another_width_exits_2_with_path(identity_setup, tmp_path, caps
     assert f"{model}: model width 16 does not match the feature width 7 of lexical" in err
 
 
-@pytest.mark.parametrize("command", ["link", "expand"])
-def test_checkpoint_whose_scores_overflow_exits_2(identity_setup, tmp_path, capsys, command):
+@pytest.mark.parametrize("command, last_block", [("link", False), ("expand", False),
+                                                  ("link", True)],
+                         ids=["link", "expand", "link-last-block"])
+def test_checkpoint_whose_scores_overflow_exits_2(identity_setup, tmp_path, capsys, monkeypatch,
+                                                  command, last_block):
     """A checkpoint whose W . f overflows gives no sim2 to write: the run
     ends in a data error naming --model and the first such step, and
-    writes nothing."""
+    writes nothing, also when only the last block of steps overflows."""
     corpus_path, _, embeddings, _ = _linked(identity_setup, tmp_path)
+    w, step_id = np.full(7, 1e308), "a00_probe"
+    if last_block:  # bias plus exact title match overflow; only a19_probe has one
+        records, _ = identity_records(20)
+        for record in records[:-1]:
+            record["steps"][0]["text"] = f"probe of {record['id']}"
+        write_jsonl(corpus_path, records)
+        assert run(["build-index", "--corpus", str(corpus_path), "--out-dir",
+                    str(tmp_path / "ix")]) == 0
+        w, step_id = np.array([1e308, 0, 0, 0, 0, 1e308, 0]), "a19_probe"
+        monkeypatch.setattr(retrieval, "STEP_BLOCK", 7)  # 60 steps: a19_probe is in the last
     model = tmp_path / "model.txt"
-    save_model(replace(new_model(7), w=np.full(7, 1e308)), model)
+    save_model(replace(new_model(7), w=w), model)
     extra = ["--root", "a00"] if command == "expand" else []
     capsys.readouterr()
     out = tmp_path / "out"
@@ -1189,8 +1202,53 @@ def test_checkpoint_whose_scores_overflow_exits_2(identity_setup, tmp_path, caps
                 "--model", str(model), *extra, "--out-dir", str(out)])
     assert code == 2
     assert capsys.readouterr().err == (
-        f"error: --model {model}: sim2 of step 'a00_probe' is not a finite number\n")
+        f"error: --model {model}: sim2 of step {step_id!r} is not a finite number\n")
     assert not out.exists()
+
+
+def test_retrieve_and_link_work_one_block_of_steps_at_a_time(identity_setup, tmp_path,
+                                                            monkeypatch):
+    """Stage 1 and the pair features see one block of STEP_BLOCK corpus
+    steps per call, and `candidates.tsv`, `links.tsv` and `rankings.tsv`
+    have the same bytes whatever the block size."""
+    corpus_path, gold_path, embeddings, candidates = _linked(identity_setup, tmp_path)
+    assert run(["train-reranker", "--corpus", str(corpus_path), "--candidates", str(candidates),
+                "--gold", str(gold_path), "--unlinkable", "--epochs", "2",
+                "--out-dir", str(tmp_path / "tr")]) == 0
+    n_steps, calls = 60, []  # identity_setup: 20 articles of 3 steps
+
+    def spy(name, fn, size):
+        def record(*args, **kwargs):
+            calls.append((name, size(*args)))
+            return fn(*args, **kwargs)
+        return record
+
+    for module in (cli, hierarchy):
+        monkeypatch.setattr(module, "retrieve_all", spy(
+            "retrieve_all", retrieval.retrieve_all, lambda index, store, steps, k: len(steps)))
+    monkeypatch.setattr(LexicalFeatureSource, "features", spy(
+        "features", LexicalFeatureSource.features, lambda source, step_ids, *_: len(step_ids)))
+
+    def outputs(block):
+        monkeypatch.setattr(retrieval, "STEP_BLOCK", block)
+        out = tmp_path / f"block{block}"
+        assert run(["retrieve", "--corpus", str(corpus_path), "--embeddings", str(embeddings),
+                    "--k", "10", "--out-dir", str(out / "ret")]) == 0
+        assert run(["link", "--corpus", str(corpus_path), "--embeddings", str(embeddings),
+                    "--model", str(tmp_path / "tr" / "model.txt"), "--rankings",
+                    "--out-dir", str(out / "ln")]) == 0
+        return [(out / name).read_bytes()
+                for name in ("ret/candidates.tsv", "ln/links.tsv", "ln/rankings.tsv")]
+
+    want = outputs(7)  # 8 blocks of 7 steps and one of 4
+    sizes = [7] * 8 + [4]
+    assert calls == [("retrieve_all", n) for n in sizes] + [
+        call for n in sizes for call in (("retrieve_all", n), ("features", n))]
+    assert want[0] == candidates.read_bytes()
+    for block in (1, 2, 3, n_steps + 1):
+        calls.clear()
+        assert outputs(block) == want, block
+        assert max(n for _, n in calls) == min(block, n_steps)
 
 
 @pytest.mark.parametrize(
@@ -1251,7 +1309,7 @@ def test_link_rankings_read_back_equal_link_all(identity_setup, tmp_path):
     pipeline = LinkPipeline(
         corpus=corpus, index=build_index(store, corpus.goal_ids()), store=store, model=model,
         features=LexicalFeatureSource(corpus))
-    want = link_all(pipeline)
+    want = joined(link_all(pipeline))
     got = read_candidates(tmp_path / "ln" / "rankings.tsv")
     assert got.step_ids == want.step_ids
     assert got.offsets.tolist() == want.offsets.tolist()

@@ -70,7 +70,9 @@ def test_blank_step_text_rejected():
 
 
 @pytest.mark.parametrize("where", ["goal", "step"])
-@pytest.mark.parametrize("space", [" ", "\t", "\u00a0"], ids=["space", "tab", "nbsp"])
+@pytest.mark.parametrize(
+    "space", [" ", "\t", "\u00a0", "\x1c", "\x85", "\u2028", "\u3000"],
+    ids=["space", "tab", "nbsp", "file-separator", "next-line", "line-separator", "ideographic"])
 def test_id_with_whitespace_rejected(tmp_path, where, space):
     records = two_article_records()
     bad = f"x{space}2"
@@ -83,6 +85,14 @@ def test_id_with_whitespace_rejected(tmp_path, where, space):
     with pytest.raises(DataError) as info:
         load_corpus(path)
     assert str(info.value) == f"{path}: record 2: id {bad!r} contains whitespace"
+
+
+def test_id_with_zero_width_space_is_accepted():
+    """U+200B is not whitespace to `str.isspace`, so it may sit in an id."""
+    records = two_article_records()
+    records[1]["id"], records[1]["steps"][0]["id"] = "x\u200b2", "s\u200b4"
+    corpus = make_corpus(records)
+    assert corpus.goal_ids()[1] == corpus.step("s\u200b4").parent_goal_id == "x\u200b2"
 
 
 def test_lone_surrogate_escape_is_a_data_error_at_its_record(tmp_path):

@@ -180,7 +180,7 @@ def train_inputs(tmp_path: Path) -> tuple[str, ...]:
                  "embeddings.txt"), "--k", "4", "--out-dir", str(tmp_path / "ret")]) == 0
     candidates = tmp_path / "candidates.tsv"
     ranked = read_candidates(tmp_path / "ret" / "candidates.tsv")
-    write_candidates(candidates, replace(ranked, sim1=ranked.sim1.round(12) + 0.0))  # no -0.0
+    write_candidates(candidates, [replace(ranked, sim1=ranked.sim1.round(12) + 0.0)])  # no -0.0
     return corpus, str(candidates), gold
 
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import columns, identity_records, make_corpus, read_links
+from conftest import columns, identity_records, joined, make_corpus, read_links
 from prockb import hierarchy
 from prockb.corpus import UNLINKABLE
 from prockb.embedding import EmbeddingStore, embed_corpus
@@ -207,6 +207,15 @@ def test_config_hash_is_the_checkpoint_text_and_the_vectors():
         chain_records(), exact_match_model(unlinkable=True)).config_hash()
 
 
+def test_config_hash_does_not_depend_on_byte_order():
+    """The vectors are hashed as little-endian float64, so a big-endian
+    store of the same values, as a big-endian host reads, hashes the same."""
+    pipeline = make_pipeline(chain_records(), exact_match_model(unlinkable=True))
+    swapped = EmbeddingStore(pipeline.store.ids, pipeline.store.matrix.astype(">f8"))
+    assert swapped.matrix.tobytes() != pipeline.store.matrix.tobytes()
+    assert replace(pipeline, store=swapped).config_hash() == pipeline.config_hash()
+
+
 def test_tree_json_shape():
     pipeline = make_pipeline(chain_records())
     payload = tree_to_dict(expand(pipeline, "A", max_depth=1))
@@ -227,14 +236,15 @@ def test_expand_validates_inputs():
 
 def test_link_dumps_round_trip(tmp_path):
     pipeline = make_pipeline(chain_records(), model=exact_match_model(unlinkable=True))
-    ranked = link_all(pipeline)
+    blocks = link_all(pipeline)
+    ranked = joined(blocks)
     links_path = tmp_path / "links.tsv"
-    write_links(links_path, ranked)
+    write_links(links_path, blocks)
     loaded = read_links(links_path)
     assert loaded == {s: d.outcome for s, d in decisions(ranked).items()}
 
     rankings_path = tmp_path / "rankings.tsv"
-    write_candidates(rankings_path, ranked)
+    write_candidates(rankings_path, blocks)
     lines = rankings_path.read_text().strip().splitlines()
     assert len(lines) == len(ranked.goal_ids)
     first = lines[0].split("\t")
@@ -257,7 +267,7 @@ def test_link_step_keeps_decisions_in_the_callers_dict():
 def test_batched_links_equal_one_step_at_a_time():
     records, _ = identity_records(30)  # 90 steps: several feature blocks
     model = replace(exact_match_model(unlinkable=True), k=5)
-    batched = link_all(make_pipeline(records, model=model))
+    batched = joined(link_all(make_pipeline(records, model=model)))
     for i, (step_id, decision) in enumerate(decisions(batched).items()):
         alone = make_pipeline(records, model=model)
         one = hierarchy.link_steps(alone, (step_id,))
@@ -288,7 +298,7 @@ def test_expand_links_each_level_in_one_batch(monkeypatch):
 def reference_walk(pipeline, root, max_depth):
     """expand's rules, walked breadth-first over `link`'s decisions of every
     step: (depth, step, link, sim1, sim2, suppressed_cycle) per step node."""
-    decided = decisions(link_all(pipeline))
+    decided = decisions(joined(link_all(pipeline)))
     rows, queue = [], deque([(root, 0, frozenset({root}))])
     while queue:
         goal, depth, path = queue.popleft()

@@ -7,6 +7,7 @@ bad lines and blank lines past the first block."""
 
 import tempfile
 import tracemalloc
+from itertools import pairwise
 from pathlib import Path
 from unittest import mock
 
@@ -16,10 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import from_lists, pair_features
+from conftest import from_lists, lists_of, pair_features
 from prockb import artifacts, rerank
 from prockb.corpus import UNLINKABLE, corpus_from_records
 from prockb.errors import DataError
+from prockb.hierarchy import write_links
 from prockb.linkeval import recall_report
 from prockb.rerank import LexicalFeatureSource, RerankModel, make_training_examples, score_candidates
 from prockb.retrieval import Ranked, read_candidates, write_candidates
@@ -66,9 +68,37 @@ def outcome(read, path, *args):
 def test_written_bytes_match_rows(ranked, block):
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(artifacts, "BLOCK", block):
         got, want = Path(tmp) / "got.tsv", Path(tmp) / "want.tsv"
-        write_candidates(got, ranked)
+        write_candidates(got, [ranked])
         reference.write_candidates(want, ranked)
         assert got.read_bytes() == want.read_bytes()
+
+
+# Each writer of ranked lists, its row-by-row reference, and the lists it is given.
+WRITERS = {
+    "candidates": (write_candidates, reference.write_candidates,
+                   ranked_lists(sim2=False, empty=True)),
+    "rankings": (write_candidates, reference.write_candidates, ranked_lists(sim2=True, empty=True)),
+    "links": (write_links, reference.write_links, ranked_lists(sim2=True)),
+}
+
+
+@pytest.mark.parametrize("name", WRITERS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), block=blocks)
+def test_written_bytes_do_not_depend_on_the_step_blocks(name, data, block):
+    """`ranked` cut into consecutive blocks, some of them empty, and given
+    as an iterator, is written as the whole of it is and as the rows are."""
+    write, write_rows, lists = WRITERS[name]
+    ranked = data.draw(lists)
+    n = len(ranked.step_ids)
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6)))
+    split = [lists_of(ranked, a, b) for a, b in pairwise([0, *cuts, n])]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(artifacts, "BLOCK", block):
+        got, whole, rows = (Path(tmp) / f"{part}.tsv" for part in ("got", "whole", "rows"))
+        write(got, iter(split))
+        write(whole, [ranked])
+        write_rows(rows, ranked)
+        assert got.read_bytes() == whole.read_bytes() == rows.read_bytes()
 
 
 @settings(max_examples=80, deadline=None)
@@ -441,7 +471,7 @@ def test_peak_memory_of_20000_rows(tmp_path):
     matrix took 1.37 MiB; `score_candidates` 1.4 MiB (< 1.8)."""
     ranked = big_ranked(sim2=True)
     path = tmp_path / "rankings.tsv"
-    assert peak_mib(write_candidates, path, ranked) < 0.25
+    assert peak_mib(write_candidates, path, [ranked]) < 0.25
     assert peak_mib(read_candidates, path) < 2.6
     ranked = big_ranked(sim2=False)
     feats = np.random.default_rng(6).normal(size=(len(ranked.goal_ids), 7))

@@ -185,7 +185,7 @@ def test_candidates_tsv_round_trip(tmp_path):
     index = build_index(store, corpus.goal_ids())
     ranked = retrieve_all(index, store, corpus.steps(), k=1)
     path = tmp_path / "candidates.tsv"
-    write_candidates(path, ranked)
+    write_candidates(path, [ranked])
     assert columns(read_candidates(path)) == columns(ranked)
 
 
