@@ -316,16 +316,18 @@ def cmd_search(args) -> None:
 
 
 def cmd_vr_index(args) -> None:
-    videos = load_videos(args.videos)
-    index = build_video_index(videos, k1=args.k1, b=args.b)
-    _output(args, "vr_index.json")[0].write_text(index.to_json() + "\n", encoding="utf-8")
+    index = build_video_index(load_videos(args.videos), k1=args.k1, b=args.b)
+    with open(_output(args, "vr_index.json")[0], "w", encoding="utf-8") as handle:
+        index.to_json(handle)
+        handle.write("\n")
 
 
 def _videos(args, corpus=None):
     """The split of the videos in --videos, read against the --corpus
     `corpus` if given, and the index in --index, which must hold exactly
-    those videos. The index is read first, so that its parse is freed before
-    the videos are read, and a fault of it is reported before one of them."""
+    those videos. The index is read first, so that a fault of it is
+    reported before one of the videos, and the temporaries of its load are
+    freed before the videos are read."""
     index = TextIndex.from_json(read_text(args.index), source=args.index)
     videos = load_videos(args.videos, corpus)
     ids = {video.video_id for video in videos}

@@ -100,7 +100,7 @@ def split_videos(videos: Sequence[VideoDoc]) -> dict[str, dict[str, list[str]]]:
 def build_video_index(
     videos: Sequence[VideoDoc], k1: float = DEFAULT_K1, b: float = DEFAULT_B
 ) -> TextIndex:
-    return TextIndex([(v.video_id, normalize_text(v.caption)) for v in videos], k1=k1, b=b)
+    return TextIndex(((v.video_id, normalize_text(v.caption)) for v in videos), k1=k1, b=b)
 
 
 # ---------------------------------------------------------------------------

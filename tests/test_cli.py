@@ -26,7 +26,7 @@ from prockb.hierarchy import LinkPipeline, link_all
 from prockb.linkeval import split_links
 from prockb.rerank import LexicalFeatureSource, load_model, new_model, save_model
 from prockb.retrieval import build_index, read_candidates
-from prockb.videoretrieval import FIL_L1, Query, write_queries
+from prockb.videoretrieval import FIL_L1, Query, build_video_index, load_videos, write_queries
 
 
 def run(argv):
@@ -792,6 +792,20 @@ def test_index_of_other_videos_exits_2(tmp_path, capsys, command, edit, first, o
     assert not (tmp_path / "out").exists()
     same = vr_index(tmp_path, videos_path)
     assert run([*argv, "--index", str(same), "--out-dir", str(tmp_path / "same")]) == 0
+
+
+def test_vr_index_writes_the_sorted_json_dumps_text(tmp_path):
+    """vr-index's file is the index's `to_json` text plus a newline: the text
+    `json.dumps` with sorted keys and non-ASCII kept gives, also with an
+    empty caption and video ids that JSON escapes or keeps as they are."""
+    videos_path = tmp_path / "videos.jsonl"
+    ids = ['q"uote', "back\\slash", "ctl\x01\x1f", "日本\u2028", "é", "7"]
+    write_jsonl(videos_path, [
+        {"video_id": vid, "goal_id": "g0", "caption": caption}
+        for vid, caption in zip(ids, ["Straße ÉTÉ", "", "a b a", "日本 語", "é é", "x_y 7"])])
+    text = vr_index(tmp_path, videos_path).read_text(encoding="utf-8")
+    assert text == build_video_index(load_videos(videos_path)).to_json() + "\n"
+    assert text == json.dumps(json.loads(text), sort_keys=True, ensure_ascii=False) + "\n"
 
 
 def test_vr_eval_memory_does_not_grow_with_distinct_clauses(tmp_path):

@@ -1,11 +1,15 @@
+import gc
 import json
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prockb import textsearch
 from prockb.errors import DataError
 from prockb.textsearch import (
     DEFAULT_B,
@@ -227,3 +231,115 @@ def test_score_all_is_the_per_posting_formula_bit_for_bit(n_docs, seed, k1, b, q
     assert index.score_all(query).view(np.uint64).tolist() == expected.tolist()
     clone = TextIndex.from_json(index.to_json())
     assert clone.score_all(query).view(np.uint64).tolist() == expected.tolist()
+
+
+# Doc ids that JSON must escape or keep as they are: quotes, backslashes,
+# control characters and non-ASCII text (no lone surrogates, which UTF-8
+# cannot write).
+_DOC_ID = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028é日'),
+                            st.characters(blacklist_categories=("Cs",))), min_size=1, max_size=6)
+_WORDS = st.lists(st.sampled_from(["a", "b", "w1", "é", "straße", "日本", "ЖУК", "x_y"]), max_size=6)
+
+
+def _same_index(a, b):
+    """Bit-identical doc tables, postings and BM25 weights."""
+    assert (a.k1, a.b, a.doc_ids, a.positions, a._spans) == (b.k1, b.b, b.doc_ids, b.positions, b._spans)
+    for name in ("doc_lens", "id_rank", "_idxs", "_tfs", "_weights"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_DOC_ID, unique=True, max_size=10), st.data(), st.integers(1, 6),
+       st.floats(0.1, 3.0), st.floats(0.0, 1.0))
+def test_to_json_writes_the_sorted_json_dumps_text_in_pieces(ids, data, block, k1, b):
+    """`to_json` writes, piece by piece, what `json.dumps` with sorted keys
+    and non-ASCII kept writes of the same payload, whatever the piece size,
+    with empty docs and doc ids JSON must escape; and `from_json` reads it
+    back, a block at a time, to the same index."""
+    docs = [(doc_id, " ".join(data.draw(_WORDS))) for doc_id in ids]
+    index = TextIndex(docs, k1=k1, b=b)
+    with mock.patch.object(textsearch, "POSTINGS_BLOCK", block):
+        text = index.to_json()
+        clone = TextIndex.from_json(text)
+        assert clone.to_json() == text
+    assert text == json.dumps(json.loads(text), sort_keys=True, ensure_ascii=False)
+    _same_index(clone, TextIndex.from_json(text))
+
+
+def test_a_repeated_field_or_term_is_refused():
+    """`json.loads` keeps the last of a repeated key; the index reader names
+    the key instead, also when a term repeats with the same postings."""
+    text = TextIndex(random_docs(12, seed=3)).to_json()
+    payload = json.loads(text)
+    term = min(payload["postings"])
+    entry = f"{json.dumps(term)}: {json.dumps(payload['postings'][term])}"
+    for edit, message in [
+        (text.replace('"k1":', '"docs": [], "k1":'), "field 'docs' appears twice"),
+        (text.replace('"postings": {', f'"postings": {{{entry}, ', 1),
+         f"term {term!r} appears twice"),
+    ]:
+        with pytest.raises(DataError) as info:
+            TextIndex.from_json(edit, "vr.json")
+        assert str(info.value) == f"vr.json: {message}"
+
+
+def test_postings_before_docs_load_to_the_same_index():
+    """Any key order and any JSON whitespace is read; with `postings` before
+    `docs` the pairs are held until the docs are read."""
+    written = TextIndex(random_docs(30, seed=2), k1=1.4, b=0.5).to_json()
+    payload = json.loads(written)
+    reordered = {key: payload[key] for key in ("postings", "k1", "docs", "b")}
+    for text in (json.dumps(reordered), json.dumps(reordered, indent="\t\n "),
+                 json.dumps(payload, separators=(",", ":"))):
+        _same_index(TextIndex.from_json(text), TextIndex.from_json(written))
+
+
+def test_a_truncated_index_or_trailing_data_is_malformed_json():
+    """Every proper prefix of an index file, and the file with data after
+    it, is malformed JSON, with the message `json.loads` gives."""
+    text = TextIndex(random_docs(4, seed=1, vocab_size=5, max_len=4)).to_json()
+    for bad in [text[:end] for end in range(len(text))] + [text + " x", text + "{}"]:
+        with pytest.raises(json.JSONDecodeError) as parse:
+            json.loads(bad)
+        with pytest.raises(DataError) as info:
+            TextIndex.from_json(bad, "vr.json")
+        assert str(info.value) == f"vr.json: malformed JSON: {parse.value.msg}"
+
+
+def _large_index():
+    """About 60k postings: 3,000 docs of 20 distinct words of 2,000."""
+    rng = random.Random(0)
+    vocab = [f"w{i}" for i in range(2000)]
+    return TextIndex([(f"doc{i:04d}", " ".join(rng.sample(vocab, 20))) for i in range(3000)])
+
+
+def _peak(fn, *args):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_index_load_memory_is_a_small_multiple_of_the_file_and_the_arrays():
+    """`from_json` decodes one term's pairs at a time and packs them a block
+    at a time, so it peaks below 2.5 times the text plus the arrays it keeps
+    (1.8 times here; a parse of the whole file with `json.loads` took 4.5)."""
+    index = _large_index()
+    assert len(index._idxs) >= 50_000
+    blob = index.to_json()
+    kept = len(blob) + sum(a.nbytes for a in (index._idxs, index._tfs, index._weights))
+    assert _peak(TextIndex.from_json, blob) < 2.5 * kept
+
+
+def test_index_write_memory_is_a_fraction_of_the_file(tmp_path):
+    """`to_json` writes a block of terms at a time, with no list of pairs and
+    no whole-file string, so writing peaks below a third of the file's size
+    (a quarter here; one string of the whole file took nine times its size)."""
+    index = _large_index()
+    path = tmp_path / "vr_index.json"
+    with open(path, "w", encoding="utf-8") as handle:
+        peak = _peak(index.to_json, handle)
+    assert peak < path.stat().st_size / 3
